@@ -15,18 +15,22 @@ monochromatic mirror pair, so:
 A Forced verdict is finite-window evidence about the tested radii, not
 a proof about the infinite group; growing outer radii at a fixed inner
 radius is the intended reading.  Smaller windows embed into larger ones
-as subgraphs, so Forced persists as the outer radius grows.
+as induced subgraphs, so Forced persists as the outer radius grows.
+``certify_schedule`` uses that to solve only some outer radii: it
+gallops up from the smallest window to the full one until a window is
+Forced, then bisects for the smallest Forced outer radius.  Colorable
+is reported only from the full window.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Sequence
 
 from . import sat
-from .cube import DimensionMismatchError, LatticePoint, origin, reflect
+from .cube import DimensionMismatchError, LatticePoint, origin
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -89,23 +93,62 @@ class SymmetryGraph:
         return len(self.edges)
 
 
+def _box_indices(lo: Sequence[int], hi: Sequence[int], width: int) -> list[int]:
+    """Flat indices, in increasing order, of the sub-box ``prod [lo_i, hi_i]``
+    of a box of the given width whose first axis is the most significant."""
+    indices = [0]
+    for a, b in zip(lo, hi):
+        indices = [i * width + x for i in indices for x in range(a, b + 1)]
+    return indices
+
+
 def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
-    lo, hi = -spec.outer, spec.outer
-    verts: list[LatticePoint] = []
-    for coords in product(range(lo, hi + 1), repeat=spec.dim):
-        p = LatticePoint(coords) + spec.center
-        if spec.inner < (p - spec.center).norm_inf() <= spec.outer:
-            verts.append(p)
-    verts.sort()
-    index = {p.coords: i for i, p in enumerate(verts)}
-    edges: set[tuple[int, int]] = set()
-    for i, p in enumerate(verts):
-        for c in spec.centers:
-            m = reflect(c, p)
-            j = index.get(m.coords)
-            if j is not None and j != i:
-                edges.add((i, j) if i < j else (j, i))
-    return SymmetryGraph(spec=spec, vertices=tuple(verts), edges=tuple(sorted(edges)))
+    """Build the window's symmetry graph on flat box indices.
+
+    Box coordinate ``x_i = p_i - center_i + outer`` lies in ``[0, 2*outer]``
+    and box index ``b = sum x_i * W^(dim-1-i)`` with ``W = 2*outer + 1``, so
+    box order is lexicographic point order.  With ``e = c - center``, the
+    mirror ``2c - p`` has box coordinates ``2*e_i + 2*outer - x_i``: its box
+    index is ``K_c - b`` for ``K_c = sum (2*e_i + 2*outer) * W^(dim-1-i)``.
+    That index is a true mirror only when every coordinate stays in the
+    box, i.e. ``b`` lies in the sub-box ``max(0, 2*e_i) <= x_i <=
+    min(2*outer, 2*e_i + 2*outer)``, so only that sub-box is walked.
+    """
+    dim, outer, inner = spec.dim, spec.outer, spec.inner
+    width = 2 * outer + 1
+    keep = bytearray(b"\x01") * width**dim
+    for b in _box_indices((outer - inner,) * dim, (outer + inner,) * dim, width):
+        keep[b] = 0
+    slot = [-1] * len(keep)
+    for i, b in enumerate(compress(range(len(keep)), keep)):
+        slot[b] = i
+    n = len(keep) - keep.count(0)
+
+    keys: list[int] = []
+    shifts = {
+        tuple(a - o for a, o in zip(c.coords, spec.center.coords)) for c in spec.centers
+    }
+    for e in shifts:
+        k_c = 0
+        for e_i in e:
+            k_c = k_c * width + 2 * e_i + 2 * outer
+        lo = [max(0, 2 * e_i) for e_i in e]
+        hi = [min(2 * outer, 2 * e_i + 2 * outer) for e_i in e]
+        for b in _box_indices(lo, hi, width):
+            m = k_c - b
+            if b >= m:
+                break
+            i, j = slot[b], slot[m]
+            if i >= 0 and j >= 0:
+                keys.append(i * n + j)
+    keys.sort()
+
+    ranges = (range(c - outer, c + outer + 1) for c in spec.center.coords)
+    return SymmetryGraph(
+        spec=spec,
+        vertices=tuple(LatticePoint(p) for p in compress(product(*ranges), keep)),
+        edges=tuple(divmod(key, n) for key in keys),
+    )
 
 
 class VerdictKind(Enum):
@@ -430,31 +473,61 @@ def certify_schedule(
     """One verdict per inner radius r, with outer radius
     R = r_factor * (r + max center norm + 1).
 
-    With ``escalate`` (the default), outer radii below R are tried
-    first; a Forced verdict on a smaller window is final because the
-    smaller window is a subgraph of the full one.  Colorable is only
-    reported from the full window.
+    With ``escalate`` (the default), the search starts at outer radius
+    ``start = r + max center norm + 1``; without it, ``start = R``.  A
+    window is an induced subgraph of every larger one, so a Forced
+    verdict persists as the outer radius grows, and the smallest Forced
+    outer radius is found by galloping search: outer radii ``start,
+    start+1, start+3, start+7, ...`` (the gaps double, the last probe is
+    capped at R) are solved until one is Forced or R has been solved,
+    then the gap between the last probe that was not Forced and the
+    first Forced one is bisected.  A row is Forced at the smallest
+    Forced window solved; otherwise it carries the verdict of the full
+    window R, so Colorable is only reported from the full window.
+
+    With no Unknown window this solves fewer windows but reports exactly
+    what a scan of every outer radius from ``start`` to R would: the
+    same verdict, ``proved_at_outer``, witness and stats.  An Unknown
+    window counts as "not proved Forced" and the search moves up, so
+    ``proved_at_outer`` can then be larger than the smallest Forced
+    radius; it always names a window that was solved and found Forced.
     """
     centers = tuple(centers)
     if not centers:
         raise ValueError("at least one center is required")
+    if r_factor < 1:
+        raise ValueError(f"R factor must be at least 1, got {r_factor}")
+    if budget < 0:
+        raise ValueError(f"decision budget must be non-negative, got {budget}")
     dim = centers[0].dim
     max_norm = max(c.norm_inf() for c in centers)
     rows: list[ScheduleRow] = []
     for r in r_list:
         outer = r_factor * (r + max_norm + 1)
-        start = r + max_norm + 1 if escalate else outer
-        verdict: WindowVerdict | None = None
-        proved_at = outer
-        for trial_outer in range(start, outer + 1):
+
+        def solve(trial_outer: int) -> WindowVerdict:
             spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
-            v = decide_k_colorable(build_symmetry_graph(spec), k, budget=budget)
-            if v.kind is VerdictKind.FORCED:
-                verdict, proved_at = v, trial_outer
+            return decide_k_colorable(build_symmetry_graph(spec), k, budget=budget)
+
+        lo = trial_outer = r + max_norm + 1 if escalate else outer
+        step = 1
+        while True:
+            verdict = solve(trial_outer)
+            if verdict.kind is VerdictKind.FORCED or trial_outer == outer:
                 break
-            if trial_outer == outer:
-                verdict, proved_at = v, trial_outer
-        assert verdict is not None
+            lo = trial_outer + 1
+            trial_outer = min(trial_outer + step, outer)
+            step *= 2
+        proved_at = trial_outer
+        if verdict.kind is VerdictKind.FORCED:
+            # the smallest Forced radius lies in [lo, proved_at]
+            while lo < proved_at:
+                mid = (lo + proved_at) // 2
+                probe = solve(mid)
+                if probe.kind is VerdictKind.FORCED:
+                    verdict, proved_at = probe, mid
+                else:
+                    lo = mid + 1
         rows.append(
             ScheduleRow(inner=r, outer=outer, verdict=verdict, proved_at_outer=proved_at)
         )

@@ -178,10 +178,11 @@ def cmd_certify(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, dict]:
     centers = parse_center_set(centers_text)
-    if any(c.dim != dim for c in centers):
-        raise ValueError(
-            f"centers have dimension {centers[0].dim}, but --dim is {dim}"
-        )
+    dims = sorted({c.dim for c in centers})
+    if len(dims) > 1:
+        raise ValueError(f"centers have mixed dimensions {dims}")
+    if dims and dims[0] != dim:
+        raise ValueError(f"centers have dimension {dims[0]}, but --dim is {dim}")
     report = certify_schedule(centers, colors, r_list, r_factor=r_factor, budget=budget)
     return 0, _schedule_to_json(report)
 

@@ -1,8 +1,11 @@
 """Symmetry-window graphs, exact verdicts, schedules, DIMACS export."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import centerpole.certifier as certifier
 from centerpole.certifier import (
@@ -16,7 +19,13 @@ from centerpole.certifier import (
     export_dimacs,
     verify_witness,
 )
-from centerpole.cube import DimensionMismatchError, LatticePoint, build_sandwich, lattice
+from centerpole.cube import (
+    DimensionMismatchError,
+    LatticePoint,
+    build_sandwich,
+    lattice,
+    reflect,
+)
 
 
 def graph_from_edges(n, edges, dim=1):
@@ -92,6 +101,67 @@ class TestGraphConstruction:
         graph = graph_from_edges(4, PATH4)
         adj = graph.adjacency()
         assert adj == [[1], [0, 2], [1, 3], [2]]
+
+
+def reference_symmetry_graph(spec):
+    """Point-by-point build with LatticePoint arithmetic and a coordinate
+    index: the definition that the flat-index build must reproduce."""
+    verts = []
+    for coords in product(range(-spec.outer, spec.outer + 1), repeat=spec.dim):
+        p = LatticePoint(coords) + spec.center
+        if spec.inner < (p - spec.center).norm_inf() <= spec.outer:
+            verts.append(p)
+    verts.sort()
+    index = {p.coords: i for i, p in enumerate(verts)}
+    edges = set()
+    for i, p in enumerate(verts):
+        for c in spec.centers:
+            j = index.get(reflect(c, p).coords)
+            if j is not None and j != i:
+                edges.add((i, j) if i < j else (j, i))
+    return tuple(verts), tuple(sorted(edges))
+
+
+@st.composite
+def window_specs(draw):
+    dim = draw(st.integers(1, 3))
+    outer = draw(st.integers(1, (6, 5, 3)[dim - 1]))
+    inner = draw(st.integers(0, outer - 1))
+    center = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
+    # offsets of the mirror centers; +-outer puts a center on the window's
+    # boundary, and repeats are allowed
+    offset = st.integers(-outer, outer) | st.sampled_from((-outer, outer))
+    offsets = draw(
+        st.lists(st.tuples(*[offset] * dim), min_size=1, max_size=4)
+    )
+    return WindowSpec(
+        dim=dim,
+        outer=outer,
+        inner=inner,
+        centers=tuple(
+            LatticePoint(tuple(c + o for c, o in zip(center, off)))
+            for off in offsets
+        ),
+        center=LatticePoint(center),
+    )
+
+
+class TestFlatIndexBuild:
+    @given(window_specs())
+    @example(
+        # mirror centers on the boundary of a window off the origin
+        WindowSpec(
+            dim=2,
+            outer=3,
+            inner=1,
+            centers=(lattice(8, -3), lattice(2, 0), lattice(8, 0)),
+            center=lattice(5, -3),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_build(self, spec):
+        graph = build_symmetry_graph(spec)
+        assert (graph.vertices, graph.edges) == reference_symmetry_graph(spec)
 
 
 class TestWitnessVerification:
@@ -266,6 +336,128 @@ class TestSchedule:
     def test_needs_centers(self):
         with pytest.raises(ValueError):
             certify_schedule([], 2, [1])
+
+    def test_rejects_r_factor_below_one(self):
+        with pytest.raises(ValueError, match="R factor"):
+            certify_schedule([lattice(0)], 1, [1], r_factor=0)
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            certify_schedule([lattice(0)], 1, [1], budget=-1)
+
+
+# Forced at outer 6, 7, 8 for r = 1, 2, 3 with k = 2, while the escalation
+# starts at outer 4, 5, 6: the smallest Forced window lies above the first
+# two galloping probes, so it is found by bisection.
+LATE_FORCED = [lattice(-1, -1), lattice(-1, 0), lattice(1, 2)]
+
+
+def linear_schedule(centers, k, r_list, r_factor=3):
+    """Scan every outer radius from r + max norm + 1 up to R and stop at
+    the first Forced window: the order the galloping search must match."""
+    max_norm = max(c.norm_inf() for c in centers)
+    rows = []
+    for r in r_list:
+        outer = r_factor * (r + max_norm + 1)
+        for trial in range(r + max_norm + 1, outer + 1):
+            spec = WindowSpec(
+                dim=centers[0].dim, outer=trial, inner=r, centers=tuple(centers)
+            )
+            verdict = certifier.decide_k_colorable(
+                certifier.build_symmetry_graph(spec), k
+            )
+            if verdict.kind is VerdictKind.FORCED:
+                break
+        rows.append((trial, verdict))
+    return rows
+
+
+def row_summary(proved_at, verdict):
+    stats = verdict.stats
+    return (
+        verdict.kind,
+        proved_at,
+        verdict.witness,
+        verdict.detail,
+        (stats.vertices, stats.edges, stats.decisions),
+    )
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The outer radii of the windows built, in order."""
+    outers = []
+    build = certifier.build_symmetry_graph
+
+    def recording_build(spec):
+        outers.append(spec.outer)
+        return build(spec)
+
+    monkeypatch.setattr(certifier, "build_symmetry_graph", recording_build)
+    return outers
+
+
+class TestGallopingEscalation:
+    @pytest.mark.parametrize(
+        "centers,k,r_list,r_factor",
+        [
+            ([lattice(0)], 1, [0, 1, 2], 3),
+            ([lattice(0, 0)], 1, [1], 3),
+            (sorted(build_sandwich(1, -1).points()), 2, [1, 2, 3], 3),
+            (LATE_FORCED, 2, [1, 2, 3], 3),
+            ([lattice(0, 0), lattice(3, 0)], 2, [1, 2], 2),
+            ([lattice(0), lattice(1), lattice(3)], 2, [0, 1, 2], 3),
+            (LATE_FORCED, 3, [1], 3),
+            ([lattice(0, 0), lattice(2, 1), lattice(1, 3)], 3, [0, 1], 2),
+        ],
+    )
+    def test_matches_the_linear_scan(self, centers, k, r_list, r_factor):
+        report = certify_schedule(centers, k, r_list, r_factor=r_factor)
+        expected = linear_schedule(centers, k, r_list, r_factor=r_factor)
+        got = [row_summary(row.proved_at_outer, row.verdict) for row in report.rows]
+        assert got == [row_summary(at, verdict) for at, verdict in expected]
+
+    def test_late_forced_rows_are_found_by_bisection(self, solved):
+        report = certify_schedule(LATE_FORCED, 2, [1])
+        (row,) = report.rows
+        assert row.verdict.kind is VerdictKind.FORCED
+        assert row.proved_at_outer == 6
+        # gallop 4, 5, 7 (Forced), then bisect the gap [6, 7]
+        assert solved == [4, 5, 7, 6]
+
+    def test_colorable_rows_gallop_to_the_full_window(self, solved):
+        report = certify_schedule([lattice(0, 0), lattice(3, 0)], 2, [1, 4])
+        assert [row.verdict.kind for row in report.rows] == [VerdictKind.COLORABLE] * 2
+        assert [row.proved_at_outer for row in report.rows] == [15, 24]
+        # start + 0, 1, 3, 7, 15, ... with the last probe capped at R
+        assert solved == [5, 6, 8, 12, 15] + [8, 9, 11, 15, 23, 24]
+
+    def test_an_unknown_probe_moves_the_search_up(self, monkeypatch):
+        decide = certifier.decide_k_colorable
+
+        def unknown_at_seven(graph, k, budget=certifier.DEFAULT_BUDGET):
+            if graph.spec.outer == 7:
+                return certifier.WindowVerdict(
+                    kind=VerdictKind.UNKNOWN,
+                    witness=None,
+                    stats=certifier.SearchStats(
+                        graph.vertex_count, graph.edge_count, 0, 0
+                    ),
+                    detail="budget exhausted",
+                )
+            return decide(graph, k, budget=budget)
+
+        monkeypatch.setattr(certifier, "decide_k_colorable", unknown_at_seven)
+        (row,) = certify_schedule(LATE_FORCED, 2, [1]).rows
+        ((linear_at, _),) = linear_schedule(LATE_FORCED, 2, [1])
+        # probes 4, 5, 7 (Unknown), 11 (Forced), then bisect [8, 11]: the
+        # row names a window that really is Forced, though not the smallest
+        assert linear_at == 6
+        assert row.verdict.kind is VerdictKind.FORCED
+        assert row.proved_at_outer == 8
+        spec = WindowSpec(dim=2, outer=8, inner=1, centers=tuple(LATE_FORCED))
+        direct = decide(build_symmetry_graph(spec), 2)
+        assert row_summary(8, direct) == row_summary(row.proved_at_outer, row.verdict)
 
 
 def parse_dimacs(text):

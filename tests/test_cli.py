@@ -196,6 +196,35 @@ class TestCertifyCommand:
         assert code == 2
         assert "dimension" in err
 
+    def test_ragged_centers_file_reports_mixed_dimensions(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps([[0, 0], [1, 0, 0]]))
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: centers have mixed dimensions [2, 3]\n"
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--R-factor", "0"], "R factor must be at least 1"),
+            (["--budget", "-1"], "decision budget must be non-negative"),
+        ],
+    )
+    def test_out_of_range_schedule_flags_are_usage_errors(self, flags, message, capsys):
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(1,-1)"]
+            + flags,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestColoringScanCommand:
     def test_clean_cone_scan(self, tmp_path, capsys):
