@@ -12,6 +12,11 @@ monochromatic mirror pair, so:
   exists (returned and re-verified edge by edge);
 * ``Unknown`` - the decision budget ran out before either answer.
 
+Each window is decided by one route, chosen by k: a BFS parity check
+for k = 2, and otherwise the clause-learning engine in ``sat`` on the
+core left after peeling vertices of degree below k.  The budget counts
+that engine's decisions only, so k <= 2 never gives Unknown.
+
 A Forced verdict is finite-window evidence about the tested radii, not
 a proof about the infinite group; growing outer radii at a fixed inner
 radius is the intended reading.  Smaller windows embed into larger ones
@@ -33,10 +38,6 @@ from . import sat
 from .cube import DimensionMismatchError, LatticePoint, origin
 
 DEFAULT_BUDGET = 5_000_000
-
-# decisions granted to the saturation search before a component core is
-# handed to the conflict-learning engine
-QUICK_SLICE = 20_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,119 +183,6 @@ def verify_witness(graph: SymmetryGraph, k: int, witness: Sequence[int]) -> bool
     return all(witness[a] != witness[b] for a, b in graph.edges)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Searcher:
-    """Exact k-colorability via saturation-guided backtracking.
-
-    Unit propagation over available-color masks, branching on the most
-    saturated vertex (ties by vertex order), and branching colors
-    limited to already-used colors plus one fresh color (unused colors
-    are interchangeable).  Deterministic for a fixed graph and k.
-    """
-
-    def __init__(self, adj: list[list[int]], k: int, budget: int, spent: int = 0):
-        self.adj = adj
-        self.k = k
-        self.full = (1 << k) - 1
-        self.n = len(adj)
-        self.budget = budget
-        self.decisions = spent
-        self.color = [-1] * self.n
-        self.allowed = [self.full] * self.n
-
-    def solve(self, comp: list[int]) -> list[int] | None:
-        """Return colors for `comp`'s vertices, or None if impossible."""
-        if not comp:
-            return []
-        ok = self._search(list(comp))
-        if not ok:
-            return None
-        return [self.color[v] for v in comp]
-
-    def _assign(self, v: int, c: int, trail: list[tuple[int, int, int]]) -> bool:
-        # trail entries: (vertex, previous allowed mask, previous color)
-        stack = [(v, c)]
-        while stack:
-            u, cu = stack.pop()
-            if self.color[u] != -1:
-                if self.color[u] != cu:
-                    return False
-                continue
-            trail.append((u, self.allowed[u], self.color[u]))
-            self.color[u] = cu
-            self.allowed[u] = 1 << cu
-            bit = 1 << cu
-            for w in self.adj[u]:
-                if self.color[w] != -1:
-                    if self.color[w] == cu:
-                        return False
-                    continue
-                m = self.allowed[w]
-                if m & bit:
-                    trail.append((w, m, -1))
-                    m &= ~bit
-                    self.allowed[w] = m
-                    if m == 0:
-                        return False
-                    if m & (m - 1) == 0:
-                        stack.append((w, m.bit_length() - 1))
-        return True
-
-    def _undo(self, trail: list[tuple[int, int, int]], mark: int) -> None:
-        while len(trail) > mark:
-            u, m, col = trail.pop()
-            self.allowed[u] = m
-            self.color[u] = col
-
-    def _search(self, comp: list[int]) -> bool:
-        color = self.color
-        allowed = self.allowed
-        trail: list[tuple[int, int, int]] = []
-
-        def used_mask() -> int:
-            m = 0
-            for u in comp:
-                if color[u] != -1:
-                    m |= 1 << color[u]
-            return m
-
-        def recurse(used: int) -> bool:
-            best = -1
-            best_free = self.k + 1
-            for u in comp:
-                if color[u] == -1:
-                    free = allowed[u].bit_count()
-                    if free < best_free:
-                        best, best_free = u, free
-            if best == -1:
-                return True
-            self.decisions += 1
-            if self.decisions > self.budget:
-                raise _BudgetExhausted
-            cand = allowed[best]
-            # used colors first, then a single fresh one
-            fresh = (~used) & self.full
-            if fresh:
-                lowest_fresh = fresh & -fresh
-                cand &= used | lowest_fresh
-            c = cand
-            while c:
-                bit = c & -c
-                c &= c - 1
-                ci = bit.bit_length() - 1
-                mark = len(trail)
-                if self._assign(best, ci, trail):
-                    if recurse(used_mask()):
-                        return True
-                self._undo(trail, mark)
-            return False
-
-        return recurse(used_mask())
-
-
 def _cdcl_core(
     adj: list[list[int]], core: list[int], k: int, budget: int, spent: int
 ) -> tuple[list[int] | None, int, bool]:
@@ -361,12 +249,12 @@ def decide_k_colorable(
 ) -> WindowVerdict:
     """Exact decision: Forced, Colorable (with verified witness), or Unknown.
 
-    Components are solved independently, smallest first; inside each,
-    the low-degree fringe is peeled before the core search.  Cores get
-    a short saturation-guided backtracking pass and escalate to the
-    clause-learning engine if that does not finish.  The budget counts
-    branching decisions across both engines; the only non-exact outcome
-    is Unknown on budget exhaustion, and a verdict is never guessed.
+    One route per k.  For k = 2 the component walk records BFS parity: the
+    graph is 2-colorable exactly when no edge joins equal parities, and the
+    parity is the witness.  Otherwise each component, smallest first, is
+    peeled and its core, if any, goes to the clause-learning engine.  The
+    budget counts that engine's decisions across components; running out
+    gives Unknown, never a guessed verdict, and cannot happen for k <= 2.
     """
     if k < 1:
         raise ValueError("color count must be positive")
@@ -375,6 +263,7 @@ def decide_k_colorable(
     n = graph.vertex_count
 
     comp_of = [-1] * n
+    parity = bytearray(n)
     comps: list[list[int]] = []
     for start in range(n):
         if comp_of[start] != -1:
@@ -388,61 +277,55 @@ def decide_k_colorable(
             for u in adj[v]:
                 if comp_of[u] == -1:
                     comp_of[u] = len(comps)
+                    parity[u] = parity[v] ^ 1
                     comp.append(u)
         comps.append(comp)
-    comps.sort(key=lambda c: (len(c), c[0]))
 
-    witness = [-1] * n
     decisions = 0
 
-    def stats() -> SearchStats:
-        return SearchStats(
+    def verdict(
+        kind: VerdictKind, detail: str, witness: tuple[int, ...] | None = None
+    ) -> WindowVerdict:
+        stats = SearchStats(
             vertices=n,
             edges=graph.edge_count,
             decisions=decisions,
             runtime_ms=int((time.perf_counter() - t0) * 1000),
         )
+        return WindowVerdict(kind=kind, witness=witness, stats=stats, detail=detail)
 
-    for comp in comps:
-        core, peeled = _peel(adj, comp, k)
-        searcher = _Searcher(adj, k, min(decisions + QUICK_SLICE, budget), spent=decisions)
-        try:
-            got = searcher.solve(core)
-            decisions = searcher.decisions
-        except _BudgetExhausted:
-            decisions = searcher.decisions
-            got, decisions, exhausted = _cdcl_core(adj, core, k, budget, decisions)
-            if exhausted:
-                return WindowVerdict(
-                    kind=VerdictKind.UNKNOWN,
-                    witness=None,
-                    stats=stats(),
-                    detail=f"budget of {budget} decisions exhausted",
-                )
-        if got is None:
-            return WindowVerdict(
-                kind=VerdictKind.FORCED,
-                witness=None,
-                stats=stats(),
-                detail=(
-                    f"component of size {len(comp)} (core {len(core)}) "
-                    f"admits no proper {k}-coloring"
-                ),
-            )
-        for v, c in zip(core, got):
-            witness[v] = c
-        for v in reversed(peeled):
-            taken = {witness[u] for u in adj[v] if witness[u] != -1}
-            witness[v] = min(c for c in range(k) if c not in taken)
+    if k == 2:
+        clash = next((a for a, b in graph.edges if parity[a] == parity[b]), None)
+        if clash is not None:
+            detail = f"component of size {len(comps[comp_of[clash]])} has an odd cycle"
+            return verdict(VerdictKind.FORCED, detail)
+        witness = list(parity)
+    else:
+        comps.sort(key=lambda c: (len(c), c[0]))
+        witness = [-1] * n
+        for comp in comps:
+            core, peeled = _peel(adj, comp, k)
+            if core:
+                got, decisions, exhausted = _cdcl_core(adj, core, k, budget, decisions)
+                if exhausted:
+                    detail = f"budget of {budget} decisions exhausted"
+                    return verdict(VerdictKind.UNKNOWN, detail)
+                if got is None:
+                    return verdict(
+                        VerdictKind.FORCED,
+                        f"component of size {len(comp)} (core {len(core)}) "
+                        f"admits no proper {k}-coloring",
+                    )
+                for v, c in zip(core, got):
+                    witness[v] = c
+            for v in reversed(peeled):
+                taken = {witness[u] for u in adj[v] if witness[u] != -1}
+                witness[v] = min(c for c in range(k) if c not in taken)
 
     if not verify_witness(graph, k, witness):
         raise RuntimeError("internal error: witness failed re-verification")
-    return WindowVerdict(
-        kind=VerdictKind.COLORABLE,
-        witness=tuple(witness),
-        stats=stats(),
-        detail=f"proper {k}-coloring found and re-verified",
-    )
+    detail = f"proper {k}-coloring found and re-verified"
+    return verdict(VerdictKind.COLORABLE, detail, tuple(witness))
 
 
 @dataclass(frozen=True, slots=True)

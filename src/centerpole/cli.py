@@ -53,13 +53,22 @@ def parse_center_set(text: str) -> list[LatticePoint]:
     return [LatticePoint(tuple(int(v) for v in row)) for row in data]
 
 
+def _field(spec: dict, key: str):
+    if key not in spec:
+        raise ValueError(f"rule kind {spec['kind']!r} needs the key {key!r}")
+    return spec[key]
+
+
 def build_rule(spec: dict) -> ColoringRule:
     """Assemble a coloring rule from its JSON description.
 
     Kinds: cone (dim or explicit vertices), halfspace (center),
     pair (a, b), plus0 (base), plus1 (base, optional aux2),
-    plus2 (base, A, optional auxes).
+    plus2 (base, A, optional auxes).  A spec that is not an object or
+    lacks a required key raises ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a rule must be a JSON object, got {json.dumps(spec)}")
     kind = spec.get("kind")
     if kind == "cone":
         if "vertices" in spec:
@@ -67,24 +76,26 @@ def build_rule(spec: dict) -> ColoringRule:
                 tuple(point_from_json(v) for v in spec["vertices"])
             )
         else:
-            simplex = standard_simplex(int(spec["dim"]))
+            simplex = standard_simplex(int(_field(spec, "dim")))
         return cone_coloring(simplex)
     if kind == "halfspace":
-        return halfspace_coloring(point_from_json(spec["center"]))
+        return halfspace_coloring(point_from_json(_field(spec, "center")))
     if kind == "pair":
-        return pair_coloring(point_from_json(spec["a"]), point_from_json(spec["b"]))
+        return pair_coloring(
+            point_from_json(_field(spec, "a")), point_from_json(_field(spec, "b"))
+        )
     if kind == "plus0":
-        return plus0_extension(build_rule(spec["base"]))
+        return plus0_extension(build_rule(_field(spec, "base")))
     if kind == "plus1":
-        base = build_rule(spec["base"])
+        base = build_rule(_field(spec, "base"))
         if "aux2" in spec:
             aux = build_rule(spec["aux2"])
         else:
             aux = halfspace_coloring(RationalPoint((0,) * base.dim))
         return plus1_extension(base, aux)
     if kind == "plus2":
-        base = build_rule(spec["base"])
-        added = [point_from_json(row) for row in spec["A"]]
+        base = build_rule(_field(spec, "base"))
+        added = [point_from_json(row) for row in _field(spec, "A")]
         auxes = {
             key: build_rule(value) for key, value in spec.get("auxes", {}).items()
         }
@@ -149,6 +160,8 @@ def cmd_tshape(
     with open(points_file, encoding="utf-8") as fh:
         rows = json.load(fh)
     points = [point_from_json(row) for row in rows]
+    if trials > 0 and bound_dim is None and not points:
+        raise ValueError("--trials on an empty points file needs --bound-dim")
     outcome = is_t_shaped(points)
     result: dict = {
         "points": [point_to_json(p) for p in points],

@@ -24,6 +24,7 @@ from .geometry import (
     affine_hull_dim,
     dot,
     fraction_to_json,
+    matrix_inverse,
     point_to_json,
 )
 
@@ -99,26 +100,6 @@ def standard_simplex(d: int) -> SimplexSpec:
     return SimplexSpec(tuple(verts))
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    work = [list(row) + [Fraction(int(i == r)) for i in range(n)]
-            for r, row in enumerate(matrix)]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        work[rank] = [v / lead for v in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
-        rank += 1
-    return [row[n:] for row in work]
-
-
 def cone_coloring(spec: SimplexSpec) -> ColoringRule:
     """Color nonzero x by the first facet its positive ray meets.
 
@@ -134,7 +115,7 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
         [spec.vertices[i][r] for i in range(d + 1)] for r in range(d)
     ]
     matrix.append([Fraction(1)] * (d + 1))
-    inverse = _invert(matrix)
+    inverse = matrix_inverse(matrix)
 
     def evaluate(point) -> int:
         cs = _as_coords(point, d)

@@ -158,6 +158,20 @@ def matrix_rank(rows: Iterable[Sequence[Rational]]) -> int:
     return _row_reduce(work)
 
 
+def matrix_inverse(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix: row-reduce ``[M | I]`` to
+    ``[I | M^-1]``.  Raises ValueError if the matrix is singular."""
+    n = len(rows)
+    work = [
+        [_to_fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
+        for r, row in enumerate(rows)
+    ]
+    _row_reduce(work)
+    if any(row[r] != 1 for r, row in enumerate(work)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in work]
+
+
 def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
     """Dimension of the affine hull: -1 for no points, else the exact
     rank of the difference vectors from the first point."""
@@ -342,7 +356,11 @@ def point_to_json(p: RationalPoint) -> list[str]:
 
 
 def point_from_json(row: Iterable[str | int]) -> RationalPoint:
-    return RationalPoint(tuple(Fraction(v) for v in row))
+    """Parse integers and fraction strings; floats are inexact and refused."""
+    try:
+        return RationalPoint(tuple(row))
+    except TypeError as err:
+        raise ValueError(f"bad point {row!r}: {err}") from err
 
 
 def hyperplane_to_json(h: Hyperplane) -> dict:

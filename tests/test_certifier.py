@@ -48,6 +48,11 @@ PETERSEN = (
     + [(i, i + 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
 )
+# a tree on 0..3 hangs off a 5-cycle on 4..8, so a walk from vertex 0
+# crosses the tree before it meets the odd cycle
+CYCLE5_WITH_TREE = [(0, 1), (1, 2), (2, 3), (2, 4)] + [
+    (a + 4, b + 4) for a, b in CYCLE5
+]
 
 
 class TestWindowSpec:
@@ -216,19 +221,29 @@ class TestDecision:
             (CYCLE5, 5, 3, VerdictKind.COLORABLE),
             (K4, 4, 3, VerdictKind.FORCED),
             (PETERSEN, 10, 3, VerdictKind.COLORABLE),
+            (CYCLE5_WITH_TREE, 9, 2, VerdictKind.FORCED),
         ],
     )
-    def test_conflict_learning_engine_agrees(
-        self, monkeypatch, edges, n, k, expected
-    ):
-        # forcing an immediate escalation routes every core through the
-        # clause-learning engine
-        monkeypatch.setattr(certifier, "QUICK_SLICE", 0)
+    def test_conflict_learning_engine_agrees(self, edges, n, k, expected):
+        # k = 2 takes the parity route and never decides; every other k
+        # decides the peeled core with the clause-learning engine
         graph = graph_from_edges(n, edges)
         verdict = decide_k_colorable(graph, k)
         assert verdict.kind is expected
         if expected is VerdictKind.COLORABLE:
             assert verify_witness(graph, k, verdict.witness)
+        else:
+            assert verdict.witness is None
+        if k == 2:
+            assert verdict.stats.decisions == 0
+
+    def test_forest_has_an_empty_core_and_needs_no_decisions(self):
+        forest = [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)]
+        graph = graph_from_edges(9, forest)
+        verdict = decide_k_colorable(graph, 3, budget=0)
+        assert verdict.kind is VerdictKind.COLORABLE
+        assert verify_witness(graph, 3, verdict.witness)
+        assert verdict.stats.decisions == 0
 
     def test_budget_exhaustion_is_reported_not_guessed(self):
         verdict = decide_k_colorable(graph_from_edges(4, K4), 3, budget=0)
@@ -256,17 +271,21 @@ class TestDecision:
                 for b in range(a + 1, n)
                 if rng.random() < density
             ]
-            k = rng.randint(1, 3)
             graph = graph_from_edges(n, edges)
-            verdict = decide_k_colorable(graph, k)
-            brute = any(
-                all(colors[a] != colors[b] for a, b in edges)
-                for colors in product(range(k), repeat=n)
-            )
-            expected = (
-                VerdictKind.COLORABLE if brute else VerdictKind.FORCED
-            )
-            assert verdict.kind is expected, (n, edges, k)
+            for k in (rng.randint(1, 3), 4):
+                verdict = decide_k_colorable(graph, k)
+                brute = any(
+                    all(colors[a] != colors[b] for a, b in edges)
+                    for colors in product(range(k), repeat=n)
+                )
+                expected = (
+                    VerdictKind.COLORABLE if brute else VerdictKind.FORCED
+                )
+                assert verdict.kind is expected, (n, edges, k)
+                if k <= 2:
+                    assert verdict.stats.decisions == 0
+                if brute:
+                    assert verify_witness(graph, k, verdict.witness)
 
 
 class TestTranslationInvariance:

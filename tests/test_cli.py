@@ -117,6 +117,26 @@ class TestTshapeCommand:
         assert bounds["ok"] is True
         assert bounds["t_value"] == 3
 
+    def test_empty_points_with_trials_needs_a_bound_dim(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        code, out, err = run_cli(
+            ["tshape", "--points", str(path), "--trials", "2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--bound-dim" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_float_coordinates_are_refused(self, tmp_path, capsys):
+        path = tmp_path / "floats.json"
+        path.write_text("[[0.1, 0], [1, 2]]")
+        code, out, err = run_cli(["tshape", "--points", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "floats" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_points_file(self, capsys):
         code, out, err = run_cli(
             ["tshape", "--points", "/nonexistent/pts.json"], capsys
@@ -307,6 +327,26 @@ class TestColoringScanCommand:
         )
         assert code == 2
         assert "mystery" in err
+
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ('{"kind": "cone"}', "rule kind 'cone' needs the key 'dim'"),
+            ('{"kind": "plus2", "base": {"kind": "cone", "dim": 2}}',
+             "rule kind 'plus2' needs the key 'A'"),
+            ("[1]", "a rule must be a JSON object"),
+            ('{"kind": "halfspace", "center": [0.5, 0]}', "bad point"),
+        ],
+    )
+    def test_malformed_rule_specs_are_usage_errors(self, rule, message, capsys):
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", rule, "--centers", "sandwich(1,-1)"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_malformed_rule_json(self, capsys):
         code, out, err = run_cli(

@@ -19,6 +19,7 @@ from centerpole.geometry import (
     hyperplane_to_json,
     in_general_position,
     is_support_hyperplane,
+    matrix_inverse,
     matrix_rank,
     point_from_json,
     point_to_json,
@@ -93,6 +94,22 @@ class TestRanksAndHulls:
         assert matrix_rank([[1, 2], [2, 4]]) == 1
         assert matrix_rank([[1, 0], [0, 1]]) == 2
         assert matrix_rank([["1/2", 1], [1, 2], [3, 7]]) == 2
+
+    def test_matrix_inverse(self):
+        m = [[0, 2, 1], ["1/2", 0, 3], [1, 1, 1]]
+        inv = matrix_inverse(m)
+        assert [
+            [sum(Fraction(m[i][t]) * inv[t][j] for t in range(3)) for j in range(3)]
+            for i in range(3)
+        ] == [[int(i == j) for j in range(3)] for i in range(3)]
+        assert matrix_inverse([[4]]) == [[Fraction(1, 4)]]
+
+    @pytest.mark.parametrize(
+        "m", [[[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]]
+    )
+    def test_matrix_inverse_rejects_singular_matrices(self, m):
+        with pytest.raises(ValueError, match="singular"):
+            matrix_inverse(m)
 
     def test_affine_hull_dim(self):
         assert affine_hull_dim([]) == -1
@@ -192,6 +209,10 @@ class TestJson:
         row = point_to_json(p)
         assert row == ["1/3", "-2", "7/5"]
         assert point_from_json(row) == p
+
+    def test_point_from_json_refuses_floats(self):
+        with pytest.raises(ValueError, match="floats"):
+            point_from_json([0.1, 0])
 
     def test_hyperplane_round_trip(self):
         h = Hyperplane(("2/3", 4), "1/6")
