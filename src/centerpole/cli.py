@@ -32,7 +32,14 @@ from .colorings import (
     symmetric_pair_scan,
 )
 from .covering import verify_covering_lemma
-from .cube import LatticePoint, build_sandwich, points_to_json, sandwich_to_json
+from .cube import (
+    LatticePoint,
+    Sandwich,
+    build_sandwich,
+    points_to_json,
+    sandwich_size,
+    sandwich_to_json,
+)
 from .geometry import RationalPoint, fraction_from_json, point_from_json, point_to_json
 from .tshape import certificate_to_json, is_t_shaped, verify_t_value_bounds
 
@@ -40,17 +47,45 @@ OUTPUT_DIR_ENV = "CENTERPOLE_OUT_DIR"
 
 _SANDWICH_RE = re.compile(r"^sandwich\((-?\d+)\s*,\s*(-?\d+)\)$")
 
+# The largest sandwich any command builds; every k <= 19 fits.  Time and
+# memory grow with the point count, so larger sets are refused before
+# they are built.
+MAX_SANDWICH_POINTS = 2**20
+
+
+def bounded_sandwich(k: int, s: int) -> Sandwich:
+    """``build_sandwich(k, s)``, refused with ValueError when the set
+    would have more than MAX_SANDWICH_POINTS points.  A sandwich has at
+    least 2^k points, so a large k is refused without counting."""
+    if k > 64:
+        size = f"at least 2^{k}"
+    else:
+        count = sandwich_size(k, s)
+        if count <= MAX_SANDWICH_POINTS:
+            return build_sandwich(k, s)
+        size = str(count)
+    raise ValueError(
+        f"sandwich({k},{s}) has {size} points, more than the limit of "
+        f"{MAX_SANDWICH_POINTS}"
+    )
+
 
 def parse_center_set(text: str) -> list[LatticePoint]:
     """Either the literal shorthand sandwich(k,s) or a path to a JSON
-    file holding a list of integer coordinate rows."""
+    file holding a list of integer coordinate rows.  Any other entry
+    (a float, a string, a bool) is refused with ValueError."""
     match = _SANDWICH_RE.match(text.strip())
     if match:
         k, s = int(match.group(1)), int(match.group(2))
-        return sorted(build_sandwich(k, s).points())
+        return sorted(bounded_sandwich(k, s).points())
     with open(text, encoding="utf-8") as fh:
         data = json.load(fh)
-    return [LatticePoint(tuple(int(v) for v in row)) for row in data]
+    if not isinstance(data, list):
+        raise ValueError("a centers file must hold a list of coordinate rows")
+    for row in data:
+        if not isinstance(row, list) or any(type(v) is not int for v in row):
+            raise ValueError(f"centers must be rows of integers, got {json.dumps(row)}")
+    return [LatticePoint(tuple(row)) for row in data]
 
 
 def _field(spec: dict, key: str):
@@ -132,7 +167,7 @@ def _schedule_to_json(report: ScheduleReport) -> dict:
 
 
 def cmd_sandwich(k: int, s: int, fmt: str = "json") -> tuple[int, dict | str]:
-    sandwich = build_sandwich(k, s)
+    sandwich = bounded_sandwich(k, s)
     if fmt == "csv":
         lines = [",".join(str(v) for v in row) for row in points_to_json(sandwich.points())]
         return 0, "\n".join(lines) + "\n"
@@ -312,7 +347,7 @@ def _scan_centers(text) -> list:
     match = _SANDWICH_RE.match(str(text).strip())
     if match:
         k, s = int(match.group(1)), int(match.group(2))
-        return points_to_json(build_sandwich(k, s).points())
+        return points_to_json(bounded_sandwich(k, s).points())
     with open(text, encoding="utf-8") as fh:
         return json.load(fh)
 

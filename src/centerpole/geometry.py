@@ -1,9 +1,16 @@
-"""Exact rational linear algebra for point and hyperplane predicates.
+"""Exact linear algebra for point and hyperplane predicates.
 
-Everything here runs on arbitrary-precision rationals; there is no
-floating point and no tolerance anywhere.  Hyperplanes are kept in a
-canonical form (first nonzero normal entry is +1) so that equality,
-hashing, and deduplication are structural.
+Points, hyperplanes and every returned value are exact rationals
+(``Fraction``); there is no floating point and no tolerance anywhere.
+Hyperplanes are kept in a canonical form (first nonzero normal entry is
++1) so that equality, hashing, and deduplication are structural.
+
+The linear algebra itself runs on integers.  Rows are scaled by the lcm
+of their denominators (point sets by one common lcm, which keeps their
+affine structure) and reduced by one fraction-free Bareiss elimination,
+which gives rank, kernel vectors and inverses.  Internally a hyperplane
+of integer points is a primitive integer normal (gcd 1, first nonzero
+entry positive) with an integer offset.
 """
 from __future__ import annotations
 
@@ -11,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -130,46 +139,104 @@ def side_of(h: Hyperplane, p: RationalPoint) -> HalfspaceSide:
     return HalfspaceSide.ON
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> int:
-    """In-place fraction-free-ish Gaussian elimination; returns rank."""
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
+def _bareiss(rows: list[list[int]]) -> tuple[int, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    Returns the rank, the pivot columns and the last pivot ``p``.  Row
+    r < rank then holds ``p`` at its pivot column and 0 at every other
+    pivot column, so ``rows[:rank]`` divided by ``p`` is the reduced row
+    echelon form; the rows from ``rank`` on are zero.  Every division is
+    exact, because every entry is a minor of the input.
+    """
     rank = 0
+    pivots: list[int] = []
+    prev = 1
+    n_cols = len(rows[0]) if rows else 0
     for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        p = prow[col]
+        for r, row in enumerate(rows):
+            if r == rank:
+                continue
+            f = row[col]
+            if f:
+                rows[r] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
+            elif p != prev:
+                rows[r] = [p * v // prev for v in row]
+        pivots.append(col)
+        prev = p
         rank += 1
         if rank == len(rows):
             break
-    return rank
+    return rank, pivots, prev
+
+
+def clear_denominators(
+    rows: Iterable[Sequence[Rational]],
+) -> tuple[int, list[list[int]]]:
+    """The lcm ``L`` of the denominators of all entries, and the rows
+    times ``L`` as integers.  Scaling by ``L > 0`` changes no rank or
+    kernel, and on the coordinate rows of a point set it is an
+    invertible affine map, so incidence, separation and hull dimensions
+    do not change either."""
+    rows = [
+        [v if isinstance(v, (int, Fraction)) else _to_fraction(v) for v in row]
+        for row in rows
+    ]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return scale, [
+        [v.numerator * (scale // v.denominator) for v in row] for row in rows
+    ]
+
+
+def _differences(points: Sequence[Sequence[int]]) -> list[list[int]]:
+    base = points[0]
+    return [[a - b for a, b in zip(p, base)] for p in points[1:]]
+
+
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    """The vector divided by its gcd, signed so that its first nonzero
+    entry is positive."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
+def _kernel_vector(
+    rows: list[list[int]], pivots: list[int], p: int, n_cols: int
+) -> list[int]:
+    """A nonzero kernel vector of Bareiss-reduced rows of rank below
+    ``n_cols``: ``p`` at the first non-pivot column, 0 at the others."""
+    free = next(c for c in range(n_cols) if c not in pivots)
+    vec = [0] * n_cols
+    vec[free] = p
+    for r, c in enumerate(pivots):
+        vec[c] = -rows[r][free]
+    return vec
 
 
 def matrix_rank(rows: Iterable[Sequence[Rational]]) -> int:
-    work = [[_to_fraction(v) for v in row] for row in rows]
-    return _row_reduce(work)
+    return _bareiss(clear_denominators(rows)[1])[0]
 
 
 def matrix_inverse(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix: row-reduce ``[M | I]`` to
-    ``[I | M^-1]``.  Raises ValueError if the matrix is singular."""
+    """Exact inverse of a square matrix as adjugate over determinant:
+    Bareiss elimination of ``[L*M | I]``, with ``L`` the lcm of the
+    denominators, leaves ``[p*I | p*(L*M)^-1]``.  Raises ValueError if
+    the matrix is singular."""
     n = len(rows)
-    work = [
-        [_to_fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
-        for r, row in enumerate(rows)
-    ]
-    _row_reduce(work)
-    if any(row[r] != 1 for r, row in enumerate(work)):
+    scale, work = clear_denominators(rows)
+    for r, row in enumerate(work):
+        row.extend(int(i == r) for i in range(n))
+    _, pivots, p = _bareiss(work)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in work]
+    return [[Fraction(scale * v, p) for v in row[n:]] for row in work]
 
 
 def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
@@ -180,8 +247,7 @@ def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
     base = points[0]
     for p in points[1:]:
         _check_dims(base.dim, p.dim)
-    rows = [[v for v in (p - base).coords] for p in points[1:]]
-    return _row_reduce(rows)
+    return _bareiss(_differences(clear_denominators(p.coords for p in points)[1]))[0]
 
 
 def is_support_hyperplane(h: Hyperplane, points: Sequence[RationalPoint]) -> bool:
@@ -227,36 +293,61 @@ def in_general_position(hyperplanes: Sequence[Hyperplane]) -> bool:
     return matrix_rank([h.normal for h in hyperplanes]) == len(hyperplanes)
 
 
+def _integer_hyperplane_through(
+    points: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], int] | None:
+    """``(normal, offset)`` with a primitive normal for the hyperplane
+    through d affinely independent integer points of Z^d, or None."""
+    rows = _differences(points)
+    d = len(points[0])
+    rank, pivots, p = _bareiss(rows)
+    if rank != d - 1:
+        return None
+    normal = _primitive(_kernel_vector(rows, pivots, p, d))
+    return normal, sum(map(mul, normal, points[0]))
+
+
 def hyperplane_through(points: Sequence[RationalPoint]) -> Hyperplane | None:
     """The unique hyperplane through d affinely independent points of
     R^d, or None when the points are affinely dependent."""
     d = points[0].dim
     if len(points) != d:
         raise ValueError(f"need exactly {d} points in dimension {d}")
-    base = points[0]
-    rows = [[v for v in (p - base).coords] for p in points[1:]]
-    normal = _nullspace_vector(rows, d)
-    if normal is None:
+    scale, scaled = clear_denominators(p.coords for p in points)
+    found = _integer_hyperplane_through(scaled)
+    if found is None:
         return None
-    return Hyperplane(tuple(normal), dot(normal, base.coords))
+    return Hyperplane(found[0], Fraction(found[1], scale))
 
 
-def _nullspace_vector(rows: list[list[Fraction]], n_cols: int) -> list[Fraction] | None:
-    """A nonzero kernel vector when the kernel is one-dimensional,
-    else None (rows assumed to have n_cols columns; may be empty)."""
-    work = [list(r) for r in rows]
-    rank = _row_reduce(work)
-    if rank != n_cols - 1:
-        return None
-    pivot_cols: list[int] = []
-    for r in range(rank):
-        pivot_cols.append(next(c for c in range(n_cols) if work[r][c] != 0))
-    free_col = next(c for c in range(n_cols) if c not in pivot_cols)
-    vec = [Fraction(0)] * n_cols
-    vec[free_col] = Fraction(1)
-    for r, pc in enumerate(pivot_cols):
-        vec[pc] = -work[r][free_col]
-    return vec
+def integer_spanned_hyperplanes(
+    points: Sequence[Sequence[int]],
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every hyperplane through d affinely independent points of a set
+    of integer points in Z^d, as ``(normal, offset)`` with a primitive
+    normal, deduplicated.
+
+    The order is that of ``Hyperplane.sort_key``, which no common
+    positive scaling of the points changes.  It is sorted on integers:
+    each key is the canonical one (normal and offset divided by the lead
+    entry) times ``Q``, the lcm of all leads, so it is an integer tuple
+    in the same order.
+    """
+    d = len(points[0])
+    found = {
+        h
+        for subset in combinations(points, d)
+        if (h := _integer_hyperplane_through(subset)) is not None
+    }
+    leads = {h: next(v for v in h[0] if v) for h in found}
+    q = lcm(*leads.values())
+    return sorted(
+        found,
+        key=lambda h: (
+            tuple(v * (q // leads[h]) for v in h[0]),
+            h[1] * (q // leads[h]),
+        ),
+    )
 
 
 def spanned_hyperplanes(points: Sequence[RationalPoint]) -> list[Hyperplane]:
@@ -270,12 +361,11 @@ def spanned_hyperplanes(points: Sequence[RationalPoint]) -> list[Hyperplane]:
             "points do not span the ambient space; re-express them in a "
             "frame of their affine hull first"
         )
-    found: set[Hyperplane] = set()
-    for subset in combinations(points, d):
-        h = hyperplane_through(subset)
-        if h is not None:
-            found.add(h)
-    return sorted(found, key=Hyperplane.sort_key)
+    scale, scaled = clear_denominators(p.coords for p in points)
+    return [
+        Hyperplane(normal, Fraction(offset, scale))
+        for normal, offset in integer_spanned_hyperplanes(scaled)
+    ]
 
 
 def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
@@ -284,18 +374,14 @@ def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
     if not points:
         raise ValueError("need at least one point")
     d = points[0].dim
-    base = points[0]
-    work = [[v for v in (p - base).coords] for p in points[1:]]
-    rank = _row_reduce(work)
+    scale, scaled = clear_denominators(p.coords for p in points)
+    rows = _differences(scaled)
+    rank, pivots, p = _bareiss(rows)
     if rank >= d:
         return None
-    pivot_cols = [next(c for c in range(d) if work[r][c] != 0) for r in range(rank)]
-    free_col = next(c for c in range(d) if c not in pivot_cols)
-    normal = [Fraction(0)] * d
-    normal[free_col] = Fraction(1)
-    for r, pc in enumerate(pivot_cols):
-        normal[pc] = -work[r][free_col]
-    return Hyperplane(tuple(normal), dot(normal, base.coords))
+    normal = _kernel_vector(rows, pivots, p, d)
+    offset = sum(map(mul, normal, scaled[0]))
+    return Hyperplane(tuple(normal), Fraction(offset, scale))
 
 
 def hull_frame(points: Sequence[RationalPoint]) -> list[RationalPoint]:
@@ -308,38 +394,28 @@ def hull_frame(points: Sequence[RationalPoint]) -> list[RationalPoint]:
     """
     if not points:
         return []
-    base = points[0]
-    diffs = [(p - base).coords for p in points]
-    basis: list[tuple[Fraction, ...]] = []
+    scaled = clear_denominators(p.coords for p in points)[1]
+    diffs = [[a - b for a, b in zip(p, scaled[0])] for p in scaled]
+    basis: list[list[int]] = []
     for vec in diffs:
-        trial = [list(b) for b in basis] + [list(vec)]
-        if _row_reduce(trial) > len(basis):
+        if _bareiss([list(b) for b in basis] + [list(vec)])[0] > len(basis):
             basis.append(vec)
-    h = len(basis)
-    if h == 0:
+    if not basis:
         return [RationalPoint(()) for _ in points]
-    out: list[RationalPoint] = []
-    for p in points:
-        coords = _solve_coordinates(basis, (p - base).coords)
-        out.append(RationalPoint(tuple(coords)))
-    return out
+    return [RationalPoint(tuple(_solve_coordinates(basis, vec))) for vec in diffs]
 
 
-def _solve_coordinates(
-    basis: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]
-) -> list[Fraction]:
+def _solve_coordinates(basis: list[list[int]], target: list[int]) -> list[Fraction]:
     """Coefficients c with sum(c_j * basis_j) = target; the target is
     known to lie in the span."""
-    n = len(target)
     h = len(basis)
-    rows = [[basis[j][i] for j in range(h)] + [target[i]] for i in range(n)]
-    rank = _row_reduce(rows)
+    rows = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    rank, pivots, p = _bareiss(rows)
+    if h in pivots:
+        raise ValueError("target outside the basis span")
     coeffs = [Fraction(0)] * h
-    for r in range(rank):
-        pc = next(c for c in range(h + 1) if rows[r][c] != 0)
-        if pc == h:
-            raise ValueError("target outside the basis span")
-        coeffs[pc] = rows[r][h]
+    for r, c in enumerate(pivots):
+        coeffs[c] = Fraction(rows[r][h], p)
     return coeffs
 
 
@@ -348,7 +424,11 @@ def fraction_to_json(value: Fraction) -> str:
 
 
 def fraction_from_json(text: str | int) -> Fraction:
-    return Fraction(text)
+    """Parse an integer or a fraction string; floats are inexact and refused."""
+    try:
+        return _to_fraction(text)
+    except TypeError as err:
+        raise ValueError(f"bad rational {text!r}: {err}") from err
 
 
 def point_to_json(p: RationalPoint) -> list[str]:
@@ -368,6 +448,8 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_json(data: dict) -> Hyperplane:
-    return Hyperplane(
-        tuple(Fraction(v) for v in data["normal"]), Fraction(data["offset"])
-    )
+    """Parse integers and fraction strings; floats are inexact and refused."""
+    try:
+        return Hyperplane(tuple(data["normal"]), data["offset"])
+    except TypeError as err:
+        raise ValueError(f"bad hyperplane {data!r}: {err}") from err

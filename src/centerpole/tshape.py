@@ -9,12 +9,19 @@ its predecessors left uncovered.  The search restricts candidates to
 hyperplanes spanned by input points; that restriction is a recorded
 working assumption, cross-checked against every configuration with a
 known answer.
+
+The search runs on integers: the points are scaled once by the lcm of
+their denominators, candidates are primitive integer hyperplanes, and
+every incidence and side test is a sign of a stored integer.  Only the
+hyperplanes of a found cover become ``Hyperplane`` objects, and the
+certificate is re-verified on the exact rational predicates.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .geometry import (
@@ -22,6 +29,7 @@ from .geometry import (
     Hyperplane,
     RationalPoint,
     affine_hull_dim,
+    clear_denominators,
     containing_hyperplane,
     hyperplane_to_json,
     in_general_position,
@@ -29,8 +37,12 @@ from .geometry import (
     point_to_json,
     separates,
     side_of,
-    spanned_hyperplanes,
 )
+
+# The search enumerates its candidates through this name, so the traced
+# benchmark run, which wraps tshape.spanned_hyperplanes, times the
+# enumeration as the spanned-hyperplane layer (bench/tracing.py).
+from .geometry import integer_spanned_hyperplanes as spanned_hyperplanes
 
 KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
 
@@ -145,7 +157,8 @@ def is_t_shaped(points) -> TShapeResult:
         return TShapeResult(
             True, cert, "one hyperplane carries the whole set"
         )
-    cert = _search_cover(distinct)
+    scale, scaled = clear_denominators(p.coords for p in distinct)
+    cert = _search_cover(distinct, scaled, scale)
     if cert is None:
         return TShapeResult(
             False, None, "no certificate found under spanned-hyperplane search"
@@ -157,9 +170,18 @@ def is_t_shaped(points) -> TShapeResult:
     )
 
 
-def _search_cover(points: list[RationalPoint]) -> TShapeCertificate | None:
+def _search_cover(
+    points: list[RationalPoint], scaled: list[list[int]], scale: int
+) -> TShapeCertificate | None:
     """Exhaustive cover search over spanned hyperplanes, depth-first in
     canonical hyperplane order.
+
+    ``scaled`` holds the points times ``scale``, the lcm of their
+    denominators.  Each candidate is a primitive integer hyperplane
+    ``n . x = off`` of the scaled points; ``n . p - off`` is computed
+    once per (candidate, point), and its signs are kept as bitmasks of
+    point indices.  So the cover test and the separation test are mask
+    operations.
 
     A candidate must cover at least one still-uncovered point (a cover
     with an idle hyperplane stays valid after dropping it, so this
@@ -168,56 +190,60 @@ def _search_cover(points: list[RationalPoint]) -> TShapeCertificate | None:
     Dead (residual, normal-set) states are memoized; a branch is also
     cut when the residual exceeds what the remaining budget can cover.
     """
-    d = points[0].dim
-    budget = d - 1
-    candidates: list[tuple[Hyperplane, frozenset[int]]] = []
-    for h in spanned_hyperplanes(points):
-        covered = frozenset(
-            i for i, p in enumerate(points) if side_of(h, p) is HalfspaceSide.ON
-        )
-        candidates.append((h, covered))
-    max_cover = max(len(c) for _, c in candidates)
-    dead: set[tuple[frozenset[int], frozenset[tuple[Fraction, ...]]]] = set()
+    budget = len(scaled[0]) - 1
+    # (normal, offset, on, positive, negative): the last three are masks
+    candidates: list[tuple[tuple[int, ...], int, int, int, int]] = []
+    for normal, offset in spanned_hyperplanes(scaled):
+        on = positive = negative = 0
+        for i, p in enumerate(scaled):
+            value = sum(map(mul, normal, p)) - offset
+            if value > 0:
+                positive |= 1 << i
+            elif value < 0:
+                negative |= 1 << i
+            else:
+                on |= 1 << i
+        candidates.append((normal, offset, on, positive, negative))
+    max_cover = max(c[2].bit_count() for c in candidates)
+    dead: set[tuple[int, frozenset[tuple[int, ...]]]] = set()
 
-    def extend(
-        residual: frozenset[int],
-        chosen: list[tuple[Hyperplane, frozenset[int]]],
-    ) -> list[Hyperplane] | None:
+    def extend(residual: int, chosen: list[tuple]) -> list[tuple] | None:
         if not residual:
-            return [h for h, _ in chosen]
+            return chosen
         remaining = budget - len(chosen)
-        if remaining <= 0 or len(residual) > remaining * max_cover:
+        if remaining <= 0 or residual.bit_count() > remaining * max_cover:
             return None
-        key = (residual, frozenset(h.normal for h, _ in chosen))
+        normals = [c[0] for c in chosen]
+        key = (residual, frozenset(normals))
         if key in dead:
             return None
-        normals = [h.normal for h, _ in chosen]
-        residual_pts = [points[i] for i in residual]
-        for h, covered in candidates:
-            if not covered & residual:
+        for cand in candidates:
+            normal, _, on, positive, negative = cand
+            if not on & residual:
                 continue
-            if chosen and matrix_rank(normals + [h.normal]) != len(normals) + 1:
+            if chosen and matrix_rank(normals + [normal]) != len(normals) + 1:
                 continue
-            if separates(h, residual_pts):
+            if positive & residual and negative & residual:
                 continue
-            got = extend(residual - covered, chosen + [(h, covered)])
+            got = extend(residual & ~on, chosen + [cand])
             if got is not None:
                 return got
         dead.add(key)
         return None
 
-    hyperplanes = extend(frozenset(range(len(points))), [])
-    if hyperplanes is None:
+    cover = extend((1 << len(points)) - 1, [])
+    if cover is None:
         return None
     assignment = {
-        p: next(
-            i
-            for i, h in enumerate(hyperplanes)
-            if side_of(h, p) is HalfspaceSide.ON
-        )
-        for p in points
+        p: next(i for i, c in enumerate(cover) if c[2] >> j & 1)
+        for j, p in enumerate(points)
     }
-    return TShapeCertificate(hyperplanes=tuple(hyperplanes), assignment=assignment)
+    return TShapeCertificate(
+        hyperplanes=tuple(
+            Hyperplane(normal, Fraction(offset, scale)) for normal, offset, *_ in cover
+        ),
+        assignment=assignment,
+    )
 
 
 def moment_curve_points(n: int, count: int, params: Sequence) -> list[RationalPoint]:

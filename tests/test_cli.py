@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from centerpole.cli import OUTPUT_DIR_ENV, main
+from centerpole import cli
+from centerpole.cli import MAX_SANDWICH_POINTS, OUTPUT_DIR_ENV, main
 from centerpole.tshape import moment_curve_points
 
 
@@ -70,6 +71,53 @@ class TestSandwichCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_oversized_sandwich_is_refused_before_it_is_built(
+        self, monkeypatch, capsys
+    ):
+        def never(k, s):
+            raise AssertionError("the sandwich was built")
+
+        monkeypatch.setattr(cli, "build_sandwich", never)
+        code, out, err = run_cli(["sandwich", "--k", "40", "--s", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: sandwich(40,3) has 2199023245671 points, more than the "
+            f"limit of {MAX_SANDWICH_POINTS}\n"
+        )
+        code, out, err = run_cli(["sandwich", "--k", "100000", "--s", "-1"], capsys)
+        assert code == 2
+        assert err.startswith("error: sandwich(100000,-1) has at least 2^100000 points")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--dim", "41", "--colors", "2", "--centers", "sandwich(40,3)"],
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 41}',
+             "--centers", "sandwich(40,3)"],
+        ],
+    )
+    def test_oversized_shorthand_is_refused(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_sandwich", None)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sandwich(40,3) has 2199023245671 points")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_the_limit_admits_every_sandwich_up_to_two_to_the_twenty(
+        self, monkeypatch
+    ):
+        assert MAX_SANDWICH_POINTS == 2**20
+        assert len(cli.bounded_sandwich(2, 0)) == 6
+        monkeypatch.setattr(cli, "build_sandwich", lambda k, s: (k, s))
+        # k = 19 stays below 2^20 points for every s; k = 20 never does
+        for s in range(-2, 22):
+            assert cli.bounded_sandwich(19, s) == (19, s)
+            with pytest.raises(ValueError, match="more than the limit"):
+                cli.bounded_sandwich(20, s)
 
 
 class TestCoverVerifyCommand:
@@ -226,6 +274,22 @@ class TestCertifyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: centers have mixed dimensions [2, 3]\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.5, 0], [3, 0]], [["1/2", 0]], [[True, 0]], [[1, "2"]], {"a": [1, 0]}, [3]],
+    )
+    def test_non_integer_centers_are_refused(self, rows, tmp_path, capsys):
+        path = tmp_path / "centers.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flags,message",

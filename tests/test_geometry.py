@@ -13,6 +13,7 @@ from centerpole.geometry import (
     RationalPoint,
     affine_hull_dim,
     containing_hyperplane,
+    fraction_from_json,
     hull_frame,
     hyperplane_from_json,
     hyperplane_through,
@@ -213,6 +214,22 @@ class TestJson:
     def test_point_from_json_refuses_floats(self):
         with pytest.raises(ValueError, match="floats"):
             point_from_json([0.1, 0])
+
+    def test_fraction_from_json(self):
+        assert fraction_from_json("-3/6") == Fraction(-1, 2)
+        assert fraction_from_json(4) == Fraction(4)
+
+    @pytest.mark.parametrize(
+        "read,value",
+        [
+            (fraction_from_json, 0.5),
+            (hyperplane_from_json, {"normal": [0.1, 1], "offset": "0"}),
+            (hyperplane_from_json, {"normal": ["1", 1], "offset": 0.25}),
+        ],
+    )
+    def test_json_readers_refuse_floats(self, read, value):
+        with pytest.raises(ValueError, match="floats"):
+            read(value)
 
     def test_hyperplane_round_trip(self):
         h = Hyperplane(("2/3", 4), "1/6")

@@ -1,0 +1,329 @@
+"""The integer kernel against the rational one it replaced.
+
+``geometry`` does its linear algebra on integers (fraction-free Bareiss
+elimination on rows with cleared denominators) and ``tshape`` searches
+over primitive integer hyperplanes with precomputed signs.  The code
+below is the earlier ``Fraction`` implementation, kept here only as a
+reference: Gauss-Jordan elimination that divides by each pivot,
+spanned hyperplanes built one subset at a time, and a cover search that
+calls ``side_of`` and ``separates`` for every test.  Every public result
+must be equal to it, in the same order, and every certificate must
+serialize to the same bytes.
+"""
+import json
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centerpole.geometry import (
+    DegenerateHullError,
+    HalfspaceSide,
+    Hyperplane,
+    RationalPoint,
+    affine_hull_dim,
+    containing_hyperplane,
+    dot,
+    hull_frame,
+    hyperplane_through,
+    matrix_inverse,
+    matrix_rank,
+    separates,
+    side_of,
+    spanned_hyperplanes,
+)
+from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
+
+# --- the rational reference --------------------------------------------
+
+
+def ref_row_reduce(rows):
+    if not rows:
+        return 0
+    n_cols = len(rows[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def ref_matrix_rank(rows):
+    return ref_row_reduce([[Fraction(v) for v in row] for row in rows])
+
+
+def ref_matrix_inverse(rows):
+    n = len(rows)
+    work = [
+        [Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
+        for r, row in enumerate(rows)
+    ]
+    ref_row_reduce(work)
+    if any(row[r] != 1 for r, row in enumerate(work)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in work]
+
+
+def ref_affine_hull_dim(points):
+    if not points:
+        return -1
+    return ref_row_reduce([list((p - points[0]).coords) for p in points[1:]])
+
+
+def ref_hyperplane_through(points):
+    d = points[0].dim
+    base = points[0]
+    work = [list((p - base).coords) for p in points[1:]]
+    rank = ref_row_reduce(work)
+    if rank != d - 1:
+        return None
+    pivot_cols = [next(c for c in range(d) if work[r][c] != 0) for r in range(rank)]
+    free_col = next(c for c in range(d) if c not in pivot_cols)
+    normal = [Fraction(0)] * d
+    normal[free_col] = Fraction(1)
+    for r, pc in enumerate(pivot_cols):
+        normal[pc] = -work[r][free_col]
+    return Hyperplane(tuple(normal), dot(normal, base.coords))
+
+
+def ref_containing_hyperplane(points):
+    d = points[0].dim
+    base = points[0]
+    work = [list((p - base).coords) for p in points[1:]]
+    rank = ref_row_reduce(work)
+    if rank >= d:
+        return None
+    pivot_cols = [next(c for c in range(d) if work[r][c] != 0) for r in range(rank)]
+    free_col = next(c for c in range(d) if c not in pivot_cols)
+    normal = [Fraction(0)] * d
+    normal[free_col] = Fraction(1)
+    for r, pc in enumerate(pivot_cols):
+        normal[pc] = -work[r][free_col]
+    return Hyperplane(tuple(normal), dot(normal, base.coords))
+
+
+def ref_spanned_hyperplanes(points):
+    d = points[0].dim
+    if ref_affine_hull_dim(points) != d:
+        raise DegenerateHullError("points do not span the ambient space")
+    found = set()
+    for subset in combinations(points, d):
+        h = ref_hyperplane_through(subset)
+        if h is not None:
+            found.add(h)
+    return sorted(found, key=Hyperplane.sort_key)
+
+
+def ref_hull_frame(points):
+    if not points:
+        return []
+    base = points[0]
+    diffs = [(p - base).coords for p in points]
+    basis = []
+    for vec in diffs:
+        if ref_row_reduce([list(b) for b in basis] + [list(vec)]) > len(basis):
+            basis.append(vec)
+    h = len(basis)
+    if h == 0:
+        return [RationalPoint(()) for _ in points]
+    out = []
+    for vec in diffs:
+        rows = [[basis[j][i] for j in range(h)] + [vec[i]] for i in range(len(vec))]
+        rank = ref_row_reduce(rows)
+        coeffs = [Fraction(0)] * h
+        for r in range(rank):
+            pc = next(c for c in range(h + 1) if rows[r][c] != 0)
+            coeffs[pc] = rows[r][h]
+        out.append(RationalPoint(tuple(coeffs)))
+    return out
+
+
+def ref_search_cover(points):
+    budget = points[0].dim - 1
+    candidates = []
+    for h in ref_spanned_hyperplanes(points):
+        covered = frozenset(
+            i for i, p in enumerate(points) if side_of(h, p) is HalfspaceSide.ON
+        )
+        candidates.append((h, covered))
+    max_cover = max(len(c) for _, c in candidates)
+    dead = set()
+
+    def extend(residual, chosen):
+        if not residual:
+            return [h for h, _ in chosen]
+        remaining = budget - len(chosen)
+        if remaining <= 0 or len(residual) > remaining * max_cover:
+            return None
+        key = (residual, frozenset(h.normal for h, _ in chosen))
+        if key in dead:
+            return None
+        normals = [h.normal for h, _ in chosen]
+        residual_pts = [points[i] for i in residual]
+        for h, covered in candidates:
+            if not covered & residual:
+                continue
+            if chosen and ref_matrix_rank(normals + [h.normal]) != len(normals) + 1:
+                continue
+            if separates(h, residual_pts):
+                continue
+            got = extend(residual - covered, chosen + [(h, covered)])
+            if got is not None:
+                return got
+        dead.add(key)
+        return None
+
+    hyperplanes = extend(frozenset(range(len(points))), [])
+    if hyperplanes is None:
+        return None
+    assignment = {
+        p: next(
+            i for i, h in enumerate(hyperplanes) if side_of(h, p) is HalfspaceSide.ON
+        )
+        for p in points
+    }
+    return TShapeCertificate(tuple(hyperplanes), assignment)
+
+
+def ref_is_t_shaped(points):
+    """(verdict, detail, certificate) as the rational decision gave them."""
+    distinct = list(dict.fromkeys(points))
+    if not distinct:
+        return True, "empty set, trivially T-shaped", TShapeCertificate((), {})
+    if distinct[0].dim == 1:
+        return False, "a nonempty subset of the line is never T-shaped", None
+    if ref_affine_hull_dim(distinct) < distinct[0].dim:
+        cert = TShapeCertificate(
+            (ref_containing_hyperplane(distinct),), {p: 0 for p in distinct}
+        )
+        return True, "one hyperplane carries the whole set", cert
+    cert = ref_search_cover(distinct)
+    if cert is None:
+        return False, "no certificate found under spanned-hyperplane search", None
+    return True, f"covered by {len(cert.hyperplanes)} hyperplanes", cert
+
+
+# --- strategies ----------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def point_sets(draw, dims=(2, 3, 4)):
+    """Rational point sets with negative coordinates, denominators above
+    1, duplicates, and (when ``flat``) a hull inside a hyperplane."""
+    d = draw(st.sampled_from(dims))
+    pool = draw(
+        st.lists(st.tuples(*[rationals] * d), min_size=2, max_size=d + 5, unique=True)
+    )
+    extra = draw(st.lists(st.sampled_from(pool), max_size=3))
+    rows = draw(st.permutations(pool + extra))
+    if d > 1 and draw(st.booleans()) and draw(st.booleans()):
+        # x_d = 2 x_1 - (x_2 + ... + x_(d-1)) / 3 + 1: all on one hyperplane
+        rows = [r[:-1] + (2 * r[0] - sum(r[1:-1], Fraction(0)) / 3 + 1,) for r in rows]
+    return [RationalPoint(r) for r in rows]
+
+
+@st.composite
+def matrices(draw, square=False):
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 5))
+    row = st.lists(rationals, min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        # make the last row a combination of the others: singular
+        c = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(m)]
+    return rows
+
+
+def assert_same_decision(points):
+    verdict, detail, cert = ref_is_t_shaped(points)
+    got = is_t_shaped(points)
+    assert (got.t_shaped, got.detail) == (verdict, detail)
+    if cert is None:
+        assert got.certificate is None
+    else:
+        assert json.dumps(certificate_to_json(got.certificate)) == json.dumps(
+            certificate_to_json(cert)
+        )
+
+
+# --- the tests -----------------------------------------------------------
+
+
+class TestKernelAgainstTheRationalReference:
+    @given(matrices())
+    def test_matrix_rank(self, rows):
+        assert matrix_rank(rows) == ref_matrix_rank(rows)
+
+    @given(matrices(square=True))
+    def test_matrix_inverse(self, rows):
+        try:
+            expected = ref_matrix_inverse(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                matrix_inverse(rows)
+        else:
+            assert matrix_inverse(rows) == expected
+
+    @given(point_sets(dims=(1, 2, 3, 4)))
+    def test_hulls_and_hyperplanes(self, points):
+        assert affine_hull_dim(points) == ref_affine_hull_dim(points)
+        assert containing_hyperplane(points) == ref_containing_hyperplane(points)
+        assert hull_frame(points) == ref_hull_frame(points)
+        d = points[0].dim
+        if len(points) >= d:
+            assert hyperplane_through(points[:d]) == ref_hyperplane_through(points[:d])
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_spanned_hyperplanes_in_the_same_order(self, points):
+        try:
+            expected = ref_spanned_hyperplanes(points)
+        except DegenerateHullError:
+            with pytest.raises(DegenerateHullError):
+                spanned_hyperplanes(points)
+        else:
+            assert spanned_hyperplanes(points) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_same_verdict_detail_and_certificate_bytes(self, points):
+        assert_same_decision(points)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # moment curves: "no" in dims 2, 3 and 4
+            [(t, t * t) for t in range(1, 4)],
+            [(t, t**2, t**3) for t in range(1, 8)],
+            [(t, t**2, t**3, t**4) for t in range(1, 14)],
+            # a cube with a scaled, shifted copy of one face
+            [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+            + [
+                (Fraction(1, 2), Fraction(y, 3), Fraction(z, 3))
+                for y in (1, 2)
+                for z in (1, 2)
+            ],
+            # two planes in R^4 with fractional offsets
+            [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+             (Fraction(-1, 2), Fraction(3, 2), 5, Fraction(7, 3)),
+             (2, -1, 5, Fraction(7, 3)), (0, 0, 5, Fraction(7, 3))],
+        ],
+    )
+    def test_known_sets(self, rows):
+        assert_same_decision([RationalPoint(r) for r in rows])
