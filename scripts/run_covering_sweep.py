@@ -1,9 +1,10 @@
 """Sweep the covering verification over a range of cube dimensions.
 
 For every k up to --k-max and every slice parameter s with s <= k-2,
-cross-check the constructive shift table against the brute-force cover
-oracle on all maximal inputs.  Emits one JSON document with per-pair
-totals and timings.  Exit code 1 if any pair reports a failure.
+check the constructive shift table on all maximal inputs: each
+prescribed shift must move every point of its set into the sandwich as
+``build_sandwich`` materializes it.  Emits one JSON document with
+per-pair totals and timings.  Exit code 1 if any pair reports a failure.
 """
 import argparse
 import json

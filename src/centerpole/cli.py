@@ -52,6 +52,10 @@ _SANDWICH_RE = re.compile(r"^sandwich\((-?\d+)\s*,\s*(-?\d+)\)$")
 # they are built.
 MAX_SANDWICH_POINTS = 2**20
 
+# The largest k cover-verify accepts.  It visits 4k(k+1)*2^k cube points,
+# so each step up in k about doubles the time (k = 10 takes seconds).
+MAX_COVER_K = 10
+
 
 def bounded_sandwich(k: int, s: int) -> Sandwich:
     """``build_sandwich(k, s)``, refused with ValueError when the set
@@ -182,6 +186,11 @@ def cmd_sandwich(k: int, s: int, fmt: str = "json") -> tuple[int, dict | str]:
 
 
 def cmd_cover_verify(k: int, s: int) -> tuple[int, dict]:
+    if k > MAX_COVER_K:
+        raise ValueError(
+            f"cover-verify visits 4k(k+1)*2^k cube points; k={k} is above "
+            f"the limit of {MAX_COVER_K}"
+        )
     report = verify_covering_lemma(k, s)
     return (0 if not report["failures"] else 1), report
 
@@ -194,6 +203,8 @@ def cmd_tshape(
 ) -> tuple[int, dict]:
     with open(points_file, encoding="utf-8") as fh:
         rows = json.load(fh)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("a points file must hold a list of coordinate rows")
     points = [point_from_json(row) for row in rows]
     if trials > 0 and bound_dim is None and not points:
         raise ValueError("--trials on an empty points file needs --bound-dim")

@@ -427,7 +427,7 @@ def fraction_from_json(text: str | int) -> Fraction:
     """Parse an integer or a fraction string; floats are inexact and refused."""
     try:
         return _to_fraction(text)
-    except TypeError as err:
+    except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"bad rational {text!r}: {err}") from err
 
 
@@ -439,7 +439,7 @@ def point_from_json(row: Iterable[str | int]) -> RationalPoint:
     """Parse integers and fraction strings; floats are inexact and refused."""
     try:
         return RationalPoint(tuple(row))
-    except TypeError as err:
+    except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"bad point {row!r}: {err}") from err
 
 
@@ -451,5 +451,5 @@ def hyperplane_from_json(data: dict) -> Hyperplane:
     """Parse integers and fraction strings; floats are inexact and refused."""
     try:
         return Hyperplane(tuple(data["normal"]), data["offset"])
-    except TypeError as err:
+    except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"bad hyperplane {data!r}: {err}") from err

@@ -142,14 +142,14 @@ def is_t_shaped(points) -> TShapeResult:
             True, TShapeCertificate((), {}), "empty set, trivially T-shaped"
         )
     dim = distinct[0].dim
-    for p in distinct[1:]:
-        if p.dim != dim:
-            raise ValueError("points must share one ambient dimension")
+    if dim == 0 or any(p.dim != dim for p in distinct):
+        raise ValueError("points must share one ambient dimension of at least 1")
     if dim == 1:
         return TShapeResult(
             False, None, "a nonempty subset of the line is never T-shaped"
         )
-    if affine_hull_dim(distinct) < dim:
+    scale, scaled = clear_denominators(p.coords for p in distinct)
+    if matrix_rank([[a - b for a, b in zip(p, scaled[0])] for p in scaled]) < dim:
         h = containing_hyperplane(distinct)
         cert = TShapeCertificate((h,), {p: 0 for p in distinct})
         if not cert.verify(distinct):
@@ -157,7 +157,6 @@ def is_t_shaped(points) -> TShapeResult:
         return TShapeResult(
             True, cert, "one hyperplane carries the whole set"
         )
-    scale, scaled = clear_denominators(p.coords for p in distinct)
     cert = _search_cover(distinct, scaled, scale)
     if cert is None:
         return TShapeResult(

@@ -4,14 +4,18 @@ Commands run in-process through main(argv) so exit codes, stdout, and
 stderr can be asserted directly.  One subprocess test confirms the
 module is runnable as an installed entry point.
 """
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from centerpole import cli
-from centerpole.cli import MAX_SANDWICH_POINTS, OUTPUT_DIR_ENV, main
+from centerpole import cli, covering
+from centerpole.cli import MAX_COVER_K, MAX_SANDWICH_POINTS, OUTPUT_DIR_ENV, main
 from centerpole.tshape import moment_curve_points
 
 
@@ -131,6 +135,32 @@ class TestCoverVerifyCommand:
         assert code == 2
         assert "s <= k-2" in err
 
+    def test_large_k_is_refused_before_any_set_is_built(self, monkeypatch, capsys):
+        def never(k):
+            raise AssertionError("the maximal sets were built")
+
+        monkeypatch.setattr(covering, "enumerate_maximal_sigma0_sets", never)
+        for k in (MAX_COVER_K + 1, 40, 10**6):
+            argv = ["cover-verify", "--k", str(k), "--s", "0"]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"error: cover-verify visits 4k(k+1)*2^k cube points; k={k} is "
+                f"above the limit of {MAX_COVER_K}\n"
+            )
+
+    def test_the_limit_admits_every_k_up_to_ten(self, monkeypatch):
+        # the README, the tests, the sweep script and the bench run k <= 8
+        assert MAX_COVER_K == 10
+        monkeypatch.setattr(
+            cli, "verify_covering_lemma", lambda k, s: {"k": k, "failures": []}
+        )
+        for k in range(1, MAX_COVER_K + 1):
+            assert cli.cmd_cover_verify(k, k - 2) == (0, {"k": k, "failures": []})
+        with pytest.raises(ValueError, match="above the limit"):
+            cli.cmd_cover_verify(MAX_COVER_K + 1, 0)
+
 
 class TestTshapeCommand:
     def test_model_points_get_yes_with_certificate(self, tmp_path, capsys):
@@ -183,6 +213,28 @@ class TestTshapeCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "floats" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("null", "a points file must hold a list of coordinate rows"),
+            ("7", "a points file must hold a list of coordinate rows"),
+            ('{"a": [1, 0]}', "a points file must hold a list of coordinate rows"),
+            ("[[1, 0], 3]", "a points file must hold a list of coordinate rows"),
+            ("[[], []]", "points must share one ambient dimension of at least 1"),
+            ('[["1/0", 1]]', "bad point ['1/0', 1]"),
+        ],
+    )
+    def test_malformed_points_files_are_usage_errors(
+        self, text, message, tmp_path, capsys
+    ):
+        path = tmp_path / "pts.json"
+        path.write_text(text)
+        code, out, err = run_cli(["tshape", "--points", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_points_file(self, capsys):
@@ -539,3 +591,145 @@ def test_module_entry_point_runs_in_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["cardinality"] == 6
+
+
+# --- fuzzed argv -----------------------------------------------------
+#
+# Most flags are well formed, so that the commands run; the rest bend
+# one input out of shape.  Half the points files are malformed.  Every draw stays cheap: sandwiches of at most
+# 2^11 points or ones the size limit refuses, cover-verify at k <= 6 or
+# above MAX_COVER_K, point sets of at most six points in at most three
+# dimensions, and certify windows in at most two dimensions with a
+# small decision budget.
+
+_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/2", "-3/4", "x", "", "1/0", "1e3"]),
+    st.booleans(),
+    st.none(),
+)
+_MALFORMED_JSON = st.one_of(
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=6).map(json.dumps),
+    st.sampled_from(
+        [
+            "", "[", "[[1, 2]", "{", "null", "7", '"pts"', '{"a": 1}', "[1, 2]",
+            "[[[1]]]", "NaN", "[[1e400]]", "[[]]", "[[1], [1, 2]]",
+        ]
+    ),
+)
+_JUNK = st.sampled_from(["1.5", "x", "", "1e3"])
+
+
+def _mostly(valid, odd):
+    """``valid`` in seven draws of eight, ``odd`` in the eighth."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else valid)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _rows(dim, coords, min_size=0):
+    row = st.lists(coords, min_size=dim, max_size=dim)
+    return st.lists(row, min_size=min_size, max_size=6).map(json.dumps)
+
+
+_ANY_INT = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def _argv(draw, tmp):
+    def json_file(text):
+        path = tmp / f"input{draw(st.integers(0, 10**9))}.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    command = draw(st.sampled_from(["sandwich", "cover-verify", "tshape", "certify"]))
+    if command == "sandwich":
+        refused = st.one_of(st.integers(-3, -1), st.integers(20, 10**6), _JUNK)
+        k = draw(_mostly(st.integers(0, 10), refused))
+        s = draw(_mostly(st.integers(-3, 12), st.one_of(_ANY_INT, _JUNK)))
+        formats = _mostly(st.sampled_from(["json", "csv", "pretty"]), st.just("xml"))
+        argv = ["sandwich", "--k", str(k), "--s", str(s)]
+        return argv + draw(_flag("--format", formats))
+    if command == "cover-verify":
+        refused = st.one_of(
+            st.integers(-3, 0), st.integers(MAX_COVER_K + 1, 10**6), _JUNK
+        )
+        k = draw(_mostly(st.integers(1, 6), refused))
+        in_range = st.integers(-1, k - 2) if isinstance(k, int) and k > 0 else _ANY_INT
+        s = draw(_mostly(in_range, st.one_of(_ANY_INT, _JUNK)))
+        return ["cover-verify", "--k", str(k), "--s", str(s)]
+    if command == "tshape":
+        dim = draw(st.integers(1, 3))
+        coords = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "5/4"]))
+        points = json_file(draw(st.one_of(_rows(dim, coords), _MALFORMED_JSON)))
+        trials = _mostly(st.integers(0, 2), st.integers(-2, -1))
+        bound_dim = _mostly(st.integers(1, 4), st.sampled_from([-2, 0, 5]))
+        return (
+            ["tshape", "--points", points]
+            + draw(_flag("--trials", trials))
+            + draw(_flag("--seed", _mostly(st.integers(0, 9), _JUNK)))
+            + draw(_flag("--bound-dim", bound_dim))
+        )
+    dim = draw(st.integers(1, 2))
+    centers = _mostly(
+        st.one_of(
+            st.builds("sandwich({},{})".format, st.just(dim - 1), st.integers(-3, 3)),
+            _rows(dim, st.integers(-2, 2), min_size=1).map(json_file),
+        ),
+        st.one_of(
+            _MALFORMED_JSON.map(json_file),
+            st.sampled_from(
+                ["sandwich(40,3)", "sandwich(-1,0)", "sandwich(x)", "/nonexistent.json"]
+            ),
+        ),
+    )
+    r_lists = _mostly(
+        st.sampled_from(["1", "0,1", "2"]), st.sampled_from(["-1", "", "a", "1.5"])
+    )
+    flags = {
+        "--dim": _mostly(st.just(dim), st.one_of(st.integers(-1, 3), _JUNK)),
+        "--colors": _mostly(st.integers(1, 3), st.integers(-2, 0)),
+        "--centers": centers,
+        "--budget": _mostly(st.integers(0, 40), st.integers(-3, -1)),
+    }
+    argv = ["certify"]
+    for name, values in flags.items():
+        argv += [name, str(draw(values))]
+    return (
+        argv
+        + draw(_flag("--r-list", r_lists))
+        + draw(_flag("--R-factor", _mostly(st.integers(1, 2), st.integers(-1, 0))))
+    )
+
+
+class TestFuzzedArgv:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes_and_no_traceback(self, data, tmp_path_factory):
+        argv = data.draw(_argv(tmp_path_factory.getbasetemp()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the argv
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().count("error:") == 1, (argv, err.getvalue())
+            return
+        assert err.getvalue() == ""
+        if "--format" in argv and argv[argv.index("--format") + 1] != "json":
+            assert code == 0
+            return
+        result = json.loads(out.getvalue())["result"]
+        if argv[0] == "cover-verify":
+            failed = bool(result["failures"])
+        elif argv[0] == "tshape":
+            failed = "bounds" in result and not result["bounds"]["ok"]
+        else:
+            failed = False
+        assert code == (1 if failed else 0), (argv, result)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centerpole import covering
 from centerpole.covering import (
     CoverCertificate,
     brute_force_cover_shifts,
@@ -18,8 +19,10 @@ from centerpole.cube import (
     LatticePoint,
     LShape,
     SigmaZeroSet,
+    build_sandwich,
     enumerate_maximal_sigma0_sets,
     sandwich_contains,
+    unit_vector,
 )
 
 ALL_CASE_LABELS = {
@@ -208,6 +211,33 @@ class TestBruteForceOracle:
             brute_force_cover_shifts({LatticePoint((0, 0))}, 2, 0)
 
 
+def assert_failures_name_missed_points(report, k, s):
+    """The report fails exactly the maximal sets whose shift, as the
+    (possibly patched) table prescribes it, misses the built sandwich,
+    and names the least point missed.  Returns how many named points are
+    not the least point of their set."""
+    sandwich = build_sandwich(k, s).points()
+    expected = []
+    beyond_least = 0
+    for tau in enumerate_maximal_sigma0_sets(k):
+        shift = covering.constructive_cover_shift(tau, s).shift
+        missed = [p for p in tau.lattice_points() if p - shift not in sandwich]
+        if missed:
+            expected.append(
+                {
+                    "facet": [tau.facet_axis, tau.facet_level],
+                    "anchor": tau.anchor,
+                    "shape": tau.shape.value,
+                    "reason": f"point {tuple(min(missed))} minus shift "
+                    f"{tuple(shift)} is not in the built sandwich",
+                }
+            )
+            beyond_least += min(missed) != min(tau.lattice_points())
+    assert expected
+    assert report["failures"] == expected
+    return beyond_least
+
+
 class TestVerificationHarness:
     @pytest.mark.parametrize(
         "k,s,total",
@@ -222,6 +252,42 @@ class TestVerificationHarness:
     def test_rejects_out_of_range_s(self):
         with pytest.raises(ValueError):
             verify_covering_lemma(2, 1)
+
+    def test_each_certificate_is_verified_once(self, monkeypatch):
+        calls = []
+        verify = CoverCertificate.verify
+
+        def counted(cert):
+            calls.append(cert)
+            return verify(cert)
+
+        monkeypatch.setattr(CoverCertificate, "verify", counted)
+        for k, s in ((1, -1), (3, 1), (4, 0)):
+            calls.clear()
+            report = verify_covering_lemma(k, s)
+            assert report["total"] == len(calls) == 4 * k * (k + 1)
+
+    def test_a_wrong_shift_is_reported_with_the_point_it_misses(self, monkeypatch):
+        # A lax predicate passes every certificate, and a flipped e_0
+        # makes the table prescribe wrong shifts; only the check against
+        # the built sandwich is left to catch them.
+        def flipped(dim, axis):
+            vec = unit_vector(dim, axis)
+            return -vec if axis == 0 else vec
+
+        monkeypatch.setattr(covering, "sandwich_contains", lambda k, s, p: True)
+        monkeypatch.setattr(covering, "unit_vector", flipped)
+        assert_failures_name_missed_points(verify_covering_lemma(3, 1), 3, 1)
+
+    def test_every_point_is_checked_not_only_the_least(self, monkeypatch):
+        def always_e0(tau, s):
+            return CoverCertificate(tau, tau.k, s, unit_vector(tau.k + 1, 0), "e0")
+
+        monkeypatch.setattr(covering, "constructive_cover_shift", always_e0)
+        report = verify_covering_lemma(3, 1)
+        beyond_least = assert_failures_name_missed_points(report, 3, 1)
+        # e_0 moves the least point of some sets into the sandwich
+        assert beyond_least > 0
 
     def test_survey_shows_the_range_is_sharp(self):
         # one past the claimed range, some maximal sets lose every cover

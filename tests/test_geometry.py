@@ -231,6 +231,18 @@ class TestJson:
         with pytest.raises(ValueError, match="floats"):
             read(value)
 
+    @pytest.mark.parametrize(
+        "read,value",
+        [
+            (fraction_from_json, "1/0"),
+            (point_from_json, ["1/0", 1]),
+            (hyperplane_from_json, {"normal": [1, 1], "offset": "-2/0"}),
+        ],
+    )
+    def test_json_readers_refuse_zero_denominators(self, read, value):
+        with pytest.raises(ValueError, match="bad"):
+            read(value)
+
     def test_hyperplane_round_trip(self):
         h = Hyperplane(("2/3", 4), "1/6")
         doc = hyperplane_to_json(h)
