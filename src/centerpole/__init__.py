@@ -49,9 +49,7 @@ from .cube import (
     build_slice,
     cube_points,
     enumerate_maximal_sigma0_sets,
-    even_floor,
     lattice,
-    parity_support,
     sandwich_contains,
     sandwich_size,
     sigma0,
@@ -60,13 +58,10 @@ from .geometry import (
     Hyperplane,
     RationalPoint,
     affine_hull_dim,
-    hull_frame,
     in_general_position,
-    is_support_hyperplane,
     rational_point,
     separates,
     side_of,
-    spanned_hyperplanes,
 )
 from .tshape import (
     KNOWN_T_VALUES,

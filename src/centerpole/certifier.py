@@ -35,14 +35,18 @@ from itertools import compress, product
 from typing import Iterable, Sequence
 
 from . import sat
-from .cube import DimensionMismatchError, LatticePoint, origin
+from .cube import DimensionMismatchError, LatticePoint, checked_coordinates, origin
 
 DEFAULT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True, slots=True)
 class WindowSpec:
-    """An annulus ``inner < |x - center|_inf <= outer`` plus mirror centers."""
+    """An annulus ``inner < |x - center|_inf <= outer`` plus mirror centers.
+
+    The window center, every mirror center and ``center +- outer`` must
+    have coordinates in the signed 64-bit range, so every vertex of the
+    window does too."""
 
     dim: int
     outer: int
@@ -63,6 +67,11 @@ class WindowSpec:
             raise DimensionMismatchError("window center has wrong dimension")
         if not self.centers:
             raise ValueError("at least one mirror center is required")
+        for c in (self.center, *self.centers):
+            checked_coordinates(c.coords)
+        checked_coordinates(
+            v + d for v in self.center.coords for d in (-self.outer, self.outer)
+        )
         for c in self.centers:
             if c.dim != self.dim:
                 raise DimensionMismatchError(f"center {c} has wrong dimension")

@@ -36,6 +36,7 @@ from .cube import (
     LatticePoint,
     Sandwich,
     build_sandwich,
+    lattice_from_json,
     points_to_json,
     sandwich_size,
     sandwich_to_json,
@@ -56,6 +57,12 @@ MAX_SANDWICH_POINTS = 2**20
 # so each step up in k about doubles the time (k = 10 takes seconds).
 MAX_COVER_K = 10
 
+# The largest certify window, (2R + 1)^dim points for the largest outer
+# radius R.  Building and deciding a window takes time and memory in
+# proportion to its points, so a larger one is refused before any window
+# is built.
+MAX_WINDOW_POINTS = 2**18
+
 
 def bounded_sandwich(k: int, s: int) -> Sandwich:
     """``build_sandwich(k, s)``, refused with ValueError when the set
@@ -74,27 +81,33 @@ def bounded_sandwich(k: int, s: int) -> Sandwich:
     )
 
 
-def parse_center_set(text: str) -> list[LatticePoint]:
-    """Either the literal shorthand sandwich(k,s) or a path to a JSON
-    file holding a list of integer coordinate rows.  Any other entry
-    (a float, a string, a bool) is refused with ValueError."""
-    match = _SANDWICH_RE.match(text.strip())
-    if match:
-        k, s = int(match.group(1)), int(match.group(2))
-        return sorted(bounded_sandwich(k, s).points())
-    with open(text, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
+def _center_rows(spec: str | list) -> list:
+    """Coordinate rows from the literal shorthand sandwich(k,s), from a
+    path to a JSON file holding a list of rows, or (from --config) the
+    list itself."""
+    if isinstance(spec, str):
+        match = _SANDWICH_RE.match(spec.strip())
+        if match:
+            k, s = int(match.group(1)), int(match.group(2))
+            return points_to_json(bounded_sandwich(k, s).points())
+        with open(spec, encoding="utf-8") as fh:
+            spec = json.load(fh)
+    if not isinstance(spec, list):
         raise ValueError("a centers file must hold a list of coordinate rows")
-    for row in data:
-        if not isinstance(row, list) or any(type(v) is not int for v in row):
-            raise ValueError(f"centers must be rows of integers, got {json.dumps(row)}")
-    return [LatticePoint(tuple(row)) for row in data]
+    return spec
 
 
-def _field(spec: dict, key: str):
+def parse_center_set(spec: str | list) -> list[LatticePoint]:
+    """The centers of ``certify``: rows of integers in the signed 64-bit
+    range.  Any other entry (a float, a string, a bool) raises ValueError."""
+    return [lattice_from_json(row) for row in _center_rows(spec)]
+
+
+def _field(spec: dict, key: str, kind: type | None = None):
     if key not in spec:
         raise ValueError(f"rule kind {spec['kind']!r} needs the key {key!r}")
+    if kind and type(spec[key]) is not kind:
+        raise ValueError(f"rule key {key!r} must be of type {kind.__name__}")
     return spec[key]
 
 
@@ -103,8 +116,9 @@ def build_rule(spec: dict) -> ColoringRule:
 
     Kinds: cone (dim or explicit vertices), halfspace (center),
     pair (a, b), plus0 (base), plus1 (base, optional aux2),
-    plus2 (base, A, optional auxes).  A spec that is not an object or
-    lacks a required key raises ValueError.
+    plus2 (base, A, optional auxes).  A spec that is not an object,
+    lacks a required key or holds a key of the wrong JSON type raises
+    ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a rule must be a JSON object, got {json.dumps(spec)}")
@@ -112,10 +126,10 @@ def build_rule(spec: dict) -> ColoringRule:
     if kind == "cone":
         if "vertices" in spec:
             simplex = SimplexSpec(
-                tuple(point_from_json(v) for v in spec["vertices"])
+                tuple(point_from_json(v) for v in _field(spec, "vertices", list))
             )
         else:
-            simplex = standard_simplex(int(_field(spec, "dim")))
+            simplex = standard_simplex(_field(spec, "dim", int))
         return cone_coloring(simplex)
     if kind == "halfspace":
         return halfspace_coloring(point_from_json(_field(spec, "center")))
@@ -134,10 +148,9 @@ def build_rule(spec: dict) -> ColoringRule:
         return plus1_extension(base, aux)
     if kind == "plus2":
         base = build_rule(_field(spec, "base"))
-        added = [point_from_json(row) for row in _field(spec, "A")]
-        auxes = {
-            key: build_rule(value) for key, value in spec.get("auxes", {}).items()
-        }
+        added = [point_from_json(row) for row in _field(spec, "A", list)]
+        given = _field(spec, "auxes", dict) if "auxes" in spec else {}
+        auxes = {key: build_rule(value) for key, value in given.items()}
         return plus2_extension(base, added, auxes or None)
     raise ValueError(f"unknown rule kind {kind!r}")
 
@@ -242,6 +255,13 @@ def cmd_certify(
         raise ValueError(f"centers have mixed dimensions {dims}")
     if dims and dims[0] != dim:
         raise ValueError(f"centers have dimension {dims[0]}, but --dim is {dim}")
+    reach = max((c.norm_inf() for c in centers), default=0) + 1
+    outer = max((r_factor * (r + reach) for r in r_list), default=0)
+    if outer > 0 and (2 * outer + 1) ** dim > MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"the largest window, outer radius {outer} in dimension {dim}, "
+            f"has more than the limit of {MAX_WINDOW_POINTS} points"
+        )
     report = certify_schedule(centers, colors, r_list, r_factor=r_factor, budget=budget)
     return 0, _schedule_to_json(report)
 
@@ -261,15 +281,50 @@ def cmd_coloring_scan(
     return (0 if not report["violations"] else 1), report
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
+# --config values that may be JSON structures rather than flag text: a
+# rule object, a list of center rows, a list of inner radii.
+_STRUCTURED = {"rule": dict, "centers": list, "r_list": list}
+
+
+def _apply_config_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """Override the parsed flags with the keys of the --config object.
+
+    A key names a flag of the command by its dest or its name, hyphens
+    read as underscores; other keys are ignored.  A value is read as the
+    flag reads command-line text, through its type and choices, so a
+    float, a bool or a string they refuse is a usage error; only the
+    structures in _STRUCTURED are kept as they are.
+    """
+    if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {
+        name.lstrip("-").replace("-", "_"): action
+        for action in (*parser._actions, *commands[args.command]._actions)
+        if action.option_strings
+        for name in (action.dest, *action.option_strings)
+    }
     for key, value in overrides.items():
-        setattr(args, key.replace("-", "_"), value)
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        if not isinstance(value, _STRUCTURED.get(action.dest, ())):
+            try:
+                value = (action.type or str)(str(value))
+                if action.choices and value not in action.choices:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r}: {json.dumps(overrides[key])} is not a "
+                    f"valid {action.option_strings[0]} value"
+                ) from None
+        setattr(args, action.dest, value)
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -295,10 +350,10 @@ def _emit(payload: dict | str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _int_list(text) -> list[int]:
+def _int_list(text: str | list) -> list[int]:
     if isinstance(text, list):
-        return [int(v) for v in text]
-    return [int(part) for part in str(text).split(",") if part.strip()]
+        text = ",".join(map(str, text))
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,31 +398,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rule_spec(text) -> dict:
+def _load_rule_spec(text: str | dict) -> dict:
     if isinstance(text, dict):
         return text
-    if isinstance(text, str) and text.startswith("@"):
+    if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             return json.load(fh)
     return json.loads(text)
-
-
-def _scan_centers(text) -> list:
-    if isinstance(text, list):
-        return text
-    match = _SANDWICH_RE.match(str(text).strip())
-    if match:
-        k, s = int(match.group(1)), int(match.group(2))
-        return points_to_json(bounded_sandwich(k, s).points())
-    with open(text, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         started = time.perf_counter()
         if args.command == "sandwich":
             config = {"command": "sandwich", "k": args.k, "s": args.s,
@@ -392,13 +436,13 @@ def main(argv: list[str] | None = None) -> int:
                                        r_list, args.r_factor, args.budget)
         elif args.command == "coloring-scan":
             rule_spec = _load_rule_spec(args.rule)
-            centers_rows = _scan_centers(args.centers)
+            centers_rows = _center_rows(args.centers)
             config = {"command": "coloring-scan", "rule": rule_spec,
                       "centers": centers_rows, "samples": args.samples,
-                      "seed": args.seed, "innerRadius": str(args.inner_radius)}
+                      "seed": args.seed, "innerRadius": args.inner_radius}
             code, result = cmd_coloring_scan(rule_spec, centers_rows,
                                              args.samples, args.seed,
-                                             str(args.inner_radius))
+                                             args.inner_radius)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command!r}")
     except (ValueError, OSError, json.JSONDecodeError) as err:

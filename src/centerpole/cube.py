@@ -2,12 +2,13 @@
 
 Points of the k-cube ``{0,1}^k``, its coordinate-sum slices, the
 three-layer "sandwich" subsets of ``Z^(1+k)``, the (head, tail-sum)
-projection, and the parity helpers (odd support, even floor) used by
-the covering machinery.
+projection, and the L-shaped facet sets the covering code takes as input.
 
-All integer arithmetic is exact.  Coordinates are required to stay in
-the signed 64-bit range so results stay portable to fixed-width
-consumers; violating that raises instead of wrapping.
+All integer arithmetic is exact.  Coordinates that enter from outside
+(``lattice``, ``points_from_json``, the CLI's centers, a certifier
+window) pass ``checked_coordinates``: each must be an ``int`` in the
+signed 64-bit range, so results stay portable to fixed-width consumers.
+Points built inside from checked ones are not checked again.
 """
 from __future__ import annotations
 
@@ -28,20 +29,29 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
+def checked_coordinates(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a coordinate tuple.  Raises TypeError unless each is
+    an ``int`` (a ``bool`` is not), and CoordinateOverflowError unless
+    each lies in the signed 64-bit range."""
+    coords = tuple(values)
+    for v in coords:
+        if type(v) is not int:
+            raise TypeError(f"lattice coordinate {v!r} is not an int")
+        if not -_COORD_BOUND <= v < _COORD_BOUND:
+            raise CoordinateOverflowError(
+                f"coordinate {v} outside the signed 64-bit range"
+            )
+    return coords
+
+
 @dataclass(frozen=True, slots=True)
 class LatticePoint:
-    """An immutable integer vector with componentwise arithmetic."""
+    """An immutable integer vector with componentwise arithmetic.
+
+    The constructor trusts its input; ``lattice`` and the JSON readers
+    check coordinates where they enter."""
 
     coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.coords:
-            if v is True or v is False or not isinstance(v, int):
-                raise TypeError(f"lattice coordinate {v!r} is not an int")
-            if not -_COORD_BOUND <= v < _COORD_BOUND:
-                raise CoordinateOverflowError(
-                    f"coordinate {v} outside the signed 64-bit range"
-                )
 
     @property
     def dim(self) -> int:
@@ -85,7 +95,7 @@ class LatticePoint:
 
 
 def lattice(*coords: int) -> LatticePoint:
-    return LatticePoint(tuple(coords))
+    return LatticePoint(checked_coordinates(coords))
 
 
 def unit_vector(dim: int, axis: int) -> LatticePoint:
@@ -276,16 +286,6 @@ def sigma0(point: LatticePoint) -> tuple[int, int]:
     return point[0], sum(point.coords[1:])
 
 
-def parity_support(point: LatticePoint) -> frozenset[int]:
-    """Indices of the odd coordinates."""
-    return frozenset(i for i, v in enumerate(point.coords) if v % 2 != 0)
-
-
-def even_floor(point: LatticePoint) -> LatticePoint:
-    """Round every odd coordinate down to the next even integer."""
-    return LatticePoint(tuple(v if v % 2 == 0 else v - 1 for v in point.coords))
-
-
 class LShape(Enum):
     """Which L-shaped triple bounds the (head, tail-sum) image.
 
@@ -386,8 +386,18 @@ def points_to_json(points: Iterable[LatticePoint]) -> list[list[int]]:
     return sorted([list(p.coords) for p in points])
 
 
+def lattice_from_json(row: Iterable[int]) -> LatticePoint:
+    """One coordinate row read from JSON; a row that is not a sequence of
+    integers in the signed 64-bit range (a float, a string or a bool
+    among them) raises ValueError."""
+    try:
+        return LatticePoint(checked_coordinates(row))
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"bad lattice point {row!r}: {err}") from err
+
+
 def points_from_json(data: Iterable[Iterable[int]]) -> frozenset[LatticePoint]:
-    return frozenset(LatticePoint(tuple(int(v) for v in row)) for row in data)
+    return frozenset(lattice_from_json(row) for row in data)
 
 
 def sandwich_to_json(s: Sandwich) -> dict:

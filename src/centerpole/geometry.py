@@ -22,11 +22,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-
-class DegenerateHullError(ValueError):
-    """The point set does not span its ambient space."""
-
-
 Rational = Fraction | int | str
 
 
@@ -250,22 +245,6 @@ def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
     return _bareiss(_differences(clear_denominators(p.coords for p in points)[1]))[0]
 
 
-def is_support_hyperplane(h: Hyperplane, points: Sequence[RationalPoint]) -> bool:
-    """True iff the hyperplane meets the set and does not separate it."""
-    touched = False
-    seen_positive = False
-    seen_negative = False
-    for p in points:
-        side = side_of(h, p)
-        if side is HalfspaceSide.ON:
-            touched = True
-        elif side is HalfspaceSide.POSITIVE:
-            seen_positive = True
-        else:
-            seen_negative = True
-    return touched and not (seen_positive and seen_negative)
-
-
 def separates(h: Hyperplane, points: Sequence[RationalPoint]) -> bool:
     """True iff some points lie strictly on both sides."""
     seen_positive = False
@@ -307,19 +286,6 @@ def _integer_hyperplane_through(
     return normal, sum(map(mul, normal, points[0]))
 
 
-def hyperplane_through(points: Sequence[RationalPoint]) -> Hyperplane | None:
-    """The unique hyperplane through d affinely independent points of
-    R^d, or None when the points are affinely dependent."""
-    d = points[0].dim
-    if len(points) != d:
-        raise ValueError(f"need exactly {d} points in dimension {d}")
-    scale, scaled = clear_denominators(p.coords for p in points)
-    found = _integer_hyperplane_through(scaled)
-    if found is None:
-        return None
-    return Hyperplane(found[0], Fraction(found[1], scale))
-
-
 def integer_spanned_hyperplanes(
     points: Sequence[Sequence[int]],
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -350,24 +316,6 @@ def integer_spanned_hyperplanes(
     )
 
 
-def spanned_hyperplanes(points: Sequence[RationalPoint]) -> list[Hyperplane]:
-    """Every hyperplane through d affinely independent points of the
-    full-dimensional input set, deduplicated and sorted canonically."""
-    if not points:
-        raise DegenerateHullError("no points: hull is empty")
-    d = points[0].dim
-    if affine_hull_dim(points) != d:
-        raise DegenerateHullError(
-            "points do not span the ambient space; re-express them in a "
-            "frame of their affine hull first"
-        )
-    scale, scaled = clear_denominators(p.coords for p in points)
-    return [
-        Hyperplane(normal, Fraction(offset, scale))
-        for normal, offset in integer_spanned_hyperplanes(scaled)
-    ]
-
-
 def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
     """Some hyperplane through every input point, or None when the
     points span the whole ambient space."""
@@ -382,41 +330,6 @@ def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
     normal = _kernel_vector(rows, pivots, p, d)
     offset = sum(map(mul, normal, scaled[0]))
     return Hyperplane(tuple(normal), Fraction(offset, scale))
-
-
-def hull_frame(points: Sequence[RationalPoint]) -> list[RationalPoint]:
-    """Re-express the points in exact coordinates of an affine frame of
-    their hull: output dimension equals the hull dimension.
-
-    The frame map is an affine bijection between the hull and R^h, so
-    incidence, separation, and hull dimensions of subsets are preserved.
-    For an empty input the result is empty.
-    """
-    if not points:
-        return []
-    scaled = clear_denominators(p.coords for p in points)[1]
-    diffs = [[a - b for a, b in zip(p, scaled[0])] for p in scaled]
-    basis: list[list[int]] = []
-    for vec in diffs:
-        if _bareiss([list(b) for b in basis] + [list(vec)])[0] > len(basis):
-            basis.append(vec)
-    if not basis:
-        return [RationalPoint(()) for _ in points]
-    return [RationalPoint(tuple(_solve_coordinates(basis, vec))) for vec in diffs]
-
-
-def _solve_coordinates(basis: list[list[int]], target: list[int]) -> list[Fraction]:
-    """Coefficients c with sum(c_j * basis_j) = target; the target is
-    known to lie in the span."""
-    h = len(basis)
-    rows = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
-    rank, pivots, p = _bareiss(rows)
-    if h in pivots:
-        raise ValueError("target outside the basis span")
-    coeffs = [Fraction(0)] * h
-    for r, c in enumerate(pivots):
-        coeffs[c] = Fraction(rows[r][h], p)
-    return coeffs
 
 
 def fraction_to_json(value: Fraction) -> str:

@@ -85,12 +85,6 @@ class Solver:
         self.watches[cl[1]].append(ci)
 
     # ------------------------------------------------------------------
-    def _value(self, lit: int) -> int:
-        a = self.assign[lit >> 1]
-        if a == -1:
-            return -1
-        return a ^ (lit & 1)
-
     def _enqueue(self, lit: int, reason_idx: int) -> None:
         v = lit >> 1
         self.assign[v] = 1 - (lit & 1)

@@ -44,7 +44,7 @@ def test_wrappers_install_count_and_uninstall():
     assert tracer.counts["tshape.decide.calls"] == 1
     assert tracer.counts["geometry.spanned.calls"] == 1
     assert tracer.counts["geometry.hyperplanes"] == len(
-        geometry.spanned_hyperplanes([geometry.RationalPoint(p) for p in cube[:5]])
+        geometry.integer_spanned_hyperplanes(cube[:5])
     )
     assert tracer.counts["geometry.side_of.calls"] > 0
     assert tracer.counts["geometry.separates.calls"] > 0

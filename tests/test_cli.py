@@ -7,6 +7,7 @@ module is runnable as an installed entry point.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -14,8 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerpole import cli, covering
-from centerpole.cli import MAX_COVER_K, MAX_SANDWICH_POINTS, OUTPUT_DIR_ENV, main
+from centerpole import certifier, cli, covering
+from centerpole.cli import (
+    MAX_COVER_K,
+    MAX_SANDWICH_POINTS,
+    MAX_WINDOW_POINTS,
+    OUTPUT_DIR_ENV,
+    main,
+)
 from centerpole.tshape import moment_curve_points
 
 
@@ -344,6 +351,77 @@ class TestCertifyCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "rows", [[[2**63, 0]], [[0, -(2**63) - 1]], [[1, 0], [2**64, 2**64]]]
+    )
+    def test_out_of_range_centers_are_refused(self, rows, tmp_path, capsys):
+        path = tmp_path / "centers.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad lattice point")
+        assert "64-bit" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rows,flags,outer",
+        [
+            ([[1000, 0]], [], 3006),
+            ([[2**63 - 1, 0]], [], 3 * 2**63 + 3),
+            ([[0, 0]], ["--r-list", "1,300"], 903),
+            ([[0, 0, 0, 0]], ["--r-list", "9"], 30),
+        ],
+        ids=["far-center", "edge-center", "large-r", "dim-4"],
+    )
+    def test_oversized_windows_are_refused_before_any_is_built(
+        self, rows, flags, outer, tmp_path, monkeypatch, capsys
+    ):
+        def never(spec):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(certifier, "build_symmetry_graph", never)
+        path = tmp_path / "centers.json"
+        path.write_text(json.dumps(rows))
+        dim = str(len(rows[0]))
+        code, out, err = run_cli(
+            ["certify", "--dim", dim, "--colors", "2", "--centers", str(path)] + flags,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: the largest window, outer radius {outer} in dimension {dim}, "
+            f"has more than the limit of {MAX_WINDOW_POINTS} points\n"
+        )
+
+    def test_the_window_limit_boundary(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "certify_schedule", reached)
+        assert MAX_WINDOW_POINTS == 2**18
+        # with R-factor 1, R = r + |c| + 1; the largest R with
+        # (2R + 1)^dim <= 2^18 is 131071 in dim 1, 255 in dim 2, 10 in dim 4
+        for dim, r, norm in ((1, 0, 131070), (2, 254, 0), (4, 0, 9)):
+            centers = [[norm] + [0] * (dim - 1)]
+            with pytest.raises(Reached):
+                cli.cmd_certify(dim, 2, centers, [r], r_factor=1)
+            with pytest.raises(ValueError, match="more than the limit"):
+                cli.cmd_certify(dim, 2, centers, [r + 1], r_factor=1)
+        # the largest windows in use: the documented 4D command (R = 6)
+        # and sandwich(2,0) at inner radius 2 (R = 12, 25^3 points)
+        with pytest.raises(Reached):
+            cli.cmd_certify(4, 4, "sandwich(3,1)", [1], r_factor=2)
+        with pytest.raises(Reached):
+            cli.cmd_certify(3, 3, "sandwich(2,0)", [1, 2])
+
+    @pytest.mark.parametrize(
         "flags,message",
         [
             (["--R-factor", "0"], "R factor must be at least 1"),
@@ -452,6 +530,15 @@ class TestColoringScanCommand:
              "rule kind 'plus2' needs the key 'A'"),
             ("[1]", "a rule must be a JSON object"),
             ('{"kind": "halfspace", "center": [0.5, 0]}', "bad point"),
+            ('{"kind": "cone", "dim": 2.5}', "rule key 'dim' must be of type int"),
+            ('{"kind": "cone", "dim": true}', "rule key 'dim' must be of type int"),
+            ('{"kind": "cone", "vertices": 5}',
+             "rule key 'vertices' must be of type list"),
+            ('{"kind": "plus2", "base": {"kind": "cone", "dim": 3}, "A": 5}',
+             "rule key 'A' must be of type list"),
+            ('{"kind": "plus2", "base": {"kind": "cone", "dim": 3}, '
+             '"A": [[1, 0, 0, 1], [0, 1, 0, 2]], "auxes": []}',
+             "rule key 'auxes' must be of type dict"),
         ],
     )
     def test_malformed_rule_specs_are_usage_errors(self, rule, message, capsys):
@@ -462,6 +549,20 @@ class TestColoringScanCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["null", "7", '{"a": [0, 0]}'])
+    def test_centers_file_must_hold_rows(self, text, tmp_path, capsys):
+        path = tmp_path / "centers.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+             "--centers", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_malformed_rule_json(self, capsys):
@@ -559,6 +660,80 @@ class TestEnvelopeContract:
         assert doc["config"]["rList"] == [1, 2]
         assert [row["inner"] for row in doc["result"]["rows"]] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "argv,overrides,flag",
+        [
+            (["cover-verify", "--k", "2", "--s", "0"], {"k": 2.5}, "--k"),
+            (["cover-verify", "--k", "2", "--s", "0"], {"s": True}, "--s"),
+            (["sandwich", "--k", "1", "--s", "0"], {"k": None}, "--k"),
+            (["sandwich", "--k", "1", "--s", "0"], {"format": "xml"}, "--format"),
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
+              "--centers", "sandwich(0,0)"], {"samples": "x"}, "--samples"),
+            (["certify", "--dim", "2", "--colors", "2", "--centers",
+              "sandwich(1,-1)"], {"R-factor": 1.5}, "--R-factor"),
+            (["certify", "--dim", "2", "--colors", "2", "--centers",
+              "sandwich(1,-1)"], {"budget": [1]}, "--budget"),
+        ],
+    )
+    def test_config_values_pass_the_flag_type(
+        self, argv, overrides, flag, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, out, err = run_cli(["--config", str(cfg)] + argv, capsys)
+        ((key, value),) = overrides.items()
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: config key {key!r}: {json.dumps(value)} is not a valid "
+            f"{flag} value\n"
+        )
+
+    def test_r_list_entries_must_be_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for r_list in ([1.5], [True], [[1]]):
+            cfg.write_text(json.dumps({"r-list": r_list}))
+            code, out, err = run_cli(
+                ["--config", str(cfg), "certify", "--dim", "2", "--colors", "2",
+                 "--centers", "sandwich(1,-1)"],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: invalid literal for int()")
+
+    def test_config_structures_and_flag_names(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"rule": {"kind": "cone", "dim": 2}, "centers": [[0, 0]],
+             "samples": "5", "inner_radius": "1/2"}
+        ))
+        code, doc = run_json(
+            ["--config", str(cfg), "coloring-scan", "--rule", "{", "--centers",
+             "missing.json"],
+            capsys,
+        )
+        assert code == 0
+        assert doc["config"]["rule"] == {"kind": "cone", "dim": 2}
+        assert doc["config"]["centers"] == [[0, 0]]
+        assert doc["result"]["samples"] == 5
+        assert doc["result"]["innerRadius"] == "1/2"
+        # --R-factor is reached by its flag name as well as by its dest
+        for key in ("R-factor", "r_factor"):
+            cfg.write_text(json.dumps(
+                {key: 1, "r-list": [1, 2], "centers": [[0, 0], [1, 0]]}
+            ))
+            code, doc = run_json(
+                ["--config", str(cfg), "certify", "--dim", "2", "--colors", "2",
+                 "--centers", "missing.json"],
+                capsys,
+            )
+            assert code == 0
+            assert doc["config"]["rFactor"] == 1
+            assert doc["result"]["rFactor"] == 1
+            assert doc["result"]["centers"] == [[0, 0], [1, 0]]
+            assert [row["inner"] for row in doc["result"]["rows"]] == [1, 2]
+
     def test_config_file_must_hold_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([1, 2, 3]))
@@ -596,11 +771,15 @@ def test_module_entry_point_runs_in_subprocess():
 # --- fuzzed argv -----------------------------------------------------
 #
 # Most flags are well formed, so that the commands run; the rest bend
-# one input out of shape.  Half the points files are malformed.  Every draw stays cheap: sandwiches of at most
-# 2^11 points or ones the size limit refuses, cover-verify at k <= 6 or
-# above MAX_COVER_K, point sets of at most six points in at most three
-# dimensions, and certify windows in at most two dimensions with a
-# small decision budget.
+# one input out of shape.  Half the points files are malformed.  Half the
+# draws also pass some flags again through a --config file, as JSON
+# numbers or strings, or as a value of the wrong JSON type.  Every draw
+# stays cheap: sandwiches of at most 2^11 points or ones the size limit
+# refuses, cover-verify at k <= 6 or above MAX_COVER_K, point sets of at
+# most six points in at most three dimensions, certify windows in at most
+# two dimensions with a small decision budget (or refused by the window
+# limit), and coloring scans of at most 20 samples in at most two
+# dimensions.
 
 _SCALARS = st.one_of(
     st.integers(-4, 4),
@@ -645,7 +824,9 @@ def _argv(draw, tmp):
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    command = draw(st.sampled_from(["sandwich", "cover-verify", "tshape", "certify"]))
+    command = draw(
+        st.sampled_from(["sandwich", "cover-verify", "tshape", "certify", "coloring-scan"])
+    )
     if command == "sandwich":
         refused = st.one_of(st.integers(-3, -1), st.integers(20, 10**6), _JUNK)
         k = draw(_mostly(st.integers(0, 10), refused))
@@ -674,6 +855,8 @@ def _argv(draw, tmp):
             + draw(_flag("--bound-dim", bound_dim))
         )
     dim = draw(st.integers(1, 2))
+    if command == "coloring-scan":
+        return _scan_argv(draw, dim, json_file)
     centers = _mostly(
         st.one_of(
             st.builds("sandwich({},{})".format, st.just(dim - 1), st.integers(-3, 3)),
@@ -684,6 +867,9 @@ def _argv(draw, tmp):
             st.sampled_from(
                 ["sandwich(40,3)", "sandwich(-1,0)", "sandwich(x)", "/nonexistent.json"]
             ),
+            st.sampled_from(
+                [[[2**63, 0]], [[2**63 - 1, 0]], [[1000, 0]], [[0, 0], [-(2**63) - 1, 0]]]
+            ).map(json.dumps).map(json_file),
         ),
     )
     r_lists = _mostly(
@@ -705,15 +891,101 @@ def _argv(draw, tmp):
     )
 
 
+_RULES = [
+    {"kind": "cone", "dim": 1},
+    {"kind": "cone", "dim": 2},
+    {"kind": "halfspace", "center": [0, 0]},
+    {"kind": "pair", "a": [0, 0], "b": [2, 0]},
+    {"kind": "plus0", "base": {"kind": "cone", "dim": 1}},
+]
+_MALFORMED_RULES = [
+    {"kind": "cone"},
+    {"kind": "cone", "dim": 2.5},
+    {"kind": "cone", "dim": "2"},
+    {"kind": "cone", "dim": 0},
+    {"kind": "cone", "vertices": 5},
+    {"kind": "cone", "vertices": [[1, 0], [0, 1]]},
+    {"kind": "halfspace", "center": "x"},
+    {"kind": "pair", "a": [0, 0], "b": [0, 0]},
+    {"kind": "plus1", "base": {"kind": "cone", "dim": 1}},
+    {"kind": "plus2", "base": {"kind": "cone", "dim": 3}, "A": 5},
+    {"kind": "plus2", "base": {"kind": "cone", "dim": 3},
+     "A": [[1, 0, 0, 1], [0, 1, 0, 2]], "auxes": []},
+    {"kind": 7},
+    [1],
+    None,
+]
+
+
+def _scan_argv(draw, dim, json_file):
+    rule = draw(
+        _mostly(
+            st.sampled_from(_RULES).map(json.dumps),
+            st.one_of(st.sampled_from(_MALFORMED_RULES).map(json.dumps), _MALFORMED_JSON),
+        )
+    )
+    if draw(st.booleans()):
+        rule = "@" + json_file(rule)
+    coords = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3"]))
+    centers = _mostly(
+        st.one_of(
+            st.builds("sandwich({},{})".format, st.just(dim - 1), st.integers(-3, 3)),
+            _rows(dim, coords, min_size=1).map(json_file),
+        ),
+        st.one_of(
+            _MALFORMED_JSON.map(json_file),
+            st.sampled_from(["sandwich(40,3)", "sandwich(x)", "/nonexistent.json"]),
+        ),
+    )
+    radii = _mostly(
+        st.sampled_from(["0", "1/2", "3"]),
+        st.sampled_from(["x", "1/0", "-1", "0.5", "1e3", ""]),
+    )
+    return (
+        ["coloring-scan", "--rule", rule, "--centers", draw(centers)]
+        + draw(_flag("--samples", _mostly(st.integers(1, 20), st.integers(-2, 0))))
+        + draw(_flag("--seed", _mostly(st.integers(0, 9), _JUNK)))
+        + draw(_flag("--inner-radius", radii))
+    )
+
+
+_WRONG_TYPES = st.sampled_from([2.5, True, None, [1], [0.5], {"a": 1}, "x", 1e300])
+
+
+@st.composite
+def _config(draw, tmp, argv):
+    """``[]``, or ``["--config", path]`` for a file that repeats some of
+    the argv's flags, under their names or their dests, each as a JSON
+    number when it reads as an integer and as a string otherwise, and
+    now and then as a value of a wrong JSON type."""
+    if draw(st.booleans()):
+        return []
+    overrides = {}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        if draw(st.booleans()):
+            continue
+        key = name[2:]
+        if draw(st.booleans()):
+            key = key.replace("-", "_")
+        overrides[key] = int(value) if re.fullmatch(r"-?\d+", value) else value
+        if draw(st.integers(0, 3)) == 0:
+            overrides[key] = draw(_WRONG_TYPES)
+    path = tmp / f"config{draw(st.integers(0, 10**9))}.json"
+    path.write_text(json.dumps(overrides), encoding="utf-8")
+    return ["--config", str(path)]
+
+
 class TestFuzzedArgv:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_exit_codes_and_no_traceback(self, data, tmp_path_factory):
-        argv = data.draw(_argv(tmp_path_factory.getbasetemp()))
+        tmp = tmp_path_factory.getbasetemp()
+        argv = data.draw(_argv(tmp))
+        config = data.draw(_config(tmp, argv))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(argv)
+                code = main(config + argv)
             except SystemExit as exc:  # argparse refused the argv
                 code = exc.code
         assert code in (0, 1, 2), (argv, code)
@@ -730,6 +1002,8 @@ class TestFuzzedArgv:
             failed = bool(result["failures"])
         elif argv[0] == "tshape":
             failed = "bounds" in result and not result["bounds"]["ok"]
+        elif argv[0] == "coloring-scan":
+            failed = bool(result["violations"])
         else:
             failed = False
         assert code == (1 if failed else 0), (argv, result)

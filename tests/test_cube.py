@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from centerpole.certifier import WindowSpec
+from centerpole.cli import parse_center_set
 from centerpole.cube import (
     CoordinateOverflowError,
     CubePoint,
@@ -19,10 +21,8 @@ from centerpole.cube import (
     build_slice,
     cube_points,
     enumerate_maximal_sigma0_sets,
-    even_floor,
     lattice,
     origin,
-    parity_support,
     points_from_json,
     points_to_json,
     profile_triple,
@@ -60,18 +60,30 @@ class TestLatticePoint:
 
     def test_rejects_non_ints(self):
         with pytest.raises(TypeError):
-            LatticePoint((1, 2.0))
+            lattice(1, 2.0)
         with pytest.raises(TypeError):
-            LatticePoint((True,))
+            lattice(True)
 
     def test_word_size_bound(self):
+        # checked where points enter; arithmetic on checked points is not
         edge = 2**63 - 1
         assert lattice(edge).coords == (edge,)
         assert lattice(-(2**63)).coords == (-(2**63),)
+        assert (lattice(edge) + lattice(1)).coords == (2**63,)
         with pytest.raises(CoordinateOverflowError):
             lattice(2**63)
         with pytest.raises(CoordinateOverflowError):
-            lattice(edge) + lattice(1)
+            lattice(-(2**63) - 1)
+        assert points_from_json([[edge, -(2**63)]]) == {lattice(edge, -(2**63))}
+        for read in (points_from_json, parse_center_set):
+            with pytest.raises(ValueError, match="64-bit"):
+                read([[0, 2**63]])
+        # the window reach: center +- outer must stay in range too
+        near = lattice(edge - 1)
+        WindowSpec(dim=1, outer=1, inner=0, centers=(near,), center=near)
+        for center, mirror in ((near, LatticePoint((2**63,))), (lattice(edge), near)):
+            with pytest.raises(CoordinateOverflowError):
+                WindowSpec(dim=1, outer=1, inner=0, centers=(mirror,), center=center)
 
     def test_reflect(self):
         c, p = lattice(1, 2), lattice(3, -1)
@@ -203,17 +215,6 @@ class TestProjections:
         with pytest.raises(DimensionMismatchError):
             sigma0(lattice())
 
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
-    def test_even_floor_and_parity_support(self, coords):
-        p = LatticePoint(tuple(coords))
-        floored = even_floor(p)
-        assert all(v % 2 == 0 for v in floored.coords)
-        diff = p - floored
-        assert set(diff.coords) <= {0, 1}
-        assert parity_support(p) == frozenset(
-            i for i, v in enumerate(diff.coords) if v == 1
-        )
-
 
 class TestSigmaZeroSets:
     def test_profile_triples(self):
@@ -295,6 +296,13 @@ class TestJson:
         data = points_to_json(pts)
         assert data == [[0, 2], [1, -1]]
         assert points_from_json(data) == pts
+
+    @pytest.mark.parametrize(
+        "row", [[2.7, 0], [2.0, 0], ["5", 0], [True, 0], [None], 7, [[1]]]
+    )
+    def test_points_from_json_refuses_non_integers(self, row):
+        with pytest.raises(ValueError, match="bad lattice point"):
+            points_from_json([[0, 0], row])
 
     def test_sandwich_document(self):
         doc = sandwich_to_json(build_sandwich(1, -1))

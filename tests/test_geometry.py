@@ -7,19 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
-    DegenerateHullError,
     HalfspaceSide,
     Hyperplane,
     RationalPoint,
     affine_hull_dim,
+    clear_denominators,
     containing_hyperplane,
     fraction_from_json,
-    hull_frame,
     hyperplane_from_json,
-    hyperplane_through,
     hyperplane_to_json,
     in_general_position,
-    is_support_hyperplane,
+    integer_spanned_hyperplanes,
     matrix_inverse,
     matrix_rank,
     point_from_json,
@@ -27,7 +25,6 @@ from centerpole.geometry import (
     rational_point,
     separates,
     side_of,
-    spanned_hyperplanes,
 )
 
 P = rational_point
@@ -127,26 +124,6 @@ class TestRanksAndHulls:
         with pytest.raises(ValueError):
             containing_hyperplane([])
 
-    def test_hull_frame_preserves_ratios(self):
-        pts = [P(1, 1, 1), P(2, 3, 5), P(3, 5, 9)]
-        frame = hull_frame(pts)
-        assert [p.coords for p in frame] == [
-            (Fraction(0),),
-            (Fraction(1),),
-            (Fraction(2),),
-        ]
-
-    def test_hull_frame_dimension_matches_hull(self):
-        pts = [P(0, 0, 7), P(1, 0, 7), P(0, 1, 7), P(1, 1, 7)]
-        frame = hull_frame(pts)
-        assert all(p.dim == 2 for p in frame)
-        assert affine_hull_dim(frame) == affine_hull_dim(pts) == 2
-
-    def test_hull_frame_of_coincident_points(self):
-        frame = hull_frame([P(4, 2), P(4, 2)])
-        assert [p.dim for p in frame] == [0, 0]
-        assert hull_frame([]) == []
-
 
 class TestSeparationPredicates:
     def test_separates_is_strict(self):
@@ -155,12 +132,6 @@ class TestSeparationPredicates:
         assert not separates(h, [P(1, 0), P(0, 5)])
         assert not separates(h, [P(1, 0), P(2, 0)])
         assert not separates(h, [])
-
-    def test_support_needs_contact(self):
-        h = Hyperplane((1, 0), 0)
-        assert is_support_hyperplane(h, [P(0, 1), P(1, 1)])
-        assert not is_support_hyperplane(h, [P(1, 1), P(2, 1)])
-        assert not is_support_hyperplane(h, [P(0, 0), P(1, 0), P(-1, 0)])
 
     def test_general_position(self):
         a = Hyperplane((1, 0), 0)
@@ -172,36 +143,36 @@ class TestSeparationPredicates:
         assert not in_general_position([a, parallel])
 
 
+def spanned(points):
+    """``integer_spanned_hyperplanes`` of rational points, as Hyperplanes."""
+    scale, rows = clear_denominators(p.coords for p in points)
+    return [
+        Hyperplane(normal, Fraction(offset, scale))
+        for normal, offset in integer_spanned_hyperplanes(rows)
+    ]
+
+
 class TestSpannedHyperplanes:
     def test_square_has_six_lines(self):
         square = [P(0, 0), P(1, 0), P(0, 1), P(1, 1)]
-        lines = spanned_hyperplanes(square)
+        lines = spanned(square)
         assert len(lines) == 6
         assert lines == sorted(lines, key=Hyperplane.sort_key)
+        assert Hyperplane((1, -1), 0) in lines
 
     def test_center_point_adds_no_new_lines(self):
         pts = [P(0, 0), P(1, 0), P(0, 1), P(1, 1), P("1/2", "1/2")]
-        assert len(spanned_hyperplanes(pts)) == 6
+        assert len(spanned(pts)) == 6
 
     def test_triangle_has_three_lines(self):
-        assert len(spanned_hyperplanes([P(0, 0), P(1, 0), P(0, 1)])) == 3
+        assert len(spanned([P(0, 0), P(1, 0), P(0, 1)])) == 3
+        # a line needs two distinct points
+        assert spanned([P(0, 1), P(2, 1)]) == [Hyperplane((0, 1), 1)]
+        assert spanned([P(0, 0), P(0, 0)]) == []
 
     def test_simplex_has_four_planes(self):
         simplex = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
-        assert len(spanned_hyperplanes(simplex)) == 4
-
-    def test_degenerate_hull_is_rejected(self):
-        with pytest.raises(DegenerateHullError):
-            spanned_hyperplanes([P(0, 0), P(1, 1), P(2, 2)])
-        with pytest.raises(DegenerateHullError):
-            spanned_hyperplanes([])
-
-    def test_through_points_requires_exact_count(self):
-        with pytest.raises(ValueError):
-            hyperplane_through([P(0, 0)])
-        assert hyperplane_through([P(0, 0), P(0, 0)]) is None
-        h = hyperplane_through([P(0, 1), P(2, 1)])
-        assert h == Hyperplane((0, 1), 1)
+        assert len(spanned(simplex)) == 4
 
 
 class TestJson:

@@ -19,20 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
-    DegenerateHullError,
     HalfspaceSide,
     Hyperplane,
     RationalPoint,
     affine_hull_dim,
+    clear_denominators,
     containing_hyperplane,
     dot,
-    hull_frame,
-    hyperplane_through,
+    integer_spanned_hyperplanes,
     matrix_inverse,
     matrix_rank,
     separates,
     side_of,
-    spanned_hyperplanes,
 )
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
 
@@ -117,38 +115,12 @@ def ref_containing_hyperplane(points):
 
 def ref_spanned_hyperplanes(points):
     d = points[0].dim
-    if ref_affine_hull_dim(points) != d:
-        raise DegenerateHullError("points do not span the ambient space")
     found = set()
     for subset in combinations(points, d):
         h = ref_hyperplane_through(subset)
         if h is not None:
             found.add(h)
     return sorted(found, key=Hyperplane.sort_key)
-
-
-def ref_hull_frame(points):
-    if not points:
-        return []
-    base = points[0]
-    diffs = [(p - base).coords for p in points]
-    basis = []
-    for vec in diffs:
-        if ref_row_reduce([list(b) for b in basis] + [list(vec)]) > len(basis):
-            basis.append(vec)
-    h = len(basis)
-    if h == 0:
-        return [RationalPoint(()) for _ in points]
-    out = []
-    for vec in diffs:
-        rows = [[basis[j][i] for j in range(h)] + [vec[i]] for i in range(len(vec))]
-        rank = ref_row_reduce(rows)
-        coeffs = [Fraction(0)] * h
-        for r in range(rank):
-            pc = next(c for c in range(h + 1) if rows[r][c] != 0)
-            coeffs[pc] = rows[r][h]
-        out.append(RationalPoint(tuple(coeffs)))
-    return out
 
 
 def ref_search_cover(points):
@@ -284,21 +256,17 @@ class TestKernelAgainstTheRationalReference:
     def test_hulls_and_hyperplanes(self, points):
         assert affine_hull_dim(points) == ref_affine_hull_dim(points)
         assert containing_hyperplane(points) == ref_containing_hyperplane(points)
-        assert hull_frame(points) == ref_hull_frame(points)
-        d = points[0].dim
-        if len(points) >= d:
-            assert hyperplane_through(points[:d]) == ref_hyperplane_through(points[:d])
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
     def test_spanned_hyperplanes_in_the_same_order(self, points):
-        try:
-            expected = ref_spanned_hyperplanes(points)
-        except DegenerateHullError:
-            with pytest.raises(DegenerateHullError):
-                spanned_hyperplanes(points)
-        else:
-            assert spanned_hyperplanes(points) == expected
+        # flat hulls included: the search only sees full-dimensional sets
+        scale, rows = clear_denominators(p.coords for p in points)
+        got = [
+            Hyperplane(normal, Fraction(offset, scale))
+            for normal, offset in integer_spanned_hyperplanes(rows)
+        ]
+        assert got == ref_spanned_hyperplanes(points)
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
