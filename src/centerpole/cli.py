@@ -63,6 +63,12 @@ MAX_COVER_K = 10
 # is built.
 MAX_WINDOW_POINTS = 2**18
 
+# The largest cone dimension a rule may ask for, by ``dim`` or by its
+# count of ``vertices`` (dim + 1).  Building the rule inverts a
+# (dim + 1)-square matrix, so a larger one is refused before any simplex
+# is built.
+MAX_RULE_DIM = 64
+
 
 def bounded_sandwich(k: int, s: int) -> Sandwich:
     """``build_sandwich(k, s)``, refused with ValueError when the set
@@ -124,13 +130,15 @@ def build_rule(spec: dict) -> ColoringRule:
         raise ValueError(f"a rule must be a JSON object, got {json.dumps(spec)}")
     kind = spec.get("kind")
     if kind == "cone":
-        if "vertices" in spec:
-            simplex = SimplexSpec(
-                tuple(point_from_json(v) for v in _field(spec, "vertices", list))
+        vertices = _field(spec, "vertices", list) if "vertices" in spec else None
+        dim = _field(spec, "dim", int) if vertices is None else len(vertices) - 1
+        if dim > MAX_RULE_DIM:
+            raise ValueError(
+                f"a cone rule of dimension {dim} is above the limit of {MAX_RULE_DIM}"
             )
-        else:
-            simplex = standard_simplex(_field(spec, "dim", int))
-        return cone_coloring(simplex)
+        if vertices is None:
+            return cone_coloring(standard_simplex(dim))
+        return cone_coloring(SimplexSpec(tuple(point_from_json(v) for v in vertices)))
     if kind == "halfspace":
         return halfspace_coloring(point_from_json(_field(spec, "center")))
     if kind == "pair":
@@ -292,10 +300,10 @@ def _apply_config_file(
     """Override the parsed flags with the keys of the --config object.
 
     A key names a flag of the command by its dest or its name, hyphens
-    read as underscores; other keys are ignored.  A value is read as the
-    flag reads command-line text, through its type and choices, so a
-    float, a bool or a string they refuse is a usage error; only the
-    structures in _STRUCTURED are kept as they are.
+    read as underscores; any other key is a usage error.  A value is
+    read as the flag reads command-line text, through its type and
+    choices, so a float, a bool or a string they refuse is a usage
+    error; only the structures in _STRUCTURED are kept as they are.
     """
     if not args.config:
         return
@@ -313,7 +321,7 @@ def _apply_config_file(
     for key, value in overrides.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
-            continue
+            raise ValueError(f"config key {key!r} names no flag of {args.command}")
         if not isinstance(value, _STRUCTURED.get(action.dest, ())):
             try:
                 value = (action.type or str)(str(value))

@@ -16,12 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .geometry import (
     RationalPoint,
     affine_hull_dim,
+    clear_denominators,
     dot,
     fraction_to_json,
     matrix_inverse,
@@ -29,22 +31,31 @@ from .geometry import (
 )
 
 
-def _as_coords(point, dim: int) -> tuple[Fraction, ...]:
+def _as_coords(point, dim: int) -> tuple[int | Fraction, ...]:
+    """The coordinates of ``point``, each an ``int`` or a ``Fraction``
+    as given.  Any other value, a float or a bool among them, raises
+    ValueError: the rules decide colors exactly."""
     if isinstance(point, RationalPoint):
         cs = point.coords
     else:
-        cs = tuple(
-            v if isinstance(v, Fraction) else Fraction(v) for v in point
-        )
+        cs = tuple(point)
+        for v in cs:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
     if len(cs) != dim:
         raise ValueError(f"point has dimension {len(cs)}, rule expects {dim}")
     return cs
 
 
+def _integral(value: Fraction) -> int | Fraction:
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class ColoringRule:
-    """A total coloring: ``evaluate`` maps any rational or lattice
-    point of the stated dimension to a color in {0..color_count-1}."""
+    """A total coloring: ``evaluate`` maps any point of the stated
+    dimension with ``int`` or ``Fraction`` coordinates (a tuple, a
+    rational or a lattice point) to a color in {0..color_count-1}."""
 
     dim: int
     color_count: int
@@ -109,25 +120,30 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
     the minimum; the origin itself gets color 0.  Antipodal points swap
     minimizers and maximizers of the barycentric vector, which cannot
     share an index, so no pair {x, -x} with x != 0 is monochromatic.
+
+    The argmin runs on integers.  The inverse of the vertex matrix is
+    scaled once by the lcm L of its denominators, and each point x by
+    the lcm q of its own, z = q*x; then row i of the scaled inverse
+    times (z, q) is L*q times the i-th barycentric coordinate.  As
+    L*q > 0, the minimum and every tie sit at the same indices as in
+    the rational vector, so the colors are exactly the rational ones.
     """
     d = spec.dim
     matrix = [
         [spec.vertices[i][r] for i in range(d + 1)] for r in range(d)
     ]
     matrix.append([Fraction(1)] * (d + 1))
-    inverse = matrix_inverse(matrix)
+    _, rows = clear_denominators(matrix_inverse(matrix))
 
     def evaluate(point) -> int:
         cs = _as_coords(point, d)
-        if all(c == 0 for c in cs):
+        q = lcm(*(v.denominator for v in cs))
+        z = [v.numerator * (q // v.denominator) for v in cs]
+        if not any(z):
             return 0
-        rhs = cs + (Fraction(1),)
-        bary = [
-            sum(inverse[i][j] * rhs[j] for j in range(d + 1))
-            for i in range(d + 1)
-        ]
-        low = min(bary)
-        return next(i for i, v in enumerate(bary) if v == low)
+        z.append(q)
+        bary = [sum(map(mul, row, z)) for row in rows]
+        return bary.index(min(bary))
 
     return ColoringRule(
         dim=d, color_count=d + 1, evaluate=evaluate, label=f"cone(d={d})"
@@ -186,7 +202,7 @@ def pair_coloring(a, b) -> ColoringRule:
     )
 
 
-def _split_level(point, dim: int) -> tuple[tuple[Fraction, ...], Fraction]:
+def _split_level(point, dim: int) -> tuple[tuple, int | Fraction]:
     cs = _as_coords(point, dim)
     return cs[:-1], cs[-1]
 
@@ -435,11 +451,14 @@ def plus2_extension(
     )
 
 
-def _scan_coordinate(rng: random.Random) -> Fraction:
+def _scan_coordinate(rng: random.Random) -> int | Fraction:
     numerator = rng.randint(-100, 100)
     if rng.random() < 0.5:
-        return Fraction(numerator)
-    return Fraction(numerator, rng.randint(1, 10))
+        return numerator
+    denominator = rng.randint(1, 10)
+    if numerator % denominator == 0:
+        return numerator // denominator
+    return Fraction(numerator, denominator)
 
 
 def symmetric_pair_scan(
@@ -457,6 +476,12 @@ def symmetric_pair_scan(
     c, so a shared color is a genuine far violation, reported verbatim.
     Half the sampled coordinates are integers so that exact level sets
     of the extension rules are exercised.
+
+    Integral values stay Python ints: sampled coordinates, center
+    coordinates and the radius in the far test.  Only a fractional
+    coordinate is a ``Fraction``, so the far test and the mirrors are
+    exact on the mixed values, and a point reaches the rule with the
+    same value as its ``Fraction`` form; the report prints both alike.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -472,21 +497,20 @@ def symmetric_pair_scan(
         if isinstance(inner_radius, Fraction)
         else Fraction(inner_radius)
     )
+    bound = _integral(radius)
+    mixed = [tuple(_integral(v) for v in c.coords) for c in cpts]
     rng = random.Random(seed)
     violations: list[dict] = []
     for _ in range(samples):
         for _attempt in range(10_000):
             x = tuple(_scan_coordinate(rng) for _ in range(rule.dim))
-            if all(
-                max(abs(v - c[i]) for i, v in enumerate(x)) > radius
-                for c in cpts
-            ):
+            if all(any(abs(v - w) > bound for v, w in zip(x, c)) for c in mixed):
                 break
         else:
             raise ValueError("inner radius leaves no room to sample")
         color = rule.evaluate(x)
-        for c in cpts:
-            mirrored = tuple(2 * c[i] - v for i, v in enumerate(x))
+        for c in mixed:
+            mirrored = tuple(2 * w - v for v, w in zip(x, c))
             if rule.evaluate(mirrored) == color:
                 violations.append(
                     {

@@ -357,17 +357,15 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    all_points = list(cube_points(k + 1))
+    profiled = [(p, sigma0(p.as_lattice())) for p in cube_points(k + 1)]
     out: list[SigmaZeroSet] = []
     for axis in range(k + 1):
         for level in (0, 1):
-            facet = [p for p in all_points if p[axis] == level]
+            facet = [(p, image) for p, image in profiled if p[axis] == level]
             for a in range(k):
                 for shape in (LShape.LOWER, LShape.UPPER):
                     triple = profile_triple(a, shape)
-                    pts = frozenset(
-                        p for p in facet if sigma0(p.as_lattice()) in triple
-                    )
+                    pts = frozenset(p for p, image in facet if image in triple)
                     out.append(
                         SigmaZeroSet(
                             k=k,

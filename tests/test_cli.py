@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from centerpole import certifier, cli, covering
 from centerpole.cli import (
     MAX_COVER_K,
+    MAX_RULE_DIM,
     MAX_SANDWICH_POINTS,
     MAX_WINDOW_POINTS,
     OUTPUT_DIR_ENV,
@@ -551,6 +552,58 @@ class TestColoringScanCommand:
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "rule,dim",
+        [
+            ({"kind": "cone", "dim": MAX_RULE_DIM + 1}, MAX_RULE_DIM + 1),
+            ({"kind": "cone", "dim": 10**9}, 10**9),
+            ({"kind": "cone", "vertices": [[0] * 65] * 66}, 65),
+            ({"kind": "plus0", "base": {"kind": "cone", "dim": 100}}, 100),
+        ],
+        ids=["dim-65", "dim-1e9", "66-vertices", "plus0-base"],
+    )
+    def test_large_cone_rules_are_refused_before_any_simplex_is_built(
+        self, rule, dim, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a simplex was built")
+
+        monkeypatch.setattr(cli, "standard_simplex", never)
+        monkeypatch.setattr(cli, "SimplexSpec", never)
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", json.dumps(rule), "--centers",
+             "sandwich(1,-1)"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: a cone rule of dimension {dim} is above the limit of "
+            f"{MAX_RULE_DIM}\n"
+        )
+
+    def test_the_rule_dim_limit_boundary(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "standard_simplex", reached)
+        monkeypatch.setattr(cli, "SimplexSpec", reached)
+        # the rules of the tests, the scripts, the bench and the README
+        # live in dims 1-4
+        assert MAX_RULE_DIM == 64
+        for dim in (1, 4, MAX_RULE_DIM):
+            with pytest.raises(Reached):
+                cli.build_rule({"kind": "cone", "dim": dim})
+            with pytest.raises(Reached):
+                cli.build_rule({"kind": "cone", "vertices": [[0] * dim] * (dim + 1)})
+        with pytest.raises(ValueError, match="above the limit"):
+            cli.build_rule({"kind": "cone", "dim": MAX_RULE_DIM + 1})
+        with pytest.raises(ValueError, match="above the limit"):
+            cli.build_rule({"kind": "cone", "vertices": [[0]] * (MAX_RULE_DIM + 2)})
+
     @pytest.mark.parametrize("text", ["null", "7", '{"a": [0, 0]}'])
     def test_centers_file_must_hold_rows(self, text, tmp_path, capsys):
         path = tmp_path / "centers.json"
@@ -733,6 +786,27 @@ class TestEnvelopeContract:
             assert doc["result"]["rFactor"] == 1
             assert doc["result"]["centers"] == [[0, 0], [1, 0]]
             assert [row["inner"] for row in doc["result"]["rows"]] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "key,argv",
+        [
+            ("sample", ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+                        "--centers", "sandwich(1,-1)", "--samples", "3"]),
+            ("format", ["cover-verify", "--k", "2", "--s", "0"]),
+            ("R_factors", ["certify", "--dim", "2", "--colors", "2",
+                           "--centers", "sandwich(1,-1)"]),
+        ],
+    )
+    def test_keys_that_name_no_flag_are_usage_errors(
+        self, key, argv, tmp_path, capsys
+    ):
+        # --format is a flag of sandwich, not of cover-verify
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 5}))
+        code, out, err = run_cli(["--config", str(cfg)] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config key {key!r} names no flag of {argv[0]}\n"
 
     def test_config_file_must_hold_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

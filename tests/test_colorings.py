@@ -598,3 +598,34 @@ class TestScans:
             symmetric_pair_scan(
                 cone(1), [(0,)], inner_radius=10_000, samples=1, seed=0
             )
+
+
+class TestExactInputs:
+    """Only ints and Fractions reach a rule: a float (exact or not), a
+    bool or a string is refused, whichever coordinate holds it."""
+
+    RULES = {
+        "cone": cone(2),
+        "halfspace": halfspace_coloring((1, 2)),
+        "pair": pair_coloring((0, 0), (2, 0)),
+        "plus0": plus0_extension(cone(2)),
+        "plus1": plus1_extension(cone(2), halfspace_coloring((0, 0))),
+        "plus2": plus2_extension(BASE3, [(1, 0, 0, 1), (0, 1, 0, 2)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, "1/2", None])
+    def test_non_exact_coordinates_are_refused(self, name, bad):
+        rule = self.RULES[name]
+        for axis in (0, rule.dim - 1):
+            point = [F(1, 3)] * rule.dim
+            point[axis] = bad
+            with pytest.raises(ValueError, match="is not an int or a Fraction"):
+                rule(tuple(point))
+
+    def test_a_float_near_a_rational_is_refused(self):
+        # Fraction(0.1) is the binary fraction nearest 1/10, not 1/10, so
+        # a float is refused rather than colored as some other point
+        with pytest.raises(ValueError, match="0.1 is not an int or a Fraction"):
+            cone(2)((0.1, 0.2))
+        assert cone(2)((F(1, 10), F(1, 5))) == 2

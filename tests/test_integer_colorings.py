@@ -1,0 +1,257 @@
+"""The integer cone coloring and scan against the rational ones they replaced.
+
+``cone_coloring`` takes its argmin over integers (the inverse scaled by
+the lcm of its denominators, each point by the lcm of its own) and
+``symmetric_pair_scan`` keeps integral values as ints.  The code below
+is the earlier ``Fraction`` implementation, kept here only as a
+reference: barycentric coordinates as sums of ``Fraction`` products,
+and a scan that draws, compares and mirrors ``Fraction`` coordinates.
+Every color must be equal to it, and every scan report must serialize
+to the same bytes, violations included.
+"""
+import json
+import random
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from centerpole.colorings import (
+    ColoringRule,
+    SimplexSpec,
+    cone_coloring,
+    plus2_extension,
+    standard_simplex,
+    symmetric_pair_scan,
+)
+from centerpole.geometry import (
+    RationalPoint,
+    fraction_to_json,
+    matrix_inverse,
+    point_to_json,
+)
+
+F = Fraction
+
+# --- the rational reference --------------------------------------------
+
+
+def ref_barycentric(spec, point):
+    d = spec.dim
+    matrix = [[spec.vertices[i][r] for i in range(d + 1)] for r in range(d)]
+    matrix.append([Fraction(1)] * (d + 1))
+    inverse = matrix_inverse(matrix)
+    rhs = tuple(Fraction(v) for v in point) + (Fraction(1),)
+    return [
+        sum(inverse[i][j] * rhs[j] for j in range(d + 1)) for i in range(d + 1)
+    ]
+
+
+def ref_cone_color(spec, point):
+    if all(v == 0 for v in point):
+        return 0
+    bary = ref_barycentric(spec, point)
+    low = min(bary)
+    return next(i for i, v in enumerate(bary) if v == low)
+
+
+def ref_cone_coloring(spec):
+    return ColoringRule(
+        dim=spec.dim,
+        color_count=spec.dim + 1,
+        evaluate=lambda point: ref_cone_color(spec, point),
+        label=f"cone(d={spec.dim})",
+    )
+
+
+def ref_scan_coordinate(rng):
+    numerator = rng.randint(-100, 100)
+    if rng.random() < 0.5:
+        return Fraction(numerator)
+    return Fraction(numerator, rng.randint(1, 10))
+
+
+def ref_scan(rule, centers, inner_radius, samples, seed):
+    cpts = [RationalPoint(tuple(p)) for p in centers]
+    radius = Fraction(inner_radius)
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(samples):
+        for _attempt in range(10_000):
+            x = tuple(ref_scan_coordinate(rng) for _ in range(rule.dim))
+            if all(
+                max(abs(v - c[i]) for i, v in enumerate(x)) > radius for c in cpts
+            ):
+                break
+        else:
+            raise ValueError("inner radius leaves no room to sample")
+        color = rule.evaluate(x)
+        for c in cpts:
+            mirrored = tuple(2 * c[i] - v for i, v in enumerate(x))
+            if rule.evaluate(mirrored) == color:
+                violations.append(
+                    {
+                        "x": point_to_json(RationalPoint(x)),
+                        "mirror": point_to_json(RationalPoint(mirrored)),
+                        "color": color,
+                    }
+                )
+    return {
+        "rule": rule.label,
+        "centers": [point_to_json(c) for c in cpts],
+        "innerRadius": fraction_to_json(radius),
+        "samples": samples,
+        "violations": violations,
+    }
+
+
+# --- inputs --------------------------------------------------------------
+
+
+def rationals(bound, max_denominator=12):
+    return st.builds(
+        Fraction, st.integers(-bound, bound), st.integers(1, max_denominator)
+    )
+
+
+def _mixed(values):
+    """Integral values as ints, the rest as Fractions: the scan's form."""
+    return tuple(v.numerator if v.denominator == 1 else v for v in values)
+
+
+@st.composite
+def simplices(draw, dim):
+    if draw(st.booleans()):
+        return standard_simplex(dim)
+    rows = [tuple(draw(rationals(6)) for _ in range(dim)) for _ in range(dim)]
+    last = tuple(-sum(column) for column in zip(*rows))
+    try:
+        return SimplexSpec(tuple(rows) + (last,))
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def simplex_and_point(draw):
+    """A simplex of dim 1-4 and a point, half the time a general rational
+    point and half the time a point whose barycentric weights repeat,
+    so that it sits on a boundary between cones."""
+    dim = draw(st.integers(1, 4))
+    spec = draw(simplices(dim))
+    if draw(st.booleans()):
+        point = tuple(draw(rationals(30)) for _ in range(dim))
+    else:
+        # x = t * sum(mu_i v_i); since the vertices sum to zero, the
+        # barycentric coordinates are mu shifted by a constant, so equal
+        # weights are ties
+        mu = [draw(st.integers(-2, 2)) for _ in range(dim + 1)]
+        t = draw(rationals(5).filter(lambda v: v != 0))
+        point = tuple(
+            t * sum(m * v[r] for m, v in zip(mu, spec.vertices)) for r in range(dim)
+        )
+    if draw(st.booleans()):
+        point = _mixed(point)
+    return spec, point
+
+
+FRACTIONAL_SIMPLICES = [
+    SimplexSpec(((F(1, 2), F(1, 3)), (F(-3, 4), F(2, 5)), (F(1, 4), F(-11, 15)))),
+    SimplexSpec(
+        (
+            (F(2, 3), 0, F(1, 5)),
+            (0, F(-1, 2), F(3, 7)),
+            (F(-5, 6), F(1, 4), 0),
+            (F(1, 6), F(1, 4), F(-22, 35)),
+        )
+    ),
+]
+
+
+# --- the checks ----------------------------------------------------------
+
+
+class TestConeColors:
+    @settings(max_examples=400, deadline=None)
+    @given(simplex_and_point())
+    def test_same_color_as_the_rational_argmin(self, case):
+        spec, point = case
+        rule = cone_coloring(spec)
+        expected = ref_cone_color(spec, point)
+        assert rule.evaluate(point) == expected
+        assert rule.evaluate(RationalPoint(point)) == expected
+
+    def test_every_tie_on_a_small_grid_of_boundary_points(self):
+        # all weight vectors mu in {-1, 0, 1}^(d+1), scaled by integral
+        # and fractional factors: most of these points have a tied minimum
+        specs = [standard_simplex(d) for d in (1, 2, 3)] + FRACTIONAL_SIMPLICES
+        tied = 0
+        for spec in specs:
+            rule = cone_coloring(spec)
+            d = spec.dim
+            for mu in product((-1, 0, 1), repeat=d + 1):
+                for t in (F(1), F(3), F(1, 3), F(-7, 2)):
+                    x = tuple(
+                        t * sum(m * v[r] for m, v in zip(mu, spec.vertices))
+                        for r in range(d)
+                    )
+                    if any(x):
+                        bary = ref_barycentric(spec, x)
+                        tied += bary.count(min(bary)) > 1
+                    assert rule.evaluate(_mixed(x)) == ref_cone_color(spec, x), (
+                        spec,
+                        x,
+                    )
+        assert tied > 100
+
+    def test_points_with_unequal_denominators(self):
+        # q is the lcm of the denominators, not any one of them
+        for spec in [standard_simplex(3), FRACTIONAL_SIMPLICES[1]]:
+            rule = cone_coloring(spec)
+            for x in product((F(-1, 2), F(1, 3), F(2, 5), 0, 4), repeat=3):
+                assert rule.evaluate(x) == ref_cone_color(spec, x), x
+
+
+class TestScanReports:
+    def _assert_same_bytes(self, rule, ref_rule, centers, radius, samples, seed):
+        new = symmetric_pair_scan(rule, centers, radius, samples, seed)
+        old = ref_scan(ref_rule, centers, radius, samples, seed)
+        assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+        return new
+
+    def test_a_broken_rule_with_fractional_centers(self):
+        constant = ColoringRule(dim=3, color_count=2, evaluate=lambda p: 1)
+        centers = [(F(1, 2), 0, F(-7, 3)), (2, -1, 0)]
+        for seed in range(3):
+            report = self._assert_same_bytes(
+                constant, constant, centers, F(5, 2), 200, seed
+            )
+            assert len(report["violations"]) == 400
+            assert report["innerRadius"] == "5/2"
+
+    def test_cone_scans_about_centers_off_the_origin(self):
+        # off the origin the cone coloring has monochromatic mirror pairs,
+        # so the violations compare colors as well as points
+        cases = [
+            (standard_simplex(2), [(3, -1)], 0),
+            (standard_simplex(3), [(F(40, 3), F(-25, 2), 30)], F(7, 3)),
+            (FRACTIONAL_SIMPLICES[0], [(0, 0), (F(5, 4), -2)], 1),
+            (standard_simplex(4), [(0, 0, 0, 0)], F(1, 2)),
+        ]
+        for seed, (spec, centers, radius) in enumerate(cases):
+            report = self._assert_same_bytes(
+                cone_coloring(spec), ref_cone_coloring(spec), centers, radius, 400, seed
+            )
+            assert report["violations"] or centers == [(0, 0, 0, 0)]
+
+    def test_a_lifted_rule_on_the_rational_cone(self):
+        added = [(1, 0, 0, 1), (0, 1, 0, 2)]
+        centers = [(0, 0, 0, 0)] + added + [(F(1, 2), 0, 1, F(3, 2))]
+        self._assert_same_bytes(
+            plus2_extension(cone_coloring(standard_simplex(3)), added),
+            plus2_extension(ref_cone_coloring(standard_simplex(3)), added),
+            centers,
+            0,
+            300,
+            12,
+        )
