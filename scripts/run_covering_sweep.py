@@ -4,13 +4,16 @@ For every k up to --k-max and every slice parameter s with s <= k-2,
 check the constructive shift table on all maximal inputs: each
 prescribed shift must move every point of its set into the sandwich as
 ``build_sandwich`` materializes it.  Emits one JSON document with
-per-pair totals and timings.  Exit code 1 if any pair reports a failure.
+per-pair totals and timings.  Exit code 1 if any pair reports a failure;
+a --k-max above the cover-verify limit (``cli.MAX_COVER_K``) is refused
+with exit code 2 before any pair is checked.
 """
 import argparse
 import json
 import sys
 import time
 
+from centerpole.cli import MAX_COVER_K
 from centerpole.covering import verify_covering_lemma
 
 
@@ -21,6 +24,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.k_max < 1:
         parser.error("--k-max must be at least 1")
+    if args.k_max > MAX_COVER_K:
+        parser.error(f"--k-max {args.k_max} is above the limit of {MAX_COVER_K}")
 
     rows = []
     failure_count = 0

@@ -39,14 +39,11 @@ from .covering import (
     verify_covering_lemma,
 )
 from .cube import (
-    CubePoint,
     LatticePoint,
     LShape,
-    SliceDirection,
     Sandwich,
     SigmaZeroSet,
     build_sandwich,
-    build_slice,
     cube_points,
     enumerate_maximal_sigma0_sets,
     lattice,

@@ -360,22 +360,20 @@ def certify_schedule(
     r_list: Iterable[int],
     r_factor: int = 3,
     budget: int = DEFAULT_BUDGET,
-    escalate: bool = True,
 ) -> ScheduleReport:
     """One verdict per inner radius r, with outer radius
     R = r_factor * (r + max center norm + 1).
 
-    With ``escalate`` (the default), the search starts at outer radius
-    ``start = r + max center norm + 1``; without it, ``start = R``.  A
-    window is an induced subgraph of every larger one, so a Forced
+    A window is an induced subgraph of every larger one, so a Forced
     verdict persists as the outer radius grows, and the smallest Forced
-    outer radius is found by galloping search: outer radii ``start,
-    start+1, start+3, start+7, ...`` (the gaps double, the last probe is
-    capped at R) are solved until one is Forced or R has been solved,
-    then the gap between the last probe that was not Forced and the
-    first Forced one is bisected.  A row is Forced at the smallest
-    Forced window solved; otherwise it carries the verdict of the full
-    window R, so Colorable is only reported from the full window.
+    outer radius is found by galloping search from ``start = r + max
+    center norm + 1``: outer radii ``start, start+1, start+3, start+7,
+    ...`` (the gaps double, the last probe is capped at R) are solved
+    until one is Forced or R has been solved, then the gap between the
+    last probe that was not Forced and the first Forced one is bisected.
+    A row is Forced at the smallest Forced window solved; otherwise it
+    carries the verdict of the full window R, so Colorable is only
+    reported from the full window.
 
     With no Unknown window this solves fewer windows but reports exactly
     what a scan of every outer radius from ``start`` to R would: the
@@ -401,7 +399,7 @@ def certify_schedule(
             spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
             return decide_k_colorable(build_symmetry_graph(spec), k, budget=budget)
 
-        lo = trial_outer = r + max_norm + 1 if escalate else outer
+        lo = trial_outer = r + max_norm + 1
         step = 1
         while True:
             verdict = solve(trial_outer)

@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
+from math import comb
 
 from .certifier import DEFAULT_BUDGET, ScheduleReport, certify_schedule
 from .colorings import (
@@ -62,6 +63,11 @@ MAX_COVER_K = 10
 # proportion to its points, so a larger one is refused before any window
 # is built.
 MAX_WINDOW_POINTS = 2**18
+
+# The most candidate hyperplanes tshape searches: one per dim-subset of
+# the points, C(rows, dim) of them.  The cover search over them grows
+# faster still, so a file with more is refused before the search runs.
+MAX_TSHAPE_CANDIDATES = 2**12
 
 # The largest cone dimension a rule may ask for, by ``dim`` or by its
 # count of ``vertices`` (dim + 1).  Building the rule inverts a
@@ -229,6 +235,11 @@ def cmd_tshape(
     points = [point_from_json(row) for row in rows]
     if trials > 0 and bound_dim is None and not points:
         raise ValueError("--trials on an empty points file needs --bound-dim")
+    if points and comb(len(points), points[0].dim) > MAX_TSHAPE_CANDIDATES:
+        raise ValueError(
+            f"{len(points)} points in dimension {points[0].dim} span more "
+            f"than the limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes"
+        )
     outcome = is_t_shaped(points)
     result: dict = {
         "points": [point_to_json(p) for p in points],

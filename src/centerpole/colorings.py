@@ -482,6 +482,8 @@ def symmetric_pair_scan(
     coordinate is a ``Fraction``, so the far test and the mirrors are
     exact on the mixed values, and a point reaches the rule with the
     same value as its ``Fraction`` form; the report prints both alike.
+    The radius, like a coordinate, must be an ``int`` or a ``Fraction``;
+    anything else, a float or a bool among them, raises ValueError.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -492,11 +494,9 @@ def symmetric_pair_scan(
     for c in cpts:
         if c.dim != rule.dim:
             raise ValueError("centers must match the rule's dimension")
-    radius = (
-        inner_radius
-        if isinstance(inner_radius, Fraction)
-        else Fraction(inner_radius)
-    )
+    if isinstance(inner_radius, bool) or not isinstance(inner_radius, (int, Fraction)):
+        raise ValueError(f"inner radius {inner_radius!r} is not an int or a Fraction")
+    radius = Fraction(inner_radius)
     bound = _integral(radius)
     mixed = [tuple(_integral(v) for v in c.coords) for c in cpts]
     rng = random.Random(seed)

@@ -44,7 +44,7 @@ class CoverCertificate:
         if self.shift.dim != self.k + 1:
             return False
         for p in self.tau.points:
-            if not sandwich_contains(self.k, self.s, p.as_lattice() - self.shift):
+            if not sandwich_contains(self.k, self.s, p - self.shift):
                 return False
         return True
 
@@ -220,7 +220,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
                 }
             )
             continue
-        missed = [p for p in tau.lattice_points() if p - cert.shift not in sandwich]
+        missed = [p for p in tau.points if p - cert.shift not in sandwich]
         if missed:
             failures.append(
                 {
@@ -238,7 +238,7 @@ def exploratory_cover_survey(k: int, s: int, box: int = 1) -> dict:
     uncovered: list[dict] = []
     sets = enumerate_maximal_sigma0_sets(k)
     for tau in sets:
-        if not brute_force_cover_shifts(tau.lattice_points(), k, s, box=box):
+        if not brute_force_cover_shifts(tau.points, k, s, box=box):
             uncovered.append(
                 {
                     "facet": [tau.facet_axis, tau.facet_level],

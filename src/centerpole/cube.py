@@ -1,14 +1,17 @@
 """Hypercube combinatorics behind the sandwich constructions.
 
-Points of the k-cube ``{0,1}^k``, its coordinate-sum slices, the
-three-layer "sandwich" subsets of ``Z^(1+k)``, the (head, tail-sum)
-projection, and the L-shaped facet sets the covering code takes as input.
+Vertices of the k-cube ``{0,1}^k``, the three-layer "sandwich" subsets
+of ``Z^(1+k)``, the (head, tail-sum) projection, and the L-shaped facet
+sets the covering code takes as input.  ``LatticePoint`` is the one
+vertex type: a cube vertex is a lattice point with 0/1 coordinates.
 
 All integer arithmetic is exact.  Coordinates that enter from outside
 (``lattice``, ``points_from_json``, the CLI's centers, a certifier
 window) pass ``checked_coordinates``: each must be an ``int`` in the
 signed 64-bit range, so results stay portable to fixed-width consumers.
-Points built inside from checked ones are not checked again.
+Points built inside from checked ones are not checked again: cube
+vertices, sandwich layers and facet sets are built from 0/1 tuples, and
+their constructors trust what the enumeration has just filtered.
 """
 from __future__ import annotations
 
@@ -113,101 +116,20 @@ def reflect(center: LatticePoint, point: LatticePoint) -> LatticePoint:
     return center.scaled(2) - point
 
 
-@dataclass(frozen=True, slots=True)
-class CubePoint:
-    """A vertex of the unit cube: every coordinate is 0 or 1."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for b in self.bits:
-            if b not in (0, 1) or b is True or b is False:
-                raise ValueError(f"cube coordinate {b!r} is not 0 or 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bits)
-
-    def coordinate_sum(self) -> int:
-        return sum(self.bits)
-
-    def as_lattice(self) -> LatticePoint:
-        return LatticePoint(self.bits)
-
-    def with_layer(self, layer: int) -> LatticePoint:
-        """Embed into one more dimension with ``layer`` prepended."""
-        return LatticePoint((layer,) + self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
-
-def cube_points(k: int) -> Iterator[CubePoint]:
+def cube_points(k: int) -> Iterator[LatticePoint]:
     """All 2^k vertices of the k-cube in lexicographic order."""
     if k < 0:
         raise ValueError("cube dimension must be nonnegative")
     for bits in product((0, 1), repeat=k):
-        yield CubePoint(bits)
-
-
-class SliceDirection(Enum):
-    BELOW = "below"
-    ABOVE = "above"
-
-
-@dataclass(frozen=True, slots=True)
-class Slice:
-    """Vertices of the k-cube whose coordinate sum is < s (below) or > s (above)."""
-
-    k: int
-    s: int
-    direction: SliceDirection
-    points: frozenset[CubePoint]
-
-    def __post_init__(self) -> None:
-        expected = slice_size(self.k, self.s, self.direction)
-        if len(self.points) != expected:
-            raise ValueError(
-                f"slice holds {len(self.points)} points, expected {expected}"
-            )
-        for p in self.points:
-            if p.dim != self.k:
-                raise DimensionMismatchError(f"point {p} not in the {self.k}-cube")
-            if not _in_slice(p.coordinate_sum(), self.s, self.direction):
-                raise ValueError(f"point {p} violates the slice bound")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def _in_slice(total: int, s: int, direction: SliceDirection) -> bool:
-    return total < s if direction is SliceDirection.BELOW else total > s
-
-
-def slice_size(k: int, s: int, direction: SliceDirection) -> int:
-    if direction is SliceDirection.BELOW:
-        return sum(comb(k, j) for j in range(0, min(s, k + 1)) if j <= k)
-    return sum(comb(k, j) for j in range(max(s + 1, 0), k + 1))
-
-
-def build_slice(k: int, s: int, direction: SliceDirection) -> Slice:
-    if k < 0:
-        raise ValueError("cube dimension must be nonnegative")
-    pts = frozenset(
-        p for p in cube_points(k) if _in_slice(p.coordinate_sum(), s, direction)
-    )
-    return Slice(k=k, s=s, direction=direction, points=pts)
+        yield LatticePoint(bits)
 
 
 @dataclass(frozen=True, slots=True)
 class Sandwich:
     """Three-layer subset of Z^(1+k).
 
-    Layer -1 carries the below-s slice, layer 0 the below-k slice, and
-    layer +1 the above-s slice of the k-cube.
+    Layer -1 carries the k-cube vertices of coordinate sum < s, layer 0
+    those of sum < k, and layer +1 those of sum > s.
     """
 
     k: int
@@ -215,12 +137,6 @@ class Sandwich:
     lower: frozenset[LatticePoint]
     middle: frozenset[LatticePoint]
     upper: frozenset[LatticePoint]
-
-    def layer(self, which: int) -> frozenset[LatticePoint]:
-        try:
-            return {-1: self.lower, 0: self.middle, 1: self.upper}[which]
-        except KeyError:
-            raise ValueError(f"layer must be -1, 0, or 1, got {which}") from None
 
     def points(self) -> frozenset[LatticePoint]:
         return self.lower | self.middle | self.upper
@@ -230,17 +146,23 @@ class Sandwich:
 
 
 def build_sandwich(k: int, s: int) -> Sandwich:
-    if k < 0:
-        raise ValueError("cube dimension must be nonnegative")
-    below = build_slice(k, s, SliceDirection.BELOW).points
-    mid = build_slice(k, k, SliceDirection.BELOW).points
-    above = build_slice(k, s, SliceDirection.ABOVE).points
+    lower: list[LatticePoint] = []
+    middle: list[LatticePoint] = []
+    upper: list[LatticePoint] = []
+    for p in cube_points(k):
+        total = sum(p.coords)
+        if total < s:
+            lower.append(LatticePoint((-1,) + p.coords))
+        if total < k:
+            middle.append(LatticePoint((0,) + p.coords))
+        if total > s:
+            upper.append(LatticePoint((1,) + p.coords))
     return Sandwich(
         k=k,
         s=s,
-        lower=frozenset(p.with_layer(-1) for p in below),
-        middle=frozenset(p.with_layer(0) for p in mid),
-        upper=frozenset(p.with_layer(1) for p in above),
+        lower=frozenset(lower),
+        middle=frozenset(middle),
+        upper=frozenset(upper),
     )
 
 
@@ -248,17 +170,14 @@ def sandwich_size(k: int, s: int) -> int:
     """Cardinality of the (k, s) sandwich.
 
     For 0 <= s <= k this is the closed form 2^(k+1) - 1 - C(k, s); outside
-    that range the layers are counted directly.
+    that range each vertex of coordinate sum j counts once per layer it
+    enters.
     """
     if k < 0:
         raise ValueError("cube dimension must be nonnegative")
     if 0 <= s <= k:
         return 2 ** (k + 1) - 1 - comb(k, s)
-    return (
-        slice_size(k, s, SliceDirection.BELOW)
-        + (2**k - 1)
-        + slice_size(k, s, SliceDirection.ABOVE)
-    )
+    return sum(comb(k, j) * ((j < s) + (j < k) + (j > s)) for j in range(k + 1))
 
 
 def sandwich_contains(k: int, s: int, point: LatticePoint) -> bool:
@@ -311,11 +230,13 @@ class SigmaZeroSet:
     ``facet_axis`` and ``facet_level`` pin the facet (coordinate
     ``facet_axis`` equals ``facet_level`` on every point); ``anchor``
     and ``shape`` pin the triple.  Every subset of a valid instance is
-    again a valid instance with the same parameters.
+    again a valid instance with the same parameters.  The constructor
+    checks the parameters only; the points are trusted, since
+    ``enumerate_maximal_sigma0_sets`` has just chosen them by those tests.
     """
 
     k: int
-    points: frozenset[CubePoint]
+    points: frozenset[LatticePoint]
     facet_axis: int
     facet_level: int
     anchor: int
@@ -330,19 +251,6 @@ class SigmaZeroSet:
             raise ValueError(f"facet level must be 0 or 1, got {self.facet_level}")
         if not 0 <= self.anchor <= self.k - 1:
             raise ValueError(f"anchor {self.anchor} outside 0..{self.k - 1}")
-        triple = profile_triple(self.anchor, self.shape)
-        for p in self.points:
-            if p.dim != self.k + 1:
-                raise DimensionMismatchError(
-                    f"point {p} not in the {self.k + 1}-cube"
-                )
-            if p[self.facet_axis] != self.facet_level:
-                raise ValueError(f"point {p} off the declared facet")
-            if sigma0(p.as_lattice()) not in triple:
-                raise ValueError(f"point {p} outside the L-shaped triple")
-
-    def lattice_points(self) -> frozenset[LatticePoint]:
-        return frozenset(p.as_lattice() for p in self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -357,7 +265,7 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    profiled = [(p, sigma0(p.as_lattice())) for p in cube_points(k + 1)]
+    profiled = [(p, sigma0(p)) for p in cube_points(k + 1)]
     out: list[SigmaZeroSet] = []
     for axis in range(k + 1):
         for level in (0, 1):

@@ -330,11 +330,6 @@ class TestSchedule:
         assert [row.proved_at_outer for row in report.rows] == [4, 5, 6]
         assert [row.outer for row in report.rows] == [9, 12, 15]
 
-    def test_escalation_off_jumps_to_the_full_window(self):
-        centers = sorted(build_sandwich(1, -1).points())
-        report = certify_schedule(centers, 2, [1], escalate=False)
-        assert report.rows[0].proved_at_outer == report.rows[0].outer == 9
-
     def test_colorable_pair_of_centers(self):
         centers = [lattice(0, 0), lattice(3, 0)]
         report = certify_schedule(centers, 2, [1], r_factor=1)

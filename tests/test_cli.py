@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from centerpole.cli import (
     MAX_COVER_K,
     MAX_RULE_DIM,
     MAX_SANDWICH_POINTS,
+    MAX_TSHAPE_CANDIDATES,
     MAX_WINDOW_POINTS,
     OUTPUT_DIR_ENV,
     main,
@@ -251,6 +253,35 @@ class TestTshapeCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_the_candidate_limit_boundary(self, tmp_path, monkeypatch, capsys):
+        # the point sets of the tests, the scripts, the bench and the
+        # README have at most C(13, 4) = 715 candidates
+        class Reached(Exception):
+            pass
+
+        def reached(points):
+            raise Reached
+
+        monkeypatch.setattr(cli, "is_t_shaped", reached)
+        assert MAX_TSHAPE_CANDIDATES == 2**12
+        for dim in (1, 2, 3, 4):
+            most = max(n for n in range(5000) if comb(n, dim) <= MAX_TSHAPE_CANDIDATES)
+            for n in (most, most + 1):
+                path = tmp_path / f"pts{dim}-{n}.json"
+                rows = [[i**e for e in range(1, dim + 1)] for i in range(n)]
+                path.write_text(json.dumps(rows))
+                if n == most:
+                    with pytest.raises(Reached):
+                        cli.cmd_tshape(str(path))
+                    continue
+                code, out, err = run_cli(["tshape", "--points", str(path)], capsys)
+                assert code == 2
+                assert out == ""
+                assert err == (
+                    f"error: {n} points in dimension {dim} span more than the "
+                    f"limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes\n"
+                )
 
 
 class TestCertifyCommand:

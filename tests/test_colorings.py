@@ -629,3 +629,12 @@ class TestExactInputs:
         with pytest.raises(ValueError, match="0.1 is not an int or a Fraction"):
             cone(2)((0.1, 0.2))
         assert cone(2)((F(1, 10), F(1, 5))) == 2
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, "1/2", None])
+    def test_non_exact_scan_radius_is_refused(self, bad):
+        # Fraction(0.1) would report the binary fraction nearest 1/10
+        with pytest.raises(ValueError, match="inner radius .* is not an int or a Fraction"):
+            symmetric_pair_scan(cone(2), [(0, 0)], bad, 3, 1)
+        for radius, text in ((F(1, 10), "1/10"), (2, "2")):
+            report = symmetric_pair_scan(cone(2), [(0, 0)], radius, 3, 1)
+            assert report["innerRadius"] == text

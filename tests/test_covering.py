@@ -15,7 +15,6 @@ from centerpole.covering import (
     verify_covering_lemma,
 )
 from centerpole.cube import (
-    CubePoint,
     LatticePoint,
     LShape,
     SigmaZeroSet,
@@ -83,7 +82,7 @@ def full_box_scan(tau_points, k, s, box):
 class TestConstructiveShift:
     def test_singleton_origin_needs_no_shift(self):
         tau = subset_of(
-            maximal(3, 0, 0, 0, LShape.LOWER), {CubePoint((0, 0, 0, 0))}
+            maximal(3, 0, 0, 0, LShape.LOWER), {LatticePoint((0, 0, 0, 0))}
         )
         cert = constructive_cover_shift(tau, 1)
         assert cert.case_label == "0.1"
@@ -156,7 +155,7 @@ def facet_subsets(draw):
     s = draw(st.integers(-1, k - 2))
     sets = enumerate_maximal_sigma0_sets(k)
     tau = sets[draw(st.integers(0, len(sets) - 1))]
-    pts = sorted(tau.points, key=lambda p: p.bits)
+    pts = sorted(tau.points)
     keep = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
     sub = subset_of(tau, (p for p, f in zip(pts, keep) if f))
     return sub, s
@@ -178,7 +177,7 @@ class TestCoveringProperty:
     def test_constructive_shift_appears_in_the_oracle_list(self, pair):
         tau, s = pair
         cert = constructive_cover_shift(tau, s)
-        hits = brute_force_cover_shifts(tau.lattice_points(), tau.k, s, box=1)
+        hits = brute_force_cover_shifts(tau.points, tau.k, s, box=1)
         assert cert.shift in hits
 
 
@@ -186,7 +185,7 @@ class TestBruteForceOracle:
     def test_matches_full_box_scan(self):
         for s in (-1, 0):
             for tau in enumerate_maximal_sigma0_sets(2):
-                pts = tau.lattice_points()
+                pts = tau.points
                 for box in (1, 2):
                     assert brute_force_cover_shifts(
                         pts, 2, s, box=box
@@ -199,7 +198,7 @@ class TestBruteForceOracle:
 
     def test_output_is_sorted_lexicographically(self):
         tau = maximal(2, 1, 0, 0, LShape.LOWER)
-        hits = brute_force_cover_shifts(tau.lattice_points(), 2, 0, box=2)
+        hits = brute_force_cover_shifts(tau.points, 2, 0, box=2)
         assert hits == sorted(hits)
 
     def test_rejects_bad_box(self):
@@ -221,7 +220,7 @@ def assert_failures_name_missed_points(report, k, s):
     beyond_least = 0
     for tau in enumerate_maximal_sigma0_sets(k):
         shift = covering.constructive_cover_shift(tau, s).shift
-        missed = [p for p in tau.lattice_points() if p - shift not in sandwich]
+        missed = [p for p in tau.points if p - shift not in sandwich]
         if missed:
             expected.append(
                 {
@@ -232,7 +231,7 @@ def assert_failures_name_missed_points(report, k, s):
                     f"{tuple(shift)} is not in the built sandwich",
                 }
             )
-            beyond_least += min(missed) != min(tau.lattice_points())
+            beyond_least += min(missed) != min(tau.points)
     assert expected
     assert report["failures"] == expected
     return beyond_least

@@ -1,4 +1,4 @@
-"""Sandwich sets, cube slices, and the facet profile machinery."""
+"""Sandwich sets, cube vertices, and the facet profile machinery."""
 
 from math import comb
 
@@ -10,15 +10,11 @@ from centerpole.certifier import WindowSpec
 from centerpole.cli import parse_center_set
 from centerpole.cube import (
     CoordinateOverflowError,
-    CubePoint,
     DimensionMismatchError,
     LatticePoint,
     LShape,
     SigmaZeroSet,
-    Slice,
-    SliceDirection,
     build_sandwich,
-    build_slice,
     cube_points,
     enumerate_maximal_sigma0_sets,
     lattice,
@@ -31,7 +27,6 @@ from centerpole.cube import (
     sandwich_size,
     sandwich_to_json,
     sigma0,
-    slice_size,
     unit_vector,
 )
 
@@ -97,49 +92,56 @@ class TestLatticePoint:
             unit_vector(2, 2)
 
 
-class TestCubePoint:
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            CubePoint((0, 2))
-        with pytest.raises(ValueError):
-            CubePoint((True,))
+def layer_sizes(k: int, s: int) -> tuple[int, int, int]:
+    """Sizes of the three sandwich layers as binomial sums over the
+    coordinate sum j of a k-cube vertex."""
+    lower = sum(comb(k, j) for j in range(k + 1) if j < s)
+    middle = sum(comb(k, j) for j in range(k + 1) if j < k)
+    upper = sum(comb(k, j) for j in range(k + 1) if j > s)
+    return lower, middle, upper
 
+
+class TestCubePoint:
     def test_with_layer_prepends(self):
-        assert CubePoint((1, 0)).with_layer(-1).coords == (-1, 1, 0)
+        # each sandwich point is its layer followed by a cube vertex
+        # whose coordinate sum that layer admits
+        for k in range(6):
+            cube = [p.coords for p in cube_points(k)]
+            for s in range(-2, k + 3):
+                sw = build_sandwich(k, s)
+                for layer, points, admits in (
+                    (-1, sw.lower, lambda j: j < s),
+                    (0, sw.middle, lambda j: j < k),
+                    (1, sw.upper, lambda j: j > s),
+                ):
+                    assert coords_of(points) == {
+                        (layer,) + bits for bits in cube if admits(sum(bits))
+                    }
 
     def test_enumeration_is_lexicographic(self):
         pts = list(cube_points(3))
         assert len(pts) == 8
-        assert pts[0].bits == (0, 0, 0)
-        assert pts[-1].bits == (1, 1, 1)
-        assert pts == sorted(pts, key=lambda p: p.bits)
+        assert all(isinstance(p, LatticePoint) for p in pts)
+        assert pts[0].coords == (0, 0, 0)
+        assert pts[-1].coords == (1, 1, 1)
+        assert pts == sorted(pts)
 
     def test_zero_cube(self):
-        assert [p.bits for p in cube_points(0)] == [()]
+        assert [p.coords for p in cube_points(0)] == [()]
 
 
 class TestSlices:
     @given(st.integers(0, 8), st.integers(-3, 11))
     def test_slice_size_matches_enumeration(self, k, s):
-        for direction in SliceDirection:
-            sl = build_slice(k, s, direction)
-            assert len(sl) == slice_size(k, s, direction)
+        sw = build_sandwich(k, s)
+        sizes = (len(sw.lower), len(sw.middle), len(sw.upper))
+        assert sizes == layer_sizes(k, s)
+        assert sandwich_size(k, s) == sum(sizes)
 
     def test_below_and_above_bounds_are_strict(self):
-        below = build_slice(2, 1, SliceDirection.BELOW)
-        assert {p.bits for p in below.points} == {(0, 0)}
-        above = build_slice(2, 1, SliceDirection.ABOVE)
-        assert {p.bits for p in above.points} == {(1, 1)}
-
-    def test_slice_constructor_validates(self):
-        # point (1, 1) has sum 2, not < 1
-        with pytest.raises(ValueError):
-            Slice(
-                k=2,
-                s=1,
-                direction=SliceDirection.BELOW,
-                points=frozenset({CubePoint((1, 1))}),
-            )
+        sw = build_sandwich(2, 1)
+        assert {p.coords[1:] for p in sw.lower} == {(0, 0)}
+        assert {p.coords[1:] for p in sw.upper} == {(1, 1)}
 
 
 class TestSandwich:
@@ -174,11 +176,10 @@ class TestSandwich:
 
     def test_layers(self):
         sw = build_sandwich(2, 1)
-        assert coords_of(sw.layer(-1)) == {(-1, 0, 0)}
-        assert coords_of(sw.layer(0)) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
-        assert coords_of(sw.layer(1)) == {(1, 1, 1)}
-        with pytest.raises(ValueError):
-            sw.layer(2)
+        assert coords_of(sw.lower) == {(-1, 0, 0)}
+        assert coords_of(sw.middle) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
+        assert coords_of(sw.upper) == {(1, 1, 1)}
+        assert sw.points() == sw.lower | sw.middle | sw.upper
 
     @given(st.integers(0, 7), st.integers(-3, 9))
     def test_size_formula_matches_enumeration(self, k, s):
@@ -227,27 +228,36 @@ class TestSigmaZeroSets:
         assert len(sets) == (k + 1) * 2 * k * 2
 
     def test_points_sit_on_declared_facet_with_l_profile(self):
-        for tau in enumerate_maximal_sigma0_sets(2):
-            triple = profile_triple(tau.anchor, tau.shape)
-            for p in tau.points:
-                assert p[tau.facet_axis] == tau.facet_level
-                assert sigma0(p.as_lattice()) in triple
+        # the constructor trusts its points, so the enumeration is
+        # checked here: every point is a 0/1 vertex of the (k+1)-cube on
+        # the declared facet, with its image in the declared triple
+        for k in range(1, 6):
+            for tau in enumerate_maximal_sigma0_sets(k):
+                triple = profile_triple(tau.anchor, tau.shape)
+                for p in tau.points:
+                    assert isinstance(p, LatticePoint)
+                    assert p.dim == k + 1
+                    assert set(p.coords) <= {0, 1}
+                    assert all(type(c) is int for c in p.coords)
+                    assert p[tau.facet_axis] == tau.facet_level
+                    assert sigma0(p) in triple
 
     def test_maximality(self):
         # no facet point with an in-profile image is left out
-        for tau in enumerate_maximal_sigma0_sets(2):
-            triple = profile_triple(tau.anchor, tau.shape)
-            full = {
-                p
-                for p in cube_points(tau.k + 1)
-                if p[tau.facet_axis] == tau.facet_level
-                and sigma0(p.as_lattice()) in triple
-            }
-            assert tau.points == full
+        for k in range(1, 6):
+            for tau in enumerate_maximal_sigma0_sets(k):
+                triple = profile_triple(tau.anchor, tau.shape)
+                full = {
+                    p
+                    for p in cube_points(k + 1)
+                    if p[tau.facet_axis] == tau.facet_level
+                    and sigma0(p) in triple
+                }
+                assert tau.points == full
 
     def test_subsets_remain_valid(self):
         tau = max(enumerate_maximal_sigma0_sets(3), key=len)
-        some = frozenset(sorted(tau.points, key=lambda p: p.bits)[:2])
+        some = frozenset(sorted(tau.points)[:2])
         smaller = SigmaZeroSet(
             k=tau.k,
             points=some,
@@ -257,17 +267,6 @@ class TestSigmaZeroSets:
             shape=tau.shape,
         )
         assert len(smaller) == 2
-
-    def test_constructor_rejects_off_facet_points(self):
-        with pytest.raises(ValueError):
-            SigmaZeroSet(
-                k=1,
-                points=frozenset({CubePoint((0, 0))}),
-                facet_axis=0,
-                facet_level=1,
-                anchor=0,
-                shape=LShape.LOWER,
-            )
 
     def test_constructor_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
