@@ -2,11 +2,13 @@
 
 The cone coloring splits punctured space into the cones over the
 facets of a centered simplex.  The extension rules lift a coloring of
-X to X x R by pinning special levels (where added symmetry centers and
-their mirror images live) and painting the bands between them with
-fresh constant colors.  Group-multiplicative mirror expressions are
-specialized to additive notation throughout: the mirror of x through a
-is 2a - x.
+X to X x R from one level table: the level t of a point (x, t) is
+rescaled, a pinned level (where an added symmetry center or a mirror
+image lives) colors x by its own coloring of X, and every other level
+takes the constant color of the open band between pinned levels that
+holds it.  Every pinned coloring is written in X, with no translation.
+Group-multiplicative mirror expressions are specialized to additive
+notation throughout: the mirror of x through a is 2a - x.
 
 Every rule is total and exact over rational inputs; the scan harness
 samples far points and reports monochromatic symmetric pairs.
@@ -14,6 +16,7 @@ samples far points and reports monochromatic symmetric pairs.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
@@ -202,78 +205,66 @@ def pair_coloring(a, b) -> ColoringRule:
     )
 
 
-def _split_level(point, dim: int) -> tuple[tuple, int | Fraction]:
-    cs = _as_coords(point, dim)
-    return cs[:-1], cs[-1]
+def _lift(
+    base: ColoringRule,
+    label: str,
+    scale: int | Fraction,
+    levels: dict,
+    thresholds: tuple,
+    band: tuple[int, ...],
+) -> ColoringRule:
+    """Lift ``base`` to X x R from one level table.
+
+    A point (x, t) whose rescaled level s = scale*t is a key of
+    ``levels`` takes that level's coloring of x; any other point takes
+    the constant ``band[i]``, i the number of thresholds below s.
+    Every threshold is a pinned level, so each band is an open interval.
+    """
+    dim = base.dim + 1
+
+    def evaluate(point) -> int:
+        cs = _as_coords(point, dim)
+        s = cs[-1] * scale
+        level = levels.get(s)
+        if level is None:
+            return band[bisect_left(thresholds, s)]
+        return level(cs[:-1])
+
+    return ColoringRule(
+        dim=dim, color_count=base.color_count, evaluate=evaluate, label=label
+    )
+
+
+def _mirror(center: RationalPoint, x: tuple) -> tuple:
+    return tuple(2 * c - v for c, v in zip(center.coords, x))
 
 
 def plus0_extension(base: ColoringRule) -> ColoringRule:
-    """Lift to X x R: keep the base coloring on the zero level and
-    paint the open half-spaces below and above with colors 0 and 1."""
+    """Lift to X x R.  The level table pins level 0 to the base
+    coloring; the open half-spaces below and above take colors 0 and 1."""
     if base.color_count < 2:
         raise ValueError("base coloring must use at least 2 colors")
-
-    def evaluate(point) -> int:
-        x, t = _split_level(point, base.dim + 1)
-        if t == 0:
-            return base.evaluate(x)
-        return 0 if t < 0 else 1
-
-    return ColoringRule(
-        dim=base.dim + 1,
-        color_count=base.color_count,
-        evaluate=evaluate,
-        label=f"plus0[{base.label}]",
-    )
+    return _lift(base, f"plus0[{base.label}]", 1, {0: base.evaluate}, (0,), (0, 1))
 
 
 def plus1_extension(base: ColoringRule, aux2: ColoringRule) -> ColoringRule:
     """Lift to X x R with one added center at (0, 1).
 
-    Levels 0, 1, 2 carry the base coloring, the two-coloring that
-    witnesses the origin of X, and the derived coloring
-    chi2(x) = min({0,1} minus {base(-x)}); the bands take constants
-    1 (between 0 and 1), 0 (above 1, off level 2), and 2 (below 0).
+    The level table pins levels 0, 1, 2 to the base coloring, the
+    two-coloring that witnesses the origin of X, and the derived
+    coloring chi2(x) = min({0,1} minus {base(-x)}); the bands take
+    constants 2 (below 0), 1 (between 0 and 1) and 0 (above 1).
     """
     if base.color_count < 3:
         raise ValueError("base coloring must use at least 3 colors")
     if aux2.color_count != 2 or aux2.dim != base.dim:
         raise ValueError("aux2 must be a 2-coloring of the base space")
-
-    def chi2(x: tuple[Fraction, ...]) -> int:
-        minus = tuple(-v for v in x)
-        return min({0, 1} - {base.evaluate(minus)})
-
-    def evaluate(point) -> int:
-        x, t = _split_level(point, base.dim + 1)
-        if t == 0:
-            return base.evaluate(x)
-        if t == 1:
-            return aux2.evaluate(x)
-        if t == 2:
-            return chi2(x)
-        if t < 0:
-            return 2
-        if t < 1:
-            return 1
-        return 0
-
-    return ColoringRule(
-        dim=base.dim + 1,
-        color_count=base.color_count,
-        evaluate=evaluate,
-        label=f"plus1[{base.label}]",
-    )
-
-
-def _psi(t: Fraction, v: Fraction, w: Fraction) -> int:
-    if t <= 0:
-        return 3
-    if t <= v:
-        return 0
-    if t <= w:
-        return 1
-    return 2
+    levels = {
+        0: base.evaluate,
+        1: aux2.evaluate,
+        2: lambda x: min({0, 1} - {base.evaluate(tuple(-v for v in x))}),
+    }
+    return _lift(base, f"plus1[{base.label}]", 1, levels, (0, 1), (2, 1, 0))
 
 
 def plus2_extension(
@@ -283,10 +274,13 @@ def plus2_extension(
 
     The level pair (v, w) picks the case after the standard reductions:
     equal levels rescale to 1; unequal levels rescale so w - v = 1 and
-    split on v = 1 (with X translated so the w-center's base point is
-    the origin), v = 2, or generic v.  Each case pins its finitely many
-    special levels with the matching level colorings and paints the
-    rest with the band coloring psi.
+    split on v = 1, v = 2, or generic v.  Each case is a level table
+    of its finitely many pinned levels, each a coloring of X built
+    from the base and witness colorings and the mirrors 2a - x and
+    2b - x through the centers' base points a and b.  All four cases,
+    v = 1 among them, are written in X itself, with no translation.
+    Every other level takes the color of its band: 3 below level 0,
+    then 0 up to v, 1 up to w, and 2 above w.
 
     ``auxes`` may supply the two-colorings the construction consumes:
     key "pair" (both centers at one level) or keys "a" and "b" (one
@@ -315,40 +309,22 @@ def plus2_extension(
     level_b = pts[1].coords[-1]
     auxes = auxes or {}
     chi0 = base.evaluate
-    dim = base.dim + 1
-    k = base.color_count
-
-    def mirror(center: RationalPoint, x: tuple[Fraction, ...]) -> tuple:
-        return tuple(2 * c - v for c, v in zip(center.coords, x))
+    band = (3, 0, 1, 2)
 
     if level_a == level_b:
-        if a == b:
-            raise ValueError("added points must be distinct")
-        sigma = 1 / level_a
+        scale, v, w = 1 / level_a, 1, 1
         pair = auxes.get("pair") or pair_coloring(a, b)
         if pair.color_count != 2 or pair.dim != base.dim:
             raise ValueError("pair witness must be a 2-coloring of X")
-
-        def chi2(x: tuple[Fraction, ...]) -> int:
-            return min(
-                {0, 1, 2} - {chi0(mirror(a, x)), chi0(mirror(b, x))}
-            )
-
-        def evaluate(point) -> int:
-            x, t = _split_level(point, dim)
-            t = t * sigma
-            if t == 0:
-                return chi0(x)
-            if t == 1:
-                return pair.evaluate(x)
-            if t == 2:
-                return chi2(x)
-            return _psi(t, Fraction(1), Fraction(1))
-
+        levels = {
+            0: chi0,
+            1: pair.evaluate,
+            2: lambda x: min({0, 1, 2} - {chi0(_mirror(a, x)), chi0(_mirror(b, x))}),
+        }
         case = "levels-equal"
     else:
-        sigma = 1 / (level_b - level_a)
-        v = level_a * sigma
+        scale = 1 / (level_b - level_a)
+        v = level_a * scale
         w = v + 1
         aux_a = auxes.get("a") or halfspace_coloring(a)
         aux_b = auxes.get("b") or halfspace_coloring(b)
@@ -356,98 +332,52 @@ def plus2_extension(
             if aux.color_count != 2 or aux.dim != base.dim:
                 raise ValueError("center witnesses must be 2-colorings of X")
         if v == 1:
-            # translate so the upper center's base point is the origin
-            shift = b.coords
-            a_t = tuple(p - q for p, q in zip(a.coords, shift))
 
-            def chi0_t(y: tuple[Fraction, ...]) -> int:
-                return chi0(tuple(p + q for p, q in zip(y, shift)))
-
-            def chi1(y: tuple[Fraction, ...]) -> int:
-                return aux_a.evaluate(tuple(p + q for p, q in zip(y, shift)))
-
-            def phi(y: tuple[Fraction, ...]) -> int:
-                return aux_b.evaluate(tuple(p + q for p, q in zip(y, shift)))
-
-            def chi2(y: tuple[Fraction, ...]) -> int:
-                neg = tuple(-p for p in y)
-                behind = chi0_t(tuple(2 * p - q for p, q in zip(a_t, y)))
-                ahead = chi0_t(tuple(2 * p + q for p, q in zip(a_t, y)))
-                fx, fnx = phi(y), phi(neg)
+            def chi2(x: tuple) -> int:
+                behind = chi0(_mirror(a, x))
+                ahead = chi0(tuple(2 * (p - q) + r for p, q, r in zip(a, b, x)))
+                fx, fnx = aux_b.evaluate(x), aux_b.evaluate(_mirror(b, x))
                 if fx == fnx:
                     return min({0, 1, 2} - {ahead, behind})
-                if behind != fx and fnx != ahead:
+                if behind != fx:
                     return fx
-                if behind == fx and fnx != ahead:
+                if fnx != ahead:
                     return min({0, 1, 2} - {fnx, behind})
-                if behind != fx and fnx == ahead:
-                    return fx
                 return fnx
 
-            def evaluate(point) -> int:
-                x, t = _split_level(point, dim)
-                y = tuple(p - q for p, q in zip(x, shift))
-                t = t * sigma
-                if t == 0:
-                    return chi0_t(y)
-                if t == 1:
-                    return chi1(y)
-                if t == 2:
-                    return chi2(y)
-                if t == 3:
-                    return 1 - chi1(tuple(-p for p in y))
-                if t == 4:
-                    return min({0, 1} - {chi0_t(tuple(-p for p in y))})
-                return _psi(t, Fraction(1), Fraction(2))
-
+            levels = {
+                0: chi0,
+                1: aux_a.evaluate,
+                2: chi2,
+                3: lambda x: 1 - aux_a.evaluate(_mirror(b, x)),
+                4: lambda x: min({0, 1} - {chi0(_mirror(b, x))}),
+            }
             case = "v=1,w=2"
         elif v == 2:
-
-            def evaluate(point) -> int:
-                x, t = _split_level(point, dim)
-                t = t * sigma
-                if t == 0:
-                    return chi0(x)
-                if t == 1:
-                    return 1 - aux_b.evaluate(mirror(a, x))
-                if t == 2:
-                    return aux_a.evaluate(x)
-                if t == 3:
-                    return aux_b.evaluate(x)
-                if t == 4:
-                    return min(
-                        {0, 1, 2} - {chi0(mirror(a, x)), aux_a.evaluate(mirror(b, x))}
-                    )
-                if t == 6:
-                    return min({0, 1} - {chi0(mirror(b, x))})
-                return _psi(t, Fraction(2), Fraction(3))
-
+            levels = {
+                0: chi0,
+                1: lambda x: 1 - aux_b.evaluate(_mirror(a, x)),
+                2: aux_a.evaluate,
+                3: aux_b.evaluate,
+                4: lambda x: min(
+                    {0, 1, 2} - {chi0(_mirror(a, x)), aux_a.evaluate(_mirror(b, x))}
+                ),
+                6: lambda x: min({0, 1} - {chi0(_mirror(b, x))}),
+            }
             case = "v=2,w=3"
         else:
-            band_at_two = _psi(Fraction(2), v, w)
-
-            def evaluate(point) -> int:
-                x, t = _split_level(point, dim)
-                t = t * sigma
-                if t == 0:
-                    return chi0(x)
-                if t == v:
-                    return aux_a.evaluate(x)
-                if t == w:
-                    return 1 + aux_b.evaluate(x)
-                if t == 2 * v:
-                    return min({0, 1, 2} - {chi0(mirror(a, x)), band_at_two})
-                if t == 2 * w:
-                    return min({0, 1} - {chi0(mirror(b, x))})
-                return _psi(t, v, w)
-
+            band_at_two = band[bisect_left((0, v, w), 2)]
+            levels = {
+                0: chi0,
+                v: aux_a.evaluate,
+                w: lambda x: 1 + aux_b.evaluate(x),
+                2 * v: lambda x: min({0, 1, 2} - {chi0(_mirror(a, x)), band_at_two}),
+                2 * w: lambda x: min({0, 1} - {chi0(_mirror(b, x))}),
+            }
             case = "generic-v"
 
-    return ColoringRule(
-        dim=dim,
-        color_count=k,
-        evaluate=evaluate,
-        label=f"plus2[{base.label};{case}]",
+    return _lift(
+        base, f"plus2[{base.label};{case}]", scale, levels, (0, v, w), band
     )
 
 

@@ -26,8 +26,18 @@ Rational = Fraction | int | str
 
 
 def _to_fraction(value: Rational) -> Fraction:
+    """``value`` as a ``Fraction``.  Floats are inexact and bools are
+    not numbers, so both raise TypeError.  A string with an exponent
+    ("1e10000000") raises ValueError before ``Fraction`` expands it:
+    its cost grows with the exponent, not with the text."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact geometry")
+    if isinstance(value, bool):
+        raise TypeError("booleans are not allowed in exact geometry")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent strings such as {value[:20]!r} are not allowed")
     return Fraction(value)
 
 

@@ -6,9 +6,10 @@ one of those names, ``bench/run.py --trace 1`` fails with
 AttributeError, so installing and removing the wrappers is tested here.
 """
 import importlib.util
+import json
 from pathlib import Path
 
-from centerpole import geometry, tshape
+from centerpole import cli, geometry, tshape
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,3 +49,27 @@ def test_wrappers_install_count_and_uninstall():
     )
     assert tracer.counts["geometry.side_of.calls"] > 0
     assert tracer.counts["geometry.separates.calls"] > 0
+
+
+def test_the_outermost_rule_of_a_scan_is_counted(tmp_path, capsys):
+    # inner rules run inside the outermost rule's span, so each sample
+    # counts one evaluation of x and one of each mirror
+    rule = {
+        "kind": "plus2",
+        "base": {"kind": "cone", "dim": 3},
+        "A": [[1, 0, 0, 1], [0, 1, 0, 2]],
+    }
+    centers = tmp_path / "centers.json"
+    centers.write_text(json.dumps([[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 2]]))
+    argv = ["coloring-scan", "--rule", json.dumps(rule), "--centers", str(centers),
+            "--samples", "50", "--seed", "3"]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counts["colorings.build_rule.calls"] == 1
+    assert tracer.counts["colorings.evaluate.calls"] == 50 * (1 + 3)
+    assert tracer.counts["colorings.samples"] == 50

@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -225,6 +226,20 @@ class TestTshapeCommand:
         assert err.startswith("error: ") and "floats" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_an_exponent_string_is_refused_before_it_is_expanded(
+        self, tmp_path, capsys
+    ):
+        # Fraction("1e10000000") would build a ten-million-digit integer
+        path = tmp_path / "exponent.json"
+        path.write_text('[["1e10000000", 0]]')
+        started = time.perf_counter()
+        code, out, err = run_cli(["tshape", "--points", str(path)], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exponent strings")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -234,6 +249,7 @@ class TestTshapeCommand:
             ("[[1, 0], 3]", "a points file must hold a list of coordinate rows"),
             ("[[], []]", "points must share one ambient dimension of at least 1"),
             ('[["1/0", 1]]', "bad point ['1/0', 1]"),
+            ("[[true, 0], [0, 1], [1, 1]]", "bad point [True, 0]: booleans"),
         ],
     )
     def test_malformed_points_files_are_usage_errors(
@@ -562,6 +578,8 @@ class TestColoringScanCommand:
              "rule kind 'plus2' needs the key 'A'"),
             ("[1]", "a rule must be a JSON object"),
             ('{"kind": "halfspace", "center": [0.5, 0]}', "bad point"),
+            ('{"kind": "halfspace", "center": [true, 0]}',
+             "bad point [True, 0]: booleans"),
             ('{"kind": "cone", "dim": 2.5}', "rule key 'dim' must be of type int"),
             ('{"kind": "cone", "dim": true}', "rule key 'dim' must be of type int"),
             ('{"kind": "cone", "vertices": 5}',

@@ -189,6 +189,8 @@ class TestJson:
     def test_fraction_from_json(self):
         assert fraction_from_json("-3/6") == Fraction(-1, 2)
         assert fraction_from_json(4) == Fraction(4)
+        assert fraction_from_json("-7") == Fraction(-7)
+        assert fraction_from_json("1.5") == Fraction(3, 2)
 
     @pytest.mark.parametrize(
         "read,value",
@@ -200,6 +202,34 @@ class TestJson:
     )
     def test_json_readers_refuse_floats(self, read, value):
         with pytest.raises(ValueError, match="floats"):
+            read(value)
+
+    @pytest.mark.parametrize(
+        "read,value",
+        [
+            (fraction_from_json, True),
+            (point_from_json, [True, 0]),
+            (point_from_json, [1, False]),
+            (hyperplane_from_json, {"normal": [True, 1], "offset": "0"}),
+            (hyperplane_from_json, {"normal": [1, 1], "offset": False}),
+        ],
+    )
+    def test_json_readers_refuse_booleans(self, read, value):
+        with pytest.raises(ValueError, match="booleans"):
+            read(value)
+
+    @pytest.mark.parametrize(
+        "read,value",
+        [
+            (fraction_from_json, "1e3"),
+            (fraction_from_json, "2E-1"),
+            (point_from_json, ["1e10000000", 0]),
+            (hyperplane_from_json, {"normal": [1, "1e400"], "offset": "0"}),
+            (hyperplane_from_json, {"normal": [1, 1], "offset": "-1.5e2"}),
+        ],
+    )
+    def test_json_readers_refuse_exponent_strings(self, read, value):
+        with pytest.raises(ValueError, match="exponent"):
             read(value)
 
     @pytest.mark.parametrize(
