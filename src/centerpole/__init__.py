@@ -56,7 +56,6 @@ from .geometry import (
     RationalPoint,
     affine_hull_dim,
     in_general_position,
-    rational_point,
     separates,
     side_of,
 )

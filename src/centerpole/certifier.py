@@ -39,6 +39,12 @@ from .cube import DimensionMismatchError, LatticePoint, checked_coordinates, ori
 
 DEFAULT_BUDGET = 5_000_000
 
+# The largest window a schedule may build, (2R + 1)^dim points for its
+# largest outer radius R.  Building and deciding a window takes time and
+# memory in proportion to its points, so a larger one is refused before
+# any window is built.
+MAX_WINDOW_POINTS = 2**18
+
 
 @dataclass(frozen=True, slots=True)
 class WindowSpec:
@@ -232,9 +238,10 @@ def _cdcl_core(
 
 def _peel(adj: list[list[int]], comp: list[int], k: int) -> tuple[list[int], list[int]]:
     """Split comp into (core, peel order): vertices with degree < k inside
-    the shrinking graph can always be colored last."""
-    in_comp = set(comp)
-    deg = {v: sum(1 for u in adj[v] if u in in_comp) for v in comp}
+    the shrinking graph can always be colored last.  A component is
+    closed under adjacency, so every neighbour of a vertex of comp is in
+    comp."""
+    deg = {v: len(adj[v]) for v in comp}
     removed: list[int] = []
     queue = [v for v in comp if deg[v] < k]
     gone: set[int] = set()
@@ -245,7 +252,7 @@ def _peel(adj: list[list[int]], comp: list[int], k: int) -> tuple[list[int], lis
         gone.add(v)
         removed.append(v)
         for u in adj[v]:
-            if u in in_comp and u not in gone:
+            if u not in gone:
                 deg[u] -= 1
                 if deg[u] < k:
                     queue.append(u)
@@ -381,6 +388,9 @@ def certify_schedule(
     window counts as "not proved Forced" and the search moves up, so
     ``proved_at_outer`` can then be larger than the smallest Forced
     radius; it always names a window that was solved and found Forced.
+
+    A schedule whose largest window has more than MAX_WINDOW_POINTS
+    points raises ValueError before any window is built.
     """
     centers = tuple(centers)
     if not centers:
@@ -391,9 +401,16 @@ def certify_schedule(
         raise ValueError(f"decision budget must be non-negative, got {budget}")
     dim = centers[0].dim
     max_norm = max(c.norm_inf() for c in centers)
+    r_list = list(r_list)
+    outers = [r_factor * (r + max_norm + 1) for r in r_list]
+    largest = max(outers, default=0)
+    if largest > 0 and (2 * largest + 1) ** dim > MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"the largest window, outer radius {largest} in dimension {dim}, "
+            f"has more than the limit of {MAX_WINDOW_POINTS} points"
+        )
     rows: list[ScheduleRow] = []
-    for r in r_list:
-        outer = r_factor * (r + max_norm + 1)
+    for r, outer in zip(r_list, outers):
 
         def solve(trial_outer: int) -> WindowVerdict:
             spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)

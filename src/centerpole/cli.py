@@ -19,7 +19,12 @@ import time
 from datetime import datetime, timezone
 from math import comb
 
-from .certifier import DEFAULT_BUDGET, ScheduleReport, certify_schedule
+from .certifier import (
+    DEFAULT_BUDGET,
+    MAX_WINDOW_POINTS,
+    ScheduleReport,
+    certify_schedule,
+)
 from .colorings import (
     ColoringRule,
     SimplexSpec,
@@ -42,7 +47,7 @@ from .cube import (
     sandwich_size,
     sandwich_to_json,
 )
-from .geometry import RationalPoint, fraction_from_json, point_from_json, point_to_json
+from .geometry import fraction_from_json, point_from_json, point_to_json
 from .tshape import certificate_to_json, is_t_shaped, verify_t_value_bounds
 
 OUTPUT_DIR_ENV = "CENTERPOLE_OUT_DIR"
@@ -58,16 +63,17 @@ MAX_SANDWICH_POINTS = 2**20
 # so each step up in k about doubles the time (k = 10 takes seconds).
 MAX_COVER_K = 10
 
-# The largest certify window, (2R + 1)^dim points for the largest outer
-# radius R.  Building and deciding a window takes time and memory in
-# proportion to its points, so a larger one is refused before any window
-# is built.
-MAX_WINDOW_POINTS = 2**18
-
 # The most candidate hyperplanes tshape searches: one per dim-subset of
 # the points, C(rows, dim) of them.  The cover search over them grows
 # faster still, so a file with more is refused before the search runs.
+# The bound caps the count of candidates, not the search time: 19 points
+# of {-1,0,1}^4 drawn with random.Random(1) (18 distinct, at most
+# C(19, 4) = 3876 candidates) are accepted, and their search takes
+# 12.8 s on a 2-core Xeon.
 MAX_TSHAPE_CANDIDATES = 2**12
+
+# certify's window limit, MAX_WINDOW_POINTS, is imported from certifier,
+# where certify_schedule refuses a larger window before building one.
 
 # The largest cone dimension a rule may ask for, by ``dim`` or by its
 # count of ``vertices`` (dim + 1).  Building the rule inverts a
@@ -155,11 +161,8 @@ def build_rule(spec: dict) -> ColoringRule:
         return plus0_extension(build_rule(_field(spec, "base")))
     if kind == "plus1":
         base = build_rule(_field(spec, "base"))
-        if "aux2" in spec:
-            aux = build_rule(spec["aux2"])
-        else:
-            aux = halfspace_coloring(RationalPoint((0,) * base.dim))
-        return plus1_extension(base, aux)
+        aux2 = build_rule(spec["aux2"]) if "aux2" in spec else None
+        return plus1_extension(base, aux2)
     if kind == "plus2":
         base = build_rule(_field(spec, "base"))
         added = [point_from_json(row) for row in _field(spec, "A", list)]
@@ -274,13 +277,6 @@ def cmd_certify(
         raise ValueError(f"centers have mixed dimensions {dims}")
     if dims and dims[0] != dim:
         raise ValueError(f"centers have dimension {dims[0]}, but --dim is {dim}")
-    reach = max((c.norm_inf() for c in centers), default=0) + 1
-    outer = max((r_factor * (r + reach) for r in r_list), default=0)
-    if outer > 0 and (2 * outer + 1) ** dim > MAX_WINDOW_POINTS:
-        raise ValueError(
-            f"the largest window, outer radius {outer} in dimension {dim}, "
-            f"has more than the limit of {MAX_WINDOW_POINTS} points"
-        )
     report = certify_schedule(centers, colors, r_list, r_factor=r_factor, budget=budget)
     return 0, _schedule_to_json(report)
 

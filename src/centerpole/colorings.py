@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 from .geometry import (
     RationalPoint,
     affine_hull_dim,
+    as_point,
     clear_denominators,
     dot,
-    fraction_to_json,
     matrix_inverse,
     point_to_json,
 )
@@ -38,13 +38,10 @@ def _as_coords(point, dim: int) -> tuple[int | Fraction, ...]:
     """The coordinates of ``point``, each an ``int`` or a ``Fraction``
     as given.  Any other value, a float or a bool among them, raises
     ValueError: the rules decide colors exactly."""
-    if isinstance(point, RationalPoint):
-        cs = point.coords
-    else:
-        cs = tuple(point)
-        for v in cs:
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
+    cs = tuple(point)
+    for v in cs:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
     if len(cs) != dim:
         raise ValueError(f"point has dimension {len(cs)}, rule expects {dim}")
     return cs
@@ -56,17 +53,23 @@ def _integral(value: Fraction) -> int | Fraction:
 
 @dataclass(frozen=True)
 class ColoringRule:
-    """A total coloring: ``evaluate`` maps any point of the stated
-    dimension with ``int`` or ``Fraction`` coordinates (a tuple, a
-    rational or a lattice point) to a color in {0..color_count-1}."""
+    """A total coloring of the points of dimension ``dim`` into colors
+    {0..color_count-1}.
+
+    Calling the rule checks its point: a tuple, a rational or a lattice
+    point of the stated dimension whose coordinates are each an ``int``
+    or a ``Fraction``.  ``evaluate`` is the trusted entry: it takes such
+    a coordinate tuple as given.  Rules built from other rules, and the
+    scan, call ``evaluate`` on values they have checked or built, so a
+    point is checked once however deep the rules nest."""
 
     dim: int
     color_count: int
-    evaluate: Callable[..., int]
+    evaluate: Callable[[tuple], int]
     label: str = ""
 
     def __call__(self, point) -> int:
-        return self.evaluate(point)
+        return self.evaluate(_as_coords(point, self.dim))
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,7 @@ class SimplexSpec:
     vertices: tuple[RationalPoint, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(
-            v if isinstance(v, RationalPoint) else RationalPoint(tuple(v))
-            for v in self.vertices
-        )
+        verts = tuple(as_point(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         d = len(verts) - 1
         if d < 1:
@@ -89,10 +89,7 @@ class SimplexSpec:
                 raise ValueError(
                     f"{len(verts)} vertices must live in dimension {d}"
                 )
-        total = verts[0]
-        for v in verts[1:]:
-            total = total + v
-        if any(c != 0 for c in total.coords):
+        if any(sum(column) != 0 for column in zip(*verts)):
             raise ValueError("vertices must sum to zero")
         if affine_hull_dim(list(verts)) != d:
             raise ValueError("vertices must be affinely independent")
@@ -138,8 +135,7 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
     matrix.append([Fraction(1)] * (d + 1))
     _, rows = clear_denominators(matrix_inverse(matrix))
 
-    def evaluate(point) -> int:
-        cs = _as_coords(point, d)
+    def evaluate(cs: tuple) -> int:
         q = lcm(*(v.denominator for v in cs))
         z = [v.numerator * (q // v.denominator) for v in cs]
         if not any(z):
@@ -157,10 +153,9 @@ def halfspace_coloring(center) -> ColoringRule:
     """Two colors split by the sign of the first nonzero coordinate of
     x - center; the center itself gets 0.  No pair {x, 2c - x} with
     x != c is monochromatic."""
-    c = center if isinstance(center, RationalPoint) else RationalPoint(tuple(center))
+    c = as_point(center)
 
-    def evaluate(point) -> int:
-        cs = _as_coords(point, c.dim)
+    def evaluate(cs: tuple) -> int:
         for value, base in zip(cs, c.coords):
             if value != base:
                 return 1 if value > base else 0
@@ -181,15 +176,14 @@ def pair_coloring(a, b) -> ColoringRule:
     back to the halfspace split of y, and y = 0 compares sigma against
     1 so that only x = a and x = b themselves collide.
     """
-    pa = a if isinstance(a, RationalPoint) else RationalPoint(tuple(a))
-    pb = b if isinstance(b, RationalPoint) else RationalPoint(tuple(b))
+    pa = as_point(a)
+    pb = as_point(b)
     if pa == pb:
         raise ValueError("pair witness needs two distinct points")
     u = pb - pa
     uu = dot(u.coords, u.coords)
 
-    def evaluate(point) -> int:
-        cs = _as_coords(point, pa.dim)
+    def evaluate(cs: tuple) -> int:
         diff = tuple(v - w for v, w in zip(cs, pa.coords))
         sigma = dot(diff, u.coords) / uu
         if sigma.denominator != 1:
@@ -220,10 +214,8 @@ def _lift(
     the constant ``band[i]``, i the number of thresholds below s.
     Every threshold is a pinned level, so each band is an open interval.
     """
-    dim = base.dim + 1
 
-    def evaluate(point) -> int:
-        cs = _as_coords(point, dim)
+    def evaluate(cs: tuple) -> int:
         s = cs[-1] * scale
         level = levels.get(s)
         if level is None:
@@ -231,7 +223,7 @@ def _lift(
         return level(cs[:-1])
 
     return ColoringRule(
-        dim=dim, color_count=base.color_count, evaluate=evaluate, label=label
+        dim=base.dim + 1, color_count=base.color_count, evaluate=evaluate, label=label
     )
 
 
@@ -247,16 +239,21 @@ def plus0_extension(base: ColoringRule) -> ColoringRule:
     return _lift(base, f"plus0[{base.label}]", 1, {0: base.evaluate}, (0,), (0, 1))
 
 
-def plus1_extension(base: ColoringRule, aux2: ColoringRule) -> ColoringRule:
+def plus1_extension(
+    base: ColoringRule, aux2: ColoringRule | None = None
+) -> ColoringRule:
     """Lift to X x R with one added center at (0, 1).
 
     The level table pins levels 0, 1, 2 to the base coloring, the
-    two-coloring that witnesses the origin of X, and the derived
-    coloring chi2(x) = min({0,1} minus {base(-x)}); the bands take
-    constants 2 (below 0), 1 (between 0 and 1) and 0 (above 1).
+    two-coloring ``aux2`` that witnesses the origin of X, and the
+    derived coloring chi2(x) = min({0,1} minus {base(-x)}); the bands
+    take constants 2 (below 0), 1 (between 0 and 1) and 0 (above 1).
+    The default ``aux2`` is the halfspace witness about the origin.
     """
     if base.color_count < 3:
         raise ValueError("base coloring must use at least 3 colors")
+    if aux2 is None:
+        aux2 = halfspace_coloring(RationalPoint((0,) * base.dim))
     if aux2.color_count != 2 or aux2.dim != base.dim:
         raise ValueError("aux2 must be a 2-coloring of the base space")
     levels = {
@@ -291,10 +288,7 @@ def plus2_extension(
         raise ValueError("base coloring must use at least 4 colors")
     if len(A) != 2:
         raise ValueError("exactly two added points are required")
-    pts = [
-        p if isinstance(p, RationalPoint) else RationalPoint(tuple(p))
-        for p in A
-    ]
+    pts = [as_point(p) for p in A]
     for p in pts:
         if p.dim != base.dim + 1:
             raise ValueError("added points must live in X x R")
@@ -417,10 +411,7 @@ def symmetric_pair_scan(
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
-    cpts = [
-        p if isinstance(p, RationalPoint) else RationalPoint(tuple(p))
-        for p in centers
-    ]
+    cpts = [as_point(p) for p in centers]
     for c in cpts:
         if c.dim != rule.dim:
             raise ValueError("centers must match the rule's dimension")
@@ -452,7 +443,7 @@ def symmetric_pair_scan(
     return {
         "rule": rule.label,
         "centers": [point_to_json(c) for c in cpts],
-        "innerRadius": fraction_to_json(radius),
+        "innerRadius": str(radius),
         "samples": samples,
         "violations": violations,
     }

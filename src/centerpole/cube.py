@@ -6,7 +6,7 @@ sets the covering code takes as input.  ``LatticePoint`` is the one
 vertex type: a cube vertex is a lattice point with 0/1 coordinates.
 
 All integer arithmetic is exact.  Coordinates that enter from outside
-(``lattice``, ``points_from_json``, the CLI's centers, a certifier
+(``lattice``, ``lattice_from_json``, the CLI's centers, a certifier
 window) pass ``checked_coordinates``: each must be an ``int`` in the
 signed 64-bit range, so results stay portable to fixed-width consumers.
 Points built inside from checked ones are not checked again: cube
@@ -77,9 +77,6 @@ class LatticePoint:
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(tuple(-a for a in self.coords))
 
-    def scaled(self, n: int) -> "LatticePoint":
-        return LatticePoint(tuple(n * a for a in self.coords))
-
     def norm_inf(self) -> int:
         return max((abs(a) for a in self.coords), default=0)
 
@@ -109,11 +106,6 @@ def unit_vector(dim: int, axis: int) -> LatticePoint:
 
 def origin(dim: int) -> LatticePoint:
     return LatticePoint((0,) * dim)
-
-
-def reflect(center: LatticePoint, point: LatticePoint) -> LatticePoint:
-    """Mirror image of ``point`` through ``center``: 2*center - point."""
-    return center.scaled(2) - point
 
 
 def cube_points(k: int) -> Iterator[LatticePoint]:
@@ -300,10 +292,6 @@ def lattice_from_json(row: Iterable[int]) -> LatticePoint:
         return LatticePoint(checked_coordinates(row))
     except (TypeError, OverflowError) as err:
         raise ValueError(f"bad lattice point {row!r}: {err}") from err
-
-
-def points_from_json(data: Iterable[Iterable[int]]) -> frozenset[LatticePoint]:
-    return frozenset(lattice_from_json(row) for row in data)
 
 
 def sandwich_to_json(s: Sandwich) -> dict:

@@ -11,6 +11,12 @@ affine structure) and reduced by one fraction-free Bareiss elimination,
 which gives rank, kernel vectors and inverses.  Internally a hyperplane
 of integer points is a primitive integer normal (gcd 1, first nonzero
 entry positive) with an integer offset.
+
+Rational inputs are checked once, where they enter: the ``RationalPoint``
+and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
+and the JSON readers read each coordinate through ``_to_fraction``,
+which refuses floats and bools.  Code past those points works on the
+checked values and does not check them again.
 """
 from __future__ import annotations
 
@@ -64,13 +70,6 @@ class RationalPoint:
         _check_dims(self.dim, other.dim)
         return RationalPoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "RationalPoint":
-        return RationalPoint(tuple(-a for a in self.coords))
-
-    def scaled(self, factor: Rational) -> "RationalPoint":
-        f = _to_fraction(factor)
-        return RationalPoint(tuple(f * a for a in self.coords))
-
     def __getitem__(self, i: int):
         return self.coords[i]
 
@@ -85,8 +84,12 @@ class RationalPoint:
         return self.coords < other.coords
 
 
-def rational_point(*coords: Rational) -> RationalPoint:
-    return RationalPoint(tuple(coords))
+def as_point(x: RationalPoint | Sequence[Rational]) -> RationalPoint:
+    """``x`` itself if it is a ``RationalPoint``, else its coordinates
+    read through the ``RationalPoint`` constructor."""
+    if isinstance(x, RationalPoint):
+        return x
+    return RationalPoint(tuple(x))
 
 
 def _check_dims(a: int, b: int) -> None:
@@ -95,7 +98,8 @@ def _check_dims(a: int, b: int) -> None:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    _check_dims(len(a), len(b))
+    """The dot product of two vectors the caller has checked to share
+    one length."""
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
@@ -187,9 +191,11 @@ def clear_denominators(
     times ``L`` as integers.  Scaling by ``L > 0`` changes no rank or
     kernel, and on the coordinate rows of a point set it is an
     invertible affine map, so incidence, separation and hull dimensions
-    do not change either."""
+    do not change either.  An entry that is not exactly an ``int`` or a
+    ``Fraction`` is read through ``_to_fraction``, so a float or a bool
+    raises TypeError."""
     rows = [
-        [v if isinstance(v, (int, Fraction)) else _to_fraction(v) for v in row]
+        [v if type(v) is int or type(v) is Fraction else _to_fraction(v) for v in row]
         for row in rows
     ]
     scale = lcm(*(v.denominator for row in rows for v in row))
@@ -342,10 +348,6 @@ def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
     return Hyperplane(tuple(normal), Fraction(offset, scale))
 
 
-def fraction_to_json(value: Fraction) -> str:
-    return str(value)
-
-
 def fraction_from_json(text: str | int) -> Fraction:
     """Parse an integer or a fraction string; floats are inexact and refused."""
     try:
@@ -369,10 +371,3 @@ def point_from_json(row: Iterable[str | int]) -> RationalPoint:
 def hyperplane_to_json(h: Hyperplane) -> dict:
     return {"normal": [str(v) for v in h.normal], "offset": str(h.offset)}
 
-
-def hyperplane_from_json(data: dict) -> Hyperplane:
-    """Parse integers and fraction strings; floats are inexact and refused."""
-    try:
-        return Hyperplane(tuple(data["normal"]), data["offset"])
-    except (TypeError, ZeroDivisionError) as err:
-        raise ValueError(f"bad hyperplane {data!r}: {err}") from err

@@ -28,7 +28,9 @@ from .geometry import (
     HalfspaceSide,
     Hyperplane,
     RationalPoint,
+    _to_fraction,
     affine_hull_dim,
+    as_point,
     clear_denominators,
     containing_hyperplane,
     hyperplane_to_json,
@@ -47,17 +49,13 @@ from .geometry import integer_spanned_hyperplanes as spanned_hyperplanes
 KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
 
 
-def _as_point(x) -> RationalPoint:
-    return x if isinstance(x, RationalPoint) else RationalPoint(tuple(x))
-
-
 def is_in_Tn(x, n: int) -> bool:
     """Exact membership in the tree set T_n inside R^n.
 
     T_1 is the origin of the line; T_n is the union of the floor
     R^(n-1) x {0} with the product T_(n-1) x R_+ above it.
     """
-    p = _as_point(x)
+    p = as_point(x)
     if n < 1:
         raise ValueError("T_n membership needs n >= 1")
     if p.dim != n:
@@ -91,7 +89,7 @@ class TShapeCertificate:
     assignment: dict[RationalPoint, int]
 
     def verify(self, points: Sequence[RationalPoint]) -> bool:
-        pts = [_as_point(p) for p in points]
+        pts = [as_point(p) for p in points]
         hps = list(self.hyperplanes)
         if not in_general_position(hps):
             return False
@@ -130,13 +128,7 @@ def is_t_shaped(points) -> TShapeResult:
     d-1 spanned hyperplanes; every yes answer carries a certificate
     that has been re-verified before return.
     """
-    pts = [_as_point(p) for p in points]
-    distinct: list[RationalPoint] = []
-    seen: set[RationalPoint] = set()
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            distinct.append(p)
+    distinct = list(dict.fromkeys(as_point(p) for p in points))
     if not distinct:
         return TShapeResult(
             True, TShapeCertificate((), {}), "empty set, trivially T-shaped"
@@ -249,11 +241,13 @@ def moment_curve_points(n: int, count: int, params: Sequence) -> list[RationalPo
     """Points (t, t^2, ..., t^n) for the given parameters.
 
     Any n+1 of them are affinely independent, so no hyperplane holds
-    more than n, which makes large samples hard to cover.
+    more than n, which makes large samples hard to cover.  Each
+    parameter is read as an exact rational: a float or a bool raises
+    TypeError.
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
-    values = [v if isinstance(v, Fraction) else Fraction(v) for v in params]
+    values = [_to_fraction(v) for v in params]
     if count != len(values):
         raise ValueError(f"count={count} but {len(values)} parameters given")
     if len(set(values)) != len(values):

@@ -24,7 +24,6 @@ from centerpole.cube import (
     LatticePoint,
     build_sandwich,
     lattice,
-    reflect,
 )
 
 
@@ -121,7 +120,7 @@ def reference_symmetry_graph(spec):
     edges = set()
     for i, p in enumerate(verts):
         for c in spec.centers:
-            j = index.get(reflect(c, p).coords)
+            j = index.get(tuple(2 * a - b for a, b in zip(c, p)))
             if j is not None and j != i:
                 edges.add((i, j) if i < j else (j, i))
     return tuple(verts), tuple(sorted(edges))
@@ -358,6 +357,14 @@ class TestSchedule:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="budget"):
             certify_schedule([lattice(0)], 1, [1], budget=-1)
+
+    def test_refuses_a_large_window_before_building_any(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
+        # R = 3 * (1000 + 0 + 1): 6007^2 points; the small row comes first
+        with pytest.raises(ValueError, match="outer radius 3003 in dimension 2"):
+            certify_schedule([lattice(0, 0)], 2, [1, 1000])
+        assert built == []
 
 
 # Forced at outer 6, 7, 8 for r = 1, 2, 3 with k = 2, while the escalation

@@ -452,7 +452,7 @@ class TestCertifyCommand:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(cli, "certify_schedule", reached)
+        monkeypatch.setattr(certifier, "build_symmetry_graph", reached)
         assert MAX_WINDOW_POINTS == 2**18
         # with R-factor 1, R = r + |c| + 1; the largest R with
         # (2R + 1)^dim <= 2^18 is 131071 in dim 1, 255 in dim 2, 10 in dim 4

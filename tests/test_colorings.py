@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centerpole import colorings
 from centerpole.colorings import (
     ColoringRule,
     SimplexSpec,
@@ -193,6 +194,13 @@ class TestPlus1:
             plus1_extension(self.base, halfspace_coloring((0, 0, 0)))
         with pytest.raises(ValueError):
             plus1_extension(self.base, self.base)
+
+    def test_the_default_witness_is_the_halfspace_about_the_origin(self):
+        default = plus1_extension(self.base)
+        assert (default.label, default.color_count) == ("plus1[cone(d=2)]", 3)
+        for x in product((-1, 0, F(1, 2), 2), repeat=2):
+            for t in (-1, 0, F(1, 2), 1, 2, 3):
+                assert default(x + (t,)) == self.rule()(x + (t,))
 
 
 BASE3 = cone(3)
@@ -638,3 +646,21 @@ class TestExactInputs:
         for radius, text in ((F(1, 10), "1/10"), (2, "2")):
             report = symmetric_pair_scan(cone(2), [(0, 0)], radius, 3, 1)
             assert report["innerRadius"] == text
+
+    def test_a_point_is_checked_once(self, monkeypatch):
+        # calling a rule checks its point; nested rules and the scan call
+        # ``evaluate`` on values already checked or built from checked ones
+        calls = []
+        check = colorings._as_coords
+
+        def counted(point, dim):
+            calls.append(dim)
+            return check(point, dim)
+
+        monkeypatch.setattr(colorings, "_as_coords", counted)
+        plus0_extension(plus0_extension(cone(2)))((F(1, 3), 2, 0, 0))
+        assert calls == [4]
+        calls.clear()
+        rule = self.RULES["plus2"]
+        assert symmetric_pair_scan(rule, [(0,) * 4], 0, 50, 1)["samples"] == 50
+        assert calls == []

@@ -27,7 +27,6 @@ from centerpole.colorings import (
 )
 from centerpole.geometry import (
     RationalPoint,
-    fraction_to_json,
     matrix_inverse,
     point_to_json,
 )
@@ -100,7 +99,7 @@ def ref_scan(rule, centers, inner_radius, samples, seed):
     return {
         "rule": rule.label,
         "centers": [point_to_json(c) for c in cpts],
-        "innerRadius": fraction_to_json(radius),
+        "innerRadius": str(radius),
         "samples": samples,
         "violations": violations,
     }
@@ -179,7 +178,7 @@ class TestConeColors:
         rule = cone_coloring(spec)
         expected = ref_cone_color(spec, point)
         assert rule.evaluate(point) == expected
-        assert rule.evaluate(RationalPoint(point)) == expected
+        assert rule(RationalPoint(point)) == expected
 
     def test_every_tie_on_a_small_grid_of_boundary_points(self):
         # all weight vectors mu in {-1, 0, 1}^(d+1), scaled by integral

@@ -10,7 +10,6 @@ from centerpole.geometry import (
     RationalPoint,
     affine_hull_dim,
     matrix_rank,
-    rational_point,
 )
 from centerpole.tshape import (
     KNOWN_T_VALUES,
@@ -22,7 +21,7 @@ from centerpole.tshape import (
     verify_t_value_bounds,
 )
 
-P = rational_point
+P = lambda *c: RationalPoint(c)
 
 
 class TestMembership:
@@ -187,6 +186,11 @@ class TestMomentCurve:
             Fraction(1, 4),
             Fraction(1, 8),
         )
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_parameters_are_exact(self, bad):
+        with pytest.raises(TypeError):
+            moment_curve_points(2, 2, [1, bad])
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
