@@ -66,10 +66,13 @@ MAX_COVER_K = 10
 # The most candidate hyperplanes tshape searches: one per dim-subset of
 # the points, C(rows, dim) of them.  The cover search over them grows
 # faster still, so a file with more is refused before the search runs.
-# The bound caps the count of candidates, not the search time: 19 points
-# of {-1,0,1}^4 drawn with random.Random(1) (18 distinct, at most
-# C(19, 4) = 3876 candidates) are accepted, and their search takes
-# 12.8 s on a 2-core Xeon.
+# The bound caps the count of candidates only.  It implies no useful
+# bound on the search, which may try up to C^(dim-1) candidate sequences
+# (about 7e10 at C = 2^12 in dim 4), so the cost depends on the points.
+# Measured worst cases on a 2-core Xeon: over seeds 1-100, the 19 draws
+# of random.Random(seed) from {-1,0,1}^4 (C(19, 4) = 3876 candidates
+# at most) are decided in at most 0.5 s (seed 55, not T-shaped), and
+# those from [-2,2]^4 in at most 0.5 s (seeds 3 and 33, not T-shaped).
 MAX_TSHAPE_CANDIDATES = 2**12
 
 # certify's window limit, MAX_WINDOW_POINTS, is imported from certifier,

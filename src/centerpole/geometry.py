@@ -138,9 +138,20 @@ class Hyperplane:
 
 
 def side_of(h: Hyperplane, p: RationalPoint) -> HalfspaceSide:
-    """Exact side of the hyperplane: sign of normal . p - offset."""
+    """Exact side of the hyperplane: the sign of normal . p - offset.
+
+    The sign is taken on integers.  The sum is kept as ``value / den``
+    with one running denominator, built from numerators and denominators
+    without a gcd.  Every ``Fraction`` denominator is positive, so
+    ``den`` is too, and the sign of ``value`` is the sign of the sum.
+    """
     _check_dims(h.dim, p.dim)
-    value = dot(h.normal, p.coords) - h.offset
+    value, den = -h.offset.numerator, h.offset.denominator
+    for a, x in zip(h.normal, p.coords):
+        if a:
+            step = a.denominator * x.denominator
+            value = value * step + a.numerator * x.numerator * den
+            den *= step
     if value > 0:
         return HalfspaceSide.POSITIVE
     if value < 0:

@@ -12,9 +12,14 @@ known answer.
 
 The search runs on integers: the points are scaled once by the lcm of
 their denominators, candidates are primitive integer hyperplanes, and
-every incidence and side test is a sign of a stored integer.  Only the
-hyperplanes of a found cover become ``Hyperplane`` objects, and the
-certificate is re-verified on the exact rational predicates.
+every incidence and side test is a sign of a stored integer.  Each
+candidate is tested by cost: the cover and separation tests are mask
+operations and run first, the exact rank test runs last, and at the last
+level of the cover a candidate that cannot cover the whole residual is
+skipped before either of the last two.  Only the hyperplanes of a found cover become
+``Hyperplane`` objects, and the certificate is re-verified on the exact
+rational predicates (``side_of``, ``separates``), which share nothing
+with the search's masks.
 """
 from __future__ import annotations
 
@@ -93,6 +98,7 @@ class TShapeCertificate:
         hps = list(self.hyperplanes)
         if not in_general_position(hps):
             return False
+        firsts = []
         for p in pts:
             first = next(
                 (
@@ -104,8 +110,9 @@ class TShapeCertificate:
             )
             if first is None or self.assignment.get(p) != first:
                 return False
+            firsts.append(first)
         for i, h in enumerate(hps):
-            residual = [p for p in pts if self.assignment[p] >= i]
+            residual = [p for p, first in zip(pts, firsts) if first >= i]
             if separates(h, residual):
                 return False
         return True
@@ -176,10 +183,18 @@ def _search_cover(
 
     A candidate must cover at least one still-uncovered point (a cover
     with an idle hyperplane stays valid after dropping it, so this
-    loses nothing), keep the chosen normals linearly independent, and
-    not separate the set of points its predecessors left uncovered.
-    Dead (residual, normal-set) states are memoized; a branch is also
-    cut when the residual exceeds what the remaining budget can cover.
+    loses nothing), not separate the set of points its predecessors
+    left uncovered, and keep the chosen normals linearly independent.
+    The tests run in that order, cheapest first: the first two are mask
+    operations, the rank test is an elimination.  Each test only skips
+    a candidate, so the order changes neither which candidates are
+    accepted nor the order they are tried in.  When one hyperplane is
+    left in the budget, a candidate that does not cover the whole
+    residual is skipped outright: its child would find points left and
+    no budget, and return None before it reads or writes the memo, so
+    no cover and no memo entry is lost.  Dead (residual, normal-set)
+    states are memoized; a branch is also cut when the residual exceeds
+    what the remaining budget can cover.
     """
     budget = len(scaled[0]) - 1
     # (normal, offset, on, positive, negative): the last three are masks
@@ -212,9 +227,11 @@ def _search_cover(
             normal, _, on, positive, negative = cand
             if not on & residual:
                 continue
-            if chosen and matrix_rank(normals + [normal]) != len(normals) + 1:
+            if remaining == 1 and residual & ~on:
                 continue
             if positive & residual and negative & residual:
+                continue
+            if chosen and matrix_rank(normals + [normal]) != len(normals) + 1:
                 continue
             got = extend(residual & ~on, chosen + [cand])
             if got is not None:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
@@ -14,6 +14,7 @@ from centerpole.geometry import (
     as_point,
     clear_denominators,
     containing_hyperplane,
+    dot,
     fraction_from_json,
     hyperplane_to_json,
     in_general_position,
@@ -92,6 +93,34 @@ class TestHyperplane:
         assert side_of(h, P(2, 5)) is HalfspaceSide.POSITIVE
         assert side_of(h, P(-1, 5)) is HalfspaceSide.NEGATIVE
         assert side_of(h, P(0, 5)) is HalfspaceSide.ON
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_side_of_is_the_sign_of_the_rational_value(self, data):
+        # the sign side_of reports, against normal . p - offset summed as
+        # Fractions: zero normal entries, large negative numerators, and
+        # (when on) an offset that puts the point on the hyperplane
+        d = data.draw(st.integers(1, 4))
+        numerators = st.one_of(
+            st.integers(-9, 9), st.integers(-(10**30), 10**30), st.just(0)
+        )
+        rationals = st.builds(Fraction, numerators, st.integers(1, 10**12))
+        normal = data.draw(
+            st.lists(rationals, min_size=d, max_size=d).filter(any)
+        )
+        point = RationalPoint(data.draw(st.lists(rationals, min_size=d, max_size=d)))
+        on = data.draw(st.booleans())
+        offset = dot(normal, point.coords) if on else data.draw(rationals)
+        h = Hyperplane(tuple(normal), offset)
+        value = dot(h.normal, point.coords) - h.offset
+        expected = (
+            HalfspaceSide.POSITIVE if value > 0
+            else HalfspaceSide.NEGATIVE if value < 0
+            else HalfspaceSide.ON
+        )
+        assert side_of(h, point) is expected
+        if on:
+            assert expected is HalfspaceSide.ON
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=4),

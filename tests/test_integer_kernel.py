@@ -6,9 +6,12 @@ over primitive integer hyperplanes with precomputed signs.  The code
 below is the earlier ``Fraction`` implementation, kept here only as a
 reference: Gauss-Jordan elimination that divides by each pivot,
 spanned hyperplanes built one subset at a time, and a cover search that
-calls ``side_of`` and ``separates`` for every test.  Every public result
-must be equal to it, in the same order, and every certificate must
-serialize to the same bytes.
+sums ``normal . p - offset`` as a ``Fraction`` for every side test.  The
+reference takes its sides and its separation test from that sum alone,
+not from ``geometry.side_of`` or ``geometry.separates``, so it shares no
+predicate with the code it checks.  Every public result must be equal
+to it, in the same order, and every certificate must serialize to the
+same bytes.
 """
 import json
 from fractions import Fraction
@@ -19,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
-    HalfspaceSide,
     Hyperplane,
     RationalPoint,
     affine_hull_dim,
@@ -29,8 +31,6 @@ from centerpole.geometry import (
     integer_spanned_hyperplanes,
     matrix_inverse,
     matrix_rank,
-    separates,
-    side_of,
 )
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
 
@@ -123,12 +123,23 @@ def ref_spanned_hyperplanes(points):
     return sorted(found, key=Hyperplane.sort_key)
 
 
+def ref_side(h, p):
+    """The sign of normal . p - offset, summed as a ``Fraction``."""
+    value = dot(h.normal, p.coords) - h.offset
+    return (value > 0) - (value < 0)
+
+
+def ref_separates(h, points):
+    sides = {ref_side(h, p) for p in points}
+    return 1 in sides and -1 in sides
+
+
 def ref_search_cover(points):
     budget = points[0].dim - 1
     candidates = []
     for h in ref_spanned_hyperplanes(points):
         covered = frozenset(
-            i for i, p in enumerate(points) if side_of(h, p) is HalfspaceSide.ON
+            i for i, p in enumerate(points) if ref_side(h, p) == 0
         )
         candidates.append((h, covered))
     max_cover = max(len(c) for _, c in candidates)
@@ -150,7 +161,7 @@ def ref_search_cover(points):
                 continue
             if chosen and ref_matrix_rank(normals + [h.normal]) != len(normals) + 1:
                 continue
-            if separates(h, residual_pts):
+            if ref_separates(h, residual_pts):
                 continue
             got = extend(residual - covered, chosen + [(h, covered)])
             if got is not None:
@@ -162,9 +173,7 @@ def ref_search_cover(points):
     if hyperplanes is None:
         return None
     assignment = {
-        p: next(
-            i for i, h in enumerate(hyperplanes) if side_of(h, p) is HalfspaceSide.ON
-        )
+        p: next(i for i, h in enumerate(hyperplanes) if ref_side(h, p) == 0)
         for p in points
     }
     return TShapeCertificate(tuple(hyperplanes), assignment)

@@ -1,5 +1,6 @@
 """T-shape membership, decisions, certificates, and sampled bounds."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from centerpole.geometry import (
     affine_hull_dim,
     matrix_rank,
 )
+from centerpole import tshape
 from centerpole.tshape import (
     KNOWN_T_VALUES,
     TShapeCertificate,
@@ -217,6 +219,35 @@ class TestMomentCurve:
     def test_below_threshold_moment_samples_are_t_shaped(self):
         pts = moment_curve_points(3, 5, [1, 2, 3, 4, 5])
         assert is_t_shaped(pts).t_shaped
+
+
+class TestSearchWork:
+    # 18 distinct points of 19 draws from {-1,0,1}^4.  The search makes
+    # 2 675 independence tests (matrix_rank calls) on it; the bound leaves
+    # about 12 % for a change in candidate order.  Without the last-level
+    # cut and with the rank test ahead of the separation test it made about
+    # 764 000 and took 12 s, so the counter stops the search at the bound.
+    RANK_CALL_BOUND = 3000
+
+    def test_the_grid_draw_is_refused_within_the_rank_call_bound(
+        self, monkeypatch
+    ):
+        rng = random.Random(1)
+        pts = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(19)]
+        assert len(set(pts)) == 18
+        calls = 0
+
+        def counted(rows):
+            nonlocal calls
+            calls += 1
+            assert calls <= self.RANK_CALL_BOUND, "rank call bound exceeded"
+            return matrix_rank(rows)
+
+        monkeypatch.setattr(tshape, "matrix_rank", counted)
+        res = is_t_shaped(pts)
+        assert not res.t_shaped
+        assert res.detail == "no certificate found under spanned-hyperplane search"
+        assert calls > 0
 
 
 class TestBoundsReport:
