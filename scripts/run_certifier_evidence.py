@@ -4,8 +4,8 @@ Four center families, smallest to hardest: a single center forced with
 one color in dimensions 1 to 3, a generic two-point family that stays
 colorable, and the two sandwich nuclei whose windows are forced with 2
 and 3 colors.  Emits one JSON document with verdicts, proof windows,
-and decision counts.  Exit code 1 if any case misses its expected
-verdict.
+and decision and conflict counts.  Exit code 1 if any case misses its
+expected verdict.
 """
 import argparse
 import json
@@ -31,6 +31,7 @@ def schedule_row(name, centers, colors, r_list, expected, budget, r_factor=3):
         "verdicts": verdicts,
         "provedAtOuter": [row.proved_at_outer for row in schedule.rows],
         "decisions": [row.verdict.stats.decisions for row in schedule.rows],
+        "conflicts": [row.verdict.stats.conflicts for row in schedule.rows],
         "expected": expected,
         "ok": verdicts == expected,
         "seconds": round(time.perf_counter() - started, 3),

@@ -179,6 +179,7 @@ class SearchStats:
     edges: int
     decisions: int
     runtime_ms: int
+    conflicts: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,11 +200,11 @@ def verify_witness(graph: SymmetryGraph, k: int, witness: Sequence[int]) -> bool
 
 
 def _cdcl_core(
-    adj: list[list[int]], core: list[int], k: int, budget: int, spent: int
-) -> tuple[list[int] | None, int, bool]:
+    adj: list[list[int]], core: list[int], k: int, budget: int
+) -> tuple[list[int] | None, int, int, bool]:
     """Decide k-colorability of a core with the clause-learning engine.
 
-    Returns (colors or None, decisions spent so far, budget exhausted).
+    Returns (colors or None, decisions, conflicts, budget exhausted).
     Encoding: one boolean per vertex-color pair, at-least-one color per
     vertex, difference clauses per edge and color.  Multiple true
     colors on a vertex are harmless; decoding takes the lowest.  The
@@ -223,17 +224,14 @@ def _cdcl_core(
                         [sat.lit_of(i * k + c, False), sat.lit_of(j * k + c, False)]
                     )
     solver.add_clause([sat.lit_of(0, True)])
-    res = solver.solve(decision_budget=budget - spent)
-    spent += solver.decisions
-    if res is None:
-        return None, spent, True
-    if res is False:
-        return None, spent, False
+    res = solver.solve(decision_budget=budget)
+    if not res:
+        return None, solver.decisions, solver.conflicts, res is None
     model = solver.model()
     colors: list[int] = []
     for i in range(len(core)):
         colors.append(next(c for c in range(k) if model[i * k + c]))
-    return colors, spent, False
+    return colors, solver.decisions, solver.conflicts, False
 
 
 def _peel(adj: list[list[int]], comp: list[int], k: int) -> tuple[list[int], list[int]]:
@@ -298,6 +296,7 @@ def decide_k_colorable(
         comps.append(comp)
 
     decisions = 0
+    conflicts = 0
 
     def verdict(
         kind: VerdictKind, detail: str, witness: tuple[int, ...] | None = None
@@ -307,6 +306,7 @@ def decide_k_colorable(
             edges=graph.edge_count,
             decisions=decisions,
             runtime_ms=int((time.perf_counter() - t0) * 1000),
+            conflicts=conflicts,
         )
         return WindowVerdict(kind=kind, witness=witness, stats=stats, detail=detail)
 
@@ -322,7 +322,11 @@ def decide_k_colorable(
         for comp in comps:
             core, peeled = _peel(adj, comp, k)
             if core:
-                got, decisions, exhausted = _cdcl_core(adj, core, k, budget, decisions)
+                got, spent, clashes, exhausted = _cdcl_core(
+                    adj, core, k, budget - decisions
+                )
+                decisions += spent
+                conflicts += clashes
                 if exhausted:
                     detail = f"budget of {budget} decisions exhausted"
                     return verdict(VerdictKind.UNKNOWN, detail)

@@ -1,10 +1,17 @@
 """A small conflict-driven SAT core for the coloring certifier.
 
-Self-contained CDCL: two watched literals, first-UIP clause learning,
-activity-driven branching with phase saving, and Luby restarts.  It is
-deterministic for a fixed input and exposes a decision budget so
-callers can bound work exactly; exhaustion reports None rather than a
-guess.
+Self-contained CDCL: two watched literals for clauses of three or more
+literals, binary clauses in per-literal implication lists visited first
+(Een & Sorensson 2003), first-UIP clause learning with recursive
+minimization (Sorensson & Biere 2009), activity-driven branching with
+phase saving, and Luby restarts.  The assignment is kept per literal,
+so the inner loops read a literal's value with one list lookup.
+
+Minimization only drops a literal whose reason clauses, walked back,
+imply it from the rest of the clause, so every learned clause stays
+RUP with respect to the clause database.  The core is deterministic
+for a fixed input and exposes a decision budget so callers can bound
+work exactly; exhaustion reports None rather than a guess.
 
 Literal convention: variable v in 0..n-1, literal 2*v for v and
 2*v + 1 for its negation.
@@ -38,7 +45,11 @@ class Solver:
         self.nv = num_vars
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
-        self.assign: list[int] = [-1] * num_vars  # -1 unset, 0 false, 1 true
+        # bins[l] is a flat [other, clause index, ...] list of the binary
+        # clauses (l or other): when l turns false, other is implied.
+        self.bins: list[list[int]] = [[] for _ in range(2 * num_vars)]
+        # value[lit] is -1 unset, 0 false, 1 true; value[2 * v] is v's value
+        self.value: list[int] = [-1] * (2 * num_vars)
         self.level: list[int] = [0] * num_vars
         self.reason: list[int] = [-1] * num_vars
         self.trail: list[int] = []
@@ -55,6 +66,7 @@ class Solver:
         self.ok = True
         self.decisions = 0
         self.conflicts = 0
+        self.minimized_lits = 0  # literals dropped from learned clauses
 
     # ------------------------------------------------------------------
     def add_clause(self, lits) -> None:
@@ -72,22 +84,36 @@ class Solver:
             self.ok = False
             return
         if len(cl) == 1:
-            l = cl[0]
-            v, want = l >> 1, 1 - (l & 1)
-            if self.assign[v] == -1:
-                self._enqueue(l, -1)
-            elif self.assign[v] != want:
+            val = self.value[cl[0]]
+            if val == -1:
+                self._enqueue(cl[0], -1)
+            elif val == 0:
                 self.ok = False
             return
+        self._attach(cl)
+
+    def _attach(self, cl: list[int]) -> int:
+        """Store a clause of two or more literals and return its index.
+
+        A binary clause goes to the implication lists of both literals
+        and keeps its index, so it is its own reason; a longer one is
+        watched on its first two literals."""
         ci = len(self.clauses)
         self.clauses.append(cl)
-        self.watches[cl[0]].append(ci)
-        self.watches[cl[1]].append(ci)
+        a, b = cl[0], cl[1]
+        if len(cl) == 2:
+            self.bins[a] += (b, ci)
+            self.bins[b] += (a, ci)
+        else:
+            self.watches[a].append(ci)
+            self.watches[b].append(ci)
+        return ci
 
     # ------------------------------------------------------------------
     def _enqueue(self, lit: int, reason_idx: int) -> None:
         v = lit >> 1
-        self.assign[v] = 1 - (lit & 1)
+        self.value[lit] = 1
+        self.value[lit ^ 1] = 0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason_idx
         self.trail.append(lit)
@@ -95,12 +121,23 @@ class Solver:
     def _propagate(self) -> int:
         """Return a conflicting clause index, or -1."""
         watches = self.watches
+        bins = self.bins
         clauses = self.clauses
-        assign = self.assign
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+        value = self.value
+        trail = self.trail
+        enqueue = self._enqueue
+        while self.qhead < len(trail):
+            lit = trail[self.qhead]
             self.qhead += 1
             false_lit = lit ^ 1
+            bl = bins[false_lit]
+            for i in range(0, len(bl), 2):
+                other = bl[i]
+                val = value[other]
+                if val == -1:
+                    enqueue(other, bl[i + 1])
+                elif val == 0:
+                    return bl[i + 1]
             ws = watches[false_lit]
             keep: list[int] = []
             i = 0
@@ -115,29 +152,23 @@ class Solver:
                     cl[0] = cl[1]
                     cl[1] = false_lit
                 first = cl[0]
-                a = assign[first >> 1]
-                if a != -1 and a ^ (first & 1) == 1:
+                if value[first] == 1:
                     keep.append(ci)
                     continue
-                moved = False
                 for j in range(2, len(cl)):
                     lj = cl[j]
-                    aj = assign[lj >> 1]
-                    if aj == -1 or aj ^ (lj & 1) == 1:
+                    if value[lj] != 0:
                         cl[1] = lj
                         cl[j] = false_lit
                         watches[lj].append(ci)
-                        moved = True
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if a == 0 or (a == 1 and (first & 1) == 1):
-                    # first is false too: conflict
-                    keep.extend(ws[i:])
-                    watches[false_lit] = keep
-                    return ci
-                self._enqueue(first, ci)
+                else:
+                    keep.append(ci)
+                    if value[first] == 0:
+                        keep.extend(ws[i:])
+                        watches[false_lit] = keep
+                        return ci
+                    enqueue(first, ci)
             watches[false_lit] = keep
         return -1
 
@@ -150,7 +181,7 @@ class Solver:
                 self.activity[u] *= inv
             self.var_inc *= inv
             self.order = [(-self.activity[u], u) for u in range(self.nv)
-                          if self.assign[u] == -1]
+                          if self.value[2 * u] == -1]
             heapq.heapify(self.order)
         else:
             heapq.heappush(self.order, (-self.activity[v], v))
@@ -158,6 +189,7 @@ class Solver:
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         learned: list[int] = [0]  # slot for the asserting literal
         seen = self._seen
+        level = self.level
         touched: list[int] = []
         counter = 0
         p = -1
@@ -169,11 +201,11 @@ class Solver:
                 if q == p:
                     continue
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     touched.append(v)
                     self._bump(v)
-                    if self.level[v] == cur_level:
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learned.append(q)
@@ -187,27 +219,64 @@ class Solver:
             if counter == 0:
                 break
             cl = self.clauses[self.reason[v]]
+        learned[0] = neg(p)
+        # Recursive minimization: seen now marks exactly the variables of
+        # learned[1:].  Drop each literal whose reason clauses, walked back
+        # through levels of the clause only, end in marked variables.
+        levels = {level[q >> 1] for q in learned[1:]}
+        kept = [learned[0]]
+        for q in learned[1:]:
+            if self.reason[q >> 1] == -1 or not self._redundant(q, levels, touched):
+                kept.append(q)
+        self.minimized_lits += len(learned) - len(kept)
+        learned = kept
         for v in touched:
             seen[v] = 0
-        learned[0] = neg(p)
         if len(learned) == 1:
             return learned, 0
-        back = max(self.level[q >> 1] for q in learned[1:])
+        back = max(level[q >> 1] for q in learned[1:])
         # place a literal of the backjump level second for watching
         for j in range(1, len(learned)):
-            if self.level[learned[j] >> 1] == back:
+            if level[learned[j] >> 1] == back:
                 learned[1], learned[j] = learned[j], learned[1]
                 break
         return learned, back
+
+    def _redundant(self, lit: int, levels: set[int], touched: list[int]) -> bool:
+        """True when the marked variables imply lit through reason clauses.
+
+        Variables proved implied stay marked and join touched; a failed
+        walk unmarks what it marked."""
+        seen = self._seen
+        level = self.level
+        reason = self.reason
+        clauses = self.clauses
+        top = len(touched)
+        stack = [lit]
+        while stack:
+            for q in clauses[reason[stack.pop() >> 1]]:
+                v = q >> 1
+                if seen[v] or level[v] == 0:
+                    continue
+                if reason[v] == -1 or level[v] not in levels:
+                    for u in touched[top:]:
+                        seen[u] = 0
+                    del touched[top:]
+                    return False
+                seen[v] = 1
+                touched.append(v)
+                stack.append(q)
+        return True
 
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
+        value = self.value
         for lit in reversed(self.trail[bound:]):
             v = lit >> 1
-            self.phase[v] = self.assign[v]
-            self.assign[v] = -1
+            self.phase[v] = value[2 * v]
+            value[lit] = value[lit ^ 1] = -1
             self.reason[v] = -1
             heapq.heappush(self.order, (-self.activity[v], v))
         del self.trail[bound:]
@@ -216,13 +285,13 @@ class Solver:
 
     def _pick_branch_var(self) -> int:
         order = self.order
-        assign = self.assign
+        value = self.value
         act = self.activity
         while order:
             na, v = heapq.heappop(order)
-            if assign[v] == -1 and -na == act[v]:
+            if value[2 * v] == -1 and -na == act[v]:
                 return v
-        rebuild = [(-act[v], v) for v in range(self.nv) if assign[v] == -1]
+        rebuild = [(-act[v], v) for v in range(self.nv) if value[2 * v] == -1]
         if not rebuild:
             return -1
         heapq.heapify(rebuild)
@@ -231,7 +300,7 @@ class Solver:
 
     # ------------------------------------------------------------------
     def solve(self, decision_budget: int | None = None) -> bool | None:
-        """True = satisfiable (model in .assign), False = unsatisfiable,
+        """True = satisfiable (see model()), False = unsatisfiable,
         None = decision budget exhausted."""
         if not self.ok:
             return False
@@ -254,11 +323,8 @@ class Solver:
                 if len(learned) == 1:
                     self._enqueue(learned[0], -1)
                 else:
-                    ci = len(self.clauses)
-                    self.clauses.append(learned)
+                    ci = self._attach(learned)
                     self.learned.append(ci)
-                    self.watches[learned[0]].append(ci)
-                    self.watches[learned[1]].append(ci)
                     self._enqueue(learned[0], ci)
                 self.var_inc /= self.var_decay
                 continue
@@ -283,7 +349,9 @@ class Solver:
         """Drop roughly half of the long learned clauses, oldest first.
 
         Runs only at decision level 0 so the trail holds nothing but
-        root assignments; their reason clauses are kept alive.
+        root assignments; their reason clauses are kept alive.  Only
+        clauses longer than 3 go, so no binary clause is deleted and the
+        implication lists never point at a deleted clause.
         """
         protect = {self.reason[lit >> 1] for lit in self.trail}
         candidates = [ci for ci in self.learned
@@ -296,4 +364,4 @@ class Solver:
         self.max_learned = int(self.max_learned * 1.2)
 
     def model(self) -> list[bool]:
-        return [a == 1 for a in self.assign]
+        return [a == 1 for a in self.value[::2]]

@@ -620,3 +620,113 @@ class TestSatCore:
                     any(model[v] == want for v, want in clause)
                     for clause in clauses
                 )
+
+    @staticmethod
+    def falsifiers(num_vars, clause):
+        """Every assignment, as a bit mask, that makes the clause false."""
+        pos = neg = 0
+        for lit in clause:
+            if lit & 1:
+                neg |= 1 << (lit >> 1)
+            else:
+                pos |= 1 << (lit >> 1)
+        if pos & neg:
+            return
+        free = ((1 << num_vars) - 1) & ~(pos | neg)
+        sub = free
+        while True:
+            yield neg | sub
+            if sub == 0:
+                return
+            sub = (sub - 1) & free
+
+    def test_learned_clauses_and_root_literals_are_implied(self):
+        from centerpole.sat import Solver, lit_of
+
+        rng = random.Random(1)
+        conflicts = minimized = with_models = 0
+        for _ in range(300):
+            num_vars = rng.randint(10, 12)
+            clauses = [
+                [
+                    lit_of(rng.randrange(num_vars), rng.random() < 0.5)
+                    for _ in range(rng.choice((1, 2) + (3,) * 40 + (4,) * 8))
+                ]
+                for _ in range(int(4.5 * num_vars))
+            ]
+            solver = Solver(num_vars)
+            for clause in clauses:
+                solver.add_clause(clause)
+            got = solver.solve()
+            is_model = bytearray([1]) * (1 << num_vars)
+            for clause in clauses:
+                for bits in self.falsifiers(num_vars, clause):
+                    is_model[bits] = 0
+            assert got == any(is_model), clauses
+            # binary clauses live in the implication lists only
+            for lit, pairs in enumerate(solver.bins):
+                for other, ci in zip(pairs[::2], pairs[1::2]):
+                    assert sorted(solver.clauses[ci]) == sorted((lit, other))
+            for ws in solver.watches:
+                assert all(len(solver.clauses[ci]) > 2 for ci in ws)
+            if not got:
+                continue
+            with_models += 1
+            conflicts += solver.conflicts
+            minimized += solver.minimized_lits
+            # a clause or literal is implied when no model falsifies it
+            implied = [solver.clauses[ci] for ci in solver.learned] + [
+                [lit] for lit in solver.trail if solver.level[lit >> 1] == 0
+            ]
+            for clause in implied:
+                assert not any(
+                    is_model[bits] for bits in self.falsifiers(num_vars, clause)
+                ), (clauses, clause)
+        # the checks above bite only if clauses were learned and shortened
+        assert with_models > 0
+        assert conflicts > 0
+        assert minimized > 0
+
+    def test_binary_clause_falsified_by_earlier_units(self):
+        from centerpole.sat import Solver, lit_of
+
+        solver = Solver(3)
+        solver.add_clause([lit_of(0, True)])
+        solver.add_clause([lit_of(1, True)])
+        solver.add_clause([lit_of(0, False), lit_of(1, False)])
+        solver.add_clause([lit_of(0, True), lit_of(1, True), lit_of(2, True)])
+        assert solver.solve() is False
+        assert solver.decisions == 0
+
+    def test_a_learned_binary_clause_later_implies_at_the_root(self):
+        from centerpole.sat import Solver, lit_of
+
+        x0, x1, x2, x3 = (lit_of(v, True) for v in range(4))
+        solver = Solver(4)
+        for clause in (
+            [x0, x1, x2],
+            [x0, x1, x2 ^ 1],
+            [x1 ^ 1, x3],
+            [x1 ^ 1, x3 ^ 1],
+        ):
+            solver.add_clause(clause)
+        # Decisions -x0, -x1 clash on x2 and learn (x1 or x0); its
+        # asserted x1 clashes on x3 and learns the unit -x1.  Back at the
+        # root, -x1 makes the learned binary clause imply x0.
+        assert solver.solve() is True
+        ci = solver.reason[0]
+        assert ci in solver.learned
+        assert sorted(solver.clauses[ci]) == [x0, x1]
+        assert solver.level[0] == 0
+        model = solver.model()
+        assert model[0] and not model[1]
+        assert solver.conflicts == 2
+
+    def test_k4_with_three_colors_stays_forced(self):
+        # apart from one at-least-one clause per vertex, every clause of
+        # the encoding is binary and goes to the implication lists
+        verdict = decide_k_colorable(graph_from_edges(4, K4), 3)
+        assert verdict.kind is VerdictKind.FORCED
+        assert verdict.witness is None
+        assert verdict.stats.conflicts > 0
+        assert verdict.stats.decisions > 0
