@@ -71,8 +71,9 @@ MAX_COVER_K = 10
 # (about 7e10 at C = 2^12 in dim 4), so the cost depends on the points.
 # Measured worst cases on a 2-core Xeon: over seeds 1-100, the 19 draws
 # of random.Random(seed) from {-1,0,1}^4 (C(19, 4) = 3876 candidates
-# at most) are decided in at most 0.5 s (seed 55, not T-shaped), and
-# those from [-2,2]^4 in at most 0.5 s (seeds 3 and 33, not T-shaped).
+# at most) are decided in at most 0.25 s (seeds 55 and 1, not T-shaped),
+# and those from [-2,2]^4 in at most 0.4 s (seeds 50 and 91, not
+# T-shaped).
 MAX_TSHAPE_CANDIDATES = 2**12
 
 # certify's window limit, MAX_WINDOW_POINTS, is imported from certifier,

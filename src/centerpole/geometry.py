@@ -10,7 +10,10 @@ of their denominators (point sets by one common lcm, which keeps their
 affine structure) and reduced by one fraction-free Bareiss elimination,
 which gives rank, kernel vectors and inverses.  Internally a hyperplane
 of integer points is a primitive integer normal (gcd 1, first nonzero
-entry positive) with an integer offset.
+entry positive) with an integer offset.  Spanned hyperplanes are
+enumerated by their first d-1 points: one elimination per such prefix
+gives two kernel vectors, and each later point's hyperplane normal is
+a combination of them with two dot products as coefficients.
 
 Rational inputs are checked once, where they enter: the ``RationalPoint``
 and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
@@ -20,7 +23,7 @@ checked values and does not check them again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -49,14 +52,23 @@ def _to_fraction(value: Rational) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class RationalPoint:
-    """An immutable point with exact rational coordinates."""
+    """An immutable point with exact rational coordinates.
+
+    The hash of the coordinates is computed once, in ``__post_init__``:
+    sets, dicts and certificate checks hash a point many times, and each
+    ``Fraction`` hash costs a modular inverse.
+    """
 
     coords: tuple[Fraction, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coords", tuple(_to_fraction(v) for v in self.coords)
-        )
+        coords = tuple(_to_fraction(v) for v in self.coords)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_hash", hash(coords))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -220,21 +232,15 @@ def _differences(points: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[a - b for a, b in zip(p, base)] for p in points[1:]]
 
 
-def _primitive(vec: list[int]) -> tuple[int, ...]:
-    """The vector divided by its gcd, signed so that its first nonzero
-    entry is positive."""
-    g = gcd(*vec)
-    if next(v for v in vec if v) < 0:
-        g = -g
-    return tuple(v // g for v in vec)
+def _free_columns(pivots: list[int], n_cols: int) -> list[int]:
+    return [c for c in range(n_cols) if c not in pivots]
 
 
 def _kernel_vector(
-    rows: list[list[int]], pivots: list[int], p: int, n_cols: int
+    rows: list[list[int]], pivots: list[int], p: int, n_cols: int, free: int
 ) -> list[int]:
-    """A nonzero kernel vector of Bareiss-reduced rows of rank below
-    ``n_cols``: ``p`` at the first non-pivot column, 0 at the others."""
-    free = next(c for c in range(n_cols) if c not in pivots)
+    """The kernel vector of Bareiss-reduced rows with ``p`` at the
+    non-pivot column ``free`` and 0 at the other non-pivot columns."""
     vec = [0] * n_cols
     vec[free] = p
     for r, c in enumerate(pivots):
@@ -299,26 +305,28 @@ def in_general_position(hyperplanes: Sequence[Hyperplane]) -> bool:
     return matrix_rank([h.normal for h in hyperplanes]) == len(hyperplanes)
 
 
-def _integer_hyperplane_through(
-    points: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], int] | None:
-    """``(normal, offset)`` with a primitive normal for the hyperplane
-    through d affinely independent integer points of Z^d, or None."""
-    rows = _differences(points)
-    d = len(points[0])
-    rank, pivots, p = _bareiss(rows)
-    if rank != d - 1:
-        return None
-    normal = _primitive(_kernel_vector(rows, pivots, p, d))
-    return normal, sum(map(mul, normal, points[0]))
-
-
 def integer_spanned_hyperplanes(
     points: Sequence[Sequence[int]],
 ) -> list[tuple[tuple[int, ...], int]]:
     """Every hyperplane through d affinely independent points of a set
     of integer points in Z^d, as ``(normal, offset)`` with a primitive
     normal, deduplicated.
+
+    The d-subsets are taken in groups that share their first d-1 points
+    (the prefix), so each group costs one elimination.  The prefix's
+    difference rows from its first point ``base`` are reduced once; if
+    their rank is below d-2, every d-subset through the prefix is
+    affinely dependent and the group spans nothing.  Otherwise the rows
+    have a 2-dimensional kernel with integer basis ``u``, ``w``, and for
+    a later point q with ``r = q - base`` the vector
+    ``(w.r) u - (u.r) w`` lies in that kernel, so it is orthogonal to
+    the prefix rows, and its dot product with r is
+    ``(w.r)(u.r) - (u.r)(w.r) = 0``: it is a normal of the hyperplane
+    through the prefix and q.  It is zero exactly when ``u.r = w.r = 0``
+    (u and w are independent), that is when r is orthogonal to the
+    kernel and so lies in the span of the prefix rows: q is then in the
+    prefix's affine hull and the d points are dependent.  For d = 2 the
+    prefix has no rows and u, w are the unit vectors.
 
     The order is that of ``Hyperplane.sort_key``, which no common
     positive scaling of the points changes.  It is sorted on integers:
@@ -327,18 +335,41 @@ def integer_spanned_hyperplanes(
     in the same order.
     """
     d = len(points[0])
-    found = {
-        h
-        for subset in combinations(points, d)
-        if (h := _integer_hyperplane_through(subset)) is not None
-    }
+    if d == 1:
+        found = {((1,), p[0]) for p in points}
+    else:
+        found = set()
+        for prefix in combinations(range(len(points) - 1), d - 1):
+            base = points[prefix[0]]
+            rows = _differences([points[i] for i in prefix])
+            rank, pivots, p = _bareiss(rows)
+            if rank < d - 2:
+                continue
+            u, w = (
+                _kernel_vector(rows, pivots, p, d, free)
+                for free in _free_columns(pivots, d)
+            )
+            # u.r = u.q - u.base, and the offset of the normal is its dot
+            # product with base: (w.r) u.base - (u.r) w.base
+            ub = sum(map(mul, u, base))
+            wb = sum(map(mul, w, base))
+            for q in points[prefix[-1] + 1 :]:
+                a = sum(map(mul, u, q)) - ub
+                b = sum(map(mul, w, q)) - wb
+                if not (a or b):
+                    continue
+                normal = [b * x - a * y for x, y in zip(u, w)]
+                g = gcd(*normal)
+                if next(v for v in normal if v) < 0:
+                    g = -g
+                found.add((tuple(v // g for v in normal), (b * ub - a * wb) // g))
     leads = {h: next(v for v in h[0] if v) for h in found}
-    q = lcm(*leads.values())
+    lead_lcm = lcm(*leads.values())
     return sorted(
         found,
         key=lambda h: (
-            tuple(v * (q // leads[h]) for v in h[0]),
-            h[1] * (q // leads[h]),
+            tuple(v * (lead_lcm // leads[h]) for v in h[0]),
+            h[1] * (lead_lcm // leads[h]),
         ),
     )
 
@@ -354,7 +385,7 @@ def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
     rank, pivots, p = _bareiss(rows)
     if rank >= d:
         return None
-    normal = _kernel_vector(rows, pivots, p, d)
+    normal = _kernel_vector(rows, pivots, p, d, _free_columns(pivots, d)[0])
     offset = sum(map(mul, normal, scaled[0]))
     return Hyperplane(tuple(normal), Fraction(offset, scale))
 

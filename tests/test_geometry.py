@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centerpole import geometry
 from centerpole.geometry import (
     HalfspaceSide,
     Hyperplane,
@@ -59,6 +60,22 @@ class TestRationalPoint:
         assert P(0, 9) < P(1, 0)
         assert P("2/4", 1) == P("1/2", 1)
         assert hash(P("2/4", 1)) == hash(P("1/2", 1))
+
+    def test_cached_hash_follows_the_coordinates(self):
+        a, b, c = P(1, 0), P("2/2", 0), P(Fraction(1), "0/5")
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c) == hash(a.coords)
+        table = {a: "found"}
+        assert table[c] == "found"
+        assert P(1, 1) not in table
+
+    def test_cached_hash_is_not_in_repr_or_equality(self):
+        p = P(1, "1/2")
+        assert repr(p) == "RationalPoint(coords=(Fraction(1, 1), Fraction(1, 2)))"
+        # a point with a corrupted cache still equals one built afresh
+        q = P(1, "1/2")
+        object.__setattr__(q, "_hash", hash(p) + 1)
+        assert p == q
 
 
 class TestHyperplane:
@@ -229,6 +246,37 @@ class TestSpannedHyperplanes:
     def test_simplex_has_four_planes(self):
         simplex = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
         assert len(spanned(simplex)) == 4
+
+    def test_each_point_of_the_line_is_a_hyperplane(self):
+        assert spanned([P(2), P(0), P(2)]) == [
+            Hyperplane((1,), 0),
+            Hyperplane((1,), 2),
+        ]
+
+    def test_fewer_points_than_the_dimension_span_nothing(self):
+        assert spanned([P(0, 0, 0), P(1, 2, 3)]) == []
+        assert spanned([P(5, 5)]) == []
+
+    @pytest.mark.parametrize(
+        "rows,planes,limit",
+        [
+            # 13 points of the moment curve in dim 4: C(12, 3) prefixes
+            ([(t, t**2, t**3, t**4) for t in range(1, 14)], 715, 220),
+            # 5 points in general position in dim 3: C(4, 2) prefixes
+            ([(t, t**2, t**3) for t in range(1, 6)], 10, 6),
+        ],
+    )
+    def test_one_elimination_per_prefix(self, monkeypatch, rows, planes, limit):
+        calls = []
+        bareiss = geometry._bareiss
+
+        def counted(rows):
+            calls.append(len(rows))
+            return bareiss(rows)
+
+        monkeypatch.setattr(geometry, "_bareiss", counted)
+        assert len(integer_spanned_hyperplanes(rows)) == planes
+        assert len(calls) <= limit
 
 
 class TestJson:

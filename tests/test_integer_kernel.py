@@ -219,6 +219,14 @@ def point_sets(draw, dims=(2, 3, 4)):
 
 
 @st.composite
+def grid_sets(draw):
+    """Up to d+6 integer points of {-1,0,1}^d, repeats allowed, dims 1-5."""
+    d = draw(st.integers(1, 5))
+    cell = st.tuples(*[st.integers(-1, 1)] * d)
+    return draw(st.lists(cell, min_size=1, max_size=d + 6))
+
+
+@st.composite
 def matrices(draw, square=False):
     n = draw(st.integers(1, 4))
     m = n if square else draw(st.integers(1, 5))
@@ -276,6 +284,22 @@ class TestKernelAgainstTheRationalReference:
             for normal, offset in integer_spanned_hyperplanes(rows)
         ]
         assert got == ref_spanned_hyperplanes(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_sets())
+    def test_spanned_hyperplanes_of_grid_sets(self, rows):
+        # collinear and coplanar prefixes, hyperplanes through more than d points
+        got = [
+            Hyperplane(normal, offset)
+            for normal, offset in integer_spanned_hyperplanes(rows)
+        ]
+        assert got == ref_spanned_hyperplanes([RationalPoint(r) for r in rows])
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_sets().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+    def test_spanned_hyperplanes_ignore_the_input_order(self, pair):
+        rows, shuffled = pair
+        assert integer_spanned_hyperplanes(shuffled) == integer_spanned_hyperplanes(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
