@@ -2,9 +2,10 @@
 
 A window is an annulus of lattice points around a center.  Its symmetry
 graph joins x to its mirror image 2c - x for every center c in the
-tested set, whenever both endpoints lie in the annulus.  A proper
-k-coloring of that graph is exactly a k-coloring of the window with no
-monochromatic mirror pair, so:
+tested set, whenever both endpoints lie in the annulus.  Vertex i is
+the i-th window point in lexicographic order; the points themselves
+are never built.  A proper k-coloring of that graph is exactly a
+k-coloring of the window with no monochromatic mirror pair, so:
 
 * ``Forced``  - every k-coloring of the window has a monochromatic
   mirror pair (the graph is not k-colorable);
@@ -29,9 +30,9 @@ is reported only from the full window.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, product
+from itertools import compress
 from typing import Iterable, Sequence
 
 from . import sat
@@ -87,22 +88,19 @@ class WindowSpec:
 
 @dataclass(frozen=True, slots=True)
 class SymmetryGraph:
-    """Vertices in lexicographic order; edges as sorted index pairs."""
+    """Vertex i is the i-th window point in lexicographic order; the points
+    are not stored.  Edges are sorted index pairs."""
 
     spec: WindowSpec
-    vertices: tuple[LatticePoint, ...]
+    vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.vertices]
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         return adj
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     @property
     def edge_count(self) -> int:
@@ -158,12 +156,8 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
             if i >= 0 and j >= 0:
                 keys.append(i * n + j)
     keys.sort()
-
-    ranges = (range(c - outer, c + outer + 1) for c in spec.center.coords)
     return SymmetryGraph(
-        spec=spec,
-        vertices=tuple(LatticePoint(p) for p in compress(product(*ranges), keep)),
-        edges=tuple(divmod(key, n) for key in keys),
+        spec=spec, vertex_count=n, edges=tuple(divmod(key, n) for key in keys)
     )
 
 

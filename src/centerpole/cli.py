@@ -19,12 +19,7 @@ import time
 from datetime import datetime, timezone
 from math import comb
 
-from .certifier import (
-    DEFAULT_BUDGET,
-    MAX_WINDOW_POINTS,
-    ScheduleReport,
-    certify_schedule,
-)
+from .certifier import DEFAULT_BUDGET, ScheduleReport, certify_schedule
 from .colorings import (
     ColoringRule,
     SimplexSpec,
@@ -75,9 +70,6 @@ MAX_COVER_K = 10
 # and those from [-2,2]^4 in at most 0.4 s (seeds 50 and 91, not
 # T-shaped).
 MAX_TSHAPE_CANDIDATES = 2**12
-
-# certify's window limit, MAX_WINDOW_POINTS, is imported from certifier,
-# where certify_schedule refuses a larger window before building one.
 
 # The largest cone dimension a rule may ask for, by ``dim`` or by its
 # count of ``vertices`` (dim + 1).  Building the rule inverts a

@@ -7,6 +7,15 @@ minimization (Sorensson & Biere 2009), activity-driven branching with
 phase saving, and Luby restarts.  The assignment is kept per literal,
 so the inner loops read a literal's value with one list lookup.
 
+Branching pops the most active variable from a heap of
+(-activity, variable) entries.  As in MiniSat, a variable's entry is
+pushed when it becomes unassigned: all at the start, on backjumps and
+restarts, and when a budget stop hands back the variable it popped.
+Bumps only touch assigned variables, so they push nothing; an activity
+rescale rebuilds the heap from the unassigned variables.  Thus every
+unassigned variable has a live entry, and an empty heap means a total
+assignment.
+
 Minimization only drops a literal whose reason clauses, walked back,
 imply it from the rest of the clause, so every learned clause stays
 RUP with respect to the clause database.  The core is deterministic
@@ -174,6 +183,7 @@ class Solver:
 
     # ------------------------------------------------------------------
     def _bump(self, v: int) -> None:
+        """v is assigned, so it gets a heap entry when it is unassigned."""
         self.activity[v] += self.var_inc
         if self.activity[v] > 1e100:
             inv = 1e-100
@@ -183,8 +193,6 @@ class Solver:
             self.order = [(-self.activity[u], u) for u in range(self.nv)
                           if self.value[2 * u] == -1]
             heapq.heapify(self.order)
-        else:
-            heapq.heappush(self.order, (-self.activity[v], v))
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         learned: list[int] = [0]  # slot for the asserting literal
@@ -201,7 +209,7 @@ class Solver:
                 if q == p:
                     continue
                 v = q >> 1
-                if not seen[v] and level[v] > 0:
+                if not seen[v] and level[v] > 0:  # assigned above level 0
                     seen[v] = 1
                     touched.append(v)
                     self._bump(v)
@@ -284,6 +292,8 @@ class Solver:
         self.qhead = len(self.trail)
 
     def _pick_branch_var(self) -> int:
+        """The most active unassigned variable, or -1 for a total
+        assignment; entries of assigned variables or old activities go."""
         order = self.order
         value = self.value
         act = self.activity
@@ -291,12 +301,7 @@ class Solver:
             na, v = heapq.heappop(order)
             if value[2 * v] == -1 and -na == act[v]:
                 return v
-        rebuild = [(-act[v], v) for v in range(self.nv) if value[2 * v] == -1]
-        if not rebuild:
-            return -1
-        heapq.heapify(rebuild)
-        self.order = rebuild
-        return heapq.heappop(rebuild)[1]
+        return -1
 
     # ------------------------------------------------------------------
     def solve(self, decision_budget: int | None = None) -> bool | None:
@@ -339,6 +344,7 @@ class Solver:
             if v == -1:
                 return True
             if decision_budget is not None and self.decisions >= decision_budget:
+                heapq.heappush(self.order, (-self.activity[v], v))
                 self._cancel_until(0)
                 return None
             self.decisions += 1

@@ -298,7 +298,7 @@ def test_criterion_6_structural_invariants():
         )
         graph_home = build_symmetry_graph(spec_home)
         graph_away = build_symmetry_graph(spec_away)
-        assert len(graph_home.vertices) == len(graph_away.vertices)
+        assert graph_home.vertex_count == graph_away.vertex_count
         assert len(graph_home.edges) == len(graph_away.edges)
         verdict_home = decide_k_colorable(graph_home, 2)
         verdict_away = decide_k_colorable(graph_away, 2)

@@ -34,7 +34,7 @@ def graph_from_edges(n, edges, dim=1):
     )
     return SymmetryGraph(
         spec=spec,
-        vertices=tuple(LatticePoint((i,) * dim) for i in range(n)),
+        vertex_count=n,
         edges=tuple(sorted(tuple(sorted(e)) for e in edges)),
     )
 
@@ -86,14 +86,17 @@ class TestGraphConstruction:
     def test_single_center_line_window(self):
         spec = WindowSpec(dim=1, outer=2, inner=0, centers=(lattice(0),))
         graph = build_symmetry_graph(spec)
-        assert [v.coords for v in graph.vertices] == [(-2,), (-1,), (1,), (2,)]
+        points, _ = reference_symmetry_graph(spec)
+        assert [v.coords for v in points] == [(-2,), (-1,), (1,), (2,)]
         assert graph.edges == ((0, 3), (1, 2))
         assert graph.vertex_count == 4 and graph.edge_count == 2
 
     def test_annulus_excludes_the_inner_ball(self):
         spec = WindowSpec(dim=2, outer=2, inner=1, centers=(lattice(0, 0),))
         graph = build_symmetry_graph(spec)
-        assert all((v - spec.center).norm_inf() == 2 for v in graph.vertices)
+        points, _ = reference_symmetry_graph(spec)
+        assert all((v - spec.center).norm_inf() == 2 for v in points)
+        assert graph.vertex_count == 5**2 - 3**2
 
     def test_mirrors_landing_outside_create_no_edge(self):
         # center at the window edge: most mirrors leave the annulus
@@ -165,7 +168,8 @@ class TestFlatIndexBuild:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_build(self, spec):
         graph = build_symmetry_graph(spec)
-        assert (graph.vertices, graph.edges) == reference_symmetry_graph(spec)
+        points, edges = reference_symmetry_graph(spec)
+        assert (graph.vertex_count, graph.edges) == (len(points), edges)
 
 
 class TestWitnessVerification:
@@ -721,6 +725,61 @@ class TestSatCore:
         model = solver.model()
         assert model[0] and not model[1]
         assert solver.conflicts == 2
+
+    def test_solves_again_after_the_budget_runs_out(self):
+        from centerpole.sat import Solver, lit_of
+
+        # x1 and then x2 are fixed at the root, so only a decision
+        # assigns x0; the budget stop hands x0 back to the heap
+        solver = Solver(3)
+        solver.add_clause([lit_of(1, True)])
+        solver.add_clause([lit_of(1, False), lit_of(2, True)])
+        assert solver.solve(decision_budget=0) is None
+        assert solver.solve() is True
+        assert len(solver.trail) == solver.nv
+
+    def test_activity_rescale_keeps_verdicts(self):
+        from centerpole.sat import Solver, lit_of
+
+        def pigeonhole(pigeons, holes):
+            """Variable p * holes + h puts pigeon p in hole h."""
+            clauses = [
+                [lit_of(p * holes + h, True) for h in range(holes)]
+                for p in range(pigeons)
+            ]
+            for h in range(holes):
+                for p in range(pigeons):
+                    for q in range(p + 1, pigeons):
+                        clauses.append(
+                            [lit_of(p * holes + h, False), lit_of(q * holes + h, False)]
+                        )
+            return pigeons * holes, clauses
+
+        x0, x1, x2, x3 = (lit_of(v, True) for v in range(4))
+        # satisfiable, but only after two conflicts
+        learns_two = [[x0, x1, x2], [x0, x1, x2 ^ 1], [x1 ^ 1, x3], [x1 ^ 1, x3 ^ 1]]
+        for num_vars, clauses in (pigeonhole(4, 3), (4, learns_two)):
+
+            def satisfied(model, clauses=clauses):
+                return all(
+                    any(model[lit >> 1] != (lit & 1) for lit in clause)
+                    for clause in clauses
+                )
+
+            brute = any(
+                satisfied(bits) for bits in product((False, True), repeat=num_vars)
+            )
+            solver = Solver(num_vars)
+            for clause in clauses:
+                solver.add_clause(clause)
+            # a bump after the first conflict passes 1e100 and rescales
+            solver.var_inc = 1e100
+            got = solver.solve()
+            assert got == brute
+            assert solver.var_inc < 1e100
+            if got:
+                assert len(solver.trail) == num_vars
+                assert satisfied(solver.model())
 
     def test_k4_with_three_colors_stays_forced(self):
         # apart from one at-least-one clause per vertex, every clause of

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole import certifier, cli, covering
+from centerpole.certifier import MAX_WINDOW_POINTS
 from centerpole.cli import (
     MAX_COVER_K,
     MAX_RULE_DIM,
     MAX_SANDWICH_POINTS,
     MAX_TSHAPE_CANDIDATES,
-    MAX_WINDOW_POINTS,
     OUTPUT_DIR_ENV,
     main,
 )

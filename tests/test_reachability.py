@@ -5,6 +5,9 @@ under src/, scripts/ or bench/ refers to it: as a name, an attribute or
 a ``from ... import`` name.  The package's ``__init__.py`` does not
 count, since a re-export calls nothing.  A helper that only tests reach
 should be deleted, or kept here with the reason a verdict needs it.
+
+Likewise every name that a package module imports at top level is read
+in that module; ``from __future__`` imports are exempt.
 """
 import ast
 from pathlib import Path
@@ -73,3 +76,25 @@ def test_every_public_definition_is_reached():
                 unreached.append(f"{path.name}:{name}")
     assert unreached == []
 
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = _parse(path)
+        bound = set()
+        for node in module.body:
+            if isinstance(node, ast.Import):
+                bound.update(
+                    alias.asname or alias.name.partition(".")[0] for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        read = {
+            sub.id
+            for sub in ast.walk(module)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(bound - read)]
+    assert not unused, unused
