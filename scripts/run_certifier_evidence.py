@@ -3,9 +3,11 @@
 Four center families, smallest to hardest: a single center forced with
 one color in dimensions 1 to 3, a generic two-point family that stays
 colorable, and the two sandwich nuclei whose windows are forced with 2
-and 3 colors.  Emits one JSON document with verdicts, proof windows,
-and decision and conflict counts.  Exit code 1 if any case misses its
-expected verdict.
+and 3 colors.  With --with-4d, also the 12-point nucleus sandwich(3,1)
+in Z^4 with 4 colors, expected Forced at outer radius 4 (7 to 10 s of
+search on two cores).  Emits one JSON document with verdicts, proof
+windows, and decision and conflict counts.  Exit code 1 if any case
+misses its expected verdict.
 """
 import argparse
 import json
@@ -43,6 +45,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--skip-hard", action="store_true",
                         help="skip the 3-color spatial case")
+    parser.add_argument("--with-4d", action="store_true",
+                        help="add the 4-color nucleus in Z^4")
     parser.add_argument("--out", help="output file; default stdout")
     args = parser.parse_args(argv)
 
@@ -87,6 +91,19 @@ def main(argv: list[str] | None = None) -> int:
                 [1, 2],
                 ["Forced", "Forced"],
                 args.budget,
+            )
+        )
+
+    if args.with_4d:
+        cases.append(
+            schedule_row(
+                "4d-nucleus",
+                build_sandwich(3, 1).points(),
+                4,
+                [1],
+                ["Forced"],
+                args.budget,
+                r_factor=2,
             )
         )
 

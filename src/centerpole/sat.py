@@ -8,13 +8,16 @@ phase saving, and Luby restarts.  The assignment is kept per literal,
 so the inner loops read a literal's value with one list lookup.
 
 Branching pops the most active variable from a heap of
-(-activity, variable) entries.  As in MiniSat, a variable's entry is
-pushed when it becomes unassigned: all at the start, on backjumps and
-restarts, and when a budget stop hands back the variable it popped.
-Bumps only touch assigned variables, so they push nothing; an activity
-rescale rebuilds the heap from the unassigned variables.  Thus every
-unassigned variable has a live entry, and an empty heap means a total
-assignment.
+(-activity, variable) entries.  heap_key[v] is the activity of v's
+newest entry, or None once that entry is popped.  A variable becomes
+unassigned on backjumps and restarts, and its entry is pushed then only
+when no live one is left, that is when heap_key[v] is not its activity:
+a variable assigned by propagation keeps its entry until it is bumped.
+A budget stop pushes back the variable it popped.  Bumps only touch
+assigned variables and between rescales an activity only grows, so no
+entry is ever in the heap twice; an activity rescale rebuilds the heap
+and the keys from the unassigned variables.  Thus every unassigned
+variable has a live entry, and an empty heap means a total assignment.
 
 Minimization only drops a literal whose reason clauses, walked back,
 imply it from the rest of the clause, so every learned clause stays
@@ -69,6 +72,7 @@ class Solver:
         self.var_decay = 0.95
         self.phase: list[int] = [0] * num_vars
         self.order: list[tuple[float, int]] = [(0.0, v) for v in range(num_vars)]
+        self.heap_key: list[float | None] = [0.0] * num_vars
         self._seen = bytearray(num_vars)
         self.learned: list[int] = []
         self.max_learned = 4000
@@ -128,35 +132,41 @@ class Solver:
         self.trail.append(lit)
 
     def _propagate(self) -> int:
-        """Return a conflicting clause index, or -1."""
+        """Return a conflicting clause index, or -1.
+
+        Enqueues inline: it is the hottest loop of the solver."""
         watches = self.watches
         bins = self.bins
         clauses = self.clauses
         value = self.value
+        level = self.level
+        reason = self.reason
         trail = self.trail
-        enqueue = self._enqueue
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            false_lit = lit ^ 1
+        push = trail.append
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
             bl = bins[false_lit]
             for i in range(0, len(bl), 2):
                 other = bl[i]
                 val = value[other]
                 if val == -1:
-                    enqueue(other, bl[i + 1])
+                    value[other] = 1
+                    value[other ^ 1] = 0
+                    v = other >> 1
+                    level[v] = cur_level
+                    reason[v] = bl[i + 1]
+                    push(other)
                 elif val == 0:
+                    self.qhead = qhead
                     return bl[i + 1]
             ws = watches[false_lit]
             keep: list[int] = []
-            i = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                ci = ws[i]
-                i += 1
+            it = iter(ws)
+            for ci in it:
                 cl = clauses[ci]
-                if cl is None:
-                    continue
                 if cl[0] == false_lit:
                     cl[0] = cl[1]
                     cl[1] = false_lit
@@ -174,30 +184,39 @@ class Solver:
                 else:
                     keep.append(ci)
                     if value[first] == 0:
-                        keep.extend(ws[i:])
+                        keep.extend(it)
                         watches[false_lit] = keep
+                        self.qhead = qhead
                         return ci
-                    enqueue(first, ci)
+                    value[first] = 1
+                    value[first ^ 1] = 0
+                    v = first >> 1
+                    level[v] = cur_level
+                    reason[v] = ci
+                    push(first)
             watches[false_lit] = keep
+        self.qhead = qhead
         return -1
 
     # ------------------------------------------------------------------
-    def _bump(self, v: int) -> None:
-        """v is assigned, so it gets a heap entry when it is unassigned."""
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            inv = 1e-100
-            for u in range(self.nv):
-                self.activity[u] *= inv
-            self.var_inc *= inv
-            self.order = [(-self.activity[u], u) for u in range(self.nv)
-                          if self.value[2 * u] == -1]
-            heapq.heapify(self.order)
+    def _rescale(self) -> None:
+        """Scale every activity and the increment by 1e-100, and rebuild
+        the heap and its keys from the unassigned variables."""
+        activity = self.activity
+        key = self.heap_key
+        for u in range(self.nv):
+            activity[u] *= 1e-100
+            key[u] = activity[u] if self.value[2 * u] == -1 else None
+        self.var_inc *= 1e-100
+        self.order = [(-activity[u], u) for u in range(self.nv) if key[u] is not None]
+        heapq.heapify(self.order)
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         learned: list[int] = [0]  # slot for the asserting literal
         seen = self._seen
         level = self.level
+        activity = self.activity
+        var_inc = self.var_inc
         touched: list[int] = []
         counter = 0
         p = -1
@@ -212,7 +231,11 @@ class Solver:
                 if not seen[v] and level[v] > 0:  # assigned above level 0
                     seen[v] = 1
                     touched.append(v)
-                    self._bump(v)
+                    # v is assigned: it gets a heap entry when unassigned
+                    activity[v] += var_inc
+                    if activity[v] > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
                     if level[v] == cur_level:
                         counter += 1
                     else:
@@ -281,12 +304,19 @@ class Solver:
             return
         bound = self.trail_lim[lvl]
         value = self.value
+        phase = self.phase
+        reason = self.reason
+        activity = self.activity
+        key = self.heap_key
+        order = self.order
         for lit in reversed(self.trail[bound:]):
             v = lit >> 1
-            self.phase[v] = value[2 * v]
+            phase[v] = value[2 * v]
             value[lit] = value[lit ^ 1] = -1
-            self.reason[v] = -1
-            heapq.heappush(self.order, (-self.activity[v], v))
+            reason[v] = -1
+            if key[v] != activity[v]:  # no live entry left
+                key[v] = activity[v]
+                heapq.heappush(order, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
@@ -296,11 +326,13 @@ class Solver:
         assignment; entries of assigned variables or old activities go."""
         order = self.order
         value = self.value
-        act = self.activity
+        key = self.heap_key
         while order:
             na, v = heapq.heappop(order)
-            if value[2 * v] == -1 and -na == act[v]:
-                return v
+            if key[v] == -na:  # v's newest entry, so v's activity if unassigned
+                key[v] = None
+                if value[2 * v] == -1:
+                    return v
         return -1
 
     # ------------------------------------------------------------------
@@ -344,6 +376,7 @@ class Solver:
             if v == -1:
                 return True
             if decision_budget is not None and self.decisions >= decision_budget:
+                self.heap_key[v] = self.activity[v]
                 heapq.heappush(self.order, (-self.activity[v], v))
                 self._cancel_until(0)
                 return None
@@ -357,16 +390,22 @@ class Solver:
         Runs only at decision level 0 so the trail holds nothing but
         root assignments; their reason clauses are kept alive.  Only
         clauses longer than 3 go, so no binary clause is deleted and the
-        implication lists never point at a deleted clause.
+        implication lists never point at a deleted clause.  A deleted
+        clause leaves the watch lists of its two watched literals, which
+        keep their order, so propagation never meets a deleted clause.
         """
+        clauses = self.clauses
         protect = {self.reason[lit >> 1] for lit in self.trail}
         candidates = [ci for ci in self.learned
-                      if self.clauses[ci] is not None
-                      and len(self.clauses[ci]) > 3
-                      and ci not in protect]
+                      if len(clauses[ci]) > 3 and ci not in protect]
+        watched: set[int] = set()
         for ci in candidates[: len(candidates) // 2]:
-            self.clauses[ci] = None
-        self.learned = [ci for ci in self.learned if self.clauses[ci] is not None]
+            watched.update(clauses[ci][:2])
+            clauses[ci] = None
+        for lit in watched:
+            ws = self.watches[lit]
+            ws[:] = [ci for ci in ws if clauses[ci] is not None]
+        self.learned = [ci for ci in self.learned if clauses[ci] is not None]
         self.max_learned = int(self.max_learned * 1.2)
 
     def model(self) -> list[bool]:

@@ -583,6 +583,33 @@ class TestDimacsExport:
         assert (verdict.kind is VerdictKind.COLORABLE) == colorable
 
 
+def pigeonhole(pigeons, holes):
+    """PHP(pigeons, holes) as (variable count, clauses): variable
+    p * holes + h puts pigeon p in hole h."""
+    from centerpole.sat import lit_of
+
+    clauses = [
+        [lit_of(p * holes + h, True) for h in range(holes)] for p in range(pigeons)
+    ]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append(
+                    [lit_of(p * holes + h, False), lit_of(q * holes + h, False)]
+                )
+    return pigeons * holes, clauses
+
+
+def pigeonhole_solver(pigeons, holes):
+    from centerpole.sat import Solver
+
+    num_vars, clauses = pigeonhole(pigeons, holes)
+    solver = Solver(num_vars)
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver
+
+
 class TestSatCore:
     def test_fuzz_against_brute_force(self):
         from centerpole.sat import Solver, lit_of
@@ -741,20 +768,6 @@ class TestSatCore:
     def test_activity_rescale_keeps_verdicts(self):
         from centerpole.sat import Solver, lit_of
 
-        def pigeonhole(pigeons, holes):
-            """Variable p * holes + h puts pigeon p in hole h."""
-            clauses = [
-                [lit_of(p * holes + h, True) for h in range(holes)]
-                for p in range(pigeons)
-            ]
-            for h in range(holes):
-                for p in range(pigeons):
-                    for q in range(p + 1, pigeons):
-                        clauses.append(
-                            [lit_of(p * holes + h, False), lit_of(q * holes + h, False)]
-                        )
-            return pigeons * holes, clauses
-
         x0, x1, x2, x3 = (lit_of(v, True) for v in range(4))
         # satisfiable, but only after two conflicts
         learns_two = [[x0, x1, x2], [x0, x1, x2 ^ 1], [x1 ^ 1, x3], [x1 ^ 1, x3 ^ 1]]
@@ -789,3 +802,64 @@ class TestSatCore:
         assert verdict.witness is None
         assert verdict.stats.conflicts > 0
         assert verdict.stats.decisions > 0
+
+    @staticmethod
+    def assert_clause_database_is_live(solver):
+        """No watch list names a deleted clause, and every reason on the
+        trail is a live clause."""
+        for ws in solver.watches:
+            assert all(solver.clauses[ci] is not None for ci in ws)
+        for lit in solver.trail:
+            ci = solver.reason[lit >> 1]
+            assert ci == -1 or solver.clauses[ci] is not None
+
+    @pytest.mark.parametrize("pigeons", [6, 7])
+    def test_reduce_db_purges_deleted_clauses(self, pigeons):
+        solver = pigeonhole_solver(pigeons, pigeons - 1)
+        solver.max_learned = 1
+        reduce_db = solver._reduce_db
+        reductions = []
+
+        def checked_reduce_db():
+            reduce_db()
+            reductions.append(sum(cl is None for cl in solver.clauses))
+            self.assert_clause_database_is_live(solver)
+
+        solver._reduce_db = checked_reduce_db
+        assert solver.solve() is False
+        assert reductions and reductions[-1] > 0
+        self.assert_clause_database_is_live(solver)
+
+    @staticmethod
+    def assert_one_live_heap_entry_per_variable(solver):
+        entries = set(solver.order)
+        assert len(entries) == len(solver.order)
+        for v in range(solver.nv):
+            if solver.value[2 * v] == -1:
+                assert (-solver.activity[v], v) in entries
+
+    def test_one_live_heap_entry_per_variable(self):
+        solver = pigeonhole_solver(7, 6)
+        assert solver.solve() is False
+        self.assert_one_live_heap_entry_per_variable(solver)
+        solver = pigeonhole_solver(7, 6)
+        assert solver.solve(decision_budget=200) is None
+        self.assert_one_live_heap_entry_per_variable(solver)
+        assert solver.solve() is False
+        self.assert_one_live_heap_entry_per_variable(solver)
+
+    def test_search_is_pinned(self):
+        # Exact search counts.  A change that only makes a step cheaper
+        # keeps them; one that changes the search (branching, learning,
+        # watches, restarts, reduction) re-pins them here and logs the
+        # old and new counts in CHANGES.md.
+        spec = WindowSpec(
+            dim=3, outer=4, inner=1, centers=tuple(sorted(build_sandwich(2, 0).points()))
+        )
+        stats = decide_k_colorable(build_symmetry_graph(spec), 3).stats
+        assert (stats.decisions, stats.conflicts) == (395, 105)
+        for max_learned, counts in ((4000, (881, 735)), (1, (1062, 834))):
+            solver = pigeonhole_solver(7, 6)
+            solver.max_learned = max_learned
+            assert solver.solve() is False
+            assert (solver.decisions, solver.conflicts) == counts

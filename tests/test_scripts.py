@@ -75,3 +75,60 @@ class TestTShapeSurveyGridDraws:
         assert survey.main(["--dims", "2", "--trials", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "gridDraws" not in doc and "gridTiming" not in doc
+
+
+class TestCertifierEvidence4d:
+    def test_with_4d_adds_the_4d_nucleus_row(self, monkeypatch, capsys):
+        from centerpole.certifier import (
+            ScheduleReport,
+            ScheduleRow,
+            SearchStats,
+            VerdictKind,
+            WindowVerdict,
+        )
+
+        evidence = load_script("run_certifier_evidence")
+        real = evidence.certify_schedule
+        calls = []
+
+        def schedule(centers, k, r_list, r_factor=3, budget=0):
+            if centers[0].dim < 4:
+                return real(centers, k, r_list, r_factor=r_factor, budget=budget)
+            calls.append((len(centers), k, r_list, r_factor))
+            stats = SearchStats(vertices=6480, edges=1, decisions=7, runtime_ms=0, conflicts=5)
+            verdict = WindowVerdict(VerdictKind.FORCED, None, stats)
+            row = ScheduleRow(inner=1, outer=10, verdict=verdict, proved_at_outer=4)
+            return ScheduleReport(
+                dim=4, k=k, centers=tuple(centers), r_factor=r_factor, rows=(row,)
+            )
+
+        monkeypatch.setattr(evidence, "certify_schedule", schedule)
+        assert evidence.main(["--skip-hard", "--with-4d"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == [(12, 4, [1], 2)]
+        row = doc["cases"][-1]
+        assert row["name"] == "4d-nucleus"
+        assert (row["colors"], row["rList"], row["rFactor"]) == (4, [1], 2)
+        assert row["verdicts"] == row["expected"] == ["Forced"]
+        assert (row["provedAtOuter"], row["decisions"], row["conflicts"]) == ([4], [7], [5])
+        assert row["ok"] and doc["ok"]
+        assert "seconds" in row
+
+    def test_without_the_flag_there_is_no_4d_row(self, monkeypatch, capsys):
+        evidence = load_script("run_certifier_evidence")
+        real = evidence.certify_schedule
+
+        def schedule(centers, *args, **kwargs):
+            assert centers[0].dim < 4, "the 4D nucleus ran"
+            return real(centers, *args, **kwargs)
+
+        monkeypatch.setattr(evidence, "certify_schedule", schedule)
+        assert evidence.main(["--skip-hard"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [case["name"] for case in doc["cases"]] == [
+            "singleton-dim1",
+            "singleton-dim2",
+            "singleton-dim3",
+            "generic-pair",
+            "planar-nucleus",
+        ]
