@@ -1,8 +1,9 @@
 """Finite-window symmetry graphs and exact k-colorability verdicts.
 
-A window is an annulus of lattice points around a center.  Its symmetry
-graph joins x to its mirror image 2c - x for every center c in the
-tested set, whenever both endpoints lie in the annulus.  Vertex i is
+A window is an annulus of lattice points around the origin; a window
+about z with centers C has the graph of the window of C - z.  Its
+symmetry graph joins x to its mirror image 2c - x for every center c in
+the tested set, whenever both endpoints lie in the annulus.  Vertex i is
 the i-th window point in lexicographic order; the points themselves
 are never built.  A proper k-coloring of that graph is exactly a
 k-coloring of the window with no monochromatic mirror pair, so:
@@ -29,14 +30,13 @@ is reported only from the full window.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import Iterable, Sequence
 
 from . import sat
-from .cube import DimensionMismatchError, LatticePoint, checked_coordinates, origin
+from .cube import DimensionMismatchError, LatticePoint, checked_coordinates
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -49,17 +49,15 @@ MAX_WINDOW_POINTS = 2**18
 
 @dataclass(frozen=True, slots=True)
 class WindowSpec:
-    """An annulus ``inner < |x - center|_inf <= outer`` plus mirror centers.
+    """An annulus ``inner < |x|_inf <= outer`` plus mirror centers.
 
-    The window center, every mirror center and ``center +- outer`` must
-    have coordinates in the signed 64-bit range, so every vertex of the
-    window does too."""
+    Every mirror center and ``+-outer`` must lie in the signed 64-bit
+    range, so every vertex of the window does too."""
 
     dim: int
     outer: int
     inner: int
     centers: tuple[LatticePoint, ...]
-    center: LatticePoint | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -68,21 +66,14 @@ class WindowSpec:
             raise ValueError(
                 f"need 0 <= inner < outer, got inner={self.inner} outer={self.outer}"
             )
-        if self.center is None:
-            object.__setattr__(self, "center", origin(self.dim))
-        if self.center.dim != self.dim:
-            raise DimensionMismatchError("window center has wrong dimension")
         if not self.centers:
             raise ValueError("at least one mirror center is required")
-        for c in (self.center, *self.centers):
-            checked_coordinates(c.coords)
-        checked_coordinates(
-            v + d for v in self.center.coords for d in (-self.outer, self.outer)
-        )
+        checked_coordinates((-self.outer, self.outer))
         for c in self.centers:
+            checked_coordinates(c.coords)
             if c.dim != self.dim:
                 raise DimensionMismatchError(f"center {c} has wrong dimension")
-            if (c - self.center).norm_inf() > self.outer:
+            if c.norm_inf() > self.outer:
                 raise ValueError(f"center {c} lies outside the window")
 
 
@@ -119,14 +110,14 @@ def _box_indices(lo: Sequence[int], hi: Sequence[int], width: int) -> list[int]:
 def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     """Build the window's symmetry graph on flat box indices.
 
-    Box coordinate ``x_i = p_i - center_i + outer`` lies in ``[0, 2*outer]``
-    and box index ``b = sum x_i * W^(dim-1-i)`` with ``W = 2*outer + 1``, so
-    box order is lexicographic point order.  With ``e = c - center``, the
-    mirror ``2c - p`` has box coordinates ``2*e_i + 2*outer - x_i``: its box
-    index is ``K_c - b`` for ``K_c = sum (2*e_i + 2*outer) * W^(dim-1-i)``.
-    That index is a true mirror only when every coordinate stays in the
-    box, i.e. ``b`` lies in the sub-box ``max(0, 2*e_i) <= x_i <=
-    min(2*outer, 2*e_i + 2*outer)``, so only that sub-box is walked.
+    Box coordinate ``x_i = p_i + outer`` lies in ``[0, 2*outer]`` and box
+    index ``b = sum x_i * W^(dim-1-i)`` with ``W = 2*outer + 1``, so box
+    order is lexicographic point order.  The mirror ``2c - p`` has box
+    coordinates ``2*c_i + 2*outer - x_i``: its box index is ``K_c - b`` for
+    ``K_c = sum (2*c_i + 2*outer) * W^(dim-1-i)``.  That index is a true
+    mirror only when every coordinate stays in the box, i.e. ``b`` lies in
+    the sub-box ``max(0, 2*c_i) <= x_i <= min(2*outer, 2*c_i + 2*outer)``,
+    so only that sub-box is walked.  A repeated center is walked once.
     """
     dim, outer, inner = spec.dim, spec.outer, spec.inner
     width = 2 * outer + 1
@@ -139,15 +130,12 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     n = len(keep) - keep.count(0)
 
     keys: list[int] = []
-    shifts = {
-        tuple(a - o for a, o in zip(c.coords, spec.center.coords)) for c in spec.centers
-    }
-    for e in shifts:
+    for c in {c.coords for c in spec.centers}:
         k_c = 0
-        for e_i in e:
-            k_c = k_c * width + 2 * e_i + 2 * outer
-        lo = [max(0, 2 * e_i) for e_i in e]
-        hi = [min(2 * outer, 2 * e_i + 2 * outer) for e_i in e]
+        for c_i in c:
+            k_c = k_c * width + 2 * c_i + 2 * outer
+        lo = [max(0, 2 * c_i) for c_i in c]
+        hi = [min(2 * outer, 2 * c_i + 2 * outer) for c_i in c]
         for b in _box_indices(lo, hi, width):
             m = k_c - b
             if b >= m:
@@ -172,8 +160,7 @@ class SearchStats:
     vertices: int
     edges: int
     decisions: int
-    runtime_ms: int
-    conflicts: int = 0
+    conflicts: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +253,6 @@ def decide_k_colorable(
     """
     if k < 1:
         raise ValueError("color count must be positive")
-    t0 = time.perf_counter()
     adj = graph.adjacency()
     n = graph.vertex_count
 
@@ -299,7 +285,6 @@ def decide_k_colorable(
             vertices=n,
             edges=graph.edge_count,
             decisions=decisions,
-            runtime_ms=int((time.perf_counter() - t0) * 1000),
             conflicts=conflicts,
         )
         return WindowVerdict(kind=kind, witness=witness, stats=stats, detail=detail)
@@ -455,7 +440,6 @@ def export_dimacs(graph: SymmetryGraph, k: int) -> str:
     n = graph.vertex_count
     lines = [
         f"c symmetry window dim={spec.dim} inner={spec.inner} outer={spec.outer} colors={k}",
-        f"c window center={list(spec.center.coords)}",
         f"c mirror centers={[list(c.coords) for c in spec.centers]}",
         "c vertex order: lexicographic; var(vertex i, color c) = i*k + c + 1",
     ]

@@ -74,8 +74,17 @@ MAX_TSHAPE_CANDIDATES = 2**12
 # The largest cone dimension a rule may ask for, by ``dim`` or by its
 # count of ``vertices`` (dim + 1).  Building the rule inverts a
 # (dim + 1)-square matrix, so a larger one is refused before any simplex
-# is built.
+# is built.  Each lift adds a dimension, so a rule is refused at its
+# MAX_RULE_DIM-th nested lift, before building recurses any deeper.
 MAX_RULE_DIM = 64
+
+
+def _parse_json(text: str):
+    """``json.loads``, raising ValueError for input nested too deep."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def bounded_sandwich(k: int, s: int) -> Sandwich:
@@ -105,7 +114,7 @@ def _center_rows(spec: str | list) -> list:
             k, s = int(match.group(1)), int(match.group(2))
             return points_to_json(bounded_sandwich(k, s).points())
         with open(spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+            spec = _parse_json(fh.read())
     if not isinstance(spec, list):
         raise ValueError("a centers file must hold a list of coordinate rows")
     return spec
@@ -125,18 +134,26 @@ def _field(spec: dict, key: str, kind: type | None = None):
     return spec[key]
 
 
-def build_rule(spec: dict) -> ColoringRule:
+def build_rule(spec: dict, lifts: int = 0) -> ColoringRule:
     """Assemble a coloring rule from its JSON description.
 
     Kinds: cone (dim or explicit vertices), halfspace (center),
     pair (a, b), plus0 (base), plus1 (base, optional aux2),
     plus2 (base, A, optional auxes).  A spec that is not an object,
-    lacks a required key or holds a key of the wrong JSON type raises
-    ValueError.
+    lacks a required key, holds a key of the wrong JSON type or nests
+    MAX_RULE_DIM lifts raises ValueError.  ``lifts`` counts the lifts
+    that enclose spec; a nested rule has its lift's dimension minus one.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a rule must be a JSON object, got {json.dumps(spec)}")
     kind = spec.get("kind")
+    if kind in ("plus0", "plus1", "plus2"):
+        lifts += 1
+        if lifts == MAX_RULE_DIM:
+            raise ValueError(
+                f"a rule nesting {lifts} or more lifts is above the dimension "
+                f"limit of {MAX_RULE_DIM}"
+            )
     if kind == "cone":
         vertices = _field(spec, "vertices", list) if "vertices" in spec else None
         dim = _field(spec, "dim", int) if vertices is None else len(vertices) - 1
@@ -154,16 +171,16 @@ def build_rule(spec: dict) -> ColoringRule:
             point_from_json(_field(spec, "a")), point_from_json(_field(spec, "b"))
         )
     if kind == "plus0":
-        return plus0_extension(build_rule(_field(spec, "base")))
+        return plus0_extension(build_rule(_field(spec, "base"), lifts))
     if kind == "plus1":
-        base = build_rule(_field(spec, "base"))
-        aux2 = build_rule(spec["aux2"]) if "aux2" in spec else None
+        base = build_rule(_field(spec, "base"), lifts)
+        aux2 = build_rule(spec["aux2"], lifts) if "aux2" in spec else None
         return plus1_extension(base, aux2)
     if kind == "plus2":
-        base = build_rule(_field(spec, "base"))
+        base = build_rule(_field(spec, "base"), lifts)
         added = [point_from_json(row) for row in _field(spec, "A", list)]
         given = _field(spec, "auxes", dict) if "auxes" in spec else {}
-        auxes = {key: build_rule(value) for key, value in given.items()}
+        auxes = {key: build_rule(value, lifts) for key, value in given.items()}
         return plus2_extension(base, added, auxes or None)
     raise ValueError(f"unknown rule kind {kind!r}")
 
@@ -228,7 +245,7 @@ def cmd_tshape(
     bound_dim: int | None = None,
 ) -> tuple[int, dict]:
     with open(points_file, encoding="utf-8") as fh:
-        rows = json.load(fh)
+        rows = _parse_json(fh.read())
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("a points file must hold a list of coordinate rows")
     points = [point_from_json(row) for row in rows]
@@ -311,7 +328,7 @@ def _apply_config_file(
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
-        overrides = json.load(fh)
+        overrides = _parse_json(fh.read())
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
     commands = next(a for a in parser._actions if a.dest == "command").choices
@@ -414,8 +431,8 @@ def _load_rule_spec(text: str | dict) -> dict:
         return text
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+            text = fh.read()
+    return _parse_json(text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,17 +34,17 @@ class CoverCertificate:
     """A verified claim that every point of tau lies in shift + sandwich."""
 
     tau: SigmaZeroSet
-    k: int
     s: int
     shift: LatticePoint
     case_label: str
 
     def verify(self) -> bool:
         """Re-check membership point by point, trusting nothing."""
-        if self.shift.dim != self.k + 1:
+        k = self.tau.k
+        if self.shift.dim != k + 1:
             return False
         for p in self.tau.points:
-            if not sandwich_contains(self.k, self.s, p - self.shift):
+            if not sandwich_contains(k, self.s, p - self.shift):
                 return False
         return True
 
@@ -125,7 +125,7 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
                         f"no branch for gamma={gamma} level={level} a={a} s={s}"
                     )
 
-    cert = CoverCertificate(tau=tau, k=k, s=s, shift=shift, case_label=label)
+    cert = CoverCertificate(tau=tau, s=s, shift=shift, case_label=label)
     if not cert.verify():
         raise CaseAnalysisError(
             f"case {label} prescribed shift {tuple(shift)} that fails "
@@ -136,8 +136,8 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
 
 
 @cache
-def _sandwich_points(k: int, s: int) -> tuple[LatticePoint, ...]:
-    return tuple(sorted(build_sandwich(k, s).points()))
+def _sandwich_points(k: int, s: int) -> frozenset[LatticePoint]:
+    return build_sandwich(k, s).points()
 
 
 def brute_force_cover_shifts(
@@ -157,21 +157,19 @@ def brute_force_cover_shifts(
     if box < 1:
         raise ValueError("box must be at least 1")
     dim = k + 1
-    xi = _sandwich_points(k, s)
     if not tau:
         return [
             LatticePoint(c) for c in product(range(-box, box + 1), repeat=dim)
         ]
-    pts = sorted(tau)
-    p0 = pts[0]
+    p0 = min(tau)
     if p0.dim != dim:
         raise ValueError(f"points have dimension {p0.dim}, expected {dim}")
     hits: list[LatticePoint] = []
-    for member in xi:
+    for member in _sandwich_points(k, s):
         shift = p0 - member
         if any(not -box <= c <= box for c in shift):
             continue
-        if all(sandwich_contains(k, s, q - shift) for q in pts):
+        if all(sandwich_contains(k, s, q - shift) for q in tau):
             hits.append(shift)
     hits.sort()
     return hits
@@ -193,7 +191,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         )
     failures: list[dict] = []
     sets = enumerate_maximal_sigma0_sets(k)
-    sandwich = frozenset(_sandwich_points(k, s))
+    sandwich = _sandwich_points(k, s)
     for tau in sets:
         where = {
             "facet": [tau.facet_axis, tau.facet_level],

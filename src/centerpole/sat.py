@@ -79,7 +79,6 @@ class Solver:
         self.ok = True
         self.decisions = 0
         self.conflicts = 0
-        self.minimized_lits = 0  # literals dropped from learned clauses
 
     # ------------------------------------------------------------------
     def add_clause(self, lits) -> None:
@@ -259,7 +258,6 @@ class Solver:
         for q in learned[1:]:
             if self.reason[q >> 1] == -1 or not self._redundant(q, levels, touched):
                 kept.append(q)
-        self.minimized_lits += len(learned) - len(kept)
         learned = kept
         for v in touched:
             seen[v] = 0

@@ -9,6 +9,7 @@ far below them on commodity hardware.
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import test_certifier
 import test_colorings
@@ -33,7 +34,7 @@ from centerpole.colorings import (
     symmetric_pair_scan,
 )
 from centerpole.covering import verify_covering_lemma
-from centerpole.cube import build_sandwich, lattice, sandwich_size
+from centerpole.cube import LatticePoint, build_sandwich, lattice, sandwich_size
 from centerpole.tshape import is_t_shaped, moment_curve_points
 
 
@@ -286,23 +287,33 @@ def test_criterion_6_structural_invariants():
             tampered[i] = tampered[j]
             assert not verify_witness(graph, k, tampered)
 
+    # a signed permutation of Z^2 maps the window about the origin onto
+    # itself, so it preserves the window graph of a center set
     base_centers = tuple(sorted(build_sandwich(1, -1).points()))
-    offset = lattice(7, -4)
-    moved = tuple(sorted(p + offset for p in base_centers))
+    images = [
+        tuple(
+            sorted(
+                LatticePoint(tuple(s * p[i] for s, i in zip(signs, order)))
+                for p in base_centers
+            )
+        )
+        for order in ((0, 1), (1, 0))
+        for signs in product((1, -1), repeat=2)
+    ]
+    assert len(images) == 8
     for inner in (1, 2):
-        spec_home = WindowSpec(
-            dim=2, outer=inner + 4, inner=inner, centers=base_centers
+        graph_home = build_symmetry_graph(
+            WindowSpec(dim=2, outer=inner + 4, inner=inner, centers=base_centers)
         )
-        spec_away = WindowSpec(
-            dim=2, outer=inner + 4, inner=inner, centers=moved, center=offset
-        )
-        graph_home = build_symmetry_graph(spec_home)
-        graph_away = build_symmetry_graph(spec_away)
-        assert graph_home.vertex_count == graph_away.vertex_count
-        assert len(graph_home.edges) == len(graph_away.edges)
         verdict_home = decide_k_colorable(graph_home, 2)
-        verdict_away = decide_k_colorable(graph_away, 2)
-        assert verdict_home.kind == verdict_away.kind
+        for moved in images:
+            graph_away = build_symmetry_graph(
+                WindowSpec(dim=2, outer=inner + 4, inner=inner, centers=moved)
+            )
+            assert graph_home.vertex_count == graph_away.vertex_count
+            assert len(graph_home.edges) == len(graph_away.edges)
+            verdict_away = decide_k_colorable(graph_away, 2)
+            assert verdict_home.kind == verdict_away.kind
 
     agreements = 0
     for _ in range(50):

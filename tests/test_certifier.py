@@ -67,26 +67,20 @@ class TestWindowSpec:
         with pytest.raises(DimensionMismatchError):
             WindowSpec(dim=2, outer=2, inner=0, centers=(lattice(0),))
 
-    def test_default_center_is_the_origin(self):
-        spec = WindowSpec(dim=2, outer=1, inner=0, centers=(lattice(0, 0),))
-        assert spec.center == lattice(0, 0)
-
     def test_shifted_window_admits_shifted_centers(self):
-        spec = WindowSpec(
-            dim=1,
-            outer=2,
-            inner=0,
-            centers=(lattice(10),),
-            center=lattice(9),
-        )
-        assert spec.center == lattice(9)
+        # the window about 9 with center 10 is the window of center 1
+        spec = WindowSpec(dim=1, outer=3, inner=0, centers=(lattice(1),))
+        graph = build_symmetry_graph(spec)
+        points, edges = reference_symmetry_graph(spec, (lattice(10),), lattice(9))
+        assert [v.coords for v in points] == [(6,), (7,), (8,), (10,), (11,), (12,)]
+        assert (graph.vertex_count, graph.edges) == (len(points), edges) == (6, ((2, 5),))
 
 
 class TestGraphConstruction:
     def test_single_center_line_window(self):
         spec = WindowSpec(dim=1, outer=2, inner=0, centers=(lattice(0),))
         graph = build_symmetry_graph(spec)
-        points, _ = reference_symmetry_graph(spec)
+        points, _ = reference_symmetry_graph(spec, spec.centers, lattice(0))
         assert [v.coords for v in points] == [(-2,), (-1,), (1,), (2,)]
         assert graph.edges == ((0, 3), (1, 2))
         assert graph.vertex_count == 4 and graph.edge_count == 2
@@ -94,8 +88,8 @@ class TestGraphConstruction:
     def test_annulus_excludes_the_inner_ball(self):
         spec = WindowSpec(dim=2, outer=2, inner=1, centers=(lattice(0, 0),))
         graph = build_symmetry_graph(spec)
-        points, _ = reference_symmetry_graph(spec)
-        assert all((v - spec.center).norm_inf() == 2 for v in points)
+        points, _ = reference_symmetry_graph(spec, spec.centers, lattice(0, 0))
+        assert all(v.norm_inf() == 2 for v in points)
         assert graph.vertex_count == 5**2 - 3**2
 
     def test_mirrors_landing_outside_create_no_edge(self):
@@ -110,19 +104,21 @@ class TestGraphConstruction:
         assert adj == [[1], [0, 2], [1, 3], [2]]
 
 
-def reference_symmetry_graph(spec):
-    """Point-by-point build with LatticePoint arithmetic and a coordinate
-    index: the definition that the flat-index build must reproduce."""
+def reference_symmetry_graph(spec, centers, z):
+    """Point-by-point build of the window about z with the given mirror
+    centers, from LatticePoint arithmetic and a coordinate index: the
+    definition that the flat-index build of ``centers - z`` must reproduce.
+    Only the dimension and radii of spec are read."""
     verts = []
     for coords in product(range(-spec.outer, spec.outer + 1), repeat=spec.dim):
-        p = LatticePoint(coords) + spec.center
-        if spec.inner < (p - spec.center).norm_inf() <= spec.outer:
+        p = LatticePoint(coords) + z
+        if spec.inner < (p - z).norm_inf() <= spec.outer:
             verts.append(p)
     verts.sort()
     index = {p.coords: i for i, p in enumerate(verts)}
     edges = set()
     for i, p in enumerate(verts):
-        for c in spec.centers:
+        for c in centers:
             j = index.get(tuple(2 * a - b for a, b in zip(c, p)))
             if j is not None and j != i:
                 edges.add((i, j) if i < j else (j, i))
@@ -130,45 +126,48 @@ def reference_symmetry_graph(spec):
 
 
 @st.composite
-def window_specs(draw):
+def translated_windows(draw):
+    """A window spec and a translation z."""
     dim = draw(st.integers(1, 3))
     outer = draw(st.integers(1, (6, 5, 3)[dim - 1]))
     inner = draw(st.integers(0, outer - 1))
-    center = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
-    # offsets of the mirror centers; +-outer puts a center on the window's
-    # boundary, and repeats are allowed
-    offset = st.integers(-outer, outer) | st.sampled_from((-outer, outer))
-    offsets = draw(
-        st.lists(st.tuples(*[offset] * dim), min_size=1, max_size=4)
+    z = LatticePoint(tuple(draw(st.integers(-4, 4)) for _ in range(dim)))
+    # +-outer puts a center on the window's boundary; repeats are allowed
+    coordinate = st.integers(-outer, outer) | st.sampled_from((-outer, outer))
+    centers = draw(
+        st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=4)
     )
-    return WindowSpec(
+    spec = WindowSpec(
         dim=dim,
         outer=outer,
         inner=inner,
-        centers=tuple(
-            LatticePoint(tuple(c + o for c, o in zip(center, off)))
-            for off in offsets
-        ),
-        center=LatticePoint(center),
+        centers=tuple(LatticePoint(c) for c in centers),
     )
+    return spec, z
 
 
 class TestFlatIndexBuild:
-    @given(window_specs())
+    @given(translated_windows())
     @example(
-        # mirror centers on the boundary of a window off the origin
-        WindowSpec(
-            dim=2,
-            outer=3,
-            inner=1,
-            centers=(lattice(8, -3), lattice(2, 0), lattice(8, 0)),
-            center=lattice(5, -3),
+        # mirror centers on the boundary of a window about (5, -3)
+        (
+            WindowSpec(
+                dim=2,
+                outer=3,
+                inner=1,
+                centers=(lattice(3, 0), lattice(-3, 3), lattice(3, 3)),
+            ),
+            lattice(5, -3),
         )
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_reference_build(self, spec):
+    def test_matches_the_reference_build(self, window):
+        # build(C) is the reference window about z of C + z
+        spec, z = window
         graph = build_symmetry_graph(spec)
-        points, edges = reference_symmetry_graph(spec)
+        points, edges = reference_symmetry_graph(
+            spec, [c + z for c in spec.centers], z
+        )
         assert (graph.vertex_count, graph.edges) == (len(points), edges)
 
 
@@ -293,21 +292,20 @@ class TestDecision:
 
 class TestTranslationInvariance:
     def test_shifted_problems_get_identical_verdicts(self):
+        # the window about z of C + z, built point by point, gets the
+        # verdict of the window about the origin of C
         centers = sorted(build_sandwich(1, -1).points())
         shift = lattice(3, -2)
         for inner in (1, 2):
-            base_spec = WindowSpec(
+            spec = WindowSpec(
                 dim=2, outer=inner + 3, inner=inner, centers=tuple(centers)
             )
-            moved_spec = WindowSpec(
-                dim=2,
-                outer=inner + 3,
-                inner=inner,
-                centers=tuple(c + shift for c in centers),
-                center=shift,
+            points, edges = reference_symmetry_graph(
+                spec, [c + shift for c in centers], shift
             )
-            a = decide_k_colorable(build_symmetry_graph(base_spec), 2)
-            b = decide_k_colorable(build_symmetry_graph(moved_spec), 2)
+            moved = SymmetryGraph(spec=spec, vertex_count=len(points), edges=edges)
+            a = decide_k_colorable(build_symmetry_graph(spec), 2)
+            b = decide_k_colorable(moved, 2)
             assert a.kind is b.kind
             assert a.stats.vertices == b.stats.vertices
             assert a.stats.edges == b.stats.edges
@@ -466,7 +464,10 @@ class TestGallopingEscalation:
                     kind=VerdictKind.UNKNOWN,
                     witness=None,
                     stats=certifier.SearchStats(
-                        graph.vertex_count, graph.edge_count, 0, 0
+                        vertices=graph.vertex_count,
+                        edges=graph.edge_count,
+                        decisions=0,
+                        conflicts=0,
                     ),
                     detail="budget exhausted",
                 )
@@ -671,12 +672,23 @@ class TestSatCore:
                 return
             sub = (sub - 1) & free
 
-    def test_learned_clauses_and_root_literals_are_implied(self):
+    def test_learned_clauses_and_root_literals_are_implied(self, monkeypatch):
         from centerpole.sat import Solver, lit_of
 
         rng = random.Random(1)
         conflicts = minimized = with_models = 0
+        # one True per literal that minimization drops from a learned clause
+        redundant_calls = []
+        redundant = Solver._redundant
+
+        def counted(solver, *args):
+            dropped = redundant(solver, *args)
+            redundant_calls.append(dropped)
+            return dropped
+
+        monkeypatch.setattr(Solver, "_redundant", counted)
         for _ in range(300):
+            redundant_calls.clear()
             num_vars = rng.randint(10, 12)
             clauses = [
                 [
@@ -704,7 +716,7 @@ class TestSatCore:
                 continue
             with_models += 1
             conflicts += solver.conflicts
-            minimized += solver.minimized_lits
+            minimized += redundant_calls.count(True)
             # a clause or literal is implied when no model falsifies it
             implied = [solver.clauses[ci] for ci in solver.learned] + [
                 [lit] for lit in solver.trail if solver.level[lit >> 1] == 0

@@ -653,6 +653,63 @@ class TestColoringScanCommand:
         with pytest.raises(ValueError, match="above the limit"):
             cli.build_rule({"kind": "cone", "vertices": [[0]] * (MAX_RULE_DIM + 2)})
 
+    def test_lifts_past_the_rule_dim_limit_are_refused_before_building(
+        self, monkeypatch
+    ):
+        def lifted(count, rule):
+            for _ in range(count):
+                rule = {"kind": "plus0", "base": rule}
+            return rule
+
+        cone = {"kind": "cone", "dim": 1}
+        # each lift adds a dimension: cone(1) under 63 lifts is 64-dimensional
+        assert cli.build_rule(lifted(MAX_RULE_DIM - 1, cone)).dim == MAX_RULE_DIM
+        # an aux rule has its base's dimension, so its lifts count too
+        for rule in (
+            {"kind": "plus1", "base": cone, "aux2": lifted(MAX_RULE_DIM - 1, cone)},
+            {
+                "kind": "plus2",
+                "base": cone,
+                "A": [[0, 1], [0, 2]],
+                "auxes": {"a": lifted(MAX_RULE_DIM - 1, cone)},
+            },
+        ):
+            with pytest.raises(ValueError, match="64 or more lifts"):
+                cli.build_rule(rule)
+
+        def never(*args):
+            raise AssertionError("the innermost rule was built")
+
+        monkeypatch.setattr(cli, "cone_coloring", never)
+        for count in (MAX_RULE_DIM, 5000):
+            with pytest.raises(ValueError, match="64 or more lifts"):
+                cli.build_rule(lifted(count, cone))
+
+    @pytest.mark.parametrize("flag", ["--rule", "--points", "--centers", "--config"])
+    def test_deeply_nested_json_is_a_usage_error(self, flag, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        if flag == "--rule":
+            lifts = 1000
+            path.write_text(
+                '{"kind": "plus0", "base": ' * lifts + '{"kind": "cone", "dim": 1}'
+                + "}" * lifts
+            )
+        else:
+            path.write_text("[" * 5000 + "]" * 5000)
+        argv = {
+            "--rule": ["coloring-scan", "--rule", "@" + str(path), "--centers",
+                       "sandwich(1,-1)"],
+            "--points": ["tshape", "--points", str(path)],
+            "--centers": ["certify", "--dim", "2", "--colors", "2", "--centers",
+                          str(path)],
+            "--config": ["--config", str(path), "sandwich", "--k", "1", "--s", "0"],
+        }[flag]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("text", ["null", "7", '{"a": [0, 0]}'])
     def test_centers_file_must_hold_rows(self, text, tmp_path, capsys):
         path = tmp_path / "centers.json"

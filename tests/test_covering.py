@@ -133,7 +133,6 @@ class TestConstructiveShift:
         good = constructive_cover_shift(tau, 0)
         bad = CoverCertificate(
             tau=tau,
-            k=good.k,
             s=good.s,
             shift=good.shift + LatticePoint((5, 0, 0)),
             case_label=good.case_label,
@@ -144,7 +143,7 @@ class TestConstructiveShift:
     def test_wrong_dimension_shift_fails_verification(self):
         tau = maximal(2, 1, 0, 0, LShape.LOWER)
         cert = CoverCertificate(
-            tau=tau, k=2, s=0, shift=LatticePoint((0, 0)), case_label="0.1"
+            tau=tau, s=0, shift=LatticePoint((0, 0)), case_label="0.1"
         )
         assert not cert.verify()
 
@@ -280,7 +279,7 @@ class TestVerificationHarness:
 
     def test_every_point_is_checked_not_only_the_least(self, monkeypatch):
         def always_e0(tau, s):
-            return CoverCertificate(tau, tau.k, s, unit_vector(tau.k + 1, 0), "e0")
+            return CoverCertificate(tau, s, unit_vector(tau.k + 1, 0), "e0")
 
         monkeypatch.setattr(covering, "constructive_cover_shift", always_e0)
         report = verify_covering_lemma(3, 1)

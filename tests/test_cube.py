@@ -72,12 +72,13 @@ class TestLatticePoint:
             lattice_from_json([0, 2**63])
         with pytest.raises(ValueError, match="64-bit"):
             parse_center_set([[0, 2**63]])
-        # the window reach: center +- outer must stay in range too
-        near = lattice(edge - 1)
-        WindowSpec(dim=1, outer=1, inner=0, centers=(near,), center=near)
-        for center, mirror in ((near, LatticePoint((2**63,))), (lattice(edge), near)):
+        # the window reach: +-outer and every mirror center stay in range
+        WindowSpec(dim=1, outer=edge, inner=0, centers=(lattice(-edge),))
+        with pytest.raises(CoordinateOverflowError):
+            WindowSpec(dim=1, outer=2**63, inner=0, centers=(lattice(0),))
+        for far in (2**63, -(2**63) - 1):
             with pytest.raises(CoordinateOverflowError):
-                WindowSpec(dim=1, outer=1, inner=0, centers=(mirror,), center=center)
+                WindowSpec(dim=1, outer=1, inner=0, centers=(LatticePoint((far,)),))
 
     def test_unit_vector_and_origin(self):
         assert unit_vector(3, 1).coords == (0, 1, 0)

@@ -8,6 +8,13 @@ should be deleted, or kept here with the reason a verdict needs it.
 
 Likewise every name that a package module imports at top level is read
 in that module; ``from __future__`` imports are exempt.
+
+And every dataclass field, and every attribute that a class's
+``__init__`` sets on ``self``, is read somewhere under src/, scripts/ or
+bench/: as ``obj.name`` in a load, or as ``getattr(obj, "name")``.  The
+match is by name only, so a read of any object's ``name`` counts for
+every class that has one.  State that only tests read should be deleted,
+or kept here with the reason a verdict needs it.
 """
 import ast
 from pathlib import Path
@@ -19,6 +26,12 @@ ALLOWED = {
     "export_dimacs": "the DIMACS oracle that the acceptance tests cross-check",
     "is_in_Tn": "the oracle for the paper's T_3 model set in test_tshape",
     "exploratory_cover_survey": "documented in the README",
+}
+
+ALLOWED_STATE = {
+    "CoverCertificate.case_label": (
+        "tests pin that every branch of the 17-case table is reachable"
+    ),
 }
 
 
@@ -38,6 +51,14 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _sources() -> list[Path]:
+    return [
+        path
+        for folder in ("src", "scripts", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+
+
 def _public_definitions(path: Path) -> list[ast.AST]:
     return [
         node
@@ -48,12 +69,7 @@ def _public_definitions(path: Path) -> list[ast.AST]:
 
 
 def test_every_public_definition_is_reached():
-    sources = [
-        path
-        for folder in ("src", "scripts", "bench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    sources = [path for path in _sources() if path.name != "__init__.py"]
     # (file, top-level statement, names it refers to)
     statements = [
         (path, node, _referenced(node))
@@ -98,3 +114,63 @@ def test_every_imported_name_is_used():
         }
         unused += [f"{path.name}: {name}" for name in sorted(bound - read)]
     assert not unused, unused
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _state(node: ast.ClassDef) -> list[str]:
+    """The dataclass fields of a class and the attributes its ``__init__``
+    sets on ``self``."""
+    names = []
+    if _is_dataclass(node):
+        names += [
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            names += [
+                sub.attr
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ]
+    return names
+
+
+def _read_attributes(module: ast.Module) -> set[str]:
+    read = set()
+    for sub in ast.walk(module):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.attr)
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id == "getattr"
+            and len(sub.args) >= 2
+            and isinstance(sub.args[1], ast.Constant)
+        ):
+            read.add(sub.args[1].value)
+    return read
+
+
+def test_all_state_is_read():
+    read = set().union(*(_read_attributes(_parse(path)) for path in _sources()))
+    unread = [
+        f"{path.name}:{node.name}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ClassDef)
+        for name in _state(node)
+        if name not in read and f"{node.name}.{name}" not in ALLOWED_STATE
+    ]
+    assert unread == []

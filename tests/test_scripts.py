@@ -95,7 +95,7 @@ class TestCertifierEvidence4d:
             if centers[0].dim < 4:
                 return real(centers, k, r_list, r_factor=r_factor, budget=budget)
             calls.append((len(centers), k, r_list, r_factor))
-            stats = SearchStats(vertices=6480, edges=1, decisions=7, runtime_ms=0, conflicts=5)
+            stats = SearchStats(vertices=6480, edges=1, decisions=7, conflicts=5)
             verdict = WindowVerdict(VerdictKind.FORCED, None, stats)
             row = ScheduleRow(inner=1, outer=10, verdict=verdict, proved_at_outer=4)
             return ScheduleReport(
