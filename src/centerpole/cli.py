@@ -71,12 +71,18 @@ MAX_COVER_K = 10
 # T-shaped).
 MAX_TSHAPE_CANDIDATES = 2**12
 
-# The largest cone dimension a rule may ask for, by ``dim`` or by its
-# count of ``vertices`` (dim + 1).  Building the rule inverts a
-# (dim + 1)-square matrix, so a larger one is refused before any simplex
-# is built.  Each lift adds a dimension, so a rule is refused at its
-# MAX_RULE_DIM-th nested lift, before building recurses any deeper.
+# The largest dimension of a built rule: the dimension of its base rule
+# (a cone's ``dim``, or its count of ``vertices`` minus one, or the length
+# of a halfspace or pair point) plus one for each lift that encloses it.
+# Building a cone inverts a (dim + 1)-square matrix, so a larger rule is
+# refused before any simplex is built.  Every base has dimension at least
+# 1, so a rule is refused at its MAX_RULE_DIM-th nested lift, before
+# building recurses any deeper.
 MAX_RULE_DIM = 64
+
+# The most samples coloring-scan draws.  Its time grows linearly with
+# them: each sample evaluates the rule once per center and once more.
+MAX_SCAN_SAMPLES = 2**20
 
 
 def _parse_json(text: str):
@@ -134,15 +140,31 @@ def _field(spec: dict, key: str, kind: type | None = None):
     return spec[key]
 
 
+def _check_rule_dim(kind: str, dim: int, lifts: int) -> None:
+    """Refuse a base rule of dimension ``dim`` under ``lifts`` lifts when
+    it, or the rule the lifts build from it, is above MAX_RULE_DIM."""
+    if dim > MAX_RULE_DIM:
+        raise ValueError(
+            f"a {kind} rule of dimension {dim} is above the limit of {MAX_RULE_DIM}"
+        )
+    if dim + lifts > MAX_RULE_DIM:
+        raise ValueError(
+            f"a {kind} rule of dimension {dim} under {lifts} lift(s) is of "
+            f"dimension {dim + lifts}, above the limit of {MAX_RULE_DIM}"
+        )
+
+
 def build_rule(spec: dict, lifts: int = 0) -> ColoringRule:
     """Assemble a coloring rule from its JSON description.
 
     Kinds: cone (dim or explicit vertices), halfspace (center),
     pair (a, b), plus0 (base), plus1 (base, optional aux2),
     plus2 (base, A, optional auxes).  A spec that is not an object,
-    lacks a required key, holds a key of the wrong JSON type or nests
-    MAX_RULE_DIM lifts raises ValueError.  ``lifts`` counts the lifts
-    that enclose spec; a nested rule has its lift's dimension minus one.
+    lacks a required key, holds a key of the wrong JSON type or builds
+    a rule of dimension above MAX_RULE_DIM raises ValueError.  ``lifts``
+    counts the lifts that enclose spec; a nested rule has its lift's
+    dimension minus one, so a base rule of dimension d builds a rule of
+    dimension d + lifts.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a rule must be a JSON object, got {json.dumps(spec)}")
@@ -157,19 +179,18 @@ def build_rule(spec: dict, lifts: int = 0) -> ColoringRule:
     if kind == "cone":
         vertices = _field(spec, "vertices", list) if "vertices" in spec else None
         dim = _field(spec, "dim", int) if vertices is None else len(vertices) - 1
-        if dim > MAX_RULE_DIM:
-            raise ValueError(
-                f"a cone rule of dimension {dim} is above the limit of {MAX_RULE_DIM}"
-            )
+        _check_rule_dim("cone", dim, lifts)
         if vertices is None:
             return cone_coloring(standard_simplex(dim))
         return cone_coloring(SimplexSpec(tuple(point_from_json(v) for v in vertices)))
     if kind == "halfspace":
-        return halfspace_coloring(point_from_json(_field(spec, "center")))
+        center = point_from_json(_field(spec, "center"))
+        _check_rule_dim("halfspace", center.dim, lifts)
+        return halfspace_coloring(center)
     if kind == "pair":
-        return pair_coloring(
-            point_from_json(_field(spec, "a")), point_from_json(_field(spec, "b"))
-        )
+        a = point_from_json(_field(spec, "a"))
+        _check_rule_dim("pair", a.dim, lifts)
+        return pair_coloring(a, point_from_json(_field(spec, "b")))
     if kind == "plus0":
         return plus0_extension(build_rule(_field(spec, "base"), lifts))
     if kind == "plus1":
@@ -301,6 +322,10 @@ def cmd_coloring_scan(
     seed: int,
     inner_radius="0",
 ) -> tuple[int, dict]:
+    if samples > MAX_SCAN_SAMPLES:
+        raise ValueError(
+            f"{samples} samples are more than the limit of {MAX_SCAN_SAMPLES}"
+        )
     rule = build_rule(rule_spec)
     centers = [point_from_json(row) for row in centers_rows]
     report = symmetric_pair_scan(

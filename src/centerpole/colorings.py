@@ -11,7 +11,12 @@ Group-multiplicative mirror expressions are specialized to additive
 notation throughout: the mirror of x through a is 2a - x.
 
 Every rule is total and exact over rational inputs; the scan harness
-samples far points and reports monochromatic symmetric pairs.
+samples far points and reports monochromatic symmetric pairs.  The
+scan, the cone, pair and halfspace rules and the level tables work on
+integers: the scan and the pair rule scale by common denominators, and
+every integral center coordinate, level and scale is held as an
+``int``, so integral points compare, mirror and bisect without
+``Fraction`` arithmetic.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -28,7 +33,6 @@ from .geometry import (
     affine_hull_dim,
     as_point,
     clear_denominators,
-    dot,
     matrix_inverse,
     point_to_json,
 )
@@ -154,11 +158,12 @@ def halfspace_coloring(center) -> ColoringRule:
     x - center; the center itself gets 0.  No pair {x, 2c - x} with
     x != c is monochromatic."""
     c = as_point(center)
+    base = tuple(_integral(v) for v in c.coords)
 
     def evaluate(cs: tuple) -> int:
-        for value, base in zip(cs, c.coords):
-            if value != base:
-                return 1 if value > base else 0
+        for value, b in zip(cs, base):
+            if value != b:
+                return 1 if value > b else 0
         return 0
 
     return ColoringRule(
@@ -175,23 +180,37 @@ def pair_coloring(a, b) -> ColoringRule:
     which flips under both mirrors; integral sigma with y != 0 falls
     back to the halfspace split of y, and y = 0 compares sigma against
     1 so that only x = a and x = b themselves collide.
+
+    The rule runs on integers.  a and b are scaled once by the lcm L of
+    their denominators, A = L*a and U = L*(b - a), and each point x by
+    the lcm q of its own, z = q*x.  Then w = L*z - q*A is q*L*(x - a),
+    sigma = N / (q*U.U) with N = w.U, and q*L*y = w - sigma*q*U, whose
+    signs are those of y.
     """
     pa = as_point(a)
     pb = as_point(b)
+    if pa.dim != pb.dim:
+        raise ValueError(f"dimension mismatch: {pa.dim} vs {pb.dim}")
     if pa == pb:
         raise ValueError("pair witness needs two distinct points")
-    u = pb - pa
-    uu = dot(u.coords, u.coords)
+    scale, (ai, bi) = clear_denominators([pa.coords, pb.coords])
+    u = [q - p for p, q in zip(ai, bi)]
+    uu = sum(map(mul, u, u))
 
     def evaluate(cs: tuple) -> int:
-        diff = tuple(v - w for v, w in zip(cs, pa.coords))
-        sigma = dot(diff, u.coords) / uu
-        if sigma.denominator != 1:
-            return 1 if floor(sigma) % 2 == 0 else 0
-        y = tuple(v - sigma * w for v, w in zip(diff, u.coords))
-        for value in y:
-            if value != 0:
-                return 1 if value > 0 else 0
+        q = lcm(*(v.denominator for v in cs))
+        w = [
+            scale * v.numerator * (q // v.denominator) - q * p
+            for v, p in zip(cs, ai)
+        ]
+        sigma, rest = divmod(sum(map(mul, w, u)), q * uu)
+        if rest:
+            return 1 if sigma % 2 == 0 else 0
+        step = sigma * q
+        for value, p in zip(w, u):
+            y = value - step * p
+            if y:
+                return 1 if y > 0 else 0
         return 1 if sigma >= 1 else 0
 
     return ColoringRule(
@@ -227,8 +246,8 @@ def _lift(
     )
 
 
-def _mirror(center: RationalPoint, x: tuple) -> tuple:
-    return tuple(2 * c - v for c, v in zip(center.coords, x))
+def _mirror(center: tuple, x: tuple) -> tuple:
+    return tuple(2 * c - v for c, v in zip(center, x))
 
 
 def plus0_extension(base: ColoringRule) -> ColoringRule:
@@ -297,8 +316,8 @@ def plus2_extension(
     pts.sort(key=lambda p: p.coords[-1])
     if pts[0] == pts[1]:
         raise ValueError("added points must be distinct")
-    a = RationalPoint(pts[0].coords[:-1])
-    b = RationalPoint(pts[1].coords[:-1])
+    a = tuple(_integral(v) for v in pts[0].coords[:-1])
+    b = tuple(_integral(v) for v in pts[1].coords[:-1])
     level_a = pts[0].coords[-1]
     level_b = pts[1].coords[-1]
     auxes = auxes or {}
@@ -306,7 +325,7 @@ def plus2_extension(
     band = (3, 0, 1, 2)
 
     if level_a == level_b:
-        scale, v, w = 1 / level_a, 1, 1
+        scale, v, w = _integral(1 / level_a), 1, 1
         pair = auxes.get("pair") or pair_coloring(a, b)
         if pair.color_count != 2 or pair.dim != base.dim:
             raise ValueError("pair witness must be a 2-coloring of X")
@@ -318,7 +337,7 @@ def plus2_extension(
         case = "levels-equal"
     else:
         scale = 1 / (level_b - level_a)
-        v = level_a * scale
+        scale, v = _integral(scale), _integral(level_a * scale)
         w = v + 1
         aux_a = auxes.get("a") or halfspace_coloring(a)
         aux_b = auxes.get("b") or halfspace_coloring(b)
@@ -375,14 +394,20 @@ def plus2_extension(
     )
 
 
-def _scan_coordinate(rng: random.Random) -> int | Fraction:
+def _scan_coordinate(rng: random.Random) -> tuple[int, int]:
+    """A sampled coordinate as a reduced pair (numerator, denominator)."""
     numerator = rng.randint(-100, 100)
     if rng.random() < 0.5:
-        return numerator
+        return numerator, 1
     denominator = rng.randint(1, 10)
-    if numerator % denominator == 0:
-        return numerator // denominator
-    return Fraction(numerator, denominator)
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
+def _rational(numerator: int, denominator: int) -> int | Fraction:
+    """numerator / denominator, an ``int`` when it is integral."""
+    whole, rest = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if rest else whole
 
 
 def symmetric_pair_scan(
@@ -401,13 +426,15 @@ def symmetric_pair_scan(
     Half the sampled coordinates are integers so that exact level sets
     of the extension rules are exercised.
 
-    Integral values stay Python ints: sampled coordinates, center
-    coordinates and the radius in the far test.  Only a fractional
-    coordinate is a ``Fraction``, so the far test and the mirrors are
-    exact on the mixed values, and a point reaches the rule with the
-    same value as its ``Fraction`` form; the report prints both alike.
-    The radius, like a coordinate, must be an ``int`` or a ``Fraction``;
-    anything else, a float or a bool among them, raises ValueError.
+    The scan runs on integers.  The centers and the radius are scaled
+    once by the lcm D of their denominators, C = D*c and R = D*r, and
+    each sampled coordinate is a reduced pair (n, d).  The far test
+    |n/d - c| > r is |n*D - C*d| > R*d, and the mirror 2c - n/d is
+    (2*C*d - n*D) / (D*d).  A coordinate reaches the rule as an ``int``
+    when it is integral and as a ``Fraction`` otherwise; the report
+    prints both alike.  The radius, like a coordinate, must be an
+    ``int`` or a ``Fraction``; anything else, a float or a bool among
+    them, raises ValueError.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -418,24 +445,31 @@ def symmetric_pair_scan(
     if isinstance(inner_radius, bool) or not isinstance(inner_radius, (int, Fraction)):
         raise ValueError(f"inner radius {inner_radius!r} is not an int or a Fraction")
     radius = Fraction(inner_radius)
-    bound = _integral(radius)
-    mixed = [tuple(_integral(v) for v in c.coords) for c in cpts]
+    scale, ((bound,), *scaled) = clear_denominators(
+        [(radius,)] + [c.coords for c in cpts]
+    )
     rng = random.Random(seed)
     violations: list[dict] = []
     for _ in range(samples):
         for _attempt in range(10_000):
-            x = tuple(_scan_coordinate(rng) for _ in range(rule.dim))
-            if all(any(abs(v - w) > bound for v, w in zip(x, c)) for c in mixed):
+            x = [_scan_coordinate(rng) for _ in range(rule.dim)]
+            if all(
+                any(abs(n * scale - w * d) > bound * d for (n, d), w in zip(x, c))
+                for c in scaled
+            ):
                 break
         else:
             raise ValueError("inner radius leaves no room to sample")
-        color = rule.evaluate(x)
-        for c in mixed:
-            mirrored = tuple(2 * w - v for v, w in zip(x, c))
+        point = tuple(n if d == 1 else Fraction(n, d) for n, d in x)
+        color = rule.evaluate(point)
+        for c in scaled:
+            mirrored = tuple(
+                _rational(2 * w * d - n * scale, scale * d) for (n, d), w in zip(x, c)
+            )
             if rule.evaluate(mirrored) == color:
                 violations.append(
                     {
-                        "x": point_to_json(RationalPoint(x)),
+                        "x": point_to_json(RationalPoint(point)),
                         "mirror": point_to_json(RationalPoint(mirrored)),
                         "color": color,
                     }

@@ -109,12 +109,6 @@ def _check_dims(a: int, b: int) -> None:
         raise ValueError(f"dimension mismatch: {a} vs {b}")
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """The dot product of two vectors the caller has checked to share
-    one length."""
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 class HalfspaceSide(Enum):
     NEGATIVE = "negative"
     ON = "on"

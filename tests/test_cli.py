@@ -23,6 +23,7 @@ from centerpole.cli import (
     MAX_COVER_K,
     MAX_RULE_DIM,
     MAX_SANDWICH_POINTS,
+    MAX_SCAN_SAMPLES,
     MAX_TSHAPE_CANDIDATES,
     OUTPUT_DIR_ENV,
     main,
@@ -584,6 +585,8 @@ class TestColoringScanCommand:
             ('{"kind": "cone", "dim": true}', "rule key 'dim' must be of type int"),
             ('{"kind": "cone", "vertices": 5}',
              "rule key 'vertices' must be of type list"),
+            ('{"kind": "pair", "a": [1], "b": [1, 5]}', "dimension mismatch: 1 vs 2"),
+            ('{"kind": "pair", "a": [0, 0], "b": [1]}', "dimension mismatch: 2 vs 1"),
             ('{"kind": "plus2", "base": {"kind": "cone", "dim": 3}, "A": 5}',
              "rule key 'A' must be of type list"),
             ('{"kind": "plus2", "base": {"kind": "cone", "dim": 3}, '
@@ -684,6 +687,86 @@ class TestColoringScanCommand:
         for count in (MAX_RULE_DIM, 5000):
             with pytest.raises(ValueError, match="64 or more lifts"):
                 cli.build_rule(lifted(count, cone))
+
+    def test_a_lift_is_refused_when_it_builds_a_rule_above_the_limit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # plus0 adds a dimension: over cone 63 it builds a rule of
+        # dimension MAX_RULE_DIM, over cone 64 one above it
+        def plus0(dim):
+            return json.dumps({"kind": "plus0", "base": {"kind": "cone", "dim": dim}})
+
+        centers = tmp_path / "origin.json"
+        centers.write_text(json.dumps([[0] * MAX_RULE_DIM]))
+        code, doc = run_json(
+            ["coloring-scan", "--rule", plus0(MAX_RULE_DIM - 1), "--centers",
+             str(centers), "--samples", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert doc["result"]["violations"] == []
+
+        def never(*args):
+            raise AssertionError("a simplex was built")
+
+        monkeypatch.setattr(cli, "standard_simplex", never)
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", plus0(MAX_RULE_DIM), "--centers",
+             str(centers)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: a cone rule of dimension {MAX_RULE_DIM} under 1 lift(s) is of "
+            f"dimension {MAX_RULE_DIM + 1}, above the limit of {MAX_RULE_DIM}\n"
+        )
+
+    def test_halfspace_and_pair_rules_count_toward_the_dimension_limit(self):
+        def point(dim):
+            return [1] + [0] * (dim - 1)
+
+        def halfspace(dim):
+            return {"kind": "halfspace", "center": point(dim)}
+
+        def pair(dim):
+            return {"kind": "pair", "a": point(dim), "b": [0] * dim}
+
+        for base in (halfspace, pair):
+            assert cli.build_rule(base(MAX_RULE_DIM)).dim == MAX_RULE_DIM
+            lifted = {"kind": "plus0", "base": base(MAX_RULE_DIM - 1)}
+            assert cli.build_rule(lifted).dim == MAX_RULE_DIM
+            with pytest.raises(ValueError, match="above the limit"):
+                cli.build_rule(base(MAX_RULE_DIM + 1))
+            with pytest.raises(ValueError, match="under 1 lift"):
+                cli.build_rule({"kind": "plus0", "base": base(MAX_RULE_DIM)})
+
+    def test_samples_above_the_limit_are_refused(self, monkeypatch, capsys):
+        # acceptance scans 25 000 samples and the bench 3 000
+        assert MAX_SCAN_SAMPLES == 2**20
+        for samples in (MAX_SCAN_SAMPLES + 1, 10**12):
+            code, out, err = run_cli(
+                ["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
+                 "--centers", "sandwich(0,0)", "--samples", str(samples)],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"error: {samples} samples are more than the limit of "
+                f"{MAX_SCAN_SAMPLES}\n"
+            )
+        scanned = []
+        monkeypatch.setattr(
+            cli,
+            "symmetric_pair_scan",
+            lambda rule, centers, radius, samples, seed: scanned.append(samples)
+            or {"violations": []},
+        )
+        assert cli.cmd_coloring_scan(
+            {"kind": "cone", "dim": 1}, [[0]], MAX_SCAN_SAMPLES, 0
+        ) == (0, {"violations": []})
+        assert scanned == [MAX_SCAN_SAMPLES]
 
     @pytest.mark.parametrize("flag", ["--rule", "--points", "--centers", "--config"])
     def test_deeply_nested_json_is_a_usage_error(self, flag, tmp_path, capsys):
@@ -1087,6 +1170,7 @@ _MALFORMED_RULES = [
     {"kind": "cone", "vertices": [[1, 0], [0, 1]]},
     {"kind": "halfspace", "center": "x"},
     {"kind": "pair", "a": [0, 0], "b": [0, 0]},
+    {"kind": "pair", "a": [0, 0], "b": [1]},
     {"kind": "plus1", "base": {"kind": "cone", "dim": 1}},
     {"kind": "plus2", "base": {"kind": "cone", "dim": 3}, "A": 5},
     {"kind": "plus2", "base": {"kind": "cone", "dim": 3},

@@ -149,6 +149,11 @@ class TestPairColoring:
         with pytest.raises(ValueError):
             pair_coloring((1, 1), (1, 1))
 
+    @pytest.mark.parametrize("a,b", [((1,), (1, 5)), ((0, 0), (1,))])
+    def test_rejects_points_of_different_dimensions(self, a, b):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pair_coloring(a, b)
+
 
 class TestPlus0:
     def test_level_semantics(self):

@@ -15,7 +15,6 @@ from centerpole.geometry import (
     as_point,
     clear_denominators,
     containing_hyperplane,
-    dot,
     fraction_from_json,
     hyperplane_to_json,
     in_general_position,
@@ -27,6 +26,7 @@ from centerpole.geometry import (
     separates,
     side_of,
 )
+from rational_reference import dot
 
 P = lambda *c: RationalPoint(c)
 

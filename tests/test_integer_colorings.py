@@ -1,18 +1,23 @@
-"""The integer cone coloring and scan against the rational ones they replaced.
+"""The integer colorings and scan against the rational ones they replaced.
 
 ``cone_coloring`` takes its argmin over integers (the inverse scaled by
-the lcm of its denominators, each point by the lcm of its own) and
-``symmetric_pair_scan`` keeps integral values as ints.  The code below
+the lcm of its denominators, each point by the lcm of its own),
+``pair_coloring`` takes its floor and signs over integers the same way,
+``halfspace_coloring`` compares against integral center coordinates
+held as ints, and ``symmetric_pair_scan`` draws, compares and mirrors
+over the common denominator of its centers and radius.  The code below
 is the earlier ``Fraction`` implementation, kept here only as a
-reference: barycentric coordinates as sums of ``Fraction`` products,
-and a scan that draws, compares and mirrors ``Fraction`` coordinates.
-Every color must be equal to it, and every scan report must serialize
-to the same bytes, violations included.
+reference: barycentric coordinates as sums of ``Fraction`` products, a
+pair rule that projects with ``Fraction`` dot products, a halfspace
+rule on ``Fraction`` centers, and a scan that draws, compares and
+mirrors ``Fraction`` coordinates.  Every color must be equal to it, and
+every scan report must serialize to the same bytes, violations included.
 """
 import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import floor
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,6 +26,8 @@ from centerpole.colorings import (
     ColoringRule,
     SimplexSpec,
     cone_coloring,
+    halfspace_coloring,
+    pair_coloring,
     plus2_extension,
     standard_simplex,
     symmetric_pair_scan,
@@ -30,6 +37,7 @@ from centerpole.geometry import (
     matrix_inverse,
     point_to_json,
 )
+from rational_reference import dot
 
 F = Fraction
 
@@ -62,6 +70,37 @@ def ref_cone_coloring(spec):
         evaluate=lambda point: ref_cone_color(spec, point),
         label=f"cone(d={spec.dim})",
     )
+
+
+def ref_pair_coloring(a, b):
+    pa = RationalPoint(tuple(a))
+    u = (RationalPoint(tuple(b)) - pa).coords
+    uu = dot(u, u)
+
+    def evaluate(point):
+        diff = tuple(v - w for v, w in zip(point, pa.coords))
+        sigma = dot(diff, u) / uu
+        if sigma.denominator != 1:
+            return 1 if floor(sigma) % 2 == 0 else 0
+        y = tuple(v - sigma * w for v, w in zip(diff, u))
+        for value in y:
+            if value != 0:
+                return 1 if value > 0 else 0
+        return 1 if sigma >= 1 else 0
+
+    return ColoringRule(dim=pa.dim, color_count=2, evaluate=evaluate, label="pair")
+
+
+def ref_halfspace_coloring(center):
+    c = RationalPoint(tuple(center))
+
+    def evaluate(point):
+        for value, base in zip(point, c.coords):
+            if value != base:
+                return 1 if value > base else 0
+        return 0
+
+    return ColoringRule(dim=c.dim, color_count=2, evaluate=evaluate, label="halfspace")
 
 
 def ref_scan_coordinate(rng):
@@ -154,6 +193,34 @@ def simplex_and_point(draw):
     return spec, point
 
 
+@st.composite
+def pair_and_point(draw):
+    """Two distinct points a, b of dim 1-4 and a point x.  Half the time
+    x is a general rational point; otherwise it is a + sigma*(b - a) + y
+    with sigma integral or half-integral and y orthogonal to b - a, zero
+    half the time, so that the integral-sigma and y = 0 branches run."""
+    dim = draw(st.integers(1, 4))
+    a = tuple(draw(rationals(6)) for _ in range(dim))
+    b = tuple(draw(rationals(6)) for _ in range(dim))
+    assume(a != b)
+    if draw(st.booleans()):
+        point = tuple(draw(rationals(30)) for _ in range(dim))
+    else:
+        u = [q - p for p, q in zip(a, b)]
+        sigma = F(draw(st.integers(-8, 8)), draw(st.sampled_from([1, 2])))
+        y = [F(0)] * dim
+        if dim > 1 and draw(st.booleans()):
+            # u_j e_i - u_i e_j is orthogonal to u and nonzero when u_j is
+            j = next(k for k, v in enumerate(u) if v)
+            i = draw(st.integers(0, dim - 1).filter(lambda k: k != j))
+            t = draw(rationals(5).filter(lambda v: v != 0))
+            y[i], y[j] = t * u[j], -t * u[i]
+        point = tuple(p + sigma * v + e for p, v, e in zip(a, u, y))
+    if draw(st.booleans()):
+        point = _mixed(point)
+    return a, b, point
+
+
 FRACTIONAL_SIMPLICES = [
     SimplexSpec(((F(1, 2), F(1, 3)), (F(-3, 4), F(2, 5)), (F(1, 4), F(-11, 15)))),
     SimplexSpec(
@@ -211,6 +278,37 @@ class TestConeColors:
                 assert rule.evaluate(x) == ref_cone_color(spec, x), x
 
 
+class TestPairColors:
+    @settings(max_examples=400, deadline=None)
+    @given(pair_and_point())
+    def test_same_color_as_the_rational_projection(self, case):
+        a, b, point = case
+        rule = pair_coloring(a, b)
+        expected = ref_pair_coloring(a, b).evaluate(tuple(map(F, point)))
+        assert rule.evaluate(point) == expected
+        assert rule(RationalPoint(point)) == expected
+
+    def test_every_branch_on_a_grid_about_fractional_centers(self):
+        # sigma in steps of 1/2 along b - a, offsets along an orthogonal
+        # vector: fractional sigma, integral sigma off the line, and the
+        # line itself on both sides of 1
+        cases = [
+            ((F(1, 2), F(-1, 3)), (F(5, 2), F(2, 3)), (1, -2)),
+            ((F(1, 3), 0, F(-3, 4)), (F(-2, 3), F(1, 2), 2), (1, 2, 0)),
+        ]
+        seen = set()
+        for a, b, y in cases:
+            rule, ref = pair_coloring(a, b), ref_pair_coloring(a, b)
+            u = [q - p for p, q in zip(a, b)]
+            assert sum(p * q for p, q in zip(u, y)) == 0
+            for sigma in (F(n, 2) for n in range(-6, 7)):
+                for t in (0, 1, F(-2, 3)):
+                    x = tuple(p + sigma * v + t * e for p, v, e in zip(a, u, y))
+                    assert rule.evaluate(_mixed(x)) == ref.evaluate(x), (a, b, x)
+                    seen.add((sigma.denominator, t == 0, sigma >= 1))
+        assert {(1, True, False), (1, True, True), (1, False, True), (2, True, False)} <= seen
+
+
 class TestScanReports:
     def _assert_same_bytes(self, rule, ref_rule, centers, radius, samples, seed):
         new = symmetric_pair_scan(rule, centers, radius, samples, seed)
@@ -254,3 +352,41 @@ class TestScanReports:
             300,
             12,
         )
+
+    def test_a_pair_rule_about_fractional_centers(self):
+        a, b = (F(1, 2), F(-1, 3)), (F(5, 2), F(2, 3))
+        for seed, (centers, radius) in enumerate(
+            [([a, b], F(1, 2)), ([a, b, (F(7, 3), F(-5, 4))], F(5, 3))]
+        ):
+            report = self._assert_same_bytes(
+                pair_coloring(a, b), ref_pair_coloring(a, b), centers, radius, 300, seed
+            )
+            assert report["violations"] or len(centers) == 2
+
+    def test_a_plus2_rule_with_a_fractional_scale(self):
+        # levels 3/2 and 9/2: the scale is 1/3 and v = 1/2, the generic case;
+        # levels 2 and 4: the scale is 1/2 and v = 1
+        for seed, levels in enumerate([(F(3, 2), F(9, 2)), (2, 4)]):
+            added = [(F(1, 2), 0, 0, levels[0]), (0, F(-1, 3), 1, levels[1])]
+            a, b = added[0][:-1], added[1][:-1]
+            auxes = {"a": ref_halfspace_coloring(a), "b": ref_halfspace_coloring(b)}
+            # the first center is none of the rule's, so colors are compared
+            centers = [(F(1, 4), 0, 0, F(5, 2))] + added
+            report = self._assert_same_bytes(
+                plus2_extension(cone_coloring(standard_simplex(3)), added),
+                plus2_extension(ref_cone_coloring(standard_simplex(3)), added, auxes),
+                centers,
+                F(3, 4),
+                300,
+                20 + seed,
+            )
+            assert report["violations"]
+
+    def test_a_radius_that_leaves_only_the_ends_of_the_sampling_range(self):
+        # |x - 1/2| > 197/2 holds for x < -98 or x > 99 only; x = -98 and
+        # x = 99 sit on the bound and must be redrawn
+        constant = ColoringRule(dim=1, color_count=2, evaluate=lambda p: 0)
+        report = self._assert_same_bytes(
+            constant, constant, [(F(1, 2),)], F(197, 2), 60, 4
+        )
+        assert {v["x"][0] for v in report["violations"]} >= {"-100", "100"}

@@ -27,12 +27,12 @@ from centerpole.geometry import (
     affine_hull_dim,
     clear_denominators,
     containing_hyperplane,
-    dot,
     integer_spanned_hyperplanes,
     matrix_inverse,
     matrix_rank,
 )
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
+from rational_reference import dot
 
 # --- the rational reference --------------------------------------------
 
