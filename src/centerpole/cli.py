@@ -55,7 +55,8 @@ _SANDWICH_RE = re.compile(r"^sandwich\((-?\d+)\s*,\s*(-?\d+)\)$")
 MAX_SANDWICH_POINTS = 2**20
 
 # The largest k cover-verify accepts.  It visits 4k(k+1)*2^k cube points,
-# so each step up in k about doubles the time (k = 10 takes seconds).
+# so each step up in k about doubles the time (k = 10 takes 0.3-0.5 seconds
+# for each s on a 2-core Xeon).
 MAX_COVER_K = 10
 
 # The most candidate hyperplanes tshape searches: one per dim-subset of

@@ -4,13 +4,17 @@ A constructive 17-case shift table keyed on the set's declared
 parameters prescribes a shift and checks it with ``sandwich_contains``.
 The harness checks each shift once more, on all maximal inputs, against
 the point set ``build_sandwich`` materializes, and reports discrepancies
-as data.  A brute-force oracle of every working shift serves the survey.
+as data.  The two checks are independent: each subtracts the shift from
+every point on its own, on coordinate tuples, so neither trusts a
+difference the other computed.  A brute-force oracle of every working
+shift serves the survey.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import sub
 
 from .cube import (
     LatticePoint,
@@ -41,10 +45,11 @@ class CoverCertificate:
     def verify(self) -> bool:
         """Re-check membership point by point, trusting nothing."""
         k = self.tau.k
-        if self.shift.dim != k + 1:
+        shift = self.shift.coords
+        if len(shift) != k + 1:
             return False
         for p in self.tau.points:
-            if not sandwich_contains(k, self.s, p - self.shift):
+            if not sandwich_contains(k, self.s, tuple(map(sub, p.coords, shift))):
                 return False
         return True
 
@@ -67,15 +72,14 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
     e0 = unit_vector(k + 1, 0)
     zero = origin(k + 1)
 
-    tau0 = [p for p in tau.points if p[0] == 0]
-    tau1 = [p for p in tau.points if p[0] == 1]
+    heads = {p.coords[0] for p in tau.points}
 
-    if not tau.points:
+    if not heads:
         shift, label = zero, "empty"
-    elif gamma == 0 or not tau0 or not tau1:
+    elif gamma == 0 or not {0, 1} <= heads:
         # an axis-0 facet confines tau: either declared, or chosen via
         # the swap to whichever level actually holds all points
-        eff_level = level if gamma == 0 else (0 if not tau1 else 1)
+        eff_level = level if gamma == 0 else (1 if 1 in heads else 0)
         if eff_level == 0:
             if a < k - 1:
                 shift, label = zero, "0.1"
@@ -136,8 +140,9 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
 
 
 @cache
-def _sandwich_points(k: int, s: int) -> frozenset[LatticePoint]:
-    return build_sandwich(k, s).points()
+def _sandwich_coords(k: int, s: int) -> frozenset[tuple[int, ...]]:
+    """The coordinate tuples of the built (k, s) sandwich."""
+    return frozenset(p.coords for p in build_sandwich(k, s).points())
 
 
 def brute_force_cover_shifts(
@@ -151,8 +156,9 @@ def brute_force_cover_shifts(
 
     For nonempty tau every valid shift must place the lexicographically
     least point p0 inside x + sandwich, so x ranges over p0 minus the
-    sandwich; that candidate set is then verified point by point, which
-    is exactly equivalent to scanning the whole box.
+    sandwich; that candidate set is then checked point by point against
+    the built sandwich, which is exactly equivalent to scanning the whole
+    box.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
@@ -164,15 +170,17 @@ def brute_force_cover_shifts(
     p0 = min(tau)
     if p0.dim != dim:
         raise ValueError(f"points have dimension {p0.dim}, expected {dim}")
-    hits: list[LatticePoint] = []
-    for member in _sandwich_points(k, s):
-        shift = p0 - member
+    sandwich = _sandwich_coords(k, s)
+    points = [q.coords for q in tau]
+    hits: list[tuple[int, ...]] = []
+    for member in sandwich:
+        shift = tuple(map(sub, p0.coords, member))
         if any(not -box <= c <= box for c in shift):
             continue
-        if all(sandwich_contains(k, s, q - shift) for q in tau):
+        if all(tuple(map(sub, q, shift)) in sandwich for q in points):
             hits.append(shift)
     hits.sort()
-    return hits
+    return [LatticePoint(c) for c in hits]
 
 
 def verify_covering_lemma(k: int, s: int) -> dict:
@@ -191,7 +199,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         )
     failures: list[dict] = []
     sets = enumerate_maximal_sigma0_sets(k)
-    sandwich = _sandwich_points(k, s)
+    sandwich = _sandwich_coords(k, s)
     for tau in sets:
         where = {
             "facet": [tau.facet_axis, tau.facet_level],
@@ -203,28 +211,34 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         except CaseAnalysisError as err:
             failures.append({**where, "reason": f"constructive failure: {err}"})
             continue
-        if any(abs(c) > 1 for c in cert.shift):
+        shift = cert.shift.coords
+        if any(abs(c) > 1 for c in shift):
             failures.append(
-                {**where, "reason": f"shift {tuple(cert.shift)} leaves the unit box"}
+                {**where, "reason": f"shift {shift} leaves the unit box"}
             )
             continue
-        support = {i for i, c in enumerate(cert.shift) if c != 0}
+        support = {i for i, c in enumerate(shift) if c != 0}
         if not support <= {0, tau.facet_axis}:
             failures.append(
                 {
                     **where,
-                    "reason": f"shift {tuple(cert.shift)} supported off "
+                    "reason": f"shift {shift} supported off "
                     f"axes {{0, {tau.facet_axis}}}",
                 }
             )
             continue
-        missed = [p for p in tau.points if p - cert.shift not in sandwich]
+        # its own subtraction, not the certificate's: the checks stay independent
+        missed = [
+            p.coords
+            for p in tau.points
+            if tuple(map(sub, p.coords, shift)) not in sandwich
+        ]
         if missed:
             failures.append(
                 {
                     **where,
-                    "reason": f"point {tuple(min(missed))} minus shift "
-                    f"{tuple(cert.shift)} is not in the built sandwich",
+                    "reason": f"point {min(missed)} minus shift "
+                    f"{shift} is not in the built sandwich",
                 }
             )
     return {"k": k, "s": s, "total": len(sets), "failures": failures}

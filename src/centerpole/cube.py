@@ -172,15 +172,21 @@ def sandwich_size(k: int, s: int) -> int:
     return sum(comb(k, j) * ((j < s) + (j < k) + (j > s)) for j in range(k + 1))
 
 
-def sandwich_contains(k: int, s: int, point: LatticePoint) -> bool:
-    """Exact membership in the (k, s) sandwich without building the set."""
-    if point.dim != k + 1:
+def sandwich_contains(
+    k: int, s: int, point: LatticePoint | tuple[int, ...]
+) -> bool:
+    """Exact membership in the (k, s) sandwich without building the set.
+
+    ``point`` is a ``LatticePoint`` or its coordinate tuple; both get
+    the same answer."""
+    coords = point.coords if isinstance(point, LatticePoint) else point
+    if len(coords) != k + 1:
         return False
-    layer = point[0]
-    tail = point.coords[1:]
-    if any(b not in (0, 1) for b in tail):
+    tail = coords[1:]
+    total = tail.count(1)
+    if total + tail.count(0) != k:
         return False
-    total = sum(tail)
+    layer = coords[0]
     if layer == -1:
         return total < s
     if layer == 0:
@@ -261,7 +267,7 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     out: list[SigmaZeroSet] = []
     for axis in range(k + 1):
         for level in (0, 1):
-            facet = [(p, image) for p, image in profiled if p[axis] == level]
+            facet = [(p, image) for p, image in profiled if p.coords[axis] == level]
             for a in range(k):
                 for shape in (LShape.LOWER, LShape.UPPER):
                     triple = profile_triple(a, shape)

@@ -1,0 +1,80 @@
+"""The two covering checks in ``LatticePoint`` arithmetic, as they stood
+before ``covering`` moved its point work onto coordinate tuples.  The
+differential tests hold the tuple code to these reports."""
+
+from centerpole import covering
+from centerpole.covering import CaseAnalysisError
+from centerpole.cube import build_sandwich, enumerate_maximal_sigma0_sets
+
+
+def sandwich_contains(k, s, point):
+    """Membership of a ``LatticePoint`` by its layer and tail sum."""
+    if point.dim != k + 1:
+        return False
+    layer = point[0]
+    tail = point.coords[1:]
+    if any(b not in (0, 1) for b in tail):
+        return False
+    total = sum(tail)
+    if layer == -1:
+        return total < s
+    if layer == 0:
+        return total < k
+    if layer == 1:
+        return total > s
+    return False
+
+
+def certificate_holds(cert, contains=sandwich_contains):
+    """The certificate check: every point minus the shift passes
+    ``contains``."""
+    k = cert.tau.k
+    if cert.shift.dim != k + 1:
+        return False
+    return all(contains(k, cert.s, p - cert.shift) for p in cert.tau.points)
+
+
+def covering_report(k, s):
+    """The report of ``verify_covering_lemma``: the table's shift for each
+    maximal set (through ``covering.constructive_cover_shift``, so a
+    patched table or certificate check applies here too), then the check
+    against the built sandwich."""
+    failures = []
+    sets = enumerate_maximal_sigma0_sets(k)
+    sandwich = build_sandwich(k, s).points()
+    for tau in sets:
+        where = {
+            "facet": [tau.facet_axis, tau.facet_level],
+            "anchor": tau.anchor,
+            "shape": tau.shape.value,
+        }
+        try:
+            cert = covering.constructive_cover_shift(tau, s)
+        except CaseAnalysisError as err:
+            failures.append({**where, "reason": f"constructive failure: {err}"})
+            continue
+        if any(abs(c) > 1 for c in cert.shift):
+            failures.append(
+                {**where, "reason": f"shift {tuple(cert.shift)} leaves the unit box"}
+            )
+            continue
+        support = {i for i, c in enumerate(cert.shift) if c != 0}
+        if not support <= {0, tau.facet_axis}:
+            failures.append(
+                {
+                    **where,
+                    "reason": f"shift {tuple(cert.shift)} supported off "
+                    f"axes {{0, {tau.facet_axis}}}",
+                }
+            )
+            continue
+        missed = [p for p in tau.points if p - cert.shift not in sandwich]
+        if missed:
+            failures.append(
+                {
+                    **where,
+                    "reason": f"point {tuple(min(missed))} minus shift "
+                    f"{tuple(cert.shift)} is not in the built sandwich",
+                }
+            )
+    return {"k": k, "s": s, "total": len(sets), "failures": failures}

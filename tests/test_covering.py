@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import covering_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,3 +299,85 @@ class TestVerificationHarness:
     def test_survey_in_range_finds_everything_covered(self):
         survey = exploratory_cover_survey(2, 0)
         assert survey["uncovered"] == []
+
+
+def flipped_unit_vector(dim, axis):
+    vec = unit_vector(dim, axis)
+    return -vec if axis == 0 else vec
+
+
+def lax_formula(k, s, point):
+    return True
+
+
+def reference_report(monkeypatch, k, s, contains=covering_reference.sandwich_contains):
+    """The report of the ``LatticePoint`` reference, with its own
+    certificate check in place of ``CoverCertificate.verify``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            CoverCertificate,
+            "verify",
+            lambda cert: covering_reference.certificate_holds(cert, contains),
+        )
+        return covering_reference.covering_report(k, s)
+
+
+class TestTupleChecksMatchTheReference:
+    """Both covering checks run on coordinate tuples; their reports must
+    equal those of the ``LatticePoint`` reference, failure text included."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_reports_are_equal(self, monkeypatch, k):
+        for s in range(-1, k - 1):
+            assert verify_covering_lemma(k, s) == reference_report(monkeypatch, k, s)
+
+    def test_reports_are_equal_under_a_flipped_e0_and_a_lax_formula(self, monkeypatch):
+        monkeypatch.setattr(covering, "sandwich_contains", lax_formula)
+        monkeypatch.setattr(covering, "unit_vector", flipped_unit_vector)
+        failures = 0
+        for k in range(1, 7):
+            for s in range(-1, k - 1):
+                report = verify_covering_lemma(k, s)
+                assert report == reference_report(monkeypatch, k, s, lax_formula)
+                failures += len(report["failures"])
+        assert failures
+
+    def test_reports_are_equal_when_every_shift_is_e0(self, monkeypatch):
+        def always_e0(tau, s):
+            return CoverCertificate(tau, s, unit_vector(tau.k + 1, 0), "e0")
+
+        monkeypatch.setattr(covering, "constructive_cover_shift", always_e0)
+        failures = 0
+        for k in range(1, 7):
+            for s in range(-1, k - 1):
+                report = verify_covering_lemma(k, s)
+                assert report == reference_report(monkeypatch, k, s)
+                failures += len(report["failures"])
+        assert failures
+
+    def test_a_wrong_shift_is_caught_by_the_certificate_alone(self, monkeypatch):
+        # The converse of test_a_wrong_shift_is_reported_with_the_point_it_misses:
+        # a lax built-sandwich lookup passes every shift and a flipped e_0
+        # makes the table prescribe wrong shifts, so only the certificate
+        # check is left to catch them.
+        class Everything:
+            def __contains__(self, point):
+                return True
+
+        monkeypatch.setattr(covering, "_sandwich_coords", lambda k, s: Everything())
+        monkeypatch.setattr(covering, "unit_vector", flipped_unit_vector)
+        k, s = 3, 1
+        expected = []
+        with monkeypatch.context() as patch:
+            patch.setattr(CoverCertificate, "verify", lambda cert: True)
+            for tau in enumerate_maximal_sigma0_sets(k):
+                cert = covering.constructive_cover_shift(tau, s)
+                if not covering_reference.certificate_holds(cert):
+                    expected.append(
+                        [tau.facet_axis, tau.facet_level, tau.anchor, tau.shape.value]
+                    )
+        failures = verify_covering_lemma(k, s)["failures"]
+        assert expected
+        assert [f["facet"] + [f["anchor"], f["shape"]] for f in failures] == expected
+        for failure in failures:
+            assert failure["reason"].startswith("constructive failure: ")

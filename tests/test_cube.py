@@ -1,5 +1,6 @@
 """Sandwich sets, cube vertices, and the facet profile machinery."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -187,12 +188,24 @@ class TestSandwich:
     @given(st.integers(0, 5), st.integers(-2, 6))
     def test_membership_predicate_matches_enumeration(self, k, s):
         members = coords_of(build_sandwich(k, s).points())
-        from itertools import product
-
         for layer in (-2, -1, 0, 1, 2):
             for bits in product((0, 1), repeat=k):
                 p = LatticePoint((layer,) + bits)
                 assert sandwich_contains(k, s, p) == (p.coords in members)
+
+    def test_tuple_membership_matches_the_point_form(self):
+        # the covering checks pass coordinate tuples; off-cube tails and
+        # wrong lengths must be refused exactly as for a LatticePoint
+        for k in range(5):
+            for s in range(-2, k + 1):
+                members = coords_of(build_sandwich(k, s).points())
+                for coords in product(range(-2, 3), *[(-1, 0, 1, 2)] * k):
+                    inside = coords in members
+                    assert sandwich_contains(k, s, coords) == inside
+                    assert sandwich_contains(k, s, LatticePoint(coords)) == inside
+                    for wrong in (coords[:-1], coords + (0,)):
+                        assert not sandwich_contains(k, s, wrong)
+                        assert not sandwich_contains(k, s, LatticePoint(wrong))
 
     def test_membership_rejects_off_cube_tails(self):
         assert not sandwich_contains(2, 0, lattice(1, 0, 2))
