@@ -11,20 +11,20 @@ Group-multiplicative mirror expressions are specialized to additive
 notation throughout: the mirror of x through a is 2a - x.
 
 Every rule is total and exact over rational inputs; the scan harness
-samples far points and reports monochromatic symmetric pairs.  The
-scan, the cone, pair and halfspace rules and the level tables work on
-integers: the scan and the pair rule scale by common denominators, and
-every integral center coordinate, level and scale is held as an
-``int``, so integral points compare, mirror and bisect without
-``Fraction`` arithmetic.
+samples far points and reports monochromatic symmetric pairs.  Every
+rule colors a point given as integers: numerators z and one common
+denominator q > 0, the point z/q.  Each rule scales its own centers,
+levels and matrices to integers once, so the scan draws, mirrors and
+colors with no ``Fraction``; one is built only for a reported pair.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -51,10 +51,6 @@ def _as_coords(point, dim: int) -> tuple[int | Fraction, ...]:
     return cs
 
 
-def _integral(value: Fraction) -> int | Fraction:
-    return value.numerator if value.denominator == 1 else value
-
-
 @dataclass(frozen=True)
 class ColoringRule:
     """A total coloring of the points of dimension ``dim`` into colors
@@ -62,18 +58,23 @@ class ColoringRule:
 
     Calling the rule checks its point: a tuple, a rational or a lattice
     point of the stated dimension whose coordinates are each an ``int``
-    or a ``Fraction``.  ``evaluate`` is the trusted entry: it takes such
-    a coordinate tuple as given.  Rules built from other rules, and the
-    scan, call ``evaluate`` on values they have checked or built, so a
-    point is checked once however deep the rules nest."""
+    or a ``Fraction``; the call scales it by the lcm q of its
+    denominators.  ``evaluate(z, q)`` is the trusted entry: it takes
+    ``dim`` integer numerators z and a denominator q > 0 as given, the
+    point z/q, and its color must not depend on which q represents the
+    point.  Rules built from other rules, and the scan, call
+    ``evaluate`` on values they have checked or built, so a point is
+    checked once however deep the rules nest."""
 
     dim: int
     color_count: int
-    evaluate: Callable[[tuple], int]
+    evaluate: Callable[[Sequence[int], int], int]
     label: str = ""
 
     def __call__(self, point) -> int:
-        return self.evaluate(_as_coords(point, self.dim))
+        cs = _as_coords(point, self.dim)
+        q = lcm(*(v.denominator for v in cs))
+        return self.evaluate([v.numerator * (q // v.denominator) for v in cs], q)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,11 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
     share an index, so no pair {x, -x} with x != 0 is monochromatic.
 
     The argmin runs on integers.  The inverse of the vertex matrix is
-    scaled once by the lcm L of its denominators, and each point x by
-    the lcm q of its own, z = q*x; then row i of the scaled inverse
-    times (z, q) is L*q times the i-th barycentric coordinate.  As
-    L*q > 0, the minimum and every tie sit at the same indices as in
-    the rational vector, so the colors are exactly the rational ones.
+    scaled once by the lcm L of its denominators; for the point z/q,
+    row i of the scaled inverse times (z, q) is L*q times the i-th
+    barycentric coordinate.  As L*q > 0, the minimum and every tie sit
+    at the same indices as in the rational vector, so the colors are
+    exactly the rational ones.
     """
     d = spec.dim
     matrix = [
@@ -139,13 +140,11 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
     matrix.append([Fraction(1)] * (d + 1))
     _, rows = clear_denominators(matrix_inverse(matrix))
 
-    def evaluate(cs: tuple) -> int:
-        q = lcm(*(v.denominator for v in cs))
-        z = [v.numerator * (q // v.denominator) for v in cs]
+    def evaluate(z: Sequence[int], q: int) -> int:
         if not any(z):
             return 0
-        z.append(q)
-        bary = [sum(map(mul, row, z)) for row in rows]
+        zq = (*z, q)
+        bary = [sum(map(mul, row, zq)) for row in rows]
         return bary.index(min(bary))
 
     return ColoringRule(
@@ -156,14 +155,16 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
 def halfspace_coloring(center) -> ColoringRule:
     """Two colors split by the sign of the first nonzero coordinate of
     x - center; the center itself gets 0.  No pair {x, 2c - x} with
-    x != c is monochromatic."""
+    x != c is monochromatic.  With the center scaled once, B = D*c, the
+    sign of z_i/q - c_i is that of z_i*D - q*B_i."""
     c = as_point(center)
-    base = tuple(_integral(v) for v in c.coords)
+    scale, (base,) = clear_denominators([c.coords])
 
-    def evaluate(cs: tuple) -> int:
-        for value, b in zip(cs, base):
-            if value != b:
-                return 1 if value > b else 0
+    def evaluate(z: Sequence[int], q: int) -> int:
+        for value, b in zip(z, base):
+            diff = value * scale - q * b
+            if diff:
+                return 1 if diff > 0 else 0
         return 0
 
     return ColoringRule(
@@ -182,10 +183,9 @@ def pair_coloring(a, b) -> ColoringRule:
     1 so that only x = a and x = b themselves collide.
 
     The rule runs on integers.  a and b are scaled once by the lcm L of
-    their denominators, A = L*a and U = L*(b - a), and each point x by
-    the lcm q of its own, z = q*x.  Then w = L*z - q*A is q*L*(x - a),
-    sigma = N / (q*U.U) with N = w.U, and q*L*y = w - sigma*q*U, whose
-    signs are those of y.
+    their denominators, A = L*a and U = L*(b - a).  For the point
+    x = z/q, w = L*z - q*A is q*L*(x - a), sigma = N / (q*U.U) with
+    N = w.U, and q*L*y = w - sigma*q*U, whose signs are those of y.
     """
     pa = as_point(a)
     pb = as_point(b)
@@ -197,12 +197,8 @@ def pair_coloring(a, b) -> ColoringRule:
     u = [q - p for p, q in zip(ai, bi)]
     uu = sum(map(mul, u, u))
 
-    def evaluate(cs: tuple) -> int:
-        q = lcm(*(v.denominator for v in cs))
-        w = [
-            scale * v.numerator * (q // v.denominator) - q * p
-            for v, p in zip(cs, ai)
-        ]
+    def evaluate(z: Sequence[int], q: int) -> int:
+        w = [scale * v - q * p for v, p in zip(z, ai)]
         sigma, rest = divmod(sum(map(mul, w, u)), q * uu)
         if rest:
             return 1 if sigma % 2 == 0 else 0
@@ -232,22 +228,37 @@ def _lift(
     ``levels`` takes that level's coloring of x; any other point takes
     the constant ``band[i]``, i the number of thresholds below s.
     Every threshold is a pinned level, so each band is an open interval.
-    """
 
-    def evaluate(cs: tuple) -> int:
-        s = cs[-1] * scale
-        level = levels.get(s)
-        if level is None:
-            return band[bisect_left(thresholds, s)]
-        return level(cs[:-1])
+    The table runs on integers.  Keys and thresholds are scaled once by
+    the lcm M of their denominators, and M*scale = S/S' in lowest
+    terms.  For the point (z, q), one divmod of z[-1]*S by q*S' gives
+    M*s as a quotient and a remainder.  An exact quotient is looked up
+    among the scaled keys; otherwise M*s lies strictly between the
+    quotient and the next integer, so the thresholds below it are those
+    at most the quotient.
+    """
+    unit = lcm(*(s.denominator for s in levels))
+    table = {int(s * unit): level for s, level in levels.items()}
+    cuts = tuple(int(s * unit) for s in thresholds)
+    scale *= unit
+    num, den = scale.numerator, scale.denominator
+
+    def evaluate(z: Sequence[int], q: int) -> int:
+        s, rest = divmod(z[-1] * num, q * den)
+        if not rest:
+            level = table.get(s)
+            if level is not None:
+                return level(z[:-1], q)
+        return band[bisect_right(cuts, s)]
 
     return ColoringRule(
         dim=base.dim + 1, color_count=base.color_count, evaluate=evaluate, label=label
     )
 
 
-def _mirror(center: tuple, x: tuple) -> tuple:
-    return tuple(2 * c - v for c, v in zip(center, x))
+def _mirror(center: Sequence[int], scale: int, z: Sequence[int], q: int) -> tuple:
+    """The point 2c - z/q, c = center/scale, as numerators and denominator."""
+    return [2 * c * q - scale * v for c, v in zip(center, z)], scale * q
 
 
 def plus0_extension(base: ColoringRule) -> ColoringRule:
@@ -275,10 +286,11 @@ def plus1_extension(
         aux2 = halfspace_coloring(RationalPoint((0,) * base.dim))
     if aux2.color_count != 2 or aux2.dim != base.dim:
         raise ValueError("aux2 must be a 2-coloring of the base space")
+    chi0 = base.evaluate
     levels = {
-        0: base.evaluate,
+        0: chi0,
         1: aux2.evaluate,
-        2: lambda x: min({0, 1} - {base.evaluate(tuple(-v for v in x))}),
+        2: lambda z, q: min({0, 1} - {chi0([-v for v in z], q)}),
     }
     return _lift(base, f"plus1[{base.label}]", 1, levels, (0, 1), (2, 1, 0))
 
@@ -296,7 +308,8 @@ def plus2_extension(
     2b - x through the centers' base points a and b.  All four cases,
     v = 1 among them, are written in X itself, with no translation.
     Every other level takes the color of its band: 3 below level 0,
-    then 0 up to v, 1 up to w, and 2 above w.
+    then 0 up to v, 1 up to w, and 2 above w.  a and b are scaled once
+    to integers, so every mirror is taken on integers.
 
     ``auxes`` may supply the two-colorings the construction consumes:
     key "pair" (both centers at one level) or keys "a" and "b" (one
@@ -316,28 +329,30 @@ def plus2_extension(
     pts.sort(key=lambda p: p.coords[-1])
     if pts[0] == pts[1]:
         raise ValueError("added points must be distinct")
-    a = tuple(_integral(v) for v in pts[0].coords[:-1])
-    b = tuple(_integral(v) for v in pts[1].coords[:-1])
+    a = pts[0].coords[:-1]
+    b = pts[1].coords[:-1]
     level_a = pts[0].coords[-1]
     level_b = pts[1].coords[-1]
+    unit, (ai, bi) = clear_denominators([a, b])
+    mirror_a, mirror_b = partial(_mirror, ai, unit), partial(_mirror, bi, unit)
     auxes = auxes or {}
     chi0 = base.evaluate
     band = (3, 0, 1, 2)
 
     if level_a == level_b:
-        scale, v, w = _integral(1 / level_a), 1, 1
+        scale, v, w = 1 / level_a, 1, 1
         pair = auxes.get("pair") or pair_coloring(a, b)
         if pair.color_count != 2 or pair.dim != base.dim:
             raise ValueError("pair witness must be a 2-coloring of X")
         levels = {
             0: chi0,
             1: pair.evaluate,
-            2: lambda x: min({0, 1, 2} - {chi0(_mirror(a, x)), chi0(_mirror(b, x))}),
+            2: lambda z, q: min({0, 1, 2} - {chi0(*mirror_a(z, q)), chi0(*mirror_b(z, q))}),
         }
         case = "levels-equal"
     else:
         scale = 1 / (level_b - level_a)
-        scale, v = _integral(scale), _integral(level_a * scale)
+        v = level_a * scale
         w = v + 1
         aux_a = auxes.get("a") or halfspace_coloring(a)
         aux_b = auxes.get("b") or halfspace_coloring(b)
@@ -345,11 +360,13 @@ def plus2_extension(
             if aux.color_count != 2 or aux.dim != base.dim:
                 raise ValueError("center witnesses must be 2-colorings of X")
         if v == 1:
+            # 2(a - b) + x, scaled like the mirrors
+            step = [2 * (p - r) for p, r in zip(ai, bi)]
 
-            def chi2(x: tuple) -> int:
-                behind = chi0(_mirror(a, x))
-                ahead = chi0(tuple(2 * (p - q) + r for p, q, r in zip(a, b, x)))
-                fx, fnx = aux_b.evaluate(x), aux_b.evaluate(_mirror(b, x))
+            def chi2(z: Sequence[int], q: int) -> int:
+                behind = chi0(*mirror_a(z, q))
+                ahead = chi0([t * q + unit * r for t, r in zip(step, z)], unit * q)
+                fx, fnx = aux_b.evaluate(z, q), aux_b.evaluate(*mirror_b(z, q))
                 if fx == fnx:
                     return min({0, 1, 2} - {ahead, behind})
                 if behind != fx:
@@ -362,20 +379,20 @@ def plus2_extension(
                 0: chi0,
                 1: aux_a.evaluate,
                 2: chi2,
-                3: lambda x: 1 - aux_a.evaluate(_mirror(b, x)),
-                4: lambda x: min({0, 1} - {chi0(_mirror(b, x))}),
+                3: lambda z, q: 1 - aux_a.evaluate(*mirror_b(z, q)),
+                4: lambda z, q: min({0, 1} - {chi0(*mirror_b(z, q))}),
             }
             case = "v=1,w=2"
         elif v == 2:
             levels = {
                 0: chi0,
-                1: lambda x: 1 - aux_b.evaluate(_mirror(a, x)),
+                1: lambda z, q: 1 - aux_b.evaluate(*mirror_a(z, q)),
                 2: aux_a.evaluate,
                 3: aux_b.evaluate,
-                4: lambda x: min(
-                    {0, 1, 2} - {chi0(_mirror(a, x)), aux_a.evaluate(_mirror(b, x))}
+                4: lambda z, q: min(
+                    {0, 1, 2} - {chi0(*mirror_a(z, q)), aux_a.evaluate(*mirror_b(z, q))}
                 ),
-                6: lambda x: min({0, 1} - {chi0(_mirror(b, x))}),
+                6: lambda z, q: min({0, 1} - {chi0(*mirror_b(z, q))}),
             }
             case = "v=2,w=3"
         else:
@@ -383,9 +400,9 @@ def plus2_extension(
             levels = {
                 0: chi0,
                 v: aux_a.evaluate,
-                w: lambda x: 1 + aux_b.evaluate(x),
-                2 * v: lambda x: min({0, 1, 2} - {chi0(_mirror(a, x)), band_at_two}),
-                2 * w: lambda x: min({0, 1} - {chi0(_mirror(b, x))}),
+                w: lambda z, q: 1 + aux_b.evaluate(z, q),
+                2 * v: lambda z, q: min({0, 1, 2} - {chi0(*mirror_a(z, q)), band_at_two}),
+                2 * w: lambda z, q: min({0, 1} - {chi0(*mirror_b(z, q))}),
             }
             case = "generic-v"
 
@@ -395,19 +412,15 @@ def plus2_extension(
 
 
 def _scan_coordinate(rng: random.Random) -> tuple[int, int]:
-    """A sampled coordinate as a reduced pair (numerator, denominator)."""
+    """A sampled coordinate as a pair (numerator, denominator > 0)."""
     numerator = rng.randint(-100, 100)
     if rng.random() < 0.5:
         return numerator, 1
-    denominator = rng.randint(1, 10)
-    common = gcd(numerator, denominator)
-    return numerator // common, denominator // common
+    return numerator, rng.randint(1, 10)
 
 
-def _rational(numerator: int, denominator: int) -> int | Fraction:
-    """numerator / denominator, an ``int`` when it is integral."""
-    whole, rest = divmod(numerator, denominator)
-    return Fraction(numerator, denominator) if rest else whole
+def _point_json(z: Sequence[int], q: int) -> list[str]:
+    return [str(Fraction(v, q)) for v in z]
 
 
 def symmetric_pair_scan(
@@ -428,13 +441,13 @@ def symmetric_pair_scan(
 
     The scan runs on integers.  The centers and the radius are scaled
     once by the lcm D of their denominators, C = D*c and R = D*r, and
-    each sampled coordinate is a reduced pair (n, d).  The far test
-    |n/d - c| > r is |n*D - C*d| > R*d, and the mirror 2c - n/d is
-    (2*C*d - n*D) / (D*d).  A coordinate reaches the rule as an ``int``
-    when it is integral and as a ``Fraction`` otherwise; the report
-    prints both alike.  The radius, like a coordinate, must be an
-    ``int`` or a ``Fraction``; anything else, a float or a bool among
-    them, raises ValueError.
+    each sampled coordinate is a pair (n, d).  The far test
+    |n/d - c| > r is |n*D - C*d| > R*d.  x reaches the rule as (z, q),
+    q the lcm of the d and z = n*(q/d), and the mirror 2c - x as
+    (2*C*q - D*z, D*q).  A ``Fraction`` is built only to print a
+    violation.  The radius, like a coordinate, must be an ``int`` or a
+    ``Fraction``; anything else, a float or a bool among them, raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -460,17 +473,16 @@ def symmetric_pair_scan(
                 break
         else:
             raise ValueError("inner radius leaves no room to sample")
-        point = tuple(n if d == 1 else Fraction(n, d) for n, d in x)
-        color = rule.evaluate(point)
+        q = lcm(*(d for _, d in x))
+        z = [n * (q // d) for n, d in x]
+        color = rule.evaluate(z, q)
         for c in scaled:
-            mirrored = tuple(
-                _rational(2 * w * d - n * scale, scale * d) for (n, d), w in zip(x, c)
-            )
-            if rule.evaluate(mirrored) == color:
+            mirrored, mirror_q = _mirror(c, scale, z, q)
+            if rule.evaluate(mirrored, mirror_q) == color:
                 violations.append(
                     {
-                        "x": point_to_json(RationalPoint(point)),
-                        "mirror": point_to_json(RationalPoint(mirrored)),
+                        "x": _point_json(z, q),
+                        "mirror": _point_json(mirrored, mirror_q),
                         "color": color,
                     }
                 )

@@ -267,11 +267,15 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     out: list[SigmaZeroSet] = []
     for axis in range(k + 1):
         for level in (0, 1):
-            facet = [(p, image) for p, image in profiled if p.coords[axis] == level]
+            # the facet's points filed by image once; a triple is three cells
+            cells: dict[tuple[int, int], list[LatticePoint]] = {}
+            for p, image in profiled:
+                if p.coords[axis] == level:
+                    cells.setdefault(image, []).append(p)
             for a in range(k):
                 for shape in (LShape.LOWER, LShape.UPPER):
                     triple = profile_triple(a, shape)
-                    pts = frozenset(p for p, image in facet if image in triple)
+                    pts = frozenset().union(*(cells.get(image, ()) for image in triple))
                     out.append(
                         SigmaZeroSet(
                             k=k,

@@ -165,7 +165,7 @@ class TestPlus0:
         assert rule((2, -1, F(1, 3))) == 1
 
     def test_needs_two_colors(self):
-        constant = ColoringRule(dim=2, color_count=1, evaluate=lambda p: 0)
+        constant = ColoringRule(dim=2, color_count=1, evaluate=lambda z, q: 0)
         with pytest.raises(ValueError):
             plus0_extension(constant)
 
@@ -269,8 +269,8 @@ class TestPlus2LevelsEqual:
     def test_custom_pair_witness_is_used(self):
         flagged = []
 
-        def spy(point):
-            flagged.append(point)
+        def spy(z, q):
+            flagged.append((z, q))
             return 0
 
         aux = ColoringRule(dim=3, color_count=2, evaluate=spy)
@@ -502,7 +502,7 @@ class TestPlus2Validation:
             plus2_extension(BASE3, [(1, 0, 0, 1), (1, 0, 0, 1)])
 
     def test_needs_matching_witnesses(self):
-        bad = ColoringRule(dim=2, color_count=2, evaluate=lambda p: 0)
+        bad = ColoringRule(dim=2, color_count=2, evaluate=lambda z, q: 0)
         with pytest.raises(ValueError):
             plus2_extension(
                 BASE3,
@@ -590,7 +590,7 @@ class TestScans:
         assert report["violations"] == []
 
     def test_scanner_catches_a_broken_rule(self):
-        constant = ColoringRule(dim=2, color_count=2, evaluate=lambda p: 1)
+        constant = ColoringRule(dim=2, color_count=2, evaluate=lambda z, q: 1)
         report = symmetric_pair_scan(
             constant, [(0, 0)], inner_radius=0, samples=50, seed=1
         )

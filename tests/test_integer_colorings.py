@@ -1,17 +1,20 @@
 """The integer colorings and scan against the rational ones they replaced.
 
-``cone_coloring`` takes its argmin over integers (the inverse scaled by
-the lcm of its denominators, each point by the lcm of its own),
-``pair_coloring`` takes its floor and signs over integers the same way,
-``halfspace_coloring`` compares against integral center coordinates
-held as ints, and ``symmetric_pair_scan`` draws, compares and mirrors
-over the common denominator of its centers and radius.  The code below
-is the earlier ``Fraction`` implementation, kept here only as a
-reference: barycentric coordinates as sums of ``Fraction`` products, a
-pair rule that projects with ``Fraction`` dot products, a halfspace
-rule on ``Fraction`` centers, and a scan that draws, compares and
-mirrors ``Fraction`` coordinates.  Every color must be equal to it, and
-every scan report must serialize to the same bytes, violations included.
+Every rule colors the integer point (z, q), the point z/q:
+``cone_coloring`` takes its argmin over the inverse scaled by the lcm
+of its denominators, ``pair_coloring`` takes its floor and signs over
+its scaled centers, ``halfspace_coloring`` compares against its scaled
+center, and ``symmetric_pair_scan`` draws, compares and mirrors over
+the common denominator of its centers and radius.  The code below is
+the earlier ``Fraction`` implementation, kept here only as a reference
+and turned into (z, q) rules by ``fraction_rule``: barycentric
+coordinates as sums of ``Fraction`` products, a pair rule that projects
+with ``Fraction`` dot products, a halfspace rule on ``Fraction``
+centers, and a scan that draws, compares and mirrors ``Fraction``
+coordinates and colors them through the checked entry.  Every color
+must be equal to it, and every scan report must serialize to the same
+bytes, violations included.  Every rule kind must also give one color
+to every (z, q) that represents one point.
 """
 import json
 import random
@@ -19,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 from math import floor
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +32,8 @@ from centerpole.colorings import (
     cone_coloring,
     halfspace_coloring,
     pair_coloring,
+    plus0_extension,
+    plus1_extension,
     plus2_extension,
     standard_simplex,
     symmetric_pair_scan,
@@ -37,7 +43,7 @@ from centerpole.geometry import (
     matrix_inverse,
     point_to_json,
 )
-from rational_reference import dot
+from rational_reference import dot, fraction_rule, scaled
 
 F = Fraction
 
@@ -64,11 +70,11 @@ def ref_cone_color(spec, point):
 
 
 def ref_cone_coloring(spec):
-    return ColoringRule(
-        dim=spec.dim,
-        color_count=spec.dim + 1,
-        evaluate=lambda point: ref_cone_color(spec, point),
-        label=f"cone(d={spec.dim})",
+    return fraction_rule(
+        spec.dim,
+        spec.dim + 1,
+        lambda point: ref_cone_color(spec, point),
+        f"cone(d={spec.dim})",
     )
 
 
@@ -88,7 +94,7 @@ def ref_pair_coloring(a, b):
                 return 1 if value > 0 else 0
         return 1 if sigma >= 1 else 0
 
-    return ColoringRule(dim=pa.dim, color_count=2, evaluate=evaluate, label="pair")
+    return fraction_rule(pa.dim, 2, evaluate, "pair")
 
 
 def ref_halfspace_coloring(center):
@@ -100,7 +106,7 @@ def ref_halfspace_coloring(center):
                 return 1 if value > base else 0
         return 0
 
-    return ColoringRule(dim=c.dim, color_count=2, evaluate=evaluate, label="halfspace")
+    return fraction_rule(c.dim, 2, evaluate, "halfspace")
 
 
 def ref_scan_coordinate(rng):
@@ -124,10 +130,10 @@ def ref_scan(rule, centers, inner_radius, samples, seed):
                 break
         else:
             raise ValueError("inner radius leaves no room to sample")
-        color = rule.evaluate(x)
+        color = rule(x)
         for c in cpts:
             mirrored = tuple(2 * c[i] - v for i, v in enumerate(x))
-            if rule.evaluate(mirrored) == color:
+            if rule(mirrored) == color:
                 violations.append(
                     {
                         "x": point_to_json(RationalPoint(x)),
@@ -154,7 +160,8 @@ def rationals(bound, max_denominator=12):
 
 
 def _mixed(values):
-    """Integral values as ints, the rest as Fractions: the scan's form."""
+    """Integral values as ints, the rest as Fractions, as a caller may
+    pass them to the checked entry."""
     return tuple(v.numerator if v.denominator == 1 else v for v in values)
 
 
@@ -244,7 +251,7 @@ class TestConeColors:
         spec, point = case
         rule = cone_coloring(spec)
         expected = ref_cone_color(spec, point)
-        assert rule.evaluate(point) == expected
+        assert rule.evaluate(*scaled(point)) == expected
         assert rule(RationalPoint(point)) == expected
 
     def test_every_tie_on_a_small_grid_of_boundary_points(self):
@@ -264,7 +271,7 @@ class TestConeColors:
                     if any(x):
                         bary = ref_barycentric(spec, x)
                         tied += bary.count(min(bary)) > 1
-                    assert rule.evaluate(_mixed(x)) == ref_cone_color(spec, x), (
+                    assert rule.evaluate(*scaled(x)) == ref_cone_color(spec, x), (
                         spec,
                         x,
                     )
@@ -275,7 +282,7 @@ class TestConeColors:
         for spec in [standard_simplex(3), FRACTIONAL_SIMPLICES[1]]:
             rule = cone_coloring(spec)
             for x in product((F(-1, 2), F(1, 3), F(2, 5), 0, 4), repeat=3):
-                assert rule.evaluate(x) == ref_cone_color(spec, x), x
+                assert rule.evaluate(*scaled(x)) == ref_cone_color(spec, x), x
 
 
 class TestPairColors:
@@ -284,8 +291,8 @@ class TestPairColors:
     def test_same_color_as_the_rational_projection(self, case):
         a, b, point = case
         rule = pair_coloring(a, b)
-        expected = ref_pair_coloring(a, b).evaluate(tuple(map(F, point)))
-        assert rule.evaluate(point) == expected
+        expected = ref_pair_coloring(a, b)(tuple(map(F, point)))
+        assert rule.evaluate(*scaled(point)) == expected
         assert rule(RationalPoint(point)) == expected
 
     def test_every_branch_on_a_grid_about_fractional_centers(self):
@@ -304,7 +311,7 @@ class TestPairColors:
             for sigma in (F(n, 2) for n in range(-6, 7)):
                 for t in (0, 1, F(-2, 3)):
                     x = tuple(p + sigma * v + t * e for p, v, e in zip(a, u, y))
-                    assert rule.evaluate(_mixed(x)) == ref.evaluate(x), (a, b, x)
+                    assert rule.evaluate(*scaled(x)) == ref(x), (a, b, x)
                     seen.add((sigma.denominator, t == 0, sigma >= 1))
         assert {(1, True, False), (1, True, True), (1, False, True), (2, True, False)} <= seen
 
@@ -317,7 +324,7 @@ class TestScanReports:
         return new
 
     def test_a_broken_rule_with_fractional_centers(self):
-        constant = ColoringRule(dim=3, color_count=2, evaluate=lambda p: 1)
+        constant = ColoringRule(dim=3, color_count=2, evaluate=lambda z, q: 1)
         centers = [(F(1, 2), 0, F(-7, 3)), (2, -1, 0)]
         for seed in range(3):
             report = self._assert_same_bytes(
@@ -385,8 +392,68 @@ class TestScanReports:
     def test_a_radius_that_leaves_only_the_ends_of_the_sampling_range(self):
         # |x - 1/2| > 197/2 holds for x < -98 or x > 99 only; x = -98 and
         # x = 99 sit on the bound and must be redrawn
-        constant = ColoringRule(dim=1, color_count=2, evaluate=lambda p: 0)
+        constant = ColoringRule(dim=1, color_count=2, evaluate=lambda z, q: 0)
         report = self._assert_same_bytes(
             constant, constant, [(F(1, 2),)], F(197, 2), 60, 4
         )
         assert {v["x"][0] for v in report["violations"]} >= {"-100", "100"}
+
+
+def _plus2_case(levels, a=(1, 0, 0), b=(0, 1, 0)):
+    """plus2 over the 3D cone with centers a and b at ``levels``, every
+    level it pins (0, 1, 2, 3, 4, 6, v, w, 2v and 2w rescaled) and a
+    band level on each side of each."""
+    low, high = (F(t) for t in levels)
+    unit = low if low == high else high - low
+    v = low / unit
+    pinned = [t * unit for t in (0, 1, 2, 3, 4, 6, v, v + 1, 2 * v, 2 * v + 2)]
+    near = [t + d * unit for t in pinned for d in (F(-1, 7), F(1, 3))]
+    added = [tuple(a) + (low,), tuple(b) + (high,)]
+    rule = plus2_extension(cone_coloring(standard_simplex(3)), added)
+    return rule, [*a, *b] + pinned + near
+
+
+def _contract_rules():
+    """Every rule kind with the coordinates worth drawing for it: its
+    centers' coordinates and its pinned levels, where colors tie or
+    switch."""
+    half, third = F(1, 2), F(-1, 3)
+    rules = {f"cone-{d}": (cone_coloring(standard_simplex(d)), [0]) for d in (1, 2, 3, 4)}
+    for i, spec in enumerate(FRACTIONAL_SIMPLICES):
+        rules[f"cone-fractional-{i}"] = (
+            cone_coloring(spec), [v for p in spec.vertices for v in p.coords]
+        )
+    rules["halfspace"] = (halfspace_coloring((half, third, 2)), [half, third, 2])
+    a, b = (half, third), (F(5, 2), F(2, 3))
+    rules["pair"] = (pair_coloring(a, b), [*a, *b, F(3, 2), F(1, 6)])
+    cone2 = cone_coloring(standard_simplex(2))
+    rules["plus0"] = (plus0_extension(cone2), [0, half])
+    rules["plus1"] = (plus1_extension(cone2, halfspace_coloring((half, 0))), [0, 1, 2, half])
+    for levels in [(1, 1), (1, 2), (2, 3), (3, 4)]:
+        rules[f"plus2-{levels[0]}-{levels[1]}"] = _plus2_case(levels)
+    # the scale is 1/3 and v = 1/2; then equal fractional levels
+    rules["plus2-3/2-9/2"] = _plus2_case((F(3, 2), F(9, 2)), (half, 0, 0), (0, third, 1))
+    rules["plus2-2/3-2/3"] = _plus2_case((F(2, 3), F(2, 3)), (half, 0, 0), (0, third, 1))
+    return rules
+
+
+CONTRACT_RULES = _contract_rules()
+
+
+class TestOneColorPerPoint:
+    """``evaluate(z, q)`` colors the point z/q: scaling z and q by one
+    factor m leaves the color alone, and it is the color the checked
+    entry gives the point in ``Fraction`` form."""
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_RULES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_representation_gets_one_color(self, name, data):
+        rule, special = CONTRACT_RULES[name]
+        coordinate = st.one_of(rationals(12, 8), st.sampled_from(special))
+        point = tuple(F(data.draw(coordinate)) for _ in range(rule.dim))
+        expected = rule(point)
+        z, q = scaled(point)
+        assert rule.evaluate(z, q) == expected
+        for m in range(2, 8):
+            assert rule.evaluate([m * v for v in z], m * q) == expected, (point, m)

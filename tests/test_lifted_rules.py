@@ -7,9 +7,11 @@ constant of its band.  The code below is the earlier implementation,
 kept here only as a reference: one ``evaluate`` closure per rule, a
 chain of level tests, the band coloring ``psi`` with closed ends, and
 the v = 1 case of ``plus2`` written in X translated so that the upper
-center's base point is the origin.  Every color must be equal to it:
-on pinned levels and on band points, at fractional levels, with custom
-witnesses and for lifts of lifts.
+center's base point is the origin.  Each closure colors a tuple of
+``Fraction`` coordinates, calls the rules it lifts through their
+checked entry, and is turned into a (z, q) rule by ``fraction_rule``.
+Every color must be equal to it: on pinned levels and on band points,
+at fractional levels, with custom witnesses and for lifts of lifts.
 """
 from fractions import Fraction
 from itertools import product
@@ -18,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole.colorings import (
-    ColoringRule,
     cone_coloring,
     halfspace_coloring,
     pair_coloring,
@@ -28,6 +29,7 @@ from centerpole.colorings import (
     standard_simplex,
 )
 from centerpole.geometry import RationalPoint
+from rational_reference import fraction_rule
 
 F = Fraction
 
@@ -52,24 +54,24 @@ def ref_plus0(base):
     def evaluate(point):
         x, t = ref_split_level(point)
         if t == 0:
-            return base.evaluate(x)
+            return base(x)
         return 0 if t < 0 else 1
 
-    return ColoringRule(
+    return fraction_rule(
         base.dim + 1, base.color_count, evaluate, f"plus0[{base.label}]"
     )
 
 
 def ref_plus1(base, aux2):
     def chi2(x):
-        return min({0, 1} - {base.evaluate(tuple(-v for v in x))})
+        return min({0, 1} - {base(tuple(-v for v in x))})
 
     def evaluate(point):
         x, t = ref_split_level(point)
         if t == 0:
-            return base.evaluate(x)
+            return base(x)
         if t == 1:
-            return aux2.evaluate(x)
+            return aux2(x)
         if t == 2:
             return chi2(x)
         if t < 0:
@@ -78,7 +80,7 @@ def ref_plus1(base, aux2):
             return 1
         return 0
 
-    return ColoringRule(
+    return fraction_rule(
         base.dim + 1, base.color_count, evaluate, f"plus1[{base.label}]"
     )
 
@@ -90,7 +92,7 @@ def ref_plus2(base, A, auxes=None):
     level_a = pts[0].coords[-1]
     level_b = pts[1].coords[-1]
     auxes = auxes or {}
-    chi0 = base.evaluate
+    chi0 = base
 
     def mirror(center, x):
         return tuple(2 * c - v for c, v in zip(center.coords, x))
@@ -108,7 +110,7 @@ def ref_plus2(base, A, auxes=None):
             if t == 0:
                 return chi0(x)
             if t == 1:
-                return pair.evaluate(x)
+                return pair(x)
             if t == 2:
                 return chi2(x)
             return ref_psi(t, Fraction(1), Fraction(1))
@@ -128,10 +130,10 @@ def ref_plus2(base, A, auxes=None):
                 return chi0(tuple(p + q for p, q in zip(y, shift)))
 
             def chi1(y):
-                return aux_a.evaluate(tuple(p + q for p, q in zip(y, shift)))
+                return aux_a(tuple(p + q for p, q in zip(y, shift)))
 
             def phi(y):
-                return aux_b.evaluate(tuple(p + q for p, q in zip(y, shift)))
+                return aux_b(tuple(p + q for p, q in zip(y, shift)))
 
             def chi2(y):
                 neg = tuple(-p for p in y)
@@ -173,14 +175,14 @@ def ref_plus2(base, A, auxes=None):
                 if t == 0:
                     return chi0(x)
                 if t == 1:
-                    return 1 - aux_b.evaluate(mirror(a, x))
+                    return 1 - aux_b(mirror(a, x))
                 if t == 2:
-                    return aux_a.evaluate(x)
+                    return aux_a(x)
                 if t == 3:
-                    return aux_b.evaluate(x)
+                    return aux_b(x)
                 if t == 4:
                     return min(
-                        {0, 1, 2} - {chi0(mirror(a, x)), aux_a.evaluate(mirror(b, x))}
+                        {0, 1, 2} - {chi0(mirror(a, x)), aux_a(mirror(b, x))}
                     )
                 if t == 6:
                     return min({0, 1} - {chi0(mirror(b, x))})
@@ -196,9 +198,9 @@ def ref_plus2(base, A, auxes=None):
                 if t == 0:
                     return chi0(x)
                 if t == v:
-                    return aux_a.evaluate(x)
+                    return aux_a(x)
                 if t == w:
-                    return 1 + aux_b.evaluate(x)
+                    return 1 + aux_b(x)
                 if t == 2 * v:
                     return min({0, 1, 2} - {chi0(mirror(a, x)), band_at_two})
                 if t == 2 * w:
@@ -207,7 +209,7 @@ def ref_plus2(base, A, auxes=None):
 
             case = "generic-v"
 
-    return ColoringRule(
+    return fraction_rule(
         base.dim + 1, base.color_count, evaluate, f"plus2[{base.label};{case}]"
     )
 
