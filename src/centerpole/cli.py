@@ -67,10 +67,19 @@ MAX_COVER_K = 10
 # (about 7e10 at C = 2^12 in dim 4), so the cost depends on the points.
 # Measured worst cases on a 2-core Xeon: over seeds 1-100, the 19 draws
 # of random.Random(seed) from {-1,0,1}^4 (C(19, 4) = 3876 candidates
-# at most) are decided in at most 0.25 s (seeds 55 and 1, not T-shaped),
-# and those from [-2,2]^4 in at most 0.4 s (seeds 50 and 91, not
-# T-shaped).
+# at most) are decided in at most 0.12 s (seeds 55 and 1, not T-shaped),
+# and those from [-2,2]^4 in at most 0.3 s (not T-shaped).
 MAX_TSHAPE_CANDIDATES = 2**12
+
+# The largest dimension of a tshape points file.  The candidate bound
+# does not bound the elimination: it admits d + 2 points in every
+# dimension d up to 89, and the kernel updates of the spanned-hyperplane
+# walk grow with d.  On a 2-core Xeon, random points
+# with numerators in [-100, 100] and denominators 1-10 take 0.01 s for
+# n = d = 20, and 1.5-1.8 s for n = 23, the most the candidate bound
+# admits in dimension 20; in dimension 24, n = 27 takes about 5 s.  A
+# file above the limit is refused before any elimination.
+MAX_TSHAPE_DIM = 20
 
 # The largest dimension of a built rule: the dimension of its base rule
 # (a cone's ``dim``, or its count of ``vertices`` minus one, or the length
@@ -273,6 +282,11 @@ def cmd_tshape(
     points = [point_from_json(row) for row in rows]
     if trials > 0 and bound_dim is None and not points:
         raise ValueError("--trials on an empty points file needs --bound-dim")
+    if points and points[0].dim > MAX_TSHAPE_DIM:
+        raise ValueError(
+            f"points of dimension {points[0].dim} are above the limit of "
+            f"{MAX_TSHAPE_DIM}"
+        )
     if points and comb(len(points), points[0].dim) > MAX_TSHAPE_CANDIDATES:
         raise ValueError(
             f"{len(points)} points in dimension {points[0].dim} span more "

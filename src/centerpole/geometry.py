@@ -11,9 +11,13 @@ affine structure) and reduced by one fraction-free Bareiss elimination,
 which gives rank, kernel vectors and inverses.  Internally a hyperplane
 of integer points is a primitive integer normal (gcd 1, first nonzero
 entry positive) with an integer offset.  Spanned hyperplanes are
-enumerated by their first d-1 points: one elimination per such prefix
-gives two kernel vectors, and each later point's hyperplane normal is
-a combination of them with two dot products as coefficients.
+enumerated by walking their first d-1 points depth-first and updating
+the prefix's kernel basis one point at a time, a Bareiss step whose
+division by the previous pivot keeps the entries small; no prefix is
+eliminated from scratch.  Each later point's hyperplane normal is a
+combination of the last two kernel vectors with two dot products as
+coefficients, and each hyperplane comes with the bitmask of the points
+on it: the union of the d-subsets that span it.
 
 Rational inputs are checked once, where they enter: the ``RationalPoint``
 and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -301,71 +304,122 @@ def in_general_position(hyperplanes: Sequence[Hyperplane]) -> bool:
 
 def integer_spanned_hyperplanes(
     points: Sequence[Sequence[int]],
-) -> list[tuple[tuple[int, ...], int]]:
+) -> list[tuple[tuple[int, ...], int, int]]:
     """Every hyperplane through d affinely independent points of a set
-    of integer points in Z^d, as ``(normal, offset)`` with a primitive
-    normal, deduplicated.
+    of integer points in Z^d, as ``(normal, offset, on)`` with a
+    primitive normal, deduplicated.  ``on`` is the bitmask of the
+    indices of the points on the hyperplane.
 
-    The d-subsets are taken in groups that share their first d-1 points
-    (the prefix), so each group costs one elimination.  The prefix's
-    difference rows from its first point ``base`` are reduced once; if
-    their rank is below d-2, every d-subset through the prefix is
-    affinely dependent and the group spans nothing.  Otherwise the rows
-    have a 2-dimensional kernel with integer basis ``u``, ``w``, and for
-    a later point q with ``r = q - base`` the vector
+    The d-subsets are walked depth-first by their first d-1 points (the
+    prefix), one point at a time, keeping an integer basis of the kernel
+    of the prefix's difference rows from its first point ``base``.  With
+    no rows the basis is the d unit vectors.  Adding a point with
+    ``r = q - base`` and ``c = K . r`` takes a pivot t with ``c_t != 0``
+    and gives the basis ``(c_t K_i - c_i K_t) // prev`` for i != t,
+    where ``prev`` is the previous pivot.  This is one step of
+    fraction-free elimination (Bareiss 1968): every entry is a minor of
+    the rows, and the division is exact by Sylvester's identity.
+    Without it the entries would double in length at every level.  If
+    ``c = 0``, r lies in the span of the rows, every subset through
+    the prefix is affinely dependent, and the subtree is cut.
+
+    A prefix of d-1 independent points leaves a 2-dimensional kernel
+    with basis u, w.  For a later point q, the vector
     ``(w.r) u - (u.r) w`` lies in that kernel, so it is orthogonal to
     the prefix rows, and its dot product with r is
     ``(w.r)(u.r) - (u.r)(w.r) = 0``: it is a normal of the hyperplane
     through the prefix and q.  It is zero exactly when ``u.r = w.r = 0``
-    (u and w are independent), that is when r is orthogonal to the
-    kernel and so lies in the span of the prefix rows: q is then in the
-    prefix's affine hull and the d points are dependent.  For d = 2 the
-    prefix has no rows and u, w are the unit vectors.
+    (u and w are independent), that is when q is in the prefix's affine
+    hull and the d points are dependent.
+
+    ``on`` is the union of the d-subsets that span the hyperplane H, and
+    that is every input point on H: a point p on H is affinely
+    independent by itself, so it extends to d affinely independent
+    points of the input on H (H is spanned, so these points have H as
+    their affine hull), and the walk visits every independent d-subset.
 
     The order is that of ``Hyperplane.sort_key``, which no common
     positive scaling of the points changes.  It is sorted on integers:
-    each key is the canonical one (normal and offset divided by the lead
-    entry) times ``Q``, the lcm of all leads, so it is an integer tuple
-    in the same order.
+    each entry x = v / lead of the canonical key (normal and offset
+    divided by the lead entry) becomes ``floor(x * 2^K)``, with 2^K above
+    the square of every lead.  Two canonical entries that differ, differ
+    by at least 1 / (lead * lead') > 2^-K, so their floors differ in the
+    same direction and the integer keys sort in the same order.  Unlike
+    a common multiple of all leads, 2K grows only with the largest
+    lead, not with the number of hyperplanes.
     """
-    d = len(points[0])
+    n, d = len(points), len(points[0])
+    found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
+    # (base, index of the prefix's last point, prefix mask, kernel, pivot)
+    stack: list[tuple[Sequence[int], int, int, list[list[int]], int]] = []
     if d == 1:
-        found = {((1,), p[0]) for p in points}
+        for i, p in enumerate(points):
+            key = ((1,), p[0])
+            found[key] = found.get(key, 0) | 1 << i
+    elif d == 2:
+        stack = [(p, i, 1 << i, [[1, 0], [0, 1]], 1) for i, p in enumerate(points)]
     else:
-        found = set()
-        for prefix in combinations(range(len(points) - 1), d - 1):
-            base = points[prefix[0]]
-            rows = _differences([points[i] for i in prefix])
-            rank, pivots, p = _bareiss(rows)
-            if rank < d - 2:
-                continue
-            u, w = (
-                _kernel_vector(rows, pivots, p, d, free)
-                for free in _free_columns(pivots, d)
-            )
-            # u.r = u.q - u.base, and the offset of the normal is its dot
-            # product with base: (w.r) u.base - (u.r) w.base
-            ub = sum(map(mul, u, base))
-            wb = sum(map(mul, w, base))
-            for q in points[prefix[-1] + 1 :]:
-                a = sum(map(mul, u, q)) - ub
-                b = sum(map(mul, w, q)) - wb
-                if not (a or b):
+        for i in range(n - d + 1):
+            base = points[i]
+            for j in range(i + 1, n - d + 2):
+                r = [x - y for x, y in zip(points[j], base)]
+                t = next((k for k, v in enumerate(r) if v), None)
+                if t is None:
                     continue
-                normal = [b * x - a * y for x, y in zip(u, w)]
-                g = gcd(*normal)
-                if next(v for v in normal if v) < 0:
-                    g = -g
-                found.add((tuple(v // g for v in normal), (b * ub - a * wb) // g))
-    leads = {h: next(v for v in h[0] if v) for h in found}
-    lead_lcm = lcm(*leads.values())
-    return sorted(
-        found,
-        key=lambda h: (
-            tuple(v * (lead_lcm // leads[h]) for v in h[0]),
-            h[1] * (lead_lcm // leads[h]),
-        ),
-    )
+                # r_t e_k - r_k e_t for k != t: one step from the unit vectors
+                kernel = []
+                for k in range(d):
+                    if k != t:
+                        vec = [0] * d
+                        vec[k], vec[t] = r[t], -r[k]
+                        kernel.append(vec)
+                stack.append((base, j, 1 << i | 1 << j, kernel, r[t]))
+    while stack:
+        base, last, bits, kernel, prev = stack.pop()
+        kb = [sum(map(mul, k, base)) for k in kernel]
+        if len(kernel) > 2:
+            # a k-point prefix has a kernel of d-k+1 vectors; its next
+            # point j leaves room for the d-k-1 points of the d-subset
+            # after it
+            for j in range(last + 1, n - len(kernel) + 2):
+                q = points[j]
+                c = [sum(map(mul, k, q)) - b for k, b in zip(kernel, kb)]
+                t = next((i for i, v in enumerate(c) if v), None)
+                if t is None:
+                    continue
+                ct, kt = c[t], kernel[t]
+                reduced = [
+                    [(ct * x - ci * y) // prev for x, y in zip(k, kt)]
+                    for i, (k, ci) in enumerate(zip(kernel, c))
+                    if i != t
+                ]
+                stack.append((base, j, bits | 1 << j, reduced, ct))
+            continue
+        (u, w), (ub, wb) = kernel, kb
+        for j in range(last + 1, n):
+            q = points[j]
+            a = sum(map(mul, u, q)) - ub
+            b = sum(map(mul, w, q)) - wb
+            if not (a or b):
+                continue
+            normal = [b * x - a * y for x, y in zip(u, w)]
+            g = gcd(*normal)
+            if next(filter(None, normal)) < 0:
+                g = -g
+            # the offset is the normal's dot product with base
+            key = (tuple([v // g for v in normal]), (b * ub - a * wb) // g)
+            found[key] = found.get(key, 0) | bits | 1 << j
+    leads = {h: next(filter(None, h[0])) for h in found}
+    shift = 2 * max(leads.values(), default=0).bit_length()
+
+    def sort_key(h: tuple[tuple[int, ...], int]) -> tuple[list[int], int]:
+        lead = leads[h]
+        return [(v << shift) // lead for v in h[0]], (h[1] << shift) // lead
+
+    return [
+        (normal, offset, found[normal, offset])
+        for normal, offset in sorted(found, key=sort_key)
+    ]
 
 
 def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:

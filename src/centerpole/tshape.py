@@ -11,15 +11,17 @@ working assumption, cross-checked against every configuration with a
 known answer.
 
 The search runs on integers: the points are scaled once by the lcm of
-their denominators, candidates are primitive integer hyperplanes, and
-every incidence and side test is a sign of a stored integer.  Each
-candidate is tested by cost: the cover and separation tests are mask
-operations and run first, the exact rank test runs last, and at the last
-level of the cover a candidate that cannot cover the whole residual is
-skipped before either of the last two.  Only the hyperplanes of a found cover become
-``Hyperplane`` objects, and the certificate is re-verified on the exact
-rational predicates (``side_of``, ``separates``), which share nothing
-with the search's masks.
+their denominators, and candidates are primitive integer hyperplanes
+with the mask of their incident points from the enumeration.  The
+points on each side of a candidate are masked the first time the search
+asks for them.  Each candidate is tested by cost: the cover and
+separation tests are mask operations and run first, the exact rank test
+runs last, and at the last level of the cover only the candidates
+through the residual's lowest point are scanned, and only one that
+covers the whole residual is tested for rank.  Only the hyperplanes of
+a found cover become ``Hyperplane`` objects, and the certificate is
+re-verified on the exact rational predicates (``side_of``,
+``separates``), which share nothing with the search's masks.
 """
 from __future__ import annotations
 
@@ -176,10 +178,12 @@ def _search_cover(
 
     ``scaled`` holds the points times ``scale``, the lcm of their
     denominators.  Each candidate is a primitive integer hyperplane
-    ``n . x = off`` of the scaled points; ``n . p - off`` is computed
-    once per (candidate, point), and its signs are kept as bitmasks of
-    point indices.  So the cover test and the separation test are mask
-    operations.
+    ``n . x = off`` of the scaled points with the bitmask ``on`` of the
+    points on it, as the enumeration returns it.  The points strictly on
+    each side are kept as bitmasks too, computed from the signs of
+    ``n . p - off`` the first time the candidate reaches the separation
+    test; most candidates never do.  So the cover test and the
+    separation test are mask operations.
 
     A candidate must cover at least one still-uncovered point (a cover
     with an idle hyperplane stays valid after dropping it, so this
@@ -189,29 +193,27 @@ def _search_cover(
     operations, the rank test is an elimination.  Each test only skips
     a candidate, so the order changes neither which candidates are
     accepted nor the order they are tried in.  When one hyperplane is
-    left in the budget, a candidate that does not cover the whole
-    residual is skipped outright: its child would find points left and
-    no budget, and return None before it reads or writes the memo, so
-    no cover and no memo entry is lost.  Dead (residual, normal-set)
-    states are memoized; a branch is also cut when the residual exceeds
-    what the remaining budget can cover.
+    left in the budget, only a candidate that covers the whole residual
+    can finish the cover: any other child would find points left and no
+    budget, and return None before it reads or writes the memo.  So the
+    last level scans only the candidates through the residual's lowest
+    point, and runs no separation test, which a hyperplane holding the
+    whole residual cannot fail.  Dead (residual, normal-set) states are
+    memoized; a branch is also cut when the residual exceeds what the
+    remaining budget can cover.
     """
     budget = len(scaled[0]) - 1
-    # (normal, offset, on, positive, negative): the last three are masks
-    candidates: list[tuple[tuple[int, ...], int, int, int, int]] = []
-    for normal, offset in spanned_hyperplanes(scaled):
-        on = positive = negative = 0
-        for i, p in enumerate(scaled):
-            value = sum(map(mul, normal, p)) - offset
-            if value > 0:
-                positive |= 1 << i
-            elif value < 0:
-                negative |= 1 << i
-            else:
-                on |= 1 << i
-        candidates.append((normal, offset, on, positive, negative))
-    max_cover = max(c[2].bit_count() for c in candidates)
+    candidates = spanned_hyperplanes(scaled)
+    max_cover = max(on.bit_count() for _, _, on in candidates)
+    everything = (1 << len(points)) - 1
+    # (positive, negative) masks of each candidate, once it is tested
+    sides: list[tuple[int, int] | None] = [None] * len(candidates)
+    # the indices of the candidates through each point, once asked for
+    through: list[list[int] | None] = [None] * len(points)
     dead: set[tuple[int, frozenset[tuple[int, ...]]]] = set()
+
+    def independent(normals: list[tuple[int, ...]], normal: tuple[int, ...]) -> bool:
+        return not normals or matrix_rank(normals + [normal]) == len(normals) + 1
 
     def extend(residual: int, chosen: list[tuple]) -> list[tuple] | None:
         if not residual:
@@ -223,15 +225,30 @@ def _search_cover(
         key = (residual, frozenset(normals))
         if key in dead:
             return None
-        for cand in candidates:
-            normal, _, on, positive, negative = cand
+        if remaining == 1:
+            low = (residual & -residual).bit_length() - 1
+            if through[low] is None:
+                through[low] = [k for k, c in enumerate(candidates) if c[2] >> low & 1]
+            for k in through[low]:
+                cand = candidates[k]
+                if not residual & ~cand[2] and independent(normals, cand[0]):
+                    return chosen + [cand]
+            dead.add(key)
+            return None
+        for k, cand in enumerate(candidates):
+            normal, offset, on = cand
             if not on & residual:
                 continue
-            if remaining == 1 and residual & ~on:
-                continue
+            if sides[k] is None:
+                positive = 0
+                for i, p in enumerate(scaled):
+                    if not on >> i & 1 and sum(map(mul, normal, p)) > offset:
+                        positive |= 1 << i
+                sides[k] = positive, everything & ~(on | positive)
+            positive, negative = sides[k]
             if positive & residual and negative & residual:
                 continue
-            if chosen and matrix_rank(normals + [normal]) != len(normals) + 1:
+            if not independent(normals, normal):
                 continue
             got = extend(residual & ~on, chosen + [cand])
             if got is not None:
@@ -239,7 +256,7 @@ def _search_cover(
         dead.add(key)
         return None
 
-    cover = extend((1 << len(points)) - 1, [])
+    cover = extend(everything, [])
     if cover is None:
         return None
     assignment = {
@@ -248,7 +265,7 @@ def _search_cover(
     }
     return TShapeCertificate(
         hyperplanes=tuple(
-            Hyperplane(normal, Fraction(offset, scale)) for normal, offset, *_ in cover
+            Hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in cover
         ),
         assignment=assignment,
     )

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerpole import certifier, cli, covering
+from centerpole import certifier, cli, covering, geometry
 from centerpole.certifier import MAX_WINDOW_POINTS
 from centerpole.cli import (
     MAX_COVER_K,
@@ -25,6 +25,7 @@ from centerpole.cli import (
     MAX_SANDWICH_POINTS,
     MAX_SCAN_SAMPLES,
     MAX_TSHAPE_CANDIDATES,
+    MAX_TSHAPE_DIM,
     OUTPUT_DIR_ENV,
     main,
 )
@@ -299,6 +300,37 @@ class TestTshapeCommand:
                     f"error: {n} points in dimension {dim} span more than the "
                     f"limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes\n"
                 )
+
+    def test_the_dimension_limit_boundary(self, tmp_path, monkeypatch, capsys):
+        # d + 2 points span C(d + 2, 2) candidates, far below the
+        # candidate limit, so only the dimension limit refuses them
+        class Reached(Exception):
+            pass
+
+        def reached(points):
+            raise Reached
+
+        def no_elimination(rows):
+            raise AssertionError("an elimination ran before the refusal")
+
+        monkeypatch.setattr(cli, "is_t_shaped", reached)
+        monkeypatch.setattr(geometry, "_bareiss", no_elimination)
+        assert MAX_TSHAPE_DIM == 20
+        for dim in (MAX_TSHAPE_DIM, MAX_TSHAPE_DIM + 1):
+            path = tmp_path / f"pts{dim}.json"
+            rows = [[i**e % 97 for e in range(1, dim + 1)] for i in range(dim + 2)]
+            path.write_text(json.dumps(rows))
+            if dim == MAX_TSHAPE_DIM:
+                with pytest.raises(Reached):
+                    cli.cmd_tshape(str(path))
+                continue
+            code, out, err = run_cli(["tshape", "--points", str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"error: points of dimension {dim} are above the limit of "
+                f"{MAX_TSHAPE_DIM}\n"
+            )
 
 
 class TestCertifyCommand:

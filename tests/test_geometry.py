@@ -217,12 +217,18 @@ class TestSeparationPredicates:
 
 
 def spanned(points):
-    """``integer_spanned_hyperplanes`` of rational points, as Hyperplanes."""
+    """``integer_spanned_hyperplanes`` of rational points, as Hyperplanes.
+    Each ``on`` mask must hold exactly the points that ``side_of`` puts
+    on its hyperplane."""
     scale, rows = clear_denominators(p.coords for p in points)
-    return [
-        Hyperplane(normal, Fraction(offset, scale))
-        for normal, offset in integer_spanned_hyperplanes(rows)
-    ]
+    planes = []
+    for normal, offset, on in integer_spanned_hyperplanes(rows):
+        h = Hyperplane(normal, Fraction(offset, scale))
+        assert on == sum(
+            1 << i for i, p in enumerate(points) if side_of(h, p) is HalfspaceSide.ON
+        )
+        planes.append(h)
+    return planes
 
 
 class TestSpannedHyperplanes:
@@ -258,15 +264,16 @@ class TestSpannedHyperplanes:
         assert spanned([P(5, 5)]) == []
 
     @pytest.mark.parametrize(
-        "rows,planes,limit",
+        "rows,planes",
         [
-            # 13 points of the moment curve in dim 4: C(12, 3) prefixes
-            ([(t, t**2, t**3, t**4) for t in range(1, 14)], 715, 220),
-            # 5 points in general position in dim 3: C(4, 2) prefixes
-            ([(t, t**2, t**3) for t in range(1, 6)], 10, 6),
+            # 13 points of the moment curve in dim 4
+            ([(t, t**2, t**3, t**4) for t in range(1, 14)], 715),
+            # 5 points in general position in dim 3
+            ([(t, t**2, t**3) for t in range(1, 6)], 10),
         ],
     )
-    def test_one_elimination_per_prefix(self, monkeypatch, rows, planes, limit):
+    def test_the_enumeration_runs_no_elimination(self, monkeypatch, rows, planes):
+        # each prefix's kernel is updated from its parent's, not eliminated
         calls = []
         bareiss = geometry._bareiss
 
@@ -275,8 +282,11 @@ class TestSpannedHyperplanes:
             return bareiss(rows)
 
         monkeypatch.setattr(geometry, "_bareiss", counted)
-        assert len(integer_spanned_hyperplanes(rows)) == planes
-        assert len(calls) <= limit
+        got = integer_spanned_hyperplanes(rows)
+        assert len(got) == planes
+        # in general position each hyperplane holds exactly d points
+        assert {on.bit_count() for _, _, on in got} == {len(rows[0])}
+        assert calls == []
 
 
 class TestJson:

@@ -14,7 +14,9 @@ to it, in the same order, and every certificate must serialize to the
 same bytes.
 """
 import json
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -81,7 +83,10 @@ def ref_affine_hull_dim(points):
     return ref_row_reduce([list((p - points[0]).coords) for p in points[1:]])
 
 
+@cache
 def ref_hyperplane_through(points):
+    """The hyperplane through the tuple of points ``points``, or None.
+    Cached: grid sets repeat their subsets within and across examples."""
     d = points[0].dim
     base = points[0]
     work = [list((p - base).coords) for p in points[1:]]
@@ -239,6 +244,16 @@ def matrices(draw, square=False):
     return rows
 
 
+def assert_incidence(hyperplanes, points):
+    """Each ``on`` mask holds exactly the points on its hyperplane, by
+    the reference's own ``Fraction`` sum.  ``points`` are the points
+    before scaling; a common positive scale keeps every incidence."""
+    scale = clear_denominators(p.coords for p in points)[0]
+    for normal, offset, on in hyperplanes:
+        h = Hyperplane(normal, Fraction(offset, scale))
+        assert on == sum(1 << i for i, p in enumerate(points) if ref_side(h, p) == 0)
+
+
 def assert_same_decision(points):
     verdict, detail, cert = ref_is_t_shaped(points)
     got = is_t_shaped(points)
@@ -279,27 +294,50 @@ class TestKernelAgainstTheRationalReference:
     def test_spanned_hyperplanes_in_the_same_order(self, points):
         # flat hulls included: the search only sees full-dimensional sets
         scale, rows = clear_denominators(p.coords for p in points)
-        got = [
-            Hyperplane(normal, Fraction(offset, scale))
-            for normal, offset in integer_spanned_hyperplanes(rows)
-        ]
-        assert got == ref_spanned_hyperplanes(points)
+        got = integer_spanned_hyperplanes(rows)
+        assert [
+            Hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in got
+        ] == ref_spanned_hyperplanes(points)
+        assert_incidence(got, points)
 
     @settings(max_examples=200, deadline=None)
     @given(grid_sets())
     def test_spanned_hyperplanes_of_grid_sets(self, rows):
         # collinear and coplanar prefixes, hyperplanes through more than d points
-        got = [
-            Hyperplane(normal, offset)
-            for normal, offset in integer_spanned_hyperplanes(rows)
-        ]
-        assert got == ref_spanned_hyperplanes([RationalPoint(r) for r in rows])
+        points = [RationalPoint(r) for r in rows]
+        got = integer_spanned_hyperplanes(rows)
+        assert [
+            Hyperplane(normal, offset) for normal, offset, _ in got
+        ] == ref_spanned_hyperplanes(points)
+        assert_incidence(got, points)
+
+    def test_spanned_hyperplanes_in_dimension_ten(self):
+        # eleven points on x_10 = 2 x_1 - x_2 + 1 and one off it: a
+        # prefix of nine points takes eight kernel updates, seven of
+        # them divided by the pivot before
+        rng = random.Random(10)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(9)) for _ in range(12)]
+        rows = [r + (2 * r[0] - r[1] + 1 + (i == 11),) for i, r in enumerate(rows)]
+        points = [RationalPoint(r) for r in rows]
+        got = integer_spanned_hyperplanes(rows)
+        assert [
+            Hyperplane(normal, offset) for normal, offset, _ in got
+        ] == ref_spanned_hyperplanes(points)
+        assert_incidence(got, points)
+        assert sorted(on.bit_count() for _, _, on in got) == [10] * 55 + [11]
 
     @settings(max_examples=100, deadline=None)
-    @given(grid_sets().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+    @given(grid_sets().flatmap(
+        lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))
+    ))
     def test_spanned_hyperplanes_ignore_the_input_order(self, pair):
-        rows, shuffled = pair
-        assert integer_spanned_hyperplanes(shuffled) == integer_spanned_hyperplanes(rows)
+        rows, order = pair
+        got = integer_spanned_hyperplanes(rows)
+        shuffled = integer_spanned_hyperplanes([rows[i] for i in order])
+        assert [h[:2] for h in shuffled] == [h[:2] for h in got]
+        # point i of the shuffled rows is point order[i] of the rows
+        for (_, _, on), (_, _, moved) in zip(got, shuffled):
+            assert moved == sum(1 << i for i, j in enumerate(order) if on >> j & 1)
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
