@@ -372,8 +372,9 @@ def certify_schedule(
     ``proved_at_outer`` can then be larger than the smallest Forced
     radius; it always names a window that was solved and found Forced.
 
-    A schedule whose largest window has more than MAX_WINDOW_POINTS
-    points raises ValueError before any window is built.
+    An empty ``r_list``, or a schedule whose largest window has more
+    than MAX_WINDOW_POINTS points, raises ValueError before any window
+    is built.
     """
     centers = tuple(centers)
     if not centers:
@@ -382,11 +383,13 @@ def certify_schedule(
         raise ValueError(f"R factor must be at least 1, got {r_factor}")
     if budget < 0:
         raise ValueError(f"decision budget must be non-negative, got {budget}")
+    r_list = list(r_list)
+    if not r_list:
+        raise ValueError("at least one inner radius is required")
     dim = centers[0].dim
     max_norm = max(c.norm_inf() for c in centers)
-    r_list = list(r_list)
     outers = [r_factor * (r + max_norm + 1) for r in r_list]
-    largest = max(outers, default=0)
+    largest = max(outers)
     if largest > 0 and (2 * largest + 1) ** dim > MAX_WINDOW_POINTS:
         raise ValueError(
             f"the largest window, outer radius {largest} in dimension {dim}, "

@@ -11,6 +11,7 @@ counterexample), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -424,7 +425,11 @@ def _int_list(text: str | list) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call
+    and reused: parsing and ``_apply_config_file`` write only to the
+    fresh namespace of each call, never to the parser."""
     parser = argparse.ArgumentParser(
         prog="centerpole",
         description="Exact toolkit for sandwich sets, coverings, T-shapes, "

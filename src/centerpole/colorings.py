@@ -411,12 +411,10 @@ def plus2_extension(
     )
 
 
-def _scan_coordinate(rng: random.Random) -> tuple[int, int]:
-    """A sampled coordinate as a pair (numerator, denominator > 0)."""
-    numerator = rng.randint(-100, 100)
-    if rng.random() < 0.5:
-        return numerator, 1
-    return numerator, rng.randint(1, 10)
+# Each sampled coordinate is n/d with |n| <= SCAN_NUMERATOR_BOUND and
+# 1 <= d <= SCAN_MAX_DENOMINATOR; half the coordinates have d = 1.
+SCAN_NUMERATOR_BOUND = 100
+SCAN_MAX_DENOMINATOR = 10
 
 
 def _point_json(z: Sequence[int], q: int) -> list[str]:
@@ -447,7 +445,18 @@ def symmetric_pair_scan(
     (2*C*q - D*z, D*q).  A ``Fraction`` is built only to print a
     violation.  The radius, like a coordinate, must be an ``int`` or a
     ``Fraction``; anything else, a float or a bool among them, raises
-    ValueError.
+    ValueError.  So does a radius that no sample can clear: as
+    |x - c| <= SCAN_NUMERATOR_BOUND + |c| in the max norm, such a
+    radius is refused before anything is drawn.
+
+    The draws are those of ``randint(-B, B)``, then ``random()``, then,
+    when it is at least 1/2, ``randint(1, M)`` for each coordinate in
+    turn, B = SCAN_NUMERATOR_BOUND and M = SCAN_MAX_DENOMINATOR, taken
+    from ``getrandbits`` and ``random()`` only.  ``Random.randint(a, b)``
+    is ``a`` plus ``getrandbits(k)``, k the bit length of b - a + 1,
+    drawn again while it exceeds b - a; the scan does that rejection
+    inline, so a seed gives the same points, and the same report, as
+    those calls.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -461,24 +470,55 @@ def symmetric_pair_scan(
     scale, ((bound,), *scaled) = clear_denominators(
         [(radius,)] + [c.coords for c in cpts]
     )
+    low = SCAN_NUMERATOR_BOUND
+    top = SCAN_MAX_DENOMINATOR
+    for c in scaled:
+        if bound >= low * scale + max(map(abs, c), default=0):
+            raise ValueError("inner radius leaves no room to sample")
+    span = 2 * low + 1
+    span_bits = span.bit_length()
+    top_bits = top.bit_length()
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    coin = rng.random
+    evaluate = rule.evaluate
+    coordinates = range(rule.dim)
+    doubled = [[2 * w for w in c] for c in scaled]
     violations: list[dict] = []
     for _ in range(samples):
         for _attempt in range(10_000):
-            x = [_scan_coordinate(rng) for _ in range(rule.dim)]
-            if all(
-                any(abs(n * scale - w * d) > bound * d for (n, d), w in zip(x, c))
-                for c in scaled
-            ):
-                break
+            ns = []
+            ds = []
+            for _ in coordinates:
+                # randint(-low, low), then randint(1, top) for half of them
+                n = getrandbits(span_bits)
+                while n >= span:
+                    n = getrandbits(span_bits)
+                ns.append(n - low)
+                if coin() < 0.5:
+                    ds.append(1)
+                else:
+                    d = getrandbits(top_bits)
+                    while d >= top:
+                        d = getrandbits(top_bits)
+                    ds.append(d + 1)
+            for c in scaled:
+                for n, d, w in zip(ns, ds, c):
+                    if abs(n * scale - w * d) > bound * d:
+                        break
+                else:
+                    break  # x is within the radius of c: draw again
+            else:
+                break  # x is far from every center
         else:
             raise ValueError("inner radius leaves no room to sample")
-        q = lcm(*(d for _, d in x))
-        z = [n * (q // d) for n, d in x]
-        color = rule.evaluate(z, q)
-        for c in scaled:
-            mirrored, mirror_q = _mirror(c, scale, z, q)
-            if rule.evaluate(mirrored, mirror_q) == color:
+        q = lcm(*ds)
+        z = [n * (q // d) for n, d in zip(ns, ds)]
+        color = evaluate(z, q)
+        mirror_q = scale * q
+        for twice in doubled:
+            mirrored = [t * q - scale * v for t, v in zip(twice, z)]
+            if evaluate(mirrored, mirror_q) == color:
                 violations.append(
                     {
                         "x": _point_json(z, q),

@@ -352,6 +352,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             certify_schedule([], 2, [1])
 
+    def test_needs_an_inner_radius(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
+        for r_list in ([], iter(())):
+            with pytest.raises(ValueError, match="at least one inner radius is required"):
+                certify_schedule([lattice(0)], 1, r_list)
+        assert built == []
+
     def test_rejects_r_factor_below_one(self):
         with pytest.raises(ValueError, match="R factor"):
             certify_schedule([lattice(0)], 1, [1], r_factor=0)

@@ -7,6 +7,7 @@ module is runnable as an installed entry point.
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -519,6 +520,17 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("r_list", [",", "", " , "])
+    def test_an_empty_r_list_is_a_usage_error(self, r_list, capsys):
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(1,-1)",
+             "--r-list", r_list],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: at least one inner radius is required\n"
 
 
 class TestColoringScanCommand:
@@ -1049,6 +1061,70 @@ class TestArgparseUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once and reuses it: a call after a
+    --config call or a usage error prints what it prints alone."""
+
+    @staticmethod
+    def _alone(argv, env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "centerpole.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @staticmethod
+    def _here(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _contract(text):
+        doc = json.loads(text)
+        return json.dumps([doc["config"], doc["result"]], sort_keys=True)
+
+    def test_every_call_prints_what_it_prints_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "COLUMNS": "80"}
+        # the --config call sets flags that the later scan leaves at their
+        # defaults, so a value kept in the parser would show there
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": 30, "seed": 9, "inner-radius": "1/2"}))
+        centers = tmp_path / "centers.json"
+        centers.write_text(json.dumps([[0, 0], [1, 1]]))
+        scan = ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}']
+        calls = [
+            ["--config", str(config), *scan, "--centers", str(centers)],
+            scan,
+            [*scan, "--centers", str(centers)],
+            ["sandwich", "--k", "2", "--s", "0"],
+            ["cover-verify", "--k", "3", "--s", "1"],
+            ["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(1,-1)",
+             "--r-list", "1,2"],
+        ]
+        for argv in calls:
+            code, out, err = self._here(argv)
+            alone = self._alone(argv, env)
+            assert code == alone[0], argv
+            if code == 2:
+                assert (out, err) == alone[1:], argv
+                assert err.startswith("usage: centerpole coloring-scan")
+            else:
+                assert err == alone[2] == "", argv
+                assert self._contract(out) == self._contract(alone[1]), argv
+        assert self._here(["--help"]) == self._alone(["--help"], env)
+        assert self._here(["certify", "--help"]) == self._alone(["certify", "--help"], env)
+        assert cli._build_parser.cache_info().misses == 1
 
 
 def test_module_entry_point_runs_in_subprocess():

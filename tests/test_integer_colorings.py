@@ -13,7 +13,8 @@ with ``Fraction`` dot products, a halfspace rule on ``Fraction``
 centers, and a scan that draws, compares and mirrors ``Fraction``
 coordinates and colors them through the checked entry.  Every color
 must be equal to it, and every scan report must serialize to the same
-bytes, violations included.  Every rule kind must also give one color
+bytes, violations included.  The reference scan draws with ``randint``
+and ``random``, so these reports also pin the scan's draw stream.  Every rule kind must also give one color
 to every (z, q) that represents one point.
 """
 import json
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from centerpole import colorings
 from centerpole.colorings import (
     ColoringRule,
     SimplexSpec,
@@ -316,6 +318,43 @@ class TestPairColors:
         assert {(1, True, False), (1, True, True), (1, False, True), (2, True, False)} <= seen
 
 
+def _scan_workload_rules():
+    """The rules and centers of the coloring_scan benchmark workload, each
+    with a reference rule on the ``Fraction`` cone, halfspace and pair."""
+    cone = {d: cone_coloring(standard_simplex(d)) for d in (1, 2, 3, 4)}
+    ref_cone = {d: ref_cone_coloring(standard_simplex(d)) for d in (1, 2, 3, 4)}
+    rules = {f"cone-{d}": (cone[d], ref_cone[d], [(0,) * d]) for d in cone}
+    rules["halfspace"] = (
+        halfspace_coloring((1, 2)), ref_halfspace_coloring((1, 2)), [(1, 2)]
+    )
+    pair_centers = [(0, 0), (2, 0)]
+    rules["pair"] = (
+        pair_coloring(*pair_centers), ref_pair_coloring(*pair_centers), pair_centers
+    )
+    rules["plus0"] = (plus0_extension(cone[2]), plus0_extension(ref_cone[2]), [(0, 0, 0)])
+    rules["plus1"] = (
+        plus1_extension(cone[2], halfspace_coloring((0, 0))),
+        plus1_extension(ref_cone[2], ref_halfspace_coloring((0, 0))),
+        [(0, 0, 0), (0, 0, 1)],
+    )
+    for v, w in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        added = [(1, 0, 0, v), (0, 1, 0, w)]
+        a, b = added[0][:-1], added[1][:-1]
+        if v == w:
+            auxes = {"pair": ref_pair_coloring(a, b)}
+        else:
+            auxes = {"a": ref_halfspace_coloring(a), "b": ref_halfspace_coloring(b)}
+        rules[f"plus2-{v}-{w}"] = (
+            plus2_extension(cone[3], added),
+            plus2_extension(ref_cone[3], added, auxes),
+            [(0, 0, 0, 0)] + added,
+        )
+    return rules
+
+
+SCAN_WORKLOAD_RULES = _scan_workload_rules()
+
+
 class TestScanReports:
     def _assert_same_bytes(self, rule, ref_rule, centers, radius, samples, seed):
         new = symmetric_pair_scan(rule, centers, radius, samples, seed)
@@ -397,6 +436,87 @@ class TestScanReports:
             constant, constant, [(F(1, 2),)], F(197, 2), 60, 4
         )
         assert {v["x"][0] for v in report["violations"]} >= {"-100", "100"}
+
+    def test_the_draws_are_the_randint_stream(self):
+        # with no center every draw is a sample, and in dimension 1 the
+        # rule sees each coordinate as it was drawn: (z, q) = (n, d)
+        for seed in range(50):
+            drawn = []
+            record = ColoringRule(
+                dim=1, color_count=1, evaluate=lambda z, q: drawn.append((*z, q)) or 0
+            )
+            symmetric_pair_scan(record, [], 0, 200, seed)
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(200):
+                numerator = rng.randint(-100, 100)
+                if rng.random() < 0.5:
+                    expected.append((numerator, 1))
+                else:
+                    expected.append((numerator, rng.randint(1, 10)))
+            assert drawn == expected, seed
+
+    @pytest.mark.parametrize("kind", sorted(SCAN_WORKLOAD_RULES))
+    def test_every_rule_kind_of_the_scan_workload(self, kind):
+        # the workload's centers, where the rule has no violation, and one
+        # more center off them, where it has some, so the reports compare
+        # sampled points and colors and not only the counts
+        rule, ref_rule, centers = SCAN_WORKLOAD_RULES[kind]
+        off = (F(45, 2), -30, 10, 5)[: rule.dim]
+        for seed, radius in enumerate([0, 2, F(7, 3)]):
+            report = self._assert_same_bytes(
+                rule, ref_rule, centers + [off], radius, 150, 30 + seed
+            )
+            assert report["violations"], (kind, seed)
+
+    def test_a_fractional_radius_with_violations(self):
+        spec = standard_simplex(3)
+        centers = [(0, 0, 0), (F(45, 2), F(-91, 3), 10)]
+        report = self._assert_same_bytes(
+            cone_coloring(spec), ref_cone_coloring(spec), centers, F(41, 6), 400, 7
+        )
+        assert report["violations"]
+        assert report["innerRadius"] == "41/6"
+
+
+class TestScanRadius:
+    """A sampled coordinate is n/d with |n| <= 100, so |x - c| is at most
+    100 + |c| in the max norm: a radius at least that about any center is
+    refused before anything is drawn."""
+
+    @staticmethod
+    def _no_draws(monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(colorings.random, "Random", refuse)
+
+    def test_radius_one_hundred_about_the_origin_is_refused(self, monkeypatch):
+        self._no_draws(monkeypatch)
+        for dim in (1, 3):
+            rule = cone_coloring(standard_simplex(dim))
+            with pytest.raises(ValueError, match="leaves no room to sample"):
+                symmetric_pair_scan(rule, [(0,) * dim], 100, 1, 0)
+
+    def test_radius_ninety_nine_about_the_origin_still_scans(self):
+        constant = ColoringRule(dim=1, color_count=1, evaluate=lambda z, q: 0)
+        report = symmetric_pair_scan(constant, [(0,)], 99, 30, 5)
+        assert {v["x"][0] for v in report["violations"]} == {"-100", "100"}
+        assert len(report["violations"]) == 30
+
+    def test_a_fractional_center_at_the_bound_is_refused(self, monkeypatch):
+        rule = cone_coloring(standard_simplex(2))
+        # the bound of (-7/3, 1/2) is 307/3; that of (-9/2, 0) is 209/2
+        centers = [(F(-7, 3), F(1, 2)), (F(-9, 2), 0)]
+        constant = ColoringRule(dim=2, color_count=1, evaluate=lambda z, q: 0)
+        report = symmetric_pair_scan(constant, centers, 102, 5, 1)
+        assert [v["x"][0] for v in report["violations"]] == ["100"] * 10
+        self._no_draws(monkeypatch)
+        # one center at its bound is enough, the other one in range or not
+        for centers in (centers, centers[:1], [(F(1, 2),) * 2]):
+            radius = 100 + max(abs(v) for v in centers[0])
+            with pytest.raises(ValueError, match="leaves no room to sample"):
+                symmetric_pair_scan(rule, centers, radius, 5, 1)
 
 
 def _plus2_case(levels, a=(1, 0, 0), b=(0, 1, 0)):
