@@ -21,7 +21,11 @@ from centerpole.cube import build_sandwich, lattice
 def schedule_row(name, centers, colors, r_list, expected, budget, r_factor=3):
     started = time.perf_counter()
     schedule = certify_schedule(
-        sorted(centers), colors, r_list, r_factor=r_factor, budget=budget
+        [lattice(*c) for c in sorted(centers)],
+        colors,
+        r_list,
+        r_factor=r_factor,
+        budget=budget,
     )
     verdicts = [row.verdict.kind.value for row in schedule.rows]
     return {
@@ -55,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         cases.append(
             schedule_row(
                 f"singleton-dim{dim}",
-                [lattice(*(0,) * dim)],
+                [(0,) * dim],
                 1,
                 [1],
                 ["Forced"],
@@ -65,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     cases.append(
         schedule_row(
             "generic-pair",
-            [lattice(0, 0), lattice(3, 0)],
+            [(0, 0), (3, 0)],
             2,
             [1, 2],
             ["Colorable", "Colorable"],

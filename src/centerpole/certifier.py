@@ -372,13 +372,15 @@ def certify_schedule(
     ``proved_at_outer`` can then be larger than the smallest Forced
     radius; it always names a window that was solved and found Forced.
 
-    An empty ``r_list``, or a schedule whose largest window has more
-    than MAX_WINDOW_POINTS points, raises ValueError before any window
-    is built.
+    A color count below 1, an empty ``r_list``, or a schedule whose
+    largest window has more than MAX_WINDOW_POINTS points, raises
+    ValueError before any window is built.
     """
     centers = tuple(centers)
     if not centers:
         raise ValueError("at least one center is required")
+    if k < 1:
+        raise ValueError(f"color count must be positive, got {k}")
     if r_factor < 1:
         raise ValueError(f"R factor must be at least 1, got {r_factor}")
     if budget < 0:

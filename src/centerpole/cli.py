@@ -239,7 +239,7 @@ def _schedule_to_json(report: ScheduleReport) -> dict:
     return {
         "dim": report.dim,
         "k": report.k,
-        "centers": points_to_json(report.centers),
+        "centers": points_to_json(c.coords for c in report.centers),
         "rFactor": report.r_factor,
         "rows": rows,
     }

@@ -17,14 +17,11 @@ from itertools import product
 from operator import sub
 
 from .cube import (
-    LatticePoint,
     LShape,
     SigmaZeroSet,
     enumerate_maximal_sigma0_sets,
-    origin,
     sandwich_contains,
     build_sandwich,
-    unit_vector,
 )
 
 
@@ -39,19 +36,27 @@ class CoverCertificate:
 
     tau: SigmaZeroSet
     s: int
-    shift: LatticePoint
+    shift: tuple[int, ...]
     case_label: str
 
     def verify(self) -> bool:
         """Re-check membership point by point, trusting nothing."""
         k = self.tau.k
-        shift = self.shift.coords
+        shift = self.shift
         if len(shift) != k + 1:
             return False
         for p in self.tau.points:
-            if not sandwich_contains(k, self.s, tuple(map(sub, p.coords, shift))):
+            if not sandwich_contains(k, self.s, tuple(map(sub, p, shift))):
                 return False
         return True
+
+
+def _shift(dim: int, axis: int, head: int, along: int) -> tuple[int, ...]:
+    """head * e_0 + along * e_axis in Z^dim."""
+    shift = [0] * dim
+    shift[0] = head
+    shift[axis] += along
+    return tuple(shift)
 
 
 def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
@@ -60,8 +65,9 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
     Case 0 handles sets confined to an axis-0 facet (directly, or after
     the facet swap available when the set misses one of the two
     axis-0 levels).  Case I splits on the L-shape and the facet level,
-    with sub-branches comparing the anchor against s.  The returned
-    shift always verifies; a failed verification raises.
+    with sub-branches comparing the anchor against s.  Each branch names
+    the shift head * e_0 + along * e_gamma by its two coefficients.  The
+    returned shift always verifies; a failed verification raises.
     """
     k = tau.k
     if s > k - 2:
@@ -69,70 +75,67 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
     gamma = tau.facet_axis
     level = tau.facet_level
     a = tau.anchor
-    e0 = unit_vector(k + 1, 0)
-    zero = origin(k + 1)
 
-    heads = {p.coords[0] for p in tau.points}
+    heads = {p[0] for p in tau.points}
 
     if not heads:
-        shift, label = zero, "empty"
+        head, along, label = 0, 0, "empty"
     elif gamma == 0 or not {0, 1} <= heads:
         # an axis-0 facet confines tau: either declared, or chosen via
         # the swap to whichever level actually holds all points
         eff_level = level if gamma == 0 else (1 if 1 in heads else 0)
         if eff_level == 0:
             if a < k - 1:
-                shift, label = zero, "0.1"
+                head, along, label = 0, 0, "0.1"
             else:
-                shift, label = -e0, "0.2"
+                head, along, label = -1, 0, "0.2"
         else:
             if a < k - 1:
-                shift, label = e0, "0.3"
+                head, along, label = 1, 0, "0.3"
             else:
-                shift, label = zero, "0.4"
-    else:
-        eg = unit_vector(k + 1, gamma)
-        if tau.shape is LShape.LOWER:
-            if level == 0:
-                if a > s:
-                    shift, label = zero, "I.1.0/a>s"
-                elif a == s:
-                    shift, label = -eg, "I.1.0/a=s"
-                else:
-                    shift, label = e0, "I.1.0/a<s"
+                head, along, label = 0, 0, "0.4"
+    elif tau.shape is LShape.LOWER:
+        if level == 0:
+            if a > s:
+                head, along, label = 0, 0, "I.1.0/a>s"
+            elif a == s:
+                head, along, label = 0, -1, "I.1.0/a=s"
             else:
-                if a > s:
-                    shift, label = zero, "I.1.1/a>s"
-                elif a < s:
-                    shift, label = e0, "I.1.1/a<s"
-                else:
-                    shift, label = eg + e0, "I.1.1/a=s"
+                head, along, label = 1, 0, "I.1.0/a<s"
         else:
-            if level == 0:
-                if a >= s:
-                    shift, label = zero, "I.2.0/a>=s"
-                elif a == s - 1:
-                    shift, label = -eg, "I.2.0/a=s-1"
-                else:
-                    shift, label = e0, "I.2.0/a<s-1"
+            if a > s:
+                head, along, label = 0, 0, "I.1.1/a>s"
+            elif a < s:
+                head, along, label = 1, 0, "I.1.1/a<s"
             else:
-                if a == k - 1:
-                    shift, label = eg, "I.2.1/a=k-1"
-                elif s <= a < k - 1:
-                    shift, label = zero, "I.2.1/s<=a<k-1"
-                elif a == s - 1:
-                    shift, label = eg + e0, "I.2.1/a=s-1"
-                elif a < s - 1:
-                    shift, label = e0, "I.2.1/a<s-1"
-                else:
-                    raise CaseAnalysisError(
-                        f"no branch for gamma={gamma} level={level} a={a} s={s}"
-                    )
+                head, along, label = 1, 1, "I.1.1/a=s"
+    else:
+        if level == 0:
+            if a >= s:
+                head, along, label = 0, 0, "I.2.0/a>=s"
+            elif a == s - 1:
+                head, along, label = 0, -1, "I.2.0/a=s-1"
+            else:
+                head, along, label = 1, 0, "I.2.0/a<s-1"
+        else:
+            if a == k - 1:
+                head, along, label = 0, 1, "I.2.1/a=k-1"
+            elif s <= a < k - 1:
+                head, along, label = 0, 0, "I.2.1/s<=a<k-1"
+            elif a == s - 1:
+                head, along, label = 1, 1, "I.2.1/a=s-1"
+            elif a < s - 1:
+                head, along, label = 1, 0, "I.2.1/a<s-1"
+            else:
+                raise CaseAnalysisError(
+                    f"no branch for gamma={gamma} level={level} a={a} s={s}"
+                )
 
+    shift = _shift(k + 1, gamma, head, along)
     cert = CoverCertificate(tau=tau, s=s, shift=shift, case_label=label)
     if not cert.verify():
         raise CaseAnalysisError(
-            f"case {label} prescribed shift {tuple(shift)} that fails "
+            f"case {label} prescribed shift {shift} that fails "
             f"membership for gamma={gamma} level={level} a={a} "
             f"shape={tau.shape.value} s={s}"
         )
@@ -141,16 +144,16 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
 
 @cache
 def _sandwich_coords(k: int, s: int) -> frozenset[tuple[int, ...]]:
-    """The coordinate tuples of the built (k, s) sandwich."""
-    return frozenset(p.coords for p in build_sandwich(k, s).points())
+    """The built (k, s) sandwich, once per pair."""
+    return build_sandwich(k, s).points()
 
 
 def brute_force_cover_shifts(
-    tau: frozenset[LatticePoint] | set[LatticePoint],
+    tau: frozenset[tuple[int, ...]] | set[tuple[int, ...]],
     k: int,
     s: int,
     box: int = 1,
-) -> list[LatticePoint]:
+) -> list[tuple[int, ...]]:
     """All shifts x in {-box..box}^(1+k) with tau inside x + sandwich,
     in lexicographic order.
 
@@ -158,29 +161,27 @@ def brute_force_cover_shifts(
     least point p0 inside x + sandwich, so x ranges over p0 minus the
     sandwich; that candidate set is then checked point by point against
     the built sandwich, which is exactly equivalent to scanning the whole
-    box.
+    box.  A point of another dimension than 1 + k raises ValueError.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
     dim = k + 1
+    for q in tau:
+        if len(q) != dim:
+            raise ValueError(f"points have dimension {len(q)}, expected {dim}")
     if not tau:
-        return [
-            LatticePoint(c) for c in product(range(-box, box + 1), repeat=dim)
-        ]
+        return list(product(range(-box, box + 1), repeat=dim))
     p0 = min(tau)
-    if p0.dim != dim:
-        raise ValueError(f"points have dimension {p0.dim}, expected {dim}")
     sandwich = _sandwich_coords(k, s)
-    points = [q.coords for q in tau]
     hits: list[tuple[int, ...]] = []
     for member in sandwich:
-        shift = tuple(map(sub, p0.coords, member))
+        shift = tuple(map(sub, p0, member))
         if any(not -box <= c <= box for c in shift):
             continue
-        if all(tuple(map(sub, q, shift)) in sandwich for q in points):
+        if all(tuple(map(sub, q, shift)) in sandwich for q in tau):
             hits.append(shift)
     hits.sort()
-    return [LatticePoint(c) for c in hits]
+    return hits
 
 
 def verify_covering_lemma(k: int, s: int) -> dict:
@@ -211,7 +212,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         except CaseAnalysisError as err:
             failures.append({**where, "reason": f"constructive failure: {err}"})
             continue
-        shift = cert.shift.coords
+        shift = cert.shift
         if any(abs(c) > 1 for c in shift):
             failures.append(
                 {**where, "reason": f"shift {shift} leaves the unit box"}
@@ -228,11 +229,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
             )
             continue
         # its own subtraction, not the certificate's: the checks stay independent
-        missed = [
-            p.coords
-            for p in tau.points
-            if tuple(map(sub, p.coords, shift)) not in sandwich
-        ]
+        missed = [p for p in tau.points if tuple(map(sub, p, shift)) not in sandwich]
         if missed:
             failures.append(
                 {

@@ -2,8 +2,9 @@
 
 Vertices of the k-cube ``{0,1}^k``, the three-layer "sandwich" subsets
 of ``Z^(1+k)``, the (head, tail-sum) projection, and the L-shaped facet
-sets the covering code takes as input.  ``LatticePoint`` is the one
-vertex type: a cube vertex is a lattice point with 0/1 coordinates.
+sets the covering code takes as input.  A cube vertex, a sandwich point
+and a facet-set point are each a plain coordinate tuple; ``LatticePoint``
+is the checked center type of the certifier and the CLI.
 
 All integer arithmetic is exact.  Coordinates that enter from outside
 (``lattice``, ``lattice_from_json``, the CLI's centers, a certifier
@@ -49,7 +50,8 @@ def checked_coordinates(values: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class LatticePoint:
-    """An immutable integer vector with componentwise arithmetic.
+    """An immutable integer vector: the checked center type of the
+    certifier and the CLI.
 
     The constructor trusts its input; ``lattice`` and the JSON readers
     check coordinates where they enter."""
@@ -60,60 +62,19 @@ class LatticePoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    def _same_dim(self, other: "LatticePoint") -> None:
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatchError(
-                f"dimension {len(self.coords)} vs {len(other.coords)}"
-            )
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        self._same_dim(other)
-        return LatticePoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        self._same_dim(other)
-        return LatticePoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(tuple(-a for a in self.coords))
-
     def norm_inf(self) -> int:
         return max((abs(a) for a in self.coords), default=0)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __lt__(self, other: "LatticePoint") -> bool:
-        self._same_dim(other)
-        return self.coords < other.coords
 
 
 def lattice(*coords: int) -> LatticePoint:
     return LatticePoint(checked_coordinates(coords))
 
 
-def unit_vector(dim: int, axis: int) -> LatticePoint:
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} outside dimension {dim}")
-    return LatticePoint(tuple(1 if i == axis else 0 for i in range(dim)))
-
-
-def origin(dim: int) -> LatticePoint:
-    return LatticePoint((0,) * dim)
-
-
-def cube_points(k: int) -> Iterator[LatticePoint]:
+def cube_points(k: int) -> Iterator[tuple[int, ...]]:
     """All 2^k vertices of the k-cube in lexicographic order."""
     if k < 0:
         raise ValueError("cube dimension must be nonnegative")
-    for bits in product((0, 1), repeat=k):
-        yield LatticePoint(bits)
+    return product((0, 1), repeat=k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,11 +87,11 @@ class Sandwich:
 
     k: int
     s: int
-    lower: frozenset[LatticePoint]
-    middle: frozenset[LatticePoint]
-    upper: frozenset[LatticePoint]
+    lower: frozenset[tuple[int, ...]]
+    middle: frozenset[tuple[int, ...]]
+    upper: frozenset[tuple[int, ...]]
 
-    def points(self) -> frozenset[LatticePoint]:
+    def points(self) -> frozenset[tuple[int, ...]]:
         return self.lower | self.middle | self.upper
 
     def __len__(self) -> int:
@@ -138,17 +99,17 @@ class Sandwich:
 
 
 def build_sandwich(k: int, s: int) -> Sandwich:
-    lower: list[LatticePoint] = []
-    middle: list[LatticePoint] = []
-    upper: list[LatticePoint] = []
+    lower: list[tuple[int, ...]] = []
+    middle: list[tuple[int, ...]] = []
+    upper: list[tuple[int, ...]] = []
     for p in cube_points(k):
-        total = sum(p.coords)
+        total = sum(p)
         if total < s:
-            lower.append(LatticePoint((-1,) + p.coords))
+            lower.append((-1,) + p)
         if total < k:
-            middle.append(LatticePoint((0,) + p.coords))
+            middle.append((0,) + p)
         if total > s:
-            upper.append(LatticePoint((1,) + p.coords))
+            upper.append((1,) + p)
     return Sandwich(
         k=k,
         s=s,
@@ -172,21 +133,16 @@ def sandwich_size(k: int, s: int) -> int:
     return sum(comb(k, j) * ((j < s) + (j < k) + (j > s)) for j in range(k + 1))
 
 
-def sandwich_contains(
-    k: int, s: int, point: LatticePoint | tuple[int, ...]
-) -> bool:
-    """Exact membership in the (k, s) sandwich without building the set.
-
-    ``point`` is a ``LatticePoint`` or its coordinate tuple; both get
-    the same answer."""
-    coords = point.coords if isinstance(point, LatticePoint) else point
-    if len(coords) != k + 1:
+def sandwich_contains(k: int, s: int, point: tuple[int, ...]) -> bool:
+    """Exact membership of a coordinate tuple in the (k, s) sandwich
+    without building the set."""
+    if len(point) != k + 1:
         return False
-    tail = coords[1:]
+    tail = point[1:]
     total = tail.count(1)
     if total + tail.count(0) != k:
         return False
-    layer = coords[0]
+    layer = point[0]
     if layer == -1:
         return total < s
     if layer == 0:
@@ -196,11 +152,11 @@ def sandwich_contains(
     return False
 
 
-def sigma0(point: LatticePoint) -> tuple[int, int]:
+def sigma0(point: tuple[int, ...]) -> tuple[int, int]:
     """Project (x0, x1, ..., xk) to (x0, x1 + ... + xk)."""
-    if point.dim < 1:
+    if not point:
         raise DimensionMismatchError("projection needs at least one coordinate")
-    return point[0], sum(point.coords[1:])
+    return point[0], sum(point[1:])
 
 
 class LShape(Enum):
@@ -234,7 +190,7 @@ class SigmaZeroSet:
     """
 
     k: int
-    points: frozenset[LatticePoint]
+    points: frozenset[tuple[int, ...]]
     facet_axis: int
     facet_level: int
     anchor: int
@@ -268,9 +224,9 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     for axis in range(k + 1):
         for level in (0, 1):
             # the facet's points filed by image once; a triple is three cells
-            cells: dict[tuple[int, int], list[LatticePoint]] = {}
+            cells: dict[tuple[int, int], list[tuple[int, ...]]] = {}
             for p, image in profiled:
-                if p.coords[axis] == level:
+                if p[axis] == level:
                     cells.setdefault(image, []).append(p)
             for a in range(k):
                 for shape in (LShape.LOWER, LShape.UPPER):
@@ -289,9 +245,9 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     return out
 
 
-def points_to_json(points: Iterable[LatticePoint]) -> list[list[int]]:
+def points_to_json(points: Iterable[tuple[int, ...]]) -> list[list[int]]:
     """Deterministic JSON form: sorted list of coordinate arrays."""
-    return sorted([list(p.coords) for p in points])
+    return sorted([list(p) for p in points])
 
 
 def lattice_from_json(row: Iterable[int]) -> LatticePoint:

@@ -77,14 +77,6 @@ class RationalPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    def __add__(self, other: "RationalPoint") -> "RationalPoint":
-        _check_dims(self.dim, other.dim)
-        return RationalPoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RationalPoint") -> "RationalPoint":
-        _check_dims(self.dim, other.dim)
-        return RationalPoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __getitem__(self, i: int):
         return self.coords[i]
 
@@ -93,10 +85,6 @@ class RationalPoint:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def __lt__(self, other: "RationalPoint") -> bool:
-        _check_dims(self.dim, other.dim)
-        return self.coords < other.coords
 
 
 def as_point(x: RationalPoint | Sequence[Rational]) -> RationalPoint:

@@ -1,18 +1,25 @@
-"""The two covering checks in ``LatticePoint`` arithmetic, as they stood
-before ``covering`` moved its point work onto coordinate tuples.  The
-differential tests hold the tuple code to these reports."""
+"""The two covering checks written out on their own: a tuple subtraction
+and a layer/tail-sum membership test that share no code with
+``covering`` or ``cube.sandwich_contains``.  The differential tests hold
+``verify_covering_lemma`` to these reports."""
 
 from centerpole import covering
 from centerpole.covering import CaseAnalysisError
 from centerpole.cube import build_sandwich, enumerate_maximal_sigma0_sets
 
 
+def minus(p, q):
+    """The coordinatewise difference p - q of two tuples of one length."""
+    assert len(p) == len(q), (p, q)
+    return tuple(a - b for a, b in zip(p, q))
+
+
 def sandwich_contains(k, s, point):
-    """Membership of a ``LatticePoint`` by its layer and tail sum."""
-    if point.dim != k + 1:
+    """Membership of a coordinate tuple by its layer and tail sum."""
+    if len(point) != k + 1:
         return False
     layer = point[0]
-    tail = point.coords[1:]
+    tail = point[1:]
     if any(b not in (0, 1) for b in tail):
         return False
     total = sum(tail)
@@ -29,9 +36,9 @@ def certificate_holds(cert, contains=sandwich_contains):
     """The certificate check: every point minus the shift passes
     ``contains``."""
     k = cert.tau.k
-    if cert.shift.dim != k + 1:
+    if len(cert.shift) != k + 1:
         return False
-    return all(contains(k, cert.s, p - cert.shift) for p in cert.tau.points)
+    return all(contains(k, cert.s, minus(p, cert.shift)) for p in cert.tau.points)
 
 
 def covering_report(k, s):
@@ -55,7 +62,7 @@ def covering_report(k, s):
             continue
         if any(abs(c) > 1 for c in cert.shift):
             failures.append(
-                {**where, "reason": f"shift {tuple(cert.shift)} leaves the unit box"}
+                {**where, "reason": f"shift {cert.shift} leaves the unit box"}
             )
             continue
         support = {i for i, c in enumerate(cert.shift) if c != 0}
@@ -63,18 +70,18 @@ def covering_report(k, s):
             failures.append(
                 {
                     **where,
-                    "reason": f"shift {tuple(cert.shift)} supported off "
+                    "reason": f"shift {cert.shift} supported off "
                     f"axes {{0, {tau.facet_axis}}}",
                 }
             )
             continue
-        missed = [p for p in tau.points if p - cert.shift not in sandwich]
+        missed = [p for p in tau.points if minus(p, cert.shift) not in sandwich]
         if missed:
             failures.append(
                 {
                     **where,
-                    "reason": f"point {tuple(min(missed))} minus shift "
-                    f"{tuple(cert.shift)} is not in the built sandwich",
+                    "reason": f"point {min(missed)} minus shift "
+                    f"{cert.shift} is not in the built sandwich",
                 }
             )
     return {"k": k, "s": s, "total": len(sets), "failures": failures}

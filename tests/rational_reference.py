@@ -12,6 +12,13 @@ def dot(a, b):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def minus(a, b):
+    """The ``Fraction`` difference a - b of two coordinate tuples of one
+    length."""
+    assert len(a) == len(b), (a, b)
+    return tuple(Fraction(x) - y for x, y in zip(a, b))
+
+
 def scaled(point, m=1):
     """``point`` as the integer pair (z, q) of the trusted entry
     ``ColoringRule.evaluate``: q is m times the lcm of its denominators."""

@@ -34,7 +34,7 @@ from centerpole.colorings import (
     symmetric_pair_scan,
 )
 from centerpole.covering import verify_covering_lemma
-from centerpole.cube import LatticePoint, build_sandwich, lattice, sandwich_size
+from centerpole.cube import build_sandwich, lattice, sandwich_size
 from centerpole.tshape import is_t_shaped, moment_curve_points
 
 
@@ -43,7 +43,7 @@ def report(criterion: int, detail: str) -> None:
 
 
 def sorted_coords(sandwich) -> list[tuple[int, ...]]:
-    return [p.coords for p in sorted(sandwich.points())]
+    return sorted(sandwich.points())
 
 
 def test_criterion_1_sandwich_cardinalities_and_literals():
@@ -131,19 +131,19 @@ def test_criterion_4_window_certification():
         a = tuple(rng.randint(-3, 3) for _ in range(2))
         b = tuple(rng.randint(-3, 3) for _ in range(2))
         if a != b:
-            families.append(sorted((lattice(*a), lattice(*b))))
+            families.append([lattice(*p) for p in sorted((a, b))])
     for centers in families:
         schedule = certify_schedule(centers, 2, [1, 2, 3, 4])
         assert all(
             row.verdict.kind is VerdictKind.COLORABLE for row in schedule.rows
         ), centers
 
-    planar = sorted(build_sandwich(1, -1).points())
+    planar = [lattice(*p) for p in sorted(build_sandwich(1, -1).points())]
     schedule = certify_schedule(planar, 2, [1, 2, 3], r_factor=3)
     assert [row.verdict.kind for row in schedule.rows] == [VerdictKind.FORCED] * 3
     assert [row.proved_at_outer for row in schedule.rows] == [4, 5, 6]
 
-    spatial = sorted(build_sandwich(2, 0).points())
+    spatial = [lattice(*p) for p in sorted(build_sandwich(2, 0).points())]
     hard_start = time.perf_counter()
     schedule = certify_schedule(spatial, 3, [1, 2])
     hard_elapsed = time.perf_counter() - hard_start
@@ -289,13 +289,12 @@ def test_criterion_6_structural_invariants():
 
     # a signed permutation of Z^2 maps the window about the origin onto
     # itself, so it preserves the window graph of a center set
-    base_centers = tuple(sorted(build_sandwich(1, -1).points()))
+    base = sorted(build_sandwich(1, -1).points())
+    base_centers = tuple(lattice(*p) for p in base)
     images = [
         tuple(
-            sorted(
-                LatticePoint(tuple(s * p[i] for s, i in zip(signs, order)))
-                for p in base_centers
-            )
+            lattice(*q)
+            for q in sorted(tuple(s * p[i] for s, i in zip(signs, order)) for p in base)
         )
         for order in ((0, 1), (1, 0))
         for signs in product((1, -1), repeat=2)

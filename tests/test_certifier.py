@@ -27,6 +27,15 @@ from centerpole.cube import (
 )
 
 
+def sandwich_centers(k, s):
+    """The (k, s) sandwich in sorted order, as certifier centers."""
+    return tuple(lattice(*p) for p in sorted(build_sandwich(k, s).points()))
+
+
+def plus(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def graph_from_edges(n, edges, dim=1):
     """Wrap an explicit edge list for solver-level tests."""
     spec = WindowSpec(
@@ -71,8 +80,8 @@ class TestWindowSpec:
         # the window about 9 with center 10 is the window of center 1
         spec = WindowSpec(dim=1, outer=3, inner=0, centers=(lattice(1),))
         graph = build_symmetry_graph(spec)
-        points, edges = reference_symmetry_graph(spec, (lattice(10),), lattice(9))
-        assert [v.coords for v in points] == [(6,), (7,), (8,), (10,), (11,), (12,)]
+        points, edges = reference_symmetry_graph(spec, ((10,),), (9,))
+        assert list(points) == [(6,), (7,), (8,), (10,), (11,), (12,)]
         assert (graph.vertex_count, graph.edges) == (len(points), edges) == (6, ((2, 5),))
 
 
@@ -80,16 +89,20 @@ class TestGraphConstruction:
     def test_single_center_line_window(self):
         spec = WindowSpec(dim=1, outer=2, inner=0, centers=(lattice(0),))
         graph = build_symmetry_graph(spec)
-        points, _ = reference_symmetry_graph(spec, spec.centers, lattice(0))
-        assert [v.coords for v in points] == [(-2,), (-1,), (1,), (2,)]
+        points, _ = reference_symmetry_graph(
+            spec, [c.coords for c in spec.centers], (0,)
+        )
+        assert list(points) == [(-2,), (-1,), (1,), (2,)]
         assert graph.edges == ((0, 3), (1, 2))
         assert graph.vertex_count == 4 and graph.edge_count == 2
 
     def test_annulus_excludes_the_inner_ball(self):
         spec = WindowSpec(dim=2, outer=2, inner=1, centers=(lattice(0, 0),))
         graph = build_symmetry_graph(spec)
-        points, _ = reference_symmetry_graph(spec, spec.centers, lattice(0, 0))
-        assert all(v.norm_inf() == 2 for v in points)
+        points, _ = reference_symmetry_graph(
+            spec, [c.coords for c in spec.centers], (0, 0)
+        )
+        assert all(max(map(abs, v)) == 2 for v in points)
         assert graph.vertex_count == 5**2 - 3**2
 
     def test_mirrors_landing_outside_create_no_edge(self):
@@ -106,16 +119,16 @@ class TestGraphConstruction:
 
 def reference_symmetry_graph(spec, centers, z):
     """Point-by-point build of the window about z with the given mirror
-    centers, from LatticePoint arithmetic and a coordinate index: the
+    centers, from coordinate arithmetic and a coordinate index: the
     definition that the flat-index build of ``centers - z`` must reproduce.
-    Only the dimension and radii of spec are read."""
+    Points, z and centers are coordinate tuples.  Only the dimension and
+    radii of spec are read."""
     verts = []
     for coords in product(range(-spec.outer, spec.outer + 1), repeat=spec.dim):
-        p = LatticePoint(coords) + z
-        if spec.inner < (p - z).norm_inf() <= spec.outer:
-            verts.append(p)
+        if spec.inner < max(map(abs, coords)) <= spec.outer:
+            verts.append(plus(coords, z))
     verts.sort()
-    index = {p.coords: i for i, p in enumerate(verts)}
+    index = {p: i for i, p in enumerate(verts)}
     edges = set()
     for i, p in enumerate(verts):
         for c in centers:
@@ -131,7 +144,7 @@ def translated_windows(draw):
     dim = draw(st.integers(1, 3))
     outer = draw(st.integers(1, (6, 5, 3)[dim - 1]))
     inner = draw(st.integers(0, outer - 1))
-    z = LatticePoint(tuple(draw(st.integers(-4, 4)) for _ in range(dim)))
+    z = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
     # +-outer puts a center on the window's boundary; repeats are allowed
     coordinate = st.integers(-outer, outer) | st.sampled_from((-outer, outer))
     centers = draw(
@@ -157,7 +170,7 @@ class TestFlatIndexBuild:
                 inner=1,
                 centers=(lattice(3, 0), lattice(-3, 3), lattice(3, 3)),
             ),
-            lattice(5, -3),
+            (5, -3),
         )
     )
     @settings(max_examples=300, deadline=None)
@@ -166,7 +179,7 @@ class TestFlatIndexBuild:
         spec, z = window
         graph = build_symmetry_graph(spec)
         points, edges = reference_symmetry_graph(
-            spec, [c + z for c in spec.centers], z
+            spec, [plus(c.coords, z) for c in spec.centers], z
         )
         assert (graph.vertex_count, graph.edges) == (len(points), edges)
 
@@ -294,14 +307,12 @@ class TestTranslationInvariance:
     def test_shifted_problems_get_identical_verdicts(self):
         # the window about z of C + z, built point by point, gets the
         # verdict of the window about the origin of C
-        centers = sorted(build_sandwich(1, -1).points())
-        shift = lattice(3, -2)
+        centers = sandwich_centers(1, -1)
+        shift = (3, -2)
         for inner in (1, 2):
-            spec = WindowSpec(
-                dim=2, outer=inner + 3, inner=inner, centers=tuple(centers)
-            )
+            spec = WindowSpec(dim=2, outer=inner + 3, inner=inner, centers=centers)
             points, edges = reference_symmetry_graph(
-                spec, [c + shift for c in centers], shift
+                spec, [plus(c.coords, shift) for c in centers], shift
             )
             moved = SymmetryGraph(spec=spec, vertex_count=len(points), edges=edges)
             a = decide_k_colorable(build_symmetry_graph(spec), 2)
@@ -323,7 +334,7 @@ class TestSchedule:
         assert row.proved_at_outer == 2
 
     def test_forced_schedule_with_escalation(self):
-        centers = sorted(build_sandwich(1, -1).points())
+        centers = sandwich_centers(1, -1)
         report = certify_schedule(centers, 2, [1, 2, 3])
         assert [row.verdict.kind for row in report.rows] == [
             VerdictKind.FORCED
@@ -344,7 +355,7 @@ class TestSchedule:
         assert verify_witness(graph, 2, row.verdict.witness)
 
     def test_unknown_rows_survive_exhaustion(self):
-        centers = sorted(build_sandwich(2, 0).points())
+        centers = sandwich_centers(2, 0)
         report = certify_schedule(centers, 3, [1], budget=0, r_factor=1)
         assert report.rows[0].verdict.kind is VerdictKind.UNKNOWN
 
@@ -358,6 +369,14 @@ class TestSchedule:
         for r_list in ([], iter(())):
             with pytest.raises(ValueError, match="at least one inner radius is required"):
                 certify_schedule([lattice(0)], 1, r_list)
+        assert built == []
+
+    def test_refuses_a_color_count_below_one_before_building_any(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="color count must be positive"):
+                certify_schedule([lattice(0, 0)], k, [40])
         assert built == []
 
     def test_rejects_r_factor_below_one(self):
@@ -434,7 +453,7 @@ class TestGallopingEscalation:
         [
             ([lattice(0)], 1, [0, 1, 2], 3),
             ([lattice(0, 0)], 1, [1], 3),
-            (sorted(build_sandwich(1, -1).points()), 2, [1, 2, 3], 3),
+            (sandwich_centers(1, -1), 2, [1, 2, 3], 3),
             (LATE_FORCED, 2, [1, 2, 3], 3),
             ([lattice(0, 0), lattice(3, 0)], 2, [1, 2], 2),
             ([lattice(0), lattice(1), lattice(3)], 2, [0, 1, 2], 3),
@@ -874,7 +893,7 @@ class TestSatCore:
         # watches, restarts, reduction) re-pins them here and logs the
         # old and new counts in CHANGES.md.
         spec = WindowSpec(
-            dim=3, outer=4, inner=1, centers=tuple(sorted(build_sandwich(2, 0).points()))
+            dim=3, outer=4, inner=1, centers=sandwich_centers(2, 0)
         )
         stats = decide_k_colorable(build_symmetry_graph(spec), 3).stats
         assert (stats.decisions, stats.conflicts) == (395, 105)

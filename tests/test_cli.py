@@ -521,6 +521,19 @@ class TestCertifyCommand:
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_zero_colors_is_a_usage_error(self, monkeypatch, capsys):
+        def never(spec):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(certifier, "build_symmetry_graph", never)
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "0", "--centers", "sandwich(1,-1)"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: color count must be positive, got 0\n"
+
     @pytest.mark.parametrize("r_list", [",", "", " , "])
     def test_an_empty_r_list_is_a_usage_error(self, r_list, capsys):
         code, out, err = run_cli(

@@ -16,14 +16,13 @@ from centerpole.covering import (
     verify_covering_lemma,
 )
 from centerpole.cube import (
-    LatticePoint,
     LShape,
     SigmaZeroSet,
     build_sandwich,
     enumerate_maximal_sigma0_sets,
     sandwich_contains,
-    unit_vector,
 )
+from covering_reference import minus
 
 ALL_CASE_LABELS = {
     "0.1",
@@ -72,9 +71,8 @@ def subset_of(tau, points):
 def full_box_scan(tau_points, k, s, box):
     """Reference oracle: check every shift in the box directly."""
     hits = []
-    for coords in product(range(-box, box + 1), repeat=k + 1):
-        x = LatticePoint(coords)
-        if all(sandwich_contains(k, s, q - x) for q in tau_points):
+    for x in product(range(-box, box + 1), repeat=k + 1):
+        if all(sandwich_contains(k, s, minus(q, x)) for q in tau_points):
             hits.append(x)
     hits.sort()
     return hits
@@ -83,29 +81,29 @@ def full_box_scan(tau_points, k, s, box):
 class TestConstructiveShift:
     def test_singleton_origin_needs_no_shift(self):
         tau = subset_of(
-            maximal(3, 0, 0, 0, LShape.LOWER), {LatticePoint((0, 0, 0, 0))}
+            maximal(3, 0, 0, 0, LShape.LOWER), {(0, 0, 0, 0)}
         )
         cert = constructive_cover_shift(tau, 1)
         assert cert.case_label == "0.1"
-        assert cert.shift.coords == (0, 0, 0, 0)
+        assert cert.shift == (0, 0, 0, 0)
 
     def test_lower_shape_anchor_at_s_shifts_down_the_facet_axis(self):
         tau = maximal(3, 1, 0, 0, LShape.LOWER)
         cert = constructive_cover_shift(tau, 0)
         assert cert.case_label == "I.1.0/a=s"
-        assert cert.shift.coords == (0, -1, 0, 0)
+        assert cert.shift == (0, -1, 0, 0)
 
     def test_upper_shape_anchor_below_s_shifts_diagonally(self):
         tau = maximal(3, 1, 1, 0, LShape.UPPER)
         cert = constructive_cover_shift(tau, 1)
         assert cert.case_label == "I.2.1/a=s-1"
-        assert cert.shift.coords == (1, 1, 0, 0)
+        assert cert.shift == (1, 1, 0, 0)
 
     def test_empty_set_gets_zero_shift(self):
         tau = subset_of(maximal(2, 1, 0, 0, LShape.LOWER), set())
         cert = constructive_cover_shift(tau, 0)
         assert cert.case_label == "empty"
-        assert cert.shift.coords == (0, 0, 0)
+        assert cert.shift == (0, 0, 0)
 
     def test_facet_swap_applies_case_0(self):
         # every point of this set has head coordinate 1, so the swap
@@ -135,7 +133,7 @@ class TestConstructiveShift:
         bad = CoverCertificate(
             tau=tau,
             s=good.s,
-            shift=good.shift + LatticePoint((5, 0, 0)),
+            shift=(good.shift[0] + 5,) + good.shift[1:],
             case_label=good.case_label,
         )
         assert good.verify()
@@ -144,7 +142,7 @@ class TestConstructiveShift:
     def test_wrong_dimension_shift_fails_verification(self):
         tau = maximal(2, 1, 0, 0, LShape.LOWER)
         cert = CoverCertificate(
-            tau=tau, s=0, shift=LatticePoint((0, 0)), case_label="0.1"
+            tau=tau, s=0, shift=(0, 0), case_label="0.1"
         )
         assert not cert.verify()
 
@@ -207,7 +205,14 @@ class TestBruteForceOracle:
 
     def test_rejects_wrong_dimension_points(self):
         with pytest.raises(ValueError):
-            brute_force_cover_shifts({LatticePoint((0, 0))}, 2, 0)
+            brute_force_cover_shifts({(0, 0)}, 2, 0)
+        # the least point has the right length; a longer one must not be
+        # truncated to it
+        with pytest.raises(ValueError):
+            brute_force_cover_shifts({(0, 0, 0), (0, 0, 0, 1)}, 2, 0)
+        # the wrong-length point is not the least one
+        with pytest.raises(ValueError):
+            brute_force_cover_shifts({(0, 0, 0), (1, 0)}, 2, 0)
 
 
 def assert_failures_name_missed_points(report, k, s):
@@ -220,15 +225,15 @@ def assert_failures_name_missed_points(report, k, s):
     beyond_least = 0
     for tau in enumerate_maximal_sigma0_sets(k):
         shift = covering.constructive_cover_shift(tau, s).shift
-        missed = [p for p in tau.points if p - shift not in sandwich]
+        missed = [p for p in tau.points if minus(p, shift) not in sandwich]
         if missed:
             expected.append(
                 {
                     "facet": [tau.facet_axis, tau.facet_level],
                     "anchor": tau.anchor,
                     "shape": tau.shape.value,
-                    "reason": f"point {tuple(min(missed))} minus shift "
-                    f"{tuple(shift)} is not in the built sandwich",
+                    "reason": f"point {min(missed)} minus shift "
+                    f"{shift} is not in the built sandwich",
                 }
             )
             beyond_least += min(missed) != min(tau.points)
@@ -270,17 +275,13 @@ class TestVerificationHarness:
         # A lax predicate passes every certificate, and a flipped e_0
         # makes the table prescribe wrong shifts; only the check against
         # the built sandwich is left to catch them.
-        def flipped(dim, axis):
-            vec = unit_vector(dim, axis)
-            return -vec if axis == 0 else vec
-
         monkeypatch.setattr(covering, "sandwich_contains", lambda k, s, p: True)
-        monkeypatch.setattr(covering, "unit_vector", flipped)
+        monkeypatch.setattr(covering, "_shift", flipped_e0_shift)
         assert_failures_name_missed_points(verify_covering_lemma(3, 1), 3, 1)
 
     def test_every_point_is_checked_not_only_the_least(self, monkeypatch):
         def always_e0(tau, s):
-            return CoverCertificate(tau, s, unit_vector(tau.k + 1, 0), "e0")
+            return CoverCertificate(tau, s, (1,) + (0,) * tau.k, "e0")
 
         monkeypatch.setattr(covering, "constructive_cover_shift", always_e0)
         report = verify_covering_lemma(3, 1)
@@ -301,9 +302,12 @@ class TestVerificationHarness:
         assert survey["uncovered"] == []
 
 
-def flipped_unit_vector(dim, axis):
-    vec = unit_vector(dim, axis)
-    return -vec if axis == 0 else vec
+_table_shift = covering._shift
+
+
+def flipped_e0_shift(dim, axis, head, along):
+    """The table's shift with e_0 replaced by -e_0."""
+    return _table_shift(dim, axis, -head, along)
 
 
 def lax_formula(k, s, point):
@@ -311,7 +315,7 @@ def lax_formula(k, s, point):
 
 
 def reference_report(monkeypatch, k, s, contains=covering_reference.sandwich_contains):
-    """The report of the ``LatticePoint`` reference, with its own
+    """The report of the reference, with its own
     certificate check in place of ``CoverCertificate.verify``."""
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -323,8 +327,8 @@ def reference_report(monkeypatch, k, s, contains=covering_reference.sandwich_con
 
 
 class TestTupleChecksMatchTheReference:
-    """Both covering checks run on coordinate tuples; their reports must
-    equal those of the ``LatticePoint`` reference, failure text included."""
+    """Both covering checks must report exactly what the reference
+    checks report, failure text included."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_reports_are_equal(self, monkeypatch, k):
@@ -333,7 +337,7 @@ class TestTupleChecksMatchTheReference:
 
     def test_reports_are_equal_under_a_flipped_e0_and_a_lax_formula(self, monkeypatch):
         monkeypatch.setattr(covering, "sandwich_contains", lax_formula)
-        monkeypatch.setattr(covering, "unit_vector", flipped_unit_vector)
+        monkeypatch.setattr(covering, "_shift", flipped_e0_shift)
         failures = 0
         for k in range(1, 7):
             for s in range(-1, k - 1):
@@ -344,7 +348,7 @@ class TestTupleChecksMatchTheReference:
 
     def test_reports_are_equal_when_every_shift_is_e0(self, monkeypatch):
         def always_e0(tau, s):
-            return CoverCertificate(tau, s, unit_vector(tau.k + 1, 0), "e0")
+            return CoverCertificate(tau, s, (1,) + (0,) * tau.k, "e0")
 
         monkeypatch.setattr(covering, "constructive_cover_shift", always_e0)
         failures = 0
@@ -365,7 +369,7 @@ class TestTupleChecksMatchTheReference:
                 return True
 
         monkeypatch.setattr(covering, "_sandwich_coords", lambda k, s: Everything())
-        monkeypatch.setattr(covering, "unit_vector", flipped_unit_vector)
+        monkeypatch.setattr(covering, "_shift", flipped_e0_shift)
         k, s = 3, 1
         expected = []
         with monkeypatch.context() as patch:

@@ -20,37 +20,28 @@ from centerpole.cube import (
     enumerate_maximal_sigma0_sets,
     lattice,
     lattice_from_json,
-    origin,
     points_to_json,
     profile_triple,
     sandwich_contains,
     sandwich_size,
     sandwich_to_json,
     sigma0,
-    unit_vector,
 )
-
-
-def coords_of(points) -> set[tuple[int, ...]]:
-    return {p.coords for p in points}
 
 
 class TestLatticePoint:
     def test_arithmetic(self):
-        a, b = lattice(1, -2, 3), lattice(4, 0, -1)
-        assert (a + b).coords == (5, -2, 2)
-        assert (a - b).coords == (-3, -2, 4)
-        assert (-a).coords == (-1, 2, -3)
+        a = lattice(1, -2, 3)
+        assert a.dim == 3
         assert a.norm_inf() == 3
         assert lattice().norm_inf() == 0
 
-    def test_lex_order(self):
-        assert lattice(0, 5) < lattice(1, -9)
-        assert not lattice(1, 0) < lattice(1, 0)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            lattice(1, 2) + lattice(1, 2, 3)
+        # points of two dimensions meet in a window's centers; the wrong
+        # one is refused wherever it stands in the list
+        for centers in ((lattice(1, 2, 3),), (lattice(1, 2), lattice(1, 2, 3))):
+            with pytest.raises(DimensionMismatchError):
+                WindowSpec(dim=2, outer=3, inner=0, centers=centers)
 
     def test_rejects_non_ints(self):
         with pytest.raises(TypeError):
@@ -63,7 +54,6 @@ class TestLatticePoint:
         edge = 2**63 - 1
         assert lattice(edge).coords == (edge,)
         assert lattice(-(2**63)).coords == (-(2**63),)
-        assert (lattice(edge) + lattice(1)).coords == (2**63,)
         with pytest.raises(CoordinateOverflowError):
             lattice(2**63)
         with pytest.raises(CoordinateOverflowError):
@@ -81,12 +71,6 @@ class TestLatticePoint:
             with pytest.raises(CoordinateOverflowError):
                 WindowSpec(dim=1, outer=1, inner=0, centers=(LatticePoint((far,)),))
 
-    def test_unit_vector_and_origin(self):
-        assert unit_vector(3, 1).coords == (0, 1, 0)
-        assert origin(2).coords == (0, 0)
-        with pytest.raises(ValueError):
-            unit_vector(2, 2)
-
 
 def layer_sizes(k: int, s: int) -> tuple[int, int, int]:
     """Sizes of the three sandwich layers as binomial sums over the
@@ -102,7 +86,7 @@ class TestCubePoint:
         # each sandwich point is its layer followed by a cube vertex
         # whose coordinate sum that layer admits
         for k in range(6):
-            cube = [p.coords for p in cube_points(k)]
+            cube = list(cube_points(k))
             for s in range(-2, k + 3):
                 sw = build_sandwich(k, s)
                 for layer, points, admits in (
@@ -110,20 +94,20 @@ class TestCubePoint:
                     (0, sw.middle, lambda j: j < k),
                     (1, sw.upper, lambda j: j > s),
                 ):
-                    assert coords_of(points) == {
+                    assert points == {
                         (layer,) + bits for bits in cube if admits(sum(bits))
                     }
 
     def test_enumeration_is_lexicographic(self):
         pts = list(cube_points(3))
         assert len(pts) == 8
-        assert all(isinstance(p, LatticePoint) for p in pts)
-        assert pts[0].coords == (0, 0, 0)
-        assert pts[-1].coords == (1, 1, 1)
+        assert all(type(p) is tuple for p in pts)
+        assert pts[0] == (0, 0, 0)
+        assert pts[-1] == (1, 1, 1)
         assert pts == sorted(pts)
 
     def test_zero_cube(self):
-        assert [p.coords for p in cube_points(0)] == [()]
+        assert list(cube_points(0)) == [()]
 
 
 class TestSlices:
@@ -136,8 +120,8 @@ class TestSlices:
 
     def test_below_and_above_bounds_are_strict(self):
         sw = build_sandwich(2, 1)
-        assert {p.coords[1:] for p in sw.lower} == {(0, 0)}
-        assert {p.coords[1:] for p in sw.upper} == {(1, 1)}
+        assert {p[1:] for p in sw.lower} == {(0, 0)}
+        assert {p[1:] for p in sw.upper} == {(1, 1)}
 
 
 class TestSandwich:
@@ -149,14 +133,14 @@ class TestSandwich:
 
     def test_k1_s_minus1_literal(self):
         # layer -1 empty, layer 0 holds cube point 0, layer 1 holds both
-        assert coords_of(build_sandwich(1, -1).points()) == {
+        assert build_sandwich(1, -1).points() == {
             (0, 0),
             (1, 0),
             (1, 1),
         }
 
     def test_k2_s0_literal(self):
-        assert coords_of(build_sandwich(2, 0).points()) == {
+        assert build_sandwich(2, 0).points() == {
             (0, 0, 0),
             (0, 0, 1),
             (0, 1, 0),
@@ -167,14 +151,14 @@ class TestSandwich:
 
     def test_k0_s_minus2_is_one_point_on_the_line(self):
         sw = build_sandwich(0, -2)
-        assert coords_of(sw.points()) == {(1,)}
+        assert sw.points() == {(1,)}
         assert sandwich_size(0, -2) == 1
 
     def test_layers(self):
         sw = build_sandwich(2, 1)
-        assert coords_of(sw.lower) == {(-1, 0, 0)}
-        assert coords_of(sw.middle) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
-        assert coords_of(sw.upper) == {(1, 1, 1)}
+        assert sw.lower == {(-1, 0, 0)}
+        assert sw.middle == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
+        assert sw.upper == {(1, 1, 1)}
         assert sw.points() == sw.lower | sw.middle | sw.upper
 
     @given(st.integers(0, 7), st.integers(-3, 9))
@@ -187,29 +171,25 @@ class TestSandwich:
 
     @given(st.integers(0, 5), st.integers(-2, 6))
     def test_membership_predicate_matches_enumeration(self, k, s):
-        members = coords_of(build_sandwich(k, s).points())
+        members = build_sandwich(k, s).points()
         for layer in (-2, -1, 0, 1, 2):
             for bits in product((0, 1), repeat=k):
-                p = LatticePoint((layer,) + bits)
-                assert sandwich_contains(k, s, p) == (p.coords in members)
+                p = (layer,) + bits
+                assert sandwich_contains(k, s, p) == (p in members)
 
-    def test_tuple_membership_matches_the_point_form(self):
-        # the covering checks pass coordinate tuples; off-cube tails and
-        # wrong lengths must be refused exactly as for a LatticePoint
+    def test_membership_off_the_cube_matches_enumeration(self):
+        # off-cube tails and wrong lengths are refused
         for k in range(5):
             for s in range(-2, k + 1):
-                members = coords_of(build_sandwich(k, s).points())
+                members = build_sandwich(k, s).points()
                 for coords in product(range(-2, 3), *[(-1, 0, 1, 2)] * k):
-                    inside = coords in members
-                    assert sandwich_contains(k, s, coords) == inside
-                    assert sandwich_contains(k, s, LatticePoint(coords)) == inside
+                    assert sandwich_contains(k, s, coords) == (coords in members)
                     for wrong in (coords[:-1], coords + (0,)):
                         assert not sandwich_contains(k, s, wrong)
-                        assert not sandwich_contains(k, s, LatticePoint(wrong))
 
     def test_membership_rejects_off_cube_tails(self):
-        assert not sandwich_contains(2, 0, lattice(1, 0, 2))
-        assert not sandwich_contains(2, 0, lattice(1, 0))
+        assert not sandwich_contains(2, 0, (1, 0, 2))
+        assert not sandwich_contains(2, 0, (1, 0))
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -220,9 +200,9 @@ class TestSandwich:
 
 class TestProjections:
     def test_sigma0(self):
-        assert sigma0(lattice(-1, 1, 0, 1)) == (-1, 2)
+        assert sigma0((-1, 1, 0, 1)) == (-1, 2)
         with pytest.raises(DimensionMismatchError):
-            sigma0(lattice())
+            sigma0(())
 
 
 class TestSigmaZeroSets:
@@ -243,10 +223,10 @@ class TestSigmaZeroSets:
             for tau in enumerate_maximal_sigma0_sets(k):
                 triple = profile_triple(tau.anchor, tau.shape)
                 for p in tau.points:
-                    assert isinstance(p, LatticePoint)
-                    assert p.dim == k + 1
-                    assert set(p.coords) <= {0, 1}
-                    assert all(type(c) is int for c in p.coords)
+                    assert type(p) is tuple
+                    assert len(p) == k + 1
+                    assert set(p) <= {0, 1}
+                    assert all(type(c) is int for c in p)
                     assert p[tau.facet_axis] == tau.facet_level
                     assert sigma0(p) in triple
 
@@ -299,10 +279,12 @@ class TestSigmaZeroSets:
 
 class TestJson:
     def test_points_round_trip(self):
-        pts = frozenset({lattice(1, -1), lattice(0, 2)})
+        pts = frozenset({(1, -1), (0, 2)})
         data = points_to_json(pts)
         assert data == [[0, 2], [1, -1]]
-        assert frozenset(lattice_from_json(row) for row in data) == pts
+        assert {lattice_from_json(row) for row in data} == {
+            lattice(*p) for p in pts
+        }
 
     @pytest.mark.parametrize(
         "row", [[2.7, 0], [2.0, 0], ["5", 0], [True, 0], [None], 7, [[1]]]

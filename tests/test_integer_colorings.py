@@ -45,7 +45,7 @@ from centerpole.geometry import (
     matrix_inverse,
     point_to_json,
 )
-from rational_reference import dot, fraction_rule, scaled
+from rational_reference import dot, fraction_rule, minus, scaled
 
 F = Fraction
 
@@ -82,11 +82,11 @@ def ref_cone_coloring(spec):
 
 def ref_pair_coloring(a, b):
     pa = RationalPoint(tuple(a))
-    u = (RationalPoint(tuple(b)) - pa).coords
+    u = minus(b, pa.coords)
     uu = dot(u, u)
 
     def evaluate(point):
-        diff = tuple(v - w for v, w in zip(point, pa.coords))
+        diff = minus(point, pa.coords)
         sigma = dot(diff, u) / uu
         if sigma.denominator != 1:
             return 1 if floor(sigma) % 2 == 0 else 0

@@ -34,7 +34,7 @@ from centerpole.geometry import (
     matrix_rank,
 )
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
-from rational_reference import dot
+from rational_reference import dot, minus
 
 # --- the rational reference --------------------------------------------
 
@@ -80,7 +80,7 @@ def ref_matrix_inverse(rows):
 def ref_affine_hull_dim(points):
     if not points:
         return -1
-    return ref_row_reduce([list((p - points[0]).coords) for p in points[1:]])
+    return ref_row_reduce([list(minus(p.coords, points[0].coords)) for p in points[1:]])
 
 
 @cache
@@ -89,7 +89,7 @@ def ref_hyperplane_through(points):
     Cached: grid sets repeat their subsets within and across examples."""
     d = points[0].dim
     base = points[0]
-    work = [list((p - base).coords) for p in points[1:]]
+    work = [list(minus(p.coords, base.coords)) for p in points[1:]]
     rank = ref_row_reduce(work)
     if rank != d - 1:
         return None
@@ -105,7 +105,7 @@ def ref_hyperplane_through(points):
 def ref_containing_hyperplane(points):
     d = points[0].dim
     base = points[0]
-    work = [list((p - base).coords) for p in points[1:]]
+    work = [list(minus(p.coords, base.coords)) for p in points[1:]]
     rank = ref_row_reduce(work)
     if rank >= d:
         return None

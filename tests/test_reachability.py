@@ -15,6 +15,9 @@ bench/: as ``obj.name`` in a load, or as ``getattr(obj, "name")``.  The
 match is by name only, so a read of any object's ``name`` counts for
 every class that has one.  State that only tests read should be deleted,
 or kept here with the reason a verdict needs it.
+
+So is every public method and property of a package class, by the same
+name-only match.  Dunder and underscore methods are exempt.
 """
 import ast
 from pathlib import Path
@@ -31,6 +34,13 @@ ALLOWED = {
 ALLOWED_STATE = {
     "CoverCertificate.case_label": (
         "tests pin that every branch of the 17-case table is reachable"
+    ),
+}
+
+ALLOWED_METHODS = {
+    "Hyperplane.sort_key": (
+        "the reference order of spanned hyperplanes that the integer keys "
+        "of integer_spanned_hyperplanes reproduce; tests sort by it"
     ),
 }
 
@@ -172,5 +182,21 @@ def test_all_state_is_read():
         if isinstance(node, ast.ClassDef)
         for name in _state(node)
         if name not in read and f"{node.name}.{name}" not in ALLOWED_STATE
+    ]
+    assert unread == []
+
+
+def test_every_public_method_is_read():
+    read = set().union(*(_read_attributes(_parse(path)) for path in _sources()))
+    unread = [
+        f"{path.name}:{node.name}.{stmt.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and stmt.name not in read
+        and f"{node.name}.{stmt.name}" not in ALLOWED_METHODS
     ]
     assert unread == []
