@@ -4,10 +4,10 @@ Four center families, smallest to hardest: a single center forced with
 one color in dimensions 1 to 3, a generic two-point family that stays
 colorable, and the two sandwich nuclei whose windows are forced with 2
 and 3 colors.  With --with-4d, also the 12-point nucleus sandwich(3,1)
-in Z^4 with 4 colors, expected Forced at outer radius 4 (7 to 10 s of
+in Z^4 with 4 colors, expected Forced at outer radius 4 (4 to 6 s of
 search on two cores).  Emits one JSON document with verdicts, proof
-windows, and decision and conflict counts.  Exit code 1 if any case
-misses its expected verdict.
+windows, decision and conflict counts, and the windows solved per row.
+Exit code 1 if any case misses its expected verdict.
 """
 import argparse
 import json
@@ -38,6 +38,7 @@ def schedule_row(name, centers, colors, r_list, expected, budget, r_factor=3):
         "provedAtOuter": [row.proved_at_outer for row in schedule.rows],
         "decisions": [row.verdict.stats.decisions for row in schedule.rows],
         "conflicts": [row.verdict.stats.conflicts for row in schedule.rows],
+        "windowsSolved": [row.windows_solved for row in schedule.rows],
         "expected": expected,
         "ok": verdicts == expected,
         "seconds": round(time.perf_counter() - started, 3),

@@ -25,8 +25,10 @@ radius is the intended reading.  Smaller windows embed into larger ones
 as induced subgraphs, so Forced persists as the outer radius grows.
 ``certify_schedule`` uses that to solve only some outer radii: it
 gallops up from the smallest window to the full one until a window is
-Forced, then bisects for the smallest Forced outer radius.  Colorable
-is reported only from the full window.
+Forced, then bisects for the smallest Forced outer radius.  For k <= 2,
+whose windows need no search, the full window is solved right after the
+two smallest, and a Colorable one ends the row.  Colorable is reported
+only from the full window.
 """
 from __future__ import annotations
 
@@ -246,10 +248,15 @@ def decide_k_colorable(
 
     One route per k.  For k = 2 the component walk records BFS parity: the
     graph is 2-colorable exactly when no edge joins equal parities, and the
-    parity is the witness.  Otherwise each component, smallest first, is
-    peeled and its core, if any, goes to the clause-learning engine.  The
-    budget counts that engine's decisions across components; running out
-    gives Unknown, never a guessed verdict, and cannot happen for k <= 2.
+    parity is the witness.  Otherwise each component, largest first (ties
+    by lowest vertex), is peeled and its core, if any, goes to the
+    clause-learning engine; the first component with no proper coloring
+    makes the window Forced, and the rest are not solved.  A Colorable
+    window solves every component, each on its own solver, so its
+    witness and summed counts do not depend on the order.  The budget
+    counts that engine's decisions across the components solved; running
+    out gives Unknown, never a guessed verdict, and cannot happen for
+    k <= 2.
     """
     if k < 1:
         raise ValueError("color count must be positive")
@@ -296,7 +303,7 @@ def decide_k_colorable(
             return verdict(VerdictKind.FORCED, detail)
         witness = list(parity)
     else:
-        comps.sort(key=lambda c: (len(c), c[0]))
+        comps.sort(key=lambda c: (-len(c), c[0]))
         witness = [-1] * n
         for comp in comps:
             core, peeled = _peel(adj, comp, k)
@@ -333,6 +340,7 @@ class ScheduleRow:
     outer: int
     verdict: WindowVerdict
     proved_at_outer: int
+    windows_solved: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,6 +373,15 @@ def certify_schedule(
     carries the verdict of the full window R, so Colorable is only
     reported from the full window.
 
+    For k <= 2 a window is decided without search, in time linear in its
+    size, so when neither ``start`` nor ``start + 1`` is Forced, R is
+    solved next.  A Colorable R ends the row after three windows; a
+    Forced R leaves the gallop to go on from ``start + 3``, and reaching
+    R again reuses its verdict.  For k >= 3 R is solved only when the
+    gallop reaches it, since one SAT window can cost more than the whole
+    gallop below it.  No window of a row is solved twice;
+    ``windows_solved`` counts them.
+
     With no Unknown window this solves fewer windows but reports exactly
     what a scan of every outer radius from ``start`` to R would: the
     same verdict, ``proved_at_outer``, witness and stats.  An Unknown
@@ -372,9 +389,9 @@ def certify_schedule(
     ``proved_at_outer`` can then be larger than the smallest Forced
     radius; it always names a window that was solved and found Forced.
 
-    A color count below 1, an empty ``r_list``, or a schedule whose
-    largest window has more than MAX_WINDOW_POINTS points, raises
-    ValueError before any window is built.
+    A color count below 1, an empty ``r_list``, a negative inner radius,
+    or a schedule whose largest window has more than MAX_WINDOW_POINTS
+    points, raises ValueError before any window is built.
     """
     centers = tuple(centers)
     if not centers:
@@ -388,6 +405,9 @@ def certify_schedule(
     r_list = list(r_list)
     if not r_list:
         raise ValueError("at least one inner radius is required")
+    for r in r_list:
+        if r < 0:
+            raise ValueError(f"inner radius must be non-negative, got {r}")
     dim = centers[0].dim
     max_norm = max(c.norm_inf() for c in centers)
     outers = [r_factor * (r + max_norm + 1) for r in r_list]
@@ -399,20 +419,36 @@ def certify_schedule(
         )
     rows: list[ScheduleRow] = []
     for r, outer in zip(r_list, outers):
+        solved: dict[int, WindowVerdict] = {}
 
         def solve(trial_outer: int) -> WindowVerdict:
-            spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
-            return decide_k_colorable(build_symmetry_graph(spec), k, budget=budget)
+            if trial_outer not in solved:
+                spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
+                graph = build_symmetry_graph(spec)
+                solved[trial_outer] = decide_k_colorable(graph, k, budget=budget)
+            return solved[trial_outer]
 
-        lo = trial_outer = r + max_norm + 1
+        start = r + max_norm + 1
+        lo = trial_outer = start
+        verdict = solve(start)
         step = 1
-        while True:
-            verdict = solve(trial_outer)
-            if verdict.kind is VerdictKind.FORCED or trial_outer == outer:
-                break
+        while verdict.kind is not VerdictKind.FORCED and trial_outer != outer:
             lo = trial_outer + 1
             trial_outer = min(trial_outer + step, outer)
             step *= 2
+            verdict = solve(trial_outer)
+            if (
+                k <= 2
+                and trial_outer == start + 1
+                and verdict.kind is not VerdictKind.FORCED
+            ):
+                # no search runs for k <= 2, so R costs time linear in its
+                # size, and a Colorable R settles the row without the gallop;
+                # waiting for start + 1 spares R to rows Forced there, as the
+                # planar nuclei are
+                full = solve(outer)
+                if full.kind is not VerdictKind.FORCED:
+                    trial_outer, verdict = outer, full
         proved_at = trial_outer
         if verdict.kind is VerdictKind.FORCED:
             # the smallest Forced radius lies in [lo, proved_at]
@@ -424,7 +460,13 @@ def certify_schedule(
                 else:
                     lo = mid + 1
         rows.append(
-            ScheduleRow(inner=r, outer=outer, verdict=verdict, proved_at_outer=proved_at)
+            ScheduleRow(
+                inner=r,
+                outer=outer,
+                verdict=verdict,
+                proved_at_outer=proved_at,
+                windows_solved=len(solved),
+            )
         )
     return ScheduleReport(
         dim=dim, k=k, centers=centers, r_factor=r_factor, rows=tuple(rows)

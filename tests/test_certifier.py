@@ -302,6 +302,60 @@ class TestDecision:
                 if brute:
                     assert verify_witness(graph, k, verdict.witness)
 
+    @pytest.mark.parametrize(
+        "dim,k,centers",
+        [(3, 3, sandwich_centers(2, 0)), (4, 4, sandwich_centers(3, 1))],
+    )
+    def test_colorable_windows_do_not_depend_on_the_component_order(
+        self, dim, k, centers
+    ):
+        # each component has its own solver, and a peeled vertex reads only
+        # neighbours in its own component, so solving the components
+        # smallest first gives the same witness and summed counts
+        graph = build_symmetry_graph(
+            WindowSpec(dim=dim, outer=3, inner=1, centers=centers)
+        )
+        adj = graph.adjacency()
+        comps, seen = [], set()
+        for start in range(graph.vertex_count):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            for v in comp:
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+            comps.append(comp)
+        comps.sort(key=lambda c: (len(c), c[0]))
+        witness = [-1] * graph.vertex_count
+        decisions = conflicts = solved = 0
+        for comp in comps:
+            core, peeled = certifier._peel(adj, comp, k)
+            if core:
+                got, spent, clashes, exhausted = certifier._cdcl_core(
+                    adj, core, k, certifier.DEFAULT_BUDGET
+                )
+                assert got is not None and not exhausted
+                decisions += spent
+                conflicts += clashes
+                solved += 1
+                for v, c in zip(core, got):
+                    witness[v] = c
+            for v in reversed(peeled):
+                taken = {witness[u] for u in adj[v]}
+                witness[v] = min(c for c in range(k) if c not in taken)
+        assert solved >= 2 and decisions > 0
+
+        verdict = decide_k_colorable(graph, k)
+        assert verdict.kind is VerdictKind.COLORABLE
+        assert verdict.witness == tuple(witness)
+        assert (verdict.stats.decisions, verdict.stats.conflicts) == (
+            decisions,
+            conflicts,
+        )
+
 
 class TestTranslationInvariance:
     def test_shifted_problems_get_identical_verdicts(self):
@@ -377,6 +431,13 @@ class TestSchedule:
         for k in (0, -1):
             with pytest.raises(ValueError, match="color count must be positive"):
                 certify_schedule([lattice(0, 0)], k, [40])
+        assert built == []
+
+    def test_refuses_a_negative_inner_radius_before_building_any(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
+        with pytest.raises(ValueError, match="inner radius must be non-negative, got -1"):
+            certify_schedule(sandwich_centers(1, -1), 2, [1, -1])
         assert built == []
 
     def test_rejects_r_factor_below_one(self):
@@ -457,6 +518,8 @@ class TestGallopingEscalation:
             (LATE_FORCED, 2, [1, 2, 3], 3),
             ([lattice(0, 0), lattice(3, 0)], 2, [1, 2], 2),
             ([lattice(0), lattice(1), lattice(3)], 2, [0, 1, 2], 3),
+            ([lattice(-1, -1, -1), lattice(0, -1, 0), lattice(0, 1, 1)], 2, [0, 1, 2], 3),
+            ([lattice(0, 0, 0), lattice(1, 1, 1)], 2, [0, 1], 2),
             (LATE_FORCED, 3, [1], 3),
             ([lattice(0, 0), lattice(2, 1), lattice(1, 3)], 3, [0, 1], 2),
         ],
@@ -472,15 +535,57 @@ class TestGallopingEscalation:
         (row,) = report.rows
         assert row.verdict.kind is VerdictKind.FORCED
         assert row.proved_at_outer == 6
-        # gallop 4, 5, 7 (Forced), then bisect the gap [6, 7]
-        assert solved == [4, 5, 7, 6]
+        # start 4 and 5, then R = 12 (Forced), so the gallop goes on to
+        # 7 (Forced) and bisects the gap [6, 7]
+        assert solved == [4, 5, 12, 7, 6]
+        assert row.windows_solved == len(solved)
 
-    def test_colorable_rows_gallop_to_the_full_window(self, solved):
+    def test_colorable_rows_with_two_colors_solve_three_windows(self, solved):
         report = certify_schedule([lattice(0, 0), lattice(3, 0)], 2, [1, 4])
         assert [row.verdict.kind for row in report.rows] == [VerdictKind.COLORABLE] * 2
         assert [row.proved_at_outer for row in report.rows] == [15, 24]
-        # start + 0, 1, 3, 7, 15, ... with the last probe capped at R
-        assert solved == [5, 6, 8, 12, 15] + [8, 9, 11, 15, 23, 24]
+        # start and start + 1, then the full window R, which settles the row
+        assert solved == [5, 6, 15] + [8, 9, 24]
+        assert [row.windows_solved for row in report.rows] == [3, 3]
+
+    def test_a_gallop_that_reaches_a_forced_full_window_reuses_it(
+        self, solved, monkeypatch
+    ):
+        decided = []
+
+        def forced_from_eight(graph, k, budget=certifier.DEFAULT_BUDGET):
+            decided.append(graph.spec.outer)
+            kind = VerdictKind.FORCED if graph.spec.outer >= 8 else VerdictKind.COLORABLE
+            stats = certifier.SearchStats(
+                vertices=graph.vertex_count, edges=graph.edge_count,
+                decisions=0, conflicts=0,
+            )
+            return certifier.WindowVerdict(kind=kind, witness=None, stats=stats)
+
+        monkeypatch.setattr(certifier, "decide_k_colorable", forced_from_eight)
+        (row,) = certify_schedule(LATE_FORCED, 2, [1], r_factor=2).rows
+        # start 4 and 5, R = 8 (Forced), gallop 7, then 8 again: no new solve
+        assert (row.verdict.kind, row.proved_at_outer) == (VerdictKind.FORCED, 8)
+        assert solved == decided == [4, 5, 8, 7]
+        assert row.windows_solved == 4
+
+    def test_rows_with_three_colors_never_solve_the_full_window_early(self, solved):
+        # a SAT window can cost more than the gallop below it, so R is
+        # solved only when the gallop reaches it
+        report = certify_schedule(
+            [lattice(0, 0), lattice(2, 1), lattice(1, 3)], 3, [0], r_factor=2
+        )
+        (row,) = report.rows
+        assert row.verdict.kind is VerdictKind.COLORABLE
+        assert solved == [4, 5, 7, 8]
+        solved.clear()
+        # Forced at outer 4 of R = 9: R is never solved
+        report = certify_schedule(sandwich_centers(2, 0), 3, [1])
+        (row,) = report.rows
+        assert row.verdict.kind is VerdictKind.FORCED
+        assert (row.proved_at_outer, row.outer) == (4, 9)
+        assert solved == [3, 4]
+        assert row.windows_solved == 2
 
     def test_an_unknown_probe_moves_the_search_up(self, monkeypatch):
         decide = certifier.decide_k_colorable
@@ -896,7 +1001,7 @@ class TestSatCore:
             dim=3, outer=4, inner=1, centers=sandwich_centers(2, 0)
         )
         stats = decide_k_colorable(build_symmetry_graph(spec), 3).stats
-        assert (stats.decisions, stats.conflicts) == (395, 105)
+        assert (stats.decisions, stats.conflicts) == (112, 87)
         for max_learned, counts in ((4000, (881, 735)), (1, (1062, 834))):
             solver = pigeonhole_solver(7, 6)
             solver.max_learned = max_learned

@@ -534,6 +534,22 @@ class TestCertifyCommand:
         assert out == ""
         assert err == "error: color count must be positive, got 0\n"
 
+    def test_a_negative_inner_radius_is_refused_before_any_window(
+        self, monkeypatch, capsys
+    ):
+        def never(spec):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(certifier, "build_symmetry_graph", never)
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(1,-1)",
+             "--r-list", "1,-1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: inner radius must be non-negative, got -1\n"
+
     @pytest.mark.parametrize("r_list", [",", "", " , "])
     def test_an_empty_r_list_is_a_usage_error(self, r_list, capsys):
         code, out, err = run_cli(

@@ -97,7 +97,9 @@ class TestCertifierEvidence4d:
             calls.append((len(centers), k, r_list, r_factor))
             stats = SearchStats(vertices=6480, edges=1, decisions=7, conflicts=5)
             verdict = WindowVerdict(VerdictKind.FORCED, None, stats)
-            row = ScheduleRow(inner=1, outer=10, verdict=verdict, proved_at_outer=4)
+            row = ScheduleRow(
+                inner=1, outer=10, verdict=verdict, proved_at_outer=4, windows_solved=3
+            )
             return ScheduleReport(
                 dim=4, k=k, centers=tuple(centers), r_factor=r_factor, rows=(row,)
             )
@@ -111,6 +113,7 @@ class TestCertifierEvidence4d:
         assert (row["colors"], row["rList"], row["rFactor"]) == (4, [1], 2)
         assert row["verdicts"] == row["expected"] == ["Forced"]
         assert (row["provedAtOuter"], row["decisions"], row["conflicts"]) == ([4], [7], [5])
+        assert row["windowsSolved"] == [3]
         assert row["ok"] and doc["ok"]
         assert "seconds" in row
 
@@ -131,4 +134,14 @@ class TestCertifierEvidence4d:
             "singleton-dim3",
             "generic-pair",
             "planar-nucleus",
+        ]
+        # a one-color singleton is Forced at its first window; a Colorable
+        # two-color row solves its first two windows and then R, and a
+        # planar nucleus row is Forced at its second window, before R
+        assert [case["windowsSolved"] for case in doc["cases"]] == [
+            [1],
+            [1],
+            [1],
+            [3, 3],
+            [2, 2, 2],
         ]
