@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     cases.append(
         schedule_row(
             "planar-nucleus",
-            build_sandwich(1, -1).points(),
+            build_sandwich(1, -1),
             2,
             [1, 2, 3],
             ["Forced", "Forced", "Forced"],
@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         cases.append(
             schedule_row(
                 "spatial-nucleus",
-                build_sandwich(2, 0).points(),
+                build_sandwich(2, 0),
                 3,
                 [1, 2],
                 ["Forced", "Forced"],
@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         cases.append(
             schedule_row(
                 "4d-nucleus",
-                build_sandwich(3, 1).points(),
+                build_sandwich(3, 1),
                 4,
                 [1],
                 ["Forced"],

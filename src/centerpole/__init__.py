@@ -41,7 +41,6 @@ from .covering import (
 from .cube import (
     LatticePoint,
     LShape,
-    Sandwich,
     SigmaZeroSet,
     build_sandwich,
     cube_points,

@@ -36,7 +36,6 @@ from .colorings import (
 from .covering import verify_covering_lemma
 from .cube import (
     LatticePoint,
-    Sandwich,
     build_sandwich,
     lattice_from_json,
     points_to_json,
@@ -104,7 +103,7 @@ def _parse_json(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def bounded_sandwich(k: int, s: int) -> Sandwich:
+def bounded_sandwich(k: int, s: int) -> frozenset[tuple[int, ...]]:
     """``build_sandwich(k, s)``, refused with ValueError when the set
     would have more than MAX_SANDWICH_POINTS points.  A sandwich has at
     least 2^k points, so a large k is refused without counting."""
@@ -129,7 +128,7 @@ def _center_rows(spec: str | list) -> list:
         match = _SANDWICH_RE.match(spec.strip())
         if match:
             k, s = int(match.group(1)), int(match.group(2))
-            return points_to_json(bounded_sandwich(k, s).points())
+            return points_to_json(bounded_sandwich(k, s))
         with open(spec, encoding="utf-8") as fh:
             spec = _parse_json(fh.read())
     if not isinstance(spec, list):
@@ -248,16 +247,16 @@ def _schedule_to_json(report: ScheduleReport) -> dict:
 def cmd_sandwich(k: int, s: int, fmt: str = "json") -> tuple[int, dict | str]:
     sandwich = bounded_sandwich(k, s)
     if fmt == "csv":
-        lines = [",".join(str(v) for v in row) for row in points_to_json(sandwich.points())]
+        lines = [",".join(str(v) for v in row) for row in points_to_json(sandwich)]
         return 0, "\n".join(lines) + "\n"
     if fmt == "pretty":
         lines = [f"sandwich k={k} s={s}: {len(sandwich)} points"]
         lines += [
             "  (" + ", ".join(str(v) for v in row) + ")"
-            for row in points_to_json(sandwich.points())
+            for row in points_to_json(sandwich)
         ]
         return 0, "\n".join(lines) + "\n"
-    return 0, sandwich_to_json(sandwich)
+    return 0, sandwich_to_json(k, s, sandwich)
 
 
 def cmd_cover_verify(k: int, s: int) -> tuple[int, dict]:
@@ -276,6 +275,8 @@ def cmd_tshape(
     seed: int = 0,
     bound_dim: int | None = None,
 ) -> tuple[int, dict]:
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials}")
     with open(points_file, encoding="utf-8") as fh:
         rows = _parse_json(fh.read())
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -344,6 +345,8 @@ def cmd_coloring_scan(
         )
     rule = build_rule(rule_spec)
     centers = [point_from_json(row) for row in centers_rows]
+    if not centers:
+        raise ValueError("at least one center is required")
     report = symmetric_pair_scan(
         rule, centers, fraction_from_json(inner_radius), samples, seed
     )

@@ -445,9 +445,10 @@ def symmetric_pair_scan(
     (2*C*q - D*z, D*q).  A ``Fraction`` is built only to print a
     violation.  The radius, like a coordinate, must be an ``int`` or a
     ``Fraction``; anything else, a float or a bool among them, raises
-    ValueError.  So does a radius that no sample can clear: as
-    |x - c| <= SCAN_NUMERATOR_BOUND + |c| in the max norm, such a
-    radius is refused before anything is drawn.
+    ValueError.  So does a negative radius, under which a center counts
+    as far and is its own mirror, and a radius that no sample can clear:
+    as |x - c| <= SCAN_NUMERATOR_BOUND + |c| in the max norm.  Both are
+    refused before anything is drawn.
 
     The draws are those of ``randint(-B, B)``, then ``random()``, then,
     when it is at least 1/2, ``randint(1, M)`` for each coordinate in
@@ -467,6 +468,8 @@ def symmetric_pair_scan(
     if isinstance(inner_radius, bool) or not isinstance(inner_radius, (int, Fraction)):
         raise ValueError(f"inner radius {inner_radius!r} is not an int or a Fraction")
     radius = Fraction(inner_radius)
+    if radius < 0:
+        raise ValueError(f"inner radius must be non-negative, got {radius}")
     scale, ((bound,), *scaled) = clear_denominators(
         [(radius,)] + [c.coords for c in cpts]
     )

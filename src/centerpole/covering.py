@@ -142,10 +142,8 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
     return cert
 
 
-@cache
-def _sandwich_coords(k: int, s: int) -> frozenset[tuple[int, ...]]:
-    """The built (k, s) sandwich, once per pair."""
-    return build_sandwich(k, s).points()
+# the built (k, s) sandwich, once per pair
+_sandwich_coords = cache(build_sandwich)
 
 
 def brute_force_cover_shifts(

@@ -11,7 +11,7 @@ All integer arithmetic is exact.  Coordinates that enter from outside
 window) pass ``checked_coordinates``: each must be an ``int`` in the
 signed 64-bit range, so results stay portable to fixed-width consumers.
 Points built inside from checked ones are not checked again: cube
-vertices, sandwich layers and facet sets are built from 0/1 tuples, and
+vertices, sandwich points and facet sets are built from 0/1 tuples, and
 their constructors trust what the enumeration has just filtered.
 """
 from __future__ import annotations
@@ -77,46 +77,23 @@ def cube_points(k: int) -> Iterator[tuple[int, ...]]:
     return product((0, 1), repeat=k)
 
 
-@dataclass(frozen=True, slots=True)
-class Sandwich:
-    """Three-layer subset of Z^(1+k).
+def build_sandwich(k: int, s: int) -> frozenset[tuple[int, ...]]:
+    """The (k, s) sandwich: a three-layer subset of Z^(1+k).  A point's
+    layer is its first coordinate.
 
     Layer -1 carries the k-cube vertices of coordinate sum < s, layer 0
     those of sum < k, and layer +1 those of sum > s.
     """
-
-    k: int
-    s: int
-    lower: frozenset[tuple[int, ...]]
-    middle: frozenset[tuple[int, ...]]
-    upper: frozenset[tuple[int, ...]]
-
-    def points(self) -> frozenset[tuple[int, ...]]:
-        return self.lower | self.middle | self.upper
-
-    def __len__(self) -> int:
-        return len(self.lower) + len(self.middle) + len(self.upper)
-
-
-def build_sandwich(k: int, s: int) -> Sandwich:
-    lower: list[tuple[int, ...]] = []
-    middle: list[tuple[int, ...]] = []
-    upper: list[tuple[int, ...]] = []
+    points: list[tuple[int, ...]] = []
     for p in cube_points(k):
         total = sum(p)
         if total < s:
-            lower.append((-1,) + p)
+            points.append((-1,) + p)
         if total < k:
-            middle.append((0,) + p)
+            points.append((0,) + p)
         if total > s:
-            upper.append((1,) + p)
-    return Sandwich(
-        k=k,
-        s=s,
-        lower=frozenset(lower),
-        middle=frozenset(middle),
-        upper=frozenset(upper),
-    )
+            points.append((1,) + p)
+    return frozenset(points)
 
 
 def sandwich_size(k: int, s: int) -> int:
@@ -260,15 +237,14 @@ def lattice_from_json(row: Iterable[int]) -> LatticePoint:
         raise ValueError(f"bad lattice point {row!r}: {err}") from err
 
 
-def sandwich_to_json(s: Sandwich) -> dict:
+def sandwich_to_json(k: int, s: int, points: frozenset[tuple[int, ...]]) -> dict:
     return {
-        "k": s.k,
-        "s": s.s,
-        "cardinality": len(s),
+        "k": k,
+        "s": s,
+        "cardinality": len(points),
         "layers": {
-            "-1": points_to_json(s.lower),
-            "0": points_to_json(s.middle),
-            "1": points_to_json(s.upper),
+            str(layer): points_to_json(p for p in points if p[0] == layer)
+            for layer in (-1, 0, 1)
         },
-        "points": points_to_json(s.points()),
+        "points": points_to_json(points),
     }

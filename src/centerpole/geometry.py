@@ -279,14 +279,13 @@ def separates(h: Hyperplane, points: Sequence[RationalPoint]) -> bool:
 
 
 def in_general_position(hyperplanes: Sequence[Hyperplane]) -> bool:
-    """Pairwise distinct with linearly independent normals."""
+    """Linearly independent normals.  This implies pairwise distinct:
+    two equal hyperplanes have equal canonical normals."""
     if not hyperplanes:
         return True
     dim = hyperplanes[0].dim
     for h in hyperplanes[1:]:
         _check_dims(dim, h.dim)
-    if len(set(hyperplanes)) != len(hyperplanes):
-        return False
     return matrix_rank([h.normal for h in hyperplanes]) == len(hyperplanes)
 
 

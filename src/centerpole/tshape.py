@@ -149,15 +149,15 @@ def is_t_shaped(points) -> TShapeResult:
         return TShapeResult(
             False, None, "a nonempty subset of the line is never T-shaped"
         )
-    scale, scaled = clear_denominators(p.coords for p in distinct)
-    if matrix_rank([[a - b for a, b in zip(p, scaled[0])] for p in scaled]) < dim:
-        h = containing_hyperplane(distinct)
+    h = containing_hyperplane(distinct)
+    if h is not None:
         cert = TShapeCertificate((h,), {p: 0 for p in distinct})
         if not cert.verify(distinct):
             raise RuntimeError("degenerate-hull certificate failed verification")
         return TShapeResult(
             True, cert, "one hyperplane carries the whole set"
         )
+    scale, scaled = clear_denominators(p.coords for p in distinct)
     cert = _search_cover(distinct, scaled, scale)
     if cert is None:
         return TShapeResult(

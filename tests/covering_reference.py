@@ -48,7 +48,7 @@ def covering_report(k, s):
     against the built sandwich."""
     failures = []
     sets = enumerate_maximal_sigma0_sets(k)
-    sandwich = build_sandwich(k, s).points()
+    sandwich = build_sandwich(k, s)
     for tau in sets:
         where = {
             "facet": [tau.facet_axis, tau.facet_level],

@@ -43,7 +43,7 @@ def report(criterion: int, detail: str) -> None:
 
 
 def sorted_coords(sandwich) -> list[tuple[int, ...]]:
-    return sorted(sandwich.points())
+    return sorted(sandwich)
 
 
 def test_criterion_1_sandwich_cardinalities_and_literals():
@@ -138,12 +138,12 @@ def test_criterion_4_window_certification():
             row.verdict.kind is VerdictKind.COLORABLE for row in schedule.rows
         ), centers
 
-    planar = [lattice(*p) for p in sorted(build_sandwich(1, -1).points())]
+    planar = [lattice(*p) for p in sorted(build_sandwich(1, -1))]
     schedule = certify_schedule(planar, 2, [1, 2, 3], r_factor=3)
     assert [row.verdict.kind for row in schedule.rows] == [VerdictKind.FORCED] * 3
     assert [row.proved_at_outer for row in schedule.rows] == [4, 5, 6]
 
-    spatial = [lattice(*p) for p in sorted(build_sandwich(2, 0).points())]
+    spatial = [lattice(*p) for p in sorted(build_sandwich(2, 0))]
     hard_start = time.perf_counter()
     schedule = certify_schedule(spatial, 3, [1, 2])
     hard_elapsed = time.perf_counter() - hard_start
@@ -289,7 +289,7 @@ def test_criterion_6_structural_invariants():
 
     # a signed permutation of Z^2 maps the window about the origin onto
     # itself, so it preserves the window graph of a center set
-    base = sorted(build_sandwich(1, -1).points())
+    base = sorted(build_sandwich(1, -1))
     base_centers = tuple(lattice(*p) for p in base)
     images = [
         tuple(

@@ -29,7 +29,7 @@ from centerpole.cube import (
 
 def sandwich_centers(k, s):
     """The (k, s) sandwich in sorted order, as certifier centers."""
-    return tuple(lattice(*p) for p in sorted(build_sandwich(k, s).points()))
+    return tuple(lattice(*p) for p in sorted(build_sandwich(k, s)))
 
 
 def plus(a, b):
@@ -587,7 +587,7 @@ class TestGallopingEscalation:
         assert solved == [3, 4]
         assert row.windows_solved == 2
 
-    def test_an_unknown_probe_moves_the_search_up(self, monkeypatch):
+    def test_an_unknown_probe_moves_the_search_up(self, monkeypatch, solved):
         decide = certifier.decide_k_colorable
 
         def unknown_at_seven(graph, k, budget=certifier.DEFAULT_BUDGET):
@@ -607,9 +607,11 @@ class TestGallopingEscalation:
 
         monkeypatch.setattr(certifier, "decide_k_colorable", unknown_at_seven)
         (row,) = certify_schedule(LATE_FORCED, 2, [1]).rows
+        # probes 4, 5, the full window 12 (Forced), 7 (Unknown), 11
+        # (Forced), then bisects [8, 11]: the row names a window that
+        # really is Forced, though not the smallest
+        assert solved == [4, 5, 12, 7, 11, 9, 8]
         ((linear_at, _),) = linear_schedule(LATE_FORCED, 2, [1])
-        # probes 4, 5, 7 (Unknown), 11 (Forced), then bisect [8, 11]: the
-        # row names a window that really is Forced, though not the smallest
         assert linear_at == 6
         assert row.verdict.kind is VerdictKind.FORCED
         assert row.proved_at_outer == 8

@@ -209,6 +209,23 @@ class TestTshapeCommand:
         assert bounds["ok"] is True
         assert bounds["t_value"] == 3
 
+    def test_a_negative_trial_count_is_refused_before_any_trial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a decision or a trial ran")
+
+        monkeypatch.setattr(cli, "is_t_shaped", never)
+        monkeypatch.setattr(cli, "verify_t_value_bounds", never)
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([[0, 0]]))
+        code, out, err = run_cli(
+            ["tshape", "--points", str(path), "--trials", "-3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: trial count must be non-negative, got -3\n"
+
     def test_empty_points_with_trials_needs_a_bound_dim(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("[]")
@@ -585,6 +602,40 @@ class TestColoringScanCommand:
         assert result["violations"] == []
         assert result["samples"] == 200
         assert result["centers"] == [["0", "0"]]
+
+    @pytest.mark.parametrize("centers", ["sandwich(0,0)", "empty file"])
+    def test_an_empty_center_set_is_refused_before_any_scan(
+        self, centers, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(cli, "symmetric_pair_scan", never)
+        if centers == "empty file":
+            path = tmp_path / "none.json"
+            path.write_text("[]")
+            centers = str(path)
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
+             "--centers", centers],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: at least one center is required\n"
+
+    @pytest.mark.parametrize("radius", ["-1", "-1/2"])
+    def test_a_negative_inner_radius_is_a_usage_error(self, radius, tmp_path, capsys):
+        path = tmp_path / "origin.json"
+        path.write_text("[[0]]")
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
+             "--centers", str(path), f"--inner-radius={radius}", "--samples", "1000"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: inner radius must be non-negative, got {radius}\n"
 
     def test_violations_flip_the_exit_code(self, tmp_path, capsys):
         centers = tmp_path / "centers.json"

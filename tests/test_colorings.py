@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -611,6 +612,34 @@ class TestScans:
             symmetric_pair_scan(
                 cone(1), [(0,)], inner_radius=10_000, samples=1, seed=0
             )
+
+    @pytest.mark.parametrize("radius,text", [(-1, "-1"), (F(-1, 2), "-1/2")])
+    def test_a_negative_radius_is_refused_before_any_draw(
+        self, radius, text, monkeypatch
+    ):
+        # under r < 0 the center counts as far and is its own mirror, so a
+        # scan would report it as a monochromatic pair
+        def no_generator(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(colorings, "random", SimpleNamespace(Random=no_generator))
+        with pytest.raises(
+            ValueError, match=f"^inner radius must be non-negative, got {text}$"
+        ):
+            symmetric_pair_scan(cone(1), [(0,)], radius, 1000, 0)
+
+    def test_a_zero_radius_never_samples_the_center(self):
+        def drawn(centers):
+            points = []
+            record = ColoringRule(
+                dim=1, color_count=1, evaluate=lambda z, q: points.append(z[0]) or 0
+            )
+            symmetric_pair_scan(record, centers, 0, 2000, 4)
+            return points
+
+        # the raw stream holds the center; the scan with it draws again
+        assert 0 in drawn([])
+        assert 0 not in drawn([(0,)])
 
 
 class TestExactInputs:

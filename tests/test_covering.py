@@ -220,7 +220,7 @@ def assert_failures_name_missed_points(report, k, s):
     (possibly patched) table prescribes it, misses the built sandwich,
     and names the least point missed.  Returns how many named points are
     not the least point of their set."""
-    sandwich = build_sandwich(k, s).points()
+    sandwich = build_sandwich(k, s)
     expected = []
     beyond_least = 0
     for tau in enumerate_maximal_sigma0_sets(k):

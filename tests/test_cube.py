@@ -81,6 +81,11 @@ def layer_sizes(k: int, s: int) -> tuple[int, int, int]:
     return lower, middle, upper
 
 
+def layer_of(sandwich, layer: int) -> set[tuple[int, ...]]:
+    """The points of one sandwich layer: those with that head coordinate."""
+    return {p for p in sandwich if p[0] == layer}
+
+
 class TestCubePoint:
     def test_with_layer_prepends(self):
         # each sandwich point is its layer followed by a cube vertex
@@ -89,12 +94,13 @@ class TestCubePoint:
             cube = list(cube_points(k))
             for s in range(-2, k + 3):
                 sw = build_sandwich(k, s)
-                for layer, points, admits in (
-                    (-1, sw.lower, lambda j: j < s),
-                    (0, sw.middle, lambda j: j < k),
-                    (1, sw.upper, lambda j: j > s),
+                assert {p[0] for p in sw} <= {-1, 0, 1}
+                for layer, admits in (
+                    (-1, lambda j: j < s),
+                    (0, lambda j: j < k),
+                    (1, lambda j: j > s),
                 ):
-                    assert points == {
+                    assert layer_of(sw, layer) == {
                         (layer,) + bits for bits in cube if admits(sum(bits))
                     }
 
@@ -114,14 +120,14 @@ class TestSlices:
     @given(st.integers(0, 8), st.integers(-3, 11))
     def test_slice_size_matches_enumeration(self, k, s):
         sw = build_sandwich(k, s)
-        sizes = (len(sw.lower), len(sw.middle), len(sw.upper))
+        sizes = tuple(len(layer_of(sw, layer)) for layer in (-1, 0, 1))
         assert sizes == layer_sizes(k, s)
         assert sandwich_size(k, s) == sum(sizes)
 
     def test_below_and_above_bounds_are_strict(self):
         sw = build_sandwich(2, 1)
-        assert {p[1:] for p in sw.lower} == {(0, 0)}
-        assert {p[1:] for p in sw.upper} == {(1, 1)}
+        assert {p[1:] for p in layer_of(sw, -1)} == {(0, 0)}
+        assert {p[1:] for p in layer_of(sw, 1)} == {(1, 1)}
 
 
 class TestSandwich:
@@ -133,14 +139,14 @@ class TestSandwich:
 
     def test_k1_s_minus1_literal(self):
         # layer -1 empty, layer 0 holds cube point 0, layer 1 holds both
-        assert build_sandwich(1, -1).points() == {
+        assert build_sandwich(1, -1) == {
             (0, 0),
             (1, 0),
             (1, 1),
         }
 
     def test_k2_s0_literal(self):
-        assert build_sandwich(2, 0).points() == {
+        assert build_sandwich(2, 0) == {
             (0, 0, 0),
             (0, 0, 1),
             (0, 1, 0),
@@ -151,27 +157,28 @@ class TestSandwich:
 
     def test_k0_s_minus2_is_one_point_on_the_line(self):
         sw = build_sandwich(0, -2)
-        assert sw.points() == {(1,)}
+        assert sw == {(1,)}
+        assert layer_of(sw, -1) == layer_of(sw, 0) == set()
         assert sandwich_size(0, -2) == 1
 
     def test_layers(self):
         sw = build_sandwich(2, 1)
-        assert sw.lower == {(-1, 0, 0)}
-        assert sw.middle == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
-        assert sw.upper == {(1, 1, 1)}
-        assert sw.points() == sw.lower | sw.middle | sw.upper
+        assert layer_of(sw, -1) == {(-1, 0, 0)}
+        assert layer_of(sw, 0) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
+        assert layer_of(sw, 1) == {(1, 1, 1)}
+        assert sw == layer_of(sw, -1) | layer_of(sw, 0) | layer_of(sw, 1)
 
     @given(st.integers(0, 7), st.integers(-3, 9))
     def test_size_formula_matches_enumeration(self, k, s):
         sw = build_sandwich(k, s)
         assert len(sw) == sandwich_size(k, s)
-        assert len(sw) == len(sw.points())
+        assert len(sw) == sum(len(layer_of(sw, layer)) for layer in (-1, 0, 1))
         if 0 <= s <= k:
             assert len(sw) == 2 ** (k + 1) - 1 - comb(k, s)
 
     @given(st.integers(0, 5), st.integers(-2, 6))
     def test_membership_predicate_matches_enumeration(self, k, s):
-        members = build_sandwich(k, s).points()
+        members = build_sandwich(k, s)
         for layer in (-2, -1, 0, 1, 2):
             for bits in product((0, 1), repeat=k):
                 p = (layer,) + bits
@@ -181,7 +188,7 @@ class TestSandwich:
         # off-cube tails and wrong lengths are refused
         for k in range(5):
             for s in range(-2, k + 1):
-                members = build_sandwich(k, s).points()
+                members = build_sandwich(k, s)
                 for coords in product(range(-2, 3), *[(-1, 0, 1, 2)] * k):
                     assert sandwich_contains(k, s, coords) == (coords in members)
                     for wrong in (coords[:-1], coords + (0,)):
@@ -294,7 +301,7 @@ class TestJson:
             [lattice_from_json(r) for r in ([0, 0], row)]
 
     def test_sandwich_document(self):
-        doc = sandwich_to_json(build_sandwich(1, -1))
+        doc = sandwich_to_json(1, -1, build_sandwich(1, -1))
         assert doc["k"] == 1 and doc["s"] == -1
         assert doc["cardinality"] == 3
         assert doc["layers"]["-1"] == []

@@ -213,6 +213,13 @@ class TestSeparationPredicates:
         assert in_general_position([a, b])
         assert not in_general_position([a, a])
         assert not in_general_position([a, parallel])
+        # distinctness follows from the rank test: a hyperplane given again,
+        # in any form, or a parallel one has a normal dependent on the others
+        a, b, c = (Hyperplane(n, 2) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert in_general_position([a, b, c])
+        assert not in_general_position([a, b, Hyperplane((-2, 0, 0), -4)])
+        assert not in_general_position([a, b, Hyperplane((3, 0, 0), 1)])
+        assert not in_general_position([b, a, c, a])
 
 
 def spanned(points):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
+    Hyperplane,
     RationalPoint,
     affine_hull_dim,
     matrix_rank,
@@ -112,6 +113,16 @@ class TestCertificates:
         )
         assert cert.verify(pts)
         assert not wrong.verify(pts)
+
+    def test_verify_rejects_a_repeated_or_a_parallel_hyperplane(self):
+        # each point is on the first hyperplane, so only general position
+        # can refuse these covers
+        pts = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0)]
+        (h,) = is_t_shaped(pts).certificate.hyperplanes
+        parallel = Hyperplane(h.normal, h.offset + 1)
+        for second in (h, parallel):
+            cert = TShapeCertificate((h, second), {p: 0 for p in pts})
+            assert not cert.verify(pts)
 
     def test_verify_rejects_missing_points(self):
         pts = [P(0, 0), P(3, 1)]
