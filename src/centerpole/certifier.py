@@ -16,8 +16,10 @@ k-coloring of the window with no monochromatic mirror pair, so:
 
 Each window is decided by one route, chosen by k: a BFS parity check
 for k = 2, and otherwise the clause-learning engine in ``sat`` on the
-core left after peeling vertices of degree below k.  The budget counts
-that engine's decisions only, so k <= 2 never gives Unknown.
+core left after peeling vertices of degree below k.  For k = 2 the
+parity is checked once, by ``verify_witness``, and that check decides
+the window.  The budget counts that engine's decisions only, so k <= 2
+never gives Unknown.
 
 A Forced verdict is finite-window evidence about the tested radii, not
 a proof about the infinite group; growing outer radii at a fixed inner
@@ -247,16 +249,16 @@ def decide_k_colorable(
     """Exact decision: Forced, Colorable (with verified witness), or Unknown.
 
     One route per k.  For k = 2 the component walk records BFS parity: the
-    graph is 2-colorable exactly when no edge joins equal parities, and the
-    parity is the witness.  Otherwise each component, largest first (ties
-    by lowest vertex), is peeled and its core, if any, goes to the
-    clause-learning engine; the first component with no proper coloring
-    makes the window Forced, and the rest are not solved.  A Colorable
-    window solves every component, each on its own solver, so its
-    witness and summed counts do not depend on the order.  The budget
-    counts that engine's decisions across the components solved; running
-    out gives Unknown, never a guessed verdict, and cannot happen for
-    k <= 2.
+    graph is 2-colorable exactly when no edge joins equal parities, so the
+    parity is the witness and ``verify_witness`` on it is the decision.
+    Otherwise each component, largest first (ties by lowest vertex), is
+    peeled and its core, if any, goes to the clause-learning engine; the
+    first component with no proper coloring makes the window Forced, and
+    the rest are not solved.  A Colorable window solves every component,
+    each on its own solver, so its witness and summed counts do not
+    depend on the order.  The budget counts that engine's decisions
+    across the components solved; running out gives Unknown, never a
+    guessed verdict, and cannot happen for k <= 2.
     """
     if k < 1:
         raise ValueError("color count must be positive")
@@ -297,11 +299,7 @@ def decide_k_colorable(
         return WindowVerdict(kind=kind, witness=witness, stats=stats, detail=detail)
 
     if k == 2:
-        clash = next((a for a, b in graph.edges if parity[a] == parity[b]), None)
-        if clash is not None:
-            detail = f"component of size {len(comps[comp_of[clash]])} has an odd cycle"
-            return verdict(VerdictKind.FORCED, detail)
-        witness = list(parity)
+        witness = tuple(parity)
     else:
         comps.sort(key=lambda c: (-len(c), c[0]))
         witness = [-1] * n
@@ -328,10 +326,15 @@ def decide_k_colorable(
                 taken = {witness[u] for u in adj[v] if witness[u] != -1}
                 witness[v] = min(c for c in range(k) if c not in taken)
 
-    if not verify_witness(graph, k, witness):
+    if verify_witness(graph, k, witness):
+        detail = f"proper {k}-coloring found and re-verified"
+        return verdict(VerdictKind.COLORABLE, detail, tuple(witness))
+    # a failed parity names the component of its first clashing edge
+    clash = next((a for a, b in graph.edges if parity[a] == parity[b]), None)
+    if k != 2 or clash is None:
         raise RuntimeError("internal error: witness failed re-verification")
-    detail = f"proper {k}-coloring found and re-verified"
-    return verdict(VerdictKind.COLORABLE, detail, tuple(witness))
+    size = len(comps[comp_of[clash]])
+    return verdict(VerdictKind.FORCED, f"component of size {size} has an odd cycle")
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,7 +383,8 @@ def certify_schedule(
     R again reuses its verdict.  For k >= 3 R is solved only when the
     gallop reaches it, since one SAT window can cost more than the whole
     gallop below it.  No window of a row is solved twice;
-    ``windows_solved`` counts them.
+    ``windows_solved`` counts them.  A repeated inner radius is solved
+    once, and its row is repeated.
 
     With no Unknown window this solves fewer windows but reports exactly
     what a scan of every outer radius from ``start`` to R would: the
@@ -417,8 +421,10 @@ def certify_schedule(
             f"the largest window, outer radius {largest} in dimension {dim}, "
             f"has more than the limit of {MAX_WINDOW_POINTS} points"
         )
-    rows: list[ScheduleRow] = []
+    by_inner: dict[int, ScheduleRow] = {}
     for r, outer in zip(r_list, outers):
+        if r in by_inner:
+            continue
         solved: dict[int, WindowVerdict] = {}
 
         def solve(trial_outer: int) -> WindowVerdict:
@@ -459,18 +465,15 @@ def certify_schedule(
                     verdict, proved_at = probe, mid
                 else:
                     lo = mid + 1
-        rows.append(
-            ScheduleRow(
-                inner=r,
-                outer=outer,
-                verdict=verdict,
-                proved_at_outer=proved_at,
-                windows_solved=len(solved),
-            )
+        by_inner[r] = ScheduleRow(
+            inner=r,
+            outer=outer,
+            verdict=verdict,
+            proved_at_outer=proved_at,
+            windows_solved=len(solved),
         )
-    return ScheduleReport(
-        dim=dim, k=k, centers=centers, r_factor=r_factor, rows=tuple(rows)
-    )
+    rows = tuple(by_inner[r] for r in r_list)
+    return ScheduleReport(dim=dim, k=k, centers=centers, r_factor=r_factor, rows=rows)
 
 
 def export_dimacs(graph: SymmetryGraph, k: int) -> str:

@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
 from .certifier import DEFAULT_BUDGET, ScheduleReport, certify_schedule
@@ -101,6 +102,40 @@ def _parse_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+
+
+def indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, exact int, bool and None;
+    anything else (a float, a non-str key, an int subclass) raises
+    TypeError.  A list of exact ints, such as a witness, is one join.  A
+    level costs one frame (loops, not generators), as in ``json.loads``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    items = []
+    if kind is dict:  # _quote raises TypeError on a key that is no str
+        for key in sorted(value):
+            items.append(f"{_quote(key)}: {indented_json(value[key], inner)}")
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            for item in value:
+                items.append(indented_json(item, inner))
+        brackets = "[]"
+    else:
+        raise TypeError(f"{kind.__name__} values are not written as JSON")
+    if not value:
+        return brackets
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def bounded_sandwich(k: int, s: int) -> frozenset[tuple[int, ...]]:
@@ -227,7 +262,7 @@ def _schedule_to_json(report: ScheduleReport) -> dict:
                 "provedAtOuter": row.proved_at_outer,
                 "verdict": verdict.kind.value,
                 "detail": verdict.detail,
-                "witness": list(verdict.witness) if verdict.witness else None,
+                "witness": verdict.witness,
                 "stats": {
                     "vertices": verdict.stats.vertices,
                     "edges": verdict.stats.edges,
@@ -344,6 +379,10 @@ def cmd_coloring_scan(
             f"{samples} samples are more than the limit of {MAX_SCAN_SAMPLES}"
         )
     rule = build_rule(rule_spec)
+    try:
+        indented_json(rule_spec)  # the config echoes the rule, even keys no rule reads
+    except TypeError:
+        raise ValueError("a rule holds a float, which is inexact") from None
     centers = [point_from_json(row) for row in centers_rows]
     if not centers:
         raise ValueError("at least one center is required")
@@ -408,11 +447,7 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(payload: dict | str, out_path: str | None) -> None:
-    if isinstance(payload, dict):
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = payload
+def _emit(text: str, out_path: str | None) -> None:
     target = _resolve_out(out_path)
     if target is None:
         sys.stdout.write(text)
@@ -525,18 +560,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    if isinstance(result, str):
-        _emit(result, args.out)
-        return code
-    envelope = {
-        "config": config,
-        "result": result,
-        "meta": {
+    text = result
+    if not isinstance(result, str):
+        meta = {
             "generatedAt": datetime.now(timezone.utc).isoformat(),
             "runtimeMs": int((time.perf_counter() - started) * 1000),
-        },
-    }
-    _emit(envelope, args.out)
+        }
+        text = indented_json({"config": config, "result": result, "meta": meta}) + "\n"
+    _emit(text, args.out)
     return code
 
 

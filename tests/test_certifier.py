@@ -252,6 +252,51 @@ class TestDecision:
         if k == 2:
             assert verdict.stats.decisions == 0
 
+    @pytest.mark.parametrize(
+        "edges,n,size",
+        [
+            (CYCLE5_WITH_TREE, 9, 9),
+            (PATH4 + [(a + 4, b + 4) for a, b in CYCLE5], 9, 5),
+            ([(0, 1), (1, 2), (0, 2), (3, 4)], 5, 3),
+        ],
+    )
+    def test_two_colors_forced_names_the_component_of_the_first_clash(
+        self, edges, n, size
+    ):
+        verdict = decide_k_colorable(graph_from_edges(n, edges), 2)
+        assert verdict.kind is VerdictKind.FORCED
+        assert verdict.detail == f"component of size {size} has an odd cycle"
+        assert verdict.witness is None
+
+    def test_two_colors_check_each_edge_in_one_verify_witness_call(self, monkeypatch):
+        calls = []
+        check = certifier.verify_witness
+
+        def spy(graph, k, witness):
+            calls.append(k)
+            return check(graph, k, witness)
+
+        monkeypatch.setattr(certifier, "verify_witness", spy)
+        verdict = decide_k_colorable(graph_from_edges(4, PATH4), 2)
+        assert verdict.kind is VerdictKind.COLORABLE
+        assert verdict.witness == (0, 1, 0, 1)
+        assert verdict.detail == "proper 2-coloring found and re-verified"
+        assert calls == [2]
+
+    def test_a_failed_two_color_check_without_a_clash_is_an_internal_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(certifier, "verify_witness", lambda graph, k, w: False)
+        with pytest.raises(RuntimeError, match="witness failed re-verification"):
+            decide_k_colorable(graph_from_edges(4, PATH4), 2)
+
+    def test_the_two_color_check_is_the_decision(self, monkeypatch):
+        # a check that passes every parity makes an odd cycle Colorable:
+        # no other scan of the edges decides the window
+        monkeypatch.setattr(certifier, "verify_witness", lambda graph, k, w: True)
+        verdict = decide_k_colorable(graph_from_edges(9, CYCLE5_WITH_TREE), 2)
+        assert verdict.kind is VerdictKind.COLORABLE
+
     def test_forest_has_an_empty_core_and_needs_no_decisions(self):
         forest = [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)]
         graph = graph_from_edges(9, forest)

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from math import comb
 
 import pytest
@@ -578,6 +579,31 @@ class TestCertifyCommand:
         assert out == ""
         assert err == "error: at least one inner radius is required\n"
 
+    @pytest.mark.parametrize("centers", ["sandwich(1,-1)", [[0, 0], [3, 0]]])
+    def test_a_repeated_inner_radius_is_solved_once(
+        self, centers, tmp_path, monkeypatch, capsys
+    ):
+        if isinstance(centers, list):
+            centers = _json_file(tmp_path, centers)
+        built = []
+        build = certifier.build_symmetry_graph
+
+        def spy(spec):
+            built.append(spec.outer)
+            return build(spec)
+
+        monkeypatch.setattr(certifier, "build_symmetry_graph", spy)
+        runs = {}
+        for r_list in ("1", "1,1"):
+            argv = ["certify", "--dim", "2", "--colors", "2", "--centers", centers,
+                    "--r-list", r_list]
+            code, doc = run_json(argv, capsys)
+            runs[r_list] = (doc["result"]["rows"], list(built))
+            built.clear()
+        (single, once), (repeated, twice) = runs["1"], runs["1,1"]
+        assert twice == once
+        assert repeated == single * 2
+
 
 class TestColoringScanCommand:
     def test_clean_cone_scan(self, tmp_path, capsys):
@@ -707,6 +733,10 @@ class TestColoringScanCommand:
              "bad point [True, 0]: booleans"),
             ('{"kind": "cone", "dim": 2.5}', "rule key 'dim' must be of type int"),
             ('{"kind": "cone", "dim": true}', "rule key 'dim' must be of type int"),
+            ('{"kind": "cone", "dim": 2, "note": [1.5]}',
+             "a rule holds a float, which is inexact"),
+            ('{"kind": "plus0", "base": {"kind": "cone", "dim": 1, "w": NaN}}',
+             "a rule holds a float, which is inexact"),
             ('{"kind": "cone", "vertices": 5}',
              "rule key 'vertices' must be of type list"),
             ('{"kind": "pair", "a": [1], "b": [1, 5]}', "dimension mismatch: 1 vs 2"),
@@ -1129,6 +1159,119 @@ class TestEnvelopeContract:
         )
         assert code == 2
         assert "JSON object" in err
+
+
+def _json_file(tmp_path, value):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+_CERTIFY = ["certify", "--dim", "2", "--centers", "sandwich(1,-1)", "--r-list", "0,1"]
+
+
+class TestEmittedLayout:
+    """Every envelope is the stdlib's ``json.dumps(indent=2, sort_keys=True)``
+    text, on stdout and in an --out file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["sandwich", "--k", "2", "--s", "0"],
+            lambda tmp: ["cover-verify", "--k", "3", "--s", "0"],
+            lambda tmp: ["tshape", "--points",
+                         _json_file(tmp, [[1, 2, 0], [-3, 5, 0], ["1/2", 0, 1]]),
+                         "--trials", "1"],
+            lambda tmp: _CERTIFY + ["--colors", "1"],
+            lambda tmp: _CERTIFY + ["--colors", "2"],
+            lambda tmp: _CERTIFY + ["--colors", "3"],
+            lambda tmp: ["certify", "--dim", "2", "--colors", "2", "--centers",
+                         _json_file(tmp, [[0, 0], [3, 0]]), "--R-factor", "1"],
+            lambda tmp: ["coloring-scan", "--rule",
+                         '{"kind": "plus0", "base": {"kind": "cone", "dim": 1}, '
+                         '"note": "\\u00e9\\"\\\\\\n"}',
+                         "--centers", "sandwich(1,-1)", "--samples", "20"],
+        ],
+        ids=["sandwich", "cover-verify", "tshape", "certify-1", "certify-2",
+             "certify-3", "certify-witness", "coloring-scan"],
+    )
+    def test_stdout_and_out_file_are_the_stdlib_layout(self, argv, tmp_path, capsys):
+        argv = argv(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert err == "" and code in (0, 1)
+        target = tmp_path / "out.json"
+        assert run_cli(["--out", str(target)] + argv, capsys) == (code, "", "")
+        for text in (out, target.read_text(encoding="utf-8")):
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_a_deeply_nested_rule_is_echoed(self, capsys):
+        # 600 levels under a key no rule reads: json.loads accepts them, and
+        # the emitter must not run out of frames where the stdlib did not
+        rule = '{"kind": "cone", "dim": 2, "note": ' + "[" * 600 + "]" * 600 + "}"
+        argv = ["coloring-scan", "--rule", rule, "--centers", "sandwich(1,-1)",
+                "--samples", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_plain_formats_are_written_as_they_are(self, tmp_path, capsys):
+        for fmt in ("csv", "pretty"):
+            argv = ["sandwich", "--k", "1", "--s", "-1", "--format", fmt]
+            code, out, err = run_cli(argv, capsys)
+            assert out == cli.cmd_sandwich(1, -1, fmt)[1]
+            target = tmp_path / f"out.{fmt}"
+            run_cli(["--out", str(target)] + argv, capsys)
+            assert target.read_text(encoding="utf-8") == out
+
+
+_STRINGS = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+              st.characters()),
+    max_size=6,
+)
+_INTEGERS = st.one_of(
+    st.integers(-300, 300),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**100, -(10**100)]),
+)
+_ATOMS = st.one_of(_INTEGERS, st.booleans(), st.none(), _STRINGS)
+_DOCUMENTS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+        st.lists(_INTEGERS, max_size=5),
+        st.lists(st.one_of(_INTEGERS, st.booleans()), max_size=5).map(tuple),
+    ),
+    max_leaves=24,
+)
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class TestIndentedJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS)
+    def test_it_is_the_stdlib_layout(self, doc):
+        assert cli.indented_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_a_bool_among_ints_is_written_as_a_bool(self):
+        doc = [1, True, 0, False]
+        assert cli.indented_json(doc) == "[\n  1,\n  true,\n  0,\n  false\n]"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.5, [1, 2.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 0}},
+         _Level.LOW, [1, _Level.LOW], {"a": (0, _Level.LOW)}],
+        ids=["float", "float-in-ints", "nan", "int-key", "none-key",
+             "intenum", "intenum-in-ints", "intenum-in-tuple"],
+    )
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli.indented_json(doc)
 
 
 class TestArgparseUsage:
