@@ -15,7 +15,6 @@ from .certifier import (
     build_symmetry_graph,
     certify_schedule,
     decide_k_colorable,
-    export_dimacs,
     verify_witness,
 )
 from .colorings import (
@@ -35,7 +34,6 @@ from .covering import (
     CoverCertificate,
     brute_force_cover_shifts,
     constructive_cover_shift,
-    exploratory_cover_survey,
     verify_covering_lemma,
 )
 from .cube import (
@@ -62,7 +60,6 @@ from .tshape import (
     KNOWN_T_VALUES,
     TShapeCertificate,
     TShapeResult,
-    is_in_Tn,
     is_t_shaped,
     moment_curve_points,
     verify_t_value_bounds,

@@ -86,7 +86,6 @@ class SymmetryGraph:
     """Vertex i is the i-th window point in lexicographic order; the points
     are not stored.  Edges are sorted index pairs."""
 
-    spec: WindowSpec
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
@@ -148,9 +147,7 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
             if i >= 0 and j >= 0:
                 keys.append(i * n + j)
     keys.sort()
-    return SymmetryGraph(
-        spec=spec, vertex_count=n, edges=tuple(divmod(key, n) for key in keys)
-    )
+    return SymmetryGraph(vertex_count=n, edges=tuple(divmod(key, n) for key in keys))
 
 
 class VerdictKind(Enum):
@@ -474,35 +471,3 @@ def certify_schedule(
         )
     rows = tuple(by_inner[r] for r in r_list)
     return ScheduleReport(dim=dim, k=k, centers=centers, r_factor=r_factor, rows=rows)
-
-
-def export_dimacs(graph: SymmetryGraph, k: int) -> str:
-    """One-hot CNF encoding of proper k-colorability.
-
-    Vertex i (0-based, lexicographic point order) and color c map to
-    variable i*k + c + 1.  Clauses: at-least-one color and pairwise
-    at-most-one color per vertex, then one difference clause per edge
-    and color.  Satisfiable exactly when the graph is k-colorable.
-    """
-    if k < 1:
-        raise ValueError("color count must be positive")
-    spec = graph.spec
-    n = graph.vertex_count
-    lines = [
-        f"c symmetry window dim={spec.dim} inner={spec.inner} outer={spec.outer} colors={k}",
-        f"c mirror centers={[list(c.coords) for c in spec.centers]}",
-        "c vertex order: lexicographic; var(vertex i, color c) = i*k + c + 1",
-    ]
-    clauses: list[str] = []
-    for i in range(n):
-        base = i * k
-        clauses.append(" ".join(str(base + c + 1) for c in range(k)) + " 0")
-        for c1 in range(k):
-            for c2 in range(c1 + 1, k):
-                clauses.append(f"-{base + c1 + 1} -{base + c2 + 1} 0")
-    for a, b in graph.edges:
-        for c in range(k):
-            clauses.append(f"-{a * k + c + 1} -{b * k + c + 1} 0")
-    lines.append(f"p cnf {n * k} {len(clauses)}")
-    lines.extend(clauses)
-    return "\n".join(lines) + "\n"

@@ -61,8 +61,9 @@ MAX_SANDWICH_POINTS = 2**20
 MAX_COVER_K = 10
 
 # The most candidate hyperplanes tshape searches: one per dim-subset of
-# the points, C(rows, dim) of them.  The cover search over them grows
-# faster still, so a file with more is refused before the search runs.
+# the distinct points, C(distinct points, dim) of them.  The cover search
+# over them grows faster still, so a file with more is refused before the
+# search runs.
 # The bound caps the count of candidates only.  It implies no useful
 # bound on the search, which may try up to C^(dim-1) candidate sequences
 # (about 7e10 at C = 2^12 in dim 4), so the cost depends on the points.
@@ -324,9 +325,10 @@ def cmd_tshape(
             f"points of dimension {points[0].dim} are above the limit of "
             f"{MAX_TSHAPE_DIM}"
         )
-    if points and comb(len(points), points[0].dim) > MAX_TSHAPE_CANDIDATES:
+    distinct = len(set(points))
+    if points and comb(distinct, points[0].dim) > MAX_TSHAPE_CANDIDATES:
         raise ValueError(
-            f"{len(points)} points in dimension {points[0].dim} span more "
+            f"{distinct} distinct points in dimension {points[0].dim} span more "
             f"than the limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes"
         )
     outcome = is_t_shaped(points)
@@ -405,8 +407,10 @@ def _apply_config_file(
     A key names a flag of the command by its dest or its name, hyphens
     read as underscores; any other key is a usage error.  A value is
     read as the flag reads command-line text, through its type and
-    choices, so a float, a bool or a string they refuse is a usage
-    error; only the structures in _STRUCTURED are kept as they are.
+    choices, so a string they refuse is a usage error.  Only a JSON
+    string or integer is read so; the structures in _STRUCTURED are kept
+    as they are, and any other value is a usage error: a float, whose
+    text would read as exact, a bool or a null.
     """
     if not args.config:
         return
@@ -427,6 +431,8 @@ def _apply_config_file(
             raise ValueError(f"config key {key!r} names no flag of {args.command}")
         if not isinstance(value, _STRUCTURED.get(action.dest, ())):
             try:
+                if type(value) not in (str, int):
+                    raise ValueError
                 value = (action.type or str)(str(value))
                 if action.choices and value not in action.choices:
                     raise ValueError
@@ -556,18 +562,19 @@ def main(argv: list[str] | None = None) -> int:
                                              args.inner_radius)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command!r}")
+
+        text = result
+        if not isinstance(result, str):
+            meta = {
+                "generatedAt": datetime.now(timezone.utc).isoformat(),
+                "runtimeMs": int((time.perf_counter() - started) * 1000),
+            }
+            envelope = {"config": config, "result": result, "meta": meta}
+            text = indented_json(envelope) + "\n"
+        _emit(text, args.out)  # an unwritable --out is an OSError too
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    text = result
-    if not isinstance(result, str):
-        meta = {
-            "generatedAt": datetime.now(timezone.utc).isoformat(),
-            "runtimeMs": int((time.perf_counter() - started) * 1000),
-        }
-        text = indented_json({"config": config, "result": result, "meta": meta}) + "\n"
-    _emit(text, args.out)
     return code
 
 

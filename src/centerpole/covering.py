@@ -6,8 +6,8 @@ The harness checks each shift once more, on all maximal inputs, against
 the point set ``build_sandwich`` materializes, and reports discrepancies
 as data.  The two checks are independent: each subtracts the shift from
 every point on its own, on coordinate tuples, so neither trusts a
-difference the other computed.  A brute-force oracle of every working
-shift serves the survey.
+difference the other computed.  A failure names the table's case.  A
+brute-force oracle lists every working shift in the unit box.
 """
 from __future__ import annotations
 
@@ -128,15 +128,16 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
                 head, along, label = 1, 0, "I.2.1/a<s-1"
             else:
                 raise CaseAnalysisError(
-                    f"no branch for gamma={gamma} level={level} a={a} s={s}"
+                    f"case I.2.1: no branch for gamma={gamma} level={level} "
+                    f"a={a} s={s}"
                 )
 
     shift = _shift(k + 1, gamma, head, along)
     cert = CoverCertificate(tau=tau, s=s, shift=shift, case_label=label)
     if not cert.verify():
         raise CaseAnalysisError(
-            f"case {label} prescribed shift {shift} that fails "
-            f"membership for gamma={gamma} level={level} a={a} "
+            f"case {label}: constructive failure: prescribed shift {shift} "
+            f"fails membership for gamma={gamma} level={level} a={a} "
             f"shape={tau.shape.value} s={s}"
         )
     return cert
@@ -147,34 +148,29 @@ _sandwich_coords = cache(build_sandwich)
 
 
 def brute_force_cover_shifts(
-    tau: frozenset[tuple[int, ...]] | set[tuple[int, ...]],
-    k: int,
-    s: int,
-    box: int = 1,
+    tau: frozenset[tuple[int, ...]] | set[tuple[int, ...]], k: int, s: int
 ) -> list[tuple[int, ...]]:
-    """All shifts x in {-box..box}^(1+k) with tau inside x + sandwich,
-    in lexicographic order.
+    """All shifts x in {-1,0,1}^(1+k) with tau inside x + sandwich, in
+    lexicographic order.
 
     For nonempty tau every valid shift must place the lexicographically
     least point p0 inside x + sandwich, so x ranges over p0 minus the
     sandwich; that candidate set is then checked point by point against
     the built sandwich, which is exactly equivalent to scanning the whole
-    box.  A point of another dimension than 1 + k raises ValueError.
+    unit box.  A point of another dimension than 1 + k raises ValueError.
     """
-    if box < 1:
-        raise ValueError("box must be at least 1")
     dim = k + 1
     for q in tau:
         if len(q) != dim:
             raise ValueError(f"points have dimension {len(q)}, expected {dim}")
     if not tau:
-        return list(product(range(-box, box + 1), repeat=dim))
+        return list(product((-1, 0, 1), repeat=dim))
     p0 = min(tau)
     sandwich = _sandwich_coords(k, s)
     hits: list[tuple[int, ...]] = []
     for member in sandwich:
         shift = tuple(map(sub, p0, member))
-        if any(not -box <= c <= box for c in shift):
+        if any(abs(c) > 1 for c in shift):
             continue
         if all(tuple(map(sub, q, shift)) in sandwich for q in tau):
             hits.append(shift)
@@ -188,14 +184,12 @@ def verify_covering_lemma(k: int, s: int) -> dict:
     Each constructive shift (verified inside ``constructive_cover_shift``)
     must stay in {-1,0,1}^(1+k) with support inside {0, facet axis} and
     move every point into the sandwich built by ``build_sandwich``.
-    Discrepancies land in the report's ``failures`` list, naming the
-    least point that fails; nothing raises.
+    Discrepancies land in the report's ``failures`` list, each reason
+    led by the table's case label and naming the least point that fails;
+    nothing raises.
     """
     if s > k - 2:
-        raise ValueError(
-            f"the covering claim needs s <= k-2; got s={s} k={k}. "
-            "Use exploratory_cover_survey for out-of-range pairs."
-        )
+        raise ValueError(f"the covering claim needs s <= k-2; got s={s} k={k}")
     failures: list[dict] = []
     sets = enumerate_maximal_sigma0_sets(k)
     sandwich = _sandwich_coords(k, s)
@@ -207,50 +201,23 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         }
         try:
             cert = constructive_cover_shift(tau, s)
-        except CaseAnalysisError as err:
-            failures.append({**where, "reason": f"constructive failure: {err}"})
+        except CaseAnalysisError as err:  # its text leads with the case
+            failures.append({**where, "reason": str(err)})
             continue
         shift = cert.shift
         if any(abs(c) > 1 for c in shift):
-            failures.append(
-                {**where, "reason": f"shift {shift} leaves the unit box"}
+            reason = f"shift {shift} leaves the unit box"
+        elif not {i for i, c in enumerate(shift) if c} <= {0, tau.facet_axis}:
+            reason = f"shift {shift} supported off axes {{0, {tau.facet_axis}}}"
+        else:
+            # its own subtraction, not the certificate's: the checks stay independent
+            missed = [
+                p for p in tau.points if tuple(map(sub, p, shift)) not in sandwich
+            ]
+            if not missed:
+                continue
+            reason = (
+                f"point {min(missed)} minus shift {shift} is not in the built sandwich"
             )
-            continue
-        support = {i for i, c in enumerate(shift) if c != 0}
-        if not support <= {0, tau.facet_axis}:
-            failures.append(
-                {
-                    **where,
-                    "reason": f"shift {shift} supported off "
-                    f"axes {{0, {tau.facet_axis}}}",
-                }
-            )
-            continue
-        # its own subtraction, not the certificate's: the checks stay independent
-        missed = [p for p in tau.points if tuple(map(sub, p, shift)) not in sandwich]
-        if missed:
-            failures.append(
-                {
-                    **where,
-                    "reason": f"point {min(missed)} minus shift "
-                    f"{shift} is not in the built sandwich",
-                }
-            )
+        failures.append({**where, "reason": f"case {cert.case_label}: {reason}"})
     return {"k": k, "s": s, "total": len(sets), "failures": failures}
-
-
-def exploratory_cover_survey(k: int, s: int, box: int = 1) -> dict:
-    """For pairs outside the claim's range: report which maximal sets
-    lack any cover within the box.  No correctness claim is attached."""
-    uncovered: list[dict] = []
-    sets = enumerate_maximal_sigma0_sets(k)
-    for tau in sets:
-        if not brute_force_cover_shifts(tau.points, k, s, box=box):
-            uncovered.append(
-                {
-                    "facet": [tau.facet_axis, tau.facet_level],
-                    "anchor": tau.anchor,
-                    "shape": tau.shape.value,
-                }
-            )
-    return {"k": k, "s": s, "box": box, "total": len(sets), "uncovered": uncovered}

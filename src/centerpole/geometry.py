@@ -130,9 +130,6 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.normal)
 
-    def sort_key(self) -> tuple:
-        return (self.normal, self.offset)
-
 
 def side_of(h: Hyperplane, p: RationalPoint) -> HalfspaceSide:
     """Exact side of the hyperplane: the sign of normal . p - offset.
@@ -325,15 +322,16 @@ def integer_spanned_hyperplanes(
     points of the input on H (H is spanned, so these points have H as
     their affine hull), and the walk visits every independent d-subset.
 
-    The order is that of ``Hyperplane.sort_key``, which no common
-    positive scaling of the points changes.  It is sorted on integers:
-    each entry x = v / lead of the canonical key (normal and offset
-    divided by the lead entry) becomes ``floor(x * 2^K)``, with 2^K above
-    the square of every lead.  Two canonical entries that differ, differ
-    by at least 1 / (lead * lead') > 2^-K, so their floors differ in the
-    same direction and the integer keys sort in the same order.  Unlike
-    a common multiple of all leads, 2K grows only with the largest
-    lead, not with the number of hyperplanes.
+    The hyperplanes come sorted by their canonical (normal, offset), as
+    tuples: both divided by the normal's first nonzero entry, the lead,
+    as in ``Hyperplane``.  No common positive scaling of the points
+    changes that order.  It is sorted on integers: each entry
+    x = v / lead of the canonical key becomes ``floor(x * 2^K)``, with
+    2^K above the square of every lead.  Two canonical entries that
+    differ, differ by at least 1 / (lead * lead') > 2^-K, so their floors
+    differ in the same direction and the integer keys sort in the same
+    order.  Unlike a common multiple of all leads, 2K grows only with the
+    largest lead, not with the number of hyperplanes.
     """
     n, d = len(points), len(points[0])
     found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on

@@ -56,31 +56,6 @@ from .geometry import integer_spanned_hyperplanes as spanned_hyperplanes
 KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
 
 
-def is_in_Tn(x, n: int) -> bool:
-    """Exact membership in the tree set T_n inside R^n.
-
-    T_1 is the origin of the line; T_n is the union of the floor
-    R^(n-1) x {0} with the product T_(n-1) x R_+ above it.
-    """
-    p = as_point(x)
-    if n < 1:
-        raise ValueError("T_n membership needs n >= 1")
-    if p.dim != n:
-        raise ValueError(f"point has dimension {p.dim}, expected {n}")
-    return _in_tn(p.coords, n)
-
-
-def _in_tn(coords: tuple[Fraction, ...], n: int) -> bool:
-    if n == 1:
-        return coords[0] == 0
-    last = coords[-1]
-    if last == 0:
-        return True
-    if last > 0:
-        return _in_tn(coords[:-1], n - 1)
-    return False
-
-
 @dataclass(frozen=True)
 class TShapeCertificate:
     """A hyperplane cover witnessing T-shapedness.

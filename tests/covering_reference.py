@@ -58,11 +58,12 @@ def covering_report(k, s):
         try:
             cert = covering.constructive_cover_shift(tau, s)
         except CaseAnalysisError as err:
-            failures.append({**where, "reason": f"constructive failure: {err}"})
+            failures.append({**where, "reason": str(err)})
             continue
+        case = f"case {cert.case_label}: "
         if any(abs(c) > 1 for c in cert.shift):
             failures.append(
-                {**where, "reason": f"shift {cert.shift} leaves the unit box"}
+                {**where, "reason": case + f"shift {cert.shift} leaves the unit box"}
             )
             continue
         support = {i for i, c in enumerate(cert.shift) if c != 0}
@@ -70,7 +71,7 @@ def covering_report(k, s):
             failures.append(
                 {
                     **where,
-                    "reason": f"shift {cert.shift} supported off "
+                    "reason": case + f"shift {cert.shift} supported off "
                     f"axes {{0, {tau.facet_axis}}}",
                 }
             )
@@ -80,7 +81,7 @@ def covering_report(k, s):
             failures.append(
                 {
                     **where,
-                    "reason": f"point {min(missed)} minus shift "
+                    "reason": case + f"point {min(missed)} minus shift "
                     f"{cert.shift} is not in the built sandwich",
                 }
             )

@@ -1,5 +1,6 @@
 """Helpers shared by the tests that check the integer kernels against
-their ``Fraction`` references."""
+their ``Fraction`` references, and the ``Fraction`` models they use:
+the order of hyperplanes and the tree sets T_n."""
 
 from fractions import Fraction
 from math import lcm
@@ -33,3 +34,26 @@ def fraction_rule(dim, color_count, color, label=""):
     return ColoringRule(
         dim, color_count, lambda z, q: color(tuple(Fraction(v, q) for v in z)), label
     )
+
+
+def hyperplane_key(h):
+    """The order of hyperplanes: canonical normal, then offset."""
+    return h.normal, h.offset
+
+
+def is_in_Tn(x, n):
+    """Exact membership in the tree set T_n inside R^n.
+
+    T_1 is the origin of the line; T_n is the union of the floor
+    R^(n-1) x {0} with the product T_(n-1) x R_+ above it.
+    """
+    if n < 1:
+        raise ValueError("T_n membership needs n >= 1")
+    coords = [Fraction(v) for v in x]
+    if len(coords) != n:
+        raise ValueError(f"point has dimension {len(coords)}, expected {n}")
+    while len(coords) > 1:
+        last = coords.pop()
+        if last <= 0:
+            return last == 0
+    return coords[0] == 0

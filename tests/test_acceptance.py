@@ -20,7 +20,6 @@ from centerpole.certifier import (
     build_symmetry_graph,
     certify_schedule,
     decide_k_colorable,
-    export_dimacs,
     verify_witness,
 )
 from centerpole.colorings import (
@@ -325,7 +324,9 @@ def test_criterion_6_structural_invariants():
         )
         k = rng.choice((2, 3))
         graph = test_certifier.graph_from_edges(n, edges)
-        num_vars, clauses = test_certifier.parse_dimacs(export_dimacs(graph, k))
+        num_vars, clauses = test_certifier.parse_dimacs(
+            test_certifier.export_dimacs(graph, k)
+        )
         sat = test_certifier.dpll(num_vars, clauses)
         verdict = decide_k_colorable(graph, k)
         assert verdict.kind is not VerdictKind.UNKNOWN

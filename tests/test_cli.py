@@ -316,9 +316,18 @@ class TestTshapeCommand:
                 assert code == 2
                 assert out == ""
                 assert err == (
-                    f"error: {n} points in dimension {dim} span more than the "
-                    f"limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes\n"
+                    f"error: {n} distinct points in dimension {dim} span more than "
+                    f"the limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes\n"
                 )
+
+    def test_repeated_rows_are_bounded_as_the_distinct_points(self, tmp_path, capsys):
+        # 150 rows, 3 distinct points: at most C(3, 2) = 3 candidates
+        path = tmp_path / "repeats.json"
+        path.write_text(json.dumps([[0, 0], [1, 0], [0, 1]] * 50))
+        code, doc = run_json(["tshape", "--points", str(path)], capsys)
+        assert code == 0
+        assert doc["result"]["verdict"] == "no"
+        assert len(doc["result"]["points"]) == 150
 
     def test_the_dimension_limit_boundary(self, tmp_path, monkeypatch, capsys):
         # d + 2 points span C(d + 2, 2) candidates, far below the
@@ -1022,6 +1031,30 @@ class TestEnvelopeContract:
         assert json.loads(target.read_text())["result"]["cardinality"] == 3
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("under", ["file", "directory"])
+    def test_an_unwritable_out_path_is_a_usage_error(self, under, tmp_path, capsys):
+        # a path below an existing file, or an existing directory
+        blocker = tmp_path / "f.json"
+        if under == "file":
+            blocker.write_text("{}")
+            target = blocker / "r.json"
+        else:
+            blocker.mkdir()
+            target = blocker
+        argv = ["--out", str(target), "sandwich", "--k", "1", "--s", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        proc = subprocess.run(
+            [sys.executable, "-m", "centerpole.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+        assert under == "directory" or blocker.read_text() == "{}"
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 3, "s": 1}))
@@ -1069,6 +1102,15 @@ class TestEnvelopeContract:
               "sandwich(1,-1)"], {"R-factor": 1.5}, "--R-factor"),
             (["certify", "--dim", "2", "--colors", "2", "--centers",
               "sandwich(1,-1)"], {"budget": [1]}, "--budget"),
+            # a JSON float is inexact, even for a flag that reads text
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}', "--centers",
+              "sandwich(1,-1)"], {"inner-radius": 0.5}, "--inner-radius"),
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}', "--centers",
+              "sandwich(1,-1)"], {"inner-radius": 1e3}, "--inner-radius"),
+            # so is a bool or a null, whose text would be "True" or "None"
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}', "--centers",
+              "sandwich(1,-1)"], {"inner-radius": True}, "--inner-radius"),
+            (["tshape", "--points", "pts.json"], {"points": None}, "--points"),
         ],
     )
     def test_config_values_pass_the_flag_type(
@@ -1084,6 +1126,18 @@ class TestEnvelopeContract:
             f"error: config key {key!r}: {json.dumps(value)} is not a valid "
             f"{flag} value\n"
         )
+
+    def test_a_decimal_radius_as_text_is_exact(self, tmp_path, capsys):
+        # the text "0.5", on the command line or as a JSON string, is 1/2
+        scan = ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+                "--centers", "sandwich(1,-1)", "--samples", "20"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inner-radius": "0.5"}))
+        for argv in ([*scan, "--inner-radius", "0.5"], ["--config", str(cfg), *scan]):
+            code, doc = run_json(argv, capsys)
+            assert code == 0
+            assert doc["config"]["innerRadius"] == "0.5"
+            assert doc["result"]["innerRadius"] == "1/2"
 
     def test_r_list_entries_must_be_integers(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

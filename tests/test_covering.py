@@ -12,7 +12,6 @@ from centerpole.covering import (
     CoverCertificate,
     brute_force_cover_shifts,
     constructive_cover_shift,
-    exploratory_cover_survey,
     verify_covering_lemma,
 )
 from centerpole.cube import (
@@ -68,10 +67,10 @@ def subset_of(tau, points):
     )
 
 
-def full_box_scan(tau_points, k, s, box):
-    """Reference oracle: check every shift in the box directly."""
+def full_box_scan(tau_points, k, s):
+    """Reference oracle: check every shift in the unit box directly."""
     hits = []
-    for x in product(range(-box, box + 1), repeat=k + 1):
+    for x in product((-1, 0, 1), repeat=k + 1):
         if all(sandwich_contains(k, s, minus(q, x)) for q in tau_points):
             hits.append(x)
     hits.sort()
@@ -175,33 +174,35 @@ class TestCoveringProperty:
     def test_constructive_shift_appears_in_the_oracle_list(self, pair):
         tau, s = pair
         cert = constructive_cover_shift(tau, s)
-        hits = brute_force_cover_shifts(tau.points, tau.k, s, box=1)
+        hits = brute_force_cover_shifts(tau.points, tau.k, s)
         assert cert.shift in hits
 
 
 class TestBruteForceOracle:
     def test_matches_full_box_scan(self):
-        for s in (-1, 0):
+        for s in (-1, 0, 1):
             for tau in enumerate_maximal_sigma0_sets(2):
                 pts = tau.points
-                for box in (1, 2):
-                    assert brute_force_cover_shifts(
-                        pts, 2, s, box=box
-                    ) == full_box_scan(pts, 2, s, box)
+                assert brute_force_cover_shifts(pts, 2, s) == full_box_scan(pts, 2, s)
 
     def test_empty_set_admits_every_shift_in_the_box(self):
-        hits = brute_force_cover_shifts(frozenset(), 1, -1, box=1)
+        hits = brute_force_cover_shifts(frozenset(), 1, -1)
         assert len(hits) == 9
-        assert hits == full_box_scan([], 1, -1, 1)
+        assert hits == full_box_scan([], 1, -1)
 
     def test_output_is_sorted_lexicographically(self):
-        tau = maximal(2, 1, 0, 0, LShape.LOWER)
-        hits = brute_force_cover_shifts(tau.points, 2, 0, box=2)
+        tau = subset_of(maximal(2, 1, 0, 0, LShape.LOWER), {(0, 0, 0)})
+        hits = brute_force_cover_shifts(tau.points, 2, 0)
+        assert len(hits) > 1
         assert hits == sorted(hits)
 
-    def test_rejects_bad_box(self):
-        with pytest.raises(ValueError):
-            brute_force_cover_shifts(frozenset(), 1, -1, box=0)
+    def test_the_claimed_range_is_sharp(self):
+        # one past the claimed range, at (k, s) = (2, 1), some maximal set
+        # has no shift in the unit box; in range, at (2, 0), every one has
+        sets = enumerate_maximal_sigma0_sets(2)
+        assert len(sets) == 24
+        assert any(not brute_force_cover_shifts(tau.points, 2, 1) for tau in sets)
+        assert all(brute_force_cover_shifts(tau.points, 2, 0) for tau in sets)
 
     def test_rejects_wrong_dimension_points(self):
         with pytest.raises(ValueError):
@@ -224,7 +225,8 @@ def assert_failures_name_missed_points(report, k, s):
     expected = []
     beyond_least = 0
     for tau in enumerate_maximal_sigma0_sets(k):
-        shift = covering.constructive_cover_shift(tau, s).shift
+        cert = covering.constructive_cover_shift(tau, s)
+        shift = cert.shift
         missed = [p for p in tau.points if minus(p, shift) not in sandwich]
         if missed:
             expected.append(
@@ -232,8 +234,8 @@ def assert_failures_name_missed_points(report, k, s):
                     "facet": [tau.facet_axis, tau.facet_level],
                     "anchor": tau.anchor,
                     "shape": tau.shape.value,
-                    "reason": f"point {min(missed)} minus shift "
-                    f"{shift} is not in the built sandwich",
+                    "reason": f"case {cert.case_label}: point {min(missed)} "
+                    f"minus shift {shift} is not in the built sandwich",
                 }
             )
             beyond_least += min(missed) != min(tau.points)
@@ -288,18 +290,6 @@ class TestVerificationHarness:
         beyond_least = assert_failures_name_missed_points(report, 3, 1)
         # e_0 moves the least point of some sets into the sandwich
         assert beyond_least > 0
-
-    def test_survey_shows_the_range_is_sharp(self):
-        # one past the claimed range, some maximal sets lose every cover
-        survey = exploratory_cover_survey(2, 1)
-        assert survey["total"] == 24
-        assert survey["uncovered"]
-        for entry in survey["uncovered"]:
-            assert set(entry) == {"facet", "anchor", "shape"}
-
-    def test_survey_in_range_finds_everything_covered(self):
-        survey = exploratory_cover_survey(2, 0)
-        assert survey["uncovered"] == []
 
 
 _table_shift = covering._shift
@@ -371,7 +361,7 @@ class TestTupleChecksMatchTheReference:
         monkeypatch.setattr(covering, "_sandwich_coords", lambda k, s: Everything())
         monkeypatch.setattr(covering, "_shift", flipped_e0_shift)
         k, s = 3, 1
-        expected = []
+        expected, labels = [], []
         with monkeypatch.context() as patch:
             patch.setattr(CoverCertificate, "verify", lambda cert: True)
             for tau in enumerate_maximal_sigma0_sets(k):
@@ -380,8 +370,9 @@ class TestTupleChecksMatchTheReference:
                     expected.append(
                         [tau.facet_axis, tau.facet_level, tau.anchor, tau.shape.value]
                     )
+                    labels.append(cert.case_label)
         failures = verify_covering_lemma(k, s)["failures"]
         assert expected
         assert [f["facet"] + [f["anchor"], f["shape"]] for f in failures] == expected
-        for failure in failures:
-            assert failure["reason"].startswith("constructive failure: ")
+        for failure, label in zip(failures, labels):
+            assert failure["reason"].startswith(f"case {label}: constructive failure: ")

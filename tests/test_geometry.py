@@ -26,7 +26,7 @@ from centerpole.geometry import (
     separates,
     side_of,
 )
-from rational_reference import dot
+from rational_reference import dot, hyperplane_key
 
 P = lambda *c: RationalPoint(c)
 
@@ -242,7 +242,7 @@ class TestSpannedHyperplanes:
         square = [P(0, 0), P(1, 0), P(0, 1), P(1, 1)]
         lines = spanned(square)
         assert len(lines) == 6
-        assert lines == sorted(lines, key=Hyperplane.sort_key)
+        assert lines == sorted(lines, key=hyperplane_key)
         assert Hyperplane((1, -1), 0) in lines
 
     def test_center_point_adds_no_new_lines(self):

@@ -34,7 +34,7 @@ from centerpole.geometry import (
     matrix_rank,
 )
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
-from rational_reference import dot, minus
+from rational_reference import dot, hyperplane_key, minus
 
 # --- the rational reference --------------------------------------------
 
@@ -125,7 +125,7 @@ def ref_spanned_hyperplanes(points):
         h = ref_hyperplane_through(subset)
         if h is not None:
             found.add(h)
-    return sorted(found, key=Hyperplane.sort_key)
+    return sorted(found, key=hyperplane_key)
 
 
 def ref_side(h, p):

@@ -1,10 +1,11 @@
 """Every public top-level function and class of the package is reached.
 
 A name counts as reached when some other top-level statement of a file
-under src/, scripts/ or bench/ refers to it: as a name, an attribute or
-a ``from ... import`` name.  The package's ``__init__.py`` does not
-count, since a re-export calls nothing.  A helper that only tests reach
-should be deleted, or kept here with the reason a verdict needs it.
+under src/, scripts/ or bench/ refers to it: as a name, an attribute, a
+``from ... import`` name, or a string that a call looks up on an object,
+as ``getattr(obj, "name")`` and the benchmark's ``wrap(obj, "name", ...)``
+do.  The package's ``__init__.py`` does not count, since a re-export
+calls nothing.  A helper that only tests reach should be deleted.
 
 Likewise every name that a package module imports at top level is read
 in that module; ``from __future__`` imports are exempt.
@@ -13,8 +14,7 @@ And every dataclass field, and every attribute that a class's
 ``__init__`` sets on ``self``, is read somewhere under src/, scripts/ or
 bench/: as ``obj.name`` in a load, or as ``getattr(obj, "name")``.  The
 match is by name only, so a read of any object's ``name`` counts for
-every class that has one.  State that only tests read should be deleted,
-or kept here with the reason a verdict needs it.
+every class that has one.  State that only tests read should be deleted.
 
 So is every public method and property of a package class, by the same
 name-only match.  Dunder and underscore methods are exempt.
@@ -25,26 +25,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "centerpole"
 
-ALLOWED = {
-    "export_dimacs": "the DIMACS oracle that the acceptance tests cross-check",
-    "is_in_Tn": "the oracle for the paper's T_3 model set in test_tshape",
-    "exploratory_cover_survey": "documented in the README",
-}
-
-ALLOWED_STATE = {
-    "CoverCertificate.case_label": (
-        "tests pin that every branch of the 17-case table is reachable"
-    ),
-}
-
-ALLOWED_METHODS = {
-    "Hyperplane.sort_key": (
-        "the reference order of spanned hyperplanes that the integer keys "
-        "of integer_spanned_hyperplanes reproduce; tests sort by it"
-    ),
-}
-
-
 def _referenced(node: ast.AST) -> set[str]:
     names = set()
     for sub in ast.walk(node):
@@ -54,6 +34,14 @@ def _referenced(node: ast.AST) -> set[str]:
             names.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
+        elif (
+            isinstance(sub, ast.Call)
+            and len(sub.args) >= 2
+            and isinstance(sub.args[0], (ast.Name, ast.Attribute))
+            and isinstance(sub.args[1], ast.Constant)
+            and isinstance(sub.args[1].value, str)
+        ):
+            names.add(sub.args[1].value)
     return names
 
 
@@ -92,8 +80,6 @@ def test_every_public_definition_is_reached():
             continue
         for definition in _public_definitions(path):
             name = definition.name
-            if name in ALLOWED:
-                continue
             if not any(
                 name in names
                 for where, node, names in statements
@@ -181,7 +167,7 @@ def test_all_state_is_read():
         for node in ast.walk(_parse(path))
         if isinstance(node, ast.ClassDef)
         for name in _state(node)
-        if name not in read and f"{node.name}.{name}" not in ALLOWED_STATE
+        if name not in read
     ]
     assert unread == []
 
@@ -197,6 +183,5 @@ def test_every_public_method_is_read():
         if isinstance(stmt, ast.FunctionDef)
         and not stmt.name.startswith("_")
         and stmt.name not in read
-        and f"{node.name}.{stmt.name}" not in ALLOWED_METHODS
     ]
     assert unread == []

@@ -18,11 +18,11 @@ from centerpole.tshape import (
     KNOWN_T_VALUES,
     TShapeCertificate,
     certificate_to_json,
-    is_in_Tn,
     is_t_shaped,
     moment_curve_points,
     verify_t_value_bounds,
 )
+from rational_reference import is_in_Tn
 
 P = lambda *c: RationalPoint(c)
 
