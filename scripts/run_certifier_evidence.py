@@ -7,7 +7,8 @@ and 3 colors.  With --with-4d, also the 12-point nucleus sandwich(3,1)
 in Z^4 with 4 colors, expected Forced at outer radius 4 (4 to 6 s of
 search on two cores).  Emits one JSON document with verdicts, proof
 windows, decision and conflict counts, and the windows solved per row.
-Exit code 1 if any case misses its expected verdict.
+Exit code 1 if any case misses its expected verdict, 2 with one
+``error:`` line if --out cannot be written.
 """
 import argparse
 import json
@@ -120,8 +121,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all_ok else 1

@@ -6,7 +6,8 @@ prescribed shift must move every point of its set into the sandwich as
 ``build_sandwich`` materializes it.  Emits one JSON document with
 per-pair totals and timings.  Exit code 1 if any pair reports a failure;
 a --k-max above the cover-verify limit (``cli.MAX_COVER_K``) is refused
-with exit code 2 before any pair is checked.
+with exit code 2 before any pair is checked, and an --out that cannot
+be written exits 2 with one ``error:`` line.
 """
 import argparse
 import json
@@ -53,8 +54,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if failure_count else 0

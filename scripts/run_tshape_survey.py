@@ -7,7 +7,7 @@ seed 1..N, the set of 19 draws from {-1,0,1}^4 made by
 ``random.Random(seed)``; it reports each verdict and, under the separate
 ``gridTiming`` key, the slowest seed and its seconds.  Emits one JSON
 document; exit code 1 if any bound check fails or a certificate fails
-its verification.
+its verification, 2 with one ``error:`` line if --out cannot be written.
 
     python scripts/run_tshape_survey.py --grid-draws 100
 """
@@ -105,8 +105,12 @@ def main(argv: list[str] | None = None) -> int:
         doc["ok"] = all_ok
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all_ok else 1

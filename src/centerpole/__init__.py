@@ -19,7 +19,6 @@ from .certifier import (
 )
 from .colorings import (
     ColoringRule,
-    SimplexSpec,
     cone_coloring,
     halfspace_coloring,
     pair_coloring,

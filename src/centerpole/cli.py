@@ -24,7 +24,6 @@ from math import comb
 from .certifier import DEFAULT_BUDGET, ScheduleReport, certify_schedule
 from .colorings import (
     ColoringRule,
-    SimplexSpec,
     cone_coloring,
     halfspace_coloring,
     pair_coloring,
@@ -228,7 +227,7 @@ def build_rule(spec: dict, lifts: int = 0) -> ColoringRule:
         _check_rule_dim("cone", dim, lifts)
         if vertices is None:
             return cone_coloring(standard_simplex(dim))
-        return cone_coloring(SimplexSpec(tuple(point_from_json(v) for v in vertices)))
+        return cone_coloring([point_from_json(v) for v in vertices])
     if kind == "halfspace":
         center = point_from_json(_field(spec, "center"))
         _check_rule_dim("halfspace", center.dim, lifts)
@@ -454,13 +453,32 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to stdout, or to ``--out`` after creating its
+    missing ancestor directories.  If they cannot all be made or the
+    file cannot be opened, the ones made here are removed again, deepest
+    first, and the OSError propagates."""
     target = _resolve_out(out_path)
     if target is None:
         sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    missing = []  # deepest first
+    parent = os.path.dirname(target)
+    while parent and not os.path.isdir(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
+    created = []
+    try:
+        for path in reversed(missing):
+            if not os.path.isdir(path):  # "x/.." exists once x does
+                os.mkdir(path)
+                created.append(path)
+        fh = open(target, "w", encoding="utf-8")
+    except OSError:
+        for path in reversed(created):
+            os.rmdir(path)
+        raise
+    with fh:
+        fh.write(text)
 
 
 def _int_list(text: str | list) -> list[int]:

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 from .geometry import (
     RationalPoint,
-    affine_hull_dim,
     as_point,
     clear_denominators,
     matrix_inverse,
@@ -42,7 +41,7 @@ def _as_coords(point, dim: int) -> tuple[int | Fraction, ...]:
     """The coordinates of ``point``, each an ``int`` or a ``Fraction``
     as given.  Any other value, a float or a bool among them, raises
     ValueError: the rules decide colors exactly."""
-    cs = tuple(point)
+    cs = tuple(getattr(point, "coords", point))
     for v in cs:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
@@ -77,47 +76,21 @@ class ColoringRule:
         return self.evaluate([v.numerator * (q // v.denominator) for v in cs], q)
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """d+1 affinely independent vertices in R^d summing to zero."""
-
-    vertices: tuple[RationalPoint, ...]
-
-    def __post_init__(self) -> None:
-        verts = tuple(as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        d = len(verts) - 1
-        if d < 1:
-            raise ValueError("a simplex needs at least two vertices")
-        for v in verts:
-            if v.dim != d:
-                raise ValueError(
-                    f"{len(verts)} vertices must live in dimension {d}"
-                )
-        if any(sum(column) != 0 for column in zip(*verts)):
-            raise ValueError("vertices must sum to zero")
-        if affine_hull_dim(list(verts)) != d:
-            raise ValueError("vertices must be affinely independent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
-def standard_simplex(d: int) -> SimplexSpec:
+def standard_simplex(d: int) -> tuple[RationalPoint, ...]:
     """Unit vectors of R^d together with minus their sum."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    verts = [
-        RationalPoint(tuple(Fraction(1 if i == axis else 0) for i in range(d)))
-        for axis in range(d)
-    ]
-    verts.append(RationalPoint(tuple(Fraction(-1) for _ in range(d))))
-    return SimplexSpec(tuple(verts))
+    rows = [tuple(int(i == axis) for i in range(d)) for axis in range(d)]
+    return tuple(RationalPoint(row) for row in rows + [(-1,) * d])
 
 
-def cone_coloring(spec: SimplexSpec) -> ColoringRule:
+def cone_coloring(vertices: Sequence) -> ColoringRule:
     """Color nonzero x by the first facet its positive ray meets.
+
+    ``vertices`` are d+1 affinely independent points of R^d summing to
+    zero, read through ``as_point``.  Fewer than two, a vertex of another
+    dimension, a nonzero sum and a dependent set (a singular matrix to
+    invert) raise ValueError, in that order.
 
     In barycentric coordinates relative to the simplex, the ray from
     the origin through x exits across facet i exactly when the i-th
@@ -133,12 +106,21 @@ def cone_coloring(spec: SimplexSpec) -> ColoringRule:
     at the same indices as in the rational vector, so the colors are
     exactly the rational ones.
     """
-    d = spec.dim
-    matrix = [
-        [spec.vertices[i][r] for i in range(d + 1)] for r in range(d)
-    ]
-    matrix.append([Fraction(1)] * (d + 1))
-    _, rows = clear_denominators(matrix_inverse(matrix))
+    verts = [as_point(v) for v in vertices]
+    d = len(verts) - 1
+    if d < 1:
+        raise ValueError("a simplex needs at least two vertices")
+    if any(v.dim != d for v in verts):
+        raise ValueError(f"{len(verts)} vertices must live in dimension {d}")
+    matrix = list(zip(*(v.coords for v in verts)))
+    if any(map(sum, matrix)):
+        raise ValueError("vertices must sum to zero")
+    matrix.append((1,) * (d + 1))
+    try:
+        inverse = matrix_inverse(matrix)
+    except ValueError:
+        raise ValueError("vertices must be affinely independent") from None
+    _, rows = clear_denominators(inverse)
 
     def evaluate(z: Sequence[int], q: int) -> int:
         if not any(z):

@@ -183,9 +183,6 @@ class SigmaZeroSet:
         if not 0 <= self.anchor <= self.k - 1:
             raise ValueError(f"anchor {self.anchor} outside 0..{self.k - 1}")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
     """All inclusion-maximal facet sets of the (k+1)-cube with an L-shaped profile.

@@ -17,7 +17,11 @@ division by the previous pivot keeps the entries small; no prefix is
 eliminated from scratch.  Each later point's hyperplane normal is a
 combination of the last two kernel vectors with two dot products as
 coefficients, and each hyperplane comes with the bitmask of the points
-on it: the union of the d-subsets that span it.
+on it: the union of the d-subsets that span it.  That enumeration and
+``containing_hyperplane`` take a point set as its ``clear_denominators``
+rows, so a caller scales it once.  ``side_of`` returns a sign, -1, 0 or
+1.  A ``RationalPoint`` is its ``coords``, ``dim`` and a cached hash; it
+is not a sequence.
 
 Rational inputs are checked once, where they enter: the ``RationalPoint``
 and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
@@ -28,7 +32,6 @@ checked values and does not check them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -77,15 +80,6 @@ class RationalPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    def __getitem__(self, i: int):
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
 
 def as_point(x: RationalPoint | Sequence[Rational]) -> RationalPoint:
     """``x`` itself if it is a ``RationalPoint``, else its coordinates
@@ -98,12 +92,6 @@ def as_point(x: RationalPoint | Sequence[Rational]) -> RationalPoint:
 def _check_dims(a: int, b: int) -> None:
     if a != b:
         raise ValueError(f"dimension mismatch: {a} vs {b}")
-
-
-class HalfspaceSide(Enum):
-    NEGATIVE = "negative"
-    ON = "on"
-    POSITIVE = "positive"
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,8 +119,9 @@ class Hyperplane:
         return len(self.normal)
 
 
-def side_of(h: Hyperplane, p: RationalPoint) -> HalfspaceSide:
-    """Exact side of the hyperplane: the sign of normal . p - offset.
+def side_of(h: Hyperplane, p: RationalPoint) -> int:
+    """Exact side of the hyperplane: the sign of normal . p - offset,
+    as -1, 0 or 1.
 
     The sign is taken on integers.  The sum is kept as ``value / den``
     with one running denominator, built from numerators and denominators
@@ -146,11 +135,7 @@ def side_of(h: Hyperplane, p: RationalPoint) -> HalfspaceSide:
             step = a.denominator * x.denominator
             value = value * step + a.numerator * x.numerator * den
             den *= step
-    if value > 0:
-        return HalfspaceSide.POSITIVE
-    if value < 0:
-        return HalfspaceSide.NEGATIVE
-    return HalfspaceSide.ON
+    return (value > 0) - (value < 0)
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, list[int], int]:
@@ -262,17 +247,8 @@ def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
 
 def separates(h: Hyperplane, points: Sequence[RationalPoint]) -> bool:
     """True iff some points lie strictly on both sides."""
-    seen_positive = False
-    seen_negative = False
-    for p in points:
-        side = side_of(h, p)
-        if side is HalfspaceSide.POSITIVE:
-            seen_positive = True
-        elif side is HalfspaceSide.NEGATIVE:
-            seen_negative = True
-        if seen_positive and seen_negative:
-            return True
-    return False
+    sides = {side_of(h, p) for p in points}
+    return -1 in sides and 1 in sides
 
 
 def in_general_position(hyperplanes: Sequence[Hyperplane]) -> bool:
@@ -290,8 +266,8 @@ def integer_spanned_hyperplanes(
     points: Sequence[Sequence[int]],
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """Every hyperplane through d affinely independent points of a set
-    of integer points in Z^d, as ``(normal, offset, on)`` with a
-    primitive normal, deduplicated.  ``on`` is the bitmask of the
+    of integer points in Z^d, d >= 2, as ``(normal, offset, on)`` with
+    a primitive normal, deduplicated.  ``on`` is the bitmask of the
     indices of the points on the hyperplane.
 
     The d-subsets are walked depth-first by their first d-1 points (the
@@ -337,13 +313,10 @@ def integer_spanned_hyperplanes(
     found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
     # (base, index of the prefix's last point, prefix mask, kernel, pivot)
     stack: list[tuple[Sequence[int], int, int, list[list[int]], int]] = []
-    if d == 1:
-        for i, p in enumerate(points):
-            key = ((1,), p[0])
-            found[key] = found.get(key, 0) | 1 << i
-    elif d == 2:
+    if d == 2:
         stack = [(p, i, 1 << i, [[1, 0], [0, 1]], 1) for i, p in enumerate(points)]
     else:
+        # seed with pairs: the generic step from the identity kernel is ~20 % slower
         for i in range(n - d + 1):
             base = points[i]
             for j in range(i + 1, n - d + 2):
@@ -407,13 +380,14 @@ def integer_spanned_hyperplanes(
     ]
 
 
-def containing_hyperplane(points: Sequence[RationalPoint]) -> Hyperplane | None:
-    """Some hyperplane through every input point, or None when the
-    points span the whole ambient space."""
-    if not points:
+def containing_hyperplane(scaled: list[list[int]], scale: int) -> Hyperplane | None:
+    """Some hyperplane through every point of a set, or None when the
+    points span the whole ambient space.  The set is given as
+    ``clear_denominators`` returns its coordinate rows: the points
+    times ``scale``, as integers."""
+    if not scaled:
         raise ValueError("need at least one point")
-    d = points[0].dim
-    scale, scaled = clear_denominators(p.coords for p in points)
+    d = len(scaled[0])
     rows = _differences(scaled)
     rank, pivots, p = _bareiss(rows)
     if rank >= d:

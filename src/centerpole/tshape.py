@@ -10,18 +10,19 @@ hyperplanes spanned by input points; that restriction is a recorded
 working assumption, cross-checked against every configuration with a
 known answer.
 
-The search runs on integers: the points are scaled once by the lcm of
-their denominators, and candidates are primitive integer hyperplanes
-with the mask of their incident points from the enumeration.  The
-points on each side of a candidate are masked the first time the search
-asks for them.  Each candidate is tested by cost: the cover and
-separation tests are mask operations and run first, the exact rank test
-runs last, and at the last level of the cover only the candidates
-through the residual's lowest point are scanned, and only one that
-covers the whole residual is tested for rank.  Only the hyperplanes of
+The decision runs on integers: the points are scaled once by the lcm
+of their denominators, for the hull test and the search alike, and
+candidates are primitive integer hyperplanes with the mask of their
+incident points from the enumeration.  The points on each side of a
+candidate are masked the first time the search asks for them.  Each
+candidate is tested by cost: the cover and separation tests are mask
+operations and run first, the exact rank test runs last, and at the
+last level of the cover only the candidates through the residual's
+lowest point are scanned, and only one that covers the whole residual
+is tested for rank.  Only the hyperplanes of
 a found cover become ``Hyperplane`` objects, and the certificate is
-re-verified on the exact rational predicates (``side_of``,
-``separates``), which share nothing with the search's masks.
+re-verified on the exact rational predicates (the sign ``side_of``
+and ``separates``), which share nothing with the search's masks.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from operator import mul
 from typing import Sequence
 
 from .geometry import (
-    HalfspaceSide,
     Hyperplane,
     RationalPoint,
     _to_fraction,
@@ -77,14 +77,7 @@ class TShapeCertificate:
             return False
         firsts = []
         for p in pts:
-            first = next(
-                (
-                    i
-                    for i, h in enumerate(hps)
-                    if side_of(h, p) is HalfspaceSide.ON
-                ),
-                None,
-            )
+            first = next((i for i, h in enumerate(hps) if side_of(h, p) == 0), None)
             if first is None or self.assignment.get(p) != first:
                 return False
             firsts.append(first)
@@ -124,7 +117,8 @@ def is_t_shaped(points) -> TShapeResult:
         return TShapeResult(
             False, None, "a nonempty subset of the line is never T-shaped"
         )
-    h = containing_hyperplane(distinct)
+    scale, scaled = clear_denominators(p.coords for p in distinct)
+    h = containing_hyperplane(scaled, scale)
     if h is not None:
         cert = TShapeCertificate((h,), {p: 0 for p in distinct})
         if not cert.verify(distinct):
@@ -132,7 +126,6 @@ def is_t_shaped(points) -> TShapeResult:
         return TShapeResult(
             True, cert, "one hyperplane carries the whole set"
         )
-    scale, scaled = clear_denominators(p.coords for p in distinct)
     cert = _search_cover(distinct, scaled, scale)
     if cert is None:
         return TShapeResult(

@@ -784,7 +784,7 @@ class TestColoringScanCommand:
             raise AssertionError("a simplex was built")
 
         monkeypatch.setattr(cli, "standard_simplex", never)
-        monkeypatch.setattr(cli, "SimplexSpec", never)
+        monkeypatch.setattr(cli, "cone_coloring", never)
         code, out, err = run_cli(
             ["coloring-scan", "--rule", json.dumps(rule), "--centers",
              "sandwich(1,-1)"],
@@ -805,7 +805,7 @@ class TestColoringScanCommand:
             raise Reached
 
         monkeypatch.setattr(cli, "standard_simplex", reached)
-        monkeypatch.setattr(cli, "SimplexSpec", reached)
+        monkeypatch.setattr(cli, "cone_coloring", reached)
         # the rules of the tests, the scripts, the bench and the README
         # live in dims 1-4
         assert MAX_RULE_DIM == 64
@@ -1054,6 +1054,26 @@ class TestEnvelopeContract:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
         assert under == "directory" or blocker.read_text() == "{}"
+
+    def test_a_failed_out_leaves_no_new_directory(self, tmp_path, capsys):
+        # "a/b/" names a directory: its missing ancestors are made, the
+        # open fails, and both are removed again, deepest first
+        (tmp_path / "kept").mkdir()
+        for rel in ("a/b/", "kept/a/b/"):
+            target = str(tmp_path / rel) + "/"
+            argv = ["--out", target, "sandwich", "--k", "1", "--s", "0"]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_out_makes_its_missing_ancestors(self, tmp_path, capsys):
+        target = tmp_path / "a" / "b" / ".." / "c" / "r.json"
+        argv = ["--out", str(target), "sandwich", "--k", "1", "--s", "-1"]
+        assert run_cli(argv, capsys) == (0, "", "")
+        assert json.loads(target.read_text())["result"]["cardinality"] == 3
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "c"]
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

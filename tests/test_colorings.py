@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerpole import colorings
+from centerpole import colorings, geometry
 from centerpole.colorings import (
     ColoringRule,
-    SimplexSpec,
     cone_coloring,
     halfspace_coloring,
     pair_coloring,
@@ -33,27 +32,56 @@ def cone(d):
     return cone_coloring(standard_simplex(d))
 
 
-class TestSimplexSpec:
+class TestConeVertices:
     def test_standard_simplex(self):
-        spec = standard_simplex(2)
-        assert spec.dim == 2
-        assert [v.coords for v in spec.vertices] == [
+        simplex = standard_simplex(2)
+        assert [v.coords for v in simplex] == [
             (1, 0),
             (0, 1),
             (-1, -1),
         ]
+        assert cone_coloring(simplex).dim == 2
+
+    def test_rejects_too_few_vertices(self):
+        for vertices in ([], [(0,)]):
+            with pytest.raises(ValueError, match="a simplex needs at least two vertices"):
+                cone_coloring(vertices)
 
     def test_rejects_nonzero_sum(self):
-        with pytest.raises(ValueError):
-            SimplexSpec(((1, 0), (0, 1), (0, 0)))
+        with pytest.raises(ValueError, match="vertices must sum to zero"):
+            cone_coloring(((1, 0), (0, 1), (0, 0)))
 
     def test_rejects_dependent_vertices(self):
-        with pytest.raises(ValueError):
-            SimplexSpec(((1, 1), (-1, -1), (0, 0)))
+        with pytest.raises(ValueError, match="vertices must be affinely independent"):
+            cone_coloring(((1, 1), (-1, -1), (0, 0)))
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            SimplexSpec(((1,), (-1, 0)))
+        with pytest.raises(ValueError, match="2 vertices must live in dimension 1"):
+            cone_coloring(((1,), (-1, 0)))
+
+    def test_one_elimination_builds_the_rule(self, monkeypatch):
+        # the inverse the rule needs is also the independence check
+        calls = []
+        bareiss = geometry._bareiss
+
+        def counted(rows):
+            calls.append(len(rows))
+            return bareiss(rows)
+
+        monkeypatch.setattr(geometry, "_bareiss", counted)
+        fractional = ((F(1, 2), F(1, 3)), (F(-3, 4), F(2, 5)), (F(1, 4), F(-11, 15)))
+        for vertices in [standard_simplex(d) for d in (1, 2, 3, 4)] + [fractional]:
+            calls.clear()
+            cone_coloring(vertices)
+            assert calls == [len(vertices)]
+
+    def test_refusals_come_in_order(self):
+        # a wrong dimension before a nonzero sum, a nonzero sum before
+        # dependence
+        with pytest.raises(ValueError, match="must live in dimension"):
+            cone_coloring(((1, 0), (1,), (0, 0)))
+        with pytest.raises(ValueError, match="must sum to zero"):
+            cone_coloring(((1, 1), (2, 2), (0, 0)))
 
 
 class TestConeColoring:

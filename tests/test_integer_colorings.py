@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from centerpole import colorings
 from centerpole.colorings import (
     ColoringRule,
-    SimplexSpec,
     cone_coloring,
     halfspace_coloring,
     pair_coloring,
@@ -42,6 +41,7 @@ from centerpole.colorings import (
 )
 from centerpole.geometry import (
     RationalPoint,
+    affine_hull_dim,
     matrix_inverse,
     point_to_json,
 )
@@ -52,9 +52,9 @@ F = Fraction
 # --- the rational reference --------------------------------------------
 
 
-def ref_barycentric(spec, point):
-    d = spec.dim
-    matrix = [[spec.vertices[i][r] for i in range(d + 1)] for r in range(d)]
+def ref_barycentric(simplex, point):
+    d = len(simplex) - 1
+    matrix = [[v.coords[r] for v in simplex] for r in range(d)]
     matrix.append([Fraction(1)] * (d + 1))
     inverse = matrix_inverse(matrix)
     rhs = tuple(Fraction(v) for v in point) + (Fraction(1),)
@@ -63,20 +63,21 @@ def ref_barycentric(spec, point):
     ]
 
 
-def ref_cone_color(spec, point):
+def ref_cone_color(simplex, point):
     if all(v == 0 for v in point):
         return 0
-    bary = ref_barycentric(spec, point)
+    bary = ref_barycentric(simplex, point)
     low = min(bary)
     return next(i for i, v in enumerate(bary) if v == low)
 
 
-def ref_cone_coloring(spec):
+def ref_cone_coloring(simplex):
+    d = len(simplex) - 1
     return fraction_rule(
-        spec.dim,
-        spec.dim + 1,
-        lambda point: ref_cone_color(spec, point),
-        f"cone(d={spec.dim})",
+        d,
+        d + 1,
+        lambda point: ref_cone_color(simplex, point),
+        f"cone(d={d})",
     )
 
 
@@ -127,14 +128,14 @@ def ref_scan(rule, centers, inner_radius, samples, seed):
         for _attempt in range(10_000):
             x = tuple(ref_scan_coordinate(rng) for _ in range(rule.dim))
             if all(
-                max(abs(v - c[i]) for i, v in enumerate(x)) > radius for c in cpts
+                max(abs(v - c.coords[i]) for i, v in enumerate(x)) > radius for c in cpts
             ):
                 break
         else:
             raise ValueError("inner radius leaves no room to sample")
         color = rule(x)
         for c in cpts:
-            mirrored = tuple(2 * c[i] - v for i, v in enumerate(x))
+            mirrored = tuple(2 * c.coords[i] - v for i, v in enumerate(x))
             if rule(mirrored) == color:
                 violations.append(
                     {
@@ -173,10 +174,9 @@ def simplices(draw, dim):
         return standard_simplex(dim)
     rows = [tuple(draw(rationals(6)) for _ in range(dim)) for _ in range(dim)]
     last = tuple(-sum(column) for column in zip(*rows))
-    try:
-        return SimplexSpec(tuple(rows) + (last,))
-    except ValueError:
-        assume(False)
+    simplex = tuple(RationalPoint(v) for v in rows + [last])
+    assume(affine_hull_dim(simplex) == dim)
+    return simplex
 
 
 @st.composite
@@ -185,7 +185,7 @@ def simplex_and_point(draw):
     point and half the time a point whose barycentric weights repeat,
     so that it sits on a boundary between cones."""
     dim = draw(st.integers(1, 4))
-    spec = draw(simplices(dim))
+    simplex = draw(simplices(dim))
     if draw(st.booleans()):
         point = tuple(draw(rationals(30)) for _ in range(dim))
     else:
@@ -195,11 +195,11 @@ def simplex_and_point(draw):
         mu = [draw(st.integers(-2, 2)) for _ in range(dim + 1)]
         t = draw(rationals(5).filter(lambda v: v != 0))
         point = tuple(
-            t * sum(m * v[r] for m, v in zip(mu, spec.vertices)) for r in range(dim)
+            t * sum(m * v.coords[r] for m, v in zip(mu, simplex)) for r in range(dim)
         )
     if draw(st.booleans()):
         point = _mixed(point)
-    return spec, point
+    return simplex, point
 
 
 @st.composite
@@ -231,9 +231,13 @@ def pair_and_point(draw):
 
 
 FRACTIONAL_SIMPLICES = [
-    SimplexSpec(((F(1, 2), F(1, 3)), (F(-3, 4), F(2, 5)), (F(1, 4), F(-11, 15)))),
-    SimplexSpec(
-        (
+    tuple(
+        RationalPoint(v)
+        for v in ((F(1, 2), F(1, 3)), (F(-3, 4), F(2, 5)), (F(1, 4), F(-11, 15)))
+    ),
+    tuple(
+        RationalPoint(v)
+        for v in (
             (F(2, 3), 0, F(1, 5)),
             (0, F(-1, 2), F(3, 7)),
             (F(-5, 6), F(1, 4), 0),
@@ -250,41 +254,41 @@ class TestConeColors:
     @settings(max_examples=400, deadline=None)
     @given(simplex_and_point())
     def test_same_color_as_the_rational_argmin(self, case):
-        spec, point = case
-        rule = cone_coloring(spec)
-        expected = ref_cone_color(spec, point)
+        simplex, point = case
+        rule = cone_coloring(simplex)
+        expected = ref_cone_color(simplex, point)
         assert rule.evaluate(*scaled(point)) == expected
         assert rule(RationalPoint(point)) == expected
 
     def test_every_tie_on_a_small_grid_of_boundary_points(self):
         # all weight vectors mu in {-1, 0, 1}^(d+1), scaled by integral
         # and fractional factors: most of these points have a tied minimum
-        specs = [standard_simplex(d) for d in (1, 2, 3)] + FRACTIONAL_SIMPLICES
+        given = [standard_simplex(d) for d in (1, 2, 3)] + FRACTIONAL_SIMPLICES
         tied = 0
-        for spec in specs:
-            rule = cone_coloring(spec)
-            d = spec.dim
+        for simplex in given:
+            rule = cone_coloring(simplex)
+            d = len(simplex) - 1
             for mu in product((-1, 0, 1), repeat=d + 1):
                 for t in (F(1), F(3), F(1, 3), F(-7, 2)):
                     x = tuple(
-                        t * sum(m * v[r] for m, v in zip(mu, spec.vertices))
+                        t * sum(m * v.coords[r] for m, v in zip(mu, simplex))
                         for r in range(d)
                     )
                     if any(x):
-                        bary = ref_barycentric(spec, x)
+                        bary = ref_barycentric(simplex, x)
                         tied += bary.count(min(bary)) > 1
-                    assert rule.evaluate(*scaled(x)) == ref_cone_color(spec, x), (
-                        spec,
+                    assert rule.evaluate(*scaled(x)) == ref_cone_color(simplex, x), (
+                        simplex,
                         x,
                     )
         assert tied > 100
 
     def test_points_with_unequal_denominators(self):
         # q is the lcm of the denominators, not any one of them
-        for spec in [standard_simplex(3), FRACTIONAL_SIMPLICES[1]]:
-            rule = cone_coloring(spec)
+        for simplex in [standard_simplex(3), FRACTIONAL_SIMPLICES[1]]:
+            rule = cone_coloring(simplex)
             for x in product((F(-1, 2), F(1, 3), F(2, 5), 0, 4), repeat=3):
-                assert rule.evaluate(*scaled(x)) == ref_cone_color(spec, x), x
+                assert rule.evaluate(*scaled(x)) == ref_cone_color(simplex, x), x
 
 
 class TestPairColors:
@@ -539,9 +543,9 @@ def _contract_rules():
     switch."""
     half, third = F(1, 2), F(-1, 3)
     rules = {f"cone-{d}": (cone_coloring(standard_simplex(d)), [0]) for d in (1, 2, 3, 4)}
-    for i, spec in enumerate(FRACTIONAL_SIMPLICES):
+    for i, simplex in enumerate(FRACTIONAL_SIMPLICES):
         rules[f"cone-fractional-{i}"] = (
-            cone_coloring(spec), [v for p in spec.vertices for v in p.coords]
+            cone_coloring(simplex), [v for p in simplex for v in p.coords]
         )
     rules["halfspace"] = (halfspace_coloring((half, third, 2)), [half, third, 2])
     a, b = (half, third), (F(5, 2), F(2, 3))

@@ -225,8 +225,10 @@ def point_sets(draw, dims=(2, 3, 4)):
 
 @st.composite
 def grid_sets(draw):
-    """Up to d+6 integer points of {-1,0,1}^d, repeats allowed, dims 1-5."""
-    d = draw(st.integers(1, 5))
+    """Up to d+6 integer points of {-1,0,1}^d, repeats allowed, dims 2-5:
+    the enumeration takes d >= 2, as ``is_t_shaped`` decides the line
+    without it."""
+    d = draw(st.integers(2, 5))
     cell = st.tuples(*[st.integers(-1, 1)] * d)
     return draw(st.lists(cell, min_size=1, max_size=d + 6))
 
@@ -287,7 +289,8 @@ class TestKernelAgainstTheRationalReference:
     @given(point_sets(dims=(1, 2, 3, 4)))
     def test_hulls_and_hyperplanes(self, points):
         assert affine_hull_dim(points) == ref_affine_hull_dim(points)
-        assert containing_hyperplane(points) == ref_containing_hyperplane(points)
+        scale, rows = clear_denominators(p.coords for p in points)
+        assert containing_hyperplane(rows, scale) == ref_containing_hyperplane(points)
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())

@@ -1,4 +1,5 @@
-"""The experiment scripts refuse inputs whose cost has no bound."""
+"""The experiment scripts refuse inputs whose cost has no bound, and
+report an unwritable --out as a usage error."""
 import importlib.util
 import json
 from pathlib import Path
@@ -15,6 +16,23 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("run_covering_sweep", ["--k-max", "1"]),
+        ("run_tshape_survey", ["--dims", "2", "--trials", "1"]),
+        ("run_certifier_evidence", ["--skip-hard"]),
+    ],
+)
+def test_an_unwritable_out_exits_2_with_one_error_line(name, argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert load_script(name).main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 class TestCoveringSweep:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centerpole import geometry
 from centerpole.geometry import (
     Hyperplane,
     RationalPoint,
@@ -259,6 +260,36 @@ class TestSearchWork:
         assert not res.t_shaped
         assert res.detail == "no certificate found under spanned-hyperplane search"
         assert calls > 0
+
+
+class TestOneScaling:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # full-dimensional, T-shaped with two lines
+            [(0, 0), (1, 0), (2, 0), (0, Fraction(1, 2)), (0, Fraction(3, 2))],
+            # full-dimensional, not T-shaped
+            [(1, 1, 1), (2, 4, 8), (3, 9, 27), (4, 16, 64), (Fraction(1, 2), 0, 5)],
+            # on one plane
+            [(0, 0, 0), (Fraction(1, 3), 1, 0), (5, 2, 0)],
+        ],
+    )
+    def test_the_points_are_scaled_once(self, monkeypatch, rows):
+        # the hull test and the search share one clear_denominators of the
+        # points; the rank tests scale only their normals
+        points = [P(*r) for r in rows]
+        calls = []
+        clear = geometry.clear_denominators
+
+        def counted(given):
+            given = [tuple(row) for row in given]
+            calls.append(given)
+            return clear(given)
+
+        monkeypatch.setattr(geometry, "clear_denominators", counted)
+        monkeypatch.setattr(tshape, "clear_denominators", counted)
+        is_t_shaped(points)
+        assert calls.count([p.coords for p in points]) == 1
 
 
 class TestBoundsReport:
