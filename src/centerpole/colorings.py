@@ -32,7 +32,7 @@ from .geometry import (
     RationalPoint,
     as_point,
     clear_denominators,
-    matrix_inverse,
+    integer_inverse,
     point_to_json,
 )
 
@@ -99,12 +99,12 @@ def cone_coloring(vertices: Sequence) -> ColoringRule:
     minimizers and maximizers of the barycentric vector, which cannot
     share an index, so no pair {x, -x} with x != 0 is monochromatic.
 
-    The argmin runs on integers.  The inverse of the vertex matrix is
-    scaled once by the lcm L of its denominators; for the point z/q,
-    row i of the scaled inverse times (z, q) is L*q times the i-th
-    barycentric coordinate.  As L*q > 0, the minimum and every tie sit
-    at the same indices as in the rational vector, so the colors are
-    exactly the rational ones.
+    The argmin runs on integers.  ``integer_inverse`` gives the inverse
+    of the vertex matrix as integer rows over a denominator D > 0; for
+    the point z/q, row i times (z, q) is D*q times the i-th barycentric
+    coordinate.  As D*q > 0, the minimum and every tie sit at the same
+    indices as in the rational vector, so the colors are exactly the
+    rational ones.
     """
     verts = [as_point(v) for v in vertices]
     d = len(verts) - 1
@@ -117,10 +117,9 @@ def cone_coloring(vertices: Sequence) -> ColoringRule:
         raise ValueError("vertices must sum to zero")
     matrix.append((1,) * (d + 1))
     try:
-        inverse = matrix_inverse(matrix)
+        _, rows = integer_inverse(matrix)
     except ValueError:
         raise ValueError("vertices must be affinely independent") from None
-    _, rows = clear_denominators(inverse)
 
     def evaluate(z: Sequence[int], q: int) -> int:
         if not any(z):
@@ -322,7 +321,7 @@ def plus2_extension(
     band = (3, 0, 1, 2)
 
     if level_a == level_b:
-        scale, v, w = 1 / level_a, 1, 1
+        scale, v, w = Fraction(1, level_a), 1, 1
         pair = auxes.get("pair") or pair_coloring(a, b)
         if pair.color_count != 2 or pair.dim != base.dim:
             raise ValueError("pair witness must be a 2-coloring of X")
@@ -333,7 +332,7 @@ def plus2_extension(
         }
         case = "levels-equal"
     else:
-        scale = 1 / (level_b - level_a)
+        scale = Fraction(1, level_b - level_a)
         v = level_a * scale
         w = v + 1
         aux_a = auxes.get("a") or halfspace_coloring(a)

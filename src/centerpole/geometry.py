@@ -1,7 +1,12 @@
 """Exact linear algebra for point and hyperplane predicates.
 
-Points, hyperplanes and every returned value are exact rationals
-(``Fraction``); there is no floating point and no tolerance anywhere.
+Points, hyperplanes and every returned value are exact rationals;
+there is no floating point and no tolerance anywhere.  An exact value
+is stored in one canonical form: an ``int`` when it is an integer, and
+a ``Fraction`` in lowest terms only when it is not.  As
+``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
+``str(Fraction(n)) == str(n)``, the form changes no equality, hash,
+order or printed value; it only spares integer values a ``Fraction``.
 Hyperplanes are kept in a canonical form (first nonzero normal entry is
 +1) so that equality, hashing, and deduplication are structural.
 
@@ -25,9 +30,10 @@ is not a sequence.
 
 Rational inputs are checked once, where they enter: the ``RationalPoint``
 and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
-and the JSON readers read each coordinate through ``_to_fraction``,
-which refuses floats and bools.  Code past those points works on the
-checked values and does not check them again.
+and the JSON readers keep a coordinate that is exactly an ``int`` and
+read any other through ``_to_fraction``, which refuses floats and
+bools.  Code past those points works on the checked values and does
+not check them again.
 """
 from __future__ import annotations
 
@@ -56,20 +62,38 @@ def _to_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def _exact(value: Rational) -> int | Fraction:
+    """``value`` in canonical form: an ``int`` as it is, anything else
+    read through ``_to_fraction`` and reduced to its numerator when its
+    denominator is 1."""
+    if type(value) is int:
+        return value
+    value = _to_fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _divide(v: int | Fraction, lead: int | Fraction) -> int | Fraction:
+    """The exact quotient ``v / lead`` in canonical form."""
+    if type(v) is int and type(lead) is int and not v % lead:
+        return v // lead
+    return _exact(Fraction(v, lead))
+
+
 @dataclass(frozen=True, slots=True)
 class RationalPoint:
-    """An immutable point with exact rational coordinates.
+    """An immutable point with exact rational coordinates, each in
+    canonical form: an ``int`` for an integer value, else a ``Fraction``.
 
     The hash of the coordinates is computed once, in ``__post_init__``:
     sets, dicts and certificate checks hash a point many times, and each
     ``Fraction`` hash costs a modular inverse.
     """
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        coords = tuple(_to_fraction(v) for v in self.coords)
+        coords = tuple(map(_exact, self.coords))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_hash", hash(coords))
 
@@ -98,21 +122,23 @@ def _check_dims(a: int, b: int) -> None:
 class Hyperplane:
     """The solution set of normal . x = offset, in canonical form.
 
-    The stored normal's first nonzero entry is +1, so two inputs that
-    describe the same hyperplane compare and hash equal.
+    The stored normal and offset are divided by the normal's first
+    nonzero entry, which becomes 1, so two inputs that describe the
+    same hyperplane compare and hash equal.  Each stored entry is an
+    ``int`` for an integer value, else a ``Fraction``.
     """
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    normal: tuple[int | Fraction, ...]
+    offset: int | Fraction
 
     def __post_init__(self) -> None:
-        normal = tuple(_to_fraction(v) for v in self.normal)
-        offset = _to_fraction(self.offset)
-        lead = next((v for v in normal if v != 0), None)
+        normal = tuple(map(_exact, self.normal))
+        offset = _exact(self.offset)
+        lead = next((v for v in normal if v), None)
         if lead is None:
             raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", tuple(v / lead for v in normal))
-        object.__setattr__(self, "offset", offset / lead)
+        object.__setattr__(self, "normal", tuple(_divide(v, lead) for v in normal))
+        object.__setattr__(self, "offset", _divide(offset, lead))
 
     @property
     def dim(self) -> int:
@@ -125,8 +151,8 @@ def side_of(h: Hyperplane, p: RationalPoint) -> int:
 
     The sign is taken on integers.  The sum is kept as ``value / den``
     with one running denominator, built from numerators and denominators
-    without a gcd.  Every ``Fraction`` denominator is positive, so
-    ``den`` is too, and the sign of ``value`` is the sign of the sum.
+    without a gcd.  Every denominator is positive (an ``int``'s is 1),
+    so ``den`` is too, and the sign of ``value`` is the sign of the sum.
     """
     _check_dims(h.dim, p.dim)
     value, den = -h.offset.numerator, h.offset.denominator
@@ -219,11 +245,13 @@ def matrix_rank(rows: Iterable[Sequence[Rational]]) -> int:
     return _bareiss(clear_denominators(rows)[1])[0]
 
 
-def matrix_inverse(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix as adjugate over determinant:
-    Bareiss elimination of ``[L*M | I]``, with ``L`` the lcm of the
-    denominators, leaves ``[p*I | p*(L*M)^-1]``.  Raises ValueError if
-    the matrix is singular."""
+def integer_inverse(rows: Sequence[Sequence[Rational]]) -> tuple[int, list[list[int]]]:
+    """Exact inverse of a square matrix M as ``(den, rows)``: ``den > 0``
+    and integer rows with M^-1 = rows / den.  Bareiss elimination of
+    ``[L*M | I]``, with ``L`` the lcm of the denominators, leaves
+    ``[p*I | p*(L*M)^-1]``, so M^-1 is ``L`` times the right block over
+    ``p``; both are negated when ``p < 0``.  Raises ValueError if the
+    matrix is singular."""
     n = len(rows)
     scale, work = clear_denominators(rows)
     for r, row in enumerate(work):
@@ -231,7 +259,8 @@ def matrix_inverse(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
     _, pivots, p = _bareiss(work)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(scale * v, p) for v in row[n:]] for row in work]
+    scale = scale if p > 0 else -scale
+    return abs(p), [[scale * v for v in row[n:]] for row in work]
 
 
 def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
@@ -268,7 +297,8 @@ def integer_spanned_hyperplanes(
     """Every hyperplane through d affinely independent points of a set
     of integer points in Z^d, d >= 2, as ``(normal, offset, on)`` with
     a primitive normal, deduplicated.  ``on`` is the bitmask of the
-    indices of the points on the hyperplane.
+    indices of the points on the hyperplane.  Points of a lower
+    dimension raise ValueError.
 
     The d-subsets are walked depth-first by their first d-1 points (the
     prefix), one point at a time, keeping an integer basis of the kernel
@@ -310,6 +340,8 @@ def integer_spanned_hyperplanes(
     largest lead, not with the number of hyperplanes.
     """
     n, d = len(points), len(points[0])
+    if d < 2:
+        raise ValueError(f"spanned hyperplanes need dimension 2 or more, got {d}")
     found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
     # (base, index of the prefix's last point, prefix mask, kernel, pivot)
     stack: list[tuple[Sequence[int], int, int, list[list[int]], int]] = []

@@ -35,7 +35,7 @@ from typing import Sequence
 from .geometry import (
     Hyperplane,
     RationalPoint,
-    _to_fraction,
+    _exact,
     affine_hull_dim,
     as_point,
     clear_denominators,
@@ -249,7 +249,7 @@ def moment_curve_points(n: int, count: int, params: Sequence) -> list[RationalPo
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
-    values = [_to_fraction(v) for v in params]
+    values = [_exact(v) for v in params]
     if count != len(values):
         raise ValueError(f"count={count} but {len(values)} parameters given")
     if len(set(values)) != len(values):

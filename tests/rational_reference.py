@@ -1,6 +1,7 @@
 """Helpers shared by the tests that check the integer kernels against
 their ``Fraction`` references, and the ``Fraction`` models they use:
-the order of hyperplanes and the tree sets T_n."""
+row reduction and the inverse it gives, the order of hyperplanes and
+the tree sets T_n."""
 
 from fractions import Fraction
 from math import lcm
@@ -34,6 +35,45 @@ def fraction_rule(dim, color_count, color, label=""):
     return ColoringRule(
         dim, color_count, lambda z, q: color(tuple(Fraction(v, q) for v in z)), label
     )
+
+
+def ref_row_reduce(rows):
+    """Gauss-Jordan elimination of ``Fraction`` rows in place, dividing
+    by each pivot: the rows end in reduced row echelon form.  Returns
+    the rank."""
+    if not rows:
+        return 0
+    n_cols = len(rows[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def ref_matrix_inverse(rows):
+    """The ``Fraction`` inverse of a square matrix, from the reduction
+    of ``[M | I]``; ValueError if M is singular."""
+    n = len(rows)
+    work = [
+        [Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
+        for r, row in enumerate(rows)
+    ]
+    ref_row_reduce(work)
+    if any(row[r] != 1 for r, row in enumerate(work)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in work]
 
 
 def hyperplane_key(h):

@@ -545,6 +545,30 @@ class TestPlus2Validation:
                 auxes={"pair": bad},
             )
 
+    @pytest.mark.parametrize(
+        "levels,scale",
+        [((2, 2), F(1, 2)), ((1, 3), F(1, 2)), ((3, 4), 1), ((2, 5), F(1, 3))],
+    )
+    def test_integer_levels_build_a_fraction_scale(self, monkeypatch, levels, scale):
+        # with int levels, 1 / level would be a float
+        scales = []
+        lift = colorings._lift
+
+        def spy(base, label, scale, *rest):
+            scales.append(scale)
+            return lift(base, label, scale, *rest)
+
+        monkeypatch.setattr(colorings, "_lift", spy)
+        la, lb = levels
+        rule = plus2_extension(BASE3, [(1, 0, 0, la), (0, 1, 0, lb)])
+        assert scales == [scale] and type(scales[0]) is Fraction
+        x = (2, 1, -1)
+        assert rule(x + (la,)) == (
+            pair_coloring((1, 0, 0), (0, 1, 0))(x)
+            if la == lb
+            else halfspace_coloring((1, 0, 0))(x)
+        )
+
 
 ORIGIN4 = (0, 0, 0, 0)
 

@@ -17,8 +17,8 @@ from centerpole.geometry import (
     fraction_from_json,
     hyperplane_to_json,
     in_general_position,
+    integer_inverse,
     integer_spanned_hyperplanes,
-    matrix_inverse,
     matrix_rank,
     point_from_json,
     point_to_json,
@@ -69,11 +69,52 @@ class TestRationalPoint:
 
     def test_cached_hash_is_not_in_repr_or_equality(self):
         p = P(1, "1/2")
-        assert repr(p) == "RationalPoint(coords=(Fraction(1, 1), Fraction(1, 2)))"
+        assert repr(p) == "RationalPoint(coords=(1, Fraction(1, 2)))"
         # a point with a corrupted cache still equals one built afresh
         q = P(1, "1/2")
         object.__setattr__(q, "_hash", hash(p) + 1)
         assert p == q
+
+
+class TestCanonicalNumberForm:
+    """An integer value is stored as an ``int``, only a non-integer one
+    as a ``Fraction``, whatever form it was given in."""
+
+    @pytest.mark.parametrize("value", [1, Fraction(2, 2), "4/4", "-3", Fraction(-6, 2)])
+    def test_integer_coordinates_are_ints(self, value):
+        (v,) = P(value).coords
+        assert type(v) is int
+        assert v == Fraction(value)
+
+    @pytest.mark.parametrize("value", ["1/2", Fraction(3, 6), "-4/6"])
+    def test_other_coordinates_are_reduced_fractions(self, value):
+        (v,) = P(value).coords
+        assert type(v) is Fraction
+        assert v == Fraction(value)
+
+    def test_equality_and_hash_agree_across_input_forms(self):
+        forms = [
+            P(1, 0, "1/2"),
+            P(Fraction(2, 2), Fraction(0), Fraction(1, 2)),
+            P("4/4", "0/5", "2/4"),
+        ]
+        assert len(set(forms)) == 1
+        assert len({hash(p) for p in forms}) == 1
+        assert {tuple(map(type, p.coords)) for p in forms} == {(int, int, Fraction)}
+
+    def test_hyperplane_entries(self):
+        h = Hyperplane((2, 4), 6)
+        assert h.normal == (1, 2) and h.offset == 3
+        assert all(type(v) is int for v in h.normal + (h.offset,))
+        h = Hyperplane((3, 1), 1)
+        assert h.normal == (1, Fraction(1, 3)) and h.offset == Fraction(1, 3)
+        assert [type(v) for v in h.normal] == [int, Fraction]
+        assert type(h.offset) is Fraction
+        # a fractional lead that divides every entry to an integer
+        h = Hyperplane(("1/2", 1), "3/2")
+        assert (h.normal, h.offset) == ((1, 2), 3)
+        assert all(type(v) is int for v in h.normal + (h.offset,))
+        assert Hyperplane((-2, 4), 6) == Hyperplane((Fraction(1), "-2"), "-3")
 
 
 class TestHyperplane:
@@ -160,21 +201,26 @@ class TestRanksAndHulls:
         with pytest.raises(TypeError, match="booleans"):
             clear_denominators([[True, 2]])
 
-    def test_matrix_inverse(self):
+    def test_integer_inverse(self):
         m = [[0, 2, 1], ["1/2", 0, 3], [1, 1, 1]]
-        inv = matrix_inverse(m)
+        den, rows = integer_inverse(m)
+        assert den > 0
+        assert all(type(v) is int for row in rows for v in row)
         assert [
-            [sum(Fraction(m[i][t]) * inv[t][j] for t in range(3)) for j in range(3)]
+            [sum(Fraction(m[i][t]) * rows[t][j] for t in range(3)) for j in range(3)]
             for i in range(3)
-        ] == [[int(i == j) for j in range(3)] for i in range(3)]
-        assert matrix_inverse([[4]]) == [[Fraction(1, 4)]]
+        ] == [[den * (i == j) for j in range(3)] for i in range(3)]
+        den, rows = integer_inverse([[4]])
+        assert Fraction(rows[0][0], den) == Fraction(1, 4)
+        # the last pivot is the determinant -7; den and the rows are negated
+        assert integer_inverse([[2, 1], [1, -3]]) == (7, [[3, 1], [1, -2]])
 
     @pytest.mark.parametrize(
         "m", [[[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]]
     )
-    def test_matrix_inverse_rejects_singular_matrices(self, m):
+    def test_integer_inverse_rejects_singular_matrices(self, m):
         with pytest.raises(ValueError, match="singular"):
-            matrix_inverse(m)
+            integer_inverse(m)
 
     def test_affine_hull_dim(self):
         assert affine_hull_dim([]) == -1
@@ -261,6 +307,10 @@ class TestSpannedHyperplanes:
     def test_simplex_has_four_planes(self):
         simplex = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
         assert len(spanned(simplex)) == 4
+
+    def test_points_on_the_line_are_refused(self):
+        with pytest.raises(ValueError, match="dimension 2 or more, got 1"):
+            integer_spanned_hyperplanes([(0,), (1,)])
 
     def test_fewer_points_than_the_dimension_span_nothing(self):
         assert spanned([P(0, 0, 0), P(1, 2, 3)]) == []

@@ -1,8 +1,8 @@
 """The integer colorings and scan against the rational ones they replaced.
 
 Every rule colors the integer point (z, q), the point z/q:
-``cone_coloring`` takes its argmin over the inverse scaled by the lcm
-of its denominators, ``pair_coloring`` takes its floor and signs over
+``cone_coloring`` takes its argmin over the integer rows of its
+inverse, ``pair_coloring`` takes its floor and signs over
 its scaled centers, ``halfspace_coloring`` compares against its scaled
 center, and ``symmetric_pair_scan`` draws, compares and mirrors over
 the common denominator of its centers and radius.  The code below is
@@ -42,10 +42,9 @@ from centerpole.colorings import (
 from centerpole.geometry import (
     RationalPoint,
     affine_hull_dim,
-    matrix_inverse,
     point_to_json,
 )
-from rational_reference import dot, fraction_rule, minus, scaled
+from rational_reference import dot, fraction_rule, minus, ref_matrix_inverse, scaled
 
 F = Fraction
 
@@ -56,7 +55,7 @@ def ref_barycentric(simplex, point):
     d = len(simplex) - 1
     matrix = [[v.coords[r] for v in simplex] for r in range(d)]
     matrix.append([Fraction(1)] * (d + 1))
-    inverse = matrix_inverse(matrix)
+    inverse = ref_matrix_inverse(matrix)
     rhs = tuple(Fraction(v) for v in point) + (Fraction(1),)
     return [
         sum(inverse[i][j] * rhs[j] for j in range(d + 1)) for i in range(d + 1)

@@ -3,7 +3,8 @@
 ``geometry`` does its linear algebra on integers (fraction-free Bareiss
 elimination on rows with cleared denominators) and ``tshape`` searches
 over primitive integer hyperplanes with precomputed signs.  The code
-below is the earlier ``Fraction`` implementation, kept here only as a
+below, with the row reduction it takes from ``rational_reference``, is
+the earlier ``Fraction`` implementation, kept here only as a
 reference: Gauss-Jordan elimination that divides by each pivot,
 spanned hyperplanes built one subset at a time, and a cover search that
 sums ``normal . p - offset`` as a ``Fraction`` for every side test.  The
@@ -29,52 +30,24 @@ from centerpole.geometry import (
     affine_hull_dim,
     clear_denominators,
     containing_hyperplane,
+    integer_inverse,
     integer_spanned_hyperplanes,
-    matrix_inverse,
     matrix_rank,
 )
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
-from rational_reference import dot, hyperplane_key, minus
+from rational_reference import (
+    dot,
+    hyperplane_key,
+    minus,
+    ref_matrix_inverse,
+    ref_row_reduce,
+)
 
 # --- the rational reference --------------------------------------------
 
 
-def ref_row_reduce(rows):
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def ref_matrix_rank(rows):
     return ref_row_reduce([[Fraction(v) for v in row] for row in rows])
-
-
-def ref_matrix_inverse(rows):
-    n = len(rows)
-    work = [
-        [Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
-        for r, row in enumerate(rows)
-    ]
-    ref_row_reduce(work)
-    if any(row[r] != 1 for r, row in enumerate(work)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in work]
 
 
 def ref_affine_hull_dim(points):
@@ -277,14 +250,17 @@ class TestKernelAgainstTheRationalReference:
         assert matrix_rank(rows) == ref_matrix_rank(rows)
 
     @given(matrices(square=True))
-    def test_matrix_inverse(self, rows):
+    def test_integer_inverse(self, rows):
         try:
             expected = ref_matrix_inverse(rows)
         except ValueError:
             with pytest.raises(ValueError, match="singular"):
-                matrix_inverse(rows)
+                integer_inverse(rows)
         else:
-            assert matrix_inverse(rows) == expected
+            den, got = integer_inverse(rows)
+            assert den > 0
+            assert all(type(v) is int for row in got for v in row)
+            assert [[Fraction(v, den) for v in row] for row in got] == expected
 
     @given(point_sets(dims=(1, 2, 3, 4)))
     def test_hulls_and_hyperplanes(self, points):

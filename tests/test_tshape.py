@@ -1,5 +1,6 @@
 """T-shape membership, decisions, certificates, and sampled bounds."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -290,6 +291,48 @@ class TestOneScaling:
         monkeypatch.setattr(tshape, "clear_denominators", counted)
         is_t_shaped(points)
         assert calls.count([p.coords for p in points]) == 1
+
+
+class TestInputForms:
+    """A set decides and certifies the same whether its integer
+    coordinates come as ints, ``Fraction``s or strings."""
+
+    def test_a_certificate_from_fractions_verifies_the_ints(self):
+        rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 0)]
+        fractions = [P(*map(Fraction, r)) for r in rows]
+        cert = is_t_shaped(fractions).certificate
+        assert cert is not None
+        ints = [P(*r) for r in rows]
+        assert cert.verify(ints)
+        assert [cert.assignment[p] for p in ints] == [cert.assignment[q] for q in fractions]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=6
+            )
+        ),
+        st.integers(1, 4),
+    )
+    def test_the_same_bytes_for_every_form(self, rows, k):
+        forms = [
+            rows,
+            [tuple(Fraction(k * v, k) for v in r) for r in rows],
+            [tuple(f"{k * v}/{k}" for v in r) for r in rows],
+        ]
+        outputs = set()
+        for form in forms:
+            got = is_t_shaped(form)
+            cert = got.certificate
+            outputs.add(
+                (
+                    got.t_shaped,
+                    got.detail,
+                    json.dumps(certificate_to_json(cert)) if cert else None,
+                )
+            )
+        assert len(outputs) == 1
 
 
 class TestBoundsReport:
