@@ -7,12 +7,14 @@ the point set ``build_sandwich`` materializes, and reports discrepancies
 as data.  The two checks are independent: each subtracts the shift from
 every point on its own, on coordinate tuples, so neither trusts a
 difference the other computed.  A failure names the table's case.  A
-brute-force oracle lists every working shift in the unit box.
+brute-force oracle lists every working shift in the unit box.  The
+maximal sets depend on k alone, so a sweep over every s of one k builds
+them once and checks each of them point by point for every s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from operator import sub
 
@@ -178,6 +180,14 @@ def brute_force_cover_shifts(
     return hits
 
 
+@lru_cache(maxsize=1)
+def _maximal_sets(k: int) -> tuple[SigmaZeroSet, ...]:
+    """The maximal sets of k, kept for the next s of the same k: callers
+    loop over s inside k, so one entry takes every hit.  The inputs are
+    kept, never a verdict; every set is still checked for every s."""
+    return tuple(enumerate_maximal_sigma0_sets(k))
+
+
 def verify_covering_lemma(k: int, s: int) -> dict:
     """Check the constructive table on every maximal input for this (k, s).
 
@@ -188,10 +198,12 @@ def verify_covering_lemma(k: int, s: int) -> dict:
     led by the table's case label and naming the least point that fails;
     nothing raises.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if s > k - 2:
         raise ValueError(f"the covering claim needs s <= k-2; got s={s} k={k}")
     failures: list[dict] = []
-    sets = enumerate_maximal_sigma0_sets(k)
+    sets = _maximal_sets(k)
     sandwich = _sandwich_coords(k, s)
     for tau in sets:
         where = {

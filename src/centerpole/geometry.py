@@ -297,8 +297,8 @@ def integer_spanned_hyperplanes(
     """Every hyperplane through d affinely independent points of a set
     of integer points in Z^d, d >= 2, as ``(normal, offset, on)`` with
     a primitive normal, deduplicated.  ``on`` is the bitmask of the
-    indices of the points on the hyperplane.  Points of a lower
-    dimension raise ValueError.
+    indices of the points on the hyperplane.  No points, or points of a
+    lower dimension, raise ValueError.
 
     The d-subsets are walked depth-first by their first d-1 points (the
     prefix), one point at a time, keeping an integer basis of the kernel
@@ -339,6 +339,8 @@ def integer_spanned_hyperplanes(
     order.  Unlike a common multiple of all leads, 2K grows only with the
     largest lead, not with the number of hyperplanes.
     """
+    if not points:
+        raise ValueError("need at least one point")
     n, d = len(points), len(points[0])
     if d < 2:
         raise ValueError(f"spanned hyperplanes need dimension 2 or more, got {d}")
@@ -426,7 +428,7 @@ def containing_hyperplane(scaled: list[list[int]], scale: int) -> Hyperplane | N
         return None
     normal = _kernel_vector(rows, pivots, p, d, _free_columns(pivots, d)[0])
     offset = sum(map(mul, normal, scaled[0]))
-    return Hyperplane(tuple(normal), Fraction(offset, scale))
+    return Hyperplane(tuple(normal), _divide(offset, scale))
 
 
 def fraction_from_json(text: str | int) -> Fraction:

@@ -35,6 +35,7 @@ from typing import Sequence
 from .geometry import (
     Hyperplane,
     RationalPoint,
+    _divide,
     _exact,
     affine_hull_dim,
     as_point,
@@ -233,7 +234,7 @@ def _search_cover(
     }
     return TShapeCertificate(
         hyperplanes=tuple(
-            Hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in cover
+            Hyperplane(normal, _divide(offset, scale)) for normal, offset, _ in cover
         ),
         assignment=assignment,
     )

@@ -150,6 +150,13 @@ class TestCoverVerifyCommand:
         assert code == 2
         assert "s <= k-2" in err
 
+    @pytest.mark.parametrize("s", [-1, -2])
+    def test_k_below_one_is_named_whatever_s_is(self, capsys, s):
+        code, out, err = run_cli(["cover-verify", "--k", "0", "--s", str(s)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: k must be at least 1\n"
+
     def test_large_k_is_refused_before_any_set_is_built(self, monkeypatch, capsys):
         def never(k):
             raise AssertionError("the maximal sets were built")

@@ -292,6 +292,52 @@ class TestVerificationHarness:
         assert beyond_least > 0
 
 
+class TestMaximalSetsAreBuiltOncePerK:
+    """A sweep over every s of one k builds the maximal sets once, and
+    still checks every set for every s."""
+
+    def test_each_k_is_built_once_and_every_set_checked_for_every_s(
+        self, monkeypatch
+    ):
+        built, checked = [], []
+        enumerate_sets = covering.enumerate_maximal_sigma0_sets
+        verify = CoverCertificate.verify
+
+        def counted_enumerate(k):
+            built.append(k)
+            return enumerate_sets(k)
+
+        def counted_verify(cert):
+            checked.append(cert)
+            return verify(cert)
+
+        monkeypatch.setattr(covering, "enumerate_maximal_sigma0_sets", counted_enumerate)
+        monkeypatch.setattr(CoverCertificate, "verify", counted_verify)
+        covering._maximal_sets.cache_clear()
+        for k in (4, 5):
+            for s in range(-1, k - 1):
+                checked.clear()
+                report = verify_covering_lemma(k, s)
+                assert report["total"] == len(checked) == 4 * k * (k + 1)
+            assert built == list(range(4, k + 1))
+
+    def test_the_cached_sets_are_a_tuple_of_the_enumeration(self):
+        covering._maximal_sets.cache_clear()
+        sets = covering._maximal_sets(3)
+        assert type(sets) is tuple
+        assert sets == tuple(enumerate_maximal_sigma0_sets(3))
+        assert covering._maximal_sets(3) is sets
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_warm_cache_gives_the_report_of_a_cold_one(self, k):
+        for s in range(-1, k - 1):
+            covering._maximal_sets.cache_clear()
+            cold = verify_covering_lemma(k, s)
+            assert covering._maximal_sets.cache_info().currsize == 1
+            assert verify_covering_lemma(k, s) == cold
+            assert covering._maximal_sets.cache_info().hits >= 1
+
+
 _table_shift = covering._shift
 
 

@@ -312,6 +312,10 @@ class TestSpannedHyperplanes:
         with pytest.raises(ValueError, match="dimension 2 or more, got 1"):
             integer_spanned_hyperplanes([(0,), (1,)])
 
+    def test_no_points_are_refused(self):
+        with pytest.raises(ValueError, match="^need at least one point$"):
+            integer_spanned_hyperplanes([])
+
     def test_fewer_points_than_the_dimension_span_nothing(self):
         assert spanned([P(0, 0, 0), P(1, 2, 3)]) == []
         assert spanned([P(5, 5)]) == []
