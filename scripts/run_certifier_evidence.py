@@ -16,13 +16,14 @@ import sys
 import time
 
 from centerpole.certifier import DEFAULT_BUDGET, certify_schedule
-from centerpole.cube import build_sandwich, lattice
+from centerpole.cli import emit
+from centerpole.cube import LatticePoint, build_sandwich
 
 
 def schedule_row(name, centers, colors, r_list, expected, budget, r_factor=3):
     started = time.perf_counter()
     schedule = certify_schedule(
-        [lattice(*c) for c in sorted(centers)],
+        [LatticePoint(c) for c in sorted(centers)],
         colors,
         r_list,
         r_factor=r_factor,
@@ -120,15 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         "cases": cases,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:
+        emit(text, args.out)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0 if all_ok else 1
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from centerpole.cli import MAX_COVER_K
+from centerpole.cli import MAX_COVER_K, emit
 from centerpole.covering import verify_covering_lemma
 
 
@@ -53,15 +53,11 @@ def main(argv: list[str] | None = None) -> int:
         "rows": rows,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:
+        emit(text, args.out)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 1 if failure_count else 0
 
 

@@ -17,6 +17,7 @@ import random
 import sys
 import time
 
+from centerpole.cli import emit
 from centerpole.tshape import is_t_shaped, verify_t_value_bounds
 
 GRID_DRAWS = 19
@@ -104,15 +105,11 @@ def main(argv: list[str] | None = None) -> int:
         all_ok = all_ok and doc["gridDraws"]["ok"]
         doc["ok"] = all_ok
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:
+        emit(text, args.out)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0 if all_ok else 1
 
 

@@ -42,7 +42,6 @@ from .cube import (
     build_sandwich,
     cube_points,
     enumerate_maximal_sigma0_sets,
-    lattice,
     sandwich_contains,
     sandwich_size,
     sigma0,

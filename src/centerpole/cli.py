@@ -314,7 +314,7 @@ def cmd_tshape(
         raise ValueError(f"trial count must be non-negative, got {trials}")
     with open(points_file, encoding="utf-8") as fh:
         rows = _parse_json(fh.read())
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+    if not isinstance(rows, list):
         raise ValueError("a points file must hold a list of coordinate rows")
     points = [point_from_json(row) for row in rows]
     if trials > 0 and bound_dim is None and not points:
@@ -452,7 +452,7 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def emit(text: str, out_path: str | None) -> None:
     """Write ``text`` to stdout, or to ``--out`` after creating its
     missing ancestor directories.  If they cannot all be made or the
     file cannot be opened, the ones made here are removed again, deepest
@@ -589,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             envelope = {"config": config, "result": result, "meta": meta}
             text = indented_json(envelope) + "\n"
-        _emit(text, args.out)  # an unwritable --out is an OSError too
+        emit(text, args.out)  # an unwritable --out is an OSError too
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

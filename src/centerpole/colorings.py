@@ -11,7 +11,9 @@ Group-multiplicative mirror expressions are specialized to additive
 notation throughout: the mirror of x through a is 2a - x.
 
 Every rule is total and exact over rational inputs; the scan harness
-samples far points and reports monochromatic symmetric pairs.  Every
+samples far points and reports monochromatic symmetric pairs.  Points
+enter through ``geometry.as_point`` and the scan radius through
+``geometry._exact``; this module has no exactness test of its own.  Every
 rule colors a point given as integers: numerators z and one common
 denominator q > 0, the point z/q.  Each rule scales its own centers,
 levels and matrices to integers once, so the scan draws, mirrors and
@@ -30,6 +32,7 @@ from typing import Callable, Sequence
 
 from .geometry import (
     RationalPoint,
+    _exact,
     as_point,
     clear_denominators,
     integer_inverse,
@@ -37,27 +40,15 @@ from .geometry import (
 )
 
 
-def _as_coords(point, dim: int) -> tuple[int | Fraction, ...]:
-    """The coordinates of ``point``, each an ``int`` or a ``Fraction``
-    as given.  Any other value, a float or a bool among them, raises
-    ValueError: the rules decide colors exactly."""
-    cs = tuple(getattr(point, "coords", point))
-    for v in cs:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
-    if len(cs) != dim:
-        raise ValueError(f"point has dimension {len(cs)}, rule expects {dim}")
-    return cs
-
-
 @dataclass(frozen=True)
 class ColoringRule:
     """A total coloring of the points of dimension ``dim`` into colors
     {0..color_count-1}.
 
-    Calling the rule checks its point: a tuple, a rational or a lattice
-    point of the stated dimension whose coordinates are each an ``int``
-    or a ``Fraction``; the call scales it by the lcm q of its
+    Calling the rule reads its point through ``as_point``: a
+    ``RationalPoint``, a ``LatticePoint``, or a tuple or list of exact
+    rationals (a float or a bool raises TypeError), which must have the
+    stated dimension; the call scales it by the lcm q of its
     denominators.  ``evaluate(z, q)`` is the trusted entry: it takes
     ``dim`` integer numerators z and a denominator q > 0 as given, the
     point z/q, and its color must not depend on which q represents the
@@ -71,9 +62,11 @@ class ColoringRule:
     label: str = ""
 
     def __call__(self, point) -> int:
-        cs = _as_coords(point, self.dim)
-        q = lcm(*(v.denominator for v in cs))
-        return self.evaluate([v.numerator * (q // v.denominator) for v in cs], q)
+        p = as_point(point)
+        if p.dim != self.dim:
+            raise ValueError(f"point has dimension {p.dim}, rule expects {self.dim}")
+        q, (z,) = clear_denominators([p.coords])
+        return self.evaluate(z, q)
 
 
 def standard_simplex(d: int) -> tuple[RationalPoint, ...]:
@@ -424,12 +417,11 @@ def symmetric_pair_scan(
     |n/d - c| > r is |n*D - C*d| > R*d.  x reaches the rule as (z, q),
     q the lcm of the d and z = n*(q/d), and the mirror 2c - x as
     (2*C*q - D*z, D*q).  A ``Fraction`` is built only to print a
-    violation.  The radius, like a coordinate, must be an ``int`` or a
-    ``Fraction``; anything else, a float or a bool among them, raises
-    ValueError.  So does a negative radius, under which a center counts
-    as far and is its own mirror, and a radius that no sample can clear:
-    as |x - c| <= SCAN_NUMERATOR_BOUND + |c| in the max norm.  Both are
-    refused before anything is drawn.
+    violation.  The radius is read through ``_exact``, so a float or a
+    bool raises TypeError.  A negative radius, under which a center
+    counts as far and is its own mirror, raises ValueError, and so does
+    a radius that no sample can clear, as |x - c| <= SCAN_NUMERATOR_BOUND
+    + |c| in the max norm.  Both are refused before anything is drawn.
 
     The draws are those of ``randint(-B, B)``, then ``random()``, then,
     when it is at least 1/2, ``randint(1, M)`` for each coordinate in
@@ -446,9 +438,7 @@ def symmetric_pair_scan(
     for c in cpts:
         if c.dim != rule.dim:
             raise ValueError("centers must match the rule's dimension")
-    if isinstance(inner_radius, bool) or not isinstance(inner_radius, (int, Fraction)):
-        raise ValueError(f"inner radius {inner_radius!r} is not an int or a Fraction")
-    radius = Fraction(inner_radius)
+    radius = _exact(inner_radius)
     if radius < 0:
         raise ValueError(f"inner radius must be non-negative, got {radius}")
     scale, ((bound,), *scaled) = clear_denominators(

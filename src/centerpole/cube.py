@@ -6,11 +6,12 @@ sets the covering code takes as input.  A cube vertex, a sandwich point
 and a facet-set point are each a plain coordinate tuple; ``LatticePoint``
 is the checked center type of the certifier and the CLI.
 
-All integer arithmetic is exact.  Coordinates that enter from outside
-(``lattice``, ``lattice_from_json``, the CLI's centers, a certifier
-window) pass ``checked_coordinates``: each must be an ``int`` in the
-signed 64-bit range, so results stay portable to fixed-width consumers.
-Points built inside from checked ones are not checked again: cube
+All integer arithmetic is exact.  A ``LatticePoint`` checks its
+coordinates when it is built, through ``checked_coordinates``: each
+must be an ``int`` in the signed 64-bit range, so results stay portable
+to fixed-width consumers.  ``lattice_from_json`` only turns the
+constructor's errors into ValueError, and a certifier window trusts the
+centers it is given.  Points built inside are not checked: cube
 vertices, sandwich points and facet sets are built from 0/1 tuples, and
 their constructors trust what the enumeration has just filtered.
 """
@@ -51,12 +52,14 @@ def checked_coordinates(values: Iterable[int]) -> tuple[int, ...]:
 @dataclass(frozen=True, slots=True)
 class LatticePoint:
     """An immutable integer vector: the checked center type of the
-    certifier and the CLI.
-
-    The constructor trusts its input; ``lattice`` and the JSON readers
-    check coordinates where they enter."""
+    certifier and the CLI.  The constructor reads ``coords`` through
+    ``checked_coordinates``, so a bool, a float or a value outside the
+    signed 64-bit range raises there and nowhere later."""
 
     coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", checked_coordinates(self.coords))
 
     @property
     def dim(self) -> int:
@@ -64,10 +67,6 @@ class LatticePoint:
 
     def norm_inf(self) -> int:
         return max((abs(a) for a in self.coords), default=0)
-
-
-def lattice(*coords: int) -> LatticePoint:
-    return LatticePoint(checked_coordinates(coords))
 
 
 def cube_points(k: int) -> Iterator[tuple[int, ...]]:
@@ -97,16 +96,10 @@ def build_sandwich(k: int, s: int) -> frozenset[tuple[int, ...]]:
 
 
 def sandwich_size(k: int, s: int) -> int:
-    """Cardinality of the (k, s) sandwich.
-
-    For 0 <= s <= k this is the closed form 2^(k+1) - 1 - C(k, s); outside
-    that range each vertex of coordinate sum j counts once per layer it
-    enters.
-    """
+    """Cardinality of the (k, s) sandwich: each vertex of coordinate sum
+    j counts once per layer it enters."""
     if k < 0:
         raise ValueError("cube dimension must be nonnegative")
-    if 0 <= s <= k:
-        return 2 ** (k + 1) - 1 - comb(k, s)
     return sum(comb(k, j) * ((j < s) + (j < k) + (j > s)) for j in range(k + 1))
 
 
@@ -225,11 +218,10 @@ def points_to_json(points: Iterable[tuple[int, ...]]) -> list[list[int]]:
 
 
 def lattice_from_json(row: Iterable[int]) -> LatticePoint:
-    """One coordinate row read from JSON; a row that is not a sequence of
-    integers in the signed 64-bit range (a float, a string or a bool
-    among them) raises ValueError."""
+    """One coordinate row read from JSON through the ``LatticePoint``
+    constructor, whose TypeError or overflow becomes ValueError."""
     try:
-        return LatticePoint(checked_coordinates(row))
+        return LatticePoint(row)
     except (TypeError, OverflowError) as err:
         raise ValueError(f"bad lattice point {row!r}: {err}") from err
 

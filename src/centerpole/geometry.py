@@ -32,8 +32,10 @@ Rational inputs are checked once, where they enter: the ``RationalPoint``
 and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
 and the JSON readers keep a coordinate that is exactly an ``int`` and
 read any other through ``_to_fraction``, which refuses floats and
-bools.  Code past those points works on the checked values and does
-not check them again.
+bools.  ``as_point`` is the one point reader of ``tshape``,
+``colorings`` and ``point_from_json``, and ``_exact`` the one scalar
+reader; no other module tests a type against ``Fraction``.  Code past
+those points works on the checked values and does not check them again.
 """
 from __future__ import annotations
 
@@ -42,6 +44,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+from .cube import LatticePoint
 
 Rational = Fraction | int | str
 
@@ -105,12 +109,20 @@ class RationalPoint:
         return len(self.coords)
 
 
-def as_point(x: RationalPoint | Sequence[Rational]) -> RationalPoint:
-    """``x`` itself if it is a ``RationalPoint``, else its coordinates
-    read through the ``RationalPoint`` constructor."""
-    if isinstance(x, RationalPoint):
+def as_point(x: RationalPoint | LatticePoint | Sequence[Rational]) -> RationalPoint:
+    """``x`` itself if it is a ``RationalPoint``; else the coordinates of
+    a tuple, a list or a ``LatticePoint``, read through the
+    ``RationalPoint`` constructor.  Any other value, a string or a dict
+    among them, raises TypeError: iterating it would read its
+    characters or keys as coordinates."""
+    kind = type(x)
+    if kind is RationalPoint:
         return x
-    return RationalPoint(tuple(x))
+    if kind is tuple or kind is list:
+        return RationalPoint(x)
+    if kind is LatticePoint:
+        return RationalPoint(x.coords)
+    raise TypeError(f"a point is a list or tuple of coordinates, not {kind.__name__}")
 
 
 def _check_dims(a: int, b: int) -> None:
@@ -443,10 +455,11 @@ def point_to_json(p: RationalPoint) -> list[str]:
     return [str(v) for v in p.coords]
 
 
-def point_from_json(row: Iterable[str | int]) -> RationalPoint:
-    """Parse integers and fraction strings; floats are inexact and refused."""
+def point_from_json(row: list[str | int]) -> RationalPoint:
+    """A row of integers and fraction strings read through ``as_point``;
+    a row that is not a list, a float and a bool raise ValueError."""
     try:
-        return RationalPoint(tuple(row))
+        return as_point(row)
     except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"bad point {row!r}: {err}") from err
 

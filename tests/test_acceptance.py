@@ -33,7 +33,7 @@ from centerpole.colorings import (
     symmetric_pair_scan,
 )
 from centerpole.covering import verify_covering_lemma
-from centerpole.cube import build_sandwich, lattice, sandwich_size
+from centerpole.cube import LatticePoint, build_sandwich, sandwich_size
 from centerpole.tshape import is_t_shaped, moment_curve_points
 
 
@@ -119,7 +119,7 @@ def test_criterion_4_window_certification():
     started = time.perf_counter()
 
     for dim in (1, 2, 3):
-        schedule = certify_schedule([lattice(*(0,) * dim)], 1, [1])
+        schedule = certify_schedule([LatticePoint((0,) * dim)], 1, [1])
         assert all(
             row.verdict.kind is VerdictKind.FORCED for row in schedule.rows
         ), dim
@@ -130,19 +130,19 @@ def test_criterion_4_window_certification():
         a = tuple(rng.randint(-3, 3) for _ in range(2))
         b = tuple(rng.randint(-3, 3) for _ in range(2))
         if a != b:
-            families.append([lattice(*p) for p in sorted((a, b))])
+            families.append([LatticePoint(p) for p in sorted((a, b))])
     for centers in families:
         schedule = certify_schedule(centers, 2, [1, 2, 3, 4])
         assert all(
             row.verdict.kind is VerdictKind.COLORABLE for row in schedule.rows
         ), centers
 
-    planar = [lattice(*p) for p in sorted(build_sandwich(1, -1))]
+    planar = [LatticePoint(p) for p in sorted(build_sandwich(1, -1))]
     schedule = certify_schedule(planar, 2, [1, 2, 3], r_factor=3)
     assert [row.verdict.kind for row in schedule.rows] == [VerdictKind.FORCED] * 3
     assert [row.proved_at_outer for row in schedule.rows] == [4, 5, 6]
 
-    spatial = [lattice(*p) for p in sorted(build_sandwich(2, 0))]
+    spatial = [LatticePoint(p) for p in sorted(build_sandwich(2, 0))]
     hard_start = time.perf_counter()
     schedule = certify_schedule(spatial, 3, [1, 2])
     hard_elapsed = time.perf_counter() - hard_start
@@ -289,10 +289,10 @@ def test_criterion_6_structural_invariants():
     # a signed permutation of Z^2 maps the window about the origin onto
     # itself, so it preserves the window graph of a center set
     base = sorted(build_sandwich(1, -1))
-    base_centers = tuple(lattice(*p) for p in base)
+    base_centers = tuple(LatticePoint(p) for p in base)
     images = [
         tuple(
-            lattice(*q)
+            LatticePoint(q)
             for q in sorted(tuple(s * p[i] for s, i in zip(signs, order)) for p in base)
         )
         for order in ((0, 1), (1, 0))

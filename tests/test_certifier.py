@@ -22,13 +22,12 @@ from centerpole.cube import (
     DimensionMismatchError,
     LatticePoint,
     build_sandwich,
-    lattice,
 )
 
 
 def sandwich_centers(k, s):
     """The (k, s) sandwich in sorted order, as certifier centers."""
-    return tuple(lattice(*p) for p in sorted(build_sandwich(k, s)))
+    return tuple(LatticePoint(p) for p in sorted(build_sandwich(k, s)))
 
 
 def plus(a, b):
@@ -70,19 +69,37 @@ CYCLE5_WITH_TREE = [(0, 1), (1, 2), (2, 3), (2, 4)] + [
 class TestWindowSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowSpec(dim=0, outer=1, inner=0, centers=(lattice(),))
+            WindowSpec(dim=0, outer=1, inner=0, centers=(LatticePoint(()),))
         with pytest.raises(ValueError):
-            WindowSpec(dim=1, outer=1, inner=1, centers=(lattice(0),))
+            WindowSpec(dim=1, outer=1, inner=1, centers=(LatticePoint((0,)),))
         with pytest.raises(ValueError):
             WindowSpec(dim=1, outer=2, inner=0, centers=())
         with pytest.raises(ValueError):
-            WindowSpec(dim=1, outer=2, inner=0, centers=(lattice(5),))
+            WindowSpec(dim=1, outer=2, inner=0, centers=(LatticePoint((5,)),))
         with pytest.raises(DimensionMismatchError):
-            WindowSpec(dim=2, outer=2, inner=0, centers=(lattice(0),))
+            WindowSpec(dim=2, outer=2, inner=0, centers=(LatticePoint((0,)),))
+
+    def test_a_window_checks_its_outer_bound_and_no_center(self, monkeypatch):
+        centers = sandwich_centers(2, 0)
+        calls = []
+        check = certifier.checked_coordinates
+
+        def counted(values):
+            calls.append(values)
+            return check(values)
+
+        monkeypatch.setattr(certifier, "checked_coordinates", counted)
+        WindowSpec(dim=3, outer=4, inner=1, centers=centers)
+        assert calls == [(-4, 4)]
+        calls.clear()
+        # one call per window solved, for its +-outer, and none per center
+        (row,) = certify_schedule(centers, 2, [1]).rows
+        assert len(calls) == row.windows_solved
+        assert all(low == -high for low, high in calls)
 
     def test_shifted_window_admits_shifted_centers(self):
         # the window about 9 with center 10 is the window of center 1
-        spec = WindowSpec(dim=1, outer=3, inner=0, centers=(lattice(1),))
+        spec = WindowSpec(dim=1, outer=3, inner=0, centers=(LatticePoint((1,)),))
         graph = build_symmetry_graph(spec)
         points, edges = reference_symmetry_graph(spec, ((10,),), (9,))
         assert list(points) == [(6,), (7,), (8,), (10,), (11,), (12,)]
@@ -91,7 +108,7 @@ class TestWindowSpec:
 
 class TestGraphConstruction:
     def test_single_center_line_window(self):
-        spec = WindowSpec(dim=1, outer=2, inner=0, centers=(lattice(0),))
+        spec = WindowSpec(dim=1, outer=2, inner=0, centers=(LatticePoint((0,)),))
         graph = build_symmetry_graph(spec)
         points, _ = reference_symmetry_graph(
             spec, [c.coords for c in spec.centers], (0,)
@@ -101,7 +118,7 @@ class TestGraphConstruction:
         assert graph.vertex_count == 4 and graph.edge_count == 2
 
     def test_annulus_excludes_the_inner_ball(self):
-        spec = WindowSpec(dim=2, outer=2, inner=1, centers=(lattice(0, 0),))
+        spec = WindowSpec(dim=2, outer=2, inner=1, centers=(LatticePoint((0, 0)),))
         graph = build_symmetry_graph(spec)
         points, _ = reference_symmetry_graph(
             spec, [c.coords for c in spec.centers], (0, 0)
@@ -111,7 +128,7 @@ class TestGraphConstruction:
 
     def test_mirrors_landing_outside_create_no_edge(self):
         # center at the window edge: most mirrors leave the annulus
-        spec = WindowSpec(dim=1, outer=2, inner=0, centers=(lattice(2),))
+        spec = WindowSpec(dim=1, outer=2, inner=0, centers=(LatticePoint((2,)),))
         graph = build_symmetry_graph(spec)
         assert graph.edges == ()
 
@@ -172,7 +189,11 @@ class TestFlatIndexBuild:
                 dim=2,
                 outer=3,
                 inner=1,
-                centers=(lattice(3, 0), lattice(-3, 3), lattice(3, 3)),
+                centers=(
+                    LatticePoint((3, 0)),
+                    LatticePoint((-3, 3)),
+                    LatticePoint((3, 3)),
+                ),
             ),
             (5, -3),
         )
@@ -427,7 +448,7 @@ class TestTranslationInvariance:
 
 class TestSchedule:
     def test_single_center_is_forced_for_one_color(self):
-        report = certify_schedule([lattice(0)], 1, [1])
+        report = certify_schedule([LatticePoint((0,))], 1, [1])
         assert isinstance(report, ScheduleReport)
         assert report.dim == 1 and report.k == 1
         row = report.rows[0]
@@ -446,7 +467,7 @@ class TestSchedule:
         assert [row.outer for row in report.rows] == [9, 12, 15]
 
     def test_colorable_pair_of_centers(self):
-        centers = [lattice(0, 0), lattice(3, 0)]
+        centers = [LatticePoint((0, 0)), LatticePoint((3, 0))]
         report = certify_schedule(centers, 2, [1], r_factor=1)
         row = report.rows[0]
         assert row.verdict.kind is VerdictKind.COLORABLE
@@ -471,7 +492,7 @@ class TestSchedule:
         monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
         for r_list in ([], iter(())):
             with pytest.raises(ValueError, match="at least one inner radius is required"):
-                certify_schedule([lattice(0)], 1, r_list)
+                certify_schedule([LatticePoint((0,))], 1, r_list)
         assert built == []
 
     def test_refuses_a_color_count_below_one_before_building_any(self, monkeypatch):
@@ -479,7 +500,7 @@ class TestSchedule:
         monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
         for k in (0, -1):
             with pytest.raises(ValueError, match="color count must be positive"):
-                certify_schedule([lattice(0, 0)], k, [40])
+                certify_schedule([LatticePoint((0, 0))], k, [40])
         assert built == []
 
     def test_refuses_a_negative_inner_radius_before_building_any(self, monkeypatch):
@@ -491,25 +512,25 @@ class TestSchedule:
 
     def test_rejects_r_factor_below_one(self):
         with pytest.raises(ValueError, match="R factor"):
-            certify_schedule([lattice(0)], 1, [1], r_factor=0)
+            certify_schedule([LatticePoint((0,))], 1, [1], r_factor=0)
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            certify_schedule([lattice(0)], 1, [1], budget=-1)
+            certify_schedule([LatticePoint((0,))], 1, [1], budget=-1)
 
     def test_refuses_a_large_window_before_building_any(self, monkeypatch):
         built = []
         monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
         # R = 3 * (1000 + 0 + 1): 6007^2 points; the small row comes first
         with pytest.raises(ValueError, match="outer radius 3003 in dimension 2"):
-            certify_schedule([lattice(0, 0)], 2, [1, 1000])
+            certify_schedule([LatticePoint((0, 0))], 2, [1, 1000])
         assert built == []
 
 
 # Forced at outer 6, 7, 8 for r = 1, 2, 3 with k = 2, while the escalation
 # starts at outer 4, 5, 6: the smallest Forced window lies above the first
 # two galloping probes, so it is found by bisection.
-LATE_FORCED = [lattice(-1, -1), lattice(-1, 0), lattice(1, 2)]
+LATE_FORCED = [LatticePoint((-1, -1)), LatticePoint((-1, 0)), LatticePoint((1, 2))]
 
 
 def linear_schedule(centers, k, r_list, r_factor=3):
@@ -561,16 +582,35 @@ class TestGallopingEscalation:
     @pytest.mark.parametrize(
         "centers,k,r_list,r_factor",
         [
-            ([lattice(0)], 1, [0, 1, 2], 3),
-            ([lattice(0, 0)], 1, [1], 3),
+            ([LatticePoint((0,))], 1, [0, 1, 2], 3),
+            ([LatticePoint((0, 0))], 1, [1], 3),
             (sandwich_centers(1, -1), 2, [1, 2, 3], 3),
             (LATE_FORCED, 2, [1, 2, 3], 3),
-            ([lattice(0, 0), lattice(3, 0)], 2, [1, 2], 2),
-            ([lattice(0), lattice(1), lattice(3)], 2, [0, 1, 2], 3),
-            ([lattice(-1, -1, -1), lattice(0, -1, 0), lattice(0, 1, 1)], 2, [0, 1, 2], 3),
-            ([lattice(0, 0, 0), lattice(1, 1, 1)], 2, [0, 1], 2),
+            ([LatticePoint((0, 0)), LatticePoint((3, 0))], 2, [1, 2], 2),
+            (
+                [LatticePoint((0,)), LatticePoint((1,)), LatticePoint((3,))],
+                2,
+                [0, 1, 2],
+                3,
+            ),
+            (
+                [
+                    LatticePoint((-1, -1, -1)),
+                    LatticePoint((0, -1, 0)),
+                    LatticePoint((0, 1, 1)),
+                ],
+                2,
+                [0, 1, 2],
+                3,
+            ),
+            ([LatticePoint((0, 0, 0)), LatticePoint((1, 1, 1))], 2, [0, 1], 2),
             (LATE_FORCED, 3, [1], 3),
-            ([lattice(0, 0), lattice(2, 1), lattice(1, 3)], 3, [0, 1], 2),
+            (
+                [LatticePoint((0, 0)), LatticePoint((2, 1)), LatticePoint((1, 3))],
+                3,
+                [0, 1],
+                2,
+            ),
         ],
     )
     def test_matches_the_linear_scan(self, centers, k, r_list, r_factor):
@@ -590,7 +630,9 @@ class TestGallopingEscalation:
         assert row.windows_solved == len(solved)
 
     def test_colorable_rows_with_two_colors_solve_three_windows(self, solved):
-        report = certify_schedule([lattice(0, 0), lattice(3, 0)], 2, [1, 4])
+        report = certify_schedule(
+            [LatticePoint((0, 0)), LatticePoint((3, 0))], 2, [1, 4]
+        )
         assert [row.verdict.kind for row in report.rows] == [VerdictKind.COLORABLE] * 2
         assert [row.proved_at_outer for row in report.rows] == [15, 24]
         # start and start + 1, then the full window R, which settles the row
@@ -622,7 +664,10 @@ class TestGallopingEscalation:
         # a SAT window can cost more than the gallop below it, so R is
         # solved only when the gallop reaches it
         report = certify_schedule(
-            [lattice(0, 0), lattice(2, 1), lattice(1, 3)], 3, [0], r_factor=2
+            [LatticePoint((0, 0)), LatticePoint((2, 1)), LatticePoint((1, 3))],
+            3,
+            [0],
+            r_factor=2,
         )
         (row,) = report.rows
         assert row.verdict.kind is VerdictKind.COLORABLE

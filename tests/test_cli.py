@@ -274,7 +274,7 @@ class TestTshapeCommand:
             ("null", "a points file must hold a list of coordinate rows"),
             ("7", "a points file must hold a list of coordinate rows"),
             ('{"a": [1, 0]}', "a points file must hold a list of coordinate rows"),
-            ("[[1, 0], 3]", "a points file must hold a list of coordinate rows"),
+            ("[[1, 0], 3]", "bad point 3: a point is a list or tuple of coordinates"),
             ("[[], []]", "points must share one ambient dimension of at least 1"),
             ('[["1/0", 1]]', "bad point ['1/0', 1]"),
             ("[[true, 0], [0, 1], [1, 1]]", "bad point [True, 0]: booleans"),
@@ -772,6 +772,45 @@ class TestColoringScanCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["string", "object"])
+    @pytest.mark.parametrize(
+        "reader", ["centers", "halfspace center", "pair a", "pair b", "cone vertex",
+                   "plus2 A"]
+    )
+    def test_a_point_that_is_not_a_list_is_a_usage_error(
+        self, reader, form, tmp_path, capsys
+    ):
+        # iterating the string "12" read (1, 2); iterating an object read
+        # its keys, so each rule below was built and scanned
+        row = "12" if form == "string" else {"1": 0, "2": 5}
+        rule = {"kind": "halfspace", "center": [1, 2]}
+        centers = [[1, 2]]
+        if reader == "centers":
+            centers = [row]
+        elif reader == "halfspace center":
+            rule["center"] = row
+        elif reader.startswith("pair"):
+            rule = {"kind": "pair", "a": [0, 0], "b": [3, 4]}
+            rule[reader[-1]] = row
+        elif reader == "cone vertex":
+            rule = {"kind": "cone", "vertices": [row, [-1, 0], [0, -2]]}
+        else:
+            row = "1001" if form == "string" else {"1": 0, "0": 0, "3": 0, "2": 0}
+            rule = {"kind": "plus2", "base": {"kind": "cone", "dim": 3},
+                    "A": [row, [0, 1, 0, 2]]}
+            centers = [[0, 0, 0, 0]]
+        path = tmp_path / "centers.json"
+        path.write_text(json.dumps(centers))
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", json.dumps(rule), "--centers", str(path),
+             "--samples", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad point {row!r}: a point is a list or tuple")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from centerpole.colorings import (
     standard_simplex,
     symmetric_pair_scan,
 )
+from centerpole.cube import LatticePoint
 
 F = Fraction
 
@@ -695,58 +696,84 @@ class TestScans:
 
 
 class TestExactInputs:
-    """Only ints and Fractions reach a rule: a float (exact or not), a
-    bool or a string is refused, whichever coordinate holds it."""
+    """Every rational entry of colorings reads through geometry: a point
+    through ``as_point`` and the scan radius through ``_exact``.  Each
+    takes an int, an integral or proper Fraction and a fraction string,
+    and refuses a float (exact or not), a bool and None with geometry's
+    TypeError."""
 
-    RULES = {
-        "cone": cone(2),
-        "halfspace": halfspace_coloring((1, 2)),
-        "pair": pair_coloring((0, 0), (2, 0)),
-        "plus0": plus0_extension(cone(2)),
-        "plus1": plus1_extension(cone(2), halfspace_coloring((0, 0))),
-        "plus2": plus2_extension(BASE3, [(1, 0, 0, 1), (0, 1, 0, 2)]),
+    # each entry puts the value under test in one slot of one input and
+    # returns what that input decides; ``minus`` is minus the value, for
+    # the vertex that makes a simplex sum to zero
+    ENTRIES = {
+        "rule call": lambda v, minus: cone(2)((v, F(-1, 3))),
+        "cone vertices": lambda v, minus: cone_coloring([(v,), (minus,)])((1,)),
+        "halfspace center": lambda v, minus: halfspace_coloring((v, 0))((F(7, 8), 0)),
+        "pair points": lambda v, minus: pair_coloring((v, 0), (2, 0))((F(1, 2), 1)),
+        "plus2 A": lambda v, minus: plus2_extension(
+            BASE3, [(1, 0, 0, v), (0, 1, 0, 2)]
+        )((1, 1, 1, F(3, 2))),
+        "scan centers": lambda v, minus: symmetric_pair_scan(
+            cone(2), [(v, 0)], 0, 3, 1
+        )["centers"],
+        "scan radius": lambda v, minus: symmetric_pair_scan(
+            cone(2), [(0, 0)], v, 3, 1
+        )["innerRadius"],
     }
 
-    @pytest.mark.parametrize("name", sorted(RULES))
-    @pytest.mark.parametrize("bad", [0.1, 2.0, True, "1/2", None])
-    def test_non_exact_coordinates_are_refused(self, name, bad):
-        rule = self.RULES[name]
-        for axis in (0, rule.dim - 1):
-            point = [F(1, 3)] * rule.dim
-            point[axis] = bad
-            with pytest.raises(ValueError, match="is not an int or a Fraction"):
-                rule(tuple(point))
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "value,exact", [(1, 1), (F(2, 2), 1), (F(3, 4), F(3, 4)), ("3/4", F(3, 4))]
+    )
+    def test_exact_values_are_accepted(self, entry, value, exact):
+        run = self.ENTRIES[entry]
+        assert run(value, -exact) == run(exact, -exact)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (0.5, "floats are not allowed"),
+            (2.0, "floats are not allowed"),
+            (True, "booleans are not allowed"),
+            (None, None),
+        ],
+    )
+    def test_non_exact_values_are_refused(self, entry, bad, message):
+        with pytest.raises(TypeError, match=message):
+            self.ENTRIES[entry](bad, -1)
 
     def test_a_float_near_a_rational_is_refused(self):
         # Fraction(0.1) is the binary fraction nearest 1/10, not 1/10, so
         # a float is refused rather than colored as some other point
-        with pytest.raises(ValueError, match="0.1 is not an int or a Fraction"):
+        with pytest.raises(TypeError, match="floats are not allowed"):
             cone(2)((0.1, 0.2))
         assert cone(2)((F(1, 10), F(1, 5))) == 2
 
-    @pytest.mark.parametrize("bad", [0.1, 2.0, True, "1/2", None])
-    def test_non_exact_scan_radius_is_refused(self, bad):
-        # Fraction(0.1) would report the binary fraction nearest 1/10
-        with pytest.raises(ValueError, match="inner radius .* is not an int or a Fraction"):
-            symmetric_pair_scan(cone(2), [(0, 0)], bad, 3, 1)
-        for radius, text in ((F(1, 10), "1/10"), (2, "2")):
+    def test_fraction_strings_and_lattice_points_are_read_as_their_values(self):
+        # "1/2" was refused when colorings kept its own exactness test
+        assert cone(2)(("1/2", 0)) == cone(2)((F(1, 2), 0))
+        assert cone(2)(LatticePoint((1, 0))) == cone(2)((1, 0))
+        for radius, text in (("1/2", "1/2"), (F(1, 10), "1/10"), (2, "2")):
             report = symmetric_pair_scan(cone(2), [(0, 0)], radius, 3, 1)
             assert report["innerRadius"] == text
 
     def test_a_point_is_checked_once(self, monkeypatch):
-        # calling a rule checks its point; nested rules and the scan call
-        # ``evaluate`` on values already checked or built from checked ones
+        # calling a rule reads its point; nested rules and the scan call
+        # ``evaluate`` on values already read or built from read ones
+        rule = plus0_extension(plus0_extension(cone(2)))
+        scanned = plus2_extension(BASE3, [(1, 0, 0, 1), (0, 1, 0, 2)])
         calls = []
-        check = colorings._as_coords
+        read = colorings.as_point
 
-        def counted(point, dim):
-            calls.append(dim)
-            return check(point, dim)
+        def counted(point):
+            calls.append(point)
+            return read(point)
 
-        monkeypatch.setattr(colorings, "_as_coords", counted)
-        plus0_extension(plus0_extension(cone(2)))((F(1, 3), 2, 0, 0))
-        assert calls == [4]
+        monkeypatch.setattr(colorings, "as_point", counted)
+        rule((F(1, 3), 2, 0, 0))
+        assert calls == [(F(1, 3), 2, 0, 0)]
         calls.clear()
-        rule = self.RULES["plus2"]
-        assert symmetric_pair_scan(rule, [(0,) * 4], 0, 50, 1)["samples"] == 50
-        assert calls == []
+        assert symmetric_pair_scan(scanned, [(0,) * 4], 0, 50, 1)["samples"] == 50
+        # the one center is read; no sample and no mirror is
+        assert calls == [(0, 0, 0, 0)]

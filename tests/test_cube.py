@@ -18,7 +18,6 @@ from centerpole.cube import (
     build_sandwich,
     cube_points,
     enumerate_maximal_sigma0_sets,
-    lattice,
     lattice_from_json,
     points_to_json,
     profile_triple,
@@ -31,45 +30,46 @@ from centerpole.cube import (
 
 class TestLatticePoint:
     def test_arithmetic(self):
-        a = lattice(1, -2, 3)
+        a = LatticePoint((1, -2, 3))
         assert a.dim == 3
         assert a.norm_inf() == 3
-        assert lattice().norm_inf() == 0
+        assert LatticePoint(()).norm_inf() == 0
 
     def test_dimension_mismatch(self):
         # points of two dimensions meet in a window's centers; the wrong
         # one is refused wherever it stands in the list
-        for centers in ((lattice(1, 2, 3),), (lattice(1, 2), lattice(1, 2, 3))):
+        three = LatticePoint((1, 2, 3))
+        for centers in ((three,), (LatticePoint((1, 2)), three)):
             with pytest.raises(DimensionMismatchError):
                 WindowSpec(dim=2, outer=3, inner=0, centers=centers)
 
-    def test_rejects_non_ints(self):
-        with pytest.raises(TypeError):
-            lattice(1, 2.0)
-        with pytest.raises(TypeError):
-            lattice(True)
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(True, TypeError), (2.0, TypeError), (2**63, CoordinateOverflowError)],
+    )
+    def test_the_constructor_checks_each_coordinate(self, bad, error):
+        # a point is checked once, when it is built; a window trusts it
+        with pytest.raises(error):
+            LatticePoint((0, bad))
 
     def test_word_size_bound(self):
         # checked where points enter; arithmetic on checked points is not
         edge = 2**63 - 1
-        assert lattice(edge).coords == (edge,)
-        assert lattice(-(2**63)).coords == (-(2**63),)
+        assert LatticePoint((edge,)).coords == (edge,)
+        assert LatticePoint((-(2**63),)).coords == (-(2**63),)
         with pytest.raises(CoordinateOverflowError):
-            lattice(2**63)
+            LatticePoint((2**63,))
         with pytest.raises(CoordinateOverflowError):
-            lattice(-(2**63) - 1)
-        assert lattice_from_json([edge, -(2**63)]) == lattice(edge, -(2**63))
+            LatticePoint((-(2**63) - 1,))
+        assert lattice_from_json([edge, -(2**63)]) == LatticePoint((edge, -(2**63)))
         with pytest.raises(ValueError, match="64-bit"):
             lattice_from_json([0, 2**63])
         with pytest.raises(ValueError, match="64-bit"):
             parse_center_set([[0, 2**63]])
-        # the window reach: +-outer and every mirror center stay in range
-        WindowSpec(dim=1, outer=edge, inner=0, centers=(lattice(-edge),))
+        # the window reach: +-outer stays in range, as every center does
+        WindowSpec(dim=1, outer=edge, inner=0, centers=(LatticePoint((-edge,)),))
         with pytest.raises(CoordinateOverflowError):
-            WindowSpec(dim=1, outer=2**63, inner=0, centers=(lattice(0),))
-        for far in (2**63, -(2**63) - 1):
-            with pytest.raises(CoordinateOverflowError):
-                WindowSpec(dim=1, outer=1, inner=0, centers=(LatticePoint((far,)),))
+            WindowSpec(dim=1, outer=2**63, inner=0, centers=(LatticePoint((0,)),))
 
 
 def layer_sizes(k: int, s: int) -> tuple[int, int, int]:
@@ -290,7 +290,7 @@ class TestJson:
         data = points_to_json(pts)
         assert data == [[0, 2], [1, -1]]
         assert {lattice_from_json(row) for row in data} == {
-            lattice(*p) for p in pts
+            LatticePoint(p) for p in pts
         }
 
     @pytest.mark.parametrize(

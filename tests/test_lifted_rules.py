@@ -98,7 +98,7 @@ def ref_plus2(base, A, auxes=None):
         return tuple(2 * c - v for c, v in zip(center.coords, x))
 
     if level_a == level_b:
-        sigma = 1 / level_a
+        sigma = 1 / Fraction(level_a)
         pair = auxes.get("pair") or pair_coloring(a, b)
 
         def chi2(x):
@@ -117,7 +117,7 @@ def ref_plus2(base, A, auxes=None):
 
         case = "levels-equal"
     else:
-        sigma = 1 / (level_b - level_a)
+        sigma = 1 / Fraction(level_b - level_a)
         v = level_a * sigma
         w = v + 1
         aux_a = auxes.get("a") or halfspace_coloring(a)
@@ -394,7 +394,8 @@ class TestGrid:
         assert_same(rule, ref, self.GRID + probe_bases(A), levels)
 
     def test_each_case_at_whole_levels(self):
-        for low, high in [(1, 1), (1, 2), (2, 3), (3, 4)]:
+        # (1, 6): a level gap of 5, whose inverse no float holds exactly
+        for low, high in [(1, 1), (1, 2), (2, 3), (3, 4), (1, 6)]:
             self.check([(1, 0, 0, low), (0, 1, 0, high)])
             self.check([(1, 0, 0, low), (2, 0, 0, high)])
             self.check([(F(1, 2), -1, 2, low), (-1, F(2, 3), 1, high)])

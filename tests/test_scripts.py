@@ -1,12 +1,12 @@
-"""The experiment scripts refuse inputs whose cost has no bound, and
-report an unwritable --out as a usage error."""
+"""The experiment scripts refuse inputs whose cost has no bound, write
+--out as the CLI does, and report an unwritable --out as a usage error."""
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from centerpole.cli import MAX_COVER_K
+from centerpole.cli import MAX_COVER_K, OUTPUT_DIR_ENV
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -18,21 +18,36 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("run_covering_sweep", ["--k-max", "1"]),
-        ("run_tshape_survey", ["--dims", "2", "--trials", "1"]),
-        ("run_certifier_evidence", ["--skip-hard"]),
-    ],
-)
+SMALL_RUNS = [
+    ("run_covering_sweep", ["--k-max", "1"]),
+    ("run_tshape_survey", ["--dims", "2", "--trials", "1"]),
+    ("run_certifier_evidence", ["--skip-hard"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", SMALL_RUNS)
 def test_an_unwritable_out_exits_2_with_one_error_line(name, argv, tmp_path, capsys):
-    target = tmp_path / "missing" / "x.json"
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    target = blocker / "sub" / "x.json"
     assert load_script(name).main(argv + ["--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert not (tmp_path / "missing").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("name,argv", SMALL_RUNS)
+def test_out_creates_missing_parents_under_the_output_dir(
+    name, argv, tmp_path, monkeypatch, capsys
+):
+    # the scripts write --out as the CLI does: relative to
+    # CENTERPOLE_OUT_DIR when it is set, and missing parents are made
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    assert load_script(name).main(argv + ["--out", "missing/deeper/x.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / "missing" / "deeper" / "x.json").read_text())
 
 
 class TestCoveringSweep:
