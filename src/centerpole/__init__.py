@@ -48,7 +48,6 @@ from .cube import (
 )
 from .geometry import (
     Hyperplane,
-    RationalPoint,
     affine_hull_dim,
     in_general_position,
     separates,

@@ -31,7 +31,6 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .geometry import (
-    RationalPoint,
     _exact,
     as_point,
     clear_denominators,
@@ -46,15 +45,15 @@ class ColoringRule:
     {0..color_count-1}.
 
     Calling the rule reads its point through ``as_point``: a
-    ``RationalPoint``, a ``LatticePoint``, or a tuple or list of exact
-    rationals (a float or a bool raises TypeError), which must have the
-    stated dimension; the call scales it by the lcm q of its
-    denominators.  ``evaluate(z, q)`` is the trusted entry: it takes
-    ``dim`` integer numerators z and a denominator q > 0 as given, the
-    point z/q, and its color must not depend on which q represents the
-    point.  Rules built from other rules, and the scan, call
-    ``evaluate`` on values they have checked or built, so a point is
-    checked once however deep the rules nest."""
+    ``LatticePoint``, or a tuple or list of exact rationals (ints,
+    ``Fraction``s or fraction strings such as "1/2"; a float or a bool
+    raises TypeError), which must have the stated dimension; the call
+    scales it by the lcm q of its denominators.  ``evaluate(z, q)`` is
+    the trusted entry: it takes ``dim`` integer numerators z and a
+    denominator q > 0 as given, the point z/q, and its color must not
+    depend on which q represents the point.  Rules built from other
+    rules, and the scan, call ``evaluate`` on values they have checked
+    or built, so a point is checked once however deep the rules nest."""
 
     dim: int
     color_count: int
@@ -63,18 +62,18 @@ class ColoringRule:
 
     def __call__(self, point) -> int:
         p = as_point(point)
-        if p.dim != self.dim:
-            raise ValueError(f"point has dimension {p.dim}, rule expects {self.dim}")
-        q, (z,) = clear_denominators([p.coords])
+        if len(p) != self.dim:
+            raise ValueError(f"point has dimension {len(p)}, rule expects {self.dim}")
+        q, (z,) = clear_denominators([p])
         return self.evaluate(z, q)
 
 
-def standard_simplex(d: int) -> tuple[RationalPoint, ...]:
+def standard_simplex(d: int) -> tuple[tuple[int, ...], ...]:
     """Unit vectors of R^d together with minus their sum."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
     rows = [tuple(int(i == axis) for i in range(d)) for axis in range(d)]
-    return tuple(RationalPoint(row) for row in rows + [(-1,) * d])
+    return (*rows, (-1,) * d)
 
 
 def cone_coloring(vertices: Sequence) -> ColoringRule:
@@ -103,9 +102,9 @@ def cone_coloring(vertices: Sequence) -> ColoringRule:
     d = len(verts) - 1
     if d < 1:
         raise ValueError("a simplex needs at least two vertices")
-    if any(v.dim != d for v in verts):
+    if any(len(v) != d for v in verts):
         raise ValueError(f"{len(verts)} vertices must live in dimension {d}")
-    matrix = list(zip(*(v.coords for v in verts)))
+    matrix = list(zip(*verts))
     if any(map(sum, matrix)):
         raise ValueError("vertices must sum to zero")
     matrix.append((1,) * (d + 1))
@@ -132,7 +131,7 @@ def halfspace_coloring(center) -> ColoringRule:
     x != c is monochromatic.  With the center scaled once, B = D*c, the
     sign of z_i/q - c_i is that of z_i*D - q*B_i."""
     c = as_point(center)
-    scale, (base,) = clear_denominators([c.coords])
+    scale, (base,) = clear_denominators([c])
 
     def evaluate(z: Sequence[int], q: int) -> int:
         for value, b in zip(z, base):
@@ -142,7 +141,7 @@ def halfspace_coloring(center) -> ColoringRule:
         return 0
 
     return ColoringRule(
-        dim=c.dim, color_count=2, evaluate=evaluate, label="halfspace"
+        dim=len(c), color_count=2, evaluate=evaluate, label="halfspace"
     )
 
 
@@ -163,11 +162,11 @@ def pair_coloring(a, b) -> ColoringRule:
     """
     pa = as_point(a)
     pb = as_point(b)
-    if pa.dim != pb.dim:
-        raise ValueError(f"dimension mismatch: {pa.dim} vs {pb.dim}")
+    if len(pa) != len(pb):
+        raise ValueError(f"dimension mismatch: {len(pa)} vs {len(pb)}")
     if pa == pb:
         raise ValueError("pair witness needs two distinct points")
-    scale, (ai, bi) = clear_denominators([pa.coords, pb.coords])
+    scale, (ai, bi) = clear_denominators([pa, pb])
     u = [q - p for p, q in zip(ai, bi)]
     uu = sum(map(mul, u, u))
 
@@ -184,7 +183,7 @@ def pair_coloring(a, b) -> ColoringRule:
         return 1 if sigma >= 1 else 0
 
     return ColoringRule(
-        dim=pa.dim, color_count=2, evaluate=evaluate, label="pair"
+        dim=len(pa), color_count=2, evaluate=evaluate, label="pair"
     )
 
 
@@ -257,7 +256,7 @@ def plus1_extension(
     if base.color_count < 3:
         raise ValueError("base coloring must use at least 3 colors")
     if aux2 is None:
-        aux2 = halfspace_coloring(RationalPoint((0,) * base.dim))
+        aux2 = halfspace_coloring((0,) * base.dim)
     if aux2.color_count != 2 or aux2.dim != base.dim:
         raise ValueError("aux2 must be a 2-coloring of the base space")
     chi0 = base.evaluate
@@ -296,17 +295,14 @@ def plus2_extension(
         raise ValueError("exactly two added points are required")
     pts = [as_point(p) for p in A]
     for p in pts:
-        if p.dim != base.dim + 1:
+        if len(p) != base.dim + 1:
             raise ValueError("added points must live in X x R")
-        if p.coords[-1] <= 0:
+        if p[-1] <= 0:
             raise ValueError("added points must sit at positive levels")
-    pts.sort(key=lambda p: p.coords[-1])
+    pts.sort(key=lambda p: p[-1])
     if pts[0] == pts[1]:
         raise ValueError("added points must be distinct")
-    a = pts[0].coords[:-1]
-    b = pts[1].coords[:-1]
-    level_a = pts[0].coords[-1]
-    level_b = pts[1].coords[-1]
+    (*a, level_a), (*b, level_b) = pts
     unit, (ai, bi) = clear_denominators([a, b])
     mirror_a, mirror_b = partial(_mirror, ai, unit), partial(_mirror, bi, unit)
     auxes = auxes or {}
@@ -436,13 +432,13 @@ def symmetric_pair_scan(
         raise ValueError("at least one sample is required")
     cpts = [as_point(p) for p in centers]
     for c in cpts:
-        if c.dim != rule.dim:
+        if len(c) != rule.dim:
             raise ValueError("centers must match the rule's dimension")
     radius = _exact(inner_radius)
     if radius < 0:
         raise ValueError(f"inner radius must be non-negative, got {radius}")
     scale, ((bound,), *scaled) = clear_denominators(
-        [(radius,)] + [c.coords for c in cpts]
+        [(radius,)] + cpts
     )
     low = SCAN_NUMERATOR_BOUND
     top = SCAN_MAX_DENOMINATOR

@@ -25,21 +25,21 @@ coefficients, and each hyperplane comes with the bitmask of the points
 on it: the union of the d-subsets that span it.  That enumeration and
 ``containing_hyperplane`` take a point set as its ``clear_denominators``
 rows, so a caller scales it once.  ``side_of`` returns a sign, -1, 0 or
-1.  A ``RationalPoint`` is its ``coords``, ``dim`` and a cached hash; it
-is not a sequence.
+1.  A rational point is the tuple of its coordinates, each in that
+canonical form, as the cube layer's points are tuples of ints.
 
-Rational inputs are checked once, where they enter: the ``RationalPoint``
-and ``Hyperplane`` constructors, ``as_point``, ``clear_denominators``
-and the JSON readers keep a coordinate that is exactly an ``int`` and
-read any other through ``_to_fraction``, which refuses floats and
-bools.  ``as_point`` is the one point reader of ``tshape``,
-``colorings`` and ``point_from_json``, and ``_exact`` the one scalar
-reader; no other module tests a type against ``Fraction``.  Code past
-those points works on the checked values and does not check them again.
+Rational inputs are checked once, where they enter: ``as_point``, the
+``Hyperplane`` constructor, ``clear_denominators`` and the JSON readers
+keep a coordinate that is exactly an ``int`` and read any other through
+``_to_fraction``, which refuses floats and bools.  ``as_point`` is the
+one point reader of ``tshape``, ``colorings`` and ``point_from_json``,
+and ``_exact`` the one scalar reader; no other module tests a type
+against ``Fraction``.  Code past those points works on the checked
+tuples and does not check them again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -83,45 +83,17 @@ def _divide(v: int | Fraction, lead: int | Fraction) -> int | Fraction:
     return _exact(Fraction(v, lead))
 
 
-@dataclass(frozen=True, slots=True)
-class RationalPoint:
-    """An immutable point with exact rational coordinates, each in
-    canonical form: an ``int`` for an integer value, else a ``Fraction``.
-
-    The hash of the coordinates is computed once, in ``__post_init__``:
-    sets, dicts and certificate checks hash a point many times, and each
-    ``Fraction`` hash costs a modular inverse.
-    """
-
-    coords: tuple[int | Fraction, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        coords = tuple(map(_exact, self.coords))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_hash", hash(coords))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
-def as_point(x: RationalPoint | LatticePoint | Sequence[Rational]) -> RationalPoint:
-    """``x`` itself if it is a ``RationalPoint``; else the coordinates of
-    a tuple, a list or a ``LatticePoint``, read through the
-    ``RationalPoint`` constructor.  Any other value, a string or a dict
-    among them, raises TypeError: iterating it would read its
+def as_point(x: LatticePoint | Sequence[Rational]) -> tuple[int | Fraction, ...]:
+    """The coordinate tuple of a point, each coordinate in canonical
+    form: a tuple or a list read through ``_exact``, or the checked
+    ``coords`` of a ``LatticePoint``.  Any other value, a string or a
+    dict among them, raises TypeError: iterating it would read its
     characters or keys as coordinates."""
     kind = type(x)
-    if kind is RationalPoint:
-        return x
     if kind is tuple or kind is list:
-        return RationalPoint(x)
+        return tuple(map(_exact, x))
     if kind is LatticePoint:
-        return RationalPoint(x.coords)
+        return x.coords
     raise TypeError(f"a point is a list or tuple of coordinates, not {kind.__name__}")
 
 
@@ -157,7 +129,7 @@ class Hyperplane:
         return len(self.normal)
 
 
-def side_of(h: Hyperplane, p: RationalPoint) -> int:
+def side_of(h: Hyperplane, p: Sequence[int | Fraction]) -> int:
     """Exact side of the hyperplane: the sign of normal . p - offset,
     as -1, 0 or 1.
 
@@ -166,9 +138,9 @@ def side_of(h: Hyperplane, p: RationalPoint) -> int:
     without a gcd.  Every denominator is positive (an ``int``'s is 1),
     so ``den`` is too, and the sign of ``value`` is the sign of the sum.
     """
-    _check_dims(h.dim, p.dim)
+    _check_dims(h.dim, len(p))
     value, den = -h.offset.numerator, h.offset.denominator
-    for a, x in zip(h.normal, p.coords):
+    for a, x in zip(h.normal, p):
         if a:
             step = a.denominator * x.denominator
             value = value * step + a.numerator * x.numerator * den
@@ -275,18 +247,18 @@ def integer_inverse(rows: Sequence[Sequence[Rational]]) -> tuple[int, list[list[
     return abs(p), [[scale * v for v in row[n:]] for row in work]
 
 
-def affine_hull_dim(points: Sequence[RationalPoint]) -> int:
+def affine_hull_dim(points: Sequence[Sequence[Rational]]) -> int:
     """Dimension of the affine hull: -1 for no points, else the exact
     rank of the difference vectors from the first point."""
     if not points:
         return -1
-    base = points[0]
+    d = len(points[0])
     for p in points[1:]:
-        _check_dims(base.dim, p.dim)
-    return _bareiss(_differences(clear_denominators(p.coords for p in points)[1]))[0]
+        _check_dims(d, len(p))
+    return _bareiss(_differences(clear_denominators(points)[1]))[0]
 
 
-def separates(h: Hyperplane, points: Sequence[RationalPoint]) -> bool:
+def separates(h: Hyperplane, points: Sequence[Sequence[int | Fraction]]) -> bool:
     """True iff some points lie strictly on both sides."""
     sides = {side_of(h, p) for p in points}
     return -1 in sides and 1 in sides
@@ -451,11 +423,11 @@ def fraction_from_json(text: str | int) -> Fraction:
         raise ValueError(f"bad rational {text!r}: {err}") from err
 
 
-def point_to_json(p: RationalPoint) -> list[str]:
-    return [str(v) for v in p.coords]
+def point_to_json(p: Sequence[int | Fraction]) -> list[str]:
+    return [str(v) for v in p]
 
 
-def point_from_json(row: list[str | int]) -> RationalPoint:
+def point_from_json(row: list[str | int]) -> tuple[int | Fraction, ...]:
     """A row of integers and fraction strings read through ``as_point``;
     a row that is not a list, a float and a bool raise ValueError."""
     try:

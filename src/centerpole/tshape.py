@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .geometry import (
     Hyperplane,
-    RationalPoint,
     _divide,
     _exact,
     affine_hull_dim,
@@ -69,9 +68,9 @@ class TShapeCertificate:
     """
 
     hyperplanes: tuple[Hyperplane, ...]
-    assignment: dict[RationalPoint, int]
+    assignment: dict[tuple[int | Fraction, ...], int]
 
-    def verify(self, points: Sequence[RationalPoint]) -> bool:
+    def verify(self, points: Sequence) -> bool:
         pts = [as_point(p) for p in points]
         hps = list(self.hyperplanes)
         if not in_general_position(hps):
@@ -111,36 +110,32 @@ def is_t_shaped(points) -> TShapeResult:
         return TShapeResult(
             True, TShapeCertificate((), {}), "empty set, trivially T-shaped"
         )
-    dim = distinct[0].dim
-    if dim == 0 or any(p.dim != dim for p in distinct):
+    dim = len(distinct[0])
+    if dim == 0 or any(len(p) != dim for p in distinct):
         raise ValueError("points must share one ambient dimension of at least 1")
     if dim == 1:
         return TShapeResult(
             False, None, "a nonempty subset of the line is never T-shaped"
         )
-    scale, scaled = clear_denominators(p.coords for p in distinct)
+    scale, scaled = clear_denominators(distinct)
     h = containing_hyperplane(scaled, scale)
     if h is not None:
         cert = TShapeCertificate((h,), {p: 0 for p in distinct})
-        if not cert.verify(distinct):
-            raise RuntimeError("degenerate-hull certificate failed verification")
-        return TShapeResult(
-            True, cert, "one hyperplane carries the whole set"
-        )
-    cert = _search_cover(distinct, scaled, scale)
-    if cert is None:
-        return TShapeResult(
-            False, None, "no certificate found under spanned-hyperplane search"
-        )
+        detail = "one hyperplane carries the whole set"
+    else:
+        cert = _search_cover(distinct, scaled, scale)
+        if cert is None:
+            return TShapeResult(
+                False, None, "no certificate found under spanned-hyperplane search"
+            )
+        detail = f"covered by {len(cert.hyperplanes)} hyperplanes"
     if not cert.verify(distinct):
-        raise RuntimeError("search produced a certificate that fails verification")
-    return TShapeResult(
-        True, cert, f"covered by {len(cert.hyperplanes)} hyperplanes"
-    )
+        raise RuntimeError(f"certificate fails verification: {detail}")
+    return TShapeResult(True, cert, detail)
 
 
 def _search_cover(
-    points: list[RationalPoint], scaled: list[list[int]], scale: int
+    points: list[tuple], scaled: list[list[int]], scale: int
 ) -> TShapeCertificate | None:
     """Exhaustive cover search over spanned hyperplanes, depth-first in
     canonical hyperplane order.
@@ -240,7 +235,7 @@ def _search_cover(
     )
 
 
-def moment_curve_points(n: int, count: int, params: Sequence) -> list[RationalPoint]:
+def moment_curve_points(n: int, count: int, params: Sequence) -> list[tuple]:
     """Points (t, t^2, ..., t^n) for the given parameters.
 
     Any n+1 of them are affinely independent, so no hyperplane holds
@@ -255,23 +250,18 @@ def moment_curve_points(n: int, count: int, params: Sequence) -> list[RationalPo
         raise ValueError(f"count={count} but {len(values)} parameters given")
     if len(set(values)) != len(values):
         raise ValueError("parameters must be distinct")
-    return [RationalPoint(tuple(t**i for i in range(1, n + 1))) for t in values]
+    return [tuple(t**i for i in range(1, n + 1)) for t in values]
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-100, 100), rng.randint(1, 10))
+def _random_rational(rng: random.Random) -> int | Fraction:
+    return _exact(Fraction(rng.randint(-100, 100), rng.randint(1, 10)))
 
 
-def _random_configuration(
-    rng: random.Random, dim: int, size: int
-) -> list[RationalPoint]:
+def _random_configuration(rng: random.Random, dim: int, size: int) -> list[tuple]:
     """Random rational points; resampled until the hull is
     full-dimensional whenever the size allows it."""
     while True:
-        pts = [
-            RationalPoint(tuple(_random_rational(rng) for _ in range(dim)))
-            for _ in range(size)
-        ]
+        pts = [tuple(_random_rational(rng) for _ in range(dim)) for _ in range(size)]
         if size <= dim or affine_hull_dim(pts) == dim:
             return pts
 
@@ -315,8 +305,6 @@ def certificate_to_json(cert: TShapeCertificate) -> dict:
         "hyperplanes": [hyperplane_to_json(h) for h in cert.hyperplanes],
         "assignment": [
             [point_to_json(p), index]
-            for p, index in sorted(
-                cert.assignment.items(), key=lambda kv: kv[0].coords
-            )
+            for p, index in sorted(cert.assignment.items())
         ],
     }

@@ -28,6 +28,7 @@ from centerpole.cli import (
     MAX_SCAN_SAMPLES,
     MAX_TSHAPE_CANDIDATES,
     MAX_TSHAPE_DIM,
+    MAX_TSHAPE_TRIALS,
     OUTPUT_DIR_ENV,
     main,
 )
@@ -194,10 +195,7 @@ class TestTshapeCommand:
         assert "certificate" in doc["result"]
 
     def test_moment_points_get_no_without_certificate(self, tmp_path, capsys):
-        rows = [
-            [str(c) for c in p.coords]
-            for p in moment_curve_points(2, 3, (1, 2, 3))
-        ]
+        rows = [[str(c) for c in p] for p in moment_curve_points(2, 3, (1, 2, 3))]
         path = tmp_path / "moment.json"
         path.write_text(json.dumps(rows))
         code, doc = run_json(["tshape", "--points", str(path)], capsys)
@@ -233,6 +231,45 @@ class TestTshapeCommand:
         assert code == 2
         assert out == ""
         assert err == "error: trial count must be non-negative, got -3\n"
+
+    def test_a_trial_count_above_the_limit_is_refused_before_any_trial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a decision or a trial ran")
+
+        monkeypatch.setattr(cli, "is_t_shaped", never)
+        monkeypatch.setattr(cli, "verify_t_value_bounds", never)
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([[0, 0]]))
+        config = tmp_path / "config.json"
+        assert MAX_TSHAPE_TRIALS == 2**10
+        for trials in (MAX_TSHAPE_TRIALS + 1, 10**12):
+            config.write_text(json.dumps({"trials": trials}))
+            for argv in (
+                ["tshape", "--points", str(path), "--trials", str(trials)],
+                ["--config", str(config), "tshape", "--points", str(path)],
+            ):
+                code, out, err = run_cli(argv, capsys)
+                assert code == 2
+                assert out == ""
+                assert err == (
+                    f"error: {trials} trials are more than the limit of "
+                    f"{MAX_TSHAPE_TRIALS}\n"
+                )
+
+    def test_a_trial_count_at_the_limit_runs(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            cli,
+            "verify_t_value_bounds",
+            lambda n, trials, seed: ran.append((n, trials)) or {"ok": True},
+        )
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([[0, 0]]))
+        code, result = cli.cmd_tshape(str(path), MAX_TSHAPE_TRIALS)
+        assert code == 0 and result["bounds"] == {"ok": True}
+        assert ran == [(2, MAX_TSHAPE_TRIALS)]
 
     def test_empty_points_with_trials_needs_a_bound_dim(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -1560,7 +1597,12 @@ def _argv(draw, tmp):
         dim = draw(st.integers(1, 3))
         coords = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "5/4"]))
         points = json_file(draw(st.one_of(_rows(dim, coords), _MALFORMED_JSON)))
-        trials = _mostly(st.integers(0, 2), st.integers(-2, -1))
+        trials = _mostly(
+            st.integers(0, 2),
+            st.one_of(
+                st.integers(-2, -1), st.sampled_from([MAX_TSHAPE_TRIALS + 1, 10**12])
+            ),
+        )
         bound_dim = _mostly(st.integers(1, 4), st.sampled_from([-2, 0, 5]))
         return (
             ["tshape", "--points", points]

@@ -36,7 +36,7 @@ def cone(d):
 class TestConeVertices:
     def test_standard_simplex(self):
         simplex = standard_simplex(2)
-        assert [v.coords for v in simplex] == [
+        assert list(simplex) == [
             (1, 0),
             (0, 1),
             (-1, -1),

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole import geometry
+from centerpole.cube import LatticePoint
 from centerpole.geometry import (
     Hyperplane,
-    RationalPoint,
     affine_hull_dim,
     as_point,
     clear_denominators,
@@ -27,13 +27,18 @@ from centerpole.geometry import (
 )
 from rational_reference import dot, hyperplane_key
 
-P = lambda *c: RationalPoint(c)
+P = lambda *c: as_point(c)
 
 
-class TestRationalPoint:
+class TestAsPoint:
+    """A rational point is the tuple of its coordinates, each an ``int``
+    for an integer value and a reduced ``Fraction`` otherwise."""
+
     def test_coercion(self):
         p = P("1/3", 2, Fraction(5, 7))
-        assert p.coords == (Fraction(1, 3), Fraction(2), Fraction(5, 7))
+        assert type(p) is tuple
+        assert p == (Fraction(1, 3), 2, Fraction(5, 7))
+        assert as_point(["1/3", "4/2", "10/14"]) == p
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -48,32 +53,31 @@ class TestRationalPoint:
         with pytest.raises(ValueError, match="dimension mismatch"):
             affine_hull_dim([P(1, 2), P(0, 0), P(1, 2, 3)])
 
-    def test_as_point(self):
+    def test_a_canonical_tuple_reads_as_itself(self):
         p = P("1/3", 2)
-        assert as_point(p) is p
-        assert as_point(("1/3", 2)) == p
+        assert as_point(p) == p == (Fraction(1, 3), 2)
+        assert as_point(list(p)) == p
+
+    def test_a_lattice_point_gives_its_checked_coords(self):
+        lp = LatticePoint((1, -2, 3))
+        assert as_point(lp) is lp.coords
+
+    @pytest.mark.parametrize("value", ["12", {"a": 1}, 0.5, True, None])
+    def test_refuses_anything_but_a_tuple_list_or_lattice_point(self, value):
         with pytest.raises(TypeError):
-            as_point([0.5, 1])
+            as_point(value)
+
+    @pytest.mark.parametrize("value", [0.5, True, False])
+    def test_refuses_float_and_bool_coordinates(self, value):
+        with pytest.raises(TypeError):
+            as_point((value, 1))
 
     def test_equal_points_hash_equal(self):
         assert P("2/4", 1) == P("1/2", 1)
         assert hash(P("2/4", 1)) == hash(P("1/2", 1))
-
-    def test_cached_hash_follows_the_coordinates(self):
-        a, b, c = P(1, 0), P("2/2", 0), P(Fraction(1), "0/5")
-        assert a == b == c
-        assert hash(a) == hash(b) == hash(c) == hash(a.coords)
-        table = {a: "found"}
-        assert table[c] == "found"
+        table = {P(1, 0): "found"}
+        assert table[P(Fraction(1), "0/5")] == "found"
         assert P(1, 1) not in table
-
-    def test_cached_hash_is_not_in_repr_or_equality(self):
-        p = P(1, "1/2")
-        assert repr(p) == "RationalPoint(coords=(1, Fraction(1, 2)))"
-        # a point with a corrupted cache still equals one built afresh
-        q = P(1, "1/2")
-        object.__setattr__(q, "_hash", hash(p) + 1)
-        assert p == q
 
 
 class TestCanonicalNumberForm:
@@ -82,13 +86,13 @@ class TestCanonicalNumberForm:
 
     @pytest.mark.parametrize("value", [1, Fraction(2, 2), "4/4", "-3", Fraction(-6, 2)])
     def test_integer_coordinates_are_ints(self, value):
-        (v,) = P(value).coords
+        (v,) = P(value)
         assert type(v) is int
         assert v == Fraction(value)
 
     @pytest.mark.parametrize("value", ["1/2", Fraction(3, 6), "-4/6"])
     def test_other_coordinates_are_reduced_fractions(self, value):
-        (v,) = P(value).coords
+        (v,) = P(value)
         assert type(v) is Fraction
         assert v == Fraction(value)
 
@@ -97,10 +101,11 @@ class TestCanonicalNumberForm:
             P(1, 0, "1/2"),
             P(Fraction(2, 2), Fraction(0), Fraction(1, 2)),
             P("4/4", "0/5", "2/4"),
+            as_point([1, 0, "1/2"]),
         ]
         assert len(set(forms)) == 1
         assert len({hash(p) for p in forms}) == 1
-        assert {tuple(map(type, p.coords)) for p in forms} == {(int, int, Fraction)}
+        assert {tuple(map(type, p)) for p in forms} == {(int, int, Fraction)}
 
     def test_hyperplane_entries(self):
         h = Hyperplane((2, 4), 6)
@@ -164,11 +169,11 @@ class TestHyperplane:
         normal = data.draw(
             st.lists(rationals, min_size=d, max_size=d).filter(any)
         )
-        point = RationalPoint(data.draw(st.lists(rationals, min_size=d, max_size=d)))
+        point = as_point(data.draw(st.lists(rationals, min_size=d, max_size=d)))
         on = data.draw(st.booleans())
-        offset = dot(normal, point.coords) if on else data.draw(rationals)
+        offset = dot(normal, point) if on else data.draw(rationals)
         h = Hyperplane(tuple(normal), offset)
-        value = dot(h.normal, point.coords) - h.offset
+        value = dot(h.normal, point) - h.offset
         expected = 1 if value > 0 else -1 if value < 0 else 0
         assert side_of(h, point) == expected
         if on:
@@ -230,7 +235,7 @@ class TestRanksAndHulls:
 
     def test_containing_hyperplane(self):
         def containing(points):
-            scale, rows = clear_denominators(p.coords for p in points)
+            scale, rows = clear_denominators(points)
             return containing_hyperplane(rows, scale)
 
         line = [P(0, 0, 0), P(1, 1, 0), P(2, 2, 0)]
@@ -275,7 +280,7 @@ def spanned(points):
     """``integer_spanned_hyperplanes`` of rational points, as Hyperplanes.
     Each ``on`` mask must hold exactly the points that ``side_of`` puts
     on its hyperplane."""
-    scale, rows = clear_denominators(p.coords for p in points)
+    scale, rows = clear_denominators(points)
     planes = []
     for normal, offset, on in integer_spanned_hyperplanes(rows):
         h = Hyperplane(normal, Fraction(offset, scale))

@@ -40,8 +40,8 @@ from centerpole.colorings import (
     symmetric_pair_scan,
 )
 from centerpole.geometry import (
-    RationalPoint,
     affine_hull_dim,
+    as_point,
     point_to_json,
 )
 from rational_reference import dot, fraction_rule, minus, ref_matrix_inverse, scaled
@@ -53,7 +53,7 @@ F = Fraction
 
 def ref_barycentric(simplex, point):
     d = len(simplex) - 1
-    matrix = [[v.coords[r] for v in simplex] for r in range(d)]
+    matrix = [[v[r] for v in simplex] for r in range(d)]
     matrix.append([Fraction(1)] * (d + 1))
     inverse = ref_matrix_inverse(matrix)
     rhs = tuple(Fraction(v) for v in point) + (Fraction(1),)
@@ -81,12 +81,12 @@ def ref_cone_coloring(simplex):
 
 
 def ref_pair_coloring(a, b):
-    pa = RationalPoint(tuple(a))
-    u = minus(b, pa.coords)
+    pa = as_point(a)
+    u = minus(b, pa)
     uu = dot(u, u)
 
     def evaluate(point):
-        diff = minus(point, pa.coords)
+        diff = minus(point, pa)
         sigma = dot(diff, u) / uu
         if sigma.denominator != 1:
             return 1 if floor(sigma) % 2 == 0 else 0
@@ -96,19 +96,19 @@ def ref_pair_coloring(a, b):
                 return 1 if value > 0 else 0
         return 1 if sigma >= 1 else 0
 
-    return fraction_rule(pa.dim, 2, evaluate, "pair")
+    return fraction_rule(len(pa), 2, evaluate, "pair")
 
 
 def ref_halfspace_coloring(center):
-    c = RationalPoint(tuple(center))
+    c = as_point(center)
 
     def evaluate(point):
-        for value, base in zip(point, c.coords):
+        for value, base in zip(point, c):
             if value != base:
                 return 1 if value > base else 0
         return 0
 
-    return fraction_rule(c.dim, 2, evaluate, "halfspace")
+    return fraction_rule(len(c), 2, evaluate, "halfspace")
 
 
 def ref_scan_coordinate(rng):
@@ -119,7 +119,7 @@ def ref_scan_coordinate(rng):
 
 
 def ref_scan(rule, centers, inner_radius, samples, seed):
-    cpts = [RationalPoint(tuple(p)) for p in centers]
+    cpts = [as_point(p) for p in centers]
     radius = Fraction(inner_radius)
     rng = random.Random(seed)
     violations = []
@@ -127,19 +127,19 @@ def ref_scan(rule, centers, inner_radius, samples, seed):
         for _attempt in range(10_000):
             x = tuple(ref_scan_coordinate(rng) for _ in range(rule.dim))
             if all(
-                max(abs(v - c.coords[i]) for i, v in enumerate(x)) > radius for c in cpts
+                max(abs(v - c[i]) for i, v in enumerate(x)) > radius for c in cpts
             ):
                 break
         else:
             raise ValueError("inner radius leaves no room to sample")
         color = rule(x)
         for c in cpts:
-            mirrored = tuple(2 * c.coords[i] - v for i, v in enumerate(x))
+            mirrored = tuple(2 * c[i] - v for i, v in enumerate(x))
             if rule(mirrored) == color:
                 violations.append(
                     {
-                        "x": point_to_json(RationalPoint(x)),
-                        "mirror": point_to_json(RationalPoint(mirrored)),
+                        "x": point_to_json(as_point(x)),
+                        "mirror": point_to_json(as_point(mirrored)),
                         "color": color,
                     }
                 )
@@ -173,7 +173,7 @@ def simplices(draw, dim):
         return standard_simplex(dim)
     rows = [tuple(draw(rationals(6)) for _ in range(dim)) for _ in range(dim)]
     last = tuple(-sum(column) for column in zip(*rows))
-    simplex = tuple(RationalPoint(v) for v in rows + [last])
+    simplex = tuple(as_point(v) for v in rows + [last])
     assume(affine_hull_dim(simplex) == dim)
     return simplex
 
@@ -194,7 +194,7 @@ def simplex_and_point(draw):
         mu = [draw(st.integers(-2, 2)) for _ in range(dim + 1)]
         t = draw(rationals(5).filter(lambda v: v != 0))
         point = tuple(
-            t * sum(m * v.coords[r] for m, v in zip(mu, simplex)) for r in range(dim)
+            t * sum(m * v[r] for m, v in zip(mu, simplex)) for r in range(dim)
         )
     if draw(st.booleans()):
         point = _mixed(point)
@@ -231,11 +231,11 @@ def pair_and_point(draw):
 
 FRACTIONAL_SIMPLICES = [
     tuple(
-        RationalPoint(v)
+        as_point(v)
         for v in ((F(1, 2), F(1, 3)), (F(-3, 4), F(2, 5)), (F(1, 4), F(-11, 15)))
     ),
     tuple(
-        RationalPoint(v)
+        as_point(v)
         for v in (
             (F(2, 3), 0, F(1, 5)),
             (0, F(-1, 2), F(3, 7)),
@@ -257,7 +257,7 @@ class TestConeColors:
         rule = cone_coloring(simplex)
         expected = ref_cone_color(simplex, point)
         assert rule.evaluate(*scaled(point)) == expected
-        assert rule(RationalPoint(point)) == expected
+        assert rule(as_point(point)) == expected
 
     def test_every_tie_on_a_small_grid_of_boundary_points(self):
         # all weight vectors mu in {-1, 0, 1}^(d+1), scaled by integral
@@ -270,7 +270,7 @@ class TestConeColors:
             for mu in product((-1, 0, 1), repeat=d + 1):
                 for t in (F(1), F(3), F(1, 3), F(-7, 2)):
                     x = tuple(
-                        t * sum(m * v.coords[r] for m, v in zip(mu, simplex))
+                        t * sum(m * v[r] for m, v in zip(mu, simplex))
                         for r in range(d)
                     )
                     if any(x):
@@ -298,7 +298,7 @@ class TestPairColors:
         rule = pair_coloring(a, b)
         expected = ref_pair_coloring(a, b)(tuple(map(F, point)))
         assert rule.evaluate(*scaled(point)) == expected
-        assert rule(RationalPoint(point)) == expected
+        assert rule(as_point(point)) == expected
 
     def test_every_branch_on_a_grid_about_fractional_centers(self):
         # sigma in steps of 1/2 along b - a, offsets along an orthogonal
@@ -544,7 +544,7 @@ def _contract_rules():
     rules = {f"cone-{d}": (cone_coloring(standard_simplex(d)), [0]) for d in (1, 2, 3, 4)}
     for i, simplex in enumerate(FRACTIONAL_SIMPLICES):
         rules[f"cone-fractional-{i}"] = (
-            cone_coloring(simplex), [v for p in simplex for v in p.coords]
+            cone_coloring(simplex), [v for p in simplex for v in p]
         )
     rules["halfspace"] = (halfspace_coloring((half, third, 2)), [half, third, 2])
     a, b = (half, third), (F(5, 2), F(2, 3))

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from centerpole.geometry import (
     Hyperplane,
-    RationalPoint,
     affine_hull_dim,
+    as_point,
     clear_denominators,
     containing_hyperplane,
     integer_inverse,
@@ -53,16 +53,16 @@ def ref_matrix_rank(rows):
 def ref_affine_hull_dim(points):
     if not points:
         return -1
-    return ref_row_reduce([list(minus(p.coords, points[0].coords)) for p in points[1:]])
+    return ref_row_reduce([list(minus(p, points[0])) for p in points[1:]])
 
 
 @cache
 def ref_hyperplane_through(points):
     """The hyperplane through the tuple of points ``points``, or None.
     Cached: grid sets repeat their subsets within and across examples."""
-    d = points[0].dim
+    d = len(points[0])
     base = points[0]
-    work = [list(minus(p.coords, base.coords)) for p in points[1:]]
+    work = [list(minus(p, base)) for p in points[1:]]
     rank = ref_row_reduce(work)
     if rank != d - 1:
         return None
@@ -72,13 +72,13 @@ def ref_hyperplane_through(points):
     normal[free_col] = Fraction(1)
     for r, pc in enumerate(pivot_cols):
         normal[pc] = -work[r][free_col]
-    return Hyperplane(tuple(normal), dot(normal, base.coords))
+    return Hyperplane(tuple(normal), dot(normal, base))
 
 
 def ref_containing_hyperplane(points):
-    d = points[0].dim
+    d = len(points[0])
     base = points[0]
-    work = [list(minus(p.coords, base.coords)) for p in points[1:]]
+    work = [list(minus(p, base)) for p in points[1:]]
     rank = ref_row_reduce(work)
     if rank >= d:
         return None
@@ -88,11 +88,11 @@ def ref_containing_hyperplane(points):
     normal[free_col] = Fraction(1)
     for r, pc in enumerate(pivot_cols):
         normal[pc] = -work[r][free_col]
-    return Hyperplane(tuple(normal), dot(normal, base.coords))
+    return Hyperplane(tuple(normal), dot(normal, base))
 
 
 def ref_spanned_hyperplanes(points):
-    d = points[0].dim
+    d = len(points[0])
     found = set()
     for subset in combinations(points, d):
         h = ref_hyperplane_through(subset)
@@ -103,7 +103,7 @@ def ref_spanned_hyperplanes(points):
 
 def ref_side(h, p):
     """The sign of normal . p - offset, summed as a ``Fraction``."""
-    value = dot(h.normal, p.coords) - h.offset
+    value = dot(h.normal, p) - h.offset
     return (value > 0) - (value < 0)
 
 
@@ -113,7 +113,7 @@ def ref_separates(h, points):
 
 
 def ref_search_cover(points):
-    budget = points[0].dim - 1
+    budget = len(points[0]) - 1
     candidates = []
     for h in ref_spanned_hyperplanes(points):
         covered = frozenset(
@@ -162,9 +162,9 @@ def ref_is_t_shaped(points):
     distinct = list(dict.fromkeys(points))
     if not distinct:
         return True, "empty set, trivially T-shaped", TShapeCertificate((), {})
-    if distinct[0].dim == 1:
+    if len(distinct[0]) == 1:
         return False, "a nonempty subset of the line is never T-shaped", None
-    if ref_affine_hull_dim(distinct) < distinct[0].dim:
+    if ref_affine_hull_dim(distinct) < len(distinct[0]):
         cert = TShapeCertificate(
             (ref_containing_hyperplane(distinct),), {p: 0 for p in distinct}
         )
@@ -193,7 +193,7 @@ def point_sets(draw, dims=(2, 3, 4)):
     if d > 1 and draw(st.booleans()) and draw(st.booleans()):
         # x_d = 2 x_1 - (x_2 + ... + x_(d-1)) / 3 + 1: all on one hyperplane
         rows = [r[:-1] + (2 * r[0] - sum(r[1:-1], Fraction(0)) / 3 + 1,) for r in rows]
-    return [RationalPoint(r) for r in rows]
+    return [as_point(r) for r in rows]
 
 
 @st.composite
@@ -223,7 +223,7 @@ def assert_incidence(hyperplanes, points):
     """Each ``on`` mask holds exactly the points on its hyperplane, by
     the reference's own ``Fraction`` sum.  ``points`` are the points
     before scaling; a common positive scale keeps every incidence."""
-    scale = clear_denominators(p.coords for p in points)[0]
+    scale = clear_denominators(points)[0]
     for normal, offset, on in hyperplanes:
         h = Hyperplane(normal, Fraction(offset, scale))
         assert on == sum(1 << i for i, p in enumerate(points) if ref_side(h, p) == 0)
@@ -265,14 +265,14 @@ class TestKernelAgainstTheRationalReference:
     @given(point_sets(dims=(1, 2, 3, 4)))
     def test_hulls_and_hyperplanes(self, points):
         assert affine_hull_dim(points) == ref_affine_hull_dim(points)
-        scale, rows = clear_denominators(p.coords for p in points)
+        scale, rows = clear_denominators(points)
         assert containing_hyperplane(rows, scale) == ref_containing_hyperplane(points)
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
     def test_spanned_hyperplanes_in_the_same_order(self, points):
         # flat hulls included: the search only sees full-dimensional sets
-        scale, rows = clear_denominators(p.coords for p in points)
+        scale, rows = clear_denominators(points)
         got = integer_spanned_hyperplanes(rows)
         assert [
             Hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in got
@@ -283,7 +283,7 @@ class TestKernelAgainstTheRationalReference:
     @given(grid_sets())
     def test_spanned_hyperplanes_of_grid_sets(self, rows):
         # collinear and coplanar prefixes, hyperplanes through more than d points
-        points = [RationalPoint(r) for r in rows]
+        points = [as_point(r) for r in rows]
         got = integer_spanned_hyperplanes(rows)
         assert [
             Hyperplane(normal, offset) for normal, offset, _ in got
@@ -297,7 +297,7 @@ class TestKernelAgainstTheRationalReference:
         rng = random.Random(10)
         rows = [tuple(rng.randint(-3, 3) for _ in range(9)) for _ in range(12)]
         rows = [r + (2 * r[0] - r[1] + 1 + (i == 11),) for i, r in enumerate(rows)]
-        points = [RationalPoint(r) for r in rows]
+        points = [as_point(r) for r in rows]
         got = integer_spanned_hyperplanes(rows)
         assert [
             Hyperplane(normal, offset) for normal, offset, _ in got
@@ -344,4 +344,4 @@ class TestKernelAgainstTheRationalReference:
         ],
     )
     def test_known_sets(self, rows):
-        assert_same_decision([RationalPoint(r) for r in rows])
+        assert_same_decision([as_point(r) for r in rows])

@@ -28,7 +28,7 @@ from centerpole.colorings import (
     plus2_extension,
     standard_simplex,
 )
-from centerpole.geometry import RationalPoint
+from centerpole.geometry import as_point
 from rational_reference import fraction_rule
 
 F = Fraction
@@ -86,16 +86,16 @@ def ref_plus1(base, aux2):
 
 
 def ref_plus2(base, A, auxes=None):
-    pts = sorted((RationalPoint(tuple(p)) for p in A), key=lambda p: p.coords[-1])
-    a = RationalPoint(pts[0].coords[:-1])
-    b = RationalPoint(pts[1].coords[:-1])
-    level_a = pts[0].coords[-1]
-    level_b = pts[1].coords[-1]
+    pts = sorted((as_point(p) for p in A), key=lambda p: p[-1])
+    a = pts[0][:-1]
+    b = pts[1][:-1]
+    level_a = pts[0][-1]
+    level_b = pts[1][-1]
     auxes = auxes or {}
     chi0 = base
 
     def mirror(center, x):
-        return tuple(2 * c - v for c, v in zip(center.coords, x))
+        return tuple(2 * c - v for c, v in zip(center, x))
 
     if level_a == level_b:
         sigma = 1 / Fraction(level_a)
@@ -123,8 +123,8 @@ def ref_plus2(base, A, auxes=None):
         aux_a = auxes.get("a") or halfspace_coloring(a)
         aux_b = auxes.get("b") or halfspace_coloring(b)
         if v == 1:
-            shift = b.coords
-            a_t = tuple(p - q for p, q in zip(a.coords, shift))
+            shift = b
+            a_t = tuple(p - q for p, q in zip(a, shift))
 
             def chi0_t(y):
                 return chi0(tuple(p + q for p, q in zip(y, shift)))

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from centerpole import geometry
 from centerpole.geometry import (
     Hyperplane,
-    RationalPoint,
     affine_hull_dim,
+    as_point,
     matrix_rank,
 )
 from centerpole import tshape
@@ -26,7 +26,7 @@ from centerpole.tshape import (
 )
 from rational_reference import is_in_Tn
 
-P = lambda *c: RationalPoint(c)
+P = lambda *c: as_point(c)
 
 
 class TestMembership:
@@ -145,11 +145,11 @@ def affine_image(points, matrix, shift):
     out = []
     for p in points:
         coords = tuple(
-            sum((Fraction(matrix[i][j]) * p.coords[j] for j in range(p.dim)),
+            sum((Fraction(matrix[i][j]) * p[j] for j in range(len(p))),
                 Fraction(shift[i]))
-            for i in range(p.dim)
+            for i in range(len(p))
         )
-        out.append(RationalPoint(coords))
+        out.append(as_point(coords))
     return out
 
 
@@ -195,8 +195,8 @@ class TestInvariance:
 class TestMomentCurve:
     def test_construction(self):
         pts = moment_curve_points(3, 2, [2, "1/2"])
-        assert pts[0].coords == (2, 4, 8)
-        assert pts[1].coords == (
+        assert pts[0] == (2, 4, 8)
+        assert pts[1] == (
             Fraction(1, 2),
             Fraction(1, 4),
             Fraction(1, 8),
@@ -290,7 +290,7 @@ class TestOneScaling:
         monkeypatch.setattr(geometry, "clear_denominators", counted)
         monkeypatch.setattr(tshape, "clear_denominators", counted)
         is_t_shaped(points)
-        assert calls.count([p.coords for p in points]) == 1
+        assert calls.count(points) == 1
 
 
 class TestInputForms:
@@ -305,6 +305,35 @@ class TestInputForms:
         ints = [P(*r) for r in rows]
         assert cert.verify(ints)
         assert [cert.assignment[p] for p in ints] == [cert.assignment[q] for q in fractions]
+
+    def test_the_assignment_is_keyed_by_plain_tuples(self):
+        rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 0)]
+        cert = is_t_shaped([[str(v) for v in r] for r in rows]).certificate
+        assert set(cert.assignment) == set(rows)
+        assert cert.assignment[(0, 0, 0)] == 0
+        flat = is_t_shaped([(0, 0, "1/2"), (1, 0, "2/4")]).certificate
+        assert flat.assignment[(1, 0, Fraction(1, 2))] == 0
+
+
+class TestOneCertificateCheck:
+    """Both yes branches of ``is_t_shaped`` end in the same check: a
+    certificate that fails it raises with the branch's detail."""
+
+    @pytest.mark.parametrize(
+        "rows, detail",
+        [
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], "one hyperplane carries the whole set"),
+            (
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 0)],
+                "covered by 2 hyperplanes",
+            ),
+        ],
+    )
+    def test_a_failing_certificate_raises_with_the_detail(self, monkeypatch, rows, detail):
+        assert is_t_shaped(rows).detail == detail
+        monkeypatch.setattr(TShapeCertificate, "verify", lambda self, points: False)
+        with pytest.raises(RuntimeError, match=f"fails verification: {detail}"):
+            is_t_shaped(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
