@@ -8,7 +8,8 @@ in Z^4 with 4 colors, expected Forced at outer radius 4 (4 to 6 s of
 search on two cores).  Emits one JSON document with verdicts, proof
 windows, decision and conflict counts, and the windows solved per row.
 Exit code 1 if any case misses its expected verdict, 2 with one
-``error:`` line if --out cannot be written.
+``error:`` line if --out cannot be written; a negative --budget exits 2
+before any schedule runs.
 """
 import argparse
 import json
@@ -56,6 +57,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="add the 4-color nucleus in Z^4")
     parser.add_argument("--out", help="output file; default stdout")
     args = parser.parse_args(argv)
+    if args.budget < 0:
+        parser.error(f"--budget must be at least 0, got {args.budget}")
 
     cases = []
     for dim in (1, 2, 3):

@@ -8,6 +8,10 @@ seed 1..N, the set of 19 draws from {-1,0,1}^4 made by
 ``gridTiming`` key, the slowest seed and its seconds.  Emits one JSON
 document; exit code 1 if any bound check fails or a certificate fails
 its verification, 2 with one ``error:`` line if --out cannot be written.
+A usage error exits 2 before any trial or draw runs: a --dims entry that
+is not an integer or has no known t value (1 to 4), a --trials count
+below 0 or above the tshape limit (``cli.MAX_TSHAPE_TRIALS``), or a
+--grid-draws count below 0 or above ``MAX_GRID_DRAWS``.
 
     python scripts/run_tshape_survey.py --grid-draws 100
 """
@@ -17,11 +21,17 @@ import random
 import sys
 import time
 
-from centerpole.cli import emit
-from centerpole.tshape import is_t_shaped, verify_t_value_bounds
+from centerpole.cli import MAX_TSHAPE_TRIALS, emit
+from centerpole.tshape import check_bound_dim, is_t_shaped, verify_t_value_bounds
 
 GRID_DRAWS = 19
 GRID_DIM = 4
+
+# The most grid draws one run decides.  The time grows linearly with the
+# count: on a 2-core Xeon, seeds 1-100 take 3.9 s, 1-300 take 12.4 s and
+# 1-1024 take 39 s, about 0.04 s a draw (the slowest draw, 0.15-0.17 s).
+# A larger count is refused before any draw runs.
+MAX_GRID_DRAWS = 2**10
 
 
 def grid_draws(count: int) -> tuple[dict, dict]:
@@ -78,11 +88,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", help="output file; default stdout")
     args = parser.parse_args(argv)
-    dims = [int(part) for part in args.dims.split(",") if part.strip()]
+    try:
+        dims = [int(part) for part in args.dims.split(",") if part.strip()]
+    except ValueError:
+        parser.error(f"--dims must list integers, got {args.dims!r}")
     if not dims:
         parser.error("--dims must name at least one dimension")
-    if args.grid_draws < 0:
-        parser.error("--grid-draws must be at least 0")
+    for dim in dims:
+        try:
+            check_bound_dim(dim)
+        except ValueError as err:
+            parser.error(f"--dims {dim}: {err}")
+    for flag, count, limit in (
+        ("--trials", args.trials, MAX_TSHAPE_TRIALS),
+        ("--grid-draws", args.grid_draws, MAX_GRID_DRAWS),
+    ):
+        if not 0 <= count <= limit:
+            parser.error(f"{flag} must be from 0 to {limit}, got {count}")
 
     rows = []
     all_ok = True

@@ -47,8 +47,8 @@ from .cube import (
     sigma0,
 )
 from .geometry import (
-    Hyperplane,
     affine_hull_dim,
+    hyperplane,
     in_general_position,
     separates,
     side_of,

@@ -43,7 +43,12 @@ from .cube import (
     sandwich_to_json,
 )
 from .geometry import fraction_from_json, point_from_json, point_to_json
-from .tshape import certificate_to_json, is_t_shaped, verify_t_value_bounds
+from .tshape import (
+    certificate_to_json,
+    check_bound_dim,
+    is_t_shaped,
+    verify_t_value_bounds,
+)
 
 OUTPUT_DIR_ENV = "CENTERPOLE_OUT_DIR"
 
@@ -342,6 +347,9 @@ def cmd_tshape(
             f"{distinct} distinct points in dimension {dim} span more "
             f"than the limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes"
         )
+    if trials > 0:
+        bound_dim = dim if bound_dim is None else bound_dim
+        check_bound_dim(bound_dim)
     outcome = is_t_shaped(points)
     result: dict = {
         "points": [point_to_json(p) for p in points],
@@ -354,9 +362,7 @@ def cmd_tshape(
         result["certificate"] = certificate_to_json(outcome.certificate)
     code = 0
     if trials > 0:
-        if bound_dim is not None:
-            dim = bound_dim
-        bounds = verify_t_value_bounds(dim, trials, seed)
+        bounds = verify_t_value_bounds(bound_dim, trials, seed)
         result["bounds"] = bounds
         if not bounds["ok"]:
             code = 1

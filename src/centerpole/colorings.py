@@ -44,9 +44,9 @@ class ColoringRule:
     """A total coloring of the points of dimension ``dim`` into colors
     {0..color_count-1}.
 
-    Calling the rule reads its point through ``as_point``: a
-    ``LatticePoint``, or a tuple or list of exact rationals (ints,
-    ``Fraction``s or fraction strings such as "1/2"; a float or a bool
+    Calling the rule reads its point through ``as_point``: a tuple or
+    list of exact rationals (ints, ``Fraction``s or fraction strings
+    such as "1/2"; a float or bool coordinate, or a ``LatticePoint``,
     raises TypeError), which must have the stated dimension; the call
     scales it by the lcm q of its denominators.  ``evaluate(z, q)`` is
     the trusted entry: it takes ``dim`` integer numerators z and a

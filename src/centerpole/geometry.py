@@ -7,8 +7,10 @@ a ``Fraction`` in lowest terms only when it is not.  As
 ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
 ``str(Fraction(n)) == str(n)``, the form changes no equality, hash,
 order or printed value; it only spares integer values a ``Fraction``.
-Hyperplanes are kept in a canonical form (first nonzero normal entry is
-+1) so that equality, hashing, and deduplication are structural.
+A hyperplane is the pair ``(normal, offset)`` in a canonical form (the
+first nonzero normal entry is +1), so that two pairs for one hyperplane
+compare and hash equal.  The module holds no class and imports no other
+module of the package.
 
 The linear algebra itself runs on integers.  Rows are scaled by the lcm
 of their denominators (point sets by one common lcm, which keeps their
@@ -28,24 +30,22 @@ rows, so a caller scales it once.  ``side_of`` returns a sign, -1, 0 or
 1.  A rational point is the tuple of its coordinates, each in that
 canonical form, as the cube layer's points are tuples of ints.
 
-Rational inputs are checked once, where they enter: ``as_point``, the
-``Hyperplane`` constructor, ``clear_denominators`` and the JSON readers
-keep a coordinate that is exactly an ``int`` and read any other through
+Rational inputs are checked once, where they enter: ``as_point``,
+``hyperplane``, ``clear_denominators`` and the JSON readers keep a
+coordinate that is exactly an ``int`` and read any other through
 ``_to_fraction``, which refuses floats and bools.  ``as_point`` is the
-one point reader of ``tshape``, ``colorings`` and ``point_from_json``,
-and ``_exact`` the one scalar reader; no other module tests a type
-against ``Fraction``.  Code past those points works on the checked
-tuples and does not check them again.
+one point reader of ``tshape``, ``colorings`` and ``point_from_json``:
+it reads a tuple or a list and nothing else.  ``_exact`` is the one
+scalar reader; no other module tests a type against ``Fraction``.  Code
+past those points works on the checked tuples and does not check them
+again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-from .cube import LatticePoint
 
 Rational = Fraction | int | str
 
@@ -83,17 +83,14 @@ def _divide(v: int | Fraction, lead: int | Fraction) -> int | Fraction:
     return _exact(Fraction(v, lead))
 
 
-def as_point(x: LatticePoint | Sequence[Rational]) -> tuple[int | Fraction, ...]:
+def as_point(x: Sequence[Rational]) -> tuple[int | Fraction, ...]:
     """The coordinate tuple of a point, each coordinate in canonical
-    form: a tuple or a list read through ``_exact``, or the checked
-    ``coords`` of a ``LatticePoint``.  Any other value, a string or a
-    dict among them, raises TypeError: iterating it would read its
-    characters or keys as coordinates."""
+    form: a tuple or a list read through ``_exact``.  Any other value, a
+    string or a dict among them, raises TypeError: iterating it would
+    read its characters or keys as coordinates."""
     kind = type(x)
     if kind is tuple or kind is list:
         return tuple(map(_exact, x))
-    if kind is LatticePoint:
-        return x.coords
     raise TypeError(f"a point is a list or tuple of coordinates, not {kind.__name__}")
 
 
@@ -102,45 +99,32 @@ def _check_dims(a: int, b: int) -> None:
         raise ValueError(f"dimension mismatch: {a} vs {b}")
 
 
-@dataclass(frozen=True, slots=True)
-class Hyperplane:
-    """The solution set of normal . x = offset, in canonical form.
-
-    The stored normal and offset are divided by the normal's first
-    nonzero entry, which becomes 1, so two inputs that describe the
-    same hyperplane compare and hash equal.  Each stored entry is an
-    ``int`` for an integer value, else a ``Fraction``.
-    """
-
-    normal: tuple[int | Fraction, ...]
-    offset: int | Fraction
-
-    def __post_init__(self) -> None:
-        normal = tuple(map(_exact, self.normal))
-        offset = _exact(self.offset)
-        lead = next((v for v in normal if v), None)
-        if lead is None:
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", tuple(_divide(v, lead) for v in normal))
-        object.__setattr__(self, "offset", _divide(offset, lead))
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
+def hyperplane(normal: Sequence[Rational], offset: Rational) -> tuple:
+    """The hyperplane normal . x = offset as its canonical pair
+    ``(normal, offset)``: each entry read through ``_exact`` and divided
+    by the normal's first nonzero entry, which becomes 1, so two inputs
+    that describe the same hyperplane give equal pairs.  A zero normal
+    raises ValueError."""
+    normal, offset = tuple(map(_exact, normal)), _exact(offset)
+    lead = next((v for v in normal if v), None)
+    if lead is None:
+        raise ValueError("hyperplane normal must be nonzero")
+    return tuple(_divide(v, lead) for v in normal), _divide(offset, lead)
 
 
-def side_of(h: Hyperplane, p: Sequence[int | Fraction]) -> int:
-    """Exact side of the hyperplane: the sign of normal . p - offset,
-    as -1, 0 or 1.
+def side_of(h: tuple, p: Sequence[int | Fraction]) -> int:
+    """Exact side of the canonical hyperplane ``h = (normal, offset)``:
+    the sign of normal . p - offset, as -1, 0 or 1.
 
     The sign is taken on integers.  The sum is kept as ``value / den``
     with one running denominator, built from numerators and denominators
     without a gcd.  Every denominator is positive (an ``int``'s is 1),
     so ``den`` is too, and the sign of ``value`` is the sign of the sum.
     """
-    _check_dims(h.dim, len(p))
-    value, den = -h.offset.numerator, h.offset.denominator
-    for a, x in zip(h.normal, p):
+    normal, offset = h
+    _check_dims(len(normal), len(p))
+    value, den = -offset.numerator, offset.denominator
+    for a, x in zip(normal, p):
         if a:
             step = a.denominator * x.denominator
             value = value * step + a.numerator * x.numerator * den
@@ -258,21 +242,19 @@ def affine_hull_dim(points: Sequence[Sequence[Rational]]) -> int:
     return _bareiss(_differences(clear_denominators(points)[1]))[0]
 
 
-def separates(h: Hyperplane, points: Sequence[Sequence[int | Fraction]]) -> bool:
+def separates(h: tuple, points: Sequence[Sequence[int | Fraction]]) -> bool:
     """True iff some points lie strictly on both sides."""
     sides = {side_of(h, p) for p in points}
     return -1 in sides and 1 in sides
 
 
-def in_general_position(hyperplanes: Sequence[Hyperplane]) -> bool:
+def in_general_position(hyperplanes: Sequence[tuple]) -> bool:
     """Linearly independent normals.  This implies pairwise distinct:
     two equal hyperplanes have equal canonical normals."""
-    if not hyperplanes:
-        return True
-    dim = hyperplanes[0].dim
-    for h in hyperplanes[1:]:
-        _check_dims(dim, h.dim)
-    return matrix_rank([h.normal for h in hyperplanes]) == len(hyperplanes)
+    normals = [normal for normal, _ in hyperplanes]
+    for normal in normals[1:]:
+        _check_dims(len(normals[0]), len(normal))
+    return matrix_rank(normals) == len(normals)
 
 
 def integer_spanned_hyperplanes(
@@ -314,8 +296,8 @@ def integer_spanned_hyperplanes(
 
     The hyperplanes come sorted by their canonical (normal, offset), as
     tuples: both divided by the normal's first nonzero entry, the lead,
-    as in ``Hyperplane``.  No common positive scaling of the points
-    changes that order.  It is sorted on integers: each entry
+    as ``hyperplane`` returns them.  No common positive scaling of the
+    points changes that order.  It is sorted on integers: each entry
     x = v / lead of the canonical key becomes ``floor(x * 2^K)``, with
     2^K above the square of every lead.  Two canonical entries that
     differ, differ by at least 1 / (lead * lead') > 2^-K, so their floors
@@ -398,7 +380,7 @@ def integer_spanned_hyperplanes(
     ]
 
 
-def containing_hyperplane(scaled: list[list[int]], scale: int) -> Hyperplane | None:
+def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
     """Some hyperplane through every point of a set, or None when the
     points span the whole ambient space.  The set is given as
     ``clear_denominators`` returns its coordinate rows: the points
@@ -412,7 +394,7 @@ def containing_hyperplane(scaled: list[list[int]], scale: int) -> Hyperplane | N
         return None
     normal = _kernel_vector(rows, pivots, p, d, _free_columns(pivots, d)[0])
     offset = sum(map(mul, normal, scaled[0]))
-    return Hyperplane(tuple(normal), _divide(offset, scale))
+    return hyperplane(normal, _divide(offset, scale))
 
 
 def fraction_from_json(text: str | int) -> Fraction:
@@ -436,6 +418,7 @@ def point_from_json(row: list[str | int]) -> tuple[int | Fraction, ...]:
         raise ValueError(f"bad point {row!r}: {err}") from err
 
 
-def hyperplane_to_json(h: Hyperplane) -> dict:
-    return {"normal": [str(v) for v in h.normal], "offset": str(h.offset)}
+def hyperplane_to_json(h: tuple) -> dict:
+    normal, offset = h
+    return {"normal": [str(v) for v in normal], "offset": str(offset)}
 

@@ -19,10 +19,11 @@ candidate is tested by cost: the cover and separation tests are mask
 operations and run first, the exact rank test runs last, and at the
 last level of the cover only the candidates through the residual's
 lowest point are scanned, and only one that covers the whole residual
-is tested for rank.  Only the hyperplanes of
-a found cover become ``Hyperplane`` objects, and the certificate is
-re-verified on the exact rational predicates (the sign ``side_of``
-and ``separates``), which share nothing with the search's masks.
+is tested for rank.  Only the hyperplanes of a found cover are divided
+back to the points' own scale, as canonical ``(normal, offset)`` pairs,
+and the certificate is re-verified on the exact rational predicates
+(the sign ``side_of`` and ``separates``), which share nothing with the
+search's masks.
 """
 from __future__ import annotations
 
@@ -33,13 +34,13 @@ from operator import mul
 from typing import Sequence
 
 from .geometry import (
-    Hyperplane,
     _divide,
     _exact,
     affine_hull_dim,
     as_point,
     clear_denominators,
     containing_hyperplane,
+    hyperplane,
     hyperplane_to_json,
     in_general_position,
     matrix_rank,
@@ -60,6 +61,7 @@ KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
 class TShapeCertificate:
     """A hyperplane cover witnessing T-shapedness.
 
+    ``hyperplanes`` are canonical ``(normal, offset)`` pairs, and
     ``assignment`` sends each point to the index of the first
     hyperplane containing it.  Verification re-derives everything from
     the raw predicates: general position of the family, total coverage
@@ -67,7 +69,7 @@ class TShapeCertificate:
     points strictly on both sides among those not covered earlier.
     """
 
-    hyperplanes: tuple[Hyperplane, ...]
+    hyperplanes: tuple[tuple, ...]
     assignment: dict[tuple[int | Fraction, ...], int]
 
     def verify(self, points: Sequence) -> bool:
@@ -229,7 +231,7 @@ def _search_cover(
     }
     return TShapeCertificate(
         hyperplanes=tuple(
-            Hyperplane(normal, _divide(offset, scale)) for normal, offset, _ in cover
+            hyperplane(normal, _divide(offset, scale)) for normal, offset, _ in cover
         ),
         assignment=assignment,
     )
@@ -266,6 +268,12 @@ def _random_configuration(rng: random.Random, dim: int, size: int) -> list[tuple
             return pts
 
 
+def check_bound_dim(n: int) -> None:
+    """Raise ValueError unless the t value of dimension ``n`` is known."""
+    if n not in KNOWN_T_VALUES:
+        raise ValueError("known t values cover dimensions 1 through 4 only")
+
+
 def verify_t_value_bounds(n: int, trials: int, seed: int) -> dict:
     """Sampled check of both sides of the known t values.
 
@@ -273,8 +281,7 @@ def verify_t_value_bounds(n: int, trials: int, seed: int) -> dict:
     the moment-curve set of size n^2 - n + 1 must not.  Counterexamples
     are listed verbatim in the report.
     """
-    if n not in KNOWN_T_VALUES:
-        raise ValueError("known t values cover dimensions 1 through 4 only")
+    check_bound_dim(n)
     rng = random.Random(seed)
     size = KNOWN_T_VALUES[n] - 1
     failures: list[list[list[str]]] = []

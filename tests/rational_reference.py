@@ -78,7 +78,8 @@ def ref_matrix_inverse(rows):
 
 def hyperplane_key(h):
     """The order of hyperplanes: canonical normal, then offset."""
-    return h.normal, h.offset
+    normal, offset = h
+    return normal, offset
 
 
 def is_in_Tn(x, n):

@@ -271,6 +271,41 @@ class TestTshapeCommand:
         assert code == 0 and result["bounds"] == {"ok": True}
         assert ran == [(2, MAX_TSHAPE_TRIALS)]
 
+    def test_an_unknown_bound_dimension_is_refused_before_the_decision(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the bound dimension is --bound-dim, or the points' dimension
+        # without it; a file can take seconds to decide, so it goes first
+        def never(*args):
+            raise AssertionError("a decision or a trial ran")
+
+        monkeypatch.setattr(cli, "is_t_shaped", never)
+        monkeypatch.setattr(cli, "verify_t_value_bounds", never)
+        p3 = tmp_path / "p3.json"
+        p3.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+        p5 = tmp_path / "p5.json"
+        p5.write_text(json.dumps([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
+        for argv in (
+            ["tshape", "--points", str(p3), "--trials", "1", "--bound-dim", "5"],
+            ["tshape", "--points", str(p3), "--trials", "1", "--bound-dim", "0"],
+            ["tshape", "--points", str(p3), "--trials", "1", "--bound-dim", "-2"],
+            ["tshape", "--points", str(p5), "--trials", "1"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert err == "error: known t values cover dimensions 1 through 4 only\n"
+
+    def test_without_trials_any_bound_dimension_is_ignored(self, tmp_path, capsys):
+        path = tmp_path / "p5.json"
+        path.write_text(json.dumps([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
+        for argv in (
+            ["tshape", "--points", str(path)],
+            ["tshape", "--points", str(path), "--bound-dim", "7"],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert json.loads(out)["result"]["verdict"] == "yes"
+
     def test_empty_points_with_trials_needs_a_bound_dim(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("[]")

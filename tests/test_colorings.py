@@ -750,10 +750,13 @@ class TestExactInputs:
             cone(2)((0.1, 0.2))
         assert cone(2)((F(1, 10), F(1, 5))) == 2
 
-    def test_fraction_strings_and_lattice_points_are_read_as_their_values(self):
+    def test_fraction_strings_are_read_as_their_values(self):
         # "1/2" was refused when colorings kept its own exactness test
         assert cone(2)(("1/2", 0)) == cone(2)((F(1, 2), 0))
-        assert cone(2)(LatticePoint((1, 0))) == cone(2)((1, 0))
+        # a point is a tuple or a list; a LatticePoint gives its coords
+        with pytest.raises(TypeError, match="not LatticePoint"):
+            cone(2)(LatticePoint((1, 0)))
+        assert cone(2)(LatticePoint((1, 0)).coords) == cone(2)((1, 0))
         for radius, text in (("1/2", "1/2"), (F(1, 10), "1/10"), (2, "2")):
             report = symmetric_pair_scan(cone(2), [(0, 0)], radius, 3, 1)
             assert report["innerRadius"] == text

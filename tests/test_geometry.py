@@ -1,6 +1,8 @@
 """Exact rational geometry: canonical hyperplanes, ranks, hulls."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 from centerpole import geometry
 from centerpole.cube import LatticePoint
 from centerpole.geometry import (
-    Hyperplane,
     affine_hull_dim,
     as_point,
     clear_denominators,
     containing_hyperplane,
     fraction_from_json,
+    hyperplane,
     hyperplane_to_json,
     in_general_position,
     integer_inverse,
@@ -45,7 +47,7 @@ class TestAsPoint:
             P(0.5, 1)
 
     def test_dimension_mismatch(self):
-        h = Hyperplane((1, 1), 0)
+        h = hyperplane((1, 1), 0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             side_of(h, P(1, 2, 3))
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -58,12 +60,16 @@ class TestAsPoint:
         assert as_point(p) == p == (Fraction(1, 3), 2)
         assert as_point(list(p)) == p
 
-    def test_a_lattice_point_gives_its_checked_coords(self):
+    def test_a_lattice_point_is_read_through_its_coords(self):
+        # geometry imports no other module, so a LatticePoint is refused
+        # like any other object; its checked coords read as themselves
         lp = LatticePoint((1, -2, 3))
-        assert as_point(lp) is lp.coords
+        with pytest.raises(TypeError, match="not LatticePoint"):
+            as_point(lp)
+        assert as_point(lp.coords) == lp.coords
 
     @pytest.mark.parametrize("value", ["12", {"a": 1}, 0.5, True, None])
-    def test_refuses_anything_but_a_tuple_list_or_lattice_point(self, value):
+    def test_refuses_anything_but_a_tuple_or_list(self, value):
         with pytest.raises(TypeError):
             as_point(value)
 
@@ -108,30 +114,31 @@ class TestCanonicalNumberForm:
         assert {tuple(map(type, p)) for p in forms} == {(int, int, Fraction)}
 
     def test_hyperplane_entries(self):
-        h = Hyperplane((2, 4), 6)
-        assert h.normal == (1, 2) and h.offset == 3
-        assert all(type(v) is int for v in h.normal + (h.offset,))
-        h = Hyperplane((3, 1), 1)
-        assert h.normal == (1, Fraction(1, 3)) and h.offset == Fraction(1, 3)
-        assert [type(v) for v in h.normal] == [int, Fraction]
-        assert type(h.offset) is Fraction
+        normal, offset = hyperplane((2, 4), 6)
+        assert normal == (1, 2) and offset == 3
+        assert all(type(v) is int for v in normal + (offset,))
+        normal, offset = hyperplane((3, 1), 1)
+        assert normal == (1, Fraction(1, 3)) and offset == Fraction(1, 3)
+        assert [type(v) for v in normal] == [int, Fraction]
+        assert type(offset) is Fraction
         # a fractional lead that divides every entry to an integer
-        h = Hyperplane(("1/2", 1), "3/2")
-        assert (h.normal, h.offset) == ((1, 2), 3)
-        assert all(type(v) is int for v in h.normal + (h.offset,))
-        assert Hyperplane((-2, 4), 6) == Hyperplane((Fraction(1), "-2"), "-3")
+        normal, offset = hyperplane(("1/2", 1), "3/2")
+        assert (normal, offset) == ((1, 2), 3)
+        assert all(type(v) is int for v in normal + (offset,))
+        assert hyperplane((-2, 4), 6) == hyperplane((Fraction(1), "-2"), "-3")
 
 
 class TestHyperplane:
     def test_canonical_form(self):
-        # scaling the defining equation does not change the object
-        assert Hyperplane((2, 2), 2) == Hyperplane((1, 1), 1)
-        assert Hyperplane((-1, 0), 3) == Hyperplane((1, 0), -3)
-        assert hash(Hyperplane((4, -2), 6)) == hash(Hyperplane((2, -1), 3))
+        # scaling the defining equation does not change the pair
+        assert type(hyperplane((2, 2), 2)) is tuple
+        assert hyperplane((2, 2), 2) == hyperplane((1, 1), 1)
+        assert hyperplane((-1, 0), 3) == hyperplane((1, 0), -3)
+        assert hash(hyperplane((4, -2), 6)) == hash(hyperplane((2, -1), 3))
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
-            Hyperplane((0, 0), 1)
+            hyperplane((0, 0), 1)
 
     @pytest.mark.parametrize(
         "normal,offset,error",
@@ -147,10 +154,10 @@ class TestHyperplane:
     )
     def test_rejects_inexact_coefficients(self, normal, offset, error):
         with pytest.raises(error):
-            Hyperplane(normal, offset)
+            hyperplane(normal, offset)
 
     def test_side_of(self):
-        h = Hyperplane((1, 0), 0)
+        h = hyperplane((1, 0), 0)
         assert side_of(h, P(2, 5)) == 1
         assert side_of(h, P(-1, 5)) == -1
         assert side_of(h, P(0, 5)) == 0
@@ -172,8 +179,8 @@ class TestHyperplane:
         point = as_point(data.draw(st.lists(rationals, min_size=d, max_size=d)))
         on = data.draw(st.booleans())
         offset = dot(normal, point) if on else data.draw(rationals)
-        h = Hyperplane(tuple(normal), offset)
-        value = dot(h.normal, point) - h.offset
+        h_normal, h_offset = h = hyperplane(tuple(normal), offset)
+        value = dot(h_normal, point) - h_offset
         expected = 1 if value > 0 else -1 if value < 0 else 0
         assert side_of(h, point) == expected
         if on:
@@ -187,8 +194,8 @@ class TestHyperplane:
     def test_scaled_equations_agree_everywhere(self, normal, offset, factor):
         if all(v == 0 for v in normal):
             return
-        h1 = Hyperplane(tuple(normal), offset)
-        h2 = Hyperplane(tuple(factor * v for v in normal), factor * offset)
+        h1 = hyperplane(tuple(normal), offset)
+        h2 = hyperplane(tuple(factor * v for v in normal), factor * offset)
         assert h1 == h2
 
 
@@ -244,7 +251,7 @@ class TestRanksAndHulls:
         assert all(side_of(h, p) == 0 for p in line)
         assert containing([P(0, 0), P(1, 0), P(0, 1)]) is None
         # the offset is read back through the scale of the rows
-        assert containing([P("1/2", 0), P(0, "1/2"), P("1/4", "1/4")]) == Hyperplane(
+        assert containing([P("1/2", 0), P(0, "1/2"), P("1/4", "1/4")]) == hyperplane(
             (1, 1), "1/2"
         )
         with pytest.raises(ValueError):
@@ -253,37 +260,37 @@ class TestRanksAndHulls:
 
 class TestSeparationPredicates:
     def test_separates_is_strict(self):
-        h = Hyperplane((1, 0), 0)
+        h = hyperplane((1, 0), 0)
         assert separates(h, [P(1, 0), P(-1, 0)])
         assert not separates(h, [P(1, 0), P(0, 5)])
         assert not separates(h, [P(1, 0), P(2, 0)])
         assert not separates(h, [])
 
     def test_general_position(self):
-        a = Hyperplane((1, 0), 0)
-        b = Hyperplane((0, 1), 0)
-        parallel = Hyperplane((1, 0), 5)
+        a = hyperplane((1, 0), 0)
+        b = hyperplane((0, 1), 0)
+        parallel = hyperplane((1, 0), 5)
         assert in_general_position([])
         assert in_general_position([a, b])
         assert not in_general_position([a, a])
         assert not in_general_position([a, parallel])
         # distinctness follows from the rank test: a hyperplane given again,
         # in any form, or a parallel one has a normal dependent on the others
-        a, b, c = (Hyperplane(n, 2) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        a, b, c = (hyperplane(n, 2) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert in_general_position([a, b, c])
-        assert not in_general_position([a, b, Hyperplane((-2, 0, 0), -4)])
-        assert not in_general_position([a, b, Hyperplane((3, 0, 0), 1)])
+        assert not in_general_position([a, b, hyperplane((-2, 0, 0), -4)])
+        assert not in_general_position([a, b, hyperplane((3, 0, 0), 1)])
         assert not in_general_position([b, a, c, a])
 
 
 def spanned(points):
-    """``integer_spanned_hyperplanes`` of rational points, as Hyperplanes.
-    Each ``on`` mask must hold exactly the points that ``side_of`` puts
-    on its hyperplane."""
+    """``integer_spanned_hyperplanes`` of rational points, as canonical
+    ``(normal, offset)`` pairs.  Each ``on`` mask must hold exactly the
+    points that ``side_of`` puts on its hyperplane."""
     scale, rows = clear_denominators(points)
     planes = []
     for normal, offset, on in integer_spanned_hyperplanes(rows):
-        h = Hyperplane(normal, Fraction(offset, scale))
+        h = hyperplane(normal, Fraction(offset, scale))
         assert on == sum(
             1 << i for i, p in enumerate(points) if side_of(h, p) == 0
         )
@@ -297,7 +304,7 @@ class TestSpannedHyperplanes:
         lines = spanned(square)
         assert len(lines) == 6
         assert lines == sorted(lines, key=hyperplane_key)
-        assert Hyperplane((1, -1), 0) in lines
+        assert hyperplane((1, -1), 0) in lines
 
     def test_center_point_adds_no_new_lines(self):
         pts = [P(0, 0), P(1, 0), P(0, 1), P(1, 1), P("1/2", "1/2")]
@@ -306,7 +313,7 @@ class TestSpannedHyperplanes:
     def test_triangle_has_three_lines(self):
         assert len(spanned([P(0, 0), P(1, 0), P(0, 1)])) == 3
         # a line needs two distinct points
-        assert spanned([P(0, 1), P(2, 1)]) == [Hyperplane((0, 1), 1)]
+        assert spanned([P(0, 1), P(2, 1)]) == [hyperplane((0, 1), 1)]
         assert spanned([P(0, 0), P(0, 0)]) == []
 
     def test_simplex_has_four_planes(self):
@@ -414,7 +421,45 @@ class TestJson:
             read(value)
 
     def test_hyperplane_round_trip(self):
-        h = Hyperplane(("2/3", 4), "1/6")
+        h = hyperplane(("2/3", 4), "1/6")
         doc = hyperplane_to_json(h)
         assert set(doc) == {"normal", "offset"}
-        assert Hyperplane(tuple(doc["normal"]), doc["offset"]) == h
+        assert hyperplane(tuple(doc["normal"]), doc["offset"]) == h
+
+
+def package_imports(source: str) -> list[int]:
+    """Lines that import a module of the package: a relative import, or
+    an absolute one of ``centerpole`` or a submodule of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else ["centerpole"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(n == "centerpole" or n.startswith("centerpole.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestLeafModule:
+    """``geometry`` is the package's leaf: it imports no other module of
+    the package and holds no class, so its values are plain tuples."""
+
+    def test_the_detector_sees_each_form(self):
+        for source in (
+            "from .cube import LatticePoint",
+            "from . import cube",
+            "from centerpole.cube import LatticePoint",
+            "import centerpole.cube",
+            "import centerpole",
+        ):
+            assert package_imports(source) == [1], source
+        assert package_imports("from fractions import Fraction\nimport math") == []
+
+    def test_geometry_imports_no_package_module_and_holds_no_class(self):
+        source = Path(geometry.__file__).read_text(encoding="utf-8")
+        assert package_imports(source) == []
+        tree = ast.parse(source)
+        assert [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []

@@ -25,11 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
-    Hyperplane,
     affine_hull_dim,
     as_point,
     clear_denominators,
     containing_hyperplane,
+    hyperplane,
     integer_inverse,
     integer_spanned_hyperplanes,
     matrix_rank,
@@ -72,7 +72,7 @@ def ref_hyperplane_through(points):
     normal[free_col] = Fraction(1)
     for r, pc in enumerate(pivot_cols):
         normal[pc] = -work[r][free_col]
-    return Hyperplane(tuple(normal), dot(normal, base))
+    return hyperplane(tuple(normal), dot(normal, base))
 
 
 def ref_containing_hyperplane(points):
@@ -88,7 +88,7 @@ def ref_containing_hyperplane(points):
     normal[free_col] = Fraction(1)
     for r, pc in enumerate(pivot_cols):
         normal[pc] = -work[r][free_col]
-    return Hyperplane(tuple(normal), dot(normal, base))
+    return hyperplane(tuple(normal), dot(normal, base))
 
 
 def ref_spanned_hyperplanes(points):
@@ -103,7 +103,8 @@ def ref_spanned_hyperplanes(points):
 
 def ref_side(h, p):
     """The sign of normal . p - offset, summed as a ``Fraction``."""
-    value = dot(h.normal, p) - h.offset
+    normal, offset = h
+    value = dot(normal, p) - offset
     return (value > 0) - (value < 0)
 
 
@@ -129,15 +130,15 @@ def ref_search_cover(points):
         remaining = budget - len(chosen)
         if remaining <= 0 or len(residual) > remaining * max_cover:
             return None
-        key = (residual, frozenset(h.normal for h, _ in chosen))
+        key = (residual, frozenset(h[0] for h, _ in chosen))
         if key in dead:
             return None
-        normals = [h.normal for h, _ in chosen]
+        normals = [h[0] for h, _ in chosen]
         residual_pts = [points[i] for i in residual]
         for h, covered in candidates:
             if not covered & residual:
                 continue
-            if chosen and ref_matrix_rank(normals + [h.normal]) != len(normals) + 1:
+            if chosen and ref_matrix_rank(normals + [h[0]]) != len(normals) + 1:
                 continue
             if ref_separates(h, residual_pts):
                 continue
@@ -225,7 +226,7 @@ def assert_incidence(hyperplanes, points):
     before scaling; a common positive scale keeps every incidence."""
     scale = clear_denominators(points)[0]
     for normal, offset, on in hyperplanes:
-        h = Hyperplane(normal, Fraction(offset, scale))
+        h = hyperplane(normal, Fraction(offset, scale))
         assert on == sum(1 << i for i, p in enumerate(points) if ref_side(h, p) == 0)
 
 
@@ -275,7 +276,7 @@ class TestKernelAgainstTheRationalReference:
         scale, rows = clear_denominators(points)
         got = integer_spanned_hyperplanes(rows)
         assert [
-            Hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in got
+            hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in got
         ] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
 
@@ -286,7 +287,7 @@ class TestKernelAgainstTheRationalReference:
         points = [as_point(r) for r in rows]
         got = integer_spanned_hyperplanes(rows)
         assert [
-            Hyperplane(normal, offset) for normal, offset, _ in got
+            hyperplane(normal, offset) for normal, offset, _ in got
         ] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
 
@@ -300,7 +301,7 @@ class TestKernelAgainstTheRationalReference:
         points = [as_point(r) for r in rows]
         got = integer_spanned_hyperplanes(rows)
         assert [
-            Hyperplane(normal, offset) for normal, offset, _ in got
+            hyperplane(normal, offset) for normal, offset, _ in got
         ] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
         assert sorted(on.bit_count() for _, _, on in got) == [10] * 55 + [11]

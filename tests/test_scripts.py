@@ -3,10 +3,11 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from centerpole.cli import MAX_COVER_K, OUTPUT_DIR_ENV
+from centerpole.cli import MAX_COVER_K, MAX_TSHAPE_TRIALS, OUTPUT_DIR_ENV
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -73,6 +74,73 @@ class TestCoveringSweep:
         assert doc["pairs"] == 3
 
 
+def refused(main, argv, capsys) -> str:
+    """The stderr of a run that must exit 2 through ``parser.error``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+class TestTShapeSurveyRefusals:
+    """Malformed input exits 2 before any trial or draw runs."""
+
+    @pytest.fixture
+    def survey(self, monkeypatch):
+        survey = load_script("run_tshape_survey")
+
+        def never(*args):
+            raise AssertionError("a trial or a draw ran")
+
+        monkeypatch.setattr(survey, "verify_t_value_bounds", never)
+        monkeypatch.setattr(survey, "is_t_shaped", never)
+        return survey
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--dims", "5"], "--dims 5: known t values cover dimensions 1 through 4"),
+            (["--dims", "0"], "--dims 0: known t values"),
+            (["--dims", "2,-1"], "--dims -1: known t values"),
+            (["--dims", "x"], "--dims must list integers, got 'x'"),
+            (["--dims", "2,3.5"], "--dims must list integers"),
+            (["--dims", ","], "--dims must name at least one dimension"),
+            (["--trials", "-3"], "--trials must be from 0 to 1024, got -3"),
+            (["--trials", "1025"], "--trials must be from 0 to 1024, got 1025"),
+            (["--trials", "1000000000"], "--trials must be from 0 to 1024"),
+            (["--grid-draws", "-1"], "--grid-draws must be from 0 to 1024, got -1"),
+            (["--grid-draws", "1025"], "--grid-draws must be from 0 to 1024, got 1025"),
+            (["--grid-draws", "10000000"], "--grid-draws must be from 0 to 1024"),
+        ],
+    )
+    def test_malformed_input_exits_2_before_any_trial(
+        self, survey, argv, message, capsys
+    ):
+        assert MAX_TSHAPE_TRIALS == survey.MAX_GRID_DRAWS == 1024
+        assert message in refused(survey.main, argv, capsys)
+
+    def test_counts_at_the_limits_run(self, monkeypatch, capsys):
+        survey = load_script("run_tshape_survey")
+        bounds, decided = [], []
+        monkeypatch.setattr(
+            survey,
+            "verify_t_value_bounds",
+            lambda n, trials, seed: bounds.append((n, trials)) or {"ok": True},
+        )
+        outcome = SimpleNamespace(t_shaped=True, detail="")
+        monkeypatch.setattr(
+            survey, "is_t_shaped", lambda points: decided.append(points) or outcome
+        )
+        argv = ["--dims", "1,4", "--trials", str(MAX_TSHAPE_TRIALS)]
+        assert survey.main(argv + ["--grid-draws", str(survey.MAX_GRID_DRAWS)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        assert bounds == [(1, MAX_TSHAPE_TRIALS), (4, MAX_TSHAPE_TRIALS)]
+        assert len(decided) == survey.MAX_GRID_DRAWS
+
+
 class TestTShapeSurveyGridDraws:
     def test_two_grid_draws(self, capsys):
         survey = load_script("run_tshape_survey")
@@ -108,6 +176,21 @@ class TestTShapeSurveyGridDraws:
         assert survey.main(["--dims", "2", "--trials", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "gridDraws" not in doc and "gridTiming" not in doc
+
+
+class TestCertifierEvidenceBudget:
+    @pytest.mark.parametrize("budget", ["-1", "-1000"])
+    def test_a_negative_budget_exits_2_before_any_schedule(
+        self, budget, monkeypatch, capsys
+    ):
+        evidence = load_script("run_certifier_evidence")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a schedule ran")
+
+        monkeypatch.setattr(evidence, "certify_schedule", never)
+        err = refused(evidence.main, ["--budget", budget], capsys)
+        assert f"--budget must be at least 0, got {budget}" in err
 
 
 class TestCertifierEvidence4d:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from centerpole import geometry
 from centerpole.geometry import (
-    Hyperplane,
     affine_hull_dim,
     as_point,
+    hyperplane,
     matrix_rank,
 )
 from centerpole import tshape
@@ -121,7 +121,8 @@ class TestCertificates:
         # can refuse these covers
         pts = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0)]
         (h,) = is_t_shaped(pts).certificate.hyperplanes
-        parallel = Hyperplane(h.normal, h.offset + 1)
+        normal, offset = h
+        parallel = hyperplane(normal, offset + 1)
         for second in (h, parallel):
             cert = TShapeCertificate((h, second), {p: 0 for p in pts})
             assert not cert.verify(pts)
