@@ -18,13 +18,13 @@ import time
 
 from centerpole.certifier import DEFAULT_BUDGET, certify_schedule
 from centerpole.cli import emit
-from centerpole.cube import LatticePoint, build_sandwich
+from centerpole.cube import build_sandwich
 
 
 def schedule_row(name, centers, colors, r_list, expected, budget, r_factor=3):
     started = time.perf_counter()
     schedule = certify_schedule(
-        [LatticePoint(c) for c in sorted(centers)],
+        sorted(centers),
         colors,
         r_list,
         r_factor=r_factor,
@@ -33,7 +33,7 @@ def schedule_row(name, centers, colors, r_list, expected, budget, r_factor=3):
     verdicts = [row.verdict.kind.value for row in schedule.rows]
     return {
         "name": name,
-        "centers": [list(p.coords) for p in schedule.centers],
+        "centers": [list(p) for p in schedule.centers],
         "colors": colors,
         "rList": r_list,
         "rFactor": r_factor,

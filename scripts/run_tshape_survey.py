@@ -9,9 +9,10 @@ seed 1..N, the set of 19 draws from {-1,0,1}^4 made by
 document; exit code 1 if any bound check fails or a certificate fails
 its verification, 2 with one ``error:`` line if --out cannot be written.
 A usage error exits 2 before any trial or draw runs: a --dims entry that
-is not an integer or has no known t value (1 to 4), a --trials count
-below 0 or above the tshape limit (``cli.MAX_TSHAPE_TRIALS``), or a
---grid-draws count below 0 or above ``MAX_GRID_DRAWS``.
+is not an integer, has no known t value (1 to 4) or is repeated, a
+--trials count below 0 or above the tshape limit
+(``cli.MAX_TSHAPE_TRIALS``), or a --grid-draws count below 0 or above
+``MAX_GRID_DRAWS``.
 
     python scripts/run_tshape_survey.py --grid-draws 100
 """
@@ -94,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--dims must list integers, got {args.dims!r}")
     if not dims:
         parser.error("--dims must name at least one dimension")
+    repeated = sorted({dim for dim in dims if dims.count(dim) > 1})
+    if repeated:
+        parser.error(f"--dims names {', '.join(map(str, repeated))} more than once")
     for dim in dims:
         try:
             check_bound_dim(dim)

@@ -36,7 +36,6 @@ from .covering import (
     verify_covering_lemma,
 )
 from .cube import (
-    LatticePoint,
     LShape,
     SigmaZeroSet,
     build_sandwich,

@@ -3,10 +3,12 @@
 A window is an annulus of lattice points around the origin; a window
 about z with centers C has the graph of the window of C - z.  Its
 symmetry graph joins x to its mirror image 2c - x for every center c in
-the tested set, whenever both endpoints lie in the annulus.  Vertex i is
-the i-th window point in lexicographic order; the points themselves
-are never built.  A proper k-coloring of that graph is exactly a
-k-coloring of the window with no monochromatic mirror pair, so:
+the tested set, whenever both endpoints lie in the annulus.  A center
+is a coordinate tuple of ints, trusted here: the CLI reads each center
+row once through ``cube.checked_coordinates``.  Vertex i is the i-th
+window point in lexicographic order; the points themselves are never
+built.  A proper k-coloring of that graph is exactly a k-coloring of
+the window with no monochromatic mirror pair, so:
 
 * ``Forced``  - every k-coloring of the window has a monochromatic
   mirror pair (the graph is not k-colorable);
@@ -40,7 +42,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from . import sat
-from .cube import DimensionMismatchError, LatticePoint, checked_coordinates
+from .cube import checked_coordinates
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -56,12 +58,13 @@ class WindowSpec:
     """An annulus ``inner < |x|_inf <= outer`` plus mirror centers.
 
     ``+-outer`` must lie in the signed 64-bit range, so every vertex of
-    the window does too; the centers were checked when built."""
+    the window does too; the centers are coordinate tuples, checked by
+    whoever read them (``checked_coordinates``)."""
 
     dim: int
     outer: int
     inner: int
-    centers: tuple[LatticePoint, ...]
+    centers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -74,9 +77,9 @@ class WindowSpec:
             raise ValueError("at least one mirror center is required")
         checked_coordinates((-self.outer, self.outer))
         for c in self.centers:
-            if c.dim != self.dim:
-                raise DimensionMismatchError(f"center {c} has wrong dimension")
-            if c.norm_inf() > self.outer:
+            if len(c) != self.dim:
+                raise ValueError(f"center {c} has wrong dimension")
+            if max(map(abs, c)) > self.outer:
                 raise ValueError(f"center {c} lies outside the window")
 
 
@@ -132,7 +135,7 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     n = len(keep) - keep.count(0)
 
     keys: list[int] = []
-    for c in {c.coords for c in spec.centers}:
+    for c in set(spec.centers):
         k_c = 0
         for c_i in c:
             k_c = k_c * width + 2 * c_i + 2 * outer
@@ -346,13 +349,13 @@ class ScheduleRow:
 class ScheduleReport:
     dim: int
     k: int
-    centers: tuple[LatticePoint, ...]
+    centers: tuple[tuple[int, ...], ...]
     r_factor: int
     rows: tuple[ScheduleRow, ...]
 
 
 def certify_schedule(
-    centers: Sequence[LatticePoint],
+    centers: Sequence[tuple[int, ...]],
     k: int,
     r_list: Iterable[int],
     r_factor: int = 3,
@@ -408,8 +411,8 @@ def certify_schedule(
     for r in r_list:
         if r < 0:
             raise ValueError(f"inner radius must be non-negative, got {r}")
-    dim = centers[0].dim
-    max_norm = max(c.norm_inf() for c in centers)
+    dim = len(centers[0])
+    max_norm = max((abs(a) for c in centers for a in c), default=0)
     outers = [r_factor * (r + max_norm + 1) for r in r_list]
     largest = max(outers)
     if largest > 0 and (2 * largest + 1) ** dim > MAX_WINDOW_POINTS:

@@ -35,9 +35,8 @@ from .colorings import (
 )
 from .covering import verify_covering_lemma
 from .cube import (
-    LatticePoint,
     build_sandwich,
-    lattice_from_json,
+    checked_coordinates,
     points_to_json,
     sandwich_size,
     sandwich_to_json,
@@ -184,10 +183,10 @@ def _center_rows(spec: str | list) -> list:
     return spec
 
 
-def parse_center_set(spec: str | list) -> list[LatticePoint]:
+def parse_center_set(spec: str | list) -> list[tuple[int, ...]]:
     """The centers of ``certify``: rows of integers in the signed 64-bit
     range.  Any other entry (a float, a string, a bool) raises ValueError."""
-    return [lattice_from_json(row) for row in _center_rows(spec)]
+    return [checked_coordinates(row) for row in _center_rows(spec)]
 
 
 def _field(spec: dict, key: str, kind: type | None = None):
@@ -286,7 +285,7 @@ def _schedule_to_json(report: ScheduleReport) -> dict:
     return {
         "dim": report.dim,
         "k": report.k,
-        "centers": points_to_json(c.coords for c in report.centers),
+        "centers": points_to_json(report.centers),
         "rFactor": report.r_factor,
         "rows": rows,
     }
@@ -378,7 +377,7 @@ def cmd_certify(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, dict]:
     centers = parse_center_set(centers_text)
-    dims = sorted({c.dim for c in centers})
+    dims = sorted({len(c) for c in centers})
     if len(dims) > 1:
         raise ValueError(f"centers have mixed dimensions {dims}")
     if dims and dims[0] != dim:

@@ -46,7 +46,7 @@ class ColoringRule:
 
     Calling the rule reads its point through ``as_point``: a tuple or
     list of exact rationals (ints, ``Fraction``s or fraction strings
-    such as "1/2"; a float or bool coordinate, or a ``LatticePoint``,
+    such as "1/2"; a float or bool coordinate, or any other object,
     raises TypeError), which must have the stated dimension; the call
     scales it by the lcm q of its denominators.  ``evaluate(z, q)`` is
     the trusted entry: it takes ``dim`` integer numerators z and a

@@ -2,18 +2,17 @@
 
 Vertices of the k-cube ``{0,1}^k``, the three-layer "sandwich" subsets
 of ``Z^(1+k)``, the (head, tail-sum) projection, and the L-shaped facet
-sets the covering code takes as input.  A cube vertex, a sandwich point
-and a facet-set point are each a plain coordinate tuple; ``LatticePoint``
-is the checked center type of the certifier and the CLI.
+sets the covering code takes as input.  Every point is a plain
+coordinate tuple: a cube vertex, a sandwich point, a facet-set point,
+and a center of the certifier.
 
-All integer arithmetic is exact.  A ``LatticePoint`` checks its
-coordinates when it is built, through ``checked_coordinates``: each
-must be an ``int`` in the signed 64-bit range, so results stay portable
-to fixed-width consumers.  ``lattice_from_json`` only turns the
-constructor's errors into ValueError, and a certifier window trusts the
-centers it is given.  Points built inside are not checked: cube
-vertices, sandwich points and facet sets are built from 0/1 tuples, and
-their constructors trust what the enumeration has just filtered.
+All integer arithmetic is exact.  A center row read from outside goes
+through ``checked_coordinates`` once: each coordinate must be an
+``int`` in the signed 64-bit range, so results stay portable to
+fixed-width consumers, and a certifier window trusts the centers it is
+given.  Points built inside are not checked: cube vertices, sandwich
+points and facet sets are built from 0/1 tuples, and their constructors
+trust what the enumeration has just filtered.
 """
 from __future__ import annotations
 
@@ -26,47 +25,28 @@ from typing import Iterable, Iterator
 _COORD_BOUND = 2**63
 
 
-class CoordinateOverflowError(OverflowError):
-    """A coordinate left the signed 64-bit range the toolkit guarantees."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live in different ambient dimensions."""
-
-
-def checked_coordinates(values: Iterable[int]) -> tuple[int, ...]:
-    """The values as a coordinate tuple.  Raises TypeError unless each is
-    an ``int`` (a ``bool`` is not), and CoordinateOverflowError unless
-    each lies in the signed 64-bit range."""
-    coords = tuple(values)
+def checked_coordinates(row: Iterable[int]) -> tuple[int, ...]:
+    """The row as a coordinate tuple, the one checked reader of a center.
+    Raises ValueError naming the row unless it is iterable and each value
+    is an ``int`` (a ``bool`` is not) in the signed 64-bit range."""
+    try:
+        coords = tuple(row)
+    except TypeError as err:
+        raise ValueError(f"bad lattice point {row!r}: {err}") from None
     for v in coords:
         if type(v) is not int:
-            raise TypeError(f"lattice coordinate {v!r} is not an int")
-        if not -_COORD_BOUND <= v < _COORD_BOUND:
-            raise CoordinateOverflowError(
-                f"coordinate {v} outside the signed 64-bit range"
-            )
+            problem = f"lattice coordinate {v!r} is not an int"
+        elif not -_COORD_BOUND <= v < _COORD_BOUND:
+            problem = f"coordinate {v} outside the signed 64-bit range"
+        else:
+            continue
+        raise ValueError(f"bad lattice point {row!r}: {problem}")
     return coords
 
 
-@dataclass(frozen=True, slots=True)
-class LatticePoint:
-    """An immutable integer vector: the checked center type of the
-    certifier and the CLI.  The constructor reads ``coords`` through
-    ``checked_coordinates``, so a bool, a float or a value outside the
-    signed 64-bit range raises there and nowhere later."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", checked_coordinates(self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def norm_inf(self) -> int:
-        return max((abs(a) for a in self.coords), default=0)
+# The benchmark's witness gate (bench/workloads.py) reads its centers
+# through this name.
+LatticePoint = checked_coordinates
 
 
 def cube_points(k: int) -> Iterator[tuple[int, ...]]:
@@ -125,7 +105,7 @@ def sandwich_contains(k: int, s: int, point: tuple[int, ...]) -> bool:
 def sigma0(point: tuple[int, ...]) -> tuple[int, int]:
     """Project (x0, x1, ..., xk) to (x0, x1 + ... + xk)."""
     if not point:
-        raise DimensionMismatchError("projection needs at least one coordinate")
+        raise ValueError("projection needs at least one coordinate")
     return point[0], sum(point[1:])
 
 
@@ -215,15 +195,6 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
 def points_to_json(points: Iterable[tuple[int, ...]]) -> list[list[int]]:
     """Deterministic JSON form: sorted list of coordinate arrays."""
     return sorted([list(p) for p in points])
-
-
-def lattice_from_json(row: Iterable[int]) -> LatticePoint:
-    """One coordinate row read from JSON through the ``LatticePoint``
-    constructor, whose TypeError or overflow becomes ValueError."""
-    try:
-        return LatticePoint(row)
-    except (TypeError, OverflowError) as err:
-        raise ValueError(f"bad lattice point {row!r}: {err}") from err
 
 
 def sandwich_to_json(k: int, s: int, points: frozenset[tuple[int, ...]]) -> dict:

@@ -18,16 +18,12 @@ from centerpole.certifier import (
     decide_k_colorable,
     verify_witness,
 )
-from centerpole.cube import (
-    DimensionMismatchError,
-    LatticePoint,
-    build_sandwich,
-)
+from centerpole.cube import build_sandwich
 
 
 def sandwich_centers(k, s):
     """The (k, s) sandwich in sorted order, as certifier centers."""
-    return tuple(LatticePoint(p) for p in sorted(build_sandwich(k, s)))
+    return tuple(sorted(build_sandwich(k, s)))
 
 
 def plus(a, b):
@@ -69,15 +65,15 @@ CYCLE5_WITH_TREE = [(0, 1), (1, 2), (2, 3), (2, 4)] + [
 class TestWindowSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowSpec(dim=0, outer=1, inner=0, centers=(LatticePoint(()),))
+            WindowSpec(dim=0, outer=1, inner=0, centers=((),))
         with pytest.raises(ValueError):
-            WindowSpec(dim=1, outer=1, inner=1, centers=(LatticePoint((0,)),))
+            WindowSpec(dim=1, outer=1, inner=1, centers=((0,),))
         with pytest.raises(ValueError):
             WindowSpec(dim=1, outer=2, inner=0, centers=())
         with pytest.raises(ValueError):
-            WindowSpec(dim=1, outer=2, inner=0, centers=(LatticePoint((5,)),))
-        with pytest.raises(DimensionMismatchError):
-            WindowSpec(dim=2, outer=2, inner=0, centers=(LatticePoint((0,)),))
+            WindowSpec(dim=1, outer=2, inner=0, centers=((5,),))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            WindowSpec(dim=2, outer=2, inner=0, centers=((0,),))
 
     def test_a_window_checks_its_outer_bound_and_no_center(self, monkeypatch):
         centers = sandwich_centers(2, 0)
@@ -99,7 +95,7 @@ class TestWindowSpec:
 
     def test_shifted_window_admits_shifted_centers(self):
         # the window about 9 with center 10 is the window of center 1
-        spec = WindowSpec(dim=1, outer=3, inner=0, centers=(LatticePoint((1,)),))
+        spec = WindowSpec(dim=1, outer=3, inner=0, centers=((1,),))
         graph = build_symmetry_graph(spec)
         points, edges = reference_symmetry_graph(spec, ((10,),), (9,))
         assert list(points) == [(6,), (7,), (8,), (10,), (11,), (12,)]
@@ -108,27 +104,23 @@ class TestWindowSpec:
 
 class TestGraphConstruction:
     def test_single_center_line_window(self):
-        spec = WindowSpec(dim=1, outer=2, inner=0, centers=(LatticePoint((0,)),))
+        spec = WindowSpec(dim=1, outer=2, inner=0, centers=((0,),))
         graph = build_symmetry_graph(spec)
-        points, _ = reference_symmetry_graph(
-            spec, [c.coords for c in spec.centers], (0,)
-        )
+        points, _ = reference_symmetry_graph(spec, spec.centers, (0,))
         assert list(points) == [(-2,), (-1,), (1,), (2,)]
         assert graph.edges == ((0, 3), (1, 2))
         assert graph.vertex_count == 4 and graph.edge_count == 2
 
     def test_annulus_excludes_the_inner_ball(self):
-        spec = WindowSpec(dim=2, outer=2, inner=1, centers=(LatticePoint((0, 0)),))
+        spec = WindowSpec(dim=2, outer=2, inner=1, centers=((0, 0),))
         graph = build_symmetry_graph(spec)
-        points, _ = reference_symmetry_graph(
-            spec, [c.coords for c in spec.centers], (0, 0)
-        )
+        points, _ = reference_symmetry_graph(spec, spec.centers, (0, 0))
         assert all(max(map(abs, v)) == 2 for v in points)
         assert graph.vertex_count == 5**2 - 3**2
 
     def test_mirrors_landing_outside_create_no_edge(self):
         # center at the window edge: most mirrors leave the annulus
-        spec = WindowSpec(dim=1, outer=2, inner=0, centers=(LatticePoint((2,)),))
+        spec = WindowSpec(dim=1, outer=2, inner=0, centers=((2,),))
         graph = build_symmetry_graph(spec)
         assert graph.edges == ()
 
@@ -175,7 +167,7 @@ def translated_windows(draw):
         dim=dim,
         outer=outer,
         inner=inner,
-        centers=tuple(LatticePoint(c) for c in centers),
+        centers=tuple(centers),
     )
     return spec, z
 
@@ -185,16 +177,7 @@ class TestFlatIndexBuild:
     @example(
         # mirror centers on the boundary of a window about (5, -3)
         (
-            WindowSpec(
-                dim=2,
-                outer=3,
-                inner=1,
-                centers=(
-                    LatticePoint((3, 0)),
-                    LatticePoint((-3, 3)),
-                    LatticePoint((3, 3)),
-                ),
-            ),
+            WindowSpec(dim=2, outer=3, inner=1, centers=((3, 0), (-3, 3), (3, 3))),
             (5, -3),
         )
     )
@@ -204,7 +187,7 @@ class TestFlatIndexBuild:
         spec, z = window
         graph = build_symmetry_graph(spec)
         points, edges = reference_symmetry_graph(
-            spec, [plus(c.coords, z) for c in spec.centers], z
+            spec, [plus(c, z) for c in spec.centers], z
         )
         assert (graph.vertex_count, graph.edges) == (len(points), edges)
 
@@ -436,7 +419,7 @@ class TestTranslationInvariance:
         for inner in (1, 2):
             spec = WindowSpec(dim=2, outer=inner + 3, inner=inner, centers=centers)
             points, edges = reference_symmetry_graph(
-                spec, [plus(c.coords, shift) for c in centers], shift
+                spec, [plus(c, shift) for c in centers], shift
             )
             moved = SymmetryGraph(vertex_count=len(points), edges=edges)
             a = decide_k_colorable(build_symmetry_graph(spec), 2)
@@ -448,7 +431,7 @@ class TestTranslationInvariance:
 
 class TestSchedule:
     def test_single_center_is_forced_for_one_color(self):
-        report = certify_schedule([LatticePoint((0,))], 1, [1])
+        report = certify_schedule([(0,)], 1, [1])
         assert isinstance(report, ScheduleReport)
         assert report.dim == 1 and report.k == 1
         row = report.rows[0]
@@ -467,14 +450,12 @@ class TestSchedule:
         assert [row.outer for row in report.rows] == [9, 12, 15]
 
     def test_colorable_pair_of_centers(self):
-        centers = [LatticePoint((0, 0)), LatticePoint((3, 0))]
+        centers = [(0, 0), (3, 0)]
         report = certify_schedule(centers, 2, [1], r_factor=1)
         row = report.rows[0]
         assert row.verdict.kind is VerdictKind.COLORABLE
         assert row.proved_at_outer == row.outer == 5
-        spec = WindowSpec(
-            dim=2, outer=5, inner=1, centers=tuple(centers)
-        )
+        spec = WindowSpec(dim=2, outer=5, inner=1, centers=tuple(centers))
         graph = build_symmetry_graph(spec)
         assert verify_witness(graph, 2, row.verdict.witness)
 
@@ -492,7 +473,7 @@ class TestSchedule:
         monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
         for r_list in ([], iter(())):
             with pytest.raises(ValueError, match="at least one inner radius is required"):
-                certify_schedule([LatticePoint((0,))], 1, r_list)
+                certify_schedule([(0,)], 1, r_list)
         assert built == []
 
     def test_refuses_a_color_count_below_one_before_building_any(self, monkeypatch):
@@ -500,7 +481,7 @@ class TestSchedule:
         monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
         for k in (0, -1):
             with pytest.raises(ValueError, match="color count must be positive"):
-                certify_schedule([LatticePoint((0, 0))], k, [40])
+                certify_schedule([(0, 0)], k, [40])
         assert built == []
 
     def test_refuses_a_negative_inner_radius_before_building_any(self, monkeypatch):
@@ -512,37 +493,37 @@ class TestSchedule:
 
     def test_rejects_r_factor_below_one(self):
         with pytest.raises(ValueError, match="R factor"):
-            certify_schedule([LatticePoint((0,))], 1, [1], r_factor=0)
+            certify_schedule([(0,)], 1, [1], r_factor=0)
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            certify_schedule([LatticePoint((0,))], 1, [1], budget=-1)
+            certify_schedule([(0,)], 1, [1], budget=-1)
 
     def test_refuses_a_large_window_before_building_any(self, monkeypatch):
         built = []
         monkeypatch.setattr(certifier, "build_symmetry_graph", built.append)
         # R = 3 * (1000 + 0 + 1): 6007^2 points; the small row comes first
         with pytest.raises(ValueError, match="outer radius 3003 in dimension 2"):
-            certify_schedule([LatticePoint((0, 0))], 2, [1, 1000])
+            certify_schedule([(0, 0)], 2, [1, 1000])
         assert built == []
 
 
 # Forced at outer 6, 7, 8 for r = 1, 2, 3 with k = 2, while the escalation
 # starts at outer 4, 5, 6: the smallest Forced window lies above the first
 # two galloping probes, so it is found by bisection.
-LATE_FORCED = [LatticePoint((-1, -1)), LatticePoint((-1, 0)), LatticePoint((1, 2))]
+LATE_FORCED = [(-1, -1), (-1, 0), (1, 2)]
 
 
 def linear_schedule(centers, k, r_list, r_factor=3):
     """Scan every outer radius from r + max norm + 1 up to R and stop at
     the first Forced window: the order the galloping search must match."""
-    max_norm = max(c.norm_inf() for c in centers)
+    max_norm = max(max(map(abs, c)) for c in centers)
     rows = []
     for r in r_list:
         outer = r_factor * (r + max_norm + 1)
         for trial in range(r + max_norm + 1, outer + 1):
             spec = WindowSpec(
-                dim=centers[0].dim, outer=trial, inner=r, centers=tuple(centers)
+                dim=len(centers[0]), outer=trial, inner=r, centers=tuple(centers)
             )
             verdict = certifier.decide_k_colorable(
                 certifier.build_symmetry_graph(spec), k
@@ -582,35 +563,16 @@ class TestGallopingEscalation:
     @pytest.mark.parametrize(
         "centers,k,r_list,r_factor",
         [
-            ([LatticePoint((0,))], 1, [0, 1, 2], 3),
-            ([LatticePoint((0, 0))], 1, [1], 3),
+            ([(0,)], 1, [0, 1, 2], 3),
+            ([(0, 0)], 1, [1], 3),
             (sandwich_centers(1, -1), 2, [1, 2, 3], 3),
             (LATE_FORCED, 2, [1, 2, 3], 3),
-            ([LatticePoint((0, 0)), LatticePoint((3, 0))], 2, [1, 2], 2),
-            (
-                [LatticePoint((0,)), LatticePoint((1,)), LatticePoint((3,))],
-                2,
-                [0, 1, 2],
-                3,
-            ),
-            (
-                [
-                    LatticePoint((-1, -1, -1)),
-                    LatticePoint((0, -1, 0)),
-                    LatticePoint((0, 1, 1)),
-                ],
-                2,
-                [0, 1, 2],
-                3,
-            ),
-            ([LatticePoint((0, 0, 0)), LatticePoint((1, 1, 1))], 2, [0, 1], 2),
+            ([(0, 0), (3, 0)], 2, [1, 2], 2),
+            ([(0,), (1,), (3,)], 2, [0, 1, 2], 3),
+            ([(-1, -1, -1), (0, -1, 0), (0, 1, 1)], 2, [0, 1, 2], 3),
+            ([(0, 0, 0), (1, 1, 1)], 2, [0, 1], 2),
             (LATE_FORCED, 3, [1], 3),
-            (
-                [LatticePoint((0, 0)), LatticePoint((2, 1)), LatticePoint((1, 3))],
-                3,
-                [0, 1],
-                2,
-            ),
+            ([(0, 0), (2, 1), (1, 3)], 3, [0, 1], 2),
         ],
     )
     def test_matches_the_linear_scan(self, centers, k, r_list, r_factor):
@@ -630,9 +592,7 @@ class TestGallopingEscalation:
         assert row.windows_solved == len(solved)
 
     def test_colorable_rows_with_two_colors_solve_three_windows(self, solved):
-        report = certify_schedule(
-            [LatticePoint((0, 0)), LatticePoint((3, 0))], 2, [1, 4]
-        )
+        report = certify_schedule([(0, 0), (3, 0)], 2, [1, 4])
         assert [row.verdict.kind for row in report.rows] == [VerdictKind.COLORABLE] * 2
         assert [row.proved_at_outer for row in report.rows] == [15, 24]
         # start and start + 1, then the full window R, which settles the row
@@ -663,12 +623,7 @@ class TestGallopingEscalation:
     def test_rows_with_three_colors_never_solve_the_full_window_early(self, solved):
         # a SAT window can cost more than the gallop below it, so R is
         # solved only when the gallop reaches it
-        report = certify_schedule(
-            [LatticePoint((0, 0)), LatticePoint((2, 1)), LatticePoint((1, 3))],
-            3,
-            [0],
-            r_factor=2,
-        )
+        report = certify_schedule([(0, 0), (2, 1), (1, 3)], 3, [0], r_factor=2)
         (row,) = report.rows
         assert row.verdict.kind is VerdictKind.COLORABLE
         assert solved == [4, 5, 7, 8]

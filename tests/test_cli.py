@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerpole import certifier, cli, covering, geometry
+from centerpole import certifier, cli, covering, cube, geometry
 from centerpole.certifier import MAX_WINDOW_POINTS
 from centerpole.cli import (
     MAX_COVER_K,
@@ -494,6 +494,38 @@ class TestCertifyCommand:
         assert row["outer"] == 5
         assert row["provedAtOuter"] == 5
         assert row["witness"] is not None
+
+    def test_each_center_row_is_checked_once(self, tmp_path, monkeypatch, capsys):
+        # the CLI reads each row of the file once; the certifier adds one
+        # call per window solved, for its +-outer, and none per center
+        rows = [[0, 0], [3, 0], [-1, 2], [2, -2]]
+        path = tmp_path / "centers.json"
+        path.write_text(json.dumps(rows))
+        read = cube.checked_coordinates
+        calls = {cli: [], certifier: []}
+        for module, seen in calls.items():
+            monkeypatch.setattr(
+                module,
+                "checked_coordinates",
+                lambda values, seen=seen: seen.append(values) or read(values),
+            )
+        built = []
+        build = certifier.build_symmetry_graph
+        monkeypatch.setattr(
+            certifier,
+            "build_symmetry_graph",
+            lambda spec: built.append(spec.outer) or build(spec),
+        )
+        code, doc = run_json(
+            ["certify", "--dim", "2", "--colors", "2", "--centers", str(path),
+             "--r-list", "0,1"],
+            capsys,
+        )
+        assert code == 0
+        assert doc["result"]["centers"] == sorted(rows)
+        assert calls[cli] == rows
+        assert calls[certifier] == [(-outer, outer) for outer in built]
+        assert len(built) >= 2
 
     def test_center_dimension_mismatch_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -20,7 +20,7 @@ from centerpole.colorings import (
     standard_simplex,
     symmetric_pair_scan,
 )
-from centerpole.cube import LatticePoint
+from centerpole.cube import checked_coordinates
 
 F = Fraction
 
@@ -753,10 +753,9 @@ class TestExactInputs:
     def test_fraction_strings_are_read_as_their_values(self):
         # "1/2" was refused when colorings kept its own exactness test
         assert cone(2)(("1/2", 0)) == cone(2)((F(1, 2), 0))
-        # a point is a tuple or a list; a LatticePoint gives its coords
-        with pytest.raises(TypeError, match="not LatticePoint"):
-            cone(2)(LatticePoint((1, 0)))
-        assert cone(2)(LatticePoint((1, 0)).coords) == cone(2)((1, 0))
+        # a point is a tuple or a list, as a checked center is
+        center = checked_coordinates([1, 0])
+        assert cone(2)(center) == cone(2)([1, 0]) == cone(2)((1, 0))
         for radius, text in (("1/2", "1/2"), (F(1, 10), "1/10"), (2, "2")):
             report = symmetric_pair_scan(cone(2), [(0, 0)], radius, 3, 1)
             assert report["innerRadius"] == text

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centerpole.certifier import WindowSpec
+from centerpole import cube
+from centerpole.certifier import WindowSpec, certify_schedule
 from centerpole.cli import parse_center_set
 from centerpole.cube import (
-    CoordinateOverflowError,
-    DimensionMismatchError,
-    LatticePoint,
     LShape,
     SigmaZeroSet,
     build_sandwich,
+    checked_coordinates,
     cube_points,
     enumerate_maximal_sigma0_sets,
-    lattice_from_json,
     points_to_json,
     profile_triple,
     sandwich_contains,
@@ -28,48 +26,57 @@ from centerpole.cube import (
 )
 
 
-class TestLatticePoint:
-    def test_arithmetic(self):
-        a = LatticePoint((1, -2, 3))
-        assert a.dim == 3
-        assert a.norm_inf() == 3
-        assert LatticePoint(()).norm_inf() == 0
+class TestCheckedCoordinates:
+    def test_a_center_is_its_coordinate_tuple(self):
+        # the one checked reader of a center returns a plain tuple; the
+        # benchmark reads it under a second name
+        center = checked_coordinates([1, -2, 3])
+        assert center == (1, -2, 3) and type(center) is tuple
+        assert checked_coordinates(()) == ()
+        assert cube.LatticePoint is checked_coordinates
+        # a window and a schedule read its dimension and max-norm
+        WindowSpec(dim=3, outer=3, inner=0, centers=(center,))
+        with pytest.raises(ValueError, match="outside the window"):
+            WindowSpec(dim=3, outer=2, inner=0, centers=(center,))
+        (row,) = certify_schedule([center], 1, [0]).rows
+        assert row.outer == 3 * (0 + 3 + 1)
 
     def test_dimension_mismatch(self):
         # points of two dimensions meet in a window's centers; the wrong
         # one is refused wherever it stands in the list
-        three = LatticePoint((1, 2, 3))
-        for centers in ((three,), (LatticePoint((1, 2)), three)):
-            with pytest.raises(DimensionMismatchError):
+        three = (1, 2, 3)
+        for centers in ((three,), ((1, 2), three)):
+            with pytest.raises(ValueError, match="wrong dimension"):
                 WindowSpec(dim=2, outer=3, inner=0, centers=centers)
 
     @pytest.mark.parametrize(
-        "bad,error",
-        [(True, TypeError), (2.0, TypeError), (2**63, CoordinateOverflowError)],
+        "bad,message",
+        [(True, "True is not an int"), (2.0, "2.0 is not an int"), (2**63, "64-bit")],
     )
-    def test_the_constructor_checks_each_coordinate(self, bad, error):
-        # a point is checked once, when it is built; a window trusts it
-        with pytest.raises(error):
-            LatticePoint((0, bad))
+    def test_the_reader_checks_each_coordinate(self, bad, message):
+        # a center is checked once, where it is read; a window trusts it
+        with pytest.raises(ValueError, match=f"bad lattice point .*{message}"):
+            checked_coordinates((0, bad))
 
     def test_word_size_bound(self):
         # checked where points enter; arithmetic on checked points is not
         edge = 2**63 - 1
-        assert LatticePoint((edge,)).coords == (edge,)
-        assert LatticePoint((-(2**63),)).coords == (-(2**63),)
-        with pytest.raises(CoordinateOverflowError):
-            LatticePoint((2**63,))
-        with pytest.raises(CoordinateOverflowError):
-            LatticePoint((-(2**63) - 1,))
-        assert lattice_from_json([edge, -(2**63)]) == LatticePoint((edge, -(2**63)))
-        with pytest.raises(ValueError, match="64-bit"):
-            lattice_from_json([0, 2**63])
+        assert checked_coordinates((edge,)) == (edge,)
+        assert checked_coordinates((-(2**63),)) == (-(2**63),)
+        for outside in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match="64-bit"):
+                checked_coordinates((outside,))
+        assert checked_coordinates([edge, -(2**63)]) == (edge, -(2**63))
+        # the message names the row
+        row_named = rf"^bad lattice point \[0, {2**63}\]: .*64-bit"
+        with pytest.raises(ValueError, match=row_named):
+            checked_coordinates([0, 2**63])
         with pytest.raises(ValueError, match="64-bit"):
             parse_center_set([[0, 2**63]])
         # the window reach: +-outer stays in range, as every center does
-        WindowSpec(dim=1, outer=edge, inner=0, centers=(LatticePoint((-edge,)),))
-        with pytest.raises(CoordinateOverflowError):
-            WindowSpec(dim=1, outer=2**63, inner=0, centers=(LatticePoint((0,)),))
+        WindowSpec(dim=1, outer=edge, inner=0, centers=((-edge,),))
+        with pytest.raises(ValueError, match="64-bit"):
+            WindowSpec(dim=1, outer=2**63, inner=0, centers=((0,),))
 
 
 def layer_sizes(k: int, s: int) -> tuple[int, int, int]:
@@ -208,7 +215,7 @@ class TestSandwich:
 class TestProjections:
     def test_sigma0(self):
         assert sigma0((-1, 1, 0, 1)) == (-1, 2)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="at least one coordinate"):
             sigma0(())
 
 
@@ -289,16 +296,14 @@ class TestJson:
         pts = frozenset({(1, -1), (0, 2)})
         data = points_to_json(pts)
         assert data == [[0, 2], [1, -1]]
-        assert {lattice_from_json(row) for row in data} == {
-            LatticePoint(p) for p in pts
-        }
+        assert {checked_coordinates(row) for row in data} == pts
 
     @pytest.mark.parametrize(
         "row", [[2.7, 0], [2.0, 0], ["5", 0], [True, 0], [None], 7, [[1]]]
     )
     def test_points_from_json_refuses_non_integers(self, row):
         with pytest.raises(ValueError, match="bad lattice point"):
-            [lattice_from_json(r) for r in ([0, 0], row)]
+            [checked_coordinates(r) for r in ([0, 0], row)]
 
     def test_sandwich_document(self):
         doc = sandwich_to_json(1, -1, build_sandwich(1, -1))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerpole import geometry
-from centerpole.cube import LatticePoint
+from centerpole.cube import checked_coordinates
 from centerpole.geometry import (
     affine_hull_dim,
     as_point,
@@ -60,13 +60,11 @@ class TestAsPoint:
         assert as_point(p) == p == (Fraction(1, 3), 2)
         assert as_point(list(p)) == p
 
-    def test_a_lattice_point_is_read_through_its_coords(self):
-        # geometry imports no other module, so a LatticePoint is refused
-        # like any other object; its checked coords read as themselves
-        lp = LatticePoint((1, -2, 3))
-        with pytest.raises(TypeError, match="not LatticePoint"):
-            as_point(lp)
-        assert as_point(lp.coords) == lp.coords
+    def test_a_checked_center_reads_as_itself(self):
+        # a certifier center is the tuple checked_coordinates returns, so
+        # geometry reads it without importing cube
+        center = checked_coordinates([1, -2, 3])
+        assert as_point(center) == center == (1, -2, 3)
 
     @pytest.mark.parametrize("value", ["12", {"a": 1}, 0.5, True, None])
     def test_refuses_anything_but_a_tuple_or_list(self, value):
@@ -449,9 +447,9 @@ class TestLeafModule:
 
     def test_the_detector_sees_each_form(self):
         for source in (
-            "from .cube import LatticePoint",
+            "from .cube import checked_coordinates",
             "from . import cube",
-            "from centerpole.cube import LatticePoint",
+            "from centerpole.cube import checked_coordinates",
             "import centerpole.cube",
             "import centerpole",
         ):

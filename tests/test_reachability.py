@@ -1,11 +1,14 @@
-"""Every public top-level function and class of the package is reached.
+"""Every public top-level function, class and alias of the package is reached.
 
-A name counts as reached when some other top-level statement of a file
-under src/, scripts/ or bench/ refers to it: as a name, an attribute, a
-``from ... import`` name, or a string that a call looks up on an object,
-as ``getattr(obj, "name")`` and the benchmark's ``wrap(obj, "name", ...)``
-do.  The package's ``__init__.py`` does not count, since a re-export
-calls nothing.  A helper that only tests reach should be deleted.
+An alias is a top-level assignment of one name to another
+(``NAME = other``); it is kept only for its readers, so it must be
+reached like a definition.  A name counts as reached when some other
+top-level statement of a file under src/, scripts/ or bench/ refers to
+it: as a name, an attribute, a ``from ... import`` name, or a string
+that a call looks up on an object, as ``getattr(obj, "name")`` and the
+benchmark's ``wrap(obj, "name", ...)`` do.  The package's
+``__init__.py`` does not count, since a re-export calls nothing.  A
+helper that only tests reach should be deleted.
 
 Likewise every name that a package module imports at top level is read
 in that module; ``from __future__`` imports are exempt.
@@ -57,12 +60,23 @@ def _sources() -> list[Path]:
     ]
 
 
-def _public_definitions(path: Path) -> list[ast.AST]:
+def _defined_names(node: ast.AST) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or
+    an alias ``NAME = other``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return []
+
+
+def _public_definitions(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of each public definition or alias."""
     return [
-        node
+        (name, node.lineno)
         for node in _parse(path).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        for name in _defined_names(node)
+        if not name.startswith("_")
     ]
 
 
@@ -78,12 +92,11 @@ def test_every_public_definition_is_reached():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for definition in _public_definitions(path):
-            name = definition.name
+        for name, line in _public_definitions(path):
             if not any(
                 name in names
                 for where, node, names in statements
-                if not (where == path and getattr(node, "name", None) == name)
+                if not (where == path and node.lineno == line)
             ):
                 unreached.append(f"{path.name}:{name}")
     assert unreached == []

@@ -108,6 +108,8 @@ class TestTShapeSurveyRefusals:
             (["--dims", "x"], "--dims must list integers, got 'x'"),
             (["--dims", "2,3.5"], "--dims must list integers"),
             (["--dims", ","], "--dims must name at least one dimension"),
+            (["--dims", "2,2"], "--dims names 2 more than once"),
+            (["--dims", "4,3,2,3,4"], "--dims names 3, 4 more than once"),
             (["--trials", "-3"], "--trials must be from 0 to 1024, got -3"),
             (["--trials", "1025"], "--trials must be from 0 to 1024, got 1025"),
             (["--trials", "1000000000"], "--trials must be from 0 to 1024"),
@@ -208,7 +210,7 @@ class TestCertifierEvidence4d:
         calls = []
 
         def schedule(centers, k, r_list, r_factor=3, budget=0):
-            if centers[0].dim < 4:
+            if len(centers[0]) < 4:
                 return real(centers, k, r_list, r_factor=r_factor, budget=budget)
             calls.append((len(centers), k, r_list, r_factor))
             stats = SearchStats(vertices=6480, edges=1, decisions=7, conflicts=5)
@@ -238,7 +240,7 @@ class TestCertifierEvidence4d:
         real = evidence.certify_schedule
 
         def schedule(centers, *args, **kwargs):
-            assert centers[0].dim < 4, "the 4D nucleus ran"
+            assert len(centers[0]) < 4, "the 4D nucleus ran"
             return real(centers, *args, **kwargs)
 
         monkeypatch.setattr(evidence, "certify_schedule", schedule)
