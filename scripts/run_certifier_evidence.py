@@ -4,8 +4,8 @@ Four center families, smallest to hardest: a single center forced with
 one color in dimensions 1 to 3, a generic two-point family that stays
 colorable, and the two sandwich nuclei whose windows are forced with 2
 and 3 colors.  With --with-4d, also the 12-point nucleus sandwich(3,1)
-in Z^4 with 4 colors, expected Forced at outer radius 4 (4 to 6 s of
-search on two cores).  Emits one JSON document with verdicts, proof
+in Z^4 with 4 colors, expected Forced at outer radius 4 (under half a
+second of search on two cores).  Emits one JSON document with verdicts, proof
 windows, decision and conflict counts, and the windows solved per row.
 Exit code 1 if any case misses its expected verdict, 2 with one
 ``error:`` line if --out cannot be written; a negative --budget exits 2

@@ -17,8 +17,11 @@ the window with no monochromatic mirror pair, so:
 * ``Unknown`` - the decision budget ran out before either answer.
 
 Each window is decided by one route, chosen by k: a BFS parity check
-for k = 2, and otherwise the clause-learning engine in ``sat`` on the
-core left after peeling vertices of degree below k.  For k = 2 the
+for k = 2, and otherwise the clause-learning engine in ``sat`` on each
+component's k-core.  One smallest-last pass peels the vertices of
+degree below k and numbers the core from its dense end; the engine
+branches first in that numbering, with a clique pinned to distinct
+colors as a color-symmetry premise.  For k = 2 the
 parity is checked once, by ``verify_witness``, and that check decides
 the window.  The budget counts that engine's decisions only, so k <= 2
 never gives Unknown.
@@ -36,6 +39,7 @@ only from the full window.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -51,6 +55,22 @@ DEFAULT_BUDGET = 5_000_000
 # memory in proportion to its points, so a larger one is refused before
 # any window is built.
 MAX_WINDOW_POINTS = 2**18
+
+
+def check_window_size(dim: int, outer: int, at_least: bool = False) -> None:
+    """Refuse, with ValueError, a largest window of more than
+    MAX_WINDOW_POINTS points: (2 outer + 1)^dim for outer > 0, multiplied
+    out only until it passes the limit, so a large dim costs no large
+    power.  ``at_least`` words the outer radius as a lower bound."""
+    points = 1
+    for _ in range(dim if outer > 0 else 0):
+        points *= 2 * outer + 1
+        if points > MAX_WINDOW_POINTS:
+            radius = f"at least {outer}" if at_least else outer
+            raise ValueError(
+                f"the largest window, outer radius {radius} in dimension {dim}, "
+                f"has more than the limit of {MAX_WINDOW_POINTS} points"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,31 +203,87 @@ def verify_witness(graph: SymmetryGraph, k: int, witness: Sequence[int]) -> bool
     return all(witness[a] != witness[b] for a, b in graph.edges)
 
 
+def _smallest_last(
+    adj: list[list[int]], comp: list[int], k: int
+) -> tuple[list[int], list[int]]:
+    """Split comp into (core numbering, peel order) by one smallest-last
+    pass (Matula & Beck 1983): remove a vertex of least remaining degree,
+    ties to the lowest vertex, until none is left.  The vertices removed
+    while that degree is below k are the peel: each has fewer than k
+    neighbours left, so it can always be colored last, in reverse removal
+    order.  What is left then has least degree k or more, the k-core, and
+    the rest of the removal order, reversed, numbers it from its dense
+    end; that is the order smallest-last gives the core alone.  A
+    component is closed under adjacency, so every neighbour of a vertex
+    of comp is in comp."""
+    deg = {v: len(adj[v]) for v in comp}
+    # bucket[d] is a heap of vertices filed at degree d, so it pops the
+    # lowest; an entry whose vertex has gone or lost a neighbour since is
+    # stale.  Filing comp in increasing order makes each list a heap.
+    bucket: list[list[int]] = [[] for _ in range(max(deg.values()) + 1)]
+    for v in sorted(comp):
+        bucket[deg[v]].append(v)
+    order: list[int] = []
+    peeled = d = 0
+    while len(order) < len(comp):
+        while not bucket[d]:
+            d += 1
+        v = heapq.heappop(bucket[d])
+        if deg[v] != d:
+            continue
+        if d < k and peeled == len(order):
+            peeled += 1
+        deg[v] = -1
+        order.append(v)
+        for u in adj[v]:
+            du = deg[u]
+            if du > 0:
+                deg[u] = du - 1
+                heapq.heappush(bucket[du - 1], u)
+        d = max(d - 1, 0)  # removing v lowers a degree by one at most
+    return order[peeled:][::-1], order[:peeled]
+
+
 def _cdcl_core(
     adj: list[list[int]], core: list[int], k: int, budget: int
 ) -> tuple[list[int] | None, int, int, bool]:
     """Decide k-colorability of a core with the clause-learning engine.
 
-    Returns (colors or None, decisions, conflicts, budget exhausted).
-    Encoding: one boolean per vertex-color pair, at-least-one color per
-    vertex, difference clauses per edge and color.  Multiple true
-    colors on a vertex are harmless; decoding takes the lowest.  The
-    first vertex is pinned to color 0 since colors are interchangeable.
+    Returns (colors or None, decisions, conflicts, budget exhausted), the
+    colors in ``core`` order.  Variable block i belongs to core[i], so
+    the numbering is the engine's first branching order: it breaks
+    activity ties by the lowest variable.  Encoding: one boolean per
+    vertex-color pair, at-least-one color per vertex, difference clauses
+    per edge and color.  Multiple true colors on a vertex are harmless;
+    decoding takes the lowest.
+
+    A clique is pinned to colors 0, 1, ...: it starts at core[0] and
+    grows by the lowest-numbered common neighbour, up to k vertices.
+    Colors are interchangeable and the pinned vertices pairwise
+    adjacent, so any proper coloring permutes to one that meets the pin:
+    the pin is a symmetry premise (Van Gelder 2008), not a consequence
+    of the clauses.
     """
     index = {v: i for i, v in enumerate(core)}
+    nbrs = [[index[u] for u in adj[v] if u in index] for v in core]
     solver = sat.Solver(len(core) * k)
     for i in range(len(core)):
         solver.add_clause([sat.lit_of(i * k + c, True) for c in range(k)])
-    for v in core:
-        i = index[v]
-        for u in adj[v]:
-            j = index.get(u)
-            if j is not None and j > i:
+    for i, row in enumerate(nbrs):
+        for j in row:
+            if j > i:
                 for c in range(k):
                     solver.add_clause(
                         [sat.lit_of(i * k + c, False), sat.lit_of(j * k + c, False)]
                     )
-    solver.add_clause([sat.lit_of(0, True)])
+    clique = [0]
+    common = set(nbrs[0])
+    while common and len(clique) < k:
+        j = min(common)
+        clique.append(j)
+        common.intersection_update(nbrs[j])
+    for c, i in enumerate(clique):
+        solver.add_clause([sat.lit_of(i * k + c, True)])
     res = solver.solve(decision_budget=budget)
     if not res:
         return None, solver.decisions, solver.conflicts, res is None
@@ -216,30 +292,6 @@ def _cdcl_core(
     for i in range(len(core)):
         colors.append(next(c for c in range(k) if model[i * k + c]))
     return colors, solver.decisions, solver.conflicts, False
-
-
-def _peel(adj: list[list[int]], comp: list[int], k: int) -> tuple[list[int], list[int]]:
-    """Split comp into (core, peel order): vertices with degree < k inside
-    the shrinking graph can always be colored last.  A component is
-    closed under adjacency, so every neighbour of a vertex of comp is in
-    comp."""
-    deg = {v: len(adj[v]) for v in comp}
-    removed: list[int] = []
-    queue = [v for v in comp if deg[v] < k]
-    gone: set[int] = set()
-    while queue:
-        v = queue.pop()
-        if v in gone:
-            continue
-        gone.add(v)
-        removed.append(v)
-        for u in adj[v]:
-            if u not in gone:
-                deg[u] -= 1
-                if deg[u] < k:
-                    queue.append(u)
-    core = [v for v in comp if v not in gone]
-    return core, removed
 
 
 def decide_k_colorable(
@@ -251,7 +303,8 @@ def decide_k_colorable(
     graph is 2-colorable exactly when no edge joins equal parities, so the
     parity is the witness and ``verify_witness`` on it is the decision.
     Otherwise each component, largest first (ties by lowest vertex), is
-    peeled and its core, if any, goes to the clause-learning engine; the
+    split by ``_smallest_last`` and its core, if any, goes to the
+    clause-learning engine in that numbering (``_cdcl_core``); the
     first component with no proper coloring makes the window Forced, and
     the rest are not solved.  A Colorable window solves every component,
     each on its own solver, so its witness and summed counts do not
@@ -303,7 +356,7 @@ def decide_k_colorable(
         comps.sort(key=lambda c: (-len(c), c[0]))
         witness = [-1] * n
         for comp in comps:
-            core, peeled = _peel(adj, comp, k)
+            core, peeled = _smallest_last(adj, comp, k)
             if core:
                 got, spent, clashes, exhausted = _cdcl_core(
                     adj, core, k, budget - decisions
@@ -414,12 +467,7 @@ def certify_schedule(
     dim = len(centers[0])
     max_norm = max((abs(a) for c in centers for a in c), default=0)
     outers = [r_factor * (r + max_norm + 1) for r in r_list]
-    largest = max(outers)
-    if largest > 0 and (2 * largest + 1) ** dim > MAX_WINDOW_POINTS:
-        raise ValueError(
-            f"the largest window, outer radius {largest} in dimension {dim}, "
-            f"has more than the limit of {MAX_WINDOW_POINTS} points"
-        )
+    check_window_size(dim, max(outers))
     by_inner: dict[int, ScheduleRow] = {}
     for r, outer in zip(r_list, outers):
         if r in by_inner:

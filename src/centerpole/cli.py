@@ -21,7 +21,12 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
-from .certifier import DEFAULT_BUDGET, ScheduleReport, certify_schedule
+from .certifier import (
+    DEFAULT_BUDGET,
+    ScheduleReport,
+    certify_schedule,
+    check_window_size,
+)
 from .colorings import (
     ColoringRule,
     cone_coloring,
@@ -376,6 +381,10 @@ def cmd_certify(
     r_factor: int = 3,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, dict]:
+    if r_list and r_factor >= 1:
+        # the largest window is smallest for centers of max-norm 0, so a
+        # schedule refused even then is refused before any center is read
+        check_window_size(dim, r_factor * (max(r_list) + 1), at_least=True)
     centers = parse_center_set(centers_text)
     dims = sorted({len(c) for c in centers})
     if len(dims) > 1:

@@ -1,7 +1,7 @@
 """Symmetry-window graphs, exact verdicts, schedules, DIMACS round trips."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +55,23 @@ PETERSEN = (
     + [(i, i + 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
 )
+# the Groetzsch graph (Mycielski's graph of the 5-cycle): triangle-free,
+# so a pinned clique has two vertices, and 4-chromatic, so its 3-color
+# refutation needs decisions
+GROETZSCH = (
+    CYCLE5
+    + [(5 + i, (i + 4) % 5) for i in range(5)]
+    + [(5 + i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 10) for i in range(5)]
+)
+# 3-colorable, but every 3-coloring gives 4 and 5 one color; they lie at
+# the dense end of the core numbering (6, 5, 4, ...), beside the pinned
+# edge 6-5, so a pin of three vertices that skipped the adjacency test
+# would call this graph Forced
+TWINS = [
+    (0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4),
+    (2, 3), (2, 6), (3, 5), (4, 6), (5, 6),
+]
 # a tree on 0..3 hangs off a 5-cycle on 4..8, so a walk from vertex 0
 # crosses the tree before it meets the odd cycle
 CYCLE5_WITH_TREE = [(0, 1), (1, 2), (2, 3), (2, 4)] + [
@@ -201,6 +218,149 @@ class TestWitnessVerification:
         assert not verify_witness(graph, 2, [0, 1, 0, 2])
 
 
+def components(adj):
+    """The connected components of an adjacency list, each in BFS order."""
+    comps, seen = [], set()
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for v in comp:
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        comps.append(comp)
+    return comps
+
+
+def reference_smallest_last(adj, vertices):
+    """The removal order of smallest-last on the subgraph induced by
+    vertices, by brute force, with each vertex's degree at its removal."""
+    left = set(vertices)
+    order, degrees = [], []
+    while left:
+        d, v = min((sum(u in left for u in adj[v]), v) for v in left)
+        order.append(v)
+        degrees.append(d)
+        left.remove(v)
+    return order, degrees
+
+
+def pinned_units(monkeypatch):
+    """Record the literal of each unit clause given to any solver; in a
+    k-color core, literal l sets color c of block i for
+    ``divmod(l >> 1, k) == (i, c)``."""
+    units = []
+    add = certifier.sat.Solver.add_clause
+
+    def spy(solver, lits):
+        lits = list(lits)
+        if len(lits) == 1:
+            units.append(lits[0])
+        add(solver, lits)
+
+    monkeypatch.setattr(certifier.sat.Solver, "add_clause", spy)
+    return units
+
+
+class TestCoreNumbering:
+    @pytest.mark.parametrize(
+        "dim,outer,k,centers",
+        [(3, 4, 3, sandwich_centers(2, 0)), (2, 5, 2, sandwich_centers(1, -1))],
+    )
+    def test_the_numbering_is_a_smallest_last_order(self, dim, outer, k, centers):
+        graph = build_symmetry_graph(
+            WindowSpec(dim=dim, outer=outer, inner=1, centers=centers)
+        )
+        adj = graph.adjacency()
+        rng = random.Random(7)
+        cases = [(adj, comp) for comp in components(adj)]
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            edges = [e for e in product(range(n), repeat=2) if e[0] < e[1]]
+            some = graph_from_edges(n, rng.sample(edges, rng.randint(0, len(edges))))
+            cases += [(some.adjacency(), comp) for comp in components(some.adjacency())]
+        cored = 0
+        for adj, comp in cases:
+            core, peeled = certifier._smallest_last(adj, comp, k)
+            order, degrees = reference_smallest_last(adj, comp)
+            assert peeled + core[::-1] == order
+            # the peel is the run of removals below degree k, and the core
+            # numbering is smallest-last on the core alone, reversed
+            assert all(d < k for d in degrees[: len(peeled)])
+            assert not core or degrees[len(peeled)] >= k
+            assert reference_smallest_last(adj, core)[0] == core[::-1]
+            inside = set(core)
+            assert all(sum(u in inside for u in adj[v]) >= k for v in core)
+            cored += bool(core)
+        assert cored > 0
+
+    @pytest.mark.parametrize(
+        "graph,k,pins",
+        [
+            (graph_from_edges(4, K4), 3, [3]),
+            (graph_from_edges(11, GROETZSCH), 3, [2]),
+            (graph_from_edges(10, PETERSEN), 3, [2]),
+            (graph_from_edges(5, list(combinations(range(5), 2))), 4, [4]),
+            # each core of a window is pinned on its own solver
+            (
+                build_symmetry_graph(
+                    WindowSpec(dim=3, outer=3, inner=1, centers=sandwich_centers(2, 0))
+                ),
+                3,
+                [2, 2],
+            ),
+            (
+                build_symmetry_graph(
+                    WindowSpec(dim=4, outer=3, inner=1, centers=sandwich_centers(3, 1))
+                ),
+                4,
+                [2] * 11 + [3] + [2] * 3 + [3],
+            ),
+        ],
+        ids=["K4", "Groetzsch", "Petersen", "K5", "spatial-window", "4d-window"],
+    )
+    def test_the_pin_is_a_clique_grown_from_the_dense_end(
+        self, graph, k, pins, monkeypatch
+    ):
+        units = pinned_units(monkeypatch)
+        cliques = []
+        solve = certifier._cdcl_core
+
+        def spy(adj, core, k, budget):
+            before = len(units)
+            got = solve(adj, core, k, budget)
+            assert all(lit % 2 == 0 for lit in units[before:])  # each sets a color
+            pinned = [divmod(lit >> 1, k) for lit in units[before:]]
+            assert [c for _, c in pinned] == list(range(len(pinned)))
+            nbrs = [{core.index(u) for u in adj[v] if u in core} for v in core]
+            clique = [i for i, _ in pinned]
+            assert clique[0] == 0
+            for p in range(1, len(clique)):
+                common = set.intersection(*(nbrs[j] for j in clique[:p]))
+                assert clique[p] == min(common)
+            common = set.intersection(*(nbrs[j] for j in clique))
+            assert len(clique) == k or not common
+            cliques.append([core[i] for i in clique])
+            return got
+
+        monkeypatch.setattr(certifier, "_cdcl_core", spy)
+        verdict = decide_k_colorable(graph, k)
+        assert [len(clique) for clique in cliques] == pins
+        edges = set(graph.edges)
+        for clique in cliques:
+            assert all(pair in edges for pair in combinations(sorted(clique), 2))
+            if verdict.witness is not None:
+                assert [verdict.witness[v] for v in clique] == list(range(len(clique)))
+
+    def test_a_pinned_k_plus_one_clique_is_refuted_without_decisions(self):
+        verdict = decide_k_colorable(graph_from_edges(4, K4), 3)
+        assert verdict.kind is VerdictKind.FORCED
+        assert (verdict.stats.decisions, verdict.stats.conflicts) == (0, 0)
+
+
 class TestDecision:
     def test_rejects_nonpositive_color_count(self):
         with pytest.raises(ValueError):
@@ -226,6 +386,7 @@ class TestDecision:
             (K4, 4, 4, VerdictKind.COLORABLE),
             (PETERSEN, 10, 2, VerdictKind.FORCED),
             (PETERSEN, 10, 3, VerdictKind.COLORABLE),
+            (TWINS, 7, 3, VerdictKind.COLORABLE),
         ],
     )
     def test_known_graphs(self, edges, n, k, expected):
@@ -314,10 +475,15 @@ class TestDecision:
         assert verdict.stats.decisions == 0
 
     def test_budget_exhaustion_is_reported_not_guessed(self):
-        verdict = decide_k_colorable(graph_from_edges(4, K4), 3, budget=0)
-        assert verdict.kind is VerdictKind.UNKNOWN
-        assert verdict.witness is None
-        assert "budget" in verdict.detail
+        graph = graph_from_edges(11, GROETZSCH)
+        needed = decide_k_colorable(graph, 3).stats.decisions
+        assert needed > 0
+        for budget in (0, needed - 1):
+            verdict = decide_k_colorable(graph, 3, budget=budget)
+            assert verdict.kind is VerdictKind.UNKNOWN
+            assert verdict.witness is None
+            assert "budget" in verdict.detail
+        assert decide_k_colorable(graph, 3, budget=needed).kind is VerdictKind.FORCED
 
     def test_stats_reflect_the_graph(self):
         graph = graph_from_edges(5, CYCLE5)
@@ -326,10 +492,10 @@ class TestDecision:
         assert verdict.stats.edges == 5
         assert verdict.stats.decisions >= 0
 
-    def test_exhaustive_cross_check_on_random_graphs(self):
-        from itertools import product
-
+    def test_exhaustive_cross_check_on_random_graphs(self, monkeypatch):
+        units = pinned_units(monkeypatch)
         rng = random.Random(2024)
+        cases = []
         for _ in range(40):
             n = rng.randint(1, 7)
             density = rng.random()
@@ -339,8 +505,23 @@ class TestDecision:
                 for b in range(a + 1, n)
                 if rng.random() < density
             ]
+            cases.append((n, edges, (rng.randint(1, 3), 4)))
+        # a planted k-clique lets the pin grow to k vertices
+        for k in (3, 4):
+            for _ in range(30):
+                n = rng.randint(k, 8)
+                density = rng.random()
+                planted = combinations(sorted(rng.sample(range(n), k)), 2)
+                edges = sorted(
+                    set(planted)
+                    | {e for e in combinations(range(n), 2) if rng.random() < density}
+                )
+                cases.append((n, edges, (k,)))
+        widest_pins = set()
+        for n, edges, ks in cases:
             graph = graph_from_edges(n, edges)
-            for k in (rng.randint(1, 3), 4):
+            for k in ks:
+                before = len(units)
                 verdict = decide_k_colorable(graph, k)
                 brute = any(
                     all(colors[a] != colors[b] for a, b in edges)
@@ -354,6 +535,9 @@ class TestDecision:
                     assert verdict.stats.decisions == 0
                 if brute:
                     assert verify_witness(graph, k, verdict.witness)
+                colors = {(lit >> 1) % k for lit in units[before:]}
+                widest_pins.add((k, len(colors)))
+        assert {(3, 3), (4, 4)} <= widest_pins
 
     @pytest.mark.parametrize(
         "dim,k,centers",
@@ -369,23 +553,11 @@ class TestDecision:
             WindowSpec(dim=dim, outer=3, inner=1, centers=centers)
         )
         adj = graph.adjacency()
-        comps, seen = [], set()
-        for start in range(graph.vertex_count):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            for v in comp:
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-            comps.append(comp)
-        comps.sort(key=lambda c: (len(c), c[0]))
+        comps = sorted(components(adj), key=lambda c: (len(c), c[0]))
         witness = [-1] * graph.vertex_count
         decisions = conflicts = solved = 0
         for comp in comps:
-            core, peeled = certifier._peel(adj, comp, k)
+            core, peeled = certifier._smallest_last(adj, comp, k)
             if core:
                 got, spent, clashes, exhausted = certifier._cdcl_core(
                     adj, core, k, certifier.DEFAULT_BUDGET
@@ -1011,10 +1183,11 @@ class TestSatCore:
                 assert len(solver.trail) == num_vars
                 assert satisfied(solver.model())
 
-    def test_k4_with_three_colors_stays_forced(self):
-        # apart from one at-least-one clause per vertex, every clause of
-        # the encoding is binary and goes to the implication lists
-        verdict = decide_k_colorable(graph_from_edges(4, K4), 3)
+    def test_a_triangle_free_graph_with_three_colors_stays_forced(self):
+        # apart from one at-least-one clause per vertex and the pinned
+        # units, every clause of the encoding is binary and goes to the
+        # implication lists
+        verdict = decide_k_colorable(graph_from_edges(11, GROETZSCH), 3)
         assert verdict.kind is VerdictKind.FORCED
         assert verdict.witness is None
         assert verdict.stats.conflicts > 0
@@ -1074,7 +1247,7 @@ class TestSatCore:
             dim=3, outer=4, inner=1, centers=sandwich_centers(2, 0)
         )
         stats = decide_k_colorable(build_symmetry_graph(spec), 3).stats
-        assert (stats.decisions, stats.conflicts) == (112, 87)
+        assert (stats.decisions, stats.conflicts) == (17, 12)
         for max_learned, counts in ((4000, (881, 735)), (1, (1062, 834))):
             solver = pigeonhole_solver(7, 6)
             solver.max_learned = max_learned

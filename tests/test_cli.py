@@ -114,7 +114,9 @@ class TestSandwichCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["certify", "--dim", "41", "--colors", "2", "--centers", "sandwich(40,3)"],
+            # a --dim whose windows fit, so certify reads the centers: at
+            # --dim 41 it refuses the window before it reads the shorthand
+            ["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(40,3)"],
             ["coloring-scan", "--rule", '{"kind": "cone", "dim": 41}',
              "--centers", "sandwich(40,3)"],
         ],
@@ -591,8 +593,9 @@ class TestCertifyCommand:
         [
             ([[1000, 0]], [], 3006),
             ([[2**63 - 1, 0]], [], 3 * 2**63 + 3),
-            ([[0, 0]], ["--r-list", "1,300"], 903),
-            ([[0, 0, 0, 0]], ["--r-list", "9"], 30),
+            # refused before the centers are read, from their least max-norm
+            ([[0, 0]], ["--r-list", "1,300"], "at least 903"),
+            ([[0, 0, 0, 0]], ["--r-list", "9"], "at least 30"),
         ],
         ids=["far-center", "edge-center", "large-r", "dim-4"],
     )
@@ -616,6 +619,33 @@ class TestCertifyCommand:
             f"error: the largest window, outer radius {outer} in dimension {dim}, "
             f"has more than the limit of {MAX_WINDOW_POINTS} points\n"
         )
+
+    def test_a_schedule_too_large_at_max_norm_0_reads_no_center(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # R = 3 (1 + |c| + 1) >= 6, and 13^18 points are past the limit
+        # whatever the centers are, so neither the sandwich nor a centers
+        # file is read
+        def never(*args):
+            raise AssertionError("a center was read")
+
+        monkeypatch.setattr(cli, "bounded_sandwich", never)
+        monkeypatch.setattr(cli, "checked_coordinates", never)
+        for centers in ("sandwich(17,0)", str(tmp_path / "missing.json")):
+            code, out, err = run_cli(
+                ["certify", "--dim", "18", "--colors", "2", "--centers", centers,
+                 "--r-list", "1"],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: the largest window, outer radius at least 6 in dimension "
+                f"18, has more than the limit of {MAX_WINDOW_POINTS} points\n"
+            )
+        # a huge dimension is refused without its power being built
+        with pytest.raises(ValueError, match="outer radius at least 3 in dimension"):
+            cli.cmd_certify(10**12, 2, "sandwich(1,-1)", [0])
 
     def test_the_window_limit_boundary(self, monkeypatch):
         class Reached(Exception):

@@ -235,6 +235,20 @@ class TestCertifierEvidence4d:
         assert row["ok"] and doc["ok"]
         assert "seconds" in row
 
+    def test_the_4d_nucleus_is_forced_at_outer_4(self, capsys):
+        # the real schedule, certify_schedule(sandwich(3,1), 4, [1],
+        # r_factor=2): outer 3 is Colorable and outer 4 Forced on parity
+        # block 0
+        evidence = load_script("run_certifier_evidence")
+        assert evidence.main(["--skip-hard", "--with-4d"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        row = doc["cases"][-1]
+        assert row["name"] == "4d-nucleus"
+        assert row["verdicts"] == row["expected"] == ["Forced"]
+        assert row["provedAtOuter"] == [4]
+        assert row["windowsSolved"] == [2]
+        assert row["ok"] and doc["ok"]
+
     def test_without_the_flag_there_is_no_4d_row(self, monkeypatch, capsys):
         evidence = load_script("run_certifier_evidence")
         real = evidence.certify_schedule
