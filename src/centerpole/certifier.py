@@ -263,27 +263,27 @@ def _cdcl_core(
     adjacent, so any proper coloring permutes to one that meets the pin:
     the pin is a symmetry premise (Van Gelder 2008), not a consequence
     of the clauses.
+
+    The at-least-one, difference and pin clauses, in that order, are one
+    list, the whole formula the solver is built from.
     """
     index = {v: i for i, v in enumerate(core)}
     nbrs = [[index[u] for u in adj[v] if u in index] for v in core]
-    solver = sat.Solver(len(core) * k)
-    for i in range(len(core)):
-        solver.add_clause([sat.lit_of(i * k + c, True) for c in range(k)])
-    for i, row in enumerate(nbrs):
-        for j in row:
-            if j > i:
-                for c in range(k):
-                    solver.add_clause(
-                        [sat.lit_of(i * k + c, False), sat.lit_of(j * k + c, False)]
-                    )
+    clauses = [
+        [sat.lit_of(i * k + c, True) for c in range(k)] for i in range(len(core))
+    ]
+    clauses += [
+        [sat.lit_of(i * k + c, False), sat.lit_of(j * k + c, False)]
+        for i, row in enumerate(nbrs) for j in row if j > i for c in range(k)
+    ]
     clique = [0]
     common = set(nbrs[0])
     while common and len(clique) < k:
         j = min(common)
         clique.append(j)
         common.intersection_update(nbrs[j])
-    for c, i in enumerate(clique):
-        solver.add_clause([sat.lit_of(i * k + c, True)])
+    clauses += [[sat.lit_of(i * k + c, True)] for c, i in enumerate(clique)]
+    solver = sat.Solver(len(core) * k, clauses)
     res = solver.solve(decision_budget=budget)
     if not res:
         return None, solver.decisions, solver.conflicts, res is None
@@ -407,6 +407,23 @@ class ScheduleReport:
     rows: tuple[ScheduleRow, ...]
 
 
+def check_schedule_args(k: int, r_list: list[int], r_factor: int, budget: int) -> None:
+    """Refuse, with ValueError, what is wrong with a schedule whatever
+    its centers: a color count or R factor below 1, a negative budget,
+    an empty ``r_list`` or a negative inner radius in it."""
+    if k < 1:
+        raise ValueError(f"color count must be positive, got {k}")
+    if r_factor < 1:
+        raise ValueError(f"R factor must be at least 1, got {r_factor}")
+    if budget < 0:
+        raise ValueError(f"decision budget must be non-negative, got {budget}")
+    if not r_list:
+        raise ValueError("at least one inner radius is required")
+    for r in r_list:
+        if r < 0:
+            raise ValueError(f"inner radius must be non-negative, got {r}")
+
+
 def certify_schedule(
     centers: Sequence[tuple[int, ...]],
     k: int,
@@ -445,25 +462,15 @@ def certify_schedule(
     ``proved_at_outer`` can then be larger than the smallest Forced
     radius; it always names a window that was solved and found Forced.
 
-    A color count below 1, an empty ``r_list``, a negative inner radius,
-    or a schedule whose largest window has more than MAX_WINDOW_POINTS
-    points, raises ValueError before any window is built.
+    An empty center set, the refusals of ``check_schedule_args``, or a
+    schedule whose largest window has more than MAX_WINDOW_POINTS points,
+    raise ValueError before any window is built.
     """
     centers = tuple(centers)
     if not centers:
         raise ValueError("at least one center is required")
-    if k < 1:
-        raise ValueError(f"color count must be positive, got {k}")
-    if r_factor < 1:
-        raise ValueError(f"R factor must be at least 1, got {r_factor}")
-    if budget < 0:
-        raise ValueError(f"decision budget must be non-negative, got {budget}")
     r_list = list(r_list)
-    if not r_list:
-        raise ValueError("at least one inner radius is required")
-    for r in r_list:
-        if r < 0:
-            raise ValueError(f"inner radius must be non-negative, got {r}")
+    check_schedule_args(k, r_list, r_factor, budget)
     dim = len(centers[0])
     max_norm = max((abs(a) for c in centers for a in c), default=0)
     outers = [r_factor * (r + max_norm + 1) for r in r_list]

@@ -25,6 +25,7 @@ from .certifier import (
     DEFAULT_BUDGET,
     ScheduleReport,
     certify_schedule,
+    check_schedule_args,
     check_window_size,
 )
 from .colorings import (
@@ -381,10 +382,10 @@ def cmd_certify(
     r_factor: int = 3,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, dict]:
-    if r_list and r_factor >= 1:
-        # the largest window is smallest for centers of max-norm 0, so a
-        # schedule refused even then is refused before any center is read
-        check_window_size(dim, r_factor * (max(r_list) + 1), at_least=True)
+    # the flags alone, and the largest window at centers of max-norm 0,
+    # the smallest it can be, are checked before any center is read
+    check_schedule_args(colors, r_list, r_factor, budget)
+    check_window_size(dim, r_factor * (max(r_list) + 1), at_least=True)
     centers = parse_center_set(centers_text)
     dims = sorted({len(c) for c in centers})
     if len(dims) > 1:

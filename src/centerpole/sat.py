@@ -19,6 +19,14 @@ entry is ever in the heap twice; an activity rescale rebuilds the heap
 and the keys from the unassigned variables.  Thus every unassigned
 variable has a live entry, and an empty heap means a total assignment.
 
+The formula is given at construction, ``Solver(num_vars, clauses)``:
+each clause, an iterable of literals, is read once into a list the
+solver owns and filed as given.  A unit goes on the trail at level 0;
+an empty clause, or a unit already false, sets ``ok`` to False.  No
+dedupe or tautology pass is needed: a tautology is never unit or false,
+and a list that names a clause twice just reads it twice.  The solver
+is not incremental; a second ``solve`` only goes on after a budget stop.
+
 Minimization only drops a literal whose reason clauses, walked back,
 imply it from the rest of the clause, so every learned clause stays
 RUP with respect to the clause database.  The core is deterministic
@@ -31,10 +39,7 @@ Literal convention: variable v in 0..n-1, literal 2*v for v and
 from __future__ import annotations
 
 import heapq
-
-
-def neg(lit: int) -> int:
-    return lit ^ 1
+from typing import Iterable
 
 
 def lit_of(var: int, positive: bool) -> int:
@@ -53,7 +58,7 @@ def luby(i: int) -> int:
 class Solver:
     """CDCL over clauses given as iterables of literals (see module doc)."""
 
-    def __init__(self, num_vars: int):
+    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
         self.nv = num_vars
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
@@ -79,30 +84,14 @@ class Solver:
         self.ok = True
         self.decisions = 0
         self.conflicts = 0
-
-    # ------------------------------------------------------------------
-    def add_clause(self, lits) -> None:
-        if not self.ok:
-            return
-        seen: set[int] = set()
-        cl: list[int] = []
-        for l in lits:
-            if neg(l) in seen:
-                return  # tautology
-            if l not in seen:
-                seen.add(l)
-                cl.append(l)
-        if not cl:
-            self.ok = False
-            return
-        if len(cl) == 1:
-            val = self.value[cl[0]]
-            if val == -1:
-                self._enqueue(cl[0], -1)
-            elif val == 0:
+        for lits in clauses:
+            cl = list(lits)
+            if len(cl) > 1:
+                self._attach(cl)
+            elif not cl or self.value[cl[0]] == 0:
                 self.ok = False
-            return
-        self._attach(cl)
+            elif self.value[cl[0]] == -1:
+                self._enqueue(cl[0], -1)
 
     def _attach(self, cl: list[int]) -> int:
         """Store a clause of two or more literals and return its index.
@@ -249,7 +238,7 @@ class Solver:
             if counter == 0:
                 break
             cl = self.clauses[self.reason[v]]
-        learned[0] = neg(p)
+        learned[0] = p ^ 1
         # Recursive minimization: seen now marks exactly the variables of
         # learned[1:].  Drop each literal whose reason clauses, walked back
         # through levels of the clause only, end in marked variables.

@@ -249,19 +249,18 @@ def reference_smallest_last(adj, vertices):
 
 
 def pinned_units(monkeypatch):
-    """Record the literal of each unit clause given to any solver; in a
-    k-color core, literal l sets color c of block i for
+    """Record the literal of each unit clause of each formula a solver is
+    built from; in a k-color core, literal l sets color c of block i for
     ``divmod(l >> 1, k) == (i, c)``."""
     units = []
-    add = certifier.sat.Solver.add_clause
+    init = certifier.sat.Solver.__init__
 
-    def spy(solver, lits):
-        lits = list(lits)
-        if len(lits) == 1:
-            units.append(lits[0])
-        add(solver, lits)
+    def spy(solver, num_vars, clauses):
+        clauses = [list(lits) for lits in clauses]
+        units.extend(lits[0] for lits in clauses if len(lits) == 1)
+        init(solver, num_vars, clauses)
 
-    monkeypatch.setattr(certifier.sat.Solver, "add_clause", spy)
+    monkeypatch.setattr(certifier.sat.Solver, "__init__", spy)
     return units
 
 
@@ -981,11 +980,7 @@ def pigeonhole(pigeons, holes):
 def pigeonhole_solver(pigeons, holes):
     from centerpole.sat import Solver
 
-    num_vars, clauses = pigeonhole(pigeons, holes)
-    solver = Solver(num_vars)
-    for clause in clauses:
-        solver.add_clause(clause)
-    return solver
+    return Solver(*pigeonhole(pigeons, holes))
 
 
 class TestSatCore:
@@ -1017,9 +1012,10 @@ class TestSatCore:
                         return True
                 return False
 
-            solver = Solver(num_vars)
-            for clause in clauses:
-                solver.add_clause([lit_of(v, want) for v, want in clause])
+            solver = Solver(
+                num_vars,
+                ([lit_of(v, want) for v, want in clause] for clause in clauses),
+            )
             got = solver.solve()
             assert got is not None
             assert got == brute(), clauses
@@ -1029,6 +1025,62 @@ class TestSatCore:
                     any(model[v] == want for v, want in clause)
                     for clause in clauses
                 )
+
+    def test_the_formula_is_filed_as_given(self):
+        from centerpole.sat import Solver, lit_of
+
+        x0, x1, x2, x3 = (lit_of(v, True) for v in range(4))
+        given = [
+            [x2], [x2 ^ 1, x0, x1], [x0 ^ 1, x1 ^ 1], [x3], [x1, x3, x1], [x2],
+            [x0, x0 ^ 1], [x0, x1],
+        ]
+        before = [list(clause) for clause in given]
+        solver = Solver(4, given)
+        assert solver.clauses == [clause for clause in given if len(clause) > 1]
+        # the units sit on the trail at level 0, a repeated one once
+        assert solver.trail == [x2, x3] and not solver.trail_lim
+        assert [solver.level[v] for v in (2, 3)] == [0, 0]
+        assert solver.solve() is True
+        # propagation moved the watches of the solver's own copy only
+        assert solver.clauses[0] != given[1]
+        assert given == before
+        model = solver.model()
+        assert all(any(model[l >> 1] != (l & 1) for l in clause) for clause in given)
+
+        for num_vars, clauses in (
+            (2, [[x0, x1], [], [x1]]),
+            (1, [[x0], [x0 ^ 1]]),
+        ):
+            solver = Solver(num_vars, clauses)
+            assert solver.solve() is False
+            assert solver.decisions == 0
+
+        php_vars, php = pigeonhole(3, 2)
+        for num_vars, clauses in (
+            # repeated literals, binary and long
+            (3, [[x0, x0], [x0 ^ 1, x1, x1], [x1 ^ 1, x2, x0 ^ 1]]),
+            (1, [[x0, x0], [x0 ^ 1, x0 ^ 1]]),
+            (2, [[x0, x1, x0], [x0 ^ 1, x1, x1], [x1 ^ 1, x0, x0],
+                 [x0 ^ 1, x1 ^ 1, x0 ^ 1]]),
+            # binary and long tautologies
+            (3, [[x0, x0 ^ 1], [x1, x1 ^ 1, x2], [x2 ^ 1]]),
+            (2, [[x1, x0, x1 ^ 1], [x0 ^ 1, x0 ^ 1, x0 ^ 1], [x0, x0 ^ 1]]),
+            (php_vars, php + [[x0, x0 ^ 1], [x1, x2, x1 ^ 1]]),
+        ):
+
+            def satisfied(model, clauses=clauses):
+                return all(
+                    any(model[l >> 1] != (l & 1) for l in clause) for clause in clauses
+                )
+
+            brute = any(
+                satisfied(bits) for bits in product((False, True), repeat=num_vars)
+            )
+            solver = Solver(num_vars, clauses)
+            got = solver.solve()
+            assert got == brute, clauses
+            if got:
+                assert satisfied(solver.model())
 
     @staticmethod
     def falsifiers(num_vars, clause):
@@ -1074,9 +1126,7 @@ class TestSatCore:
                 ]
                 for _ in range(int(4.5 * num_vars))
             ]
-            solver = Solver(num_vars)
-            for clause in clauses:
-                solver.add_clause(clause)
+            solver = Solver(num_vars, clauses)
             got = solver.solve()
             is_model = bytearray([1]) * (1 << num_vars)
             for clause in clauses:
@@ -1110,11 +1160,15 @@ class TestSatCore:
     def test_binary_clause_falsified_by_earlier_units(self):
         from centerpole.sat import Solver, lit_of
 
-        solver = Solver(3)
-        solver.add_clause([lit_of(0, True)])
-        solver.add_clause([lit_of(1, True)])
-        solver.add_clause([lit_of(0, False), lit_of(1, False)])
-        solver.add_clause([lit_of(0, True), lit_of(1, True), lit_of(2, True)])
+        solver = Solver(
+            3,
+            [
+                [lit_of(0, True)],
+                [lit_of(1, True)],
+                [lit_of(0, False), lit_of(1, False)],
+                [lit_of(0, True), lit_of(1, True), lit_of(2, True)],
+            ],
+        )
         assert solver.solve() is False
         assert solver.decisions == 0
 
@@ -1122,14 +1176,9 @@ class TestSatCore:
         from centerpole.sat import Solver, lit_of
 
         x0, x1, x2, x3 = (lit_of(v, True) for v in range(4))
-        solver = Solver(4)
-        for clause in (
-            [x0, x1, x2],
-            [x0, x1, x2 ^ 1],
-            [x1 ^ 1, x3],
-            [x1 ^ 1, x3 ^ 1],
-        ):
-            solver.add_clause(clause)
+        solver = Solver(
+            4, [[x0, x1, x2], [x0, x1, x2 ^ 1], [x1 ^ 1, x3], [x1 ^ 1, x3 ^ 1]]
+        )
         # Decisions -x0, -x1 clash on x2 and learn (x1 or x0); its
         # asserted x1 clashes on x3 and learns the unit -x1.  Back at the
         # root, -x1 makes the learned binary clause imply x0.
@@ -1147,9 +1196,7 @@ class TestSatCore:
 
         # x1 and then x2 are fixed at the root, so only a decision
         # assigns x0; the budget stop hands x0 back to the heap
-        solver = Solver(3)
-        solver.add_clause([lit_of(1, True)])
-        solver.add_clause([lit_of(1, False), lit_of(2, True)])
+        solver = Solver(3, [[lit_of(1, True)], [lit_of(1, False), lit_of(2, True)]])
         assert solver.solve(decision_budget=0) is None
         assert solver.solve() is True
         assert len(solver.trail) == solver.nv
@@ -1171,9 +1218,7 @@ class TestSatCore:
             brute = any(
                 satisfied(bits) for bits in product((False, True), repeat=num_vars)
             )
-            solver = Solver(num_vars)
-            for clause in clauses:
-                solver.add_clause(clause)
+            solver = Solver(num_vars, clauses)
             # a bump after the first conflict passes 1e100 and rescales
             solver.var_inc = 1e100
             got = solver.solve()

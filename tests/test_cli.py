@@ -643,6 +643,22 @@ class TestCertifyCommand:
                 "error: the largest window, outer radius at least 6 in dimension "
                 f"18, has more than the limit of {MAX_WINDOW_POINTS} points\n"
             )
+        # what the flags alone refuse is refused first, before the window
+        # check and before any center, --R-factor 0 included
+        for flags, message in (
+            (["--colors", "0"], "color count must be positive, got 0"),
+            (["--R-factor", "0"], "R factor must be at least 1, got 0"),
+            (["--budget", "-1"], "decision budget must be non-negative, got -1"),
+            (["--r-list", ","], "at least one inner radius is required"),
+            (["--r-list", "1,-1"], "inner radius must be non-negative, got -1"),
+        ):
+            for centers in ("sandwich(17,0)", str(tmp_path / "missing.json")):
+                code, out, err = run_cli(
+                    ["certify", "--dim", "18", "--colors", "2", "--centers", centers,
+                     "--r-list", "1"] + flags,
+                    capsys,
+                )
+                assert (code, out, err) == (2, "", f"error: {message}\n")
         # a huge dimension is refused without its power being built
         with pytest.raises(ValueError, match="outer radius at least 3 in dimension"):
             cli.cmd_certify(10**12, 2, "sandwich(1,-1)", [0])

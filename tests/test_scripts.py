@@ -22,7 +22,7 @@ def load_script(name):
 SMALL_RUNS = [
     ("run_covering_sweep", ["--k-max", "1"]),
     ("run_tshape_survey", ["--dims", "2", "--trials", "1"]),
-    ("run_certifier_evidence", ["--skip-hard"]),
+    ("run_certifier_evidence", []),
 ]
 
 
@@ -180,100 +180,56 @@ class TestTShapeSurveyGridDraws:
         assert "gridDraws" not in doc and "gridTiming" not in doc
 
 
-class TestCertifierEvidenceBudget:
-    @pytest.mark.parametrize("budget", ["-1", "-1000"])
-    def test_a_negative_budget_exits_2_before_any_schedule(
-        self, budget, monkeypatch, capsys
+class TestCertifierEvidenceFlags:
+    @pytest.mark.parametrize(
+        "argv", [["--skip-hard"], ["--with-4d"], ["--budget", "0"]]
+    )
+    def test_a_deleted_flag_exits_2_before_any_schedule(
+        self, argv, monkeypatch, capsys
     ):
+        # the script takes only --out: every row always runs, at the
+        # default budget
         evidence = load_script("run_certifier_evidence")
 
         def never(*args, **kwargs):
             raise AssertionError("a schedule ran")
 
         monkeypatch.setattr(evidence, "certify_schedule", never)
-        err = refused(evidence.main, ["--budget", budget], capsys)
-        assert f"--budget must be at least 0, got {budget}" in err
+        err = refused(evidence.main, argv, capsys)
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
 
 
 class TestCertifierEvidence4d:
-    def test_with_4d_adds_the_4d_nucleus_row(self, monkeypatch, capsys):
-        from centerpole.certifier import (
-            ScheduleReport,
-            ScheduleRow,
-            SearchStats,
-            VerdictKind,
-            WindowVerdict,
-        )
-
-        evidence = load_script("run_certifier_evidence")
-        real = evidence.certify_schedule
-        calls = []
-
-        def schedule(centers, k, r_list, r_factor=3, budget=0):
-            if len(centers[0]) < 4:
-                return real(centers, k, r_list, r_factor=r_factor, budget=budget)
-            calls.append((len(centers), k, r_list, r_factor))
-            stats = SearchStats(vertices=6480, edges=1, decisions=7, conflicts=5)
-            verdict = WindowVerdict(VerdictKind.FORCED, None, stats)
-            row = ScheduleRow(
-                inner=1, outer=10, verdict=verdict, proved_at_outer=4, windows_solved=3
-            )
-            return ScheduleReport(
-                dim=4, k=k, centers=tuple(centers), r_factor=r_factor, rows=(row,)
-            )
-
-        monkeypatch.setattr(evidence, "certify_schedule", schedule)
-        assert evidence.main(["--skip-hard", "--with-4d"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert calls == [(12, 4, [1], 2)]
-        row = doc["cases"][-1]
-        assert row["name"] == "4d-nucleus"
-        assert (row["colors"], row["rList"], row["rFactor"]) == (4, [1], 2)
-        assert row["verdicts"] == row["expected"] == ["Forced"]
-        assert (row["provedAtOuter"], row["decisions"], row["conflicts"]) == ([4], [7], [5])
-        assert row["windowsSolved"] == [3]
-        assert row["ok"] and doc["ok"]
-        assert "seconds" in row
-
     def test_the_4d_nucleus_is_forced_at_outer_4(self, capsys):
         # the real schedule, certify_schedule(sandwich(3,1), 4, [1],
         # r_factor=2): outer 3 is Colorable and outer 4 Forced on parity
         # block 0
         evidence = load_script("run_certifier_evidence")
-        assert evidence.main(["--skip-hard", "--with-4d"]) == 0
+        assert evidence.main([]) == 0
         doc = json.loads(capsys.readouterr().out)
         row = doc["cases"][-1]
         assert row["name"] == "4d-nucleus"
         assert row["verdicts"] == row["expected"] == ["Forced"]
         assert row["provedAtOuter"] == [4]
-        assert row["windowsSolved"] == [2]
         assert row["ok"] and doc["ok"]
-
-    def test_without_the_flag_there_is_no_4d_row(self, monkeypatch, capsys):
-        evidence = load_script("run_certifier_evidence")
-        real = evidence.certify_schedule
-
-        def schedule(centers, *args, **kwargs):
-            assert len(centers[0]) < 4, "the 4D nucleus ran"
-            return real(centers, *args, **kwargs)
-
-        monkeypatch.setattr(evidence, "certify_schedule", schedule)
-        assert evidence.main(["--skip-hard"]) == 0
-        doc = json.loads(capsys.readouterr().out)
         assert [case["name"] for case in doc["cases"]] == [
             "singleton-dim1",
             "singleton-dim2",
             "singleton-dim3",
             "generic-pair",
             "planar-nucleus",
+            "spatial-nucleus",
+            "4d-nucleus",
         ]
         # a one-color singleton is Forced at its first window; a Colorable
         # two-color row solves its first two windows and then R, and a
-        # planar nucleus row is Forced at its second window, before R
+        # nucleus row is Forced at its second window, before R
         assert [case["windowsSolved"] for case in doc["cases"]] == [
             [1],
             [1],
             [1],
             [3, 3],
             [2, 2, 2],
+            [2, 2],
+            [2],
         ]
