@@ -23,7 +23,8 @@ from centerpole.cube import build_sandwich
 def schedule_row(name, centers, colors, r_list, expected, r_factor=3):
     started = time.perf_counter()
     schedule = certify_schedule(sorted(centers), colors, r_list, r_factor=r_factor)
-    verdicts = [row.verdict.kind.value for row in schedule.rows]
+    rows = schedule.rows
+    verdicts = [row["verdict"] for row in rows]
     return {
         "name": name,
         "centers": [list(p) for p in schedule.centers],
@@ -31,10 +32,10 @@ def schedule_row(name, centers, colors, r_list, expected, r_factor=3):
         "rList": r_list,
         "rFactor": r_factor,
         "verdicts": verdicts,
-        "provedAtOuter": [row.proved_at_outer for row in schedule.rows],
-        "decisions": [row.verdict.stats.decisions for row in schedule.rows],
-        "conflicts": [row.verdict.stats.conflicts for row in schedule.rows],
-        "windowsSolved": [row.windows_solved for row in schedule.rows],
+        "provedAtOuter": [row["provedAtOuter"] for row in rows],
+        "decisions": [row["stats"]["decisions"] for row in rows],
+        "conflicts": [row["stats"]["conflicts"] for row in rows],
+        "windowsSolved": [row["windowsSolved"] for row in rows],
         "expected": expected,
         "ok": verdicts == expected,
         "seconds": round(time.perf_counter() - started, 3),

@@ -9,7 +9,6 @@ certification.
 from .certifier import (
     ScheduleReport,
     SymmetryGraph,
-    VerdictKind,
     WindowSpec,
     WindowVerdict,
     build_symmetry_graph,

@@ -35,13 +35,14 @@ gallops up from the smallest window to the full one until a window is
 Forced, then bisects for the smallest Forced outer radius.  For k <= 2,
 whose windows need no search, the full window is solved right after the
 two smallest, and a Colorable one ends the row.  Colorable is reported
-only from the full window.
+only from the full window.  Each row is built here once, as the dict
+that ``certify`` prints: its verdict, proof window ``provedAtOuter``,
+the stats of that window and ``windowsSolved``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -172,12 +173,6 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     return SymmetryGraph(vertex_count=n, edges=tuple(divmod(key, n) for key in keys))
 
 
-class VerdictKind(Enum):
-    FORCED = "Forced"
-    COLORABLE = "Colorable"
-    UNKNOWN = "Unknown"
-
-
 @dataclass(frozen=True, slots=True)
 class SearchStats:
     vertices: int
@@ -188,7 +183,7 @@ class SearchStats:
 
 @dataclass(frozen=True, slots=True)
 class WindowVerdict:
-    kind: VerdictKind
+    kind: str  # "Forced", "Colorable" or "Unknown"
     witness: tuple[int, ...] | None
     stats: SearchStats
     detail: str = ""
@@ -340,7 +335,7 @@ def decide_k_colorable(
     conflicts = 0
 
     def verdict(
-        kind: VerdictKind, detail: str, witness: tuple[int, ...] | None = None
+        kind: str, detail: str, witness: tuple[int, ...] | None = None
     ) -> WindowVerdict:
         stats = SearchStats(
             vertices=n,
@@ -365,10 +360,10 @@ def decide_k_colorable(
                 conflicts += clashes
                 if exhausted:
                     detail = f"budget of {budget} decisions exhausted"
-                    return verdict(VerdictKind.UNKNOWN, detail)
+                    return verdict("Unknown", detail)
                 if got is None:
                     return verdict(
-                        VerdictKind.FORCED,
+                        "Forced",
                         f"component of size {len(comp)} (core {len(core)}) "
                         f"admits no proper {k}-coloring",
                     )
@@ -380,22 +375,13 @@ def decide_k_colorable(
 
     if verify_witness(graph, k, witness):
         detail = f"proper {k}-coloring found and re-verified"
-        return verdict(VerdictKind.COLORABLE, detail, tuple(witness))
+        return verdict("Colorable", detail, tuple(witness))
     # a failed parity names the component of its first clashing edge
     clash = next((a for a, b in graph.edges if parity[a] == parity[b]), None)
     if k != 2 or clash is None:
         raise RuntimeError("internal error: witness failed re-verification")
     size = len(comps[comp_of[clash]])
-    return verdict(VerdictKind.FORCED, f"component of size {size} has an odd cycle")
-
-
-@dataclass(frozen=True, slots=True)
-class ScheduleRow:
-    inner: int
-    outer: int
-    verdict: WindowVerdict
-    proved_at_outer: int
-    windows_solved: int
+    return verdict("Forced", f"component of size {size} has an odd cycle")
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,7 +390,7 @@ class ScheduleReport:
     k: int
     centers: tuple[tuple[int, ...], ...]
     r_factor: int
-    rows: tuple[ScheduleRow, ...]
+    rows: tuple[dict, ...]
 
 
 def check_schedule_args(k: int, r_list: list[int], r_factor: int, budget: int) -> None:
@@ -452,14 +438,20 @@ def certify_schedule(
     R again reuses its verdict.  For k >= 3 R is solved only when the
     gallop reaches it, since one SAT window can cost more than the whole
     gallop below it.  No window of a row is solved twice;
-    ``windows_solved`` counts them.  A repeated inner radius is solved
+    ``windowsSolved`` counts them.  A repeated inner radius is solved
     once, and its row is repeated.
+
+    Each row is built once, as the dict ``certify`` prints: ``inner``,
+    ``outer`` (R), ``provedAtOuter``, ``verdict`` (the window's kind),
+    ``detail``, ``witness``, ``stats`` (``vertices``, ``edges``,
+    ``decisions``, ``conflicts`` of the window the verdict came from)
+    and ``windowsSolved``.
 
     With no Unknown window this solves fewer windows but reports exactly
     what a scan of every outer radius from ``start`` to R would: the
-    same verdict, ``proved_at_outer``, witness and stats.  An Unknown
+    same verdict, ``provedAtOuter``, witness and stats.  An Unknown
     window counts as "not proved Forced" and the search moves up, so
-    ``proved_at_outer`` can then be larger than the smallest Forced
+    ``provedAtOuter`` can then be larger than the smallest Forced
     radius; it always names a window that was solved and found Forced.
 
     An empty center set, the refusals of ``check_schedule_args``, or a
@@ -475,7 +467,7 @@ def certify_schedule(
     max_norm = max((abs(a) for c in centers for a in c), default=0)
     outers = [r_factor * (r + max_norm + 1) for r in r_list]
     check_window_size(dim, max(outers))
-    by_inner: dict[int, ScheduleRow] = {}
+    by_inner: dict[int, dict] = {}
     for r, outer in zip(r_list, outers):
         if r in by_inner:
             continue
@@ -492,39 +484,44 @@ def certify_schedule(
         lo = trial_outer = start
         verdict = solve(start)
         step = 1
-        while verdict.kind is not VerdictKind.FORCED and trial_outer != outer:
+        while verdict.kind != "Forced" and trial_outer != outer:
             lo = trial_outer + 1
             trial_outer = min(trial_outer + step, outer)
             step *= 2
             verdict = solve(trial_outer)
-            if (
-                k <= 2
-                and trial_outer == start + 1
-                and verdict.kind is not VerdictKind.FORCED
-            ):
+            if k <= 2 and trial_outer == start + 1 and verdict.kind != "Forced":
                 # no search runs for k <= 2, so R costs time linear in its
                 # size, and a Colorable R settles the row without the gallop;
                 # waiting for start + 1 spares R to rows Forced there, as the
                 # planar nuclei are
                 full = solve(outer)
-                if full.kind is not VerdictKind.FORCED:
+                if full.kind != "Forced":
                     trial_outer, verdict = outer, full
         proved_at = trial_outer
-        if verdict.kind is VerdictKind.FORCED:
+        if verdict.kind == "Forced":
             # the smallest Forced radius lies in [lo, proved_at]
             while lo < proved_at:
                 mid = (lo + proved_at) // 2
                 probe = solve(mid)
-                if probe.kind is VerdictKind.FORCED:
+                if probe.kind == "Forced":
                     verdict, proved_at = probe, mid
                 else:
                     lo = mid + 1
-        by_inner[r] = ScheduleRow(
-            inner=r,
-            outer=outer,
-            verdict=verdict,
-            proved_at_outer=proved_at,
-            windows_solved=len(solved),
-        )
+        stats = verdict.stats
+        by_inner[r] = {
+            "inner": r,
+            "outer": outer,
+            "provedAtOuter": proved_at,
+            "verdict": verdict.kind,
+            "detail": verdict.detail,
+            "witness": verdict.witness,
+            "stats": {
+                "vertices": stats.vertices,
+                "edges": stats.edges,
+                "decisions": stats.decisions,
+                "conflicts": stats.conflicts,
+            },
+            "windowsSolved": len(solved),
+        }
     rows = tuple(by_inner[r] for r in r_list)
     return ScheduleReport(dim=dim, k=k, centers=centers, r_factor=r_factor, rows=rows)

@@ -23,7 +23,6 @@ from math import comb
 
 from .certifier import (
     DEFAULT_BUDGET,
-    ScheduleReport,
     certify_schedule,
     check_schedule_args,
     check_window_size,
@@ -189,12 +188,6 @@ def _center_rows(spec: str | list) -> list:
     return spec
 
 
-def parse_center_set(spec: str | list) -> list[tuple[int, ...]]:
-    """The centers of ``certify``: rows of integers in the signed 64-bit
-    range.  Any other entry (a float, a string, a bool) raises ValueError."""
-    return [checked_coordinates(row) for row in _center_rows(spec)]
-
-
 def _field(spec: dict, key: str, kind: type | None = None):
     if key not in spec:
         raise ValueError(f"rule kind {spec['kind']!r} needs the key {key!r}")
@@ -267,34 +260,6 @@ def build_rule(spec: dict, lifts: int = 0) -> ColoringRule:
         auxes = {key: build_rule(value, lifts) for key, value in given.items()}
         return plus2_extension(base, added, auxes or None)
     raise ValueError(f"unknown rule kind {kind!r}")
-
-
-def _schedule_to_json(report: ScheduleReport) -> dict:
-    rows = []
-    for row in report.rows:
-        verdict = row.verdict
-        rows.append(
-            {
-                "inner": row.inner,
-                "outer": row.outer,
-                "provedAtOuter": row.proved_at_outer,
-                "verdict": verdict.kind.value,
-                "detail": verdict.detail,
-                "witness": verdict.witness,
-                "stats": {
-                    "vertices": verdict.stats.vertices,
-                    "edges": verdict.stats.edges,
-                    "decisions": verdict.stats.decisions,
-                },
-            }
-        )
-    return {
-        "dim": report.dim,
-        "k": report.k,
-        "centers": points_to_json(report.centers),
-        "rFactor": report.r_factor,
-        "rows": rows,
-    }
 
 
 def cmd_sandwich(k: int, s: int, fmt: str = "json") -> tuple[int, dict | str]:
@@ -386,14 +351,20 @@ def cmd_certify(
     # the smallest it can be, are checked before any center is read
     check_schedule_args(colors, r_list, r_factor, budget)
     check_window_size(dim, r_factor * (max(r_list) + 1), at_least=True)
-    centers = parse_center_set(centers_text)
+    centers = [checked_coordinates(row) for row in _center_rows(centers_text)]
     dims = sorted({len(c) for c in centers})
     if len(dims) > 1:
         raise ValueError(f"centers have mixed dimensions {dims}")
     if dims and dims[0] != dim:
         raise ValueError(f"centers have dimension {dims[0]}, but --dim is {dim}")
     report = certify_schedule(centers, colors, r_list, r_factor=r_factor, budget=budget)
-    return 0, _schedule_to_json(report)
+    return 0, {
+        "dim": report.dim,
+        "k": report.k,
+        "centers": points_to_json(report.centers),
+        "rFactor": report.r_factor,
+        "rows": report.rows,
+    }
 
 
 def cmd_coloring_scan(

@@ -15,7 +15,6 @@ import test_certifier
 import test_colorings
 
 from centerpole.certifier import (
-    VerdictKind,
     WindowSpec,
     build_symmetry_graph,
     certify_schedule,
@@ -120,9 +119,7 @@ def test_criterion_4_window_certification():
 
     for dim in (1, 2, 3):
         schedule = certify_schedule([(0,) * dim], 1, [1])
-        assert all(
-            row.verdict.kind is VerdictKind.FORCED for row in schedule.rows
-        ), dim
+        assert all(row["verdict"] == "Forced" for row in schedule.rows), dim
 
     rng = random.Random(20260)
     families = []
@@ -133,21 +130,19 @@ def test_criterion_4_window_certification():
             families.append(sorted((a, b)))
     for centers in families:
         schedule = certify_schedule(centers, 2, [1, 2, 3, 4])
-        assert all(
-            row.verdict.kind is VerdictKind.COLORABLE for row in schedule.rows
-        ), centers
+        assert all(row["verdict"] == "Colorable" for row in schedule.rows), centers
 
     planar = sorted(build_sandwich(1, -1))
     schedule = certify_schedule(planar, 2, [1, 2, 3], r_factor=3)
-    assert [row.verdict.kind for row in schedule.rows] == [VerdictKind.FORCED] * 3
-    assert [row.proved_at_outer for row in schedule.rows] == [4, 5, 6]
+    assert [row["verdict"] for row in schedule.rows] == ["Forced"] * 3
+    assert [row["provedAtOuter"] for row in schedule.rows] == [4, 5, 6]
 
     spatial = sorted(build_sandwich(2, 0))
     hard_start = time.perf_counter()
     schedule = certify_schedule(spatial, 3, [1, 2])
     hard_elapsed = time.perf_counter() - hard_start
-    assert [row.verdict.kind for row in schedule.rows] == [VerdictKind.FORCED] * 2
-    assert [row.proved_at_outer for row in schedule.rows] == [4, 5]
+    assert [row["verdict"] for row in schedule.rows] == ["Forced"] * 2
+    assert [row["provedAtOuter"] for row in schedule.rows] == [4, 5]
     assert hard_elapsed < 900.0, f"3-color run took {hard_elapsed:.1f}s, budget 900s"
 
     elapsed = time.perf_counter() - started
@@ -278,8 +273,8 @@ def test_criterion_6_structural_invariants():
         k = rng.choice((2, 3))
         graph = test_certifier.graph_from_edges(n, edges)
         verdict = decide_k_colorable(graph, k)
-        assert verdict.kind is not VerdictKind.UNKNOWN
-        if verdict.kind is VerdictKind.COLORABLE:
+        assert verdict.kind != "Unknown"
+        if verdict.kind == "Colorable":
             assert verify_witness(graph, k, verdict.witness)
             tampered = list(verdict.witness)
             i, j = graph.edges[0]
@@ -326,8 +321,8 @@ def test_criterion_6_structural_invariants():
         )
         sat = test_certifier.dpll(num_vars, clauses)
         verdict = decide_k_colorable(graph, k)
-        assert verdict.kind is not VerdictKind.UNKNOWN
-        assert sat == (verdict.kind is VerdictKind.COLORABLE), (n, edges, k)
+        assert verdict.kind != "Unknown"
+        assert sat == (verdict.kind == "Colorable"), (n, edges, k)
         agreements += 1
     assert agreements == 50
 

@@ -1,6 +1,7 @@
 """Symmetry-window graphs, exact verdicts, schedules, DIMACS round trips."""
 
 import random
+from dataclasses import asdict
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,6 @@ import centerpole.certifier as certifier
 from centerpole.certifier import (
     ScheduleReport,
     SymmetryGraph,
-    VerdictKind,
     WindowSpec,
     build_symmetry_graph,
     certify_schedule,
@@ -107,7 +107,7 @@ class TestWindowSpec:
         calls.clear()
         # one call per window solved, for its +-outer, and none per center
         (row,) = certify_schedule(centers, 2, [1]).rows
-        assert len(calls) == row.windows_solved
+        assert len(calls) == row["windowsSolved"]
         assert all(low == -high for low, high in calls)
 
     def test_shifted_window_admits_shifted_centers(self):
@@ -356,7 +356,7 @@ class TestCoreNumbering:
 
     def test_a_pinned_k_plus_one_clique_is_refuted_without_decisions(self):
         verdict = decide_k_colorable(graph_from_edges(4, K4), 3)
-        assert verdict.kind is VerdictKind.FORCED
+        assert verdict.kind == "Forced"
         assert (verdict.stats.decisions, verdict.stats.conflicts) == (0, 0)
 
 
@@ -366,33 +366,27 @@ class TestDecision:
             decide_k_colorable(graph_from_edges(1, []), 0)
 
     def test_one_color(self):
-        assert (
-            decide_k_colorable(graph_from_edges(3, []), 1).kind
-            is VerdictKind.COLORABLE
-        )
-        assert (
-            decide_k_colorable(graph_from_edges(2, [(0, 1)]), 1).kind
-            is VerdictKind.FORCED
-        )
+        assert decide_k_colorable(graph_from_edges(3, []), 1).kind == "Colorable"
+        assert decide_k_colorable(graph_from_edges(2, [(0, 1)]), 1).kind == "Forced"
 
     @pytest.mark.parametrize(
         "edges,n,k,expected",
         [
-            (PATH4, 4, 2, VerdictKind.COLORABLE),
-            (CYCLE5, 5, 2, VerdictKind.FORCED),
-            (CYCLE5, 5, 3, VerdictKind.COLORABLE),
-            (K4, 4, 3, VerdictKind.FORCED),
-            (K4, 4, 4, VerdictKind.COLORABLE),
-            (PETERSEN, 10, 2, VerdictKind.FORCED),
-            (PETERSEN, 10, 3, VerdictKind.COLORABLE),
-            (TWINS, 7, 3, VerdictKind.COLORABLE),
+            (PATH4, 4, 2, "Colorable"),
+            (CYCLE5, 5, 2, "Forced"),
+            (CYCLE5, 5, 3, "Colorable"),
+            (K4, 4, 3, "Forced"),
+            (K4, 4, 4, "Colorable"),
+            (PETERSEN, 10, 2, "Forced"),
+            (PETERSEN, 10, 3, "Colorable"),
+            (TWINS, 7, 3, "Colorable"),
         ],
     )
     def test_known_graphs(self, edges, n, k, expected):
         graph = graph_from_edges(n, edges)
         verdict = decide_k_colorable(graph, k)
-        assert verdict.kind is expected
-        if expected is VerdictKind.COLORABLE:
+        assert verdict.kind == expected
+        if expected == "Colorable":
             assert verify_witness(graph, k, verdict.witness)
         else:
             assert verdict.witness is None
@@ -400,11 +394,11 @@ class TestDecision:
     @pytest.mark.parametrize(
         "edges,n,k,expected",
         [
-            (CYCLE5, 5, 2, VerdictKind.FORCED),
-            (CYCLE5, 5, 3, VerdictKind.COLORABLE),
-            (K4, 4, 3, VerdictKind.FORCED),
-            (PETERSEN, 10, 3, VerdictKind.COLORABLE),
-            (CYCLE5_WITH_TREE, 9, 2, VerdictKind.FORCED),
+            (CYCLE5, 5, 2, "Forced"),
+            (CYCLE5, 5, 3, "Colorable"),
+            (K4, 4, 3, "Forced"),
+            (PETERSEN, 10, 3, "Colorable"),
+            (CYCLE5_WITH_TREE, 9, 2, "Forced"),
         ],
     )
     def test_conflict_learning_engine_agrees(self, edges, n, k, expected):
@@ -412,8 +406,8 @@ class TestDecision:
         # decides the peeled core with the clause-learning engine
         graph = graph_from_edges(n, edges)
         verdict = decide_k_colorable(graph, k)
-        assert verdict.kind is expected
-        if expected is VerdictKind.COLORABLE:
+        assert verdict.kind == expected
+        if expected == "Colorable":
             assert verify_witness(graph, k, verdict.witness)
         else:
             assert verdict.witness is None
@@ -432,7 +426,7 @@ class TestDecision:
         self, edges, n, size
     ):
         verdict = decide_k_colorable(graph_from_edges(n, edges), 2)
-        assert verdict.kind is VerdictKind.FORCED
+        assert verdict.kind == "Forced"
         assert verdict.detail == f"component of size {size} has an odd cycle"
         assert verdict.witness is None
 
@@ -446,7 +440,7 @@ class TestDecision:
 
         monkeypatch.setattr(certifier, "verify_witness", spy)
         verdict = decide_k_colorable(graph_from_edges(4, PATH4), 2)
-        assert verdict.kind is VerdictKind.COLORABLE
+        assert verdict.kind == "Colorable"
         assert verdict.witness == (0, 1, 0, 1)
         assert verdict.detail == "proper 2-coloring found and re-verified"
         assert calls == [2]
@@ -463,13 +457,13 @@ class TestDecision:
         # no other scan of the edges decides the window
         monkeypatch.setattr(certifier, "verify_witness", lambda graph, k, w: True)
         verdict = decide_k_colorable(graph_from_edges(9, CYCLE5_WITH_TREE), 2)
-        assert verdict.kind is VerdictKind.COLORABLE
+        assert verdict.kind == "Colorable"
 
     def test_forest_has_an_empty_core_and_needs_no_decisions(self):
         forest = [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)]
         graph = graph_from_edges(9, forest)
         verdict = decide_k_colorable(graph, 3, budget=0)
-        assert verdict.kind is VerdictKind.COLORABLE
+        assert verdict.kind == "Colorable"
         assert verify_witness(graph, 3, verdict.witness)
         assert verdict.stats.decisions == 0
 
@@ -479,10 +473,10 @@ class TestDecision:
         assert needed > 0
         for budget in (0, needed - 1):
             verdict = decide_k_colorable(graph, 3, budget=budget)
-            assert verdict.kind is VerdictKind.UNKNOWN
+            assert verdict.kind == "Unknown"
             assert verdict.witness is None
             assert "budget" in verdict.detail
-        assert decide_k_colorable(graph, 3, budget=needed).kind is VerdictKind.FORCED
+        assert decide_k_colorable(graph, 3, budget=needed).kind == "Forced"
 
     def test_stats_reflect_the_graph(self):
         graph = graph_from_edges(5, CYCLE5)
@@ -526,10 +520,8 @@ class TestDecision:
                     all(colors[a] != colors[b] for a, b in edges)
                     for colors in product(range(k), repeat=n)
                 )
-                expected = (
-                    VerdictKind.COLORABLE if brute else VerdictKind.FORCED
-                )
-                assert verdict.kind is expected, (n, edges, k)
+                expected = "Colorable" if brute else "Forced"
+                assert verdict.kind == expected, (n, edges, k)
                 if k <= 2:
                     assert verdict.stats.decisions == 0
                 if brute:
@@ -573,7 +565,7 @@ class TestDecision:
         assert solved >= 2 and decisions > 0
 
         verdict = decide_k_colorable(graph, k)
-        assert verdict.kind is VerdictKind.COLORABLE
+        assert verdict.kind == "Colorable"
         assert verdict.witness == tuple(witness)
         assert (verdict.stats.decisions, verdict.stats.conflicts) == (
             decisions,
@@ -595,7 +587,7 @@ class TestTranslationInvariance:
             moved = SymmetryGraph(vertex_count=len(points), edges=edges)
             a = decide_k_colorable(build_symmetry_graph(spec), 2)
             b = decide_k_colorable(moved, 2)
-            assert a.kind is b.kind
+            assert a.kind == b.kind
             assert a.stats.vertices == b.stats.vertices
             assert a.stats.edges == b.stats.edges
 
@@ -606,34 +598,32 @@ class TestSchedule:
         assert isinstance(report, ScheduleReport)
         assert report.dim == 1 and report.k == 1
         row = report.rows[0]
-        assert row.inner == 1
-        assert row.outer == 3 * (1 + 0 + 1)
-        assert row.verdict.kind is VerdictKind.FORCED
-        assert row.proved_at_outer == 2
+        assert row["inner"] == 1
+        assert row["outer"] == 3 * (1 + 0 + 1)
+        assert row["verdict"] == "Forced"
+        assert row["provedAtOuter"] == 2
 
     def test_forced_schedule_with_escalation(self):
         centers = sandwich_centers(1, -1)
         report = certify_schedule(centers, 2, [1, 2, 3])
-        assert [row.verdict.kind for row in report.rows] == [
-            VerdictKind.FORCED
-        ] * 3
-        assert [row.proved_at_outer for row in report.rows] == [4, 5, 6]
-        assert [row.outer for row in report.rows] == [9, 12, 15]
+        assert [row["verdict"] for row in report.rows] == ["Forced"] * 3
+        assert [row["provedAtOuter"] for row in report.rows] == [4, 5, 6]
+        assert [row["outer"] for row in report.rows] == [9, 12, 15]
 
     def test_colorable_pair_of_centers(self):
         centers = [(0, 0), (3, 0)]
         report = certify_schedule(centers, 2, [1], r_factor=1)
         row = report.rows[0]
-        assert row.verdict.kind is VerdictKind.COLORABLE
-        assert row.proved_at_outer == row.outer == 5
+        assert row["verdict"] == "Colorable"
+        assert row["provedAtOuter"] == row["outer"] == 5
         spec = WindowSpec(dim=2, outer=5, inner=1, centers=tuple(centers))
         graph = build_symmetry_graph(spec)
-        assert verify_witness(graph, 2, row.verdict.witness)
+        assert verify_witness(graph, 2, row["witness"])
 
     def test_unknown_rows_survive_exhaustion(self):
         centers = sandwich_centers(2, 0)
         report = certify_schedule(centers, 3, [1], budget=0, r_factor=1)
-        assert report.rows[0].verdict.kind is VerdictKind.UNKNOWN
+        assert report.rows[0]["verdict"] == "Unknown"
 
     def test_needs_centers(self):
         with pytest.raises(ValueError):
@@ -699,21 +689,24 @@ def linear_schedule(centers, k, r_list, r_factor=3):
             verdict = certifier.decide_k_colorable(
                 certifier.build_symmetry_graph(spec), k
             )
-            if verdict.kind is VerdictKind.FORCED:
+            if verdict.kind == "Forced":
                 break
         rows.append((trial, verdict))
     return rows
 
 
-def row_summary(proved_at, verdict):
-    stats = verdict.stats
+def row_summary(row):
+    """A schedule row without its ``outer`` and ``windowsSolved``: what a
+    scan of the windows must reproduce."""
     return (
-        verdict.kind,
-        proved_at,
-        verdict.witness,
-        verdict.detail,
-        (stats.vertices, stats.edges, stats.decisions),
+        row["verdict"], row["provedAtOuter"], row["witness"], row["detail"], row["stats"]
     )
+
+
+def scan_summary(proved_at, verdict):
+    """The same summary of a window decided at outer radius proved_at."""
+    stats = asdict(verdict.stats)
+    return (verdict.kind, proved_at, verdict.witness, verdict.detail, stats)
 
 
 @pytest.fixture
@@ -749,26 +742,26 @@ class TestGallopingEscalation:
     def test_matches_the_linear_scan(self, centers, k, r_list, r_factor):
         report = certify_schedule(centers, k, r_list, r_factor=r_factor)
         expected = linear_schedule(centers, k, r_list, r_factor=r_factor)
-        got = [row_summary(row.proved_at_outer, row.verdict) for row in report.rows]
-        assert got == [row_summary(at, verdict) for at, verdict in expected]
+        got = [row_summary(row) for row in report.rows]
+        assert got == [scan_summary(at, verdict) for at, verdict in expected]
 
     def test_late_forced_rows_are_found_by_bisection(self, solved):
         report = certify_schedule(LATE_FORCED, 2, [1])
         (row,) = report.rows
-        assert row.verdict.kind is VerdictKind.FORCED
-        assert row.proved_at_outer == 6
+        assert row["verdict"] == "Forced"
+        assert row["provedAtOuter"] == 6
         # start 4 and 5, then R = 12 (Forced), so the gallop goes on to
         # 7 (Forced) and bisects the gap [6, 7]
         assert solved == [4, 5, 12, 7, 6]
-        assert row.windows_solved == len(solved)
+        assert row["windowsSolved"] == len(solved)
 
     def test_colorable_rows_with_two_colors_solve_three_windows(self, solved):
         report = certify_schedule([(0, 0), (3, 0)], 2, [1, 4])
-        assert [row.verdict.kind for row in report.rows] == [VerdictKind.COLORABLE] * 2
-        assert [row.proved_at_outer for row in report.rows] == [15, 24]
+        assert [row["verdict"] for row in report.rows] == ["Colorable"] * 2
+        assert [row["provedAtOuter"] for row in report.rows] == [15, 24]
         # start and start + 1, then the full window R, which settles the row
         assert solved == [5, 6, 15] + [8, 9, 24]
-        assert [row.windows_solved for row in report.rows] == [3, 3]
+        assert [row["windowsSolved"] for row in report.rows] == [3, 3]
 
     def test_a_gallop_that_reaches_a_forced_full_window_reuses_it(
         self, solved, monkeypatch
@@ -777,7 +770,7 @@ class TestGallopingEscalation:
 
         def forced_from_eight(graph, k, budget=certifier.DEFAULT_BUDGET):
             decided.append(outer_of(graph, 2, 1))
-            kind = VerdictKind.FORCED if decided[-1] >= 8 else VerdictKind.COLORABLE
+            kind = "Forced" if decided[-1] >= 8 else "Colorable"
             stats = certifier.SearchStats(
                 vertices=graph.vertex_count, edges=graph.edge_count,
                 decisions=0, conflicts=0,
@@ -787,25 +780,25 @@ class TestGallopingEscalation:
         monkeypatch.setattr(certifier, "decide_k_colorable", forced_from_eight)
         (row,) = certify_schedule(LATE_FORCED, 2, [1], r_factor=2).rows
         # start 4 and 5, R = 8 (Forced), gallop 7, then 8 again: no new solve
-        assert (row.verdict.kind, row.proved_at_outer) == (VerdictKind.FORCED, 8)
+        assert (row["verdict"], row["provedAtOuter"]) == ("Forced", 8)
         assert solved == decided == [4, 5, 8, 7]
-        assert row.windows_solved == 4
+        assert row["windowsSolved"] == 4
 
     def test_rows_with_three_colors_never_solve_the_full_window_early(self, solved):
         # a SAT window can cost more than the gallop below it, so R is
         # solved only when the gallop reaches it
         report = certify_schedule([(0, 0), (2, 1), (1, 3)], 3, [0], r_factor=2)
         (row,) = report.rows
-        assert row.verdict.kind is VerdictKind.COLORABLE
+        assert row["verdict"] == "Colorable"
         assert solved == [4, 5, 7, 8]
         solved.clear()
         # Forced at outer 4 of R = 9: R is never solved
         report = certify_schedule(sandwich_centers(2, 0), 3, [1])
         (row,) = report.rows
-        assert row.verdict.kind is VerdictKind.FORCED
-        assert (row.proved_at_outer, row.outer) == (4, 9)
+        assert row["verdict"] == "Forced"
+        assert (row["provedAtOuter"], row["outer"]) == (4, 9)
         assert solved == [3, 4]
-        assert row.windows_solved == 2
+        assert row["windowsSolved"] == 2
 
     def test_an_unknown_probe_moves_the_search_up(self, monkeypatch, solved):
         decide = certifier.decide_k_colorable
@@ -813,7 +806,7 @@ class TestGallopingEscalation:
         def unknown_at_seven(graph, k, budget=certifier.DEFAULT_BUDGET):
             if outer_of(graph, 2, 1) == 7:
                 return certifier.WindowVerdict(
-                    kind=VerdictKind.UNKNOWN,
+                    kind="Unknown",
                     witness=None,
                     stats=certifier.SearchStats(
                         vertices=graph.vertex_count,
@@ -833,11 +826,11 @@ class TestGallopingEscalation:
         assert solved == [4, 5, 12, 7, 11, 9, 8]
         ((linear_at, _),) = linear_schedule(LATE_FORCED, 2, [1])
         assert linear_at == 6
-        assert row.verdict.kind is VerdictKind.FORCED
-        assert row.proved_at_outer == 8
+        assert row["verdict"] == "Forced"
+        assert row["provedAtOuter"] == 8
         spec = WindowSpec(dim=2, outer=8, inner=1, centers=tuple(LATE_FORCED))
         direct = decide(build_symmetry_graph(spec), 2)
-        assert row_summary(8, direct) == row_summary(row.proved_at_outer, row.verdict)
+        assert scan_summary(8, direct) == row_summary(row)
 
 
 def export_dimacs(graph, k):
@@ -957,7 +950,7 @@ class TestDimacsExport:
         num_vars, clauses = parse_dimacs(export_dimacs(graph, k))
         assert dpll(num_vars, clauses) == colorable
         verdict = decide_k_colorable(graph, k)
-        assert (verdict.kind is VerdictKind.COLORABLE) == colorable
+        assert (verdict.kind == "Colorable") == colorable
 
 
 def pigeonhole(pigeons, holes):
@@ -1233,7 +1226,7 @@ class TestSatCore:
         # units, every clause of the encoding is binary and goes to the
         # implication lists
         verdict = decide_k_colorable(graph_from_edges(11, GROETZSCH), 3)
-        assert verdict.kind is VerdictKind.FORCED
+        assert verdict.kind == "Forced"
         assert verdict.witness is None
         assert verdict.stats.conflicts > 0
         assert verdict.stats.decisions > 0

@@ -33,6 +33,7 @@ from centerpole.cli import (
     main,
 )
 from centerpole.tshape import moment_curve_points
+from test_scripts import load_script
 
 
 def run_cli(argv, capsys):
@@ -469,7 +470,25 @@ class TestCertifyCommand:
         assert row["outer"] == 9
         assert row["provedAtOuter"] == 4
         assert row["witness"] is None
-        assert set(row["stats"]) == {"vertices", "edges", "decisions"}
+        assert set(row["stats"]) == {"vertices", "edges", "decisions", "conflicts"}
+
+    @pytest.mark.parametrize(
+        "k,s,colors,r_list", [(1, -1, 2, [1, 2, 3]), (2, 0, 3, [1, 2])]
+    )
+    def test_a_certify_row_is_the_schedule_row(self, k, s, colors, r_list):
+        # the planar and spatial nuclei: the certifier builds each row
+        # once, and certify prints it as it is, as the evidence script
+        # reads it
+        code, result = cli.cmd_certify(k + 1, colors, f"sandwich({k},{s})", r_list)
+        assert code == 0
+        printed = json.loads(cli.indented_json(result))["rows"]
+        centers = sorted(cube.build_sandwich(k, s))
+        report = certifier.certify_schedule(centers, colors, r_list)
+        assert printed == json.loads(json.dumps(report.rows))
+        evidence = load_script("run_certifier_evidence")
+        case = evidence.schedule_row("nucleus", centers, colors, r_list, [])
+        assert case["windowsSolved"] == [row["windowsSolved"] for row in printed]
+        assert case["conflicts"] == [row["stats"]["conflicts"] for row in printed]
 
     def test_colorable_pair_from_centers_file(self, tmp_path, capsys):
         path = tmp_path / "centers.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from centerpole import cube
 from centerpole.certifier import WindowSpec, certify_schedule
-from centerpole.cli import parse_center_set
+from centerpole.cli import cmd_certify
 from centerpole.cube import (
     LShape,
     SigmaZeroSet,
@@ -39,7 +39,7 @@ class TestCheckedCoordinates:
         with pytest.raises(ValueError, match="outside the window"):
             WindowSpec(dim=3, outer=2, inner=0, centers=(center,))
         (row,) = certify_schedule([center], 1, [0]).rows
-        assert row.outer == 3 * (0 + 3 + 1)
+        assert row["outer"] == 3 * (0 + 3 + 1)
 
     def test_dimension_mismatch(self):
         # points of two dimensions meet in a window's centers; the wrong
@@ -72,7 +72,7 @@ class TestCheckedCoordinates:
         with pytest.raises(ValueError, match=row_named):
             checked_coordinates([0, 2**63])
         with pytest.raises(ValueError, match="64-bit"):
-            parse_center_set([[0, 2**63]])
+            cmd_certify(2, 1, [[0, 2**63]], [0])
         # the window reach: +-outer stays in range, as every center does
         WindowSpec(dim=1, outer=edge, inner=0, centers=((-edge,),))
         with pytest.raises(ValueError, match="64-bit"):
