@@ -28,13 +28,16 @@ never gives Unknown.
 
 A Forced verdict is finite-window evidence about the tested radii, not
 a proof about the infinite group; growing outer radii at a fixed inner
-radius is the intended reading.  Smaller windows embed into larger ones
-as induced subgraphs, so Forced persists as the outer radius grows.
-``certify_schedule`` uses that to solve only some outer radii: it
-gallops up from the smallest window to the full one until a window is
-Forced, then bisects for the smallest Forced outer radius.  For k <= 2,
-whose windows need no search, the full window is solved right after the
-two smallest, and a Colorable one ends the row.  Colorable is reported
+radius is the intended reading.  Windows nest in both radii: the window
+(inner r', outer o') is an induced subgraph of (r, o) whenever r' >= r
+and o' <= o, so Forced persists as the window grows and Colorable as it
+shrinks.  ``certify_schedule`` uses that to solve only some windows: in
+each row it gallops up from the smallest window to the full one until a
+window is Forced, then bisects for the smallest Forced outer radius.
+For k <= 2, whose windows need no search, the full window is solved
+right after the two smallest, and a Colorable one ends the row.  The
+rows run by increasing inner radius, and a window inside one already
+decided Colorable is neither built nor decided.  Colorable is reported
 only from the full window.  Each row is built here once, as the dict
 that ``certify`` prints: its verdict, proof window ``provedAtOuter``,
 the stats of that window and ``windowsSolved``.
@@ -433,13 +436,22 @@ def certify_schedule(
 
     For k <= 2 a window is decided without search, in time linear in its
     size, so when neither ``start`` nor ``start + 1`` is Forced, R is
-    solved next.  A Colorable R ends the row after three windows; a
-    Forced R leaves the gallop to go on from ``start + 3``, and reaching
-    R again reuses its verdict.  For k >= 3 R is solved only when the
-    gallop reaches it, since one SAT window can cost more than the whole
-    gallop below it.  No window of a row is solved twice;
-    ``windowsSolved`` counts them.  A repeated inner radius is solved
-    once, and its row is repeated.
+    solved next.  A Colorable R ends the row after at most three
+    windows; a Forced R leaves the gallop to go on from ``start + 3``,
+    and reaching R again reuses its verdict.  For k >= 3 R is solved only
+    when the gallop reaches it, since one SAT window can cost more than
+    the whole gallop below it.
+
+    The distinct inner radii are solved in increasing order and the rows
+    reported in ``r_list`` order; a repeated inner radius is solved once,
+    and its row is repeated.  The schedule keeps one bound, the largest
+    outer radius of any window decided Colorable so far.  A probe at an
+    outer radius up to it lies inside that window (its inner radius is
+    no smaller), so it is Colorable and is neither built nor decided.  R
+    grows with r, so every row's R lies above the bound and is solved,
+    and every row's verdict comes from a window the row solved.  No
+    window is solved twice; ``windowsSolved`` counts the windows the row
+    itself built.
 
     Each row is built once, as the dict ``certify`` prints: ``inner``,
     ``outer`` (R), ``provedAtOuter``, ``verdict`` (the window's kind),
@@ -465,48 +477,55 @@ def certify_schedule(
     check_schedule_args(k, r_list, r_factor, budget)
     dim = len(centers[0])
     max_norm = max((abs(a) for c in centers for a in c), default=0)
-    outers = [r_factor * (r + max_norm + 1) for r in r_list]
-    check_window_size(dim, max(outers))
+    check_window_size(dim, r_factor * (max(r_list) + max_norm + 1))
+    # the largest outer radius of a window decided Colorable so far (a
+    # window is decided only above it): the inner radii run in increasing
+    # order, so a window of this row up to it lies inside that window
+    colorable_to = 0
     by_inner: dict[int, dict] = {}
-    for r, outer in zip(r_list, outers):
-        if r in by_inner:
-            continue
+    for r in sorted(set(r_list)):
+        outer = r_factor * (r + max_norm + 1)
         solved: dict[int, WindowVerdict] = {}
 
-        def solve(trial_outer: int) -> WindowVerdict:
+        def forced(trial_outer: int) -> bool:
+            nonlocal colorable_to
+            if trial_outer <= colorable_to:
+                return False
             if trial_outer not in solved:
                 spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
                 graph = build_symmetry_graph(spec)
-                solved[trial_outer] = decide_k_colorable(graph, k, budget=budget)
-            return solved[trial_outer]
+                verdict = decide_k_colorable(graph, k, budget=budget)
+                solved[trial_outer] = verdict
+                if verdict.kind == "Colorable":
+                    colorable_to = trial_outer
+            return solved[trial_outer].kind == "Forced"
 
         start = r + max_norm + 1
         lo = trial_outer = start
-        verdict = solve(start)
+        hit = forced(start)
         step = 1
-        while verdict.kind != "Forced" and trial_outer != outer:
+        while not hit and trial_outer != outer:
             lo = trial_outer + 1
             trial_outer = min(trial_outer + step, outer)
             step *= 2
-            verdict = solve(trial_outer)
-            if k <= 2 and trial_outer == start + 1 and verdict.kind != "Forced":
+            hit = forced(trial_outer)
+            if k <= 2 and trial_outer == start + 1 and not hit and not forced(outer):
                 # no search runs for k <= 2, so R costs time linear in its
                 # size, and a Colorable R settles the row without the gallop;
                 # waiting for start + 1 spares R to rows Forced there, as the
-                # planar nuclei are
-                full = solve(outer)
-                if full.kind != "Forced":
-                    trial_outer, verdict = outer, full
+                # planar nuclei are; a start + 1 inside the bound is not
+                # Forced, so such a row goes straight to R
+                trial_outer = outer
         proved_at = trial_outer
-        if verdict.kind == "Forced":
+        if hit:
             # the smallest Forced radius lies in [lo, proved_at]
             while lo < proved_at:
                 mid = (lo + proved_at) // 2
-                probe = solve(mid)
-                if probe.kind == "Forced":
-                    verdict, proved_at = probe, mid
+                if forced(mid):
+                    proved_at = mid
                 else:
                     lo = mid + 1
+        verdict = solved[proved_at]
         stats = verdict.stats
         by_inner[r] = {
             "inner": r,

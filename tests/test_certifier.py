@@ -737,6 +737,10 @@ class TestGallopingEscalation:
             ([(0, 0, 0), (1, 1, 1)], 2, [0, 1], 2),
             (LATE_FORCED, 3, [1], 3),
             ([(0, 0), (2, 1), (1, 3)], 3, [0, 1], 2),
+            # radii out of order and repeated, each row inside the last
+            ([(0, 0), (3, 0)], 2, [3, 1, 2, 1], 2),
+            # three-color Colorable rows: the later ones solve R only
+            ([(0, 0), (2, 1), (1, 3)], 3, [0, 1, 2], 2),
         ],
     )
     def test_matches_the_linear_scan(self, centers, k, r_list, r_factor):
@@ -759,9 +763,51 @@ class TestGallopingEscalation:
         report = certify_schedule([(0, 0), (3, 0)], 2, [1, 4])
         assert [row["verdict"] for row in report.rows] == ["Colorable"] * 2
         assert [row["provedAtOuter"] for row in report.rows] == [15, 24]
-        # start and start + 1, then the full window R, which settles the row
-        assert solved == [5, 6, 15] + [8, 9, 24]
-        assert [row["windowsSolved"] for row in report.rows] == [3, 3]
+        # start and start + 1, then the full window R, which settles the
+        # row; the second row's start 8 and start + 1 lie inside that
+        # Colorable R = 15, so it goes straight to its R
+        assert solved == [5, 6, 15, 24]
+        assert [row["windowsSolved"] for row in report.rows] == [3, 1]
+
+    def test_rows_skip_the_windows_inside_a_colorable_one(self, solved):
+        # inner radii run in increasing order whatever the list's order:
+        # after row 1's Colorable R = 15, each later row's start and
+        # start + 1 lie inside the last Colorable R, and only its own R is
+        # built
+        for r_list in ([1, 2, 3, 4], [4, 3, 2, 1]):
+            solved.clear()
+            report = certify_schedule([(0, 0), (3, 0)], 2, r_list)
+            assert solved == [5, 6, 15, 18, 21, 24]
+            assert [row["inner"] for row in report.rows] == r_list
+            assert [row["outer"] for row in report.rows] == [3 * r + 12 for r in r_list]
+            assert [row["verdict"] for row in report.rows] == ["Colorable"] * 4
+            assert [row["windowsSolved"] for row in report.rows] == [
+                3 if r == 1 else 1 for r in r_list
+            ]
+        # each planar nucleus row starts above the last Colorable window
+        # of the row before, so every row builds what it built alone
+        solved.clear()
+        report = certify_schedule(sandwich_centers(1, -1), 2, [1, 2, 3])
+        assert [row["verdict"] for row in report.rows] == ["Forced"] * 3
+        assert solved == [3, 4, 4, 5, 5, 6]
+        assert [row["windowsSolved"] for row in report.rows] == [2, 2, 2]
+
+    def test_an_unknown_window_bounds_no_later_row(self, solved, monkeypatch):
+        decide = certifier.decide_k_colorable
+
+        def unknown_at_fifteen(graph, k, budget=certifier.DEFAULT_BUDGET):
+            verdict = decide(graph, k, budget=budget)
+            if graph.vertex_count == 31**2 - 3**2:  # inner 1, outer 15
+                return certifier.WindowVerdict("Unknown", None, verdict.stats)
+            return verdict
+
+        monkeypatch.setattr(certifier, "decide_k_colorable", unknown_at_fifteen)
+        report = certify_schedule([(0, 0), (3, 0)], 2, [1, 2])
+        assert [row["verdict"] for row in report.rows] == ["Unknown", "Colorable"]
+        # only outer 6 bounds the r = 2 row: its start 6 is skipped, and
+        # its start + 1 = 7, inside the Unknown R = 15, is solved
+        assert solved == [5, 6, 15, 7, 18]
+        assert [row["windowsSolved"] for row in report.rows] == [3, 2]
 
     def test_a_gallop_that_reaches_a_forced_full_window_reuses_it(
         self, solved, monkeypatch

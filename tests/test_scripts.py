@@ -221,14 +221,16 @@ class TestCertifierEvidence4d:
             "spatial-nucleus",
             "4d-nucleus",
         ]
-        # a one-color singleton is Forced at its first window; a Colorable
-        # two-color row solves its first two windows and then R, and a
-        # nucleus row is Forced at its second window, before R
+        # a one-color singleton is Forced at its first window; the first
+        # Colorable two-color row solves its first two windows and then R,
+        # and the second only its R, since its first two lie inside the
+        # first row's Colorable R; a nucleus row is Forced at its second
+        # window, before R
         assert [case["windowsSolved"] for case in doc["cases"]] == [
             [1],
             [1],
             [1],
-            [3, 3],
+            [3, 1],
             [2, 2, 2],
             [2, 2],
             [2],
