@@ -1,63 +1,19 @@
 """Exact tools for centerpole-set experiments.
 
-Sandwich constructions in Z^(1+k), shift-covering of L-shaped facet
-sets, exact rational hyperplane geometry, T-shape decisions with
-certificates, witness colorings, and finite-window symmetry-graph
-certification.
-"""
+Each name is imported from the module that defines it, as in
+``from centerpole.certifier import certify_schedule``; importing the
+package alone loads no module.
 
-from .certifier import (
-    ScheduleReport,
-    SymmetryGraph,
-    WindowSpec,
-    WindowVerdict,
-    build_symmetry_graph,
-    certify_schedule,
-    decide_k_colorable,
-    verify_witness,
-)
-from .colorings import (
-    ColoringRule,
-    cone_coloring,
-    halfspace_coloring,
-    pair_coloring,
-    plus0_extension,
-    plus1_extension,
-    plus2_extension,
-    standard_simplex,
-    symmetric_pair_scan,
-)
-from .covering import (
-    CaseAnalysisError,
-    CoverCertificate,
-    brute_force_cover_shifts,
-    constructive_cover_shift,
-    verify_covering_lemma,
-)
-from .cube import (
-    LShape,
-    SigmaZeroSet,
-    build_sandwich,
-    cube_points,
-    enumerate_maximal_sigma0_sets,
-    sandwich_contains,
-    sandwich_size,
-    sigma0,
-)
-from .geometry import (
-    affine_hull_dim,
-    hyperplane,
-    in_general_position,
-    separates,
-    side_of,
-)
-from .tshape import (
-    KNOWN_T_VALUES,
-    TShapeCertificate,
-    TShapeResult,
-    is_t_shaped,
-    moment_curve_points,
-    verify_t_value_bounds,
-)
+- ``cube``: cube vertices, the (k, s) sandwich sets of Z^(1+k), and the
+  L-shaped facet sets the covering code takes as input.
+- ``covering``: the constructive shift table that covers each facet set
+  by a unit translate of a sandwich, and its checks.
+- ``geometry``: exact rational points, hyperplanes, ranks and inverses.
+- ``tshape``: T-shape decisions with hyperplane certificates.
+- ``colorings``: witness coloring rules and the seeded violation scan.
+- ``certifier``: finite-window symmetry graphs and their k-coloring
+  verdicts; ``sat`` is the SAT core behind them.
+- ``cli``: the ``centerpole`` command.
+"""
 
 __version__ = "0.1.0"

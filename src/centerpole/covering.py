@@ -19,7 +19,6 @@ from itertools import product
 from operator import sub
 
 from .cube import (
-    LShape,
     SigmaZeroSet,
     enumerate_maximal_sigma0_sets,
     sandwich_contains,
@@ -96,7 +95,7 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
                 head, along, label = 1, 0, "0.3"
             else:
                 head, along, label = 0, 0, "0.4"
-    elif tau.shape is LShape.LOWER:
+    elif tau.shape == "lowerL":
         if level == 0:
             if a > s:
                 head, along, label = 0, 0, "I.1.0/a>s"
@@ -140,7 +139,7 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
         raise CaseAnalysisError(
             f"case {label}: constructive failure: prescribed shift {shift} "
             f"fails membership for gamma={gamma} level={level} a={a} "
-            f"shape={tau.shape.value} s={s}"
+            f"shape={tau.shape} s={s}"
         )
     return cert
 
@@ -209,7 +208,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         where = {
             "facet": [tau.facet_axis, tau.facet_level],
             "anchor": tau.anchor,
-            "shape": tau.shape.value,
+            "shape": tau.shape,
         }
         try:
             cert = constructive_cover_shift(tau, s)

@@ -17,7 +17,6 @@ trust what the enumeration has just filtered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator
@@ -109,19 +108,11 @@ def sigma0(point: tuple[int, ...]) -> tuple[int, int]:
     return point[0], sum(point[1:])
 
 
-class LShape(Enum):
-    """Which L-shaped triple bounds the (head, tail-sum) image.
-
-    For anchor a, LOWER is {(0,a), (1,a), (1,a+1)} and UPPER is
-    {(0,a), (0,a+1), (1,a+1)}.
-    """
-
-    LOWER = "lowerL"
-    UPPER = "upperL"
-
-
-def profile_triple(a: int, shape: LShape) -> frozenset[tuple[int, int]]:
-    if shape is LShape.LOWER:
+def profile_triple(a: int, shape: str) -> frozenset[tuple[int, int]]:
+    """The L-shaped triple that bounds a facet set's (head, tail-sum)
+    image.  For anchor a, ``"lowerL"`` is {(0,a), (1,a), (1,a+1)} and
+    ``"upperL"`` is {(0,a), (0,a+1), (1,a+1)}."""
+    if shape == "lowerL":
         return frozenset({(0, a), (1, a), (1, a + 1)})
     return frozenset({(0, a), (0, a + 1), (1, a + 1)})
 
@@ -133,10 +124,11 @@ class SigmaZeroSet:
 
     ``facet_axis`` and ``facet_level`` pin the facet (coordinate
     ``facet_axis`` equals ``facet_level`` on every point); ``anchor``
-    and ``shape`` pin the triple.  Every subset of a valid instance is
-    again a valid instance with the same parameters.  The constructor
-    checks the parameters only; the points are trusted, since
-    ``enumerate_maximal_sigma0_sets`` has just chosen them by those tests.
+    and ``shape``, ``"lowerL"`` or ``"upperL"``, pin the triple.  Every
+    subset of a valid instance is again a valid instance with the same
+    parameters.  The constructor checks the parameters only; the points
+    are trusted, since ``enumerate_maximal_sigma0_sets`` has just chosen
+    them by those tests.
     """
 
     k: int
@@ -144,7 +136,7 @@ class SigmaZeroSet:
     facet_axis: int
     facet_level: int
     anchor: int
-    shape: LShape
+    shape: str
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -155,6 +147,8 @@ class SigmaZeroSet:
             raise ValueError(f"facet level must be 0 or 1, got {self.facet_level}")
         if not 0 <= self.anchor <= self.k - 1:
             raise ValueError(f"anchor {self.anchor} outside 0..{self.k - 1}")
+        if self.shape not in ("lowerL", "upperL"):
+            raise ValueError(f"shape must be lowerL or upperL, got {self.shape!r}")
 
 
 def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
@@ -176,7 +170,7 @@ def enumerate_maximal_sigma0_sets(k: int) -> list[SigmaZeroSet]:
                 if p[axis] == level:
                     cells.setdefault(image, []).append(p)
             for a in range(k):
-                for shape in (LShape.LOWER, LShape.UPPER):
+                for shape in ("lowerL", "upperL"):
                     triple = profile_triple(a, shape)
                     pts = frozenset().union(*(cells.get(image, ()) for image in triple))
                     out.append(

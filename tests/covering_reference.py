@@ -53,7 +53,7 @@ def covering_report(k, s):
         where = {
             "facet": [tau.facet_axis, tau.facet_level],
             "anchor": tau.anchor,
-            "shape": tau.shape.value,
+            "shape": tau.shape,
         }
         try:
             cert = covering.constructive_cover_shift(tau, s)

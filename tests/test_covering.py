@@ -15,7 +15,6 @@ from centerpole.covering import (
     verify_covering_lemma,
 )
 from centerpole.cube import (
-    LShape,
     SigmaZeroSet,
     build_sandwich,
     enumerate_maximal_sigma0_sets,
@@ -80,26 +79,26 @@ def full_box_scan(tau_points, k, s):
 class TestConstructiveShift:
     def test_singleton_origin_needs_no_shift(self):
         tau = subset_of(
-            maximal(3, 0, 0, 0, LShape.LOWER), {(0, 0, 0, 0)}
+            maximal(3, 0, 0, 0, "lowerL"), {(0, 0, 0, 0)}
         )
         cert = constructive_cover_shift(tau, 1)
         assert cert.case_label == "0.1"
         assert cert.shift == (0, 0, 0, 0)
 
     def test_lower_shape_anchor_at_s_shifts_down_the_facet_axis(self):
-        tau = maximal(3, 1, 0, 0, LShape.LOWER)
+        tau = maximal(3, 1, 0, 0, "lowerL")
         cert = constructive_cover_shift(tau, 0)
         assert cert.case_label == "I.1.0/a=s"
         assert cert.shift == (0, -1, 0, 0)
 
     def test_upper_shape_anchor_below_s_shifts_diagonally(self):
-        tau = maximal(3, 1, 1, 0, LShape.UPPER)
+        tau = maximal(3, 1, 1, 0, "upperL")
         cert = constructive_cover_shift(tau, 1)
         assert cert.case_label == "I.2.1/a=s-1"
         assert cert.shift == (1, 1, 0, 0)
 
     def test_empty_set_gets_zero_shift(self):
-        tau = subset_of(maximal(2, 1, 0, 0, LShape.LOWER), set())
+        tau = subset_of(maximal(2, 1, 0, 0, "lowerL"), set())
         cert = constructive_cover_shift(tau, 0)
         assert cert.case_label == "empty"
         assert cert.shift == (0, 0, 0)
@@ -107,14 +106,14 @@ class TestConstructiveShift:
     def test_facet_swap_applies_case_0(self):
         # every point of this set has head coordinate 1, so the swap
         # treats it as sitting on the axis-0 facet at level 1
-        tau = maximal(2, 1, 1, 0, LShape.LOWER)
+        tau = maximal(2, 1, 1, 0, "lowerL")
         assert all(p[0] == 1 for p in tau.points)
         cert = constructive_cover_shift(tau, 0)
         assert cert.case_label in {"0.3", "0.4"}
         assert cert.verify()
 
     def test_rejects_out_of_range_s(self):
-        tau = maximal(2, 0, 0, 0, LShape.LOWER)
+        tau = maximal(2, 0, 0, 0, "lowerL")
         with pytest.raises(ValueError):
             constructive_cover_shift(tau, 1)
 
@@ -127,7 +126,7 @@ class TestConstructiveShift:
         assert seen >= ALL_CASE_LABELS
 
     def test_tampered_certificate_fails_verification(self):
-        tau = maximal(2, 1, 0, 0, LShape.LOWER)
+        tau = maximal(2, 1, 0, 0, "lowerL")
         good = constructive_cover_shift(tau, 0)
         bad = CoverCertificate(
             tau=tau,
@@ -139,7 +138,7 @@ class TestConstructiveShift:
         assert not bad.verify()
 
     def test_wrong_dimension_shift_fails_verification(self):
-        tau = maximal(2, 1, 0, 0, LShape.LOWER)
+        tau = maximal(2, 1, 0, 0, "lowerL")
         cert = CoverCertificate(
             tau=tau, s=0, shift=(0, 0), case_label="0.1"
         )
@@ -191,7 +190,7 @@ class TestBruteForceOracle:
         assert hits == full_box_scan([], 1, -1)
 
     def test_output_is_sorted_lexicographically(self):
-        tau = subset_of(maximal(2, 1, 0, 0, LShape.LOWER), {(0, 0, 0)})
+        tau = subset_of(maximal(2, 1, 0, 0, "lowerL"), {(0, 0, 0)})
         hits = brute_force_cover_shifts(tau.points, 2, 0)
         assert len(hits) > 1
         assert hits == sorted(hits)
@@ -233,7 +232,7 @@ def assert_failures_name_missed_points(report, k, s):
                 {
                     "facet": [tau.facet_axis, tau.facet_level],
                     "anchor": tau.anchor,
-                    "shape": tau.shape.value,
+                    "shape": tau.shape,
                     "reason": f"case {cert.case_label}: point {min(missed)} "
                     f"minus shift {shift} is not in the built sandwich",
                 }
@@ -414,7 +413,7 @@ class TestTupleChecksMatchTheReference:
                 cert = covering.constructive_cover_shift(tau, s)
                 if not covering_reference.certificate_holds(cert):
                     expected.append(
-                        [tau.facet_axis, tau.facet_level, tau.anchor, tau.shape.value]
+                        [tau.facet_axis, tau.facet_level, tau.anchor, tau.shape]
                     )
                     labels.append(cert.case_label)
         failures = verify_covering_lemma(k, s)["failures"]

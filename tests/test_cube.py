@@ -11,7 +11,6 @@ from centerpole import cube
 from centerpole.certifier import WindowSpec, certify_schedule
 from centerpole.cli import cmd_certify
 from centerpole.cube import (
-    LShape,
     SigmaZeroSet,
     build_sandwich,
     checked_coordinates,
@@ -221,8 +220,8 @@ class TestProjections:
 
 class TestSigmaZeroSets:
     def test_profile_triples(self):
-        assert profile_triple(2, LShape.LOWER) == {(0, 2), (1, 2), (1, 3)}
-        assert profile_triple(2, LShape.UPPER) == {(0, 2), (0, 3), (1, 3)}
+        assert profile_triple(2, "lowerL") == {(0, 2), (1, 2), (1, 3)}
+        assert profile_triple(2, "upperL") == {(0, 2), (0, 3), (1, 3)}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_enumeration_count(self, k):
@@ -278,7 +277,7 @@ class TestSigmaZeroSets:
                 facet_axis=3,
                 facet_level=0,
                 anchor=0,
-                shape=LShape.LOWER,
+                shape="lowerL",
             )
         with pytest.raises(ValueError):
             SigmaZeroSet(
@@ -287,7 +286,16 @@ class TestSigmaZeroSets:
                 facet_axis=0,
                 facet_level=0,
                 anchor=1,
-                shape=LShape.LOWER,
+                shape="lowerL",
+            )
+        with pytest.raises(ValueError, match="shape must be lowerL or upperL"):
+            SigmaZeroSet(
+                k=1,
+                points=frozenset(),
+                facet_axis=0,
+                facet_level=0,
+                anchor=0,
+                shape="middleL",
             )
 
 

@@ -6,12 +6,13 @@ reached like a definition.  A name counts as reached when some other
 top-level statement of a file under src/, scripts/ or bench/ refers to
 it: as a name, an attribute, a ``from ... import`` name, or a string
 that a call looks up on an object, as ``getattr(obj, "name")`` and the
-benchmark's ``wrap(obj, "name", ...)`` do.  The package's
-``__init__.py`` does not count, since a re-export calls nothing.  A
-helper that only tests reach should be deleted.
+benchmark's ``wrap(obj, "name", ...)`` do.  A helper that only tests
+reach should be deleted.
 
 Likewise every name that a package module imports at top level is read
-in that module; ``from __future__`` imports are exempt.
+in that module; ``from __future__`` imports are exempt.  The package's
+``__init__.py`` is held to this too, so it re-exports nothing: a name is
+imported from the module that defines it.
 
 And every dataclass field, and every attribute that a class's
 ``__init__`` sets on ``self``, is read somewhere under src/, scripts/ or
@@ -81,17 +82,14 @@ def _public_definitions(path: Path) -> list[tuple[str, int]]:
 
 
 def test_every_public_definition_is_reached():
-    sources = [path for path in _sources() if path.name != "__init__.py"]
     # (file, top-level statement, names it refers to)
     statements = [
         (path, node, _referenced(node))
-        for path in sources
+        for path in _sources()
         for node in _parse(path).body
     ]
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for name, line in _public_definitions(path):
             if not any(
                 name in names
@@ -105,8 +103,6 @@ def test_every_public_definition_is_reached():
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         module = _parse(path)
         bound = set()
         for node in module.body:
