@@ -6,9 +6,10 @@ colorable, the two sandwich nuclei whose windows are forced with 2 and
 3 colors, and the 12-point nucleus sandwich(3,1) in Z^4 with 4 colors,
 expected Forced at outer radius 4.  The whole run takes under a second
 on two cores.  Emits one JSON document with verdicts, proof windows,
-decision and conflict counts, and the windows solved per row.  Exit
-code 1 if any case misses its expected verdict, 2 with one ``error:``
-line if --out cannot be written.
+decision and conflict counts, and the windows solved per row: a row
+read off a larger Colorable window, as the generic pair's second row
+is, solves none.  Exit code 1 if any case misses its expected verdict,
+2 with one ``error:`` line if --out cannot be written.
 """
 import argparse
 import json

@@ -35,18 +35,22 @@ shrinks.  ``certify_schedule`` uses that to solve only some windows: in
 each row it gallops up from the smallest window to the full one until a
 window is Forced, then bisects for the smallest Forced outer radius.
 For k <= 2, whose windows need no search, the full window is solved
-right after the two smallest, and a Colorable one ends the row.  The
-rows run by increasing inner radius, and a window inside one already
-decided Colorable is neither built nor decided.  Colorable is reported
-only from the full window.  Each row is built here once, as the dict
-that ``certify`` prints: its verdict, proof window ``provedAtOuter``,
-the stats of that window and ``windowsSolved``.
+right after the two smallest, and a Colorable one ends the row; the
+first row to get that far solves the schedule's largest full window
+first, at its own inner radius.  The rows run by increasing inner
+radius, and a window inside one already decided Colorable is neither
+built nor decided.  A row whose full window lies inside one is
+Colorable: its witness is that window's verified witness restricted to
+the row's window, and its vertex and edge counts come from a closed
+form, with no build.  Each row is built here once, as the dict that ``certify``
+prints: its verdict, proof window ``provedAtOuter``, the stats of that
+window and ``windowsSolved``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from . import sat
@@ -136,6 +140,19 @@ def _box_indices(lo: Sequence[int], hi: Sequence[int], width: int) -> list[int]:
     return indices
 
 
+def _box_slots(dim: int, outer: int, inner: int) -> list[int]:
+    """The vertex index of each box index of a window (see
+    ``build_symmetry_graph``), or -1 for a point of its hole."""
+    width = 2 * outer + 1
+    keep = bytearray(b"\x01") * width**dim
+    for b in _box_indices((outer - inner,) * dim, (outer + inner,) * dim, width):
+        keep[b] = 0
+    slot = [-1] * len(keep)
+    for i, b in enumerate(compress(range(len(keep)), keep)):
+        slot[b] = i
+    return slot
+
+
 def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     """Build the window's symmetry graph on flat box indices.
 
@@ -150,13 +167,8 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     """
     dim, outer, inner = spec.dim, spec.outer, spec.inner
     width = 2 * outer + 1
-    keep = bytearray(b"\x01") * width**dim
-    for b in _box_indices((outer - inner,) * dim, (outer + inner,) * dim, width):
-        keep[b] = 0
-    slot = [-1] * len(keep)
-    for i, b in enumerate(compress(range(len(keep)), keep)):
-        slot[b] = i
-    n = len(keep) - keep.count(0)
+    slot = _box_slots(dim, outer, inner)
+    n = width**dim - (2 * inner + 1) ** dim
 
     keys: list[int] = []
     for c in set(spec.centers):
@@ -174,6 +186,63 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
                 keys.append(i * n + j)
     keys.sort()
     return SymmetryGraph(vertex_count=n, edges=tuple(divmod(key, n) for key in keys))
+
+
+def _window_size(spec: WindowSpec) -> tuple[int, int]:
+    """The vertex and edge counts of the window's symmetry graph, counted
+    without building it.
+
+    In each coordinate, x_i in ``[-a, a]`` with ``2c_i - x_i`` in
+    ``[-b, b]`` is an interval, so the points x of the box of radius a
+    whose mirror about c lies in the box of radius b are counted as a
+    product.  By inclusion-exclusion over the outer and inner boxes (x
+    and its mirror play the same part, hence the 2), that counts the
+    annulus points whose mirror about c lies in the annulus: both ends
+    of each edge, and c itself once if it lies in the annulus, as its
+    own mirror.  Halved and rounded down, that is the edge count.  Two
+    centers never share an edge, since an edge's midpoint is its center.
+    """
+    outer, inner = spec.outer, spec.inner
+
+    def mirrored(c: tuple[int, ...], a: int, b: int) -> int:
+        count = 1
+        for c_i in c:
+            count *= max(0, min(a, 2 * c_i + b) - max(-a, 2 * c_i - b) + 1)
+        return count
+
+    edges = 0
+    for c in set(spec.centers):
+        ends = mirrored(c, outer, outer) - 2 * mirrored(c, inner, outer)
+        edges += (ends + mirrored(c, inner, inner)) // 2
+    return (2 * outer + 1) ** spec.dim - (2 * inner + 1) ** spec.dim, edges
+
+
+def _restrict(
+    witness: Sequence[int], slot: list[int], big: int, spec: WindowSpec
+) -> tuple[int, ...]:
+    """A coloring of the window ``spec`` read off a coloring ``witness``
+    of a window that holds it (outer radius ``big``, an inner radius no
+    larger, box slots ``slot``): the same color at each point.
+
+    The window's points with one prefix, all coordinates but the last,
+    are one run along the last coordinate, or two around its hole.  No
+    point of a run lies in the larger window's hole, so the run is one
+    slice of that window's vertices."""
+    dim, outer, inner = spec.dim, spec.outer, spec.inner
+    width = 2 * big + 1
+    # the window's box and hole in the larger window's box coordinates
+    lo, hi = big - outer, big + outer
+    band = set(
+        _box_indices((big - inner,) * (dim - 1), (big + inner,) * (dim - 1), width)
+    )
+    whole = ((lo, hi),)
+    split = ((lo, big - inner - 1), (big + inner + 1, hi))
+    runs = []
+    for p in _box_indices((lo,) * (dim - 1), (hi,) * (dim - 1), width):
+        for a, b in split if p in band else whole:
+            s = slot[p * width + a]
+            runs.append(witness[s : s + b - a + 1])
+    return tuple(chain.from_iterable(runs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,27 +500,33 @@ def certify_schedule(
     until one is Forced or R has been solved, then the gap between the
     last probe that was not Forced and the first Forced one is bisected.
     A row is Forced at the smallest Forced window solved; otherwise it
-    carries the verdict of the full window R, so Colorable is only
-    reported from the full window.
+    is Colorable or Unknown at the full window R.
 
     For k <= 2 a window is decided without search, in time linear in its
     size, so when neither ``start`` nor ``start + 1`` is Forced, R is
-    solved next.  A Colorable R ends the row after at most three
-    windows; a Forced R leaves the gallop to go on from ``start + 3``,
-    and reaching R again reuses its verdict.  For k >= 3 R is solved only
-    when the gallop reaches it, since one SAT window can cost more than
-    the whole gallop below it.
+    solved next.  The first row to get there solves, before its R, the
+    schedule's largest full window at its inner radius, R_max =
+    r_factor * (max r_list + max center norm + 1), and no row solves it
+    again.  A Colorable R ends the row after at most four windows; a
+    Forced R leaves the gallop to go on from ``start + 3``, and reaching
+    R again reuses its verdict.  For k >= 3 R is solved only when the
+    gallop reaches it, since one SAT window can cost more than the whole
+    gallop below it.
 
     The distinct inner radii are solved in increasing order and the rows
     reported in ``r_list`` order; a repeated inner radius is solved once,
-    and its row is repeated.  The schedule keeps one bound, the largest
-    outer radius of any window decided Colorable so far.  A probe at an
-    outer radius up to it lies inside that window (its inner radius is
-    no smaller), so it is Colorable and is neither built nor decided.  R
-    grows with r, so every row's R lies above the bound and is solved,
-    and every row's verdict comes from a window the row solved.  No
-    window is solved twice; ``windowsSolved`` counts the windows the row
-    itself built.
+    and its row is repeated.  The schedule keeps one bound, the window
+    decided Colorable with the largest outer radius so far.  A probe at
+    an outer radius up to that one lies inside that window (its inner
+    radius is no smaller), so it is Colorable and is neither built nor
+    decided.  A row whose R lies inside it is Colorable at R without a
+    build: its witness is that window's witness, verified when it was
+    decided, restricted to the row's window; its ``vertices`` and
+    ``edges`` are counted in closed form, and its ``decisions`` and
+    ``conflicts`` are 0.  A Colorable R_max thus answers its own row and
+    every later one.  Every other row's verdict comes from a window the
+    row solved.  No window is solved twice; ``windowsSolved`` counts the
+    windows the row itself built.
 
     Each row is built once, as the dict ``certify`` prints: ``inner``,
     ``outer`` (R), ``provedAtOuter``, ``verdict`` (the window's kind),
@@ -459,12 +534,14 @@ def certify_schedule(
     ``decisions``, ``conflicts`` of the window the verdict came from)
     and ``windowsSolved``.
 
-    With no Unknown window this solves fewer windows but reports exactly
-    what a scan of every outer radius from ``start`` to R would: the
-    same verdict, ``provedAtOuter``, witness and stats.  An Unknown
-    window counts as "not proved Forced" and the search moves up, so
-    ``provedAtOuter`` can then be larger than the smallest Forced
-    radius; it always names a window that was solved and found Forced.
+    With no Unknown window this solves fewer windows but reports what a
+    scan of every outer radius from ``start`` to R would: the same
+    verdict, ``provedAtOuter`` and stats, and a witness of the same
+    window (a restricted row's witness and ``detail`` can differ from a
+    direct solve's).  An Unknown window counts as "not proved Forced"
+    and the search moves up, so ``provedAtOuter`` can then be larger
+    than the smallest Forced radius; it always names a window that was
+    solved and found Forced.
 
     An empty center set, the refusals of ``check_schedule_args``, or a
     schedule whose largest window has more than MAX_WINDOW_POINTS points,
@@ -477,19 +554,23 @@ def certify_schedule(
     check_schedule_args(k, r_list, r_factor, budget)
     dim = len(centers[0])
     max_norm = max((abs(a) for c in centers for a in c), default=0)
-    check_window_size(dim, r_factor * (max(r_list) + max_norm + 1))
-    # the largest outer radius of a window decided Colorable so far (a
-    # window is decided only above it): the inner radii run in increasing
-    # order, so a window of this row up to it lies inside that window
-    colorable_to = 0
+    largest = r_factor * (max(r_list) + max_norm + 1)
+    check_window_size(dim, largest)
+    # the window decided Colorable with the largest outer radius so far
+    # (a window is decided only above it), and its verdict: the inner
+    # radii run in increasing order, so a window of this row up to its
+    # outer radius lies inside it
+    cover: tuple[WindowSpec, WindowVerdict] | None = None
+    cover_slot: list[int] = []  # its box slots, once a row is read off it
+    largest_unsolved = True
     by_inner: dict[int, dict] = {}
     for r in sorted(set(r_list)):
         outer = r_factor * (r + max_norm + 1)
         solved: dict[int, WindowVerdict] = {}
 
         def forced(trial_outer: int) -> bool:
-            nonlocal colorable_to
-            if trial_outer <= colorable_to:
+            nonlocal cover, cover_slot
+            if cover and trial_outer <= cover[0].outer:
                 return False
             if trial_outer not in solved:
                 spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
@@ -497,7 +578,7 @@ def certify_schedule(
                 verdict = decide_k_colorable(graph, k, budget=budget)
                 solved[trial_outer] = verdict
                 if verdict.kind == "Colorable":
-                    colorable_to = trial_outer
+                    cover, cover_slot = (spec, verdict), []
             return solved[trial_outer].kind == "Forced"
 
         start = r + max_norm + 1
@@ -509,13 +590,20 @@ def certify_schedule(
             trial_outer = min(trial_outer + step, outer)
             step *= 2
             hit = forced(trial_outer)
-            if k <= 2 and trial_outer == start + 1 and not hit and not forced(outer):
-                # no search runs for k <= 2, so R costs time linear in its
-                # size, and a Colorable R settles the row without the gallop;
-                # waiting for start + 1 spares R to rows Forced there, as the
-                # planar nuclei are; a start + 1 inside the bound is not
-                # Forced, so such a row goes straight to R
-                trial_outer = outer
+            if k <= 2 and trial_outer == start + 1 and not hit:
+                # no search runs for k <= 2, so a window costs time linear
+                # in its size.  The first row to get here solves the
+                # schedule's largest full window at its inner radius: a
+                # Colorable one holds this row's R and every later row's.
+                # Waiting for start + 1 spares it to rows Forced there, as
+                # the planar nuclei are.  A Colorable R settles the row
+                # without the gallop, and an R inside the bound is not
+                # Forced, so such a row goes straight to R.
+                if largest_unsolved:
+                    largest_unsolved = False
+                    forced(largest)
+                if not forced(outer):
+                    trial_outer = outer
         proved_at = trial_outer
         if hit:
             # the smallest Forced radius lies in [lo, proved_at]
@@ -525,7 +613,25 @@ def certify_schedule(
                     proved_at = mid
                 else:
                     lo = mid + 1
-        verdict = solved[proved_at]
+        if proved_at in solved:
+            verdict = solved[proved_at]
+        else:
+            # a Colorable row inside the cover, neither built nor decided
+            cover_spec, cover_verdict = cover
+            if not cover_slot:
+                cover_slot = _box_slots(dim, cover_spec.outer, cover_spec.inner)
+            spec = WindowSpec(dim=dim, outer=outer, inner=r, centers=centers)
+            vertices, edges = _window_size(spec)
+            witness = _restrict(cover_verdict.witness, cover_slot, cover_spec.outer, spec)
+            verdict = WindowVerdict(
+                kind="Colorable",
+                witness=witness,
+                stats=SearchStats(
+                    vertices=vertices, edges=edges, decisions=0, conflicts=0
+                ),
+                detail=f"proper {k}-coloring restricted from the Colorable window "
+                f"inner {cover_spec.inner}, outer {cover_spec.outer}",
+            )
         stats = verdict.stats
         by_inner[r] = {
             "inner": r,

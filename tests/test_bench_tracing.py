@@ -9,7 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from centerpole import cli, geometry, tshape
+from centerpole import certifier, cli, cube, geometry, tshape
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -73,3 +73,70 @@ def test_the_outermost_rule_of_a_scan_is_counted(tmp_path, capsys):
     assert tracer.counts["colorings.build_rule.calls"] == 1
     assert tracer.counts["colorings.evaluate.calls"] == 50 * (1 + 3)
     assert tracer.counts["colorings.samples"] == 50
+
+
+def traced_certify(argv, capsys):
+    """The tracer's counts over one ``certify`` run, and its printed rows."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.counts, json.loads(capsys.readouterr().out)["result"]["rows"]
+
+
+def decided(dim, k, centers, windows):
+    """Vertices, edges and decisions summed over the (inner, outer) windows."""
+    totals = [0, 0, 0]
+    for inner, outer in windows:
+        spec = certifier.WindowSpec(dim=dim, outer=outer, inner=inner, centers=centers)
+        graph = certifier.build_symmetry_graph(spec)
+        stats = certifier.decide_k_colorable(graph, k).stats
+        totals[0] += stats.vertices
+        totals[1] += stats.edges
+        totals[2] += stats.decisions
+    return totals
+
+
+def traced_totals(counts):
+    """The tracer's vertices, edges and decisions."""
+    return [counts["certifier.vertices"], counts["certifier.edges"], counts["sat.decisions"]]
+
+
+def test_a_traced_two_color_schedule_counts_the_windows_it_builds(tmp_path, capsys):
+    # the four rows build three windows: the first row's start 5 and
+    # start + 1 = 6, then the schedule's largest window at its inner
+    # radius, outer 24 (the last row's R), which every row is read off
+    centers = ((0, 0), (3, 0))
+    path = tmp_path / "centers.json"
+    path.write_text(json.dumps(centers))
+    argv = ["certify", "--dim", "2", "--colors", "2", "--centers", str(path),
+            "--r-list", "1,2,3,4"]
+    counts, rows = traced_certify(argv, capsys)
+    assert counts["certifier.rows"] == len(rows) == 4
+    assert counts["certifier.build.calls"] == sum(row["windowsSolved"] for row in rows) == 3
+    first = rows[0]
+    start = first["inner"] + 3 + 1
+    windows = [(first["inner"], start), (first["inner"], start + 1),
+               (first["inner"], rows[-1]["outer"])]
+    assert traced_totals(counts) == decided(2, 2, centers, windows)
+    assert counts["sat.decisions"] == sum(row["stats"]["decisions"] for row in rows) == 0
+
+
+def test_a_traced_spatial_nucleus_counts_the_windows_it_builds(capsys):
+    # each row builds its Colorable start window and its Forced proof
+    # window, start + 1, whose stats it prints
+    argv = ["certify", "--dim", "3", "--colors", "3", "--centers", "sandwich(2,0)",
+            "--r-list", "1,2"]
+    counts, rows = traced_certify(argv, capsys)
+    assert counts["certifier.rows"] == len(rows) == 2
+    assert counts["certifier.build.calls"] == sum(row["windowsSolved"] for row in rows) == 4
+    assert [row["verdict"] for row in rows] == ["Forced"] * 2
+    printed = [sum(row["stats"][key] for row in rows)
+               for key in ("vertices", "edges", "decisions")]
+    centers = tuple(sorted(cube.build_sandwich(2, 0)))
+    starts = [(row["inner"], row["provedAtOuter"] - 1) for row in rows]
+    below = decided(3, 3, centers, starts)
+    assert traced_totals(counts) == [a + b for a, b in zip(printed, below)]
+    assert counts["sat.decisions"] == counts["certifier.decisions"]

@@ -209,6 +209,35 @@ class TestFlatIndexBuild:
         assert (graph.vertex_count, graph.edges) == (len(points), edges)
 
 
+@st.composite
+def counted_windows(draw):
+    """A window in dims 1-4 whose centers favour the edge cases of the
+    closed-form counts: on the inner or outer boundary, just outside the
+    hole, at the origin, and repeated."""
+    dim = draw(st.integers(1, 4))
+    outer = draw(st.integers(1, (7, 5, 3, 2)[dim - 1]))
+    inner = draw(st.integers(0, outer - 1) | st.just(0))
+    edge = st.sampled_from(
+        sorted({0, inner, -inner, inner + 1, -inner - 1, outer, -outer})
+    )
+    coordinate = st.integers(-outer, outer) | edge
+    centers = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=4))
+    centers += draw(st.lists(st.sampled_from(centers), max_size=2))
+    return WindowSpec(dim=dim, outer=outer, inner=inner, centers=tuple(centers))
+
+
+class TestClosedFormCounts:
+    @given(counted_windows())
+    @example(WindowSpec(dim=1, outer=3, inner=0, centers=((0,), (0,))))
+    @example(WindowSpec(dim=2, outer=3, inner=1, centers=((1, -1), (3, 0), (-1, 1))))
+    @example(WindowSpec(dim=3, outer=2, inner=1, centers=((2, 2, 2), (0, 1, 0))))
+    @example(WindowSpec(dim=4, outer=2, inner=0, centers=((0, 0, 0, 0), (1, 2, 0, -1))))
+    @settings(max_examples=300, deadline=None)
+    def test_the_counts_are_the_built_graphs(self, spec):
+        graph = build_symmetry_graph(spec)
+        assert certifier._window_size(spec) == (graph.vertex_count, graph.edge_count)
+
+
 class TestWitnessVerification:
     def test_accepts_proper_colorings_only(self):
         graph = graph_from_edges(4, PATH4)
@@ -696,17 +725,46 @@ def linear_schedule(centers, k, r_list, r_factor=3):
 
 
 def row_summary(row):
-    """A schedule row without its ``outer`` and ``windowsSolved``: what a
-    scan of the windows must reproduce."""
-    return (
-        row["verdict"], row["provedAtOuter"], row["witness"], row["detail"], row["stats"]
-    )
+    """A schedule row's verdict, proof window and stats: what a scan of
+    the windows must reproduce.  A row read off a larger Colorable window
+    carries that window's coloring, so its witness and ``detail`` can
+    differ from a direct solve's; ``assert_witness_colors_its_window``
+    checks the witness instead."""
+    return row["verdict"], row["provedAtOuter"], row["stats"]
 
 
 def scan_summary(proved_at, verdict):
     """The same summary of a window decided at outer radius proved_at."""
-    stats = asdict(verdict.stats)
-    return (verdict.kind, proved_at, verdict.witness, verdict.detail, stats)
+    return verdict.kind, proved_at, asdict(verdict.stats)
+
+
+def assert_witness_colors_its_window(row, centers, k):
+    """A Colorable row's witness colors its own window, built afresh, and
+    its stats are that graph's; any other row carries no witness."""
+    if row["verdict"] != "Colorable":
+        assert row["witness"] is None
+        return
+    assert row["provedAtOuter"] == row["outer"]
+    spec = WindowSpec(
+        dim=len(centers[0]), outer=row["outer"], inner=row["inner"],
+        centers=tuple(centers),
+    )
+    graph = build_symmetry_graph(spec)
+    assert verify_witness(graph, k, row["witness"])
+    assert (row["stats"]["vertices"], row["stats"]["edges"]) == (
+        graph.vertex_count, graph.edge_count,
+    )
+
+
+def assert_matches_the_linear_scan(centers, k, r_list, r_factor):
+    """The schedule's rows against ``linear_schedule``'s, each Colorable
+    witness checked on its own window."""
+    report = certify_schedule(centers, k, r_list, r_factor=r_factor)
+    expected = linear_schedule(centers, k, r_list, r_factor=r_factor)
+    got = [row_summary(row) for row in report.rows]
+    assert got == [scan_summary(at, verdict) for at, verdict in expected]
+    for row in report.rows:
+        assert_witness_colors_its_window(row, centers, k)
 
 
 @pytest.fixture
@@ -721,6 +779,22 @@ def solved(monkeypatch):
 
     monkeypatch.setattr(certifier, "build_symmetry_graph", recording_build)
     return outers
+
+
+@st.composite
+def two_color_schedules(draw):
+    """A one- or two-color schedule in dims 1-3 with its inner radii
+    unsorted and repeated, small enough to scan every window.  Two
+    reflections generate a group whose symmetry graph is bipartite, so
+    two centers with two colors are Colorable, and their later rows are
+    read off the largest window."""
+    dim = draw(st.integers(1, 3))
+    reach = (3, 2, 1)[dim - 1]
+    coordinate = st.integers(-reach, reach)
+    centers = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=2))
+    r_list = draw(st.lists(st.integers(0, reach), min_size=2, max_size=4))
+    r_list += draw(st.lists(st.sampled_from(r_list), max_size=2))
+    return centers, draw(st.sampled_from((2, 1))), r_list, draw(st.integers(2, 3))
 
 
 class TestGallopingEscalation:
@@ -744,10 +818,27 @@ class TestGallopingEscalation:
         ],
     )
     def test_matches_the_linear_scan(self, centers, k, r_list, r_factor):
-        report = certify_schedule(centers, k, r_list, r_factor=r_factor)
-        expected = linear_schedule(centers, k, r_list, r_factor=r_factor)
-        got = [row_summary(row) for row in report.rows]
-        assert got == [scan_summary(at, verdict) for at, verdict in expected]
+        assert_matches_the_linear_scan(centers, k, r_list, r_factor)
+
+    @given(two_color_schedules())
+    @example(([(0,), (3,)], 2, [2, 0, 3, 0], 2))
+    @example(([(0, 0), (2, -1)], 2, [1, 0, 2, 1], 3))
+    @example(([(0, 0, 0), (1, 1, 0)], 2, [1, 0, 1], 2))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_read_off_a_colorable_window_color_their_own(self, schedule):
+        assert_matches_the_linear_scan(*schedule)
+
+    def test_three_color_schedules_build_what_they_built(self, solved):
+        # k >= 3 never solves the largest window early: the spatial
+        # nucleus rows are Forced at start + 1, and the Colorable rows
+        # of a generic triple solve their own R
+        certify_schedule(sandwich_centers(2, 0), 3, [1, 2])
+        assert solved == [3, 4, 4, 5]
+        solved.clear()
+        report = certify_schedule([(0, 0), (2, 1), (1, 3)], 3, [0, 1, 2], r_factor=2)
+        assert [row["verdict"] for row in report.rows] == ["Colorable"] * 3
+        assert solved == [4, 5, 7, 8, 10, 12]
+        assert [row["windowsSolved"] for row in report.rows] == [4, 1, 1]
 
     def test_late_forced_rows_are_found_by_bisection(self, solved):
         report = certify_schedule(LATE_FORCED, 2, [1])
@@ -763,26 +854,32 @@ class TestGallopingEscalation:
         report = certify_schedule([(0, 0), (3, 0)], 2, [1, 4])
         assert [row["verdict"] for row in report.rows] == ["Colorable"] * 2
         assert [row["provedAtOuter"] for row in report.rows] == [15, 24]
-        # start and start + 1, then the full window R, which settles the
-        # row; the second row's start 8 and start + 1 lie inside that
-        # Colorable R = 15, so it goes straight to its R
-        assert solved == [5, 6, 15, 24]
-        assert [row["windowsSolved"] for row in report.rows] == [3, 1]
+        # start and start + 1, then the schedule's largest full window,
+        # outer 24 at inner 1, which holds both rows' R = 15 and 24: no
+        # other window is built, and both rows are read off that one
+        assert solved == [5, 6, 24]
+        assert [row["windowsSolved"] for row in report.rows] == [3, 0]
+        assert [row["detail"] for row in report.rows] == [
+            "proper 2-coloring restricted from the Colorable window inner 1, outer 24"
+        ] * 2
 
     def test_rows_skip_the_windows_inside_a_colorable_one(self, solved):
         # inner radii run in increasing order whatever the list's order:
-        # after row 1's Colorable R = 15, each later row's start and
-        # start + 1 lie inside the last Colorable R, and only its own R is
-        # built
+        # after row 1's Colorable largest window, outer 24 at inner 1,
+        # every later row's windows, its R among them, lie inside it, and
+        # none is built
         for r_list in ([1, 2, 3, 4], [4, 3, 2, 1]):
             solved.clear()
             report = certify_schedule([(0, 0), (3, 0)], 2, r_list)
-            assert solved == [5, 6, 15, 18, 21, 24]
+            assert solved == [5, 6, 24]
             assert [row["inner"] for row in report.rows] == r_list
             assert [row["outer"] for row in report.rows] == [3 * r + 12 for r in r_list]
             assert [row["verdict"] for row in report.rows] == ["Colorable"] * 4
+            assert [row["provedAtOuter"] for row in report.rows] == [
+                3 * r + 12 for r in r_list
+            ]
             assert [row["windowsSolved"] for row in report.rows] == [
-                3 if r == 1 else 1 for r in r_list
+                3 if r == 1 else 0 for r in r_list
             ]
         # each planar nucleus row starts above the last Colorable window
         # of the row before, so every row builds what it built alone
@@ -794,20 +891,25 @@ class TestGallopingEscalation:
 
     def test_an_unknown_window_bounds_no_later_row(self, solved, monkeypatch):
         decide = certifier.decide_k_colorable
+        # inner 1 with outer 15 (the row's R) or 18 (the largest window)
+        unknown = {31**2 - 3**2, 37**2 - 3**2}
 
-        def unknown_at_fifteen(graph, k, budget=certifier.DEFAULT_BUDGET):
+        def unknown_at_inner_one(graph, k, budget=certifier.DEFAULT_BUDGET):
             verdict = decide(graph, k, budget=budget)
-            if graph.vertex_count == 31**2 - 3**2:  # inner 1, outer 15
+            if graph.vertex_count in unknown:
                 return certifier.WindowVerdict("Unknown", None, verdict.stats)
             return verdict
 
-        monkeypatch.setattr(certifier, "decide_k_colorable", unknown_at_fifteen)
+        monkeypatch.setattr(certifier, "decide_k_colorable", unknown_at_inner_one)
         report = certify_schedule([(0, 0), (3, 0)], 2, [1, 2])
         assert [row["verdict"] for row in report.rows] == ["Unknown", "Colorable"]
-        # only outer 6 bounds the r = 2 row: its start 6 is skipped, and
-        # its start + 1 = 7, inside the Unknown R = 15, is solved
-        assert solved == [5, 6, 15, 7, 18]
-        assert [row["windowsSolved"] for row in report.rows] == [3, 2]
+        # the Unknown largest window, outer 18, bounds neither the r = 1
+        # row, whose R = 15 is solved, nor the r = 2 row: only outer 6
+        # does, so its start 6 is skipped and its start + 1 = 7 and R = 18
+        # are solved
+        assert solved == [5, 6, 18, 15, 7, 18]
+        assert [row["windowsSolved"] for row in report.rows] == [4, 2]
+        assert report.rows[1]["detail"] == "proper 2-coloring found and re-verified"
 
     def test_a_gallop_that_reaches_a_forced_full_window_reuses_it(
         self, solved, monkeypatch
@@ -877,6 +979,7 @@ class TestGallopingEscalation:
         spec = WindowSpec(dim=2, outer=8, inner=1, centers=tuple(LATE_FORCED))
         direct = decide(build_symmetry_graph(spec), 2)
         assert scan_summary(8, direct) == row_summary(row)
+        assert (row["detail"], row["witness"]) == (direct.detail, None)
 
 
 def export_dimacs(graph, k):

@@ -222,15 +222,15 @@ class TestCertifierEvidence4d:
             "4d-nucleus",
         ]
         # a one-color singleton is Forced at its first window; the first
-        # Colorable two-color row solves its first two windows and then R,
-        # and the second only its R, since its first two lie inside the
-        # first row's Colorable R; a nucleus row is Forced at its second
-        # window, before R
+        # Colorable two-color row solves its first two windows and then
+        # the schedule's largest window at its inner radius, which holds
+        # both rows' R, so the second row builds none; a nucleus row is
+        # Forced at its second window, before R
         assert [case["windowsSolved"] for case in doc["cases"]] == [
             [1],
             [1],
             [1],
-            [3, 1],
+            [3, 0],
             [2, 2, 2],
             [2, 2],
             [2],
