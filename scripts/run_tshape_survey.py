@@ -29,8 +29,8 @@ GRID_DRAWS = 19
 GRID_DIM = 4
 
 # The most grid draws one run decides.  The time grows linearly with the
-# count: on a 2-core Xeon, seeds 1-100 take 3.9 s, 1-300 take 12.4 s and
-# 1-1024 take 39 s, about 0.04 s a draw (the slowest draw, 0.15-0.17 s).
+# count: on a 2-core Xeon, seeds 1-100 take 2.3 s, 1-300 take 6.5 s and
+# 1-1024 take 23.6 s, about 0.023 s a draw (the slowest draw, 0.08-0.09 s).
 # A larger count is refused before any draw runs.
 MAX_GRID_DRAWS = 2**10
 

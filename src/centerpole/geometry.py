@@ -24,11 +24,13 @@ division by the previous pivot keeps the entries small; no prefix is
 eliminated from scratch.  Each later point's hyperplane normal is a
 combination of the last two kernel vectors with two dot products as
 coefficients, and each hyperplane comes with the bitmask of the points
-on it: the union of the d-subsets that span it.  That enumeration and
-``containing_hyperplane`` take a point set as its ``clear_denominators``
-rows, so a caller scales it once.  ``side_of`` returns a sign, -1, 0 or
-1.  A rational point is the tuple of its coordinates, each in that
-canonical form, as the cube layer's points are tuples of ints.
+on it: the union of the d-subsets that span it.  They come sorted as
+their integer ``(normal, offset)`` tuples, not as canonical pairs.
+That enumeration and ``containing_hyperplane`` take a point set as its
+``clear_denominators`` rows, so a caller scales it once.  ``side_of``
+returns a sign, -1, 0 or 1.  A rational point is the tuple of its
+coordinates, each in that canonical form, as the cube layer's points
+are tuples of ints.
 
 Rational inputs are checked once, where they enter: ``as_point``,
 ``hyperplane``, ``clear_denominators`` and the JSON readers keep a
@@ -294,16 +296,14 @@ def integer_spanned_hyperplanes(
     points of the input on H (H is spanned, so these points have H as
     their affine hull), and the walk visits every independent d-subset.
 
-    The hyperplanes come sorted by their canonical (normal, offset), as
-    tuples: both divided by the normal's first nonzero entry, the lead,
-    as ``hyperplane`` returns them.  No common positive scaling of the
-    points changes that order.  It is sorted on integers: each entry
-    x = v / lead of the canonical key becomes ``floor(x * 2^K)``, with
-    2^K above the square of every lead.  Two canonical entries that
-    differ, differ by at least 1 / (lead * lead') > 2^-K, so their floors
-    differ in the same direction and the integer keys sort in the same
-    order.  Unlike a common multiple of all leads, 2K grows only with the
-    largest lead, not with the number of hyperplanes.
+    The hyperplanes come sorted as Python sorts their integer
+    ``(normal, offset)`` tuples: by the primitive normal, then by the
+    offset.  That order does not depend on the order of the points.  Nor
+    does a common positive scaling of the points change it, the scaling
+    ``clear_denominators`` applies: the normals stay and every offset is
+    multiplied by the scale.  Nor does an integer translation by t: the
+    normals stay and each offset moves by normal . t, the same amount
+    for every hyperplane of one normal.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -367,17 +367,7 @@ def integer_spanned_hyperplanes(
             # the offset is the normal's dot product with base
             key = (tuple([v // g for v in normal]), (b * ub - a * wb) // g)
             found[key] = found.get(key, 0) | bits | 1 << j
-    leads = {h: next(filter(None, h[0])) for h in found}
-    shift = 2 * max(leads.values(), default=0).bit_length()
-
-    def sort_key(h: tuple[tuple[int, ...], int]) -> tuple[list[int], int]:
-        lead = leads[h]
-        return [(v << shift) // lead for v in h[0]], (h[1] << shift) // lead
-
-    return [
-        (normal, offset, found[normal, offset])
-        for normal, offset in sorted(found, key=sort_key)
-    ]
+    return sorted((normal, offset, on) for (normal, offset), on in found.items())
 
 
 def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:

@@ -13,8 +13,10 @@ known answer.
 The decision runs on integers: the points are scaled once by the lcm
 of their denominators, for the hull test and the search alike, and
 candidates are primitive integer hyperplanes with the mask of their
-incident points from the enumeration.  The points on each side of a
-candidate are masked the first time the search asks for them.  Each
+incident points from the enumeration, tried in its order: sorted by
+the integer ``(normal, offset)`` tuple, an order no reordering of the
+points changes.  The points on each side of a candidate are masked
+the first time the search asks for them.  Each
 candidate is tested by cost: the cover and separation tests are mask
 operations and run first, the exact rank test runs last, and at the
 last level of the cover only the candidates through the residual's
@@ -140,7 +142,10 @@ def _search_cover(
     points: list[tuple], scaled: list[list[int]], scale: int
 ) -> TShapeCertificate | None:
     """Exhaustive cover search over spanned hyperplanes, depth-first in
-    canonical hyperplane order.
+    the enumeration's order: by primitive integer normal, then offset.
+    Any fixed order gives the same verdict, as the search is exhaustive;
+    the order only picks which cover a "yes" finds, and so, from
+    dimension 4 on, how many hyperplanes the ``detail`` counts.
 
     ``scaled`` holds the points times ``scale``, the lcm of their
     denominators.  Each candidate is a primitive integer hyperplane

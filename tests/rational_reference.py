@@ -4,7 +4,7 @@ row reduction and the inverse it gives, the order of hyperplanes and
 the tree sets T_n."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from centerpole.colorings import ColoringRule
 
@@ -77,9 +77,16 @@ def ref_matrix_inverse(rows):
 
 
 def hyperplane_key(h):
-    """The order of hyperplanes: canonical normal, then offset."""
+    """The order of canonical hyperplanes ``(normal, offset)``: the
+    primitive integer normal (gcd 1, first nonzero entry positive), then
+    the offset along it.  The canonical normal times m = lcm / gcd, the
+    lcm of its denominators over the gcd of the numerators it then has,
+    is the primitive one, and the offset times m is the offset along it
+    as a ``Fraction``."""
     normal, offset = h
-    return normal, offset
+    scale = lcm(*(Fraction(v).denominator for v in normal))
+    m = Fraction(scale, gcd(*(int(v * scale) for v in normal)))
+    return tuple(int(v * m) for v in normal), offset * m
 
 
 def is_in_Tn(x, n):

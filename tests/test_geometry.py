@@ -304,6 +304,19 @@ class TestSpannedHyperplanes:
         assert lines == sorted(lines, key=hyperplane_key)
         assert hyperplane((1, -1), 0) in lines
 
+    def test_order_is_by_primitive_normal_not_by_canonical_pair(self):
+        # the canonical normal of (2, 1) is (1, 1/2), which sorts before (1, 1)
+        pts = [(0, 0), (1, -2), (1, -1)]
+        got = integer_spanned_hyperplanes(pts)
+        assert [(normal, offset) for normal, offset, _ in got] == [
+            ((1, 0), 1), ((1, 1), 0), ((2, 1), 0)
+        ]
+        lines = spanned([P(*p) for p in pts])
+        assert [normal for normal, _ in sorted(lines)] == [
+            (1, 0), (1, Fraction(1, 2)), (1, 1)
+        ]
+        assert lines == sorted(lines, key=hyperplane_key)
+
     def test_center_point_adds_no_new_lines(self):
         pts = [P(0, 0), P(1, 0), P(0, 1), P(1, 1), P("1/2", "1/2")]
         assert len(spanned(pts)) == 6

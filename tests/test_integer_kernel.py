@@ -207,6 +207,17 @@ def grid_sets(draw):
     return draw(st.lists(cell, min_size=1, max_size=d + 6))
 
 
+def scaled_and_moved(sets):
+    """A drawn set with a scale m in 1-5 and an integer shift t."""
+    return sets.flatmap(
+        lambda rows: st.tuples(
+            st.just(rows),
+            st.integers(1, 5),
+            st.tuples(*[st.integers(-3, 3)] * len(rows[0])),
+        )
+    )
+
+
 @st.composite
 def matrices(draw, square=False):
     n = draw(st.integers(1, 4))
@@ -318,6 +329,40 @@ class TestKernelAgainstTheRationalReference:
         # point i of the shuffled rows is point order[i] of the rows
         for (_, _, on), (_, _, moved) in zip(got, shuffled):
             assert moved == sum(1 << i for i, j in enumerate(order) if on >> j & 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_and_moved(grid_sets()))
+    def test_spanned_hyperplanes_ignore_scaling_and_translation(self, case):
+        rows, m, t = case
+        got = integer_spanned_hyperplanes(rows)
+        scaled = integer_spanned_hyperplanes([[m * x for x in r] for r in rows])
+        moved = integer_spanned_hyperplanes(
+            [[x + y for x, y in zip(r, t)] for r in rows]
+        )
+        assert [(n, on) for n, _, on in scaled] == [(n, on) for n, _, on in got]
+        assert [(n, on) for n, _, on in moved] == [(n, on) for n, _, on in got]
+        assert [off for _, off, _ in scaled] == [m * off for _, off, _ in got]
+        assert [off for _, off, _ in moved] == [
+            off + sum(a * b for a, b in zip(n, t)) for n, off, _ in got
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_and_moved(point_sets()))
+    def test_decision_ignores_scaling_and_translation(self, case):
+        # the search tries its candidates in the same order, so it finds
+        # the same cover: its canonical normals do not move
+        points, m, t = case
+
+        def decided(pts):
+            got = is_t_shaped(pts)
+            normals = got.certificate and [n for n, _ in got.certificate.hyperplanes]
+            return got.t_shaped, got.detail, normals
+
+        expected = decided(points)
+        assert decided([as_point([m * x for x in p]) for p in points]) == expected
+        assert decided([as_point([x + y for x, y in zip(p, t)]) for p in points]) == (
+            expected
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
