@@ -1,14 +1,16 @@
 """Witness colorings over rational spaces.
 
 The cone coloring splits punctured space into the cones over the
-facets of a centered simplex.  The extension rules lift a coloring of
-X to X x R from one level table: the level t of a point (x, t) is
-rescaled, a pinned level (where an added symmetry center or a mirror
-image lives) colors x by its own coloring of X, and every other level
-takes the constant color of the open band between pinned levels that
-holds it.  Every pinned coloring is written in X, with no translation.
-Group-multiplicative mirror expressions are specialized to additive
-notation throughout: the mirror of x through a is 2a - x.
+facets of a centered simplex, so it colors a point by its direction
+alone: the argmin of d linear forms in the numerators, read off the
+simplex's inverse once, and a fixed 0.  The extension rules lift a
+coloring of X to X x R from one level table: the level t of a point
+(x, t) is rescaled, a pinned level (where an added symmetry center or
+a mirror image lives) colors x by its own coloring of X, and every
+other level takes the constant color of the open band between pinned
+levels that holds it.  Every pinned coloring is written in X, with no
+translation.  Group-multiplicative mirror expressions are specialized
+to additive notation throughout: the mirror of x through a is 2a - x.
 
 Every rule is total and exact over rational inputs; the scan harness
 samples far points and reports monochromatic symmetric pairs.  Points
@@ -91,12 +93,18 @@ def cone_coloring(vertices: Sequence) -> ColoringRule:
     minimizers and maximizers of the barycentric vector, which cannot
     share an index, so no pair {x, -x} with x != 0 is monochromatic.
 
-    The argmin runs on integers.  ``integer_inverse`` gives the inverse
-    of the vertex matrix as integer rows over a denominator D > 0; for
-    the point z/q, row i times (z, q) is D*q times the i-th barycentric
-    coordinate.  As D*q > 0, the minimum and every tie sit at the same
-    indices as in the rational vector, so the colors are exactly the
-    rational ones.
+    The argmin runs on integers and reads the direction of z alone.
+    ``integer_inverse`` gives the inverse of the vertex matrix as
+    integer rows m_0..m_d over a denominator D > 0; for the point z/q,
+    m_i times (z, q) is D*q times the i-th barycentric coordinate.  The
+    vertices sum to zero, so the origin has every barycentric coordinate
+    1/(d+1): the q column of the rows is the constant D/(d+1).  Each row
+    has m_d subtracted once, which zeroes that column; the first d rows,
+    cut to their z part, are d linear forms in z, and the last is 0.
+    Every entry loses the same amount, so the minimum and every tie sit
+    at the same indices as in the rational vector, and the colors are
+    exactly the rational ones.  q is never read, and the origin needs no
+    branch: every entry is 0 there, so it gets color 0.
     """
     verts = [as_point(v) for v in vertices]
     d = len(verts) - 1
@@ -109,15 +117,14 @@ def cone_coloring(vertices: Sequence) -> ColoringRule:
         raise ValueError("vertices must sum to zero")
     matrix.append((1,) * (d + 1))
     try:
-        _, rows = integer_inverse(matrix)
+        _, (*rows, last) = integer_inverse(matrix)
     except ValueError:
         raise ValueError("vertices must be affinely independent") from None
+    rows = [[v - w for v, w in zip(row[:d], last)] for row in rows]
 
     def evaluate(z: Sequence[int], q: int) -> int:
-        if not any(z):
-            return 0
-        zq = (*z, q)
-        bary = [sum(map(mul, row, zq)) for row in rows]
+        bary = [sum(map(mul, row, z)) for row in rows]
+        bary.append(0)
         return bary.index(min(bary))
 
     return ColoringRule(
@@ -157,8 +164,11 @@ def pair_coloring(a, b) -> ColoringRule:
 
     The rule runs on integers.  a and b are scaled once by the lcm L of
     their denominators, A = L*a and U = L*(b - a).  For the point
-    x = z/q, w = L*z - q*A is q*L*(x - a), sigma = N / (q*U.U) with
-    N = w.U, and q*L*y = w - sigma*q*U, whose signs are those of y.
+    x = z/q, w = L*z - q*A is q*L*(x - a) and sigma = N / (q*U.U), with
+    the numerator folded to one dot product, N = w.U = L*(z.U) - q*(A.U),
+    A.U computed once.  Only for integral sigma is the offset built:
+    q*L*y = w - sigma*q*U, entry i being L*z_i - q*A_i - sigma*q*U_i,
+    whose signs are those of y.
     """
     pa = as_point(a)
     pb = as_point(b)
@@ -169,15 +179,15 @@ def pair_coloring(a, b) -> ColoringRule:
     scale, (ai, bi) = clear_denominators([pa, pb])
     u = [q - p for p, q in zip(ai, bi)]
     uu = sum(map(mul, u, u))
+    au = sum(map(mul, ai, u))
 
     def evaluate(z: Sequence[int], q: int) -> int:
-        w = [scale * v - q * p for v, p in zip(z, ai)]
-        sigma, rest = divmod(sum(map(mul, w, u)), q * uu)
+        sigma, rest = divmod(scale * sum(map(mul, z, u)) - q * au, q * uu)
         if rest:
             return 1 if sigma % 2 == 0 else 0
         step = sigma * q
-        for value, p in zip(w, u):
-            y = value - step * p
+        for value, a_i, u_i in zip(z, ai, u):
+            y = scale * value - q * a_i - step * u_i
             if y:
                 return 1 if y > 0 else 0
         return 1 if sigma >= 1 else 0

@@ -5,7 +5,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centerpole import colorings, geometry
@@ -113,6 +113,25 @@ class TestConeColoring:
             return
         rule = cone(3)
         assert rule(coords) != rule([-v for v in coords])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_color_depends_only_on_direction(self, data):
+        # the evaluate entry reads the ray of z: a positive multiple of
+        # z, over any denominator, gets the same color, and z = 0 gets 0
+        d = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            simplex = standard_simplex(d)
+        else:
+            coordinates = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+            rows = [tuple(data.draw(coordinates) for _ in range(d)) for _ in range(d)]
+            simplex = (*rows, tuple(-sum(column) for column in zip(*rows)))
+            assume(geometry.affine_hull_dim([geometry.as_point(v) for v in simplex]) == d)
+        rule = cone_coloring(simplex)
+        z = data.draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+        m, q, q2 = (data.draw(st.integers(1, 50)) for _ in range(3))
+        assert rule.evaluate(z, q) == rule.evaluate([m * v for v in z], q2)
+        assert rule.evaluate([0] * d, q) == 0
 
     def test_label(self):
         assert cone(2).label == "cone(d=2)"

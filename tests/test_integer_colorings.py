@@ -246,6 +246,20 @@ FRACTIONAL_SIMPLICES = [
 ]
 
 
+# a centered 4-simplex with fractional vertices: the dimension of the
+# slowest cone call of the coloring_scan benchmark
+FRACTIONAL_SIMPLEX_4 = tuple(
+    as_point(v)
+    for v in (
+        (F(1, 2), 0, F(1, 3), F(-1, 4)),
+        (0, F(-2, 3), F(1, 5), F(1, 2)),
+        (F(3, 4), F(1, 3), 0, F(-2, 5)),
+        (F(-1, 6), F(3, 2), F(2, 3), 0),
+        (F(-13, 12), F(-7, 6), F(-6, 5), F(3, 20)),
+    )
+)
+
+
 # --- the checks ----------------------------------------------------------
 
 
@@ -262,7 +276,11 @@ class TestConeColors:
     def test_every_tie_on_a_small_grid_of_boundary_points(self):
         # all weight vectors mu in {-1, 0, 1}^(d+1), scaled by integral
         # and fractional factors: most of these points have a tied minimum
-        given = [standard_simplex(d) for d in (1, 2, 3)] + FRACTIONAL_SIMPLICES
+        given = (
+            [standard_simplex(d) for d in (1, 2, 3, 4)]
+            + FRACTIONAL_SIMPLICES
+            + [FRACTIONAL_SIMPLEX_4]
+        )
         tied = 0
         for simplex in given:
             rule = cone_coloring(simplex)
