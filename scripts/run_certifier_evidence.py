@@ -12,12 +12,10 @@ is, solves none.  Exit code 1 if any case misses its expected verdict,
 2 with one ``error:`` line if --out cannot be written.
 """
 import argparse
-import json
-import sys
 import time
 
 from centerpole.certifier import DEFAULT_BUDGET, certify_schedule
-from centerpole.cli import emit
+from centerpole.cli import emit_document
 from centerpole.cube import build_sandwich
 
 
@@ -68,11 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         "ok": all_ok,
         "cases": cases,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    try:
-        emit(text, args.out)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    if not emit_document(doc, args.out):
         return 2
     return 0 if all_ok else 1
 

@@ -10,11 +10,9 @@ with exit code 2 before any pair is checked, and an --out that cannot
 be written exits 2 with one ``error:`` line.
 """
 import argparse
-import json
-import sys
 import time
 
-from centerpole.cli import MAX_COVER_K, emit
+from centerpole.cli import MAX_COVER_K, emit_document
 from centerpole.covering import verify_covering_lemma
 
 
@@ -52,11 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         "failureCount": failure_count,
         "rows": rows,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    try:
-        emit(text, args.out)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    if not emit_document(doc, args.out):
         return 2
     return 1 if failure_count else 0
 

@@ -17,12 +17,10 @@ is not an integer, has no known t value (1 to 4) or is repeated, a
     python scripts/run_tshape_survey.py --grid-draws 100
 """
 import argparse
-import json
 import random
-import sys
 import time
 
-from centerpole.cli import MAX_TSHAPE_TRIALS, emit
+from centerpole.cli import MAX_TSHAPE_TRIALS, emit_document
 from centerpole.tshape import check_bound_dim, is_t_shaped, verify_t_value_bounds
 
 GRID_DRAWS = 19
@@ -130,11 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         doc["gridDraws"], doc["gridTiming"] = grid_draws(args.grid_draws)
         all_ok = all_ok and doc["gridDraws"]["ok"]
         doc["ok"] = all_ok
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    try:
-        emit(text, args.out)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    if not emit_document(doc, args.out):
         return 2
     return 0 if all_ok else 1
 

@@ -513,6 +513,12 @@ def certify_schedule(
     gallop reaches it, since one SAT window can cost more than the whole
     gallop below it.
 
+    When a 2-color row is first Forced above ``start + 1``, R_max is
+    Forced too and answers no row: centers (-1, -1), (-1, 0), (1, 2) at
+    r = 1, 2, 3 solve outer 4, 5, 18, 12, 7, 6 in the first row, one
+    window more than without R_max.  Probing the row's own R first would
+    cost one more window on every Colorable family instead.
+
     The distinct inner radii are solved in increasing order and the rows
     reported in ``r_list`` order; a repeated inner radius is solved once,
     and its row is repeated.  The schedule keeps one bound, the window

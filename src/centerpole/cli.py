@@ -481,6 +481,17 @@ def emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
+def emit_document(doc: dict, out_path: str | None) -> bool:
+    """``emit`` a script's ``json.dumps(doc, indent=2, sort_keys=True)``;
+    on an OSError print one ``error:`` line to stderr and return False."""
+    try:
+        emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return False
+    return True
+
+
 def _int_list(text: str | list) -> list[int]:
     if isinstance(text, list):
         text = ",".join(map(str, text))

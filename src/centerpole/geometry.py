@@ -7,25 +7,24 @@ a ``Fraction`` in lowest terms only when it is not.  As
 ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
 ``str(Fraction(n)) == str(n)``, the form changes no equality, hash,
 order or printed value; it only spares integer values a ``Fraction``.
-A hyperplane is the pair ``(normal, offset)`` in a canonical form (the
-first nonzero normal entry is +1), so that two pairs for one hyperplane
-compare and hash equal.  The module holds no class and imports no other
-module of the package.
+A hyperplane is the pair ``(normal, offset)`` of a primitive integer
+normal (gcd 1, first nonzero entry positive) and an exact offset, so
+that two pairs for one hyperplane compare and hash equal.  The module
+holds no class and imports no other module of the package.
 
 The linear algebra itself runs on integers.  Rows are scaled by the lcm
 of their denominators (point sets by one common lcm, which keeps their
 affine structure) and reduced by one fraction-free Bareiss elimination,
-which gives rank, kernel vectors and inverses.  Internally a hyperplane
-of integer points is a primitive integer normal (gcd 1, first nonzero
-entry positive) with an integer offset.  Spanned hyperplanes are
-enumerated by walking their first d-1 points depth-first and updating
-the prefix's kernel basis one point at a time, a Bareiss step whose
-division by the previous pivot keeps the entries small; no prefix is
-eliminated from scratch.  Each later point's hyperplane normal is a
+which gives rank, kernel vectors and inverses.  A hyperplane of the
+scaled points keeps its primitive normal, and its offset is an integer.
+Spanned hyperplanes are enumerated by walking their first d-1 points
+depth-first and updating the prefix's kernel basis one point at a time,
+a Bareiss step whose division by the previous pivot keeps the entries
+small; no prefix is eliminated from scratch.  Each later point's hyperplane normal is a
 combination of the last two kernel vectors with two dot products as
 coefficients, and each hyperplane comes with the bitmask of the points
 on it: the union of the d-subsets that span it.  They come sorted as
-their integer ``(normal, offset)`` tuples, not as canonical pairs.
+their integer ``(normal, offset)`` tuples.
 That enumeration and ``containing_hyperplane`` take a point set as its
 ``clear_denominators`` rows, so a caller scales it once.  ``side_of``
 returns a sign, -1, 0 or 1.  A rational point is the tuple of its
@@ -33,7 +32,7 @@ coordinates, each in that canonical form, as the cube layer's points
 are tuples of ints.
 
 Rational inputs are checked once, where they enter: ``as_point``,
-``hyperplane``, ``clear_denominators`` and the JSON readers keep a
+``clear_denominators`` and the JSON readers keep a
 coordinate that is exactly an ``int`` and read any other through
 ``_to_fraction``, which refuses floats and bools.  ``as_point`` is the
 one point reader of ``tshape``, ``colorings`` and ``point_from_json``:
@@ -78,11 +77,11 @@ def _exact(value: Rational) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-def _divide(v: int | Fraction, lead: int | Fraction) -> int | Fraction:
-    """The exact quotient ``v / lead`` in canonical form."""
-    if type(v) is int and type(lead) is int and not v % lead:
-        return v // lead
-    return _exact(Fraction(v, lead))
+def _divide(v: int, scale: int) -> int | Fraction:
+    """The exact quotient ``v / scale`` of ints, ``scale > 0``, in
+    canonical form."""
+    q, r = divmod(v, scale)
+    return Fraction(v, scale) if r else q
 
 
 def as_point(x: Sequence[Rational]) -> tuple[int | Fraction, ...]:
@@ -101,36 +100,12 @@ def _check_dims(a: int, b: int) -> None:
         raise ValueError(f"dimension mismatch: {a} vs {b}")
 
 
-def hyperplane(normal: Sequence[Rational], offset: Rational) -> tuple:
-    """The hyperplane normal . x = offset as its canonical pair
-    ``(normal, offset)``: each entry read through ``_exact`` and divided
-    by the normal's first nonzero entry, which becomes 1, so two inputs
-    that describe the same hyperplane give equal pairs.  A zero normal
-    raises ValueError."""
-    normal, offset = tuple(map(_exact, normal)), _exact(offset)
-    lead = next((v for v in normal if v), None)
-    if lead is None:
-        raise ValueError("hyperplane normal must be nonzero")
-    return tuple(_divide(v, lead) for v in normal), _divide(offset, lead)
-
-
 def side_of(h: tuple, p: Sequence[int | Fraction]) -> int:
-    """Exact side of the canonical hyperplane ``h = (normal, offset)``:
-    the sign of normal . p - offset, as -1, 0 or 1.
-
-    The sign is taken on integers.  The sum is kept as ``value / den``
-    with one running denominator, built from numerators and denominators
-    without a gcd.  Every denominator is positive (an ``int``'s is 1),
-    so ``den`` is too, and the sign of ``value`` is the sign of the sum.
-    """
+    """Exact side of the hyperplane ``h = (normal, offset)``: the sign
+    of normal . p - offset, as -1, 0 or 1."""
     normal, offset = h
     _check_dims(len(normal), len(p))
-    value, den = -offset.numerator, offset.denominator
-    for a, x in zip(normal, p):
-        if a:
-            step = a.denominator * x.denominator
-            value = value * step + a.numerator * x.numerator * den
-            den *= step
+    value = sum(map(mul, normal, p)) - offset
     return (value > 0) - (value < 0)
 
 
@@ -252,7 +227,7 @@ def separates(h: tuple, points: Sequence[Sequence[int | Fraction]]) -> bool:
 
 def in_general_position(hyperplanes: Sequence[tuple]) -> bool:
     """Linearly independent normals.  This implies pairwise distinct:
-    two equal hyperplanes have equal canonical normals."""
+    two equal hyperplanes have equal primitive normals."""
     normals = [normal for normal, _ in hyperplanes]
     for normal in normals[1:]:
         _check_dims(len(normals[0]), len(normal))
@@ -371,10 +346,10 @@ def integer_spanned_hyperplanes(
 
 
 def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
-    """Some hyperplane through every point of a set, or None when the
-    points span the whole ambient space.  The set is given as
-    ``clear_denominators`` returns its coordinate rows: the points
-    times ``scale``, as integers."""
+    """Some hyperplane through every point of a set, as a primitive pair,
+    or None when the points span the whole ambient space.  The set is
+    given as ``clear_denominators`` returns it: the points times
+    ``scale``, as integer rows; the offset is divided back by ``scale``."""
     if not scaled:
         raise ValueError("need at least one point")
     d = len(scaled[0])
@@ -383,8 +358,11 @@ def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
     if rank >= d:
         return None
     normal = _kernel_vector(rows, pivots, p, d, _free_columns(pivots, d)[0])
-    offset = sum(map(mul, normal, scaled[0]))
-    return hyperplane(normal, _divide(offset, scale))
+    g = gcd(*normal)
+    if next(filter(None, normal)) < 0:
+        g = -g
+    normal = tuple([v // g for v in normal])
+    return normal, _divide(sum(map(mul, normal, scaled[0])), scale)
 
 
 def fraction_from_json(text: str | int) -> Fraction:

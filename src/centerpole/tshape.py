@@ -21,11 +21,11 @@ candidate is tested by cost: the cover and separation tests are mask
 operations and run first, the exact rank test runs last, and at the
 last level of the cover only the candidates through the residual's
 lowest point are scanned, and only one that covers the whole residual
-is tested for rank.  Only the hyperplanes of a found cover are divided
-back to the points' own scale, as canonical ``(normal, offset)`` pairs,
-and the certificate is re-verified on the exact rational predicates
-(the sign ``side_of`` and ``separates``), which share nothing with the
-search's masks.
+is tested for rank.  A found cover keeps its primitive normals; only
+its offsets are divided back to the points' own scale.  The
+certificate is re-verified on integers too, by exact predicates (the
+sign ``side_of``, ``separates`` and ``in_general_position``) that share
+nothing with the search's masks.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from .geometry import (
     as_point,
     clear_denominators,
     containing_hyperplane,
-    hyperplane,
     hyperplane_to_json,
     in_general_position,
     matrix_rank,
@@ -63,12 +62,15 @@ KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
 class TShapeCertificate:
     """A hyperplane cover witnessing T-shapedness.
 
-    ``hyperplanes`` are canonical ``(normal, offset)`` pairs, and
-    ``assignment`` sends each point to the index of the first
-    hyperplane containing it.  Verification re-derives everything from
-    the raw predicates: general position of the family, total coverage
-    with first-index assignment, and for each hyperplane the absence of
-    points strictly on both sides among those not covered earlier.
+    ``hyperplanes`` are ``(normal, offset)`` pairs of a primitive
+    integer normal and an exact offset, and ``assignment`` sends each
+    point to the index of the first hyperplane containing it.
+    Verification re-derives everything from the raw predicates, on
+    integers: the points times the lcm of their denominators and each
+    offset times the same lcm, which keeps every side.  It checks general
+    position of the family, total coverage with first-index assignment,
+    and for each hyperplane the absence of points strictly on both sides
+    among those not covered earlier.
     """
 
     hyperplanes: tuple[tuple, ...]
@@ -76,17 +78,18 @@ class TShapeCertificate:
 
     def verify(self, points: Sequence) -> bool:
         pts = [as_point(p) for p in points]
-        hps = list(self.hyperplanes)
+        scale, scaled = clear_denominators(pts)
+        hps = [(n, _exact(offset * scale)) for n, offset in self.hyperplanes]
         if not in_general_position(hps):
             return False
         firsts = []
-        for p in pts:
-            first = next((i for i, h in enumerate(hps) if side_of(h, p) == 0), None)
+        for p, row in zip(pts, scaled):
+            first = next((i for i, h in enumerate(hps) if side_of(h, row) == 0), None)
             if first is None or self.assignment.get(p) != first:
                 return False
             firsts.append(first)
         for i, h in enumerate(hps):
-            residual = [p for p, first in zip(pts, firsts) if first >= i]
+            residual = [row for row, first in zip(scaled, firsts) if first >= i]
             if separates(h, residual):
                 return False
         return True
@@ -236,7 +239,7 @@ def _search_cover(
     }
     return TShapeCertificate(
         hyperplanes=tuple(
-            hyperplane(normal, _divide(offset, scale)) for normal, offset, _ in cover
+            (normal, _divide(offset, scale)) for normal, offset, _ in cover
         ),
         assignment=assignment,
     )

@@ -1,7 +1,7 @@
 """Helpers shared by the tests that check the integer kernels against
 their ``Fraction`` references, and the ``Fraction`` models they use:
-row reduction and the inverse it gives, the order of hyperplanes and
-the tree sets T_n."""
+row reduction and the inverse it gives, the primitive pair of a
+hyperplane and the tree sets T_n."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,17 +76,25 @@ def ref_matrix_inverse(rows):
     return [row[n:] for row in work]
 
 
-def hyperplane_key(h):
-    """The order of canonical hyperplanes ``(normal, offset)``: the
-    primitive integer normal (gcd 1, first nonzero entry positive), then
-    the offset along it.  The canonical normal times m = lcm / gcd, the
-    lcm of its denominators over the gcd of the numerators it then has,
-    is the primitive one, and the offset times m is the offset along it
-    as a ``Fraction``."""
-    normal, offset = h
-    scale = lcm(*(Fraction(v).denominator for v in normal))
-    m = Fraction(scale, gcd(*(int(v * scale) for v in normal)))
-    return tuple(int(v * m) for v in normal), offset * m
+def primitive_pair(normal, offset):
+    """The hyperplane normal . x = offset as the pair the package gives:
+    the normal times the one positive or negative rational m that makes
+    it a primitive integer vector (gcd 1, first nonzero entry positive),
+    and the offset times m, an ``int`` when it is an integer.  Entries
+    are read by ``Fraction``; a zero normal raises ValueError."""
+    normal = [Fraction(v) for v in normal]
+    if not any(normal):
+        raise ValueError("hyperplane normal must be nonzero")
+    scale = lcm(*(v.denominator for v in normal))
+    ints = [int(v * scale) for v in normal]
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    offset = Fraction(offset) * scale / g
+    return (
+        tuple(v // g for v in ints),
+        offset.numerator if offset.denominator == 1 else offset,
+    )
 
 
 def is_in_Tn(x, n):

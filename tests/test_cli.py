@@ -1493,6 +1493,22 @@ class TestEmittedLayout:
         for text in (out, target.read_text(encoding="utf-8")):
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
+    def test_a_script_document_is_the_stdlib_layout(self, tmp_path, capsys):
+        # the experiment scripts write their one document through
+        # emit_document: the same layout, floats allowed, and an
+        # unwritable --out is one error line and False
+        doc = {"rows": [{"seconds": 0.25, "k": 1}], "ok": True, "note": None}
+        assert cli.emit_document(doc, None)
+        captured = capsys.readouterr()
+        assert captured.out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert captured.err == ""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        assert not cli.emit_document(doc, str(blocker / "x.json"))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_a_deeply_nested_rule_is_echoed(self, capsys):
         # 600 levels under a key no rule reads: json.loads accepts them, and
         # the emitter must not run out of frames where the stdlib did not

@@ -1,4 +1,4 @@
-"""Exact rational geometry: canonical hyperplanes, ranks, hulls."""
+"""Exact rational geometry: primitive hyperplanes, ranks, hulls."""
 
 import ast
 from fractions import Fraction
@@ -16,7 +16,6 @@ from centerpole.geometry import (
     clear_denominators,
     containing_hyperplane,
     fraction_from_json,
-    hyperplane,
     hyperplane_to_json,
     in_general_position,
     integer_inverse,
@@ -27,9 +26,15 @@ from centerpole.geometry import (
     separates,
     side_of,
 )
-from rational_reference import dot, hyperplane_key
+from rational_reference import dot, primitive_pair
 
 P = lambda *c: as_point(c)
+
+
+def containing(points):
+    """``containing_hyperplane`` of rational points, scaled once."""
+    scale, rows = clear_denominators(points)
+    return containing_hyperplane(rows, scale)
 
 
 class TestAsPoint:
@@ -47,7 +52,7 @@ class TestAsPoint:
             P(0.5, 1)
 
     def test_dimension_mismatch(self):
-        h = hyperplane((1, 1), 0)
+        h = ((1, 1), 0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             side_of(h, P(1, 2, 3))
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -112,50 +117,43 @@ class TestCanonicalNumberForm:
         assert {tuple(map(type, p)) for p in forms} == {(int, int, Fraction)}
 
     def test_hyperplane_entries(self):
-        normal, offset = hyperplane((2, 4), 6)
-        assert normal == (1, 2) and offset == 3
+        # a normal is a tuple of ints; an offset is an int when it is an
+        # integer and a reduced Fraction only when it is not
+        normal, offset = containing([P(0, 3), P(2, 2)])  # x + 2y = 6
+        assert normal == (1, 2) and offset == 6
         assert all(type(v) is int for v in normal + (offset,))
-        normal, offset = hyperplane((3, 1), 1)
-        assert normal == (1, Fraction(1, 3)) and offset == Fraction(1, 3)
-        assert [type(v) for v in normal] == [int, Fraction]
+        normal, offset = containing([P(0, "1/2"), P("1/6", 0)])  # 3x + y = 1/2
+        assert normal == (3, 1) and offset == Fraction(1, 2)
+        assert [type(v) for v in normal] == [int, int]
         assert type(offset) is Fraction
-        # a fractional lead that divides every entry to an integer
-        normal, offset = hyperplane(("1/2", 1), "3/2")
+        # fractional points whose hyperplane has an integer offset
+        normal, offset = containing([P("1/2", "5/4"), P("3/2", "3/4")])
         assert (normal, offset) == ((1, 2), 3)
         assert all(type(v) is int for v in normal + (offset,))
-        assert hyperplane((-2, 4), 6) == hyperplane((Fraction(1), "-2"), "-3")
+        # -2x + 4y = 6 from two spans, and the reference pair of the equation
+        assert containing([P(0, "3/2"), P(1, 2)]) == containing([P(-3, 0), P(3, 3)])
+        assert containing([P(-3, 0), P(3, 3)]) == primitive_pair((-2, 4), 6)
 
 
 class TestHyperplane:
     def test_canonical_form(self):
-        # scaling the defining equation does not change the pair
-        assert type(hyperplane((2, 2), 2)) is tuple
-        assert hyperplane((2, 2), 2) == hyperplane((1, 1), 1)
-        assert hyperplane((-1, 0), 3) == hyperplane((1, 0), -3)
-        assert hash(hyperplane((4, -2), 6)) == hash(hyperplane((2, -1), 3))
+        # one pair for one hyperplane, whichever points span it: the
+        # primitive normal (gcd 1, first nonzero entry positive)
+        line = containing([P(0, 1), P(1, 0)])
+        assert type(line) is tuple
+        assert line == containing([P(2, -1), P(-3, 4)]) == ((1, 1), 1)
+        assert hash(line) == hash(containing([P(-3, 4), P(2, -1)]))
+        assert containing([P(-3, 0), P(-3, 5)]) == ((1, 0), -3)
+        assert containing([P(0, "1/2"), P("1/2", 0)]) == ((1, 1), Fraction(1, 2))
 
     def test_rejects_zero_normal(self):
-        with pytest.raises(ValueError):
-            hyperplane((0, 0), 1)
-
-    @pytest.mark.parametrize(
-        "normal,offset,error",
-        [
-            ((0.1, 1), "0", TypeError),
-            (("1", 1), 0.25, TypeError),
-            ((True, 1), "0", TypeError),
-            ((1, 1), False, TypeError),
-            ((1, "1e400"), "0", ValueError),
-            ((1, 1), "-1.5e2", ValueError),
-            ((1, 1), "-2/0", ZeroDivisionError),
-        ],
-    )
-    def test_rejects_inexact_coefficients(self, normal, offset, error):
-        with pytest.raises(error):
-            hyperplane(normal, offset)
+        # a zero normal is no hyperplane: no family holding one is in
+        # general position
+        assert not in_general_position([((0, 0), 1)])
+        assert not in_general_position([((1, 0), 0), ((0, 0), 0)])
 
     def test_side_of(self):
-        h = hyperplane((1, 0), 0)
+        h = ((1, 0), 0)
         assert side_of(h, P(2, 5)) == 1
         assert side_of(h, P(-1, 5)) == -1
         assert side_of(h, P(0, 5)) == 0
@@ -177,24 +175,49 @@ class TestHyperplane:
         point = as_point(data.draw(st.lists(rationals, min_size=d, max_size=d)))
         on = data.draw(st.booleans())
         offset = dot(normal, point) if on else data.draw(rationals)
-        h_normal, h_offset = h = hyperplane(tuple(normal), offset)
+        h_normal, h_offset = h = primitive_pair(normal, offset)
         value = dot(h_normal, point) - h_offset
         expected = 1 if value > 0 else -1 if value < 0 else 0
         assert side_of(h, point) == expected
+        # and on the rational pair as drawn
+        raw = dot(normal, point) - offset
+        assert side_of((tuple(normal), offset), point) == (raw > 0) - (raw < 0)
         if on:
             assert expected == 0
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_the_scaled_points_keep_every_side(self, data):
+        # the certificate check's premise: the sign on the points times
+        # their common scale, against the offset times that scale, is the
+        # sign of normal . p - offset summed as Fractions
+        d = data.draw(st.integers(1, 4))
+        rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+        integers = st.lists(st.integers(-9, 9), min_size=d, max_size=d)
+        normal = data.draw(integers.filter(any))
+        rows = st.lists(rationals, min_size=d, max_size=d)
+        points = [as_point(r) for r in data.draw(st.lists(rows, min_size=1, max_size=4))]
+        offset = data.draw(st.one_of(rationals, st.just(dot(normal, points[0]))))
+        scale, scaled = clear_denominators(points)
+        h = (tuple(normal), offset * scale)
+        for p, row in zip(points, scaled):
+            value = dot(normal, p) - offset
+            assert side_of(h, row) == (value > 0) - (value < 0)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=4),
         st.integers(-9, 9),
         st.integers(-7, 7).filter(lambda v: v != 0),
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4),
     )
-    def test_scaled_equations_agree_everywhere(self, normal, offset, factor):
+    def test_scaled_equations_agree_everywhere(self, normal, offset, factor, point):
         if all(v == 0 for v in normal):
             return
-        h1 = hyperplane(tuple(normal), offset)
-        h2 = hyperplane(tuple(factor * v for v in normal), factor * offset)
-        assert h1 == h2
+        point = tuple(point[: len(normal)])
+        scaled = (tuple(factor * v for v in normal), factor * offset)
+        sign = 1 if factor > 0 else -1
+        assert side_of(scaled, point) == sign * side_of((tuple(normal), offset), point)
+        assert primitive_pair(*scaled) == primitive_pair(normal, offset)
 
 
 class TestRanksAndHulls:
@@ -239,18 +262,14 @@ class TestRanksAndHulls:
         assert affine_hull_dim([P(0, 0), P(1, 0), P(0, 1)]) == 2
 
     def test_containing_hyperplane(self):
-        def containing(points):
-            scale, rows = clear_denominators(points)
-            return containing_hyperplane(rows, scale)
-
         line = [P(0, 0, 0), P(1, 1, 0), P(2, 2, 0)]
         h = containing(line)
         assert h is not None
         assert all(side_of(h, p) == 0 for p in line)
         assert containing([P(0, 0), P(1, 0), P(0, 1)]) is None
         # the offset is read back through the scale of the rows
-        assert containing([P("1/2", 0), P(0, "1/2"), P("1/4", "1/4")]) == hyperplane(
-            (1, 1), "1/2"
+        assert containing([P("1/2", 0), P(0, "1/2"), P("1/4", "1/4")]) == (
+            (1, 1), Fraction(1, 2)
         )
         with pytest.raises(ValueError):
             containing_hyperplane([], 1)
@@ -258,37 +277,38 @@ class TestRanksAndHulls:
 
 class TestSeparationPredicates:
     def test_separates_is_strict(self):
-        h = hyperplane((1, 0), 0)
+        h = ((1, 0), 0)
         assert separates(h, [P(1, 0), P(-1, 0)])
         assert not separates(h, [P(1, 0), P(0, 5)])
         assert not separates(h, [P(1, 0), P(2, 0)])
         assert not separates(h, [])
 
     def test_general_position(self):
-        a = hyperplane((1, 0), 0)
-        b = hyperplane((0, 1), 0)
-        parallel = hyperplane((1, 0), 5)
+        a = ((1, 0), 0)
+        b = ((0, 1), 0)
+        parallel = ((1, 0), 5)
         assert in_general_position([])
         assert in_general_position([a, b])
         assert not in_general_position([a, a])
         assert not in_general_position([a, parallel])
-        # distinctness follows from the rank test: a hyperplane given again,
-        # in any form, or a parallel one has a normal dependent on the others
-        a, b, c = (hyperplane(n, 2) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        # distinctness follows from the rank test: a hyperplane given again
+        # or a parallel one has a normal dependent on the others
+        a, b, c = ((n, 2) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert in_general_position([a, b, c])
-        assert not in_general_position([a, b, hyperplane((-2, 0, 0), -4)])
-        assert not in_general_position([a, b, hyperplane((3, 0, 0), 1)])
+        assert not in_general_position([a, b, primitive_pair((-2, 0, 0), -4)])
+        assert not in_general_position([a, b, ((1, 0, 0), Fraction(1, 3))])
         assert not in_general_position([b, a, c, a])
 
 
 def spanned(points):
-    """``integer_spanned_hyperplanes`` of rational points, as canonical
-    ``(normal, offset)`` pairs.  Each ``on`` mask must hold exactly the
-    points that ``side_of`` puts on its hyperplane."""
+    """``integer_spanned_hyperplanes`` of rational points, as primitive
+    ``(normal, offset)`` pairs of the points themselves.  Each ``on``
+    mask must hold exactly the points that ``side_of`` puts on its
+    hyperplane."""
     scale, rows = clear_denominators(points)
     planes = []
     for normal, offset, on in integer_spanned_hyperplanes(rows):
-        h = hyperplane(normal, Fraction(offset, scale))
+        h = primitive_pair(normal, Fraction(offset, scale))
         assert on == sum(
             1 << i for i, p in enumerate(points) if side_of(h, p) == 0
         )
@@ -301,21 +321,21 @@ class TestSpannedHyperplanes:
         square = [P(0, 0), P(1, 0), P(0, 1), P(1, 1)]
         lines = spanned(square)
         assert len(lines) == 6
-        assert lines == sorted(lines, key=hyperplane_key)
-        assert hyperplane((1, -1), 0) in lines
+        assert lines == sorted(lines)
+        assert ((1, -1), 0) in lines
 
-    def test_order_is_by_primitive_normal_not_by_canonical_pair(self):
-        # the canonical normal of (2, 1) is (1, 1/2), which sorts before (1, 1)
+    def test_order_is_by_primitive_normal_not_by_lead_one_normal(self):
+        # divided by its lead, the normal (2, 1) is (1, 1/2), which sorts
+        # before (1, 1); the primitive normals keep their own order
         pts = [(0, 0), (1, -2), (1, -1)]
         got = integer_spanned_hyperplanes(pts)
-        assert [(normal, offset) for normal, offset, _ in got] == [
-            ((1, 0), 1), ((1, 1), 0), ((2, 1), 0)
-        ]
+        expected = [((1, 0), 1), ((1, 1), 0), ((2, 1), 0)]
+        assert [(normal, offset) for normal, offset, _ in got] == expected
         lines = spanned([P(*p) for p in pts])
-        assert [normal for normal, _ in sorted(lines)] == [
+        assert lines == sorted(lines) == expected
+        assert sorted(tuple(Fraction(v, n[0]) for v in n) for n, _ in lines) == [
             (1, 0), (1, Fraction(1, 2)), (1, 1)
         ]
-        assert lines == sorted(lines, key=hyperplane_key)
 
     def test_center_point_adds_no_new_lines(self):
         pts = [P(0, 0), P(1, 0), P(0, 1), P(1, 1), P("1/2", "1/2")]
@@ -324,7 +344,7 @@ class TestSpannedHyperplanes:
     def test_triangle_has_three_lines(self):
         assert len(spanned([P(0, 0), P(1, 0), P(0, 1)])) == 3
         # a line needs two distinct points
-        assert spanned([P(0, 1), P(2, 1)]) == [hyperplane((0, 1), 1)]
+        assert spanned([P(0, 1), P(2, 1)]) == [((0, 1), 1)]
         assert spanned([P(0, 0), P(0, 0)]) == []
 
     def test_simplex_has_four_planes(self):
@@ -432,10 +452,10 @@ class TestJson:
             read(value)
 
     def test_hyperplane_round_trip(self):
-        h = hyperplane(("2/3", 4), "1/6")
+        h = primitive_pair(("2/3", 4), "1/6")
         doc = hyperplane_to_json(h)
-        assert set(doc) == {"normal", "offset"}
-        assert hyperplane(tuple(doc["normal"]), doc["offset"]) == h
+        assert doc == {"normal": ["1", "6"], "offset": "1/4"}
+        assert (tuple(map(int, doc["normal"])), fraction_from_json(doc["offset"])) == h
 
 
 def package_imports(source: str) -> list[int]:

@@ -10,9 +10,10 @@ spanned hyperplanes built one subset at a time, and a cover search that
 sums ``normal . p - offset`` as a ``Fraction`` for every side test.  The
 reference takes its sides and its separation test from that sum alone,
 not from ``geometry.side_of`` or ``geometry.separates``, so it shares no
-predicate with the code it checks.  Every public result must be equal
-to it, in the same order, and every certificate must serialize to the
-same bytes.
+predicate with the code it checks.  Its hyperplanes are put in the
+package's form, a primitive integer normal and an exact offset, by
+``primitive_pair``.  Every public result must be equal to it, in the
+same order, and every certificate must serialize to the same bytes.
 """
 import json
 import random
@@ -29,7 +30,6 @@ from centerpole.geometry import (
     as_point,
     clear_denominators,
     containing_hyperplane,
-    hyperplane,
     integer_inverse,
     integer_spanned_hyperplanes,
     matrix_rank,
@@ -37,8 +37,8 @@ from centerpole.geometry import (
 from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
 from rational_reference import (
     dot,
-    hyperplane_key,
     minus,
+    primitive_pair,
     ref_matrix_inverse,
     ref_row_reduce,
 )
@@ -72,7 +72,7 @@ def ref_hyperplane_through(points):
     normal[free_col] = Fraction(1)
     for r, pc in enumerate(pivot_cols):
         normal[pc] = -work[r][free_col]
-    return hyperplane(tuple(normal), dot(normal, base))
+    return primitive_pair(normal, dot(normal, base))
 
 
 def ref_containing_hyperplane(points):
@@ -88,7 +88,7 @@ def ref_containing_hyperplane(points):
     normal[free_col] = Fraction(1)
     for r, pc in enumerate(pivot_cols):
         normal[pc] = -work[r][free_col]
-    return hyperplane(tuple(normal), dot(normal, base))
+    return primitive_pair(normal, dot(normal, base))
 
 
 def ref_spanned_hyperplanes(points):
@@ -98,7 +98,7 @@ def ref_spanned_hyperplanes(points):
         h = ref_hyperplane_through(subset)
         if h is not None:
             found.add(h)
-    return sorted(found, key=hyperplane_key)
+    return sorted(found)
 
 
 def ref_side(h, p):
@@ -237,7 +237,7 @@ def assert_incidence(hyperplanes, points):
     before scaling; a common positive scale keeps every incidence."""
     scale = clear_denominators(points)[0]
     for normal, offset, on in hyperplanes:
-        h = hyperplane(normal, Fraction(offset, scale))
+        h = (normal, Fraction(offset, scale))
         assert on == sum(1 << i for i, p in enumerate(points) if ref_side(h, p) == 0)
 
 
@@ -287,7 +287,7 @@ class TestKernelAgainstTheRationalReference:
         scale, rows = clear_denominators(points)
         got = integer_spanned_hyperplanes(rows)
         assert [
-            hyperplane(normal, Fraction(offset, scale)) for normal, offset, _ in got
+            (normal, Fraction(offset, scale)) for normal, offset, _ in got
         ] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
 
@@ -297,9 +297,7 @@ class TestKernelAgainstTheRationalReference:
         # collinear and coplanar prefixes, hyperplanes through more than d points
         points = [as_point(r) for r in rows]
         got = integer_spanned_hyperplanes(rows)
-        assert [
-            hyperplane(normal, offset) for normal, offset, _ in got
-        ] == ref_spanned_hyperplanes(points)
+        assert [h[:2] for h in got] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
 
     def test_spanned_hyperplanes_in_dimension_ten(self):
@@ -311,9 +309,7 @@ class TestKernelAgainstTheRationalReference:
         rows = [r + (2 * r[0] - r[1] + 1 + (i == 11),) for i, r in enumerate(rows)]
         points = [as_point(r) for r in rows]
         got = integer_spanned_hyperplanes(rows)
-        assert [
-            hyperplane(normal, offset) for normal, offset, _ in got
-        ] == ref_spanned_hyperplanes(points)
+        assert [h[:2] for h in got] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
         assert sorted(on.bit_count() for _, _, on in got) == [10] * 55 + [11]
 
@@ -350,7 +346,7 @@ class TestKernelAgainstTheRationalReference:
     @given(scaled_and_moved(point_sets()))
     def test_decision_ignores_scaling_and_translation(self, case):
         # the search tries its candidates in the same order, so it finds
-        # the same cover: its canonical normals do not move
+        # the same cover: its primitive normals do not move
         points, m, t = case
 
         def decided(pts):

@@ -3,16 +3,17 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centerpole import geometry
 from centerpole.geometry import (
     affine_hull_dim,
     as_point,
-    hyperplane,
+    clear_denominators,
     matrix_rank,
 )
 from centerpole import tshape
@@ -24,7 +25,7 @@ from centerpole.tshape import (
     moment_curve_points,
     verify_t_value_bounds,
 )
-from rational_reference import is_in_Tn
+from rational_reference import dot, is_in_Tn, primitive_pair
 
 P = lambda *c: as_point(c)
 
@@ -122,7 +123,7 @@ class TestCertificates:
         pts = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0)]
         (h,) = is_t_shaped(pts).certificate.hyperplanes
         normal, offset = h
-        parallel = hyperplane(normal, offset + 1)
+        parallel = (normal, offset + 1)
         for second in (h, parallel):
             cert = TShapeCertificate((h, second), {p: 0 for p in pts})
             assert not cert.verify(pts)
@@ -264,21 +265,138 @@ class TestSearchWork:
         assert calls > 0
 
 
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def is_primitive_pair(h):
+    """A normal of ints with gcd 1 and first nonzero entry positive, and
+    an offset that is an int or a Fraction that is not an integer."""
+    normal, offset = h
+    return (
+        all(type(v) is int for v in normal)
+        and gcd(*normal) == 1
+        and next(filter(None, normal)) > 0
+        and (type(offset) is int or type(offset) is Fraction and offset.denominator > 1)
+    )
+
+
+class TestPrimitiveHyperplanes:
+    """Every certificate hyperplane is a primitive integer normal with an
+    exact offset, on both routes to a yes, for rational points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[rationals] * (d - 1)), min_size=1, max_size=d + 3),
+                st.lists(rationals, min_size=d, max_size=d).filter(lambda n: n[-1]),
+                rationals,
+            )
+        )
+    )
+    def test_the_hull_route(self, case):
+        rows, normal, offset = case
+        # the last coordinate solves normal . x = offset
+        points = [r + ((offset - dot(normal[:-1], r)) / normal[-1],) for r in rows]
+        got = is_t_shaped(points)
+        assert got.detail == "one hyperplane carries the whole set"
+        (h,) = got.certificate.hyperplanes
+        assert is_primitive_pair(h)
+        if affine_hull_dim(points) == len(normal) - 1:
+            assert h == primitive_pair(normal, offset)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(3, 4), (3, 5), (4, 5), (4, 6)]).flatmap(
+            lambda ds: st.lists(
+                st.tuples(*[rationals] * ds[0]), min_size=ds[1], max_size=ds[1]
+            )
+        )
+    )
+    def test_the_search_route(self, rows):
+        # below the t value every set is T-shaped
+        assume(affine_hull_dim(rows) == len(rows[0]))
+        got = is_t_shaped(rows)
+        assert got.detail.startswith("covered by")
+        assert all(is_primitive_pair(h) for h in got.certificate.hyperplanes)
+
+
+MUTATED_SETS = [
+    # the hull route, with a fractional offset
+    [(0, 0, "1/2"), (1, 0, "1/2"), (0, "1/3", "1/2"), ("2/5", 1, "1/2")],
+    # the search route, on rational points
+    [(1, 1, 1), (2, 4, 8), (3, 9, 27), (4, 16, 64), ("1/2", 0, 5)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), ("2/3", "1/3", "1/5")],
+    [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+     ("-1/2", "3/2", 5, "7/3"), (2, -1, 5, "7/3"), (0, 0, 5, "7/3")],
+]
+
+
+class TestVerifyMutations:
+    """``verify`` refuses a certificate with one hyperplane moved: every
+    point assigned to it leaves it."""
+
+    @pytest.mark.parametrize("rows", MUTATED_SETS)
+    def test_an_offset_moved_by_one_over_the_scale_is_refused(self, rows):
+        points = [P(*r) for r in rows]
+        cert = is_t_shaped(points).certificate
+        assert cert.verify(points)
+        scale = clear_denominators(points)[0]
+        for i, (normal, offset) in enumerate(cert.hyperplanes):
+            for step in (1, -1):
+                moved = list(cert.hyperplanes)
+                moved[i] = (normal, offset + Fraction(step, scale))
+                assert not TShapeCertificate(tuple(moved), cert.assignment).verify(points)
+
+    @pytest.mark.parametrize("rows", MUTATED_SETS)
+    def test_a_normal_with_one_entry_changed_is_refused(self, rows):
+        points = [P(*r) for r in rows]
+        cert = is_t_shaped(points).certificate
+        assert cert.verify(points)
+        tried = 0
+        for i, (normal, offset) in enumerate(cert.hyperplanes):
+            assigned = [p for p in points if cert.assignment[p] == i]
+            for j in range(len(normal)):
+                if not any(p[j] for p in assigned):
+                    continue  # the change moves no assigned point off
+                for step in (1, -1):
+                    changed = list(normal)
+                    changed[j] += step
+                    moved = list(cert.hyperplanes)
+                    moved[i] = (tuple(changed), offset)
+                    cert_moved = TShapeCertificate(tuple(moved), cert.assignment)
+                    assert not cert_moved.verify(points)
+                    tried += 1
+        assert tried >= 2 * len(cert.hyperplanes)
+
+
 class TestOneScaling:
     @pytest.mark.parametrize(
-        "rows",
+        "rows, detail",
         [
-            # full-dimensional, T-shaped with two lines
-            [(0, 0), (1, 0), (2, 0), (0, Fraction(1, 2)), (0, Fraction(3, 2))],
-            # full-dimensional, not T-shaped
-            [(1, 1, 1), (2, 4, 8), (3, 9, 27), (4, 16, 64), (Fraction(1, 2), 0, 5)],
+            # full-dimensional, not T-shaped: two lines are needed, and
+            # the plane allows one
+            (
+                [(0, 0), (1, 0), (2, 0), (0, Fraction(1, 2)), (0, Fraction(3, 2))],
+                "no certificate found under spanned-hyperplane search",
+            ),
+            # full-dimensional, T-shaped with two planes
+            (
+                [(1, 1, 1), (2, 4, 8), (3, 9, 27), (4, 16, 64), (Fraction(1, 2), 0, 5)],
+                "covered by 2 hyperplanes",
+            ),
             # on one plane
-            [(0, 0, 0), (Fraction(1, 3), 1, 0), (5, 2, 0)],
+            (
+                [(0, 0, 0), (Fraction(1, 3), 1, 0), (5, 2, 0)],
+                "one hyperplane carries the whole set",
+            ),
         ],
+        ids=["two-lines", "two-planes", "one-plane"],
     )
-    def test_the_points_are_scaled_once(self, monkeypatch, rows):
+    def test_the_points_are_scaled_once(self, monkeypatch, rows, detail):
         # the hull test and the search share one clear_denominators of the
-        # points; the rank tests scale only their normals
+        # points, and a yes answer's certificate check makes one more of
+        # its own; the rank tests scale only their normals
         points = [P(*r) for r in rows]
         calls = []
         clear = geometry.clear_denominators
@@ -290,8 +408,9 @@ class TestOneScaling:
 
         monkeypatch.setattr(geometry, "clear_denominators", counted)
         monkeypatch.setattr(tshape, "clear_denominators", counted)
-        is_t_shaped(points)
-        assert calls.count(points) == 1
+        got = is_t_shaped(points)
+        assert got.detail == detail
+        assert calls.count(points) == 1 + got.t_shaped
 
 
 class TestInputForms:
