@@ -21,12 +21,12 @@ from centerpole.cube import build_sandwich
 
 def schedule_row(name, centers, colors, r_list, expected, r_factor=3):
     started = time.perf_counter()
-    schedule = certify_schedule(sorted(centers), colors, r_list, r_factor=r_factor)
-    rows = schedule.rows
+    centers = sorted(centers)
+    rows = certify_schedule(centers, colors, r_list, r_factor=r_factor).rows
     verdicts = [row["verdict"] for row in rows]
     return {
         "name": name,
-        "centers": [list(p) for p in schedule.centers],
+        "centers": [list(p) for p in centers],
         "colors": colors,
         "rList": r_list,
         "rFactor": r_factor,

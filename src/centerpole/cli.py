@@ -360,10 +360,10 @@ def cmd_certify(
         raise ValueError(f"centers have dimension {dims[0]}, but --dim is {dim}")
     report = certify_schedule(centers, colors, r_list, r_factor=r_factor, budget=budget)
     return 0, {
-        "dim": report.dim,
-        "k": report.k,
-        "centers": points_to_json(report.centers),
-        "rFactor": report.r_factor,
+        "dim": dim,
+        "k": colors,
+        "centers": points_to_json(centers),
+        "rFactor": r_factor,
         "rows": report.rows,
     }
 

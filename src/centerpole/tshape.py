@@ -65,12 +65,14 @@ class TShapeCertificate:
     ``hyperplanes`` are ``(normal, offset)`` pairs of a primitive
     integer normal and an exact offset, and ``assignment`` sends each
     point to the index of the first hyperplane containing it.
-    Verification re-derives everything from the raw predicates, on
-    integers: the points times the lcm of their denominators and each
-    offset times the same lcm, which keeps every side.  It checks general
-    position of the family, total coverage with first-index assignment,
-    and for each hyperplane the absence of points strictly on both sides
-    among those not covered earlier.
+    Verification reads the hyperplanes first: a normal entry that is
+    not exactly an ``int``, or an offset ``_exact`` refuses, raises
+    TypeError.  It then re-derives everything from the raw predicates,
+    on integers: the points times the lcm of their denominators and
+    each offset times the same lcm, which keeps every side.  It checks
+    general position of the family, total coverage with first-index
+    assignment, and for each hyperplane the absence of points strictly
+    on both sides among those not covered earlier.
     """
 
     hyperplanes: tuple[tuple, ...]
@@ -78,8 +80,12 @@ class TShapeCertificate:
 
     def verify(self, points: Sequence) -> bool:
         pts = [as_point(p) for p in points]
+        read = [(n, _exact(offset)) for n, offset in self.hyperplanes]
+        bad = [type(v).__name__ for n, _ in read for v in n if type(v) is not int]
+        if bad:
+            raise TypeError(f"a normal entry is an int, not {bad[0]}")
         scale, scaled = clear_denominators(pts)
-        hps = [(n, _exact(offset * scale)) for n, offset in self.hyperplanes]
+        hps = [(n, _exact(offset * scale)) for n, offset in read]
         if not in_general_position(hps):
             return False
         firsts = []

@@ -277,7 +277,7 @@ def test_criterion_6_structural_invariants():
         if verdict.kind == "Colorable":
             assert verify_witness(graph, k, verdict.witness)
             tampered = list(verdict.witness)
-            i, j = graph.edges[0]
+            i, j = test_certifier.edges_of(graph)[0]
             tampered[i] = tampered[j]
             assert not verify_witness(graph, k, tampered)
 
@@ -301,7 +301,7 @@ def test_criterion_6_structural_invariants():
                 WindowSpec(dim=2, outer=inner + 4, inner=inner, centers=moved)
             )
             assert graph_home.vertex_count == graph_away.vertex_count
-            assert len(graph_home.edges) == len(graph_away.edges)
+            assert graph_home.edge_count == graph_away.edge_count
             verdict_away = decide_k_colorable(graph_away, 2)
             assert verdict_home.kind == verdict_away.kind
 

@@ -1,5 +1,6 @@
 """Symmetry-window graphs, exact verdicts, schedules, DIMACS round trips."""
 
+import json
 import random
 from dataclasses import asdict
 from itertools import combinations, product
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import centerpole.certifier as certifier
+from centerpole import cli
 from centerpole.certifier import (
     ScheduleReport,
     SymmetryGraph,
@@ -31,10 +33,18 @@ def plus(a, b):
 
 
 def graph_from_edges(n, edges):
-    """Wrap an explicit edge list for solver-level tests."""
-    return SymmetryGraph(
-        vertex_count=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges))
-    )
+    """The graph of an explicit edge list, for solver-level tests: each
+    vertex's neighbours, ascending and without repeats."""
+    adjacency = [set() for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return SymmetryGraph([sorted(nbrs) for nbrs in adjacency])
+
+
+def edges_of(graph):
+    """The edges of a graph as index pairs (a, b), a < b, in sorted order."""
+    return [(a, b) for a, nbrs in enumerate(graph.adjacency) for b in nbrs if a < b]
 
 
 def outer_of(graph, dim, inner):
@@ -114,9 +124,9 @@ class TestWindowSpec:
         # the window about 9 with center 10 is the window of center 1
         spec = WindowSpec(dim=1, outer=3, inner=0, centers=((1,),))
         graph = build_symmetry_graph(spec)
-        points, edges = reference_symmetry_graph(spec, ((10,),), (9,))
+        points, adjacency = reference_symmetry_graph(spec, ((10,),), (9,))
         assert list(points) == [(6,), (7,), (8,), (10,), (11,), (12,)]
-        assert (graph.vertex_count, graph.edges) == (len(points), edges) == (6, ((2, 5),))
+        assert graph.adjacency == adjacency == [[], [], [5], [], [], [2]]
 
 
 class TestGraphConstruction:
@@ -125,7 +135,7 @@ class TestGraphConstruction:
         graph = build_symmetry_graph(spec)
         points, _ = reference_symmetry_graph(spec, spec.centers, (0,))
         assert list(points) == [(-2,), (-1,), (1,), (2,)]
-        assert graph.edges == ((0, 3), (1, 2))
+        assert graph.adjacency == [[3], [2], [1], [0]]
         assert graph.vertex_count == 4 and graph.edge_count == 2
 
     def test_annulus_excludes_the_inner_ball(self):
@@ -139,12 +149,48 @@ class TestGraphConstruction:
         # center at the window edge: most mirrors leave the annulus
         spec = WindowSpec(dim=1, outer=2, inner=0, centers=((2,),))
         graph = build_symmetry_graph(spec)
-        assert graph.edges == ()
+        assert graph.edge_count == 0 and not any(graph.adjacency)
 
-    def test_adjacency_is_symmetric(self):
-        graph = graph_from_edges(4, PATH4)
-        adj = graph.adjacency()
-        assert adj == [[1], [0, 2], [1, 3], [2]]
+    @pytest.mark.parametrize(
+        "dim,outer,centers",
+        [
+            (2, 5, sandwich_centers(1, -1)),
+            (3, 3, sandwich_centers(2, 0)),
+            (4, 2, sandwich_centers(3, 1)),
+            (2, 4, ((3, 1), (0, 0), (-2, 1), (1, -3), (0, 0))),
+        ],
+    )
+    def test_adjacency_is_symmetric(self, dim, outer, centers):
+        # each list is ascending, loop-free and repeat-free, and u lists v
+        # exactly when v lists u
+        graph = build_symmetry_graph(
+            WindowSpec(dim=dim, outer=outer, inner=1, centers=centers)
+        )
+        adj = graph.adjacency
+        for v, nbrs in enumerate(adj):
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:])), v
+            assert v not in nbrs
+            assert all(v in adj[u] for u in nbrs)
+        assert graph.edge_count * 2 == sum(map(len, adj)) > 0
+
+    def test_the_same_centers_permuted_and_repeated_give_the_same_graph(self):
+        centers = sandwich_centers(3, 1)
+        rng = random.Random(5)
+        graph = build_symmetry_graph(
+            WindowSpec(dim=4, outer=2, inner=1, centers=centers)
+        )
+        for _ in range(5):
+            shuffled = list(centers) + rng.sample(centers, 3)
+            rng.shuffle(shuffled)
+            spec = WindowSpec(dim=4, outer=2, inner=1, centers=tuple(shuffled))
+            assert build_symmetry_graph(spec).adjacency == graph.adjacency
+
+    def test_edge_lists_build_ascending_adjacency(self):
+        graph = graph_from_edges(5, [(3, 4), (2, 0), (1, 2), (4, 0), (0, 2)])
+        assert graph.adjacency == [[2, 4], [2], [0, 1], [4], [0, 3]]
+        assert (graph.vertex_count, graph.edge_count) == (5, 4)
+        assert edges_of(graph) == [(0, 2), (0, 4), (1, 2), (3, 4)]
+        assert graph_from_edges(4, PATH4).adjacency == [[1], [0, 2], [1, 3], [2]]
 
 
 def reference_symmetry_graph(spec, centers, z):
@@ -152,27 +198,26 @@ def reference_symmetry_graph(spec, centers, z):
     centers, from coordinate arithmetic and a coordinate index: the
     definition that the flat-index build of ``centers - z`` must reproduce.
     Points, z and centers are coordinate tuples.  Only the dimension and
-    radii of spec are read."""
+    radii of spec are read.  Returns the points in lexicographic order
+    and each point's neighbours as ascending indices."""
     verts = []
     for coords in product(range(-spec.outer, spec.outer + 1), repeat=spec.dim):
         if spec.inner < max(map(abs, coords)) <= spec.outer:
             verts.append(plus(coords, z))
     verts.sort()
     index = {p: i for i, p in enumerate(verts)}
-    edges = set()
+    adjacency = []
     for i, p in enumerate(verts):
-        for c in centers:
-            j = index.get(tuple(2 * a - b for a, b in zip(c, p)))
-            if j is not None and j != i:
-                edges.add((i, j) if i < j else (j, i))
-    return tuple(verts), tuple(sorted(edges))
+        mirrors = {index.get(tuple(2 * a - b for a, b in zip(c, p))) for c in centers}
+        adjacency.append(sorted(mirrors - {None, i}))
+    return tuple(verts), adjacency
 
 
 @st.composite
 def translated_windows(draw):
     """A window spec and a translation z."""
-    dim = draw(st.integers(1, 3))
-    outer = draw(st.integers(1, (6, 5, 3)[dim - 1]))
+    dim = draw(st.integers(1, 4))
+    outer = draw(st.integers(1, (6, 5, 3, 2)[dim - 1]))
     inner = draw(st.integers(0, outer - 1))
     z = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
     # +-outer puts a center on the window's boundary; repeats are allowed
@@ -198,15 +243,23 @@ class TestFlatIndexBuild:
             (5, -3),
         )
     )
+    @example(
+        # the 4D nucleus sandwich(3,1) at its evidence radii
+        (
+            WindowSpec(dim=4, outer=3, inner=1, centers=sandwich_centers(3, 1)),
+            (1, 0, -2, 0),
+        )
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_build(self, window):
-        # build(C) is the reference window about z of C + z
+        # build(C) is the reference window about z of C + z, neighbour
+        # lists and their order included
         spec, z = window
         graph = build_symmetry_graph(spec)
-        points, edges = reference_symmetry_graph(
+        _, adjacency = reference_symmetry_graph(
             spec, [plus(c, z) for c in spec.centers], z
         )
-        assert (graph.vertex_count, graph.edges) == (len(points), edges)
+        assert graph.adjacency == adjacency
 
 
 @st.composite
@@ -302,14 +355,14 @@ class TestCoreNumbering:
         graph = build_symmetry_graph(
             WindowSpec(dim=dim, outer=outer, inner=1, centers=centers)
         )
-        adj = graph.adjacency()
+        adj = graph.adjacency
         rng = random.Random(7)
         cases = [(adj, comp) for comp in components(adj)]
         for _ in range(30):
             n = rng.randint(1, 12)
             edges = [e for e in product(range(n), repeat=2) if e[0] < e[1]]
             some = graph_from_edges(n, rng.sample(edges, rng.randint(0, len(edges))))
-            cases += [(some.adjacency(), comp) for comp in components(some.adjacency())]
+            cases += [(some.adjacency, comp) for comp in components(some.adjacency)]
         cored = 0
         for adj, comp in cases:
             core, peeled = certifier._smallest_last(adj, comp, k)
@@ -377,9 +430,8 @@ class TestCoreNumbering:
         monkeypatch.setattr(certifier, "_cdcl_core", spy)
         verdict = decide_k_colorable(graph, k)
         assert [len(clique) for clique in cliques] == pins
-        edges = set(graph.edges)
         for clique in cliques:
-            assert all(pair in edges for pair in combinations(sorted(clique), 2))
+            assert all(b in graph.adjacency[a] for a, b in combinations(clique, 2))
             if verdict.witness is not None:
                 assert [verdict.witness[v] for v in clique] == list(range(len(clique)))
 
@@ -572,7 +624,7 @@ class TestDecision:
         graph = build_symmetry_graph(
             WindowSpec(dim=dim, outer=3, inner=1, centers=centers)
         )
-        adj = graph.adjacency()
+        adj = graph.adjacency
         comps = sorted(components(adj), key=lambda c: (len(c), c[0]))
         witness = [-1] * graph.vertex_count
         decisions = conflicts = solved = 0
@@ -610,10 +662,10 @@ class TestTranslationInvariance:
         shift = (3, -2)
         for inner in (1, 2):
             spec = WindowSpec(dim=2, outer=inner + 3, inner=inner, centers=centers)
-            points, edges = reference_symmetry_graph(
+            _, adjacency = reference_symmetry_graph(
                 spec, [plus(c, shift) for c in centers], shift
             )
-            moved = SymmetryGraph(vertex_count=len(points), edges=edges)
+            moved = SymmetryGraph(adjacency)
             a = decide_k_colorable(build_symmetry_graph(spec), 2)
             b = decide_k_colorable(moved, 2)
             assert a.kind == b.kind
@@ -622,15 +674,24 @@ class TestTranslationInvariance:
 
 
 class TestSchedule:
-    def test_single_center_is_forced_for_one_color(self):
+    def test_single_center_is_forced_for_one_color(self, tmp_path, capsys):
         report = certify_schedule([(0,)], 1, [1])
         assert isinstance(report, ScheduleReport)
-        assert report.dim == 1 and report.k == 1
         row = report.rows[0]
         assert row["inner"] == 1
         assert row["outer"] == 3 * (1 + 0 + 1)
         assert row["verdict"] == "Forced"
         assert row["provedAtOuter"] == 2
+        # certify prints its own arguments next to the schedule's rows
+        path = tmp_path / "centers.json"
+        path.write_text("[[0]]")
+        argv = ["certify", "--dim", "1", "--colors", "1", "--centers", str(path)]
+        assert cli.main(argv + ["--r-list", "1"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["dim"], result["k"], result["centers"], result["rFactor"]) == (
+            1, 1, [[0]], 3,
+        )
+        assert result["rows"] == json.loads(json.dumps(report.rows))
 
     def test_forced_schedule_with_escalation(self):
         centers = sandwich_centers(1, -1)
@@ -998,7 +1059,7 @@ def export_dimacs(graph, k):
         for c1 in range(k):
             for c2 in range(c1 + 1, k):
                 clauses.append(f"-{base + c1 + 1} -{base + c2 + 1} 0")
-    for a, b in graph.edges:
+    for a, b in edges_of(graph):
         for c in range(k):
             clauses.append(f"-{a * k + c + 1} -{b * k + c + 1} 0")
     header = [

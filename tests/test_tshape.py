@@ -133,6 +133,39 @@ class TestCertificates:
         cert = is_t_shaped(pts).certificate
         assert not cert.verify(pts + [P(9, 9)])
 
+
+class TestCertificateHyperplanes:
+    """``verify`` reads each of its own hyperplanes before any predicate
+    runs: a normal entry must be exactly an ``int``, and the offset is
+    read as ``as_point`` reads a coordinate."""
+
+    POINTS = [P(0, 0), P(1, 0)]
+
+    def test_the_found_certificate_verifies(self):
+        cert = is_t_shaped(self.POINTS).certificate
+        assert cert.hyperplanes == (((0, 1), 0),)
+        assert cert.verify(self.POINTS)
+
+    @pytest.mark.parametrize("offset", [False, 0.0], ids=["False", "0.0"])
+    def test_a_bool_or_float_offset_is_refused(self, offset):
+        cert = TShapeCertificate((((0, 1), offset),), {p: 0 for p in self.POINTS})
+        with pytest.raises(TypeError):
+            cert.verify(self.POINTS)
+
+    @pytest.mark.parametrize(
+        "entry", [True, 1.0, "1", Fraction(1)], ids=["True", "1.0", "str", "Fraction"]
+    )
+    def test_a_normal_entry_that_is_not_an_int_is_refused(self, entry):
+        cert = TShapeCertificate((((0, entry), 0),), {p: 0 for p in self.POINTS})
+        with pytest.raises(TypeError, match="a normal entry is an int"):
+            cert.verify(self.POINTS)
+
+    def test_an_exact_offset_in_any_form_is_read(self):
+        # "0" and Fraction(0) are the offset 0, as coordinates would be
+        for offset in ("0", Fraction(0)):
+            cert = TShapeCertificate((((0, 1), offset),), {p: 0 for p in self.POINTS})
+            assert cert.verify(self.POINTS)
+
     def test_json_form(self):
         pts = [P(0, 0), P(3, 1)]
         doc = certificate_to_json(is_t_shaped(pts).certificate)
