@@ -33,14 +33,15 @@ radius is the intended reading.  Windows nest in both radii: the window
 and o' <= o, so Forced persists as the window grows and Colorable as it
 shrinks.  ``certify_schedule`` uses that to solve only some windows,
 galloping up each row to its smallest Forced outer radius and reading a
-row inside a window already decided Colorable off that window's witness;
-its docstring has the order of the windows.  Each row is built there
-once, as the dict that ``certify`` prints.
+row inside a window already decided Colorable off that window's witness,
+with no verdict built for it; its docstring has the order of the
+windows.  Each row is built there once, as the dict ``certify`` prints.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
@@ -131,6 +132,11 @@ def _box_indices(lo: Sequence[int], hi: Sequence[int], width: int) -> list[int]:
     return indices
 
 
+# One entry, the slot list of the last window built: a row read off a
+# Colorable window (``_restrict``) finds that window's list here when no
+# other window was built since.  The list is shared, so callers only
+# read it.
+@lru_cache(maxsize=1)
 def _box_slots(dim: int, outer: int, inner: int) -> list[int]:
     """The vertex index of each box index of a window (see
     ``build_symmetry_graph``), or -1 for a point of its hole."""
@@ -181,9 +187,9 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     return SymmetryGraph(adjacency)
 
 
-def _window_size(spec: WindowSpec) -> tuple[int, int]:
-    """The vertex and edge counts of the window's symmetry graph, counted
-    without building it.
+def _edge_count(spec: WindowSpec) -> int:
+    """The edge count of the window's symmetry graph, counted without
+    building it.
 
     In each coordinate, x_i in ``[-a, a]`` with ``2c_i - x_i`` in
     ``[-b, b]`` is an interval, so the points x of the box of radius a
@@ -207,23 +213,25 @@ def _window_size(spec: WindowSpec) -> tuple[int, int]:
     for c in set(spec.centers):
         ends = mirrored(c, outer, outer) - 2 * mirrored(c, inner, outer)
         edges += (ends + mirrored(c, inner, inner)) // 2
-    return (2 * outer + 1) ** spec.dim - (2 * inner + 1) ** spec.dim, edges
+    return edges
 
 
 def _restrict(
-    witness: Sequence[int], slot: list[int], big: int, spec: WindowSpec
+    witness: Sequence[int], cover: WindowSpec, spec: WindowSpec
 ) -> tuple[int, ...]:
     """A coloring of the window ``spec`` read off a coloring ``witness``
-    of a window that holds it (outer radius ``big``, an inner radius no
-    larger, box slots ``slot``): the same color at each point.
+    of the window ``cover`` that holds it (an outer radius no smaller,
+    an inner radius no larger): the same color at each point.
 
     The window's points with one prefix, all coordinates but the last,
     are one run along the last coordinate, or two around its hole.  No
-    point of a run lies in the larger window's hole, so the run is one
-    slice of that window's vertices."""
+    point of a run lies in the cover's hole, so the run is one slice of
+    the cover's vertices."""
     dim, outer, inner = spec.dim, spec.outer, spec.inner
+    big = cover.outer
+    slot = _box_slots(dim, big, cover.inner)
     width = 2 * big + 1
-    # the window's box and hole in the larger window's box coordinates
+    # the window's box and hole in the cover's box coordinates
     lo, hi = big - outer, big + outer
     band = set(
         _box_indices((big - inner,) * (dim - 1), (big + inner,) * (dim - 1), width)
@@ -497,21 +505,14 @@ def certify_schedule(
     is Colorable or Unknown at the full window R.
 
     For k <= 2 a window is decided without search, in time linear in its
-    size, so when neither ``start`` nor ``start + 1`` is Forced, R is
-    solved next.  The first row to get there solves, before its R, the
-    schedule's largest full window at its inner radius, R_max =
-    r_factor * (max r_list + max center norm + 1), and no row solves it
-    again.  A Colorable R ends the row after at most four windows; a
-    Forced R leaves the gallop to go on from ``start + 3``, and reaching
-    R again reuses its verdict.  For k >= 3 R is solved only when the
-    gallop reaches it, since one SAT window can cost more than the whole
-    gallop below it.
-
-    When a 2-color row is first Forced above ``start + 1``, R_max is
-    Forced too and answers no row: centers (-1, -1), (-1, 0), (1, 2) at
-    r = 1, 2, 3 solve outer 4, 5, 18, 12, 7, 6 in the first row, one
-    window more than without R_max.  Probing the row's own R first would
-    cost one more window on every Colorable family instead.
+    size, so the first row that is Forced at neither ``start`` nor
+    ``start + 1`` solves, before its next probe, the schedule's largest
+    full window at its inner radius, R_max = r_factor * (max r_list +
+    max center norm + 1); no row solves it again.  A Colorable R_max
+    holds every later probe, so the gallop reaches R with no build; a
+    Forced one leaves the gallop to go on from ``start + 3``.  For
+    k >= 3 R is solved only when the gallop reaches it, since one SAT
+    window can cost more than the whole gallop below it.
 
     The distinct inner radii are solved in increasing order and the rows
     reported in ``r_list`` order; a repeated inner radius is solved once,
@@ -521,12 +522,12 @@ def certify_schedule(
     radius is no smaller), so it is Colorable and is neither built nor
     decided.  A row whose R lies inside it is Colorable at R without a
     build: its witness is that window's witness, verified when it was
-    decided, restricted to the row's window; its ``vertices`` and
-    ``edges`` are counted in closed form, and its ``decisions`` and
-    ``conflicts`` are 0.  A Colorable R_max thus answers its own row and
-    every later one.  Every other row's verdict comes from a window the
-    row solved.  No window is solved twice; ``windowsSolved`` counts the
-    windows the row itself built.
+    decided, restricted to the row's window; its ``vertices`` is that
+    witness's length, its ``edges`` are counted in closed form, and its
+    ``decisions`` and ``conflicts`` are 0.  A Colorable R_max thus
+    answers its own row and every later one.  Every other row's verdict
+    comes from a window the row solved.  No window is solved twice;
+    ``windowsSolved`` counts the windows the row itself built.
 
     Each row is built once, as the dict ``certify`` prints: ``inner``,
     ``outer`` (R), ``provedAtOuter``, ``verdict`` (the window's kind),
@@ -557,11 +558,10 @@ def certify_schedule(
     largest = r_factor * (max(r_list) + max_norm + 1)
     check_window_size(dim, largest)
     # the window decided Colorable with the largest outer radius so far
-    # (a window is decided only above it), and its verdict: the inner
+    # (a window is decided only above it), and its witness: the inner
     # radii run in increasing order, so a window of this row up to its
     # outer radius lies inside it
-    cover: tuple[WindowSpec, WindowVerdict] | None = None
-    cover_slot: list[int] = []  # its box slots, once a row is read off it
+    cover: tuple[WindowSpec, tuple[int, ...]] | None = None
     largest_unsolved = True
     by_inner: dict[int, dict] = {}
     for r in sorted(set(r_list)):
@@ -569,7 +569,7 @@ def certify_schedule(
         solved: dict[int, WindowVerdict] = {}
 
         def forced(trial_outer: int) -> bool:
-            nonlocal cover, cover_slot
+            nonlocal cover
             if cover and trial_outer <= cover[0].outer:
                 return False
             if trial_outer not in solved:
@@ -578,7 +578,7 @@ def certify_schedule(
                 verdict = decide_k_colorable(graph, k, budget=budget)
                 solved[trial_outer] = verdict
                 if verdict.kind == "Colorable":
-                    cover, cover_slot = (spec, verdict), []
+                    cover = spec, verdict.witness
             return solved[trial_outer].kind == "Forced"
 
         start = r + max_norm + 1
@@ -590,20 +590,16 @@ def certify_schedule(
             trial_outer = min(trial_outer + step, outer)
             step *= 2
             hit = forced(trial_outer)
-            if k <= 2 and trial_outer == start + 1 and not hit:
+            if k <= 2 and largest_unsolved and trial_outer == start + 1 and not hit:
                 # no search runs for k <= 2, so a window costs time linear
                 # in its size.  The first row to get here solves the
                 # schedule's largest full window at its inner radius: a
-                # Colorable one holds this row's R and every later row's.
-                # Waiting for start + 1 spares it to rows Forced there, as
-                # the planar nuclei are.  A Colorable R settles the row
-                # without the gallop, and an R inside the bound is not
-                # Forced, so such a row goes straight to R.
-                if largest_unsolved:
-                    largest_unsolved = False
-                    forced(largest)
-                if not forced(outer):
-                    trial_outer = outer
+                # Colorable one holds this row's later probes and every
+                # later row's, which then need no build.  Waiting for
+                # start + 1 spares it to rows Forced there, as the planar
+                # nuclei are.
+                largest_unsolved = False
+                forced(largest)
         proved_at = trial_outer
         if hit:
             # the smallest Forced radius lies in [lo, proved_at]
@@ -615,37 +611,28 @@ def certify_schedule(
                     lo = mid + 1
         if proved_at in solved:
             verdict = solved[proved_at]
+            kind, detail, witness = verdict.kind, verdict.detail, verdict.witness
+            stats = verdict.stats
+            counts = stats.vertices, stats.edges, stats.decisions, stats.conflicts
         else:
             # a Colorable row inside the cover, neither built nor decided
-            cover_spec, cover_verdict = cover
-            if not cover_slot:
-                cover_slot = _box_slots(dim, cover_spec.outer, cover_spec.inner)
+            cover_spec, cover_witness = cover
             spec = WindowSpec(dim=dim, outer=outer, inner=r, centers=centers)
-            vertices, edges = _window_size(spec)
-            witness = _restrict(cover_verdict.witness, cover_slot, cover_spec.outer, spec)
-            verdict = WindowVerdict(
-                kind="Colorable",
-                witness=witness,
-                stats=SearchStats(
-                    vertices=vertices, edges=edges, decisions=0, conflicts=0
-                ),
-                detail=f"proper {k}-coloring restricted from the Colorable window "
-                f"inner {cover_spec.inner}, outer {cover_spec.outer}",
+            kind = "Colorable"
+            detail = (
+                f"proper {k}-coloring restricted from the Colorable window "
+                f"inner {cover_spec.inner}, outer {cover_spec.outer}"
             )
-        stats = verdict.stats
+            witness = _restrict(cover_witness, cover_spec, spec)
+            counts = len(witness), _edge_count(spec), 0, 0
         by_inner[r] = {
             "inner": r,
             "outer": outer,
             "provedAtOuter": proved_at,
-            "verdict": verdict.kind,
-            "detail": verdict.detail,
-            "witness": verdict.witness,
-            "stats": {
-                "vertices": stats.vertices,
-                "edges": stats.edges,
-                "decisions": stats.decisions,
-                "conflicts": stats.conflicts,
-            },
+            "verdict": kind,
+            "detail": detail,
+            "witness": witness,
+            "stats": dict(zip(("vertices", "edges", "decisions", "conflicts"), counts)),
             "windowsSolved": len(solved),
         }
     return ScheduleReport(rows=tuple(by_inner[r] for r in r_list))

@@ -173,14 +173,17 @@ def bounded_sandwich(k: int, s: int) -> frozenset[tuple[int, ...]]:
     )
 
 
-def _center_rows(spec: str | list) -> list:
+def _center_rows(spec: str | list, dim: int | None = None) -> list:
     """Coordinate rows from the literal shorthand sandwich(k,s), from a
     path to a JSON file holding a list of rows, or (from --config) the
-    list itself."""
+    list itself.  Given ``dim``, a sandwich of another dimension k + 1
+    is refused before it is built (a negative k by ``bounded_sandwich``)."""
     if isinstance(spec, str):
         match = _SANDWICH_RE.match(spec.strip())
         if match:
             k, s = int(match.group(1)), int(match.group(2))
+            if dim is not None and k >= 0 and k + 1 != dim:
+                raise ValueError(f"centers have dimension {k + 1}, but --dim is {dim}")
             return points_to_json(bounded_sandwich(k, s))
         with open(spec, encoding="utf-8") as fh:
             spec = _parse_json(fh.read())
@@ -350,9 +353,11 @@ def cmd_certify(
 ) -> tuple[int, dict]:
     # the flags alone, and the largest window at centers of max-norm 0,
     # the smallest it can be, are checked before any center is read
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
     check_schedule_args(colors, r_list, r_factor, budget)
     check_window_size(dim, r_factor * (max(r_list) + 1), at_least=True)
-    centers = [checked_coordinates(row) for row in _center_rows(centers_text)]
+    centers = [checked_coordinates(row) for row in _center_rows(centers_text, dim)]
     dims = sorted({len(c) for c in centers})
     if len(dims) > 1:
         raise ValueError(f"centers have mixed dimensions {dims}")

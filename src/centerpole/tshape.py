@@ -65,14 +65,16 @@ class TShapeCertificate:
     ``hyperplanes`` are ``(normal, offset)`` pairs of a primitive
     integer normal and an exact offset, and ``assignment`` sends each
     point to the index of the first hyperplane containing it.
-    Verification reads the hyperplanes first: a normal entry that is
-    not exactly an ``int``, or an offset ``_exact`` refuses, raises
-    TypeError.  It then re-derives everything from the raw predicates,
-    on integers: the points times the lcm of their denominators and
-    each offset times the same lcm, which keeps every side.  It checks
-    general position of the family, total coverage with first-index
-    assignment, and for each hyperplane the absence of points strictly
-    on both sides among those not covered earlier.
+    Verification reads the hyperplanes and the assignment first: a
+    normal entry or an assignment value that is not exactly an ``int``,
+    or an offset ``_exact`` refuses, raises TypeError, and an assignment
+    whose keys are not exactly the distinct points fails.  It then
+    re-derives everything from the raw predicates, on integers: the
+    points times the lcm of their denominators and each offset times
+    the same lcm, which keeps every side.  It checks general position
+    of the family, total coverage with first-index assignment, and for
+    each hyperplane the absence of points strictly on both sides among
+    those not covered earlier.
     """
 
     hyperplanes: tuple[tuple, ...]
@@ -84,6 +86,11 @@ class TShapeCertificate:
         bad = [type(v).__name__ for n, _ in read for v in n if type(v) is not int]
         if bad:
             raise TypeError(f"a normal entry is an int, not {bad[0]}")
+        bad = [type(i).__name__ for i in self.assignment.values() if type(i) is not int]
+        if bad:
+            raise TypeError(f"an assignment value is an int, not {bad[0]}")
+        if self.assignment.keys() != set(pts):
+            return False
         scale, scaled = clear_denominators(pts)
         hps = [(n, _exact(offset * scale)) for n, offset in read]
         if not in_general_position(hps):
@@ -91,7 +98,7 @@ class TShapeCertificate:
         firsts = []
         for p, row in zip(pts, scaled):
             first = next((i for i, h in enumerate(hps) if side_of(h, row) == 0), None)
-            if first is None or self.assignment.get(p) != first:
+            if first is None or self.assignment[p] != first:
                 return False
             firsts.append(first)
         for i, h in enumerate(hps):

@@ -288,7 +288,7 @@ class TestClosedFormCounts:
     @settings(max_examples=300, deadline=None)
     def test_the_counts_are_the_built_graphs(self, spec):
         graph = build_symmetry_graph(spec)
-        assert certifier._window_size(spec) == (graph.vertex_count, graph.edge_count)
+        assert certifier._edge_count(spec) == graph.edge_count
 
 
 class TestWitnessVerification:
@@ -885,6 +885,8 @@ class TestGallopingEscalation:
     @example(([(0,), (3,)], 2, [2, 0, 3, 0], 2))
     @example(([(0, 0), (2, -1)], 2, [1, 0, 2, 1], 3))
     @example(([(0, 0, 0), (1, 1, 0)], 2, [1, 0, 1], 2))
+    # a Forced largest window, then Colorable rows
+    @example(([(-3,), (-2,), (1,)], 2, [0, 3, 4], 3))
     @settings(max_examples=60, deadline=None)
     def test_rows_read_off_a_colorable_window_color_their_own(self, schedule):
         assert_matches_the_linear_scan(*schedule)
@@ -906,10 +908,22 @@ class TestGallopingEscalation:
         (row,) = report.rows
         assert row["verdict"] == "Forced"
         assert row["provedAtOuter"] == 6
-        # start 4 and 5, then R = 12 (Forced), so the gallop goes on to
-        # 7 (Forced) and bisects the gap [6, 7]
+        # start 4 and 5, then the largest window, here R = 12 (Forced), so
+        # the gallop goes on to 7 (Forced) and bisects the gap [6, 7]
         assert solved == [4, 5, 12, 7, 6]
         assert row["windowsSolved"] == len(solved)
+
+    def test_late_forced_rows_solve_the_largest_window_once(self, solved):
+        # row 1 solves start 4 and 5, then the largest window 18 (Forced,
+        # so the gallop goes on), 7 (Forced) and bisects the gap [6, 7].
+        # Each later row skips its start, inside the Colorable window
+        # below it, and gallops and bisects with no window of its own
+        # solved twice
+        report = certify_schedule(LATE_FORCED, 2, [1, 2, 3])
+        assert [row["verdict"] for row in report.rows] == ["Forced"] * 3
+        assert [row["provedAtOuter"] for row in report.rows] == [6, 7, 8]
+        assert solved == [4, 5, 18, 7, 6, 6, 8, 7, 7, 9, 8]
+        assert [row["windowsSolved"] for row in report.rows] == [5, 3, 3]
 
     def test_colorable_rows_with_two_colors_solve_three_windows(self, solved):
         report = certify_schedule([(0, 0), (3, 0)], 2, [1, 4])
@@ -965,11 +979,11 @@ class TestGallopingEscalation:
         report = certify_schedule([(0, 0), (3, 0)], 2, [1, 2])
         assert [row["verdict"] for row in report.rows] == ["Unknown", "Colorable"]
         # the Unknown largest window, outer 18, bounds neither the r = 1
-        # row, whose R = 15 is solved, nor the r = 2 row: only outer 6
-        # does, so its start 6 is skipped and its start + 1 = 7 and R = 18
-        # are solved
-        assert solved == [5, 6, 18, 15, 7, 18]
-        assert [row["windowsSolved"] for row in report.rows] == [4, 2]
+        # row, whose gallop goes on to 8, 12 and its R = 15, nor the r = 2
+        # row: only outer 12 does, so its probes 6, 7 and 9 are skipped and
+        # its 13 and R = 18 are solved
+        assert solved == [5, 6, 18, 8, 12, 15, 13, 18]
+        assert [row["windowsSolved"] for row in report.rows] == [6, 2]
         assert report.rows[1]["detail"] == "proper 2-coloring found and re-verified"
 
     def test_a_gallop_that_reaches_a_forced_full_window_reuses_it(

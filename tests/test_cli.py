@@ -113,21 +113,25 @@ class TestSandwichCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            # a --dim whose windows fit, so certify reads the centers: at
-            # --dim 41 it refuses the window before it reads the shorthand
-            ["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(40,3)"],
-            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 41}',
-             "--centers", "sandwich(40,3)"],
+            # certify refuses a shorthand of another dimension than --dim
+            # before it counts it, and at --dim 41 the window before it
+            # reads the shorthand, so its size is never reached there
+            (["certify", "--dim", "2", "--colors", "2", "--centers", "sandwich(40,3)"],
+             "error: centers have dimension 41, but --dim is 2"),
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 41}',
+              "--centers", "sandwich(40,3)"],
+             "error: sandwich(40,3) has 2199023245671 points"),
         ],
+        ids=["certify", "coloring-scan"],
     )
-    def test_oversized_shorthand_is_refused(self, argv, monkeypatch, capsys):
+    def test_oversized_shorthand_is_refused(self, argv, message, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_sandwich", None)
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: sandwich(40,3) has 2199023245671 points")
+        assert err.startswith(message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_the_limit_admits_every_sandwich_up_to_two_to_the_twenty(
@@ -681,6 +685,35 @@ class TestCertifyCommand:
         # a huge dimension is refused without its power being built
         with pytest.raises(ValueError, match="outer radius at least 3 in dimension"):
             cli.cmd_certify(10**12, 2, "sandwich(1,-1)", [0])
+
+    def test_a_dimension_below_one_reads_no_center(self, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("a center was read")
+
+        monkeypatch.setattr(cli, "bounded_sandwich", never)
+        for dim in ("0", "-1"):
+            code, out, err = run_cli(
+                ["certify", "--dim", dim, "--colors", "2", "--centers",
+                 "sandwich(17,0)", "--r-list", "1"],
+                capsys,
+            )
+            assert (code, out, err) == (
+                2, "", f"error: dimension must be positive, got {dim}\n"
+            )
+
+    def test_a_sandwich_of_another_dimension_is_not_built(self, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("the sandwich was built")
+
+        monkeypatch.setattr(cli, "bounded_sandwich", never)
+        code, out, err = run_cli(
+            ["certify", "--dim", "2", "--colors", "2", "--centers",
+             "sandwich(17,0)", "--r-list", "1"],
+            capsys,
+        )
+        assert (code, out, err) == (
+            2, "", "error: centers have dimension 18, but --dim is 2\n"
+        )
 
     def test_the_window_limit_boundary(self, monkeypatch):
         class Reached(Exception):

@@ -133,6 +133,29 @@ class TestCertificates:
         cert = is_t_shaped(pts).certificate
         assert not cert.verify(pts + [P(9, 9)])
 
+    def test_verify_rejects_an_assignment_of_a_point_not_in_the_set(self):
+        # (5, 7) does not lie on y = 0, yet the other entries are right
+        pts = [P(0, 0), P(1, 0)]
+        cert = is_t_shaped(pts).certificate
+        extra = TShapeCertificate(cert.hyperplanes, {**cert.assignment, (5, 7): 0})
+        assert cert.verify(pts + [P(1, 0)])
+        assert not extra.verify(pts)
+
+    def test_an_assignment_value_that_is_not_an_int_is_refused(self):
+        pts = [P(0, 0), P(1, 0)]
+        cert = is_t_shaped(pts).certificate
+        for index in (False, 0.0):
+            bad = TShapeCertificate(cert.hyperplanes, {pts[0]: 0, pts[1]: index})
+            with pytest.raises(TypeError, match="an assignment value is an int"):
+                bad.verify(pts)
+        # (0, 1) lies first on x = 0, index 1, and True equals 1
+        pts.append(P(0, 1))
+        hps = cert.hyperplanes + (((1, 0), 0),)
+        assert TShapeCertificate(hps, {pts[0]: 0, pts[1]: 0, pts[2]: 1}).verify(pts)
+        bad = TShapeCertificate(hps, {pts[0]: 0, pts[1]: 0, pts[2]: True})
+        with pytest.raises(TypeError, match="an assignment value is an int, not bool"):
+            bad.verify(pts)
+
 
 class TestCertificateHyperplanes:
     """``verify`` reads each of its own hyperplanes before any predicate
