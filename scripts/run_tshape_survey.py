@@ -10,9 +10,14 @@ document; exit code 1 if any bound check fails or a certificate fails
 its verification, 2 with one ``error:`` line if --out cannot be written.
 A usage error exits 2 before any trial or draw runs: a --dims entry that
 is not an integer, has no known t value (1 to 4) or is repeated, a
---trials count below 0 or above the tshape limit
-(``cli.MAX_TSHAPE_TRIALS``), or a --grid-draws count below 0 or above
-``MAX_GRID_DRAWS``.
+--trials count below 0 or above ``MAX_TSHAPE_TRIALS``, or a --grid-draws
+count below 0 or above ``MAX_GRID_DRAWS``.
+
+The row of dimension d is ``verify_t_value_bounds(d, trials, seed + d)``
+plus its ``seconds``.  This script is the one runner of that check: the
+``bounds`` report of the removed ``centerpole tshape --trials T --seed S
+--bound-dim d`` is the row of d in a run with ``--dims d --trials T
+--seed S-d``.
 
     python scripts/run_tshape_survey.py --grid-draws 100
 """
@@ -20,11 +25,19 @@ import argparse
 import random
 import time
 
-from centerpole.cli import MAX_TSHAPE_TRIALS, emit_document
+from centerpole.cli import emit_document
 from centerpole.tshape import check_bound_dim, is_t_shaped, verify_t_value_bounds
 
 GRID_DRAWS = 19
 GRID_DIM = 4
+
+# The most trials one dimension runs.  Each trial decides one random set
+# one point below the t value, so the time grows linearly with the count
+# and steeply with the dimension: on a 2-core Xeon, 2^10 trials take
+# about 0.06 s in dimension 2 and 0.3 s in dimension 3 (seed 1), and
+# 4.8-7.1 s in dimension 4 (seeds 1-3, about 5-7 ms a trial).  A larger
+# count is refused before any trial runs.
+MAX_TSHAPE_TRIALS = 2**10
 
 # The most grid draws one run decides.  The time grows linearly with the
 # count: on a 2-core Xeon, seeds 1-100 take 2.3 s, 1-300 take 6.5 s and

@@ -5,8 +5,8 @@ config file that overrides them), runs one module operation, and emits
 an envelope {config, result, meta}.  The config and result sections are
 byte-identical across reruns with the same inputs and seed; wall-clock
 data lives only in meta.  Exit codes: 0 success, 1 a mathematical
-failure was found (covering discrepancy, scan violation, bound
-counterexample), 2 usage error.
+failure was found (covering discrepancy, scan violation), 2 usage
+error.
 """
 from __future__ import annotations
 
@@ -47,12 +47,7 @@ from .cube import (
     sandwich_to_json,
 )
 from .geometry import fraction_from_json, point_from_json, point_to_json
-from .tshape import (
-    certificate_to_json,
-    check_bound_dim,
-    is_t_shaped,
-    verify_t_value_bounds,
-)
+from .tshape import certificate_to_json, is_t_shaped
 
 OUTPUT_DIR_ENV = "CENTERPOLE_OUT_DIR"
 
@@ -91,14 +86,6 @@ MAX_TSHAPE_CANDIDATES = 2**12
 # admits in dimension 20; in dimension 24, n = 27 takes about 5 s.  A
 # file above the limit is refused before any elimination.
 MAX_TSHAPE_DIM = 20
-
-# The most bound-check trials tshape runs.  Each trial decides one random
-# set one point below the t value, so the time grows linearly with the
-# count and steeply with the dimension: on a 2-core Xeon, 2^10 trials
-# take about 0.06 s in dimension 2 and 0.3 s in dimension 3 (seed 1), and
-# 4.8-7.1 s in dimension 4 (seeds 1-3, about 5-7 ms a trial).  A larger
-# count is refused before any trial runs.
-MAX_TSHAPE_TRIALS = 2**10
 
 # The largest dimension of a built rule: the dimension of its base rule
 # (a cone's ``dim``, or its count of ``vertices`` minus one, or the length
@@ -291,25 +278,12 @@ def cmd_cover_verify(k: int, s: int) -> tuple[int, dict]:
     return (0 if not report["failures"] else 1), report
 
 
-def cmd_tshape(
-    points_file: str,
-    trials: int = 0,
-    seed: int = 0,
-    bound_dim: int | None = None,
-) -> tuple[int, dict]:
-    if trials < 0:
-        raise ValueError(f"trial count must be non-negative, got {trials}")
-    if trials > MAX_TSHAPE_TRIALS:
-        raise ValueError(
-            f"{trials} trials are more than the limit of {MAX_TSHAPE_TRIALS}"
-        )
+def cmd_tshape(points_file: str) -> tuple[int, dict]:
     with open(points_file, encoding="utf-8") as fh:
         rows = _parse_json(fh.read())
     if not isinstance(rows, list):
         raise ValueError("a points file must hold a list of coordinate rows")
     points = [point_from_json(row) for row in rows]
-    if trials > 0 and bound_dim is None and not points:
-        raise ValueError("--trials on an empty points file needs --bound-dim")
     dim = len(points[0]) if points else 0
     if dim > MAX_TSHAPE_DIM:
         raise ValueError(
@@ -321,26 +295,15 @@ def cmd_tshape(
             f"{distinct} distinct points in dimension {dim} span more "
             f"than the limit of {MAX_TSHAPE_CANDIDATES} candidate hyperplanes"
         )
-    if trials > 0:
-        bound_dim = dim if bound_dim is None else bound_dim
-        check_bound_dim(bound_dim)
     outcome = is_t_shaped(points)
     result: dict = {
         "points": [point_to_json(p) for p in points],
         "verdict": "yes" if outcome.t_shaped else "no",
         "detail": outcome.detail,
-        "seed": seed,
-        "trials": trials,
     }
     if outcome.certificate is not None:
         result["certificate"] = certificate_to_json(outcome.certificate)
-    code = 0
-    if trials > 0:
-        bounds = verify_t_value_bounds(bound_dim, trials, seed)
-        result["bounds"] = bounds
-        if not bounds["ok"]:
-            code = 1
-    return code, result
+    return 0, result
 
 
 def cmd_certify(
@@ -528,9 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tshape", help="decide T-shapedness of a point set")
     p.add_argument("--points", required=True, help="JSON file of coordinate rows")
-    p.add_argument("--trials", type=int, default=0, help="extra bound-check trials")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound-dim", type=int, default=None)
 
     p = sub.add_parser("certify", help="window certification schedule")
     p.add_argument("--dim", type=int, required=True)
@@ -572,11 +532,8 @@ def main(argv: list[str] | None = None) -> int:
             config = {"command": "cover-verify", "k": args.k, "s": args.s}
             code, result = cmd_cover_verify(args.k, args.s)
         elif args.command == "tshape":
-            config = {"command": "tshape", "points": args.points,
-                      "trials": args.trials, "seed": args.seed,
-                      "boundDim": args.bound_dim}
-            code, result = cmd_tshape(args.points, args.trials, args.seed,
-                                      args.bound_dim)
+            config = {"command": "tshape", "points": args.points}
+            code, result = cmd_tshape(args.points)
         elif args.command == "certify":
             r_list = _int_list(args.r_list)
             config = {"command": "certify", "dim": args.dim,

@@ -9,11 +9,13 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
 from enum import IntEnum
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,6 @@ from centerpole.cli import (
     MAX_SCAN_SAMPLES,
     MAX_TSHAPE_CANDIDATES,
     MAX_TSHAPE_DIM,
-    MAX_TSHAPE_TRIALS,
     OUTPUT_DIR_ENV,
     main,
 )
@@ -210,119 +211,45 @@ class TestTshapeCommand:
         assert doc["result"]["verdict"] == "no"
         assert "certificate" not in doc["result"]
 
-    def test_bound_trials_attach_a_report(self, tmp_path, capsys):
-        path = tmp_path / "pts.json"
-        path.write_text(json.dumps([[0, 0]]))
-        code, doc = run_json(
-            ["tshape", "--points", str(path), "--trials", "2", "--seed", "7"],
-            capsys,
-        )
-        assert code == 0
-        bounds = doc["result"]["bounds"]
-        assert bounds["ok"] is True
-        assert bounds["t_value"] == 3
+    @pytest.fixture
+    def undecided(self, tmp_path, monkeypatch):
+        """A points file that must not be decided."""
 
-    def test_a_negative_trial_count_is_refused_before_any_trial(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        def never(*args):
-            raise AssertionError("a decision or a trial ran")
+        def never(points):
+            raise AssertionError("a decision ran")
 
         monkeypatch.setattr(cli, "is_t_shaped", never)
-        monkeypatch.setattr(cli, "verify_t_value_bounds", never)
         path = tmp_path / "pts.json"
         path.write_text(json.dumps([[0, 0]]))
-        code, out, err = run_cli(
-            ["tshape", "--points", str(path), "--trials", "-3"], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: trial count must be non-negative, got -3\n"
+        return str(path)
 
-    def test_a_trial_count_above_the_limit_is_refused_before_any_trial(
-        self, tmp_path, monkeypatch, capsys
+    # tshape only decides its points file; the sampled t-value check runs
+    # in scripts/run_tshape_survey.py
+    @pytest.mark.parametrize(
+        "flag,value", [("--trials", "1"), ("--seed", "0"), ("--bound-dim", "3")]
+    )
+    def test_a_deleted_trial_flag_exits_2_before_the_decision(
+        self, flag, value, undecided, capsys
     ):
-        def never(*args):
-            raise AssertionError("a decision or a trial ran")
+        with pytest.raises(SystemExit) as exc:
+            main(["tshape", "--points", undecided, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
 
-        monkeypatch.setattr(cli, "is_t_shaped", never)
-        monkeypatch.setattr(cli, "verify_t_value_bounds", never)
-        path = tmp_path / "pts.json"
-        path.write_text(json.dumps([[0, 0]]))
+    @pytest.mark.parametrize("key", ["trials", "seed", "bound-dim"])
+    def test_a_deleted_trial_config_key_exits_2_before_the_decision(
+        self, key, undecided, tmp_path, capsys
+    ):
         config = tmp_path / "config.json"
-        assert MAX_TSHAPE_TRIALS == 2**10
-        for trials in (MAX_TSHAPE_TRIALS + 1, 10**12):
-            config.write_text(json.dumps({"trials": trials}))
-            for argv in (
-                ["tshape", "--points", str(path), "--trials", str(trials)],
-                ["--config", str(config), "tshape", "--points", str(path)],
-            ):
-                code, out, err = run_cli(argv, capsys)
-                assert code == 2
-                assert out == ""
-                assert err == (
-                    f"error: {trials} trials are more than the limit of "
-                    f"{MAX_TSHAPE_TRIALS}\n"
-                )
-
-    def test_a_trial_count_at_the_limit_runs(self, tmp_path, monkeypatch):
-        ran = []
-        monkeypatch.setattr(
-            cli,
-            "verify_t_value_bounds",
-            lambda n, trials, seed: ran.append((n, trials)) or {"ok": True},
-        )
-        path = tmp_path / "pts.json"
-        path.write_text(json.dumps([[0, 0]]))
-        code, result = cli.cmd_tshape(str(path), MAX_TSHAPE_TRIALS)
-        assert code == 0 and result["bounds"] == {"ok": True}
-        assert ran == [(2, MAX_TSHAPE_TRIALS)]
-
-    def test_an_unknown_bound_dimension_is_refused_before_the_decision(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # the bound dimension is --bound-dim, or the points' dimension
-        # without it; a file can take seconds to decide, so it goes first
-        def never(*args):
-            raise AssertionError("a decision or a trial ran")
-
-        monkeypatch.setattr(cli, "is_t_shaped", never)
-        monkeypatch.setattr(cli, "verify_t_value_bounds", never)
-        p3 = tmp_path / "p3.json"
-        p3.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-        p5 = tmp_path / "p5.json"
-        p5.write_text(json.dumps([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
-        for argv in (
-            ["tshape", "--points", str(p3), "--trials", "1", "--bound-dim", "5"],
-            ["tshape", "--points", str(p3), "--trials", "1", "--bound-dim", "0"],
-            ["tshape", "--points", str(p3), "--trials", "1", "--bound-dim", "-2"],
-            ["tshape", "--points", str(p5), "--trials", "1"],
-        ):
-            code, out, err = run_cli(argv, capsys)
-            assert code == 2 and out == "", argv
-            assert err == "error: known t values cover dimensions 1 through 4 only\n"
-
-    def test_without_trials_any_bound_dimension_is_ignored(self, tmp_path, capsys):
-        path = tmp_path / "p5.json"
-        path.write_text(json.dumps([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
-        for argv in (
-            ["tshape", "--points", str(path)],
-            ["tshape", "--points", str(path), "--bound-dim", "7"],
-        ):
-            code, out, _ = run_cli(argv, capsys)
-            assert code == 0
-            assert json.loads(out)["result"]["verdict"] == "yes"
-
-    def test_empty_points_with_trials_needs_a_bound_dim(self, tmp_path, capsys):
-        path = tmp_path / "empty.json"
-        path.write_text("[]")
+        config.write_text(json.dumps({key: 1}))
         code, out, err = run_cli(
-            ["tshape", "--points", str(path), "--trials", "2"], capsys
+            ["--config", str(config), "tshape", "--points", undecided], capsys
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "--bound-dim" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"error: config key {key!r} names no flag of tshape\n"
 
     def test_float_coordinates_are_refused(self, tmp_path, capsys):
         path = tmp_path / "floats.json"
@@ -1502,8 +1429,7 @@ class TestEmittedLayout:
             lambda tmp: ["sandwich", "--k", "2", "--s", "0"],
             lambda tmp: ["cover-verify", "--k", "3", "--s", "0"],
             lambda tmp: ["tshape", "--points",
-                         _json_file(tmp, [[1, 2, 0], [-3, 5, 0], ["1/2", 0, 1]]),
-                         "--trials", "1"],
+                         _json_file(tmp, [[1, 2, 0], [-3, 5, 0], ["1/2", 0, 1]])],
             lambda tmp: _CERTIFY + ["--colors", "1"],
             lambda tmp: _CERTIFY + ["--colors", "2"],
             lambda tmp: _CERTIFY + ["--colors", "3"],
@@ -1622,6 +1548,29 @@ class TestArgparseUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestReadmeExamples:
+    def test_every_command_line_of_the_readme_parses(self):
+        # each `centerpole ...` line of a sh block, its backslash
+        # continuations joined, so a deleted flag cannot linger there
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(
+            r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S
+        )
+        examples = [
+            shlex.split(line, comments=True)[1:]
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("centerpole ")
+        ]
+        assert len(examples) >= 8
+        parser = cli._build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"centerpole {shlex.join(argv)} does not parse")
 
 
 class TestOneParserPerProcess:
@@ -1778,19 +1727,7 @@ def _argv(draw, tmp):
         dim = draw(st.integers(1, 3))
         coords = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "5/4"]))
         points = json_file(draw(st.one_of(_rows(dim, coords), _MALFORMED_JSON)))
-        trials = _mostly(
-            st.integers(0, 2),
-            st.one_of(
-                st.integers(-2, -1), st.sampled_from([MAX_TSHAPE_TRIALS + 1, 10**12])
-            ),
-        )
-        bound_dim = _mostly(st.integers(1, 4), st.sampled_from([-2, 0, 5]))
-        return (
-            ["tshape", "--points", points]
-            + draw(_flag("--trials", trials))
-            + draw(_flag("--seed", _mostly(st.integers(0, 9), _JUNK)))
-            + draw(_flag("--bound-dim", bound_dim))
-        )
+        return ["tshape", "--points", points]
     dim = draw(st.integers(1, 2))
     if command == "coloring-scan":
         return _scan_argv(draw, dim, json_file)
@@ -1938,8 +1875,6 @@ class TestFuzzedArgv:
         result = json.loads(out.getvalue())["result"]
         if argv[0] == "cover-verify":
             failed = bool(result["failures"])
-        elif argv[0] == "tshape":
-            failed = "bounds" in result and not result["bounds"]["ok"]
         elif argv[0] == "coloring-scan":
             failed = bool(result["violations"])
         else:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from centerpole.cli import MAX_COVER_K, MAX_TSHAPE_TRIALS, OUTPUT_DIR_ENV
+from centerpole.cli import MAX_COVER_K, OUTPUT_DIR_ENV
+from centerpole.tshape import verify_t_value_bounds
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -121,7 +122,7 @@ class TestTShapeSurveyRefusals:
     def test_malformed_input_exits_2_before_any_trial(
         self, survey, argv, message, capsys
     ):
-        assert MAX_TSHAPE_TRIALS == survey.MAX_GRID_DRAWS == 1024
+        assert survey.MAX_TSHAPE_TRIALS == survey.MAX_GRID_DRAWS == 1024
         assert message in refused(survey.main, argv, capsys)
 
     def test_counts_at_the_limits_run(self, monkeypatch, capsys):
@@ -136,11 +137,25 @@ class TestTShapeSurveyRefusals:
         monkeypatch.setattr(
             survey, "is_t_shaped", lambda points: decided.append(points) or outcome
         )
-        argv = ["--dims", "1,4", "--trials", str(MAX_TSHAPE_TRIALS)]
+        trials = survey.MAX_TSHAPE_TRIALS
+        argv = ["--dims", "1,4", "--trials", str(trials)]
         assert survey.main(argv + ["--grid-draws", str(survey.MAX_GRID_DRAWS)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
-        assert bounds == [(1, MAX_TSHAPE_TRIALS), (4, MAX_TSHAPE_TRIALS)]
+        assert bounds == [(1, trials), (4, trials)]
         assert len(decided) == survey.MAX_GRID_DRAWS
+
+
+class TestTShapeSurveyRows:
+    def test_a_row_is_the_bound_check_at_the_seed_plus_its_dimension(self, capsys):
+        # the survey is the one runner of the sampled t-value check: its
+        # row of d at --seed S is verify_t_value_bounds(d, T, S + d) and
+        # its seconds, so the report of the removed `tshape --trials T
+        # --seed S --bound-dim d` is the row of d at --seed S - d
+        survey = load_script("run_tshape_survey")
+        assert survey.main(["--dims", "2", "--trials", "2", "--seed", "7"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert type(row.pop("seconds")) is float
+        assert row == verify_t_value_bounds(2, 2, 9)
 
 
 class TestTShapeSurveyGridDraws:
