@@ -40,8 +40,9 @@ GRID_DIM = 4
 MAX_TSHAPE_TRIALS = 2**10
 
 # The most grid draws one run decides.  The time grows linearly with the
-# count: on a 2-core Xeon, seeds 1-100 take 2.3 s, 1-300 take 6.5 s and
-# 1-1024 take 23.6 s, about 0.023 s a draw (the slowest draw, 0.08-0.09 s).
+# count: on a 2-core Xeon, seeds 1-100 take 1.8-2.7 s, 1-300 take 5.6-5.8 s
+# and 1-1024 take 18.5-20.6 s, about 0.019 s a draw (the slowest draw,
+# 0.06-0.10 s).
 # A larger count is refused before any draw runs.
 MAX_GRID_DRAWS = 2**10
 

@@ -152,9 +152,14 @@ def clear_denominators(
     times ``L`` as integers.  Scaling by ``L > 0`` changes no rank or
     kernel, and on the coordinate rows of a point set it is an
     invertible affine map, so incidence, separation and hull dimensions
-    do not change either.  An entry that is not exactly an ``int`` or a
-    ``Fraction`` is read through ``_to_fraction``, so a float or a bool
-    raises TypeError."""
+    do not change either.  When every entry is exactly an ``int``, the
+    scale is 1 and the rows come back as fresh lists, which the
+    elimination may change in place.  Otherwise an entry that is not
+    exactly an ``int`` or a ``Fraction`` is read through
+    ``_to_fraction``, so a float or a bool raises TypeError."""
+    rows = list(rows)
+    if all(type(v) is int for row in rows for v in row):
+        return 1, [list(row) for row in rows]
     rows = [
         [v if type(v) is int or type(v) is Fraction else _to_fraction(v) for v in row]
         for row in rows

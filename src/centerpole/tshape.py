@@ -18,14 +18,15 @@ the integer ``(normal, offset)`` tuple, an order no reordering of the
 points changes.  The points on each side of a candidate are masked
 the first time the search asks for them.  Each
 candidate is tested by cost: the cover and separation tests are mask
-operations and run first, the exact rank test runs last, and at the
-last level of the cover only the candidates through the residual's
-lowest point are scanned, and only one that covers the whole residual
-is tested for rank.  A found cover keeps its primitive normals; only
-its offsets are divided back to the points' own scale.  The
-certificate is re-verified on integers too, by exact predicates (the
-sign ``side_of``, ``separates`` and ``in_general_position``) that share
-nothing with the search's masks.
+operations and run first, the independence test runs last (a normal
+equality test against one chosen normal, an exact rank test against
+more), and at the last level of the cover only the candidates through
+the residual's lowest point are scanned, and only one that covers the
+whole residual is tested for independence.  A found cover keeps its
+primitive normals; only its offsets are divided back to the points'
+own scale.  The certificate is re-verified on integers too, by exact
+predicates (the sign ``side_of``, ``separates`` and
+``in_general_position``) that share nothing with the search's masks.
 """
 from __future__ import annotations
 
@@ -154,6 +155,19 @@ def is_t_shaped(points) -> TShapeResult:
     return TShapeResult(True, cert, detail)
 
 
+def _independent(normals: list[tuple[int, ...]], normal: tuple[int, ...]) -> bool:
+    """Whether ``normal`` keeps the chosen ``normals`` linearly
+    independent.  All are primitive with their first nonzero entry
+    positive, as the enumeration returns them, and two such normals are
+    dependent exactly when they are equal: against one chosen normal
+    this is a tuple comparison, against more an exact rank test.  A
+    certificate's normals need not be primitive, so its check runs
+    ``in_general_position`` instead."""
+    if len(normals) < 2:
+        return not normals or normals[0] != normal
+    return matrix_rank(normals + [normal]) == len(normals) + 1
+
+
 def _search_cover(
     points: list[tuple], scaled: list[list[int]], scale: int
 ) -> TShapeCertificate | None:
@@ -177,17 +191,19 @@ def _search_cover(
     loses nothing), not separate the set of points its predecessors
     left uncovered, and keep the chosen normals linearly independent.
     The tests run in that order, cheapest first: the first two are mask
-    operations, the rank test is an elimination.  Each test only skips
-    a candidate, so the order changes neither which candidates are
-    accepted nor the order they are tried in.  When one hyperplane is
-    left in the budget, only a candidate that covers the whole residual
-    can finish the cover: any other child would find points left and no
-    budget, and return None before it reads or writes the memo.  So the
-    last level scans only the candidates through the residual's lowest
-    point, and runs no separation test, which a hyperplane holding the
-    whole residual cannot fail.  Dead (residual, normal-set) states are
-    memoized; a branch is also cut when the residual exceeds what the
-    remaining budget can cover.
+    operations, and ``_independent`` compares tuples while one normal is
+    chosen; only against two or more, from dimension 4 on, is it an
+    elimination.  Each test only skips a candidate, so the order changes
+    neither which candidates are accepted nor the order they are tried
+    in.  When one hyperplane is left in the budget, only a candidate
+    that covers the whole residual can finish the cover: any other child
+    would find points left and no budget, and return None before it
+    reads or writes the memo.  So the last level scans only the
+    candidates through the residual's lowest point, and runs no
+    separation test, which a hyperplane holding the whole residual
+    cannot fail.  Dead (residual, normal-set) states are memoized; a
+    branch is also cut when the residual exceeds what the remaining
+    budget can cover.
     """
     budget = len(scaled[0]) - 1
     candidates = spanned_hyperplanes(scaled)
@@ -198,9 +214,6 @@ def _search_cover(
     # the indices of the candidates through each point, once asked for
     through: list[list[int] | None] = [None] * len(points)
     dead: set[tuple[int, frozenset[tuple[int, ...]]]] = set()
-
-    def independent(normals: list[tuple[int, ...]], normal: tuple[int, ...]) -> bool:
-        return not normals or matrix_rank(normals + [normal]) == len(normals) + 1
 
     def extend(residual: int, chosen: list[tuple]) -> list[tuple] | None:
         if not residual:
@@ -218,7 +231,7 @@ def _search_cover(
                 through[low] = [k for k, c in enumerate(candidates) if c[2] >> low & 1]
             for k in through[low]:
                 cand = candidates[k]
-                if not residual & ~cand[2] and independent(normals, cand[0]):
+                if not residual & ~cand[2] and _independent(normals, cand[0]):
                     return chosen + [cand]
             dead.add(key)
             return None
@@ -235,7 +248,7 @@ def _search_cover(
             positive, negative = sides[k]
             if positive & residual and negative & residual:
                 continue
-            if not independent(normals, normal):
+            if not _independent(normals, normal):
                 continue
             got = extend(residual & ~on, chosen + [cand])
             if got is not None:

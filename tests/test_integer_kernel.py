@@ -20,9 +20,10 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
@@ -197,6 +198,13 @@ def point_sets(draw, dims=(2, 3, 4)):
     return [as_point(r) for r in rows]
 
 
+def cleared(points):
+    """A point set times the lcm of its denominators: all integers, with
+    the same flats, repeats and order."""
+    m = lcm(*(Fraction(v).denominator for p in points for v in p))
+    return [as_point([m * v for v in p]) for p in points]
+
+
 @st.composite
 def grid_sets(draw):
     """Up to d+6 integer points of {-1,0,1}^d, repeats allowed, dims 2-5:
@@ -361,9 +369,21 @@ class TestKernelAgainstTheRationalReference:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(point_sets())
+    @given(st.one_of(point_sets(), point_sets().map(cleared)))
     def test_same_verdict_detail_and_certificate_bytes(self, points):
+        # all-integer sets too: they skip clear_denominators' Fraction reader
         assert_same_decision(points)
+
+    @given(grid_sets(), st.data())
+    def test_two_enumerated_normals_are_equal_exactly_when_dependent(
+        self, rows, data
+    ):
+        # the search's independence test against one chosen normal
+        hyperplanes = integer_spanned_hyperplanes(rows)
+        assume(hyperplanes)
+        pick = st.sampled_from(hyperplanes)
+        (a, _, _), (b, _, _) = data.draw(pick), data.draw(pick)
+        assert (a == b) == (matrix_rank([a, b]) == 1)
 
     @pytest.mark.parametrize(
         "rows",
@@ -372,6 +392,10 @@ class TestKernelAgainstTheRationalReference:
             [(t, t * t) for t in range(1, 4)],
             [(t, t**2, t**3) for t in range(1, 8)],
             [(t, t**2, t**3, t**4) for t in range(1, 14)],
+            # sets on two parallel planes, which only the independence
+            # test keeps from being a cover
+            [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
             # a cube with a scaled, shifted copy of one face
             [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
             + [
@@ -387,3 +411,44 @@ class TestKernelAgainstTheRationalReference:
     )
     def test_known_sets(self, rows):
         assert_same_decision([as_point(r) for r in rows])
+
+
+integer_matrices = st.integers(0, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-50, 50), min_size=m, max_size=m), max_size=4)
+)
+
+
+class TestClearDenominatorsOnIntegers:
+    """Rows of exact ints skip the Fraction reader: scale 1 and fresh
+    copies of the rows."""
+
+    @given(integer_matrices)
+    def test_same_scale_and_rows_as_the_fraction_path(self, rows):
+        as_fractions = [[Fraction(v) for v in row] for row in rows]
+        got = clear_denominators(rows)
+        assert got == clear_denominators(as_fractions) == (1, rows)
+        assert all(type(v) is int for row in got[1] for v in row)
+
+    def test_changing_the_result_leaves_the_input_rows(self):
+        rows = [[1, 2], [3, 4]]
+        _, got = clear_denominators(rows)
+        got[0][0] = 9
+        got[1].append(5)
+        got.append([6, 7])
+        assert rows == [[1, 2], [3, 4]]
+        # the elimination extends and swaps the rows it is given
+        assert integer_inverse(rows) == (2, [[-4, 2], [3, -1]])
+        assert matrix_rank(rows) == 2
+        assert rows == [[1, 2], [3, 4]]
+
+    def test_rows_mixing_ints_and_fractions(self):
+        rows = [[1, Fraction(1, 2)], [Fraction(2, 3), 4]]
+        assert clear_denominators(rows) == (6, [[6, 3], [4, 24]])
+        assert clear_denominators([[2, 3], [Fraction(-5, 4), 0]]) == (
+            4, [[8, 12], [-5, 0]]
+        )
+
+    @pytest.mark.parametrize("rows", [[[True, 2]], [[1, 2], [0.5, 1]], [[1.0]]])
+    def test_bools_and_floats_still_raise(self, rows):
+        with pytest.raises(TypeError):
+            clear_denominators(rows)

@@ -14,7 +14,6 @@ from centerpole.geometry import (
     affine_hull_dim,
     as_point,
     clear_denominators,
-    matrix_rank,
 )
 from centerpole import tshape
 from centerpole.tshape import (
@@ -294,27 +293,29 @@ class TestMomentCurve:
 
 class TestSearchWork:
     # 18 distinct points of 19 draws from {-1,0,1}^4.  The search makes
-    # 2 675 independence tests (matrix_rank calls) on it; the bound leaves
-    # about 12 % for a change in candidate order.  Without the last-level
-    # cut and with the rank test ahead of the separation test it made about
-    # 764 000 and took 12 s, so the counter stops the search at the bound.
-    RANK_CALL_BOUND = 3000
+    # 2 705 independence tests (_independent calls) on it, 2 of them rank
+    # tests against two chosen normals; the bound leaves about 10 % for a
+    # change in candidate order.  Without the last-level cut it made
+    # 161 347 of them (158 644 rank tests), so the counter stops the
+    # search at the bound.
+    INDEPENDENCE_TEST_BOUND = 3000
 
-    def test_the_grid_draw_is_refused_within_the_rank_call_bound(
+    def test_the_grid_draw_is_refused_within_the_independence_test_bound(
         self, monkeypatch
     ):
         rng = random.Random(1)
         pts = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(19)]
         assert len(set(pts)) == 18
         calls = 0
+        independent = tshape._independent
 
-        def counted(rows):
+        def counted(normals, normal):
             nonlocal calls
             calls += 1
-            assert calls <= self.RANK_CALL_BOUND, "rank call bound exceeded"
-            return matrix_rank(rows)
+            assert calls <= self.INDEPENDENCE_TEST_BOUND, "test bound exceeded"
+            return independent(normals, normal)
 
-        monkeypatch.setattr(tshape, "matrix_rank", counted)
+        monkeypatch.setattr(tshape, "_independent", counted)
         res = is_t_shaped(pts)
         assert not res.t_shaped
         assert res.detail == "no certificate found under spanned-hyperplane search"
