@@ -72,9 +72,12 @@ MAX_COVER_K = 10
 # (about 7e10 at C = 2^12 in dim 4), so the cost depends on the points.
 # Measured worst cases on a 2-core Xeon: over seeds 1-100, the 19 draws
 # of random.Random(seed) from {-1,0,1}^4 (C(19, 4) = 3876 candidates
-# at most) are decided in at most 0.05-0.10 s (seed 55 or 1, not
-# T-shaped), and those from [-2,2]^4 in at most 0.09 s (seed 9, not
-# T-shaped): the range over runs, as the host's speed varies.
+# at most) are decided in at most 0.04-0.10 s (seed 55 or 1, not
+# T-shaped), and those from [-2,2]^4 in at most 0.06-0.09 s (seed 9, not
+# T-shaped): the range over runs, as the host's speed varies.  The
+# enumeration is also the hull test, so a file on one hyperplane is
+# billed and walked as a full-dimensional one: 30 points on one plane of
+# R^3 (4060 candidates) take 0.010-0.014 s.
 MAX_TSHAPE_CANDIDATES = 2**12
 
 # The largest dimension of a tshape points file.  The candidate bound

@@ -11,10 +11,15 @@ working assumption, cross-checked against every configuration with a
 known answer.
 
 The decision runs on integers: the points are scaled once by the lcm
-of their denominators, for the hull test and the search alike, and
-candidates are primitive integer hyperplanes with the mask of their
-incident points from the enumeration, tried in its order: sorted by
-the integer ``(normal, offset)`` tuple, an order no reordering of the
+of their denominators, and their spanned hyperplanes are enumerated
+once, as primitive integer hyperplanes with the mask of their incident
+points.  That enumeration is also the hull test: it returns two or
+more hyperplanes exactly when the set spans the space, the only
+hyperplane through the set when it spans exactly a hyperplane, and
+none when it spans less.  So every set of more than d points costs one
+walk of at most C(n, d) d-subsets, a set on one hyperplane too.  The
+search tries the candidates in the enumeration's order: sorted by the
+integer ``(normal, offset)`` tuple, an order no reordering of the
 points changes.  The points on each side of a candidate are masked
 the first time the search asks for them.  Each
 candidate is tested by cost: the cover and separation tests are mask
@@ -51,7 +56,7 @@ from .geometry import (
     side_of,
 )
 
-# The search enumerates its candidates through this name, so the traced
+# The decision enumerates its candidates through this name, so the traced
 # benchmark run, which wraps tshape.spanned_hyperplanes, times the
 # enumeration as the spanned-hyperplane layer (bench/tracing.py).
 from .geometry import integer_spanned_hyperplanes as spanned_hyperplanes
@@ -119,12 +124,22 @@ class TShapeResult:
 def is_t_shaped(points) -> TShapeResult:
     """Decide T-shapedness of a finite rational point set.
 
-    Empty sets are T-shaped outright.  On the line nothing else is.  A
-    set not spanning its ambient space fits on a single hyperplane and
-    is T-shaped with that one-element cover.  Full-dimensional sets in
-    ambient dimension d get an exhaustive search for a cover by at most
-    d-1 spanned hyperplanes; every yes answer carries a certificate
-    that has been re-verified before return.
+    Empty sets are T-shaped outright.  On the line nothing else is.
+    Otherwise the spanned hyperplanes are enumerated once, and their
+    count is the hull test.  A full-dimensional set has two or more (d+1
+    affinely independent points of it span d+1 of them), and gets an
+    exhaustive search among them for a cover by at most d-1.  A set not
+    spanning its ambient space fits on a single hyperplane and is
+    T-shaped with that one-element cover: the one enumerated hyperplane
+    when it spans exactly one, which is primitive as
+    ``containing_hyperplane`` returns it, or that function's pick when
+    it spans less and the enumeration is empty.  Every yes answer
+    carries a certificate that has been re-verified before return.
+
+    The walk visits at most C(n, d) d-subsets of the n distinct points,
+    whether or not the set is full-dimensional; a set of more than d
+    points on one hyperplane pays it too, where an elimination alone
+    would have found its hyperplane.
     """
     distinct = list(dict.fromkeys(as_point(p) for p in points))
     if not distinct:
@@ -139,17 +154,22 @@ def is_t_shaped(points) -> TShapeResult:
             False, None, "a nonempty subset of the line is never T-shaped"
         )
     scale, scaled = clear_denominators(distinct)
-    h = containing_hyperplane(scaled, scale)
-    if h is not None:
-        cert = TShapeCertificate((h,), {p: 0 for p in distinct})
-        detail = "one hyperplane carries the whole set"
-    else:
-        cert = _search_cover(distinct, scaled, scale)
+    candidates = spanned_hyperplanes(scaled)
+    if len(candidates) > 1:
+        cert = _search_cover(distinct, scaled, scale, candidates)
         if cert is None:
             return TShapeResult(
                 False, None, "no certificate found under spanned-hyperplane search"
             )
         detail = f"covered by {len(cert.hyperplanes)} hyperplanes"
+    else:
+        if candidates:
+            ((normal, offset, _),) = candidates
+            h = normal, _divide(offset, scale)
+        else:
+            h = containing_hyperplane(scaled, scale)
+        cert = TShapeCertificate((h,), {p: 0 for p in distinct})
+        detail = "one hyperplane carries the whole set"
     if not cert.verify(distinct):
         raise RuntimeError(f"certificate fails verification: {detail}")
     return TShapeResult(True, cert, detail)
@@ -169,7 +189,7 @@ def _independent(normals: list[tuple[int, ...]], normal: tuple[int, ...]) -> boo
 
 
 def _search_cover(
-    points: list[tuple], scaled: list[list[int]], scale: int
+    points: list[tuple], scaled: list[list[int]], scale: int, candidates: list[tuple]
 ) -> TShapeCertificate | None:
     """Exhaustive cover search over spanned hyperplanes, depth-first in
     the enumeration's order: by primitive integer normal, then offset.
@@ -178,13 +198,14 @@ def _search_cover(
     dimension 4 on, how many hyperplanes the ``detail`` counts.
 
     ``scaled`` holds the points times ``scale``, the lcm of their
-    denominators.  Each candidate is a primitive integer hyperplane
+    denominators, and ``candidates`` their enumeration, which the caller
+    ran once as its hull test: two or more hyperplanes, as the points
+    span the space.  Each candidate is a primitive integer hyperplane
     ``n . x = off`` of the scaled points with the bitmask ``on`` of the
-    points on it, as the enumeration returns it.  The points strictly on
-    each side are kept as bitmasks too, computed from the signs of
-    ``n . p - off`` the first time the candidate reaches the separation
-    test; most candidates never do.  So the cover test and the
-    separation test are mask operations.
+    points on it.  The points strictly on each side are kept as bitmasks
+    too, computed from the signs of ``n . p - off`` the first time the
+    candidate reaches the separation test; most candidates never do.  So
+    the cover test and the separation test are mask operations.
 
     A candidate must cover at least one still-uncovered point (a cover
     with an idle hyperplane stays valid after dropping it, so this
@@ -206,7 +227,6 @@ def _search_cover(
     budget can cover.
     """
     budget = len(scaled[0]) - 1
-    candidates = spanned_hyperplanes(scaled)
     max_cover = max(on.bit_count() for _, _, on in candidates)
     everything = (1 << len(points)) - 1
     # (positive, negative) masks of each candidate, once it is tested

@@ -316,6 +316,26 @@ def spanned(points):
     return planes
 
 
+@st.composite
+def flat_integer_sets(draw):
+    """Integer points in dimensions 2-4 on a flat of dimension 0 to d:
+    a base point plus integer combinations of k drawn directions.  The
+    directions may be dependent and the combinations may repeat, so the
+    hull can be lower still and points can repeat."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(0, d))
+    vector = st.tuples(*[st.integers(-3, 3)] * d)
+    base = draw(vector)
+    directions = draw(st.lists(vector, min_size=k, max_size=k))
+    weights = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=d + 4)
+    )
+    return [
+        tuple(b + sum(w * v[i] for w, v in zip(ws, directions)) for i, b in enumerate(base))
+        for ws in weights
+    ]
+
+
 class TestSpannedHyperplanes:
     def test_square_has_six_lines(self):
         square = [P(0, 0), P(1, 0), P(0, 1), P(1, 1)]
@@ -350,6 +370,21 @@ class TestSpannedHyperplanes:
     def test_simplex_has_four_planes(self):
         simplex = [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
         assert len(spanned(simplex)) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(flat_integer_sets())
+    def test_the_count_of_hyperplanes_is_the_hull_test(self, rows):
+        # the T-shape decision reads its hull test off this count
+        d = len(rows[0])
+        got = integer_spanned_hyperplanes(rows)
+        hull = affine_hull_dim(rows)
+        assert (len(got) >= 2, len(got) == 1, not got) == (
+            hull == d, hull == d - 1, hull < d - 1
+        )
+        if len(got) == 1:
+            ((normal, offset, on),) = got
+            assert (normal, offset) == containing_hyperplane(rows, 1)
+            assert on == (1 << len(rows)) - 1
 
     def test_points_on_the_line_are_refused(self):
         with pytest.raises(ValueError, match="dimension 2 or more, got 1"):

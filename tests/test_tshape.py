@@ -1,5 +1,6 @@
 """T-shape membership, decisions, certificates, and sampled bounds."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -451,7 +452,8 @@ class TestOneScaling:
         ids=["two-lines", "two-planes", "one-plane"],
     )
     def test_the_points_are_scaled_once(self, monkeypatch, rows, detail):
-        # the hull test and the search share one clear_denominators of the
+        # the one enumeration, which is both the hull test and the
+        # search's candidate list, reads one clear_denominators of the
         # points, and a yes answer's certificate check makes one more of
         # its own; the rank tests scale only their normals
         points = [P(*r) for r in rows]
@@ -468,6 +470,139 @@ class TestOneScaling:
         got = is_t_shaped(points)
         assert got.detail == detail
         assert calls.count(points) == 1 + got.t_shaped
+
+
+class TestOneEnumeration:
+    """The count of spanned hyperplanes is the hull test: a set with two
+    or more is searched over them, a set with one is certified by it,
+    and only a set spanning less than a hyperplane asks
+    ``containing_hyperplane`` for one."""
+
+    @pytest.mark.parametrize(
+        "rows, detail, hulls",
+        [
+            (
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 0)],
+                "covered by 2 hyperplanes",
+                0,
+            ),
+            (
+                [(0, 0, "1/2"), (1, 0, "1/2"), (0, 1, "1/2"), (3, 5, "1/2")],
+                "one hyperplane carries the whole set",
+                0,
+            ),
+            (
+                [(0, 0, 0), (1, 1, 1), (3, 3, 3), (-2, -2, -2)],
+                "one hyperplane carries the whole set",
+                1,
+            ),
+        ],
+        ids=["full-dimensional", "one-plane", "collinear"],
+    )
+    def test_one_enumeration_and_a_hull_elimination_only_below_a_hyperplane(
+        self, monkeypatch, rows, detail, hulls
+    ):
+        calls = {"spanned": 0, "hull": 0}
+        spanned = tshape.spanned_hyperplanes
+        containing = tshape.containing_hyperplane
+
+        def counted_spanned(scaled):
+            calls["spanned"] += 1
+            return spanned(scaled)
+
+        def counted_containing(scaled, scale):
+            calls["hull"] += 1
+            return containing(scaled, scale)
+
+        monkeypatch.setattr(tshape, "spanned_hyperplanes", counted_spanned)
+        monkeypatch.setattr(tshape, "containing_hyperplane", counted_containing)
+        got = is_t_shaped(rows)
+        assert got.detail == detail
+        assert calls == {"spanned": 1, "hull": hulls}
+        if detail.startswith("one hyperplane"):
+            # the same pair either way: primitive normal, offset divided back
+            scale, scaled = clear_denominators([P(*r) for r in rows])
+            assert got.certificate.hyperplanes == (containing(scaled, scale),)
+
+
+# sha256 of verdict, detail and certificate JSON over the corpus below,
+# one JSON line a set, computed at 0fb4130, where the decision still ran
+# a hull elimination before its search: a change to any output byte of
+# the decision changes it
+CONTRACT_DIGEST = "d762a811e4e2f2e030b0656599112c6dda652f570e2e89aec06ecea48fe14bc7"
+
+
+def contract_corpus():
+    """A fixed, seeded corpus of 2 000 point sets in dimensions 2-4, each kind
+    in turn: grid points, rational points (mostly full-dimensional),
+    points on one hyperplane, points on a flat of dimension 0 to d-2,
+    and repeated points of a small integer set.  Coordinates are
+    strings, as a points file gives them."""
+    rng = random.Random(0)
+
+    def small():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    sets = []
+    for i in range(2000):
+        kind = i % 5
+        d = rng.randint(2, 4)
+        if kind == 0:
+            r = rng.choice((1, 2))
+            pts = [
+                tuple(rng.randint(-r, r) for _ in range(d))
+                for _ in range(rng.randint(1, d + 4))
+            ]
+        elif kind == 1:
+            pts = [tuple(small() for _ in range(d)) for _ in range(rng.randint(1, d + 3))]
+        elif kind == 2:
+            # on the hyperplane normal . x = c, solved for the last coordinate
+            normal = [rng.randint(-3, 3) for _ in range(d - 1)]
+            normal.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+            c = small()
+            pts = []
+            for _ in range(rng.randint(1, d + 4)):
+                x = [small() for _ in range(d - 1)]
+                last = (c - sum(a * b for a, b in zip(normal, x))) / normal[-1]
+                pts.append(tuple(x) + (last,))
+        elif kind == 3:
+            base = [small() for _ in range(d)]
+            dirs = [
+                [rng.randint(-2, 2) for _ in range(d)]
+                for _ in range(rng.randint(0, d - 2))
+            ]
+            pts = [
+                tuple(b + sum(small() * v[k] for v in dirs) for k, b in enumerate(base))
+                for _ in range(rng.randint(1, d + 4))
+            ]
+        else:
+            pool = [
+                tuple(rng.randint(-3, 3) for _ in range(d))
+                for _ in range(rng.randint(1, d + 2))
+            ]
+            pts = pool + [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            rng.shuffle(pts)
+        sets.append([[str(v) for v in p] for p in pts])
+    return sets
+
+
+class TestResultContract:
+    def test_verdicts_details_and_certificates_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        details = set()
+        for rows in contract_corpus():
+            got = is_t_shaped(rows)
+            cert = certificate_to_json(got.certificate) if got.certificate else None
+            digest.update(json.dumps([got.t_shaped, got.detail, cert]).encode() + b"\n")
+            details.add(got.detail)
+        # every route is in the corpus
+        assert details == {
+            "one hyperplane carries the whole set",
+            "covered by 2 hyperplanes",
+            "covered by 3 hyperplanes",
+            "no certificate found under spanned-hyperplane search",
+        }
+        assert digest.hexdigest() == CONTRACT_DIGEST
 
 
 class TestInputForms:
