@@ -397,10 +397,6 @@ SCAN_NUMERATOR_BOUND = 100
 SCAN_MAX_DENOMINATOR = 10
 
 
-def _point_json(z: Sequence[int], q: int) -> list[str]:
-    return [str(Fraction(v, q)) for v in z]
-
-
 def symmetric_pair_scan(
     rule: ColoringRule,
     centers: Sequence,
@@ -501,8 +497,10 @@ def symmetric_pair_scan(
             if evaluate(mirrored, mirror_q) == color:
                 violations.append(
                     {
-                        "x": _point_json(z, q),
-                        "mirror": _point_json(mirrored, mirror_q),
+                        "x": point_to_json([Fraction(v, q) for v in z]),
+                        "mirror": point_to_json(
+                            [Fraction(v, mirror_q) for v in mirrored]
+                        ),
                         "color": color,
                     }
                 )

@@ -32,14 +32,15 @@ coordinates, each in that canonical form, as the cube layer's points
 are tuples of ints.
 
 Rational inputs are checked once, where they enter: ``as_point``,
-``clear_denominators`` and the JSON readers keep a
-coordinate that is exactly an ``int`` and read any other through
-``_to_fraction``, which refuses floats and bools.  ``as_point`` is the
-one point reader of ``tshape``, ``colorings`` and ``point_from_json``:
-it reads a tuple or a list and nothing else.  ``_exact`` is the one
-scalar reader; no other module tests a type against ``Fraction``.  Code
-past those points works on the checked tuples and does not check them
-again.
+``_exact`` and ``clear_denominators`` keep an exact ``int`` and read
+any other value through ``_to_fraction``, which refuses floats and
+bools (TypeError), exponent strings and zero denominators (ValueError).
+``as_point`` is the one point reader, of ``tshape``, ``colorings`` and
+``point_from_json`` (``as_point`` with every error as a ValueError that
+names the row): it reads a tuple or a list and nothing else.  ``_exact``
+is the one scalar reader; no other module tests a type against
+``Fraction``.  Code past those points works on the checked tuples and
+does not check them again.
 """
 from __future__ import annotations
 
@@ -55,7 +56,8 @@ def _to_fraction(value: Rational) -> Fraction:
     """``value`` as a ``Fraction``.  Floats are inexact and bools are
     not numbers, so both raise TypeError.  A string with an exponent
     ("1e10000000") raises ValueError before ``Fraction`` expands it:
-    its cost grows with the exponent, not with the text."""
+    its cost grows with the exponent, not with the text.  So does a
+    zero denominator ("1/0"), where ``Fraction`` raises ZeroDivisionError."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
@@ -64,7 +66,10 @@ def _to_fraction(value: Rational) -> Fraction:
         raise TypeError("booleans are not allowed in exact geometry")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"exponent strings such as {value[:20]!r} are not allowed")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{str(value)[:20]!r} has a zero denominator") from None
 
 
 def _exact(value: Rational) -> int | Fraction:
@@ -173,22 +178,6 @@ def clear_denominators(
 def _differences(points: Sequence[Sequence[int]]) -> list[list[int]]:
     base = points[0]
     return [[a - b for a, b in zip(p, base)] for p in points[1:]]
-
-
-def _free_columns(pivots: list[int], n_cols: int) -> list[int]:
-    return [c for c in range(n_cols) if c not in pivots]
-
-
-def _kernel_vector(
-    rows: list[list[int]], pivots: list[int], p: int, n_cols: int, free: int
-) -> list[int]:
-    """The kernel vector of Bareiss-reduced rows with ``p`` at the
-    non-pivot column ``free`` and 0 at the other non-pivot columns."""
-    vec = [0] * n_cols
-    vec[free] = p
-    for r, c in enumerate(pivots):
-        vec[c] = -rows[r][free]
-    return vec
 
 
 def matrix_rank(rows: Iterable[Sequence[Rational]]) -> int:
@@ -362,7 +351,12 @@ def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
     rank, pivots, p = _bareiss(rows)
     if rank >= d:
         return None
-    normal = _kernel_vector(rows, pivots, p, d, _free_columns(pivots, d)[0])
+    # the kernel vector with p at the first free column and 0 at the others
+    free = next(c for c in range(d) if c not in pivots)
+    normal = [0] * d
+    normal[free] = p
+    for r, c in enumerate(pivots):
+        normal[c] = -rows[r][free]
     g = gcd(*normal)
     if next(filter(None, normal)) < 0:
         g = -g
@@ -370,24 +364,16 @@ def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
     return normal, _divide(sum(map(mul, normal, scaled[0])), scale)
 
 
-def fraction_from_json(text: str | int) -> Fraction:
-    """Parse an integer or a fraction string; floats are inexact and refused."""
-    try:
-        return _to_fraction(text)
-    except (TypeError, ZeroDivisionError) as err:
-        raise ValueError(f"bad rational {text!r}: {err}") from err
-
-
 def point_to_json(p: Sequence[int | Fraction]) -> list[str]:
     return [str(v) for v in p]
 
 
 def point_from_json(row: list[str | int]) -> tuple[int | Fraction, ...]:
-    """A row of integers and fraction strings read through ``as_point``;
-    a row that is not a list, a float and a bool raise ValueError."""
+    """A row of integers and fraction strings read through ``as_point``,
+    with every error it raises as a ValueError that names the row."""
     try:
         return as_point(row)
-    except (TypeError, ZeroDivisionError) as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"bad point {row!r}: {err}") from err
 
 

@@ -17,19 +17,11 @@ points.  That enumeration is also the hull test: it returns two or
 more hyperplanes exactly when the set spans the space, the only
 hyperplane through the set when it spans exactly a hyperplane, and
 none when it spans less.  So every set of more than d points costs one
-walk of at most C(n, d) d-subsets, a set on one hyperplane too.  The
-search tries the candidates in the enumeration's order: sorted by the
-integer ``(normal, offset)`` tuple, an order no reordering of the
-points changes.  The points on each side of a candidate are masked
-the first time the search asks for them.  Each
-candidate is tested by cost: the cover and separation tests are mask
-operations and run first, the independence test runs last (a normal
-equality test against one chosen normal, an exact rank test against
-more), and at the last level of the cover only the candidates through
-the residual's lowest point are scanned, and only one that covers the
-whole residual is tested for independence.  A found cover keeps its
-primitive normals; only its offsets are divided back to the points'
-own scale.  The certificate is re-verified on integers too, by exact
+walk of at most C(n, d) d-subsets, a set on one hyperplane too.
+``_search_cover`` only searches, mask tests first: it returns the cover
+it finds as enumerated triples.  ``is_t_shaped`` builds every
+certificate from a cover in one place, dividing only the offsets back
+to the points' scale, and re-verifies it on integers by exact
 predicates (the sign ``side_of``, ``separates`` and
 ``in_general_position``) that share nothing with the search's masks.
 """
@@ -127,19 +119,16 @@ def is_t_shaped(points) -> TShapeResult:
     Empty sets are T-shaped outright.  On the line nothing else is.
     Otherwise the spanned hyperplanes are enumerated once, and their
     count is the hull test.  A full-dimensional set has two or more (d+1
-    affinely independent points of it span d+1 of them), and gets an
-    exhaustive search among them for a cover by at most d-1.  A set not
-    spanning its ambient space fits on a single hyperplane and is
-    T-shaped with that one-element cover: the one enumerated hyperplane
-    when it spans exactly one, which is primitive as
-    ``containing_hyperplane`` returns it, or that function's pick when
-    it spans less and the enumeration is empty.  Every yes answer
-    carries a certificate that has been re-verified before return.
-
-    The walk visits at most C(n, d) d-subsets of the n distinct points,
-    whether or not the set is full-dimensional; a set of more than d
-    points on one hyperplane pays it too, where an elimination alone
-    would have found its hyperplane.
+    affinely independent points of it span d+1 of them), and
+    ``_search_cover`` searches them exhaustively for a cover by at most
+    d-1.  A set not spanning its ambient space fits on a single
+    hyperplane, a one-element cover: the one enumerated hyperplane, or,
+    when it spans less and none is enumerated, the pick of
+    ``containing_hyperplane`` at scale 1, whose offset is then that of
+    the scaled points, as an enumerated one is.  Every cover becomes a
+    certificate here: its offsets divided back by the scale, each point
+    assigned the first hyperplane whose ``on`` mask holds it, and the
+    whole re-verified before a yes answer returns it.
     """
     distinct = list(dict.fromkeys(as_point(p) for p in points))
     if not distinct:
@@ -156,20 +145,27 @@ def is_t_shaped(points) -> TShapeResult:
     scale, scaled = clear_denominators(distinct)
     candidates = spanned_hyperplanes(scaled)
     if len(candidates) > 1:
-        cert = _search_cover(distinct, scaled, scale, candidates)
-        if cert is None:
+        cover = _search_cover(scaled, candidates)
+        if cover is None:
             return TShapeResult(
                 False, None, "no certificate found under spanned-hyperplane search"
             )
-        detail = f"covered by {len(cert.hyperplanes)} hyperplanes"
+        detail = f"covered by {len(cover)} hyperplanes"
     else:
-        if candidates:
-            ((normal, offset, _),) = candidates
-            h = normal, _divide(offset, scale)
-        else:
-            h = containing_hyperplane(scaled, scale)
-        cert = TShapeCertificate((h,), {p: 0 for p in distinct})
+        # below a hyperplane nothing is enumerated; scale 1 keeps the
+        # picked offset on the scaled points, as an enumerated one is
+        everything = (1 << len(distinct)) - 1
+        cover = candidates or [(*containing_hyperplane(scaled, 1), everything)]
         detail = "one hyperplane carries the whole set"
+    cert = TShapeCertificate(
+        hyperplanes=tuple(
+            (normal, _divide(offset, scale)) for normal, offset, _ in cover
+        ),
+        assignment={
+            p: next(i for i, (_, _, on) in enumerate(cover) if on >> j & 1)
+            for j, p in enumerate(distinct)
+        },
+    )
     if not cert.verify(distinct):
         raise RuntimeError(f"certificate fails verification: {detail}")
     return TShapeResult(True, cert, detail)
@@ -189,23 +185,24 @@ def _independent(normals: list[tuple[int, ...]], normal: tuple[int, ...]) -> boo
 
 
 def _search_cover(
-    points: list[tuple], scaled: list[list[int]], scale: int, candidates: list[tuple]
-) -> TShapeCertificate | None:
+    scaled: list[list[int]], candidates: list[tuple]
+) -> list[tuple] | None:
     """Exhaustive cover search over spanned hyperplanes, depth-first in
     the enumeration's order: by primitive integer normal, then offset.
+    Returns the chosen ``(normal, offset, on)`` candidates, or None.
     Any fixed order gives the same verdict, as the search is exhaustive;
     the order only picks which cover a "yes" finds, and so, from
     dimension 4 on, how many hyperplanes the ``detail`` counts.
 
-    ``scaled`` holds the points times ``scale``, the lcm of their
-    denominators, and ``candidates`` their enumeration, which the caller
-    ran once as its hull test: two or more hyperplanes, as the points
-    span the space.  Each candidate is a primitive integer hyperplane
-    ``n . x = off`` of the scaled points with the bitmask ``on`` of the
-    points on it.  The points strictly on each side are kept as bitmasks
-    too, computed from the signs of ``n . p - off`` the first time the
-    candidate reaches the separation test; most candidates never do.  So
-    the cover test and the separation test are mask operations.
+    ``scaled`` holds the points times the lcm of their denominators,
+    and ``candidates`` their enumeration: two or more hyperplanes, as
+    the points span the space.  Each candidate is a primitive integer
+    hyperplane ``n . x = off`` of the scaled points with the bitmask
+    ``on`` of the points on it.  The points strictly on each side are
+    kept as bitmasks too, computed from the signs of ``n . p - off`` the
+    first time the candidate reaches the separation test; most
+    candidates never do.  So the cover test and the separation test are
+    mask operations.
 
     A candidate must cover at least one still-uncovered point (a cover
     with an idle hyperplane stays valid after dropping it, so this
@@ -225,14 +222,23 @@ def _search_cover(
     cannot fail.  Dead (residual, normal-set) states are memoized; a
     branch is also cut when the residual exceeds what the remaining
     budget can cover.
+
+    The memo bounds the work: a state is expanded once (it returns a
+    cover or goes into ``dead``), its key depends only on the set of
+    candidates chosen, and with a budget of d-1 at most d-2 are chosen
+    in an expanded state.  So C candidates give at most the sum over
+    j <= d-2 of C(C, j) expansions of at most C tests each: at C = 2^12
+    (``cli.MAX_TSHAPE_CANDIDATES``) about 1.7e7 tests in dimension 3 and
+    3.4e10 in dimension 4.  The cap bounds the search in dimension 3
+    only.
     """
     budget = len(scaled[0]) - 1
     max_cover = max(on.bit_count() for _, _, on in candidates)
-    everything = (1 << len(points)) - 1
+    everything = (1 << len(scaled)) - 1
     # (positive, negative) masks of each candidate, once it is tested
     sides: list[tuple[int, int] | None] = [None] * len(candidates)
     # the indices of the candidates through each point, once asked for
-    through: list[list[int] | None] = [None] * len(points)
+    through: list[list[int] | None] = [None] * len(scaled)
     dead: set[tuple[int, frozenset[tuple[int, ...]]]] = set()
 
     def extend(residual: int, chosen: list[tuple]) -> list[tuple] | None:
@@ -276,19 +282,7 @@ def _search_cover(
         dead.add(key)
         return None
 
-    cover = extend(everything, [])
-    if cover is None:
-        return None
-    assignment = {
-        p: next(i for i, c in enumerate(cover) if c[2] >> j & 1)
-        for j, p in enumerate(points)
-    }
-    return TShapeCertificate(
-        hyperplanes=tuple(
-            (normal, _divide(offset, scale)) for normal, offset, _ in cover
-        ),
-        assignment=assignment,
-    )
+    return extend(everything, [])
 
 
 def moment_curve_points(n: int, count: int, params: Sequence) -> list[tuple]:

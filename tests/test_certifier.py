@@ -1,5 +1,6 @@
 """Symmetry-window graphs, exact verdicts, schedules, DIMACS round trips."""
 
+import hashlib
 import json
 import random
 from dataclasses import asdict
@@ -1515,3 +1516,49 @@ class TestSatCore:
             solver.max_learned = max_learned
             assert solver.solve() is False
             assert (solver.decisions, solver.conflicts) == counts
+
+
+# sha256 of each row's verdict, provedAtOuter, detail, witness, stats and
+# windowsSolved over the corpus below, one JSON line a row, computed at
+# 68ad2e9: a change to any byte of a certify row changes it
+ROW_CONTRACT_DIGEST = "2ac737a3fef50683299b2a8593da22a5e4be62d169f2b987ad90e8e03a79f20a"
+
+
+def row_contract_corpus():
+    """``(centers, k, r_list, r_factor, budget)`` schedules: the planar
+    and spatial nuclei at small r, single centers at k = 1, 2 and 4, a
+    generic triple at k = 3, the spatial nucleus at a budget of one
+    decision (an Unknown row), then 48 seeded sets of 2-4 centers in
+    Z^2 (k = 1-4) and Z^3 (k = 1-2) with r-lists that repeat and are
+    unsorted."""
+    yield sandwich_centers(1, -1), 2, [1, 2], 3, certifier.DEFAULT_BUDGET
+    yield sandwich_centers(2, 0), 3, [1], 3, certifier.DEFAULT_BUDGET
+    yield [(0,)], 1, [0, 2], 3, certifier.DEFAULT_BUDGET
+    yield [(0, 0)], 2, [2, 1, 2], 2, certifier.DEFAULT_BUDGET
+    yield [(0, 0), (2, 1), (1, 3)], 3, [0, 1], 2, certifier.DEFAULT_BUDGET
+    yield [(0, 0)], 4, [0], 2, certifier.DEFAULT_BUDGET
+    yield sandwich_centers(2, 0), 3, [1], 3, 1
+    rng = random.Random(48)
+    for _ in range(48):
+        dim = rng.choice((2, 3))
+        n = rng.randint(2, 4)
+        centers = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
+        k = rng.randint(1, 4 if dim == 2 else 2)
+        r_list = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        yield centers, k, r_list, rng.choice((2, 3)), certifier.DEFAULT_BUDGET
+
+
+class TestRowContract:
+    def test_certify_rows_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        verdicts = set()
+        for centers, k, r_list, r_factor, budget in row_contract_corpus():
+            report = certify_schedule(centers, k, r_list, r_factor=r_factor, budget=budget)
+            for row in report.rows:
+                fields = ("verdict", "provedAtOuter", "detail", "witness", "stats",
+                          "windowsSolved")
+                digest.update(json.dumps([row[f] for f in fields]).encode() + b"\n")
+                verdicts.add(row["verdict"])
+        # every verdict is in the corpus
+        assert verdicts == {"Colorable", "Forced", "Unknown"}
+        assert digest.hexdigest() == ROW_CONTRACT_DIGEST

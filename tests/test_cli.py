@@ -43,6 +43,25 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(argv, env=None):
+    """``python -m centerpole.cli`` with ``argv`` in a child process, its
+    environment ``env`` (the parent's by default) with this checkout's
+    ``src/`` first on PYTHONPATH, so that the child imports the package
+    under test whether or not it is installed."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "centerpole.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+
+
 def run_json(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert err == ""
@@ -271,7 +290,7 @@ class TestTshapeCommand:
         assert time.perf_counter() - started < 1
         assert code == 2
         assert out == ""
-        assert err.startswith("error: exponent strings")
+        assert err.startswith("error: bad point ['1e10000000', 0]: exponent strings")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -282,7 +301,7 @@ class TestTshapeCommand:
             ('{"a": [1, 0]}', "a points file must hold a list of coordinate rows"),
             ("[[1, 0], 3]", "bad point 3: a point is a list or tuple of coordinates"),
             ("[[], []]", "points must share one ambient dimension of at least 1"),
-            ('[["1/0", 1]]', "bad point ['1/0', 1]"),
+            ('[["1/0", 1]]', "bad point ['1/0', 1]: '1/0' has a zero denominator"),
             ("[[true, 0], [0, 1], [1, 1]]", "bad point [True, 0]: booleans"),
         ],
     )
@@ -808,6 +827,17 @@ class TestColoringScanCommand:
         assert out == ""
         assert err == f"error: inner radius must be non-negative, got {radius}\n"
 
+    def test_a_zero_denominator_radius_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "origin.json"
+        path.write_text("[[0]]")
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
+             "--centers", str(path), "--inner-radius", "1/0"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: '1/0' has a zero denominator\n"
+
     def test_violations_flip_the_exit_code(self, tmp_path, capsys):
         centers = tmp_path / "centers.json"
         centers.write_text(json.dumps([[5, 5]]))
@@ -1221,12 +1251,7 @@ class TestEnvelopeContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        proc = subprocess.run(
-            [sys.executable, "-m", "centerpole.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_module(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
         assert under == "directory" or blocker.read_text() == "{}"
 
@@ -1579,13 +1604,7 @@ class TestOneParserPerProcess:
 
     @staticmethod
     def _alone(argv, env):
-        proc = subprocess.run(
-            [sys.executable, "-m", "centerpole.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
+        proc = run_module(argv, env)
         return proc.returncode, proc.stdout, proc.stderr
 
     @staticmethod
@@ -1638,12 +1657,7 @@ class TestOneParserPerProcess:
 
 
 def test_module_entry_point_runs_in_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "centerpole.cli", "sandwich", "--k", "2", "--s", "0"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_module(["sandwich", "--k", "2", "--s", "0"])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["cardinality"] == 6

@@ -14,8 +14,8 @@ from centerpole.geometry import (
     affine_hull_dim,
     as_point,
     clear_denominators,
+    _exact,
     containing_hyperplane,
-    fraction_from_json,
     hyperplane_to_json,
     in_general_position,
     integer_inverse,
@@ -435,62 +435,62 @@ class TestJson:
         with pytest.raises(ValueError, match="floats"):
             point_from_json([0.1, 0])
 
-    def test_fraction_from_json(self):
-        assert fraction_from_json("-3/6") == Fraction(-1, 2)
-        assert fraction_from_json(4) == Fraction(4)
-        assert fraction_from_json("-7") == Fraction(-7)
-        assert fraction_from_json("1.5") == Fraction(3, 2)
+    def test_exact_reads_integers_and_fraction_strings(self):
+        for value, want in [("-3/6", Fraction(-1, 2)), (4, 4), ("-7", -7), ("1.5", Fraction(3, 2))]:
+            got = _exact(value)
+            assert (got, type(got)) == (want, type(want))
 
     @pytest.mark.parametrize(
-        "read,value",
+        "read,value,error",
         [
-            (fraction_from_json, 0.5),
+            (_exact, 0.5, TypeError),
+            (point_from_json, [0, 0.5], ValueError),
         ],
     )
-    def test_json_readers_refuse_floats(self, read, value):
-        with pytest.raises(ValueError, match="floats"):
+    def test_readers_refuse_floats(self, read, value, error):
+        with pytest.raises(error, match="floats"):
+            read(value)
+
+    @pytest.mark.parametrize(
+        "read,value,error",
+        [
+            (_exact, True, TypeError),
+            (point_from_json, [True, 0], ValueError),
+            (point_from_json, [1, False], ValueError),
+        ],
+    )
+    def test_readers_refuse_booleans(self, read, value, error):
+        with pytest.raises(error, match="booleans"):
             read(value)
 
     @pytest.mark.parametrize(
         "read,value",
         [
-            (fraction_from_json, True),
-            (point_from_json, [True, 0]),
-            (point_from_json, [1, False]),
-        ],
-    )
-    def test_json_readers_refuse_booleans(self, read, value):
-        with pytest.raises(ValueError, match="booleans"):
-            read(value)
-
-    @pytest.mark.parametrize(
-        "read,value",
-        [
-            (fraction_from_json, "1e3"),
-            (fraction_from_json, "2E-1"),
+            (_exact, "1e3"),
+            (_exact, "2E-1"),
             (point_from_json, ["1e10000000", 0]),
         ],
     )
-    def test_json_readers_refuse_exponent_strings(self, read, value):
+    def test_readers_refuse_exponent_strings(self, read, value):
         with pytest.raises(ValueError, match="exponent"):
             read(value)
 
     @pytest.mark.parametrize(
-        "read,value",
+        "read,value,message",
         [
-            (fraction_from_json, "1/0"),
-            (point_from_json, ["1/0", 1]),
+            (_exact, "1/0", "^'1/0' has a zero denominator$"),
+            (point_from_json, ["1/0", 1], r"^bad point \['1/0', 1\]: '1/0' has a zero"),
         ],
     )
-    def test_json_readers_refuse_zero_denominators(self, read, value):
-        with pytest.raises(ValueError, match="bad"):
+    def test_readers_refuse_zero_denominators(self, read, value, message):
+        with pytest.raises(ValueError, match=message):
             read(value)
 
     def test_hyperplane_round_trip(self):
         h = primitive_pair(("2/3", 4), "1/6")
         doc = hyperplane_to_json(h)
         assert doc == {"normal": ["1", "6"], "offset": "1/4"}
-        assert (tuple(map(int, doc["normal"])), fraction_from_json(doc["offset"])) == h
+        assert (tuple(map(int, doc["normal"])), _exact(doc["offset"])) == h
 
 
 def package_imports(source: str) -> list[int]:

@@ -6,9 +6,15 @@ keeps an exactness policy of its own next to geometry's readers
 (``as_point``, ``_exact``, ``clear_denominators``), and the two drift
 apart: such a test once refused the point ("1/2", 0) that geometry
 reads as (1/2, 0).  There is no allowlist.
+
+Every public entry that reads a rational refuses a zero denominator
+the one way ``geometry._to_fraction`` does: a ValueError that names
+the value, not ``Fraction``'s ZeroDivisionError.
 """
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "centerpole"
 
@@ -70,3 +76,36 @@ def test_only_geometry_tests_a_type_against_fraction():
     }
     assert found.pop("geometry.py"), "geometry reads exact values; the detector missed it"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _zero_denominator_calls():
+    """One call per public exact entry, each given "1/0" where it reads
+    a rational value."""
+    from centerpole import colorings, geometry, tshape
+
+    cone2 = colorings.cone_coloring(colorings.standard_simplex(2))
+    cone3 = colorings.cone_coloring(colorings.standard_simplex(3))
+    cert = tshape.TShapeCertificate((((1, 0), "1/0"),), {(0, 0): 0})
+    return {
+        "as_point": lambda: geometry.as_point(["1/0", 1]),
+        "_exact": lambda: geometry._exact("1/0"),
+        "clear_denominators": lambda: geometry.clear_denominators([["1/2", "1/0"]]),
+        "is_t_shaped": lambda: tshape.is_t_shaped([("1/0", 0), (1, 1)]),
+        "moment_curve_points": lambda: tshape.moment_curve_points(2, 2, [1, "1/0"]),
+        "certificate offset": lambda: cert.verify([(0, 0)]),
+        "cone_coloring": lambda: colorings.cone_coloring([(1, 0), (0, 1), ("1/0", -1)]),
+        "halfspace_coloring": lambda: colorings.halfspace_coloring(["1/0"]),
+        "pair_coloring": lambda: colorings.pair_coloring([0], ["1/0"]),
+        "plus2_extension A": lambda: colorings.plus2_extension(
+            cone3, [(0, 0, 0, 1), (0, "1/0", 0, 2)]
+        ),
+        "rule call": lambda: cone2(("1/0", 1)),
+        "scan radius": lambda: colorings.symmetric_pair_scan(cone2, [(0, 0)], "1/0", 1, 0),
+        "scan centers": lambda: colorings.symmetric_pair_scan(cone2, [(0, "1/0")], 0, 1, 0),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_zero_denominator_calls()))
+def test_every_exact_entry_refuses_a_zero_denominator_as_a_value_error(entry):
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        _zero_denominator_calls()[entry]()
