@@ -13,20 +13,28 @@ is not an integer, has no known t value (1 to 4) or is repeated, a
 --trials count below 0 or above ``MAX_TSHAPE_TRIALS``, or a --grid-draws
 count below 0 or above ``MAX_GRID_DRAWS``.
 
-The row of dimension d is ``verify_t_value_bounds(d, trials, seed + d)``
-plus its ``seconds``.  This script is the one runner of that check: the
-``bounds`` report of the removed ``centerpole tshape --trials T --seed S
---bound-dim d`` is the row of d in a run with ``--dims d --trials T
---seed S-d``.
+This script owns the known t values, ``KNOWN_T_VALUES``, and their
+sampled check: the row of dimension d is ``verify_t_value_bounds(d,
+trials, seed + d)`` plus its ``seconds``.  The package only decides
+(``tshape.is_t_shaped``) and builds the witness
+(``tshape.moment_curve_points``).  The ``bounds`` report of the removed
+``centerpole tshape --trials T --seed S --bound-dim d`` is the row of d
+in a run with ``--dims d --trials T --seed S-d``.
 
     python scripts/run_tshape_survey.py --grid-draws 100
 """
 import argparse
 import random
 import time
+from fractions import Fraction
 
 from centerpole.cli import emit_document
-from centerpole.tshape import check_bound_dim, is_t_shaped, verify_t_value_bounds
+from centerpole.geometry import affine_hull_dim, point_to_json
+from centerpole.tshape import is_t_shaped, moment_curve_points
+
+# The known t value of each dimension: the paper's c_1 = 1, c_2 = 3,
+# c_3 = 6 and c_4(Z^4) = 12.  The check samples sets of t - 1 points.
+KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
 
 GRID_DRAWS = 19
 GRID_DIM = 4
@@ -45,6 +53,63 @@ MAX_TSHAPE_TRIALS = 2**10
 # 0.06-0.10 s).
 # A larger count is refused before any draw runs.
 MAX_GRID_DRAWS = 2**10
+
+
+def verdict(points) -> bool | str:
+    """``is_t_shaped(points).t_shaped``, or "error" when the decision's
+    certificate fails its verification, the one RuntimeError it raises."""
+    try:
+        return is_t_shaped(points).t_shaped
+    except RuntimeError:
+        return "error"
+
+
+def random_configuration(rng: random.Random, dim: int, size: int) -> list[tuple]:
+    """Random rational points, each coordinate a numerator from -100 to
+    100 over a denominator from 1 to 10; resampled until the hull is
+    full-dimensional whenever the size allows it."""
+    while True:
+        pts = [
+            tuple(
+                Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(dim)
+            )
+            for _ in range(size)
+        ]
+        if size <= dim or affine_hull_dim(pts) == dim:
+            return pts
+
+
+def verify_t_value_bounds(n: int, trials: int, seed: int) -> dict:
+    """Sampled check of both sides of the known t value of dimension n.
+
+    Random sets one below the threshold must always come back T-shaped;
+    the moment-curve set of size n^2 - n + 1 must not.  A random set
+    that does not, or whose certificate fails its verification, is
+    listed verbatim under ``random_failures``; such a witness reports
+    ``witness_t_shaped`` "error".
+    """
+    rng = random.Random(seed)
+    size = KNOWN_T_VALUES[n] - 1
+    failures: list[list[list[str]]] = []
+    for _ in range(trials):
+        pts = random_configuration(rng, n, size)
+        if verdict(pts) is not True:
+            failures.append([point_to_json(p) for p in pts])
+    witness_size = n * n - n + 1
+    witness_params = list(range(1, witness_size + 1))
+    witness_t_shaped = verdict(moment_curve_points(n, witness_size, witness_params))
+    return {
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "t_value": KNOWN_T_VALUES[n],
+        "random_size": size,
+        "random_failures": failures,
+        "witness_size": witness_size,
+        "witness_params": witness_params,
+        "witness_t_shaped": witness_t_shaped,
+        "ok": not failures and witness_t_shaped is False,
+    }
 
 
 def grid_draws(count: int) -> tuple[dict, dict]:
@@ -111,10 +176,10 @@ def main(argv: list[str] | None = None) -> int:
     if repeated:
         parser.error(f"--dims names {', '.join(map(str, repeated))} more than once")
     for dim in dims:
-        try:
-            check_bound_dim(dim)
-        except ValueError as err:
-            parser.error(f"--dims {dim}: {err}")
+        if dim not in KNOWN_T_VALUES:
+            parser.error(
+                f"--dims {dim}: known t values cover dimensions 1 through 4 only"
+            )
     for flag, count, limit in (
         ("--trials", args.trials, MAX_TSHAPE_TRIALS),
         ("--grid-draws", args.grid_draws, MAX_GRID_DRAWS),

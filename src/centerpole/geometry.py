@@ -26,7 +26,8 @@ coefficients, and each hyperplane comes with the bitmask of the points
 on it: the union of the d-subsets that span it.  They come sorted as
 their integer ``(normal, offset)`` tuples.
 That enumeration and ``containing_hyperplane`` take a point set as its
-``clear_denominators`` rows, so a caller scales it once.  ``side_of``
+``clear_denominators`` rows, so a caller scales it once, and their
+offsets are those of the scaled rows.  ``side_of``
 returns a sign, -1, 0 or 1.  A rational point is the tuple of its
 coordinates, each in that canonical form, as the cube layer's points
 are tuples of ints.
@@ -339,11 +340,11 @@ def integer_spanned_hyperplanes(
     return sorted((normal, offset, on) for (normal, offset), on in found.items())
 
 
-def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
+def containing_hyperplane(scaled: list[list[int]]) -> tuple | None:
     """Some hyperplane through every point of a set, as a primitive pair,
     or None when the points span the whole ambient space.  The set is
-    given as ``clear_denominators`` returns it: the points times
-    ``scale``, as integer rows; the offset is divided back by ``scale``."""
+    given as ``clear_denominators`` rows, and the integer offset is that
+    of those scaled points, as an enumerated hyperplane's is."""
     if not scaled:
         raise ValueError("need at least one point")
     d = len(scaled[0])
@@ -361,7 +362,7 @@ def containing_hyperplane(scaled: list[list[int]], scale: int) -> tuple | None:
     if next(filter(None, normal)) < 0:
         g = -g
     normal = tuple([v // g for v in normal])
-    return normal, _divide(sum(map(mul, normal, scaled[0])), scale)
+    return normal, sum(map(mul, normal, scaled[0]))
 
 
 def point_to_json(p: Sequence[int | Fraction]) -> list[str]:

@@ -24,10 +24,12 @@ certificate from a cover in one place, dividing only the offsets back
 to the points' scale, and re-verifies it on integers by exact
 predicates (the sign ``side_of``, ``separates`` and
 ``in_general_position``) that share nothing with the search's masks.
+
+The module decides and certifies: the known t values, their sampled
+check and its random sets live in ``scripts/run_tshape_survey.py``.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -36,7 +38,7 @@ from typing import Sequence
 from .geometry import (
     _divide,
     _exact,
-    affine_hull_dim,
+    affine_hull_dim as _affine_hull_dim,
     as_point,
     clear_denominators,
     containing_hyperplane,
@@ -53,7 +55,9 @@ from .geometry import (
 # enumeration as the spanned-hyperplane layer (bench/tracing.py).
 from .geometry import integer_spanned_hyperplanes as spanned_hyperplanes
 
-KNOWN_T_VALUES = {1: 1, 2: 3, 3: 6, 4: 12}
+# Read only by the traced benchmark run, which wraps it as the hull layer
+# (bench/tracing.py); ROADMAP item 7 deletes it with the wrappers.
+affine_hull_dim = _affine_hull_dim
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,11 @@ def is_t_shaped(points) -> TShapeResult:
     d-1.  A set not spanning its ambient space fits on a single
     hyperplane, a one-element cover: the one enumerated hyperplane, or,
     when it spans less and none is enumerated, the pick of
-    ``containing_hyperplane`` at scale 1, whose offset is then that of
-    the scaled points, as an enumerated one is.  Every cover becomes a
-    certificate here: its offsets divided back by the scale, each point
-    assigned the first hyperplane whose ``on`` mask holds it, and the
-    whole re-verified before a yes answer returns it.
+    ``containing_hyperplane``, whose offset is that of the scaled points,
+    as an enumerated one is.  Every cover becomes a certificate here:
+    its offsets divided back by the scale, each point assigned the first
+    hyperplane whose ``on`` mask holds it, and the whole re-verified
+    before a yes answer returns it.
     """
     distinct = list(dict.fromkeys(as_point(p) for p in points))
     if not distinct:
@@ -152,10 +156,9 @@ def is_t_shaped(points) -> TShapeResult:
             )
         detail = f"covered by {len(cover)} hyperplanes"
     else:
-        # below a hyperplane nothing is enumerated; scale 1 keeps the
-        # picked offset on the scaled points, as an enumerated one is
+        # below a hyperplane nothing is enumerated
         everything = (1 << len(distinct)) - 1
-        cover = candidates or [(*containing_hyperplane(scaled, 1), everything)]
+        cover = candidates or [(*containing_hyperplane(scaled), everything)]
         detail = "one hyperplane carries the whole set"
     cert = TShapeCertificate(
         hyperplanes=tuple(
@@ -301,58 +304,6 @@ def moment_curve_points(n: int, count: int, params: Sequence) -> list[tuple]:
     if len(set(values)) != len(values):
         raise ValueError("parameters must be distinct")
     return [tuple(t**i for i in range(1, n + 1)) for t in values]
-
-
-def _random_rational(rng: random.Random) -> int | Fraction:
-    return _exact(Fraction(rng.randint(-100, 100), rng.randint(1, 10)))
-
-
-def _random_configuration(rng: random.Random, dim: int, size: int) -> list[tuple]:
-    """Random rational points; resampled until the hull is
-    full-dimensional whenever the size allows it."""
-    while True:
-        pts = [tuple(_random_rational(rng) for _ in range(dim)) for _ in range(size)]
-        if size <= dim or affine_hull_dim(pts) == dim:
-            return pts
-
-
-def check_bound_dim(n: int) -> None:
-    """Raise ValueError unless the t value of dimension ``n`` is known."""
-    if n not in KNOWN_T_VALUES:
-        raise ValueError("known t values cover dimensions 1 through 4 only")
-
-
-def verify_t_value_bounds(n: int, trials: int, seed: int) -> dict:
-    """Sampled check of both sides of the known t values.
-
-    Random sets one below the threshold must always come back T-shaped;
-    the moment-curve set of size n^2 - n + 1 must not.  Counterexamples
-    are listed verbatim in the report.
-    """
-    check_bound_dim(n)
-    rng = random.Random(seed)
-    size = KNOWN_T_VALUES[n] - 1
-    failures: list[list[list[str]]] = []
-    for _ in range(trials):
-        pts = _random_configuration(rng, n, size)
-        if not is_t_shaped(pts).t_shaped:
-            failures.append([point_to_json(p) for p in pts])
-    witness_size = n * n - n + 1
-    witness_params = list(range(1, witness_size + 1))
-    witness = moment_curve_points(n, witness_size, witness_params)
-    witness_result = is_t_shaped(witness)
-    return {
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "t_value": KNOWN_T_VALUES[n],
-        "random_size": size,
-        "random_failures": failures,
-        "witness_size": witness_size,
-        "witness_params": witness_params,
-        "witness_t_shaped": witness_result.t_shaped,
-        "ok": not failures and not witness_result.t_shaped,
-    }
 
 
 def certificate_to_json(cert: TShapeCertificate) -> dict:

@@ -32,9 +32,11 @@ P = lambda *c: as_point(c)
 
 
 def containing(points):
-    """``containing_hyperplane`` of rational points, scaled once."""
+    """``containing_hyperplane`` of rational points, scaled once, with
+    its offset divided back by the scale."""
     scale, rows = clear_denominators(points)
-    return containing_hyperplane(rows, scale)
+    h = containing_hyperplane(rows)
+    return None if h is None else (h[0], _exact(Fraction(h[1], scale)))
 
 
 class TestAsPoint:
@@ -272,7 +274,7 @@ class TestRanksAndHulls:
             (1, 1), Fraction(1, 2)
         )
         with pytest.raises(ValueError):
-            containing_hyperplane([], 1)
+            containing_hyperplane([])
 
 
 class TestSeparationPredicates:
@@ -383,7 +385,7 @@ class TestSpannedHyperplanes:
         )
         if len(got) == 1:
             ((normal, offset, on),) = got
-            assert (normal, offset) == containing_hyperplane(rows, 1)
+            assert (normal, offset) == containing_hyperplane(rows)
             assert on == (1 << len(rows)) - 1
 
     def test_points_on_the_line_are_refused(self):

@@ -22,6 +22,11 @@ every class that has one.  State that only tests read should be deleted.
 
 So is every public method and property of a package class, by the same
 name-only match.  Dunder and underscore methods are exempt.
+
+And no parameter of a top-level package function has one value: some
+call under src/, scripts/ or bench/ passes it something other than the
+one literal every other call passes or leaves at its default.  Calls are
+matched by name only, like reads.
 """
 import ast
 from pathlib import Path
@@ -194,3 +199,55 @@ def test_every_public_method_is_read():
         and stmt.name not in read
     ]
     assert unread == []
+
+
+def _passed(call: ast.Call, function: ast.FunctionDef) -> dict[str, str | None]:
+    """What one call passes to each parameter of ``function``: the repr
+    of a literal, the repr of the default for a parameter it leaves out,
+    or None for anything else.  A call that unpacks ``*`` or ``**``
+    passes None to every parameter."""
+    params = function.args.posonlyargs + function.args.args
+    defaults = dict(zip([p.arg for p in params][::-1], function.args.defaults[::-1]))
+    for param, default in zip(function.args.kwonlyargs, function.args.kw_defaults):
+        if default is not None:
+            defaults[param.arg] = default
+    names = [p.arg for p in params + function.args.kwonlyargs]
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+        keyword.arg is None for keyword in call.keywords
+    ):
+        return dict.fromkeys(names)
+    given = dict(zip([p.arg for p in params], call.args))
+    given.update((keyword.arg, keyword.value) for keyword in call.keywords)
+    passed = {}
+    for name in names:
+        try:
+            passed[name] = repr(ast.literal_eval(given.get(name, defaults.get(name))))
+        except (ValueError, TypeError, SyntaxError):
+            passed[name] = None
+    return passed
+
+
+def test_no_parameter_has_one_value():
+    """Such a parameter is a constant and should be one.  A function that
+    no call names is left to the reachability test above."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _sources():
+        for sub in ast.walk(_parse(path)):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                calls.setdefault(name, []).append(sub)
+    fixed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, ast.FunctionDef) or not calls.get(node.name):
+                continue
+            seen: dict[str, set] = {}
+            for call in calls[node.name]:
+                for name, value in _passed(call, node).items():
+                    seen.setdefault(name, set()).add(value)
+            fixed += [
+                f"{path.name}:{node.name}({name}={values.pop()})"
+                for name, values in seen.items()
+                if len(values) == 1 and None not in values
+            ]
+    assert fixed == []

@@ -1,5 +1,8 @@
 """The experiment scripts refuse inputs whose cost has no bound, write
---out as the CLI does, and report an unwritable --out as a usage error."""
+--out as the CLI does, and report an unwritable --out as a usage error.
+The T-shape survey's sampled check of the known t values lives in its
+script, and its document is pinned by a digest."""
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -8,7 +11,6 @@ from types import SimpleNamespace
 import pytest
 
 from centerpole.cli import MAX_COVER_K, OUTPUT_DIR_ENV
-from centerpole.tshape import verify_t_value_bounds
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -145,6 +147,32 @@ class TestTShapeSurveyRefusals:
         assert len(decided) == survey.MAX_GRID_DRAWS
 
 
+class TestBoundsReport:
+    def test_plane_report(self):
+        survey = load_script("run_tshape_survey")
+        report = survey.verify_t_value_bounds(2, trials=10, seed=7)
+        assert report["ok"]
+        assert report["t_value"] == survey.KNOWN_T_VALUES[2] == 3
+        assert report["random_size"] == 2
+        assert report["random_failures"] == []
+        assert report["witness_size"] == 3
+        assert not report["witness_t_shaped"]
+
+    def test_space_report(self):
+        report = load_script("run_tshape_survey").verify_t_value_bounds(
+            3, trials=3, seed=11
+        )
+        assert report["ok"]
+        assert report["witness_size"] == 7
+
+
+# sha256 of the survey document below, each row's seconds and the
+# gridTiming key dropped, as json.dumps(doc, sort_keys=True), computed at
+# 2eff9f6, where the sampled check and its random sets still sat in
+# tshape: a change to any verdict, set or key of the survey changes it
+SURVEY_DIGEST = "ea6c1ddafd27288e8cdef3ec73fb5eb03be1ec6d8b6b4937c5473c729618d6a3"
+
+
 class TestTShapeSurveyRows:
     def test_a_row_is_the_bound_check_at_the_seed_plus_its_dimension(self, capsys):
         # the survey is the one runner of the sampled t-value check: its
@@ -155,7 +183,41 @@ class TestTShapeSurveyRows:
         assert survey.main(["--dims", "2", "--trials", "2", "--seed", "7"]) == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert type(row.pop("seconds")) is float
-        assert row == verify_t_value_bounds(2, 2, 9)
+        assert row == survey.verify_t_value_bounds(2, 2, 9)
+
+    def test_the_survey_document_is_pinned(self, capsys):
+        survey = load_script("run_tshape_survey")
+        argv = ["--dims", "2,3,4", "--trials", "20", "--seed", "0", "--grid-draws", "3"]
+        assert survey.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for row in doc["rows"]:
+            del row["seconds"]
+        del doc["gridTiming"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SURVEY_DIGEST
+
+    def test_a_failed_verification_in_a_trial_is_a_failure(self, monkeypatch, capsys):
+        # only the random sets, two points each in the plane, fail their
+        # verification: each trial is listed, the witness still decides
+        survey = load_script("run_tshape_survey")
+        decide = survey.is_t_shaped
+
+        def failing_trials(points):
+            if len(points) == 2:
+                raise RuntimeError("certificate fails verification")
+            return decide(points)
+
+        monkeypatch.setattr(survey, "is_t_shaped", failing_trials)
+        argv = ["--dims", "2", "--trials", "3", "--seed", "0"]
+        assert survey.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        (row,) = doc["rows"]
+        assert len(row["random_failures"]) == 3
+        assert all(len(points) == 2 for points in row["random_failures"])
+        assert row["witness_t_shaped"] is False
+        assert not row["ok"] and not doc["ok"]
 
 
 class TestTShapeSurveyGridDraws:
@@ -184,9 +246,16 @@ class TestTShapeSurveyGridDraws:
 
         monkeypatch.setattr(survey, "is_t_shaped", failing)
         assert survey.main(["--dims", "2", "--trials", "1", "--grid-draws", "1"]) == 1
-        doc = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
         assert not doc["ok"] and not doc["gridDraws"]["ok"]
         assert doc["gridDraws"]["seeds"][0]["verdict"] == "error"
+        # the trial and the witness are reported too, not raised
+        (row,) = doc["rows"]
+        assert len(row["random_failures"]) == 1
+        assert row["witness_t_shaped"] == "error"
+        assert not row["ok"]
 
     def test_without_grid_draws_the_document_has_no_grid_keys(self, capsys):
         survey = load_script("run_tshape_survey")

@@ -1,4 +1,4 @@
-"""T-shape membership, decisions, certificates, and sampled bounds."""
+"""T-shape membership, decisions and certificates."""
 
 import hashlib
 import json
@@ -18,12 +18,10 @@ from centerpole.geometry import (
 )
 from centerpole import tshape
 from centerpole.tshape import (
-    KNOWN_T_VALUES,
     TShapeCertificate,
     certificate_to_json,
     is_t_shaped,
     moment_curve_points,
-    verify_t_value_bounds,
 )
 from rational_reference import dot, is_in_Tn, primitive_pair
 
@@ -510,9 +508,9 @@ class TestOneEnumeration:
             calls["spanned"] += 1
             return spanned(scaled)
 
-        def counted_containing(scaled, scale):
+        def counted_containing(scaled):
             calls["hull"] += 1
-            return containing(scaled, scale)
+            return containing(scaled)
 
         monkeypatch.setattr(tshape, "spanned_hyperplanes", counted_spanned)
         monkeypatch.setattr(tshape, "containing_hyperplane", counted_containing)
@@ -522,7 +520,8 @@ class TestOneEnumeration:
         if detail.startswith("one hyperplane"):
             # the same pair either way: primitive normal, offset divided back
             scale, scaled = clear_denominators([P(*r) for r in rows])
-            assert got.certificate.hyperplanes == (containing(scaled, scale),)
+            normal, offset = containing(scaled)
+            assert got.certificate.hyperplanes == ((normal, Fraction(offset, scale)),)
 
 
 # sha256 of verdict, detail and certificate JSON over the corpus below,
@@ -675,22 +674,3 @@ class TestOneCertificateCheck:
             )
         assert len(outputs) == 1
 
-
-class TestBoundsReport:
-    def test_plane_report(self):
-        report = verify_t_value_bounds(2, trials=10, seed=7)
-        assert report["ok"]
-        assert report["t_value"] == KNOWN_T_VALUES[2] == 3
-        assert report["random_size"] == 2
-        assert report["random_failures"] == []
-        assert report["witness_size"] == 3
-        assert not report["witness_t_shaped"]
-
-    def test_space_report(self):
-        report = verify_t_value_bounds(3, trials=3, seed=11)
-        assert report["ok"]
-        assert report["witness_size"] == 7
-
-    def test_unknown_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            verify_t_value_bounds(5, trials=1, seed=0)
