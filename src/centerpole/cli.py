@@ -1,12 +1,11 @@
 """Command-line surface with reproducible JSON reports.
 
-Every command resolves its parameters (flags, then an optional JSON
-config file that overrides them), runs one module operation, and emits
-an envelope {config, result, meta}.  The config and result sections are
-byte-identical across reruns with the same inputs and seed; wall-clock
-data lives only in meta.  Exit codes: 0 success, 1 a mathematical
-failure was found (covering discrepancy, scan violation), 2 usage
-error.
+Every command reads its parameters from its flags alone, runs one
+module operation, and emits an envelope {config, result, meta}.  The
+config and result sections are byte-identical across reruns with the
+same inputs and seed; wall-clock data lives only in meta.  Exit codes:
+0 success, 1 a mathematical failure was found (covering discrepancy,
+scan violation), 2 usage error.
 """
 from __future__ import annotations
 
@@ -166,23 +165,22 @@ def bounded_sandwich(k: int, s: int) -> frozenset[tuple[int, ...]]:
     )
 
 
-def _center_rows(spec: str | list, dim: int | None = None) -> list:
-    """Coordinate rows from the literal shorthand sandwich(k,s), from a
-    path to a JSON file holding a list of rows, or (from --config) the
-    list itself.  Given ``dim``, a sandwich of another dimension k + 1
-    is refused before it is built (a negative k by ``bounded_sandwich``)."""
-    if isinstance(spec, str):
-        match = _SANDWICH_RE.match(spec.strip())
-        if match:
-            k, s = int(match.group(1)), int(match.group(2))
-            if dim is not None and k >= 0 and k + 1 != dim:
-                raise ValueError(f"centers have dimension {k + 1}, but --dim is {dim}")
-            return points_to_json(bounded_sandwich(k, s))
-        with open(spec, encoding="utf-8") as fh:
-            spec = _parse_json(fh.read())
-    if not isinstance(spec, list):
+def _center_rows(spec: str, dim: int | None = None) -> list:
+    """Coordinate rows from the literal shorthand sandwich(k,s) or from a
+    path to a JSON file holding a list of rows.  Given ``dim``, a
+    sandwich of another dimension k + 1 is refused before it is built (a
+    negative k by ``bounded_sandwich``)."""
+    match = _SANDWICH_RE.match(spec.strip())
+    if match:
+        k, s = int(match.group(1)), int(match.group(2))
+        if dim is not None and k >= 0 and k + 1 != dim:
+            raise ValueError(f"centers have dimension {k + 1}, but --dim is {dim}")
+        return points_to_json(bounded_sandwich(k, s))
+    with open(spec, encoding="utf-8") as fh:
+        rows = _parse_json(fh.read())
+    if not isinstance(rows, list):
         raise ValueError("a centers file must hold a list of coordinate rows")
-    return spec
+    return rows
 
 
 def _field(spec: dict, key: str, kind: type | None = None):
@@ -365,56 +363,6 @@ def cmd_coloring_scan(
     return (0 if not report["violations"] else 1), report
 
 
-# --config values that may be JSON structures rather than flag text: a
-# rule object, a list of center rows, a list of inner radii.
-_STRUCTURED = {"rule": dict, "centers": list, "r_list": list}
-
-
-def _apply_config_file(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
-    """Override the parsed flags with the keys of the --config object.
-
-    A key names a flag of the command by its dest or its name, hyphens
-    read as underscores; any other key is a usage error.  A value is
-    read as the flag reads command-line text, through its type and
-    choices, so a string they refuse is a usage error.  Only a JSON
-    string or integer is read so; the structures in _STRUCTURED are kept
-    as they are, and any other value is a usage error: a float, whose
-    text would read as exact, a bool or a null.
-    """
-    if not args.config:
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        overrides = _parse_json(fh.read())
-    if not isinstance(overrides, dict):
-        raise ValueError("config file must hold a JSON object")
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    flags = {
-        name.lstrip("-").replace("-", "_"): action
-        for action in (*parser._actions, *commands[args.command]._actions)
-        if action.option_strings
-        for name in (action.dest, *action.option_strings)
-    }
-    for key, value in overrides.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise ValueError(f"config key {key!r} names no flag of {args.command}")
-        if not isinstance(value, _STRUCTURED.get(action.dest, ())):
-            try:
-                if type(value) not in (str, int):
-                    raise ValueError
-                value = (action.type or str)(str(value))
-                if action.choices and value not in action.choices:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(
-                    f"config key {key!r}: {json.dumps(overrides[key])} is not a "
-                    f"valid {action.option_strings[0]} value"
-                ) from None
-        setattr(args, action.dest, value)
-
-
 def _resolve_out(path: str | None) -> str | None:
     if path is None:
         return None
@@ -464,23 +412,20 @@ def emit_document(doc: dict, out_path: str | None) -> bool:
     return True
 
 
-def _int_list(text: str | list) -> list[int]:
-    if isinstance(text, list):
-        text = ",".join(map(str, text))
+def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first ``main`` call
-    and reused: parsing and ``_apply_config_file`` write only to the
-    fresh namespace of each call, never to the parser."""
+    and reused: parsing writes only to the fresh namespace of each call,
+    never to the parser.  Every parameter is a flag of it."""
     parser = argparse.ArgumentParser(
         prog="centerpole",
         description="Exact toolkit for sandwich sets, coverings, T-shapes, "
         "witness colorings, and window certification.",
     )
-    parser.add_argument("--config", help="JSON file whose keys override flags")
     parser.add_argument("--out", help="output file (JSON); default stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -513,9 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rule_spec(text: str | dict) -> dict:
-    if isinstance(text, dict):
-        return text
+def _load_rule_spec(text: str) -> dict:
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read()
@@ -526,7 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser)
         started = time.perf_counter()
         if args.command == "sandwich":
             config = {"command": "sandwich", "k": args.k, "s": args.s,
@@ -567,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
             envelope = {"config": config, "result": result, "meta": meta}
             text = indented_json(envelope) + "\n"
         emit(text, args.out)  # an unwritable --out is an OSError too
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return code

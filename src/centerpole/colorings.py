@@ -136,8 +136,11 @@ def halfspace_coloring(center) -> ColoringRule:
     """Two colors split by the sign of the first nonzero coordinate of
     x - center; the center itself gets 0.  No pair {x, 2c - x} with
     x != c is monochromatic.  With the center scaled once, B = D*c, the
-    sign of z_i/q - c_i is that of z_i*D - q*B_i."""
+    sign of z_i/q - c_i is that of z_i*D - q*B_i.  A center with no
+    coordinates raises ValueError, as ``standard_simplex(0)`` does."""
     c = as_point(center)
+    if not c:
+        raise ValueError("a halfspace center must have at least one coordinate")
     scale, (base,) = clear_denominators([c])
 
     def evaluate(z: Sequence[int], q: int) -> int:

@@ -257,19 +257,6 @@ class TestTshapeCommand:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
 
-    @pytest.mark.parametrize("key", ["trials", "seed", "bound-dim"])
-    def test_a_deleted_trial_config_key_exits_2_before_the_decision(
-        self, key, undecided, tmp_path, capsys
-    ):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: 1}))
-        code, out, err = run_cli(
-            ["--config", str(config), "tshape", "--points", undecided], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert err == f"error: config key {key!r} names no flag of tshape\n"
-
     def test_float_coordinates_are_refused(self, tmp_path, capsys):
         path = tmp_path / "floats.json"
         path.write_text("[[0.1, 0], [1, 2]]")
@@ -661,7 +648,7 @@ class TestCertifyCommand:
             2, "", "error: centers have dimension 18, but --dim is 2\n"
         )
 
-    def test_the_window_limit_boundary(self, monkeypatch):
+    def test_the_window_limit_boundary(self, monkeypatch, tmp_path):
         class Reached(Exception):
             pass
 
@@ -673,7 +660,7 @@ class TestCertifyCommand:
         # with R-factor 1, R = r + |c| + 1; the largest R with
         # (2R + 1)^dim <= 2^18 is 131071 in dim 1, 255 in dim 2, 10 in dim 4
         for dim, r, norm in ((1, 0, 131070), (2, 254, 0), (4, 0, 9)):
-            centers = [[norm] + [0] * (dim - 1)]
+            centers = _json_file(tmp_path, [[norm] + [0] * (dim - 1)])
             with pytest.raises(Reached):
                 cli.cmd_certify(dim, 2, centers, [r], r_factor=1)
             with pytest.raises(ValueError, match="more than the limit"):
@@ -1109,6 +1096,31 @@ class TestColoringScanCommand:
             with pytest.raises(ValueError, match="under 1 lift"):
                 cli.build_rule({"kind": "plus0", "base": base(MAX_RULE_DIM)})
 
+    def test_a_halfspace_center_with_no_coordinates_is_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # every base rule has dimension at least 1, so 63 lifts over one
+        # stay within MAX_RULE_DIM and the 64th nested lift is above it
+        message = "a halfspace center must have at least one coordinate"
+        empty = {"kind": "halfspace", "center": []}
+        for lifts in (0, 1, MAX_RULE_DIM - 1):
+            rule = empty
+            for _ in range(lifts):
+                rule = {"kind": "plus0", "base": rule}
+            with pytest.raises(ValueError, match=message):
+                cli.build_rule(rule)
+
+        def never(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli, "symmetric_pair_scan", never)
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", json.dumps(empty), "--centers",
+             _json_file(tmp_path, [[]])],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_samples_above_the_limit_are_refused(self, monkeypatch, capsys):
         # acceptance scans 25 000 samples and the bench 3 000
         assert MAX_SCAN_SAMPLES == 2**20
@@ -1136,7 +1148,7 @@ class TestColoringScanCommand:
         ) == (0, {"violations": []})
         assert scanned == [MAX_SCAN_SAMPLES]
 
-    @pytest.mark.parametrize("flag", ["--rule", "--points", "--centers", "--config"])
+    @pytest.mark.parametrize("flag", ["--rule", "--points", "--centers"])
     def test_deeply_nested_json_is_a_usage_error(self, flag, tmp_path, capsys):
         path = tmp_path / "deep.json"
         if flag == "--rule":
@@ -1153,7 +1165,6 @@ class TestColoringScanCommand:
             "--points": ["tshape", "--points", str(path)],
             "--centers": ["certify", "--dim", "2", "--colors", "2", "--centers",
                           str(path)],
-            "--config": ["--config", str(path), "sandwich", "--k", "1", "--s", "0"],
         }[flag]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -1213,6 +1224,34 @@ class TestEnvelopeContract:
             {"config": doc2["config"], "result": doc2["result"]}, sort_keys=True
         )
         assert stable1 == stable2
+
+    def test_config_names_every_flag_of_its_command(self, tmp_path, capsys):
+        # flags are the only source of a run's parameters, so a flag that
+        # config does not echo would leave the record incomplete
+        flags = {
+            "sandwich": ["--k", "1", "--s", "0"],
+            "cover-verify": ["--k", "2", "--s", "0"],
+            "tshape": ["--points", _json_file(tmp_path, [[0, 0], [1, 0], [0, 1]])],
+            "certify": ["--dim", "2", "--colors", "2", "--centers", "sandwich(1,-1)"],
+            "coloring-scan": ["--rule", '{"kind": "cone", "dim": 2}', "--centers",
+                              "sandwich(1,-1)", "--samples", "3"],
+        }
+        echoed = {
+            "sandwich": {"format", "k", "s"},
+            "cover-verify": {"k", "s"},
+            "tshape": {"points"},
+            "certify": {"budget", "centers", "colors", "dim", "rFactor", "rList"},
+            "coloring-scan": {"centers", "innerRadius", "rule", "samples", "seed"},
+        }
+        parser = cli._build_parser()
+        commands = re.search(r"\{(.*?)\}", parser.format_usage()).group(1)
+        assert sorted(flags) == sorted(echoed) == sorted(commands.split(","))
+        for command, argv in flags.items():
+            dests = set(vars(parser.parse_args([command, *argv]))) - {"command", "out"}
+            camel = {re.sub(r"_(.)", lambda m: m.group(1).upper(), d) for d in dests}
+            code, doc = run_json([command, *argv], capsys)
+            assert code == 0
+            assert set(doc["config"]) - {"command"} == camel == echoed[command]
 
     def test_out_file_relative_to_env_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "reports"))
@@ -1275,164 +1314,28 @@ class TestEnvelopeContract:
         assert json.loads(target.read_text())["result"]["cardinality"] == 3
         assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "c"]
 
-    def test_config_file_overrides_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 3, "s": 1}))
+    def test_a_decimal_radius_as_text_is_exact(self, capsys):
+        # the text "0.5" is 1/2
         code, doc = run_json(
-            ["--config", str(cfg), "sandwich", "--k", "1", "--s", "-1"], capsys
-        )
-        assert code == 0
-        assert doc["config"]["k"] == 3
-        assert doc["config"]["s"] == 1
-        assert doc["result"]["cardinality"] == 12
-
-    def test_hyphenated_config_keys_map_to_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r-list": "1,2", "R-factor": 3}))
-        code, doc = run_json(
-            [
-                "--config",
-                str(cfg),
-                "certify",
-                "--dim",
-                "2",
-                "--colors",
-                "2",
-                "--centers",
-                "sandwich(1,-1)",
-                "--r-list",
-                "1",
-            ],
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+             "--centers", "sandwich(1,-1)", "--samples", "20",
+             "--inner-radius", "0.5"],
             capsys,
         )
         assert code == 0
-        assert doc["config"]["rList"] == [1, 2]
-        assert [row["inner"] for row in doc["result"]["rows"]] == [1, 2]
+        assert doc["config"]["innerRadius"] == "0.5"
+        assert doc["result"]["innerRadius"] == "1/2"
 
-    @pytest.mark.parametrize(
-        "argv,overrides,flag",
-        [
-            (["cover-verify", "--k", "2", "--s", "0"], {"k": 2.5}, "--k"),
-            (["cover-verify", "--k", "2", "--s", "0"], {"s": True}, "--s"),
-            (["sandwich", "--k", "1", "--s", "0"], {"k": None}, "--k"),
-            (["sandwich", "--k", "1", "--s", "0"], {"format": "xml"}, "--format"),
-            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
-              "--centers", "sandwich(0,0)"], {"samples": "x"}, "--samples"),
-            (["certify", "--dim", "2", "--colors", "2", "--centers",
-              "sandwich(1,-1)"], {"R-factor": 1.5}, "--R-factor"),
-            (["certify", "--dim", "2", "--colors", "2", "--centers",
-              "sandwich(1,-1)"], {"budget": [1]}, "--budget"),
-            # a JSON float is inexact, even for a flag that reads text
-            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}', "--centers",
-              "sandwich(1,-1)"], {"inner-radius": 0.5}, "--inner-radius"),
-            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}', "--centers",
-              "sandwich(1,-1)"], {"inner-radius": 1e3}, "--inner-radius"),
-            # so is a bool or a null, whose text would be "True" or "None"
-            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}', "--centers",
-              "sandwich(1,-1)"], {"inner-radius": True}, "--inner-radius"),
-            (["tshape", "--points", "pts.json"], {"points": None}, "--points"),
-        ],
-    )
-    def test_config_values_pass_the_flag_type(
-        self, argv, overrides, flag, tmp_path, capsys
-    ):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(overrides))
-        code, out, err = run_cli(["--config", str(cfg)] + argv, capsys)
-        ((key, value),) = overrides.items()
-        assert code == 2
-        assert out == ""
-        assert err == (
-            f"error: config key {key!r}: {json.dumps(value)} is not a valid "
-            f"{flag} value\n"
-        )
-
-    def test_a_decimal_radius_as_text_is_exact(self, tmp_path, capsys):
-        # the text "0.5", on the command line or as a JSON string, is 1/2
-        scan = ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
-                "--centers", "sandwich(1,-1)", "--samples", "20"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inner-radius": "0.5"}))
-        for argv in ([*scan, "--inner-radius", "0.5"], ["--config", str(cfg), *scan]):
-            code, doc = run_json(argv, capsys)
-            assert code == 0
-            assert doc["config"]["innerRadius"] == "0.5"
-            assert doc["result"]["innerRadius"] == "1/2"
-
-    def test_r_list_entries_must_be_integers(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        for r_list in ([1.5], [True], [[1]]):
-            cfg.write_text(json.dumps({"r-list": r_list}))
+    def test_r_list_entries_must_be_integers(self, capsys):
+        for r_list in ("1.5", "1,x"):
             code, out, err = run_cli(
-                ["--config", str(cfg), "certify", "--dim", "2", "--colors", "2",
-                 "--centers", "sandwich(1,-1)"],
+                ["certify", "--dim", "2", "--colors", "2",
+                 "--centers", "sandwich(1,-1)", "--r-list", r_list],
                 capsys,
             )
             assert code == 2
             assert out == ""
             assert err.startswith("error: invalid literal for int()")
-
-    def test_config_structures_and_flag_names(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"rule": {"kind": "cone", "dim": 2}, "centers": [[0, 0]],
-             "samples": "5", "inner_radius": "1/2"}
-        ))
-        code, doc = run_json(
-            ["--config", str(cfg), "coloring-scan", "--rule", "{", "--centers",
-             "missing.json"],
-            capsys,
-        )
-        assert code == 0
-        assert doc["config"]["rule"] == {"kind": "cone", "dim": 2}
-        assert doc["config"]["centers"] == [[0, 0]]
-        assert doc["result"]["samples"] == 5
-        assert doc["result"]["innerRadius"] == "1/2"
-        # --R-factor is reached by its flag name as well as by its dest
-        for key in ("R-factor", "r_factor"):
-            cfg.write_text(json.dumps(
-                {key: 1, "r-list": [1, 2], "centers": [[0, 0], [1, 0]]}
-            ))
-            code, doc = run_json(
-                ["--config", str(cfg), "certify", "--dim", "2", "--colors", "2",
-                 "--centers", "missing.json"],
-                capsys,
-            )
-            assert code == 0
-            assert doc["config"]["rFactor"] == 1
-            assert doc["result"]["rFactor"] == 1
-            assert doc["result"]["centers"] == [[0, 0], [1, 0]]
-            assert [row["inner"] for row in doc["result"]["rows"]] == [1, 2]
-
-    @pytest.mark.parametrize(
-        "key,argv",
-        [
-            ("sample", ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
-                        "--centers", "sandwich(1,-1)", "--samples", "3"]),
-            ("format", ["cover-verify", "--k", "2", "--s", "0"]),
-            ("R_factors", ["certify", "--dim", "2", "--colors", "2",
-                           "--centers", "sandwich(1,-1)"]),
-        ],
-    )
-    def test_keys_that_name_no_flag_are_usage_errors(
-        self, key, argv, tmp_path, capsys
-    ):
-        # --format is a flag of sandwich, not of cover-verify
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 5}))
-        code, out, err = run_cli(["--config", str(cfg)] + argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: config key {key!r} names no flag of {argv[0]}\n"
-
-    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps([1, 2, 3]))
-        code, out, err = run_cli(
-            ["--config", str(cfg), "sandwich", "--k", "1", "--s", "-1"], capsys
-        )
-        assert code == 2
-        assert "JSON object" in err
 
 
 def _json_file(tmp_path, value):
@@ -1574,6 +1477,60 @@ class TestArgparseUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cover-verify", "--k", "2.5", "--s", "0"],
+             "argument --k: invalid int value: '2.5'"),
+            (["cover-verify", "--k", "2", "--s", "True"],
+             "argument --s: invalid int value: 'True'"),
+            (["sandwich", "--k", "1", "--s", "0", "--format", "xml"],
+             "argument --format: invalid choice: 'xml'"),
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 1}',
+              "--centers", "sandwich(0,0)", "--samples", "x"],
+             "argument --samples: invalid int value: 'x'"),
+            (["certify", "--dim", "2", "--colors", "2", "--centers",
+              "sandwich(1,-1)", "--R-factor", "1.5"],
+             "argument --R-factor: invalid int value: '1.5'"),
+            (["certify", "--dim", "2", "--colors", "2", "--centers",
+              "sandwich(1,-1)", "--budget", "[1]"],
+             "argument --budget: invalid int value: '[1]'"),
+            # --format is a flag of sandwich, not of cover-verify
+            (["cover-verify", "--k", "2", "--s", "0", "--format", "json"],
+             "unrecognized arguments: --format json"),
+            (["certify", "--dim", "2", "--colors", "2", "--centers",
+              "sandwich(1,-1)", "--R_factors", "5"],
+             "unrecognized arguments: --R_factors 5"),
+        ],
+    )
+    def test_flag_text_its_type_or_choices_refuse(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert message in captured.err
+
+    def test_config_is_no_option(self, tmp_path, monkeypatch, capsys):
+        # every parameter is a flag; --config FILE is refused like any
+        # unknown flag, before a command runs
+        def never(*args, **kwargs):
+            raise AssertionError("a command ran")
+
+        for name in ("cmd_sandwich", "cmd_cover_verify", "cmd_tshape",
+                     "cmd_certify", "cmd_coloring_scan"):
+            monkeypatch.setattr(cli, name, never)
+        config = _json_file(tmp_path, {"k": 1, "s": 0})
+        sandwich = ["sandwich", "--k", "1", "--s", "0"]
+        for argv in (["--config", config, *sandwich], [*sandwich, "--config", config]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("error:") == 1
+
 
 class TestReadmeExamples:
     def test_every_command_line_of_the_readme_parses(self):
@@ -1599,8 +1556,8 @@ class TestReadmeExamples:
 
 
 class TestOneParserPerProcess:
-    """``main`` builds its parser once and reuses it: a call after a
-    --config call or a usage error prints what it prints alone."""
+    """``main`` builds its parser once and reuses it: a call after one
+    that sets optional flags or a usage error prints what it prints alone."""
 
     @staticmethod
     def _alone(argv, env):
@@ -1625,15 +1582,14 @@ class TestOneParserPerProcess:
     def test_every_call_prints_what_it_prints_alone(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         env = {**os.environ, "COLUMNS": "80"}
-        # the --config call sets flags that the later scan leaves at their
+        # the first call sets flags that the later scan leaves at their
         # defaults, so a value kept in the parser would show there
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"samples": 30, "seed": 9, "inner-radius": "1/2"}))
         centers = tmp_path / "centers.json"
         centers.write_text(json.dumps([[0, 0], [1, 1]]))
         scan = ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}']
         calls = [
-            ["--config", str(config), *scan, "--centers", str(centers)],
+            [*scan, "--centers", str(centers), "--samples", "30", "--seed", "9",
+             "--inner-radius", "1/2"],
             scan,
             [*scan, "--centers", str(centers)],
             ["sandwich", "--k", "2", "--s", "0"],
@@ -1666,9 +1622,7 @@ def test_module_entry_point_runs_in_subprocess():
 # --- fuzzed argv -----------------------------------------------------
 #
 # Most flags are well formed, so that the commands run; the rest bend
-# one input out of shape.  Half the points files are malformed.  Half the
-# draws also pass some flags again through a --config file, as JSON
-# numbers or strings, or as a value of the wrong JSON type.  Every draw
+# one input out of shape.  Half the points files are malformed.  Every draw
 # stays cheap: sandwiches of at most 2^11 points or ones the size limit
 # refuses, cover-verify at k <= 6 or above MAX_COVER_K, point sets of at
 # most six points in at most three dimensions, certify windows in at most
@@ -1838,43 +1792,16 @@ def _scan_argv(draw, dim, json_file):
     )
 
 
-_WRONG_TYPES = st.sampled_from([2.5, True, None, [1], [0.5], {"a": 1}, "x", 1e300])
-
-
-@st.composite
-def _config(draw, tmp, argv):
-    """``[]``, or ``["--config", path]`` for a file that repeats some of
-    the argv's flags, under their names or their dests, each as a JSON
-    number when it reads as an integer and as a string otherwise, and
-    now and then as a value of a wrong JSON type."""
-    if draw(st.booleans()):
-        return []
-    overrides = {}
-    for name, value in zip(argv[1::2], argv[2::2]):
-        if draw(st.booleans()):
-            continue
-        key = name[2:]
-        if draw(st.booleans()):
-            key = key.replace("-", "_")
-        overrides[key] = int(value) if re.fullmatch(r"-?\d+", value) else value
-        if draw(st.integers(0, 3)) == 0:
-            overrides[key] = draw(_WRONG_TYPES)
-    path = tmp / f"config{draw(st.integers(0, 10**9))}.json"
-    path.write_text(json.dumps(overrides), encoding="utf-8")
-    return ["--config", str(path)]
-
-
 class TestFuzzedArgv:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_exit_codes_and_no_traceback(self, data, tmp_path_factory):
         tmp = tmp_path_factory.getbasetemp()
         argv = data.draw(_argv(tmp))
-        config = data.draw(_config(tmp, argv))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(config + argv)
+                code = main(argv)
             except SystemExit as exc:  # argparse refused the argv
                 code = exc.code
         assert code in (0, 1, 2), (argv, code)

@@ -1,5 +1,6 @@
 """Sandwich sets, cube vertices, and the facet profile machinery."""
 
+import json
 from itertools import product
 from math import comb
 
@@ -57,7 +58,7 @@ class TestCheckedCoordinates:
         with pytest.raises(ValueError, match=f"bad lattice point .*{message}"):
             checked_coordinates((0, bad))
 
-    def test_word_size_bound(self):
+    def test_word_size_bound(self, tmp_path):
         # checked where points enter; arithmetic on checked points is not
         edge = 2**63 - 1
         assert checked_coordinates((edge,)) == (edge,)
@@ -70,8 +71,10 @@ class TestCheckedCoordinates:
         row_named = rf"^bad lattice point \[0, {2**63}\]: .*64-bit"
         with pytest.raises(ValueError, match=row_named):
             checked_coordinates([0, 2**63])
+        centers = tmp_path / "centers.json"
+        centers.write_text(json.dumps([[0, 2**63]]))
         with pytest.raises(ValueError, match="64-bit"):
-            cmd_certify(2, 1, [[0, 2**63]], [0])
+            cmd_certify(2, 1, str(centers), [0])
         # the window reach: +-outer stays in range, as every center does
         WindowSpec(dim=1, outer=edge, inner=0, centers=((-edge,),))
         with pytest.raises(ValueError, match="64-bit"):

@@ -27,6 +27,11 @@ And no parameter of a top-level package function has one value: some
 call under src/, scripts/ or bench/ passes it something other than the
 one literal every other call passes or leaves at its default.  Calls are
 matched by name only, like reads.
+
+And no file under src/ or scripts/ reads an underscore attribute of an
+object other than ``self``: a private name of another module or of a
+library object (argparse's ``parser._actions``) is no interface to lean
+on.  Dunders are exempt.
 """
 import ast
 from pathlib import Path
@@ -251,3 +256,27 @@ def test_no_parameter_has_one_value():
                 if len(values) == 1 and None not in values
             ]
     assert fixed == []
+
+
+def _private_reads(module: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each underscore attribute read off an object other
+    than ``self``; dunders are exempt."""
+    return [
+        (sub.lineno, sub.attr)
+        for sub in ast.walk(module)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Load)
+        and sub.attr.startswith("_")
+        and not (sub.attr.startswith("__") and sub.attr.endswith("__"))
+        and not (isinstance(sub.value, ast.Name) and sub.value.id == "self")
+    ]
+
+
+def test_no_private_attribute_of_another_object_is_read():
+    reads = [
+        f"{path.relative_to(ROOT)}:{line}:{name}"
+        for folder in ("src", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for line, name in _private_reads(_parse(path))
+    ]
+    assert reads == []
