@@ -45,6 +45,7 @@ does not check them again.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -55,8 +56,9 @@ Rational = Fraction | int | str
 
 def _to_fraction(value: Rational) -> Fraction:
     """``value`` as a ``Fraction``.  Floats are inexact and bools are
-    not numbers, so both raise TypeError.  A string with an exponent
-    ("1e10000000") raises ValueError before ``Fraction`` expands it:
+    not numbers, so both raise TypeError.  A string with an exponent, a
+    digit or point before an E ("1e10000000", not "None"), raises
+    ValueError before ``Fraction`` expands it:
     its cost grows with the exponent, not with the text.  So does a
     zero denominator ("1/0"), where ``Fraction`` raises ZeroDivisionError."""
     if type(value) is Fraction:
@@ -65,7 +67,7 @@ def _to_fraction(value: Rational) -> Fraction:
         raise TypeError("floats are not allowed in exact geometry")
     if isinstance(value, bool):
         raise TypeError("booleans are not allowed in exact geometry")
-    if isinstance(value, str) and ("e" in value or "E" in value):
+    if isinstance(value, str) and re.search(r"[\d.][eE]", value):
         raise ValueError(f"exponent strings such as {value[:20]!r} are not allowed")
     try:
         return Fraction(value)

@@ -1201,6 +1201,30 @@ class TestColoringScanCommand:
         assert err.startswith("error:")
 
 
+def _rerun_argv(command, tmp_path):
+    """An argv of ``command`` that sets every flag, each to a value that
+    the result depends on where it can: the scan's violations on --seed,
+    the certify verdict (Undecided) on --budget.  Only --format json
+    prints an envelope."""
+    if command == "tshape":
+        return ["--points", _json_file(tmp_path, [[0, 0], [2, 0], [0, 2], [1, 1]])]
+    if command == "certify":
+        centers = _json_file(tmp_path, [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]])
+        return ["--dim", "2", "--colors", "3", "--centers", centers,
+                "--r-list", "0", "--R-factor", "2", "--budget", "40"]
+    if command == "coloring-scan":
+        return ["--rule", '{"kind": "halfspace", "center": [0, 0]}',
+                "--centers", _json_file(tmp_path, [[5, 5]]), "--samples", "20",
+                "--seed", "4", "--inner-radius", "1/2"]
+    return {
+        "sandwich": ["--k", "2", "--s", "0", "--format", "json"],
+        "cover-verify": ["--k", "3", "--s", "1"],
+    }[command]
+
+
+_COMMANDS = ("sandwich", "cover-verify", "tshape", "certify", "coloring-scan")
+
+
 class TestEnvelopeContract:
     def test_config_and_result_identical_across_reruns(self, capsys):
         argv = [
@@ -1325,6 +1349,49 @@ class TestEnvelopeContract:
         assert code == 0
         assert doc["config"]["innerRadius"] == "0.5"
         assert doc["result"]["innerRadius"] == "1/2"
+
+    @pytest.mark.parametrize(
+        "radius,message",
+        [
+            ("1e3", "exponent strings such as '1e3' are not allowed"),
+            ("True", "Invalid literal for Fraction: 'True'"),
+            ("None", "Invalid literal for Fraction: 'None'"),
+        ],
+    )
+    def test_an_inner_radius_that_is_no_exact_number_is_refused(
+        self, radius, message, capsys
+    ):
+        code, out, err = run_cli(
+            ["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+             "--centers", "sandwich(1,-1)", "--inner-radius", radius],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_config_alone_reruns_the_result(self, command, tmp_path, capsys):
+        # the config block is the whole record of a run: flags rebuilt
+        # from it alone print the same config and result
+        code, first = run_json([command, *_rerun_argv(command, tmp_path)], capsys)
+        rerun = [command]
+        for key, value in first["config"].items():
+            if key == "command":
+                continue
+            if key == "rList":
+                value = ",".join(map(str, value))
+            elif isinstance(value, list):  # the rows a centers flag read
+                value = str(tmp_path / "centers.json")
+                Path(value).write_text(json.dumps(first["config"][key]))
+            elif isinstance(value, dict):
+                value = json.dumps(value)
+            flag = "--R-factor" if key == "rFactor" else "--" + re.sub(
+                r"[A-Z]", lambda m: "-" + m.group().lower(), key
+            )
+            rerun += [flag, str(value)]
+        again, second = run_json(rerun, capsys)
+        assert again == code
+        assert second["config"] == first["config"]
+        assert second["result"] == first["result"]
 
     def test_r_list_entries_must_be_integers(self, capsys):
         for r_list in ("1.5", "1,x"):
@@ -1501,6 +1568,14 @@ class TestArgparseUsage:
             (["certify", "--dim", "2", "--colors", "2", "--centers",
               "sandwich(1,-1)", "--R_factors", "5"],
              "unrecognized arguments: --R_factors 5"),
+            # a flag given no value, where a JSON null stood in a file
+            (["sandwich", "--k", "--s", "0"],
+             "argument --k: expected one argument"),
+            (["tshape", "--points"],
+             "argument --points: expected one argument"),
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+              "--centers", "sandwich(1,-1)", "--inner-radius"],
+             "argument --inner-radius: expected one argument"),
         ],
     )
     def test_flag_text_its_type_or_choices_refuse(self, argv, message, capsys):
