@@ -42,7 +42,7 @@ def schedule_row(name, centers, colors, r_list, expected, r_factor=3):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--out", help="output file; default stdout")
     args = parser.parse_args(argv)
 

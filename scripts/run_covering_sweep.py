@@ -17,7 +17,7 @@ from centerpole.covering import verify_covering_lemma
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--k-max", type=int, default=8)
     parser.add_argument("--out", help="output file; default stdout")
     args = parser.parse_args(argv)

@@ -153,7 +153,7 @@ def grid_draws(count: int) -> tuple[dict, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--dims", default="2,3,4", help="comma-separated list")
     parser.add_argument("--trials", type=int, default=50, help="random sets per dim")
     parser.add_argument("--seed", type=int, default=0)

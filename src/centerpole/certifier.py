@@ -16,15 +16,16 @@ exactly a k-coloring of the window with no monochromatic mirror pair:
   exists (returned and re-verified vertex by vertex);
 * ``Unknown`` - the decision budget ran out before either answer.
 
-Each window is decided by one route, chosen by k: a BFS parity check
-for k = 2, and otherwise the clause-learning engine in ``sat`` on each
-component's k-core.  One smallest-last pass peels the vertices of
-degree below k and numbers the core from its dense end; the engine
-branches first in that numbering, with a clique pinned to distinct
-colors as a color-symmetry premise.  For k = 2 the
-parity is checked once, by ``verify_witness``, and that check decides
-the window.  The budget counts that engine's decisions only, so k <= 2
-never gives Unknown.
+Each window is decided by one route, chosen by ``k <= 2``.  For
+k <= 2 the component walk colors the window, by BFS parity for k = 2
+and all zero for k = 1 (its only 1-coloring); that coloring is checked
+once, by ``verify_witness``, and the check decides the window.  For
+k >= 3 the clause-learning engine in ``sat`` decides each component's
+k-core.  One smallest-last pass peels the vertices of degree below k
+and numbers the core from its dense end; the engine branches first in
+that numbering, with a clique pinned to distinct colors as a
+color-symmetry premise.  The budget counts that engine's decisions
+only, so k <= 2 never gives Unknown.
 
 A Forced verdict is finite-window evidence about the tested radii, not
 a proof about the infinite group; growing outer radii at a fixed inner
@@ -39,6 +40,7 @@ windows.  Each row is built there once, as the dict ``certify`` prints.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +48,6 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from . import sat
-from .cube import checked_coordinates
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -80,9 +81,8 @@ def check_window_size(dim: int, outer: int, at_least: bool = False) -> None:
 class WindowSpec:
     """An annulus ``inner < |x|_inf <= outer`` plus mirror centers.
 
-    ``+-outer`` must lie in the signed 64-bit range, so every vertex of
-    the window does too; the centers are coordinate tuples, checked by
-    whoever read them (``checked_coordinates``)."""
+    The centers are coordinate tuples, checked by whoever read them; the
+    window's size is bounded by ``check_window_size``, not here."""
 
     dim: int
     outer: int
@@ -98,7 +98,6 @@ class WindowSpec:
             )
         if not self.centers:
             raise ValueError("at least one mirror center is required")
-        checked_coordinates((-self.outer, self.outer))
         for c in self.centers:
             if len(c) != self.dim:
                 raise ValueError(f"center {c} has wrong dimension")
@@ -187,11 +186,12 @@ def build_symmetry_graph(spec: WindowSpec) -> SymmetryGraph:
     return SymmetryGraph(adjacency)
 
 
-def _edge_count(spec: WindowSpec) -> int:
-    """The edge count of the window's symmetry graph, counted without
-    building it.
+def _window_counts(spec: WindowSpec) -> tuple[int, int]:
+    """The vertex and edge counts of the window's symmetry graph, counted
+    without building it.
 
-    In each coordinate, x_i in ``[-a, a]`` with ``2c_i - x_i`` in
+    The vertices are the box of radius outer less the box of radius
+    inner.  In each coordinate, x_i in ``[-a, a]`` with ``2c_i - x_i`` in
     ``[-b, b]`` is an interval, so the points x of the box of radius a
     whose mirror about c lies in the box of radius b are counted as a
     product.  By inclusion-exclusion over the outer and inner boxes (x
@@ -201,7 +201,7 @@ def _edge_count(spec: WindowSpec) -> int:
     own mirror.  Halved and rounded down, that is the edge count.  Two
     centers never share an edge, since an edge's midpoint is its center.
     """
-    outer, inner = spec.outer, spec.inner
+    dim, outer, inner = spec.dim, spec.outer, spec.inner
 
     def mirrored(c: tuple[int, ...], a: int, b: int) -> int:
         count = 1
@@ -213,7 +213,7 @@ def _edge_count(spec: WindowSpec) -> int:
     for c in set(spec.centers):
         ends = mirrored(c, outer, outer) - 2 * mirrored(c, inner, outer)
         edges += (ends + mirrored(c, inner, inner)) // 2
-    return edges
+    return (2 * outer + 1) ** dim - (2 * inner + 1) ** dim, edges
 
 
 def _restrict(
@@ -248,8 +248,8 @@ def _restrict(
 
 @dataclass(frozen=True, slots=True)
 class SearchStats:
-    vertices: int
-    edges: int
+    """What the search spent: the engine's decisions and conflicts."""
+
     decisions: int
     conflicts: int
 
@@ -319,7 +319,8 @@ def _smallest_last(
 def _cdcl_core(
     adj: list[list[int]], core: list[int], k: int, budget: int
 ) -> tuple[list[int] | None, int, int, bool]:
-    """Decide k-colorability of a core with the clause-learning engine.
+    """Decide k-colorability of a core, for k >= 3, with the
+    clause-learning engine.
 
     Returns (colors or None, decisions, conflicts, budget exhausted), the
     colors in ``core`` order.  Variable block i belongs to core[i], so
@@ -371,18 +372,21 @@ def decide_k_colorable(
 ) -> WindowVerdict:
     """Exact decision: Forced, Colorable (with verified witness), or Unknown.
 
-    One route per k.  For k = 2 the component walk records BFS parity: the
-    graph is 2-colorable exactly when no edge joins equal parities, so the
-    parity is the witness and ``verify_witness`` on it is the decision.
-    Otherwise each component, largest first (ties by lowest vertex), is
-    split by ``_smallest_last`` and its core, if any, goes to the
-    clause-learning engine in that numbering (``_cdcl_core``); the
-    first component with no proper coloring makes the window Forced, and
-    the rest are not solved.  A Colorable window solves every component,
-    each on its own solver, so its witness and summed counts do not
-    depend on the order.  The budget counts that engine's decisions
-    across the components solved; running out gives Unknown, never a
-    guessed verdict, and cannot happen for k <= 2.
+    One route per side of ``k <= 2``.  For k <= 2 the component walk
+    colors the graph: by BFS parity for k = 2, which is a proper
+    2-coloring exactly when the graph has one, and all zero for k = 1,
+    the only 1-coloring.  ``verify_witness`` on that coloring is the
+    decision, and a Forced window names the component of the first
+    vertex with a neighbour of its color.  For k >= 3 each component,
+    largest first (ties by lowest vertex), is split by
+    ``_smallest_last`` and its core, if any, goes to the clause-learning
+    engine in that numbering (``_cdcl_core``); the first component with
+    no proper coloring makes the window Forced, and the rest are not
+    solved.  A Colorable window solves every component, each on its own
+    solver, so its witness and summed counts do not depend on the order.
+    The budget counts that engine's decisions across the components
+    solved; running out gives Unknown, never a guessed verdict, and
+    cannot happen for k <= 2.
     """
     if k < 1:
         raise ValueError("color count must be positive")
@@ -414,16 +418,11 @@ def decide_k_colorable(
     def verdict(
         kind: str, detail: str, witness: tuple[int, ...] | None = None
     ) -> WindowVerdict:
-        stats = SearchStats(
-            vertices=n,
-            edges=graph.edge_count,
-            decisions=decisions,
-            conflicts=conflicts,
-        )
+        stats = SearchStats(decisions=decisions, conflicts=conflicts)
         return WindowVerdict(kind=kind, witness=witness, stats=stats, detail=detail)
 
-    if k == 2:
-        witness = tuple(parity)
+    if k <= 2:
+        witness = tuple(parity) if k == 2 else (0,) * n
     else:
         comps.sort(key=lambda c: (-len(c), c[0]))
         witness = [-1] * n
@@ -453,13 +452,14 @@ def decide_k_colorable(
     if verify_witness(graph, k, witness):
         detail = f"proper {k}-coloring found and re-verified"
         return verdict("Colorable", detail, tuple(witness))
-    # a failed parity names the component of its first clashing vertex
-    clashes = (v for v in range(n) if any(parity[u] == parity[v] for u in adj[v]))
-    clash = next(clashes, None)
-    if k != 2 or clash is None:
+    # a failed walk coloring names the component of its first clashing vertex
+    clashes = (v for v in range(n) if any(witness[u] == witness[v] for u in adj[v]))
+    clash = next(clashes, None) if k <= 2 else None
+    if clash is None:
         raise RuntimeError("internal error: witness failed re-verification")
     size = len(comps[comp_of[clash]])
-    return verdict("Forced", f"component of size {size} has an odd cycle")
+    cause = "an odd cycle" if k == 2 else "an edge"
+    return verdict("Forced", f"component of size {size} has {cause}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,19 +500,21 @@ def certify_schedule(
     center norm + 1``: outer radii ``start, start+1, start+3, start+7,
     ...`` (the gaps double, the last probe is capped at R) are solved
     until one is Forced or R has been solved, then the gap between the
-    last probe that was not Forced and the first Forced one is bisected.
-    A row is Forced at the smallest Forced window solved; otherwise it
-    is Colorable or Unknown at the full window R.
+    last probe that was not Forced and the first Forced one is bisected
+    (``bisect.bisect_left``).  A row is Forced at the smallest Forced
+    window solved; otherwise it is Colorable or Unknown at the full
+    window R.
 
     For k <= 2 a window is decided without search, in time linear in its
     size, so the first row that is Forced at neither ``start`` nor
-    ``start + 1`` solves, before its next probe, the schedule's largest
-    full window at its inner radius, R_max = r_factor * (max r_list +
-    max center norm + 1); no row solves it again.  A Colorable R_max
-    holds every later probe, so the gallop reaches R with no build; a
-    Forced one leaves the gallop to go on from ``start + 3``.  For
-    k >= 3 R is solved only when the gallop reaches it, since one SAT
-    window can cost more than the whole gallop below it.
+    ``start + 1`` solves, right after ``start + 1`` (even when that is
+    the row's R), the schedule's largest full window at its inner
+    radius, R_max = r_factor * (max r_list + max center norm + 1); no
+    row solves it again.  A Colorable R_max holds every later probe, so
+    the gallop reaches R with no build; a Forced one leaves the gallop
+    to go on from ``start + 3``.  For k >= 3 R is solved only when the
+    gallop reaches it, since one SAT window can cost more than the whole
+    gallop below it.
 
     The distinct inner radii are solved in increasing order and the rows
     reported in ``r_list`` order; a repeated inner radius is solved once,
@@ -522,18 +524,18 @@ def certify_schedule(
     radius is no smaller), so it is Colorable and is neither built nor
     decided.  A row whose R lies inside it is Colorable at R without a
     build: its witness is that window's witness, verified when it was
-    decided, restricted to the row's window; its ``vertices`` is that
-    witness's length, its ``edges`` are counted in closed form, and its
-    ``decisions`` and ``conflicts`` are 0.  A Colorable R_max thus
-    answers its own row and every later one.  Every other row's verdict
-    comes from a window the row solved.  No window is solved twice;
-    ``windowsSolved`` counts the windows the row itself built.
+    decided, restricted to the row's window, and its ``decisions`` and
+    ``conflicts`` are 0.  A Colorable R_max thus answers its own row and
+    every later one.  Every other row's verdict comes from a window the
+    row solved.  No window is solved twice; ``windowsSolved`` counts the
+    windows the row itself built.
 
     Each row is built once, as the dict ``certify`` prints: ``inner``,
     ``outer`` (R), ``provedAtOuter``, ``verdict`` (the window's kind),
-    ``detail``, ``witness``, ``stats`` (``vertices``, ``edges``,
-    ``decisions``, ``conflicts`` of the window the verdict came from)
-    and ``windowsSolved``.
+    ``detail``, ``witness``, ``stats`` and ``windowsSolved``.  The stats
+    are those of the window the verdict came from: its ``vertices`` and
+    ``edges``, counted in closed form (``_window_counts``) for every
+    row, and the ``decisions`` and ``conflicts`` its search spent.
 
     With no Unknown window this solves fewer windows but reports what a
     scan of every outer radius from ``start`` to R would: the same
@@ -565,66 +567,57 @@ def certify_schedule(
     largest_unsolved = True
     by_inner: dict[int, dict] = {}
     for r in sorted(set(r_list)):
-        outer = r_factor * (r + max_norm + 1)
+        start = r + max_norm + 1
+        outer = r_factor * start
         solved: dict[int, WindowVerdict] = {}
 
-        def forced(trial_outer: int) -> bool:
-            nonlocal cover
-            if cover and trial_outer <= cover[0].outer:
+        def forced(trial: int) -> bool:
+            nonlocal cover, largest_unsolved
+            if cover and trial <= cover[0].outer:
                 return False
-            if trial_outer not in solved:
-                spec = WindowSpec(dim=dim, outer=trial_outer, inner=r, centers=centers)
+            if trial not in solved:
+                spec = WindowSpec(dim=dim, outer=trial, inner=r, centers=centers)
                 graph = build_symmetry_graph(spec)
-                verdict = decide_k_colorable(graph, k, budget=budget)
-                solved[trial_outer] = verdict
+                verdict = solved[trial] = decide_k_colorable(graph, k, budget=budget)
                 if verdict.kind == "Colorable":
                     cover = spec, verdict.witness
-            return solved[trial_outer].kind == "Forced"
+                    if k <= 2 and largest_unsolved and trial == start + 1:
+                        # no search runs for k <= 2, so a window costs
+                        # time linear in its size.  The first row to get
+                        # here solves the schedule's largest full window
+                        # at its inner radius: a Colorable one holds this
+                        # row's later probes and every later row's, which
+                        # then need no build.  Waiting for start + 1
+                        # spares it to rows Forced there, as the planar
+                        # nuclei are.
+                        largest_unsolved = False
+                        forced(largest)
+            return solved[trial].kind == "Forced"
 
-        start = r + max_norm + 1
-        lo = trial_outer = start
-        hit = forced(start)
+        lo = trial = start
         step = 1
-        while not hit and trial_outer != outer:
-            lo = trial_outer + 1
-            trial_outer = min(trial_outer + step, outer)
-            step *= 2
-            hit = forced(trial_outer)
-            if k <= 2 and largest_unsolved and trial_outer == start + 1 and not hit:
-                # no search runs for k <= 2, so a window costs time linear
-                # in its size.  The first row to get here solves the
-                # schedule's largest full window at its inner radius: a
-                # Colorable one holds this row's later probes and every
-                # later row's, which then need no build.  Waiting for
-                # start + 1 spares it to rows Forced there, as the planar
-                # nuclei are.
-                largest_unsolved = False
-                forced(largest)
-        proved_at = trial_outer
+        while not (hit := forced(trial)) and trial < outer:
+            lo, trial, step = trial + 1, min(trial + step, outer), 2 * step
+        proved_at = trial
         if hit:
-            # the smallest Forced radius lies in [lo, proved_at]
-            while lo < proved_at:
-                mid = (lo + proved_at) // 2
-                if forced(mid):
-                    proved_at = mid
-                else:
-                    lo = mid + 1
+            # the smallest Forced radius lies in [lo, trial]
+            proved_at = lo + bisect.bisect_left(range(lo, trial), True, key=forced)
+        spec = WindowSpec(dim=dim, outer=proved_at, inner=r, centers=centers)
         if proved_at in solved:
             verdict = solved[proved_at]
             kind, detail, witness = verdict.kind, verdict.detail, verdict.witness
-            stats = verdict.stats
-            counts = stats.vertices, stats.edges, stats.decisions, stats.conflicts
+            spent = verdict.stats.decisions, verdict.stats.conflicts
         else:
             # a Colorable row inside the cover, neither built nor decided
             cover_spec, cover_witness = cover
-            spec = WindowSpec(dim=dim, outer=outer, inner=r, centers=centers)
             kind = "Colorable"
             detail = (
                 f"proper {k}-coloring restricted from the Colorable window "
                 f"inner {cover_spec.inner}, outer {cover_spec.outer}"
             )
             witness = _restrict(cover_witness, cover_spec, spec)
-            counts = len(witness), _edge_count(spec), 0, 0
+            spent = 0, 0
+        counts = *_window_counts(spec), *spent
         by_inner[r] = {
             "inner": r,
             "outer": outer,

@@ -420,28 +420,31 @@ def _int_list(text: str) -> list[int]:
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first ``main`` call
     and reused: parsing writes only to the fresh namespace of each call,
-    never to the parser.  Every parameter is a flag of it."""
+    never to the parser.  Every parameter is a flag of it, named in
+    full: no parser takes a prefix of a flag for the flag."""
     parser = argparse.ArgumentParser(
         prog="centerpole",
         description="Exact toolkit for sandwich sets, coverings, T-shapes, "
         "witness colorings, and window certification.",
+        allow_abbrev=False,
     )
     parser.add_argument("--out", help="output file (JSON); default stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("sandwich", help="construct a sandwich point set")
+    p = command("sandwich", help="construct a sandwich point set")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
-    p = sub.add_parser("cover-verify", help="run the covering verification")
+    p = command("cover-verify", help="run the covering verification")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
-    p = sub.add_parser("tshape", help="decide T-shapedness of a point set")
+    p = command("tshape", help="decide T-shapedness of a point set")
     p.add_argument("--points", required=True, help="JSON file of coordinate rows")
 
-    p = sub.add_parser("certify", help="window certification schedule")
+    p = command("certify", help="window certification schedule")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--centers", required=True, help="JSON file or sandwich(k,s)")
@@ -449,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R-factor", dest="r_factor", type=int, default=3)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("coloring-scan", help="scan a coloring for violations")
+    p = command("coloring-scan", help="scan a coloring for violations")
     p.add_argument("--rule", required=True, help="JSON rule description or @file")
     p.add_argument("--centers", required=True, help="JSON file or sandwich(k,s)")
     p.add_argument("--samples", type=int, default=1000)

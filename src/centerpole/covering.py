@@ -14,7 +14,7 @@ them once and checks each of them point by point for every s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import sub
 
@@ -144,10 +144,6 @@ def constructive_cover_shift(tau: SigmaZeroSet, s: int) -> CoverCertificate:
     return cert
 
 
-# the built (k, s) sandwich, once per pair
-_sandwich_coords = cache(build_sandwich)
-
-
 def brute_force_cover_shifts(
     tau: frozenset[tuple[int, ...]] | set[tuple[int, ...]], k: int, s: int
 ) -> list[tuple[int, ...]]:
@@ -167,7 +163,7 @@ def brute_force_cover_shifts(
     if not tau:
         return list(product((-1, 0, 1), repeat=dim))
     p0 = min(tau)
-    sandwich = _sandwich_coords(k, s)
+    sandwich = build_sandwich(k, s)
     hits: list[tuple[int, ...]] = []
     for member in sandwich:
         shift = tuple(map(sub, p0, member))
@@ -203,7 +199,7 @@ def verify_covering_lemma(k: int, s: int) -> dict:
         raise ValueError(f"the covering claim needs s <= k-2; got s={s} k={k}")
     failures: list[dict] = []
     sets = _maximal_sets(k)
-    sandwich = _sandwich_coords(k, s)
+    sandwich = build_sandwich(k, s)
     for tau in sets:
         where = {
             "facet": [tau.facet_axis, tau.facet_level],

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import centerpole.certifier as certifier
-from centerpole import cli
+from centerpole import cli, cube, sat
 from centerpole.certifier import (
     ScheduleReport,
     SymmetryGraph,
@@ -103,23 +103,19 @@ class TestWindowSpec:
         with pytest.raises(ValueError, match="wrong dimension"):
             WindowSpec(dim=2, outer=2, inner=0, centers=((0,),))
 
-    def test_a_window_checks_its_outer_bound_and_no_center(self, monkeypatch):
-        centers = sandwich_centers(2, 0)
+    def test_a_window_checks_no_coordinate(self, monkeypatch):
+        # a window trusts its centers and bounds no radius: the schedule's
+        # check_window_size is the one bound, before any window is built
         calls = []
-        check = certifier.checked_coordinates
-
-        def counted(values):
-            calls.append(values)
-            return check(values)
-
-        monkeypatch.setattr(certifier, "checked_coordinates", counted)
+        monkeypatch.setattr(cube, "checked_coordinates", calls.append)
+        centers = sandwich_centers(2, 0)
         WindowSpec(dim=3, outer=4, inner=1, centers=centers)
-        assert calls == [(-4, 4)]
-        calls.clear()
-        # one call per window solved, for its +-outer, and none per center
+        WindowSpec(dim=1, outer=2**62, inner=0, centers=((0,),))
         (row,) = certify_schedule(centers, 2, [1]).rows
-        assert len(calls) == row["windowsSolved"]
-        assert all(low == -high for low, high in calls)
+        assert row["windowsSolved"] >= 1
+        assert calls == []
+        with pytest.raises(ValueError, match="more than the limit"):
+            certify_schedule([(0,)], 1, [2**62])
 
     def test_shifted_window_admits_shifted_centers(self):
         # the window about 9 with center 10 is the window of center 1
@@ -289,7 +285,7 @@ class TestClosedFormCounts:
     @settings(max_examples=300, deadline=None)
     def test_the_counts_are_the_built_graphs(self, spec):
         graph = build_symmetry_graph(spec)
-        assert certifier._edge_count(spec) == graph.edge_count
+        assert certifier._window_counts(spec) == (graph.vertex_count, graph.edge_count)
 
 
 class TestWitnessVerification:
@@ -512,6 +508,24 @@ class TestDecision:
         assert verdict.detail == f"component of size {size} has an odd cycle"
         assert verdict.witness is None
 
+    @pytest.mark.parametrize(
+        "edges,n,size",
+        [
+            ([(3, 4)], 5, 2),
+            (PATH4 + [(a + 4, b + 4) for a, b in CYCLE5], 9, 4),
+            ([(5, 6)] + [(a + 1, b + 1) for a, b in PATH4], 7, 4),
+        ],
+    )
+    def test_one_color_forced_names_the_component_of_the_first_clash(
+        self, edges, n, size
+    ):
+        # the all-zero coloring, the only 1-coloring, clashes first at the
+        # lowest vertex with a neighbour
+        verdict = decide_k_colorable(graph_from_edges(n, edges), 1)
+        assert verdict.kind == "Forced"
+        assert verdict.detail == f"component of size {size} has an edge"
+        assert verdict.witness is None
+
     def test_two_colors_check_each_edge_in_one_verify_witness_call(self, monkeypatch):
         calls = []
         check = certifier.verify_witness
@@ -526,6 +540,10 @@ class TestDecision:
         assert verdict.witness == (0, 1, 0, 1)
         assert verdict.detail == "proper 2-coloring found and re-verified"
         assert calls == [2]
+        # one color: the all-zero coloring, checked the same way
+        verdict = decide_k_colorable(graph_from_edges(3, []), 1)
+        assert (verdict.kind, verdict.witness) == ("Colorable", (0, 0, 0))
+        assert calls == [2, 1]
 
     def test_a_failed_two_color_check_without_a_clash_is_an_internal_error(
         self, monkeypatch
@@ -540,6 +558,34 @@ class TestDecision:
         monkeypatch.setattr(certifier, "verify_witness", lambda graph, k, w: True)
         verdict = decide_k_colorable(graph_from_edges(9, CYCLE5_WITH_TREE), 2)
         assert verdict.kind == "Colorable"
+        # and one that passes the all-zero coloring makes an edge 1-colorable
+        assert decide_k_colorable(graph_from_edges(2, [(0, 1)]), 1).kind == "Colorable"
+
+    def test_the_engine_serves_k_of_three_or_more_only(self, monkeypatch):
+        # no formula is built for a k <= 2 schedule, Forced or Colorable,
+        # such as the bench's single-center rows and the planar nucleus;
+        # a k = 3 one builds a solver per core solved
+        built = []
+        solver = sat.Solver
+
+        def counted(*args, **kwargs):
+            built.append(args[0])
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(sat, "Solver", counted)
+        for dim in (1, 2, 3):
+            (row,) = certify_schedule([(0,) * dim], 1, [1]).rows
+            assert (row["verdict"], row["provedAtOuter"]) == ("Forced", 2)
+        report = certify_schedule(sandwich_centers(1, -1), 2, [1, 2, 3])
+        assert [row["verdict"] for row in report.rows] == ["Forced"] * 3
+        report = certify_schedule([(0, 0), (3, 0)], 2, [1, 2])
+        assert [row["verdict"] for row in report.rows] == ["Colorable"] * 2
+        for k in (1, 2):
+            decide_k_colorable(graph_from_edges(11, GROETZSCH), k)
+        assert built == []
+        (row,) = certify_schedule(sandwich_centers(2, 0), 3, [1]).rows
+        assert row["verdict"] == "Forced"
+        assert len(built) >= 1
 
     def test_forest_has_an_empty_core_and_needs_no_decisions(self):
         forest = [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)]
@@ -560,12 +606,18 @@ class TestDecision:
             assert "budget" in verdict.detail
         assert decide_k_colorable(graph, 3, budget=needed).kind == "Forced"
 
-    def test_stats_reflect_the_graph(self):
-        graph = graph_from_edges(5, CYCLE5)
+    def test_stats_are_what_the_search_spent(self):
+        # a verdict counts the search only; a row's vertices and edges
+        # are its window's, checked against the built graph by
+        # assert_matches_the_linear_scan
+        graph = graph_from_edges(11, GROETZSCH)
         verdict = decide_k_colorable(graph, 3)
-        assert verdict.stats.vertices == 5
-        assert verdict.stats.edges == 5
-        assert verdict.stats.decisions >= 0
+        assert list(asdict(verdict.stats)) == ["decisions", "conflicts"]
+        assert verdict.stats.decisions > 0
+        for k in (1, 2):
+            assert asdict(decide_k_colorable(graph, k).stats) == {
+                "decisions": 0, "conflicts": 0,
+            }
 
     def test_exhaustive_cross_check_on_random_graphs(self, monkeypatch):
         units = pinned_units(monkeypatch)
@@ -667,11 +719,12 @@ class TestTranslationInvariance:
                 spec, [plus(c, shift) for c in centers], shift
             )
             moved = SymmetryGraph(adjacency)
-            a = decide_k_colorable(build_symmetry_graph(spec), 2)
+            graph = build_symmetry_graph(spec)
+            a = decide_k_colorable(graph, 2)
             b = decide_k_colorable(moved, 2)
             assert a.kind == b.kind
-            assert a.stats.vertices == b.stats.vertices
-            assert a.stats.edges == b.stats.edges
+            assert graph.vertex_count == moved.vertex_count
+            assert graph.edge_count == moved.edge_count
 
 
 class TestSchedule:
@@ -768,7 +821,8 @@ LATE_FORCED = [(-1, -1), (-1, 0), (1, 2)]
 
 def linear_schedule(centers, k, r_list, r_factor=3):
     """Scan every outer radius from r + max norm + 1 up to R and stop at
-    the first Forced window: the order the galloping search must match."""
+    the first Forced window: the order the galloping search must match.
+    Each row is (outer radius, verdict, graph) of the last window."""
     max_norm = max(max(map(abs, c)) for c in centers)
     rows = []
     for r in r_list:
@@ -777,12 +831,11 @@ def linear_schedule(centers, k, r_list, r_factor=3):
             spec = WindowSpec(
                 dim=len(centers[0]), outer=trial, inner=r, centers=tuple(centers)
             )
-            verdict = certifier.decide_k_colorable(
-                certifier.build_symmetry_graph(spec), k
-            )
+            graph = certifier.build_symmetry_graph(spec)
+            verdict = certifier.decide_k_colorable(graph, k)
             if verdict.kind == "Forced":
                 break
-        rows.append((trial, verdict))
+        rows.append((trial, verdict, graph))
     return rows
 
 
@@ -795,9 +848,10 @@ def row_summary(row):
     return row["verdict"], row["provedAtOuter"], row["stats"]
 
 
-def scan_summary(proved_at, verdict):
-    """The same summary of a window decided at outer radius proved_at."""
-    return verdict.kind, proved_at, asdict(verdict.stats)
+def scan_summary(proved_at, verdict, graph):
+    """The same summary of the graph of outer radius proved_at, decided."""
+    counts = {"vertices": graph.vertex_count, "edges": graph.edge_count}
+    return verdict.kind, proved_at, {**counts, **asdict(verdict.stats)}
 
 
 def assert_witness_colors_its_window(row, centers, k):
@@ -824,7 +878,7 @@ def assert_matches_the_linear_scan(centers, k, r_list, r_factor):
     report = certify_schedule(centers, k, r_list, r_factor=r_factor)
     expected = linear_schedule(centers, k, r_list, r_factor=r_factor)
     got = [row_summary(row) for row in report.rows]
-    assert got == [scan_summary(at, verdict) for at, verdict in expected]
+    assert got == [scan_summary(*scanned) for scanned in expected]
     for row in report.rows:
         assert_witness_colors_its_window(row, centers, k)
 
@@ -939,6 +993,15 @@ class TestGallopingEscalation:
             "proper 2-coloring restricted from the Colorable window inner 1, outer 24"
         ] * 2
 
+    def test_the_largest_window_follows_start_plus_one_when_that_is_r(self, solved):
+        # r = 0 at R factor 2 has start 1 and R = start + 1 = 2; the
+        # largest window, outer 4, still comes right after it and holds
+        # the r = 1 row
+        report = certify_schedule([(0,)], 2, [0, 1], r_factor=2)
+        assert solved == [1, 2, 4]
+        assert [row["provedAtOuter"] for row in report.rows] == [2, 4]
+        assert [row["windowsSolved"] for row in report.rows] == [3, 0]
+
     def test_rows_skip_the_windows_inside_a_colorable_one(self, solved):
         # inner radii run in increasing order whatever the list's order:
         # after row 1's Colorable largest window, outer 24 at inner 1,
@@ -995,10 +1058,7 @@ class TestGallopingEscalation:
         def forced_from_eight(graph, k, budget=certifier.DEFAULT_BUDGET):
             decided.append(outer_of(graph, 2, 1))
             kind = "Forced" if decided[-1] >= 8 else "Colorable"
-            stats = certifier.SearchStats(
-                vertices=graph.vertex_count, edges=graph.edge_count,
-                decisions=0, conflicts=0,
-            )
+            stats = certifier.SearchStats(decisions=0, conflicts=0)
             return certifier.WindowVerdict(kind=kind, witness=None, stats=stats)
 
         monkeypatch.setattr(certifier, "decide_k_colorable", forced_from_eight)
@@ -1032,12 +1092,7 @@ class TestGallopingEscalation:
                 return certifier.WindowVerdict(
                     kind="Unknown",
                     witness=None,
-                    stats=certifier.SearchStats(
-                        vertices=graph.vertex_count,
-                        edges=graph.edge_count,
-                        decisions=0,
-                        conflicts=0,
-                    ),
+                    stats=certifier.SearchStats(decisions=0, conflicts=0),
                     detail="budget exhausted",
                 )
             return decide(graph, k, budget=budget)
@@ -1048,13 +1103,14 @@ class TestGallopingEscalation:
         # (Forced), then bisects [8, 11]: the row names a window that
         # really is Forced, though not the smallest
         assert solved == [4, 5, 12, 7, 11, 9, 8]
-        ((linear_at, _),) = linear_schedule(LATE_FORCED, 2, [1])
+        ((linear_at, _, _),) = linear_schedule(LATE_FORCED, 2, [1])
         assert linear_at == 6
         assert row["verdict"] == "Forced"
         assert row["provedAtOuter"] == 8
         spec = WindowSpec(dim=2, outer=8, inner=1, centers=tuple(LATE_FORCED))
-        direct = decide(build_symmetry_graph(spec), 2)
-        assert scan_summary(8, direct) == row_summary(row)
+        graph = build_symmetry_graph(spec)
+        direct = decide(graph, 2)
+        assert scan_summary(8, direct, graph) == row_summary(row)
         assert (row["detail"], row["witness"]) == (direct.detail, None)
 
 
@@ -1519,9 +1575,11 @@ class TestSatCore:
 
 
 # sha256 of each row's verdict, provedAtOuter, detail, witness, stats and
-# windowsSolved over the corpus below, one JSON line a row, computed at
-# 68ad2e9: a change to any byte of a certify row changes it
-ROW_CONTRACT_DIGEST = "2ac737a3fef50683299b2a8593da22a5e4be62d169f2b987ad90e8e03a79f20a"
+# windowsSolved over the corpus below, one JSON line a row: a change to
+# any byte of a certify row changes it.  Re-pinned when k = 1 windows
+# moved to the component walk, which changed only the detail of the 42
+# k = 1 Forced rows (it names the component of the first clash)
+ROW_CONTRACT_DIGEST = "8ad3d9904fd3f508d0070e048e35ce5c63c95c2c3741aacef09b12e4736eed4f"
 
 
 def row_contract_corpus():

@@ -454,13 +454,13 @@ class TestCertifyCommand:
         assert row["witness"] is not None
 
     def test_each_center_row_is_checked_once(self, tmp_path, monkeypatch, capsys):
-        # the CLI reads each row of the file once; the certifier adds one
-        # call per window solved, for its +-outer, and none per center
+        # the CLI reads each row of the file once, and the certifier,
+        # which imports nothing from cube, reads none
         rows = [[0, 0], [3, 0], [-1, 2], [2, -2]]
         path = tmp_path / "centers.json"
         path.write_text(json.dumps(rows))
         read = cube.checked_coordinates
-        calls = {cli: [], certifier: []}
+        calls = {cli: [], cube: []}
         for module, seen in calls.items():
             monkeypatch.setattr(
                 module,
@@ -481,8 +481,7 @@ class TestCertifyCommand:
         )
         assert code == 0
         assert doc["result"]["centers"] == sorted(rows)
-        assert calls[cli] == rows
-        assert calls[certifier] == [(-outer, outer) for outer in built]
+        assert calls == {cli: rows, cube: []}
         assert len(built) >= 2
 
     def test_center_dimension_mismatch_is_usage_error(self, capsys):
@@ -1605,6 +1604,39 @@ class TestArgparseUsage:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["coloring-scan", "--rule", '{"kind": "cone", "dim": 2}',
+              "--centers", "sandwich(1,-1)", "--sample", "3"],
+             "unrecognized arguments: --sample 3"),
+            (["sandwich", "--k", "3", "--s", "1", "--form", "csv"],
+             "unrecognized arguments: --form csv"),
+            (["certify", "--dim", "2", "--colors", "2", "--centers",
+              "sandwich(1,-1)", "--r-l", "1"],
+             "unrecognized arguments: --r-l 1"),
+            # --ou is no --out, so its value is read as the command
+            (["--ou", "x.json", "sandwich", "--k", "1", "--s", "0"],
+             "argument command: invalid choice: 'x.json'"),
+        ],
+    )
+    def test_a_prefix_of_a_flag_is_no_flag(self, argv, message, monkeypatch, capsys):
+        # each flag is named in full: a unique prefix is an unknown
+        # argument, refused before a command runs
+        def never(*args, **kwargs):
+            raise AssertionError("a command ran")
+
+        for name in ("cmd_sandwich", "cmd_certify", "cmd_coloring_scan"):
+            monkeypatch.setattr(cli, name, never)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: centerpole")
+        assert captured.err.count("error:") == 1
+        assert message in captured.err
 
 
 class TestReadmeExamples:

@@ -403,7 +403,7 @@ class TestTupleChecksMatchTheReference:
             def __contains__(self, point):
                 return True
 
-        monkeypatch.setattr(covering, "_sandwich_coords", lambda k, s: Everything())
+        monkeypatch.setattr(covering, "build_sandwich", lambda k, s: Everything())
         monkeypatch.setattr(covering, "_shift", flipped_e0_shift)
         k, s = 3, 1
         expected, labels = [], []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerpole import geometry
+from centerpole import certifier, geometry
 from centerpole.cube import checked_coordinates
 from centerpole.geometry import (
     affine_hull_dim,
@@ -495,20 +495,28 @@ class TestJson:
         assert (tuple(map(int, doc["normal"])), _exact(doc["offset"])) == h
 
 
-def package_imports(source: str) -> list[int]:
-    """Lines that import a module of the package: a relative import, or
-    an absolute one of ``centerpole`` or a submodule of it."""
-    lines = []
+def package_imports(source: str) -> list[str]:
+    """The modules of the package that a source imports, in order, each
+    as its dotted name under ``centerpole`` (the package itself is
+    ``centerpole``): a relative import, or an absolute one of
+    ``centerpole`` or a submodule of it.  ``from PACKAGE import name``
+    counts ``name`` as a module."""
+    found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] if not node.level else ["centerpole"]
+            base = "centerpole" if node.level else node.module or ""
+            if node.level and node.module:
+                base += "." + node.module
+            if base == "centerpole":
+                names = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                names = [base]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
             continue
-        if any(n == "centerpole" or n.startswith("centerpole.") for n in names):
-            lines.append(node.lineno)
-    return lines
+        found += [n for n in names if n.split(".")[0] == "centerpole"]
+    return found
 
 
 class TestLeafModule:
@@ -516,14 +524,16 @@ class TestLeafModule:
     the package and holds no class, so its values are plain tuples."""
 
     def test_the_detector_sees_each_form(self):
-        for source in (
-            "from .cube import checked_coordinates",
-            "from . import cube",
-            "from centerpole.cube import checked_coordinates",
-            "import centerpole.cube",
-            "import centerpole",
+        for source, found in (
+            ("from .cube import checked_coordinates", ["centerpole.cube"]),
+            ("from . import cube", ["centerpole.cube"]),
+            ("from . import cube, sat", ["centerpole.cube", "centerpole.sat"]),
+            ("from centerpole.cube import checked_coordinates", ["centerpole.cube"]),
+            ("from centerpole import sat", ["centerpole.sat"]),
+            ("import centerpole.cube", ["centerpole.cube"]),
+            ("import centerpole", ["centerpole"]),
         ):
-            assert package_imports(source) == [1], source
+            assert package_imports(source) == found, source
         assert package_imports("from fractions import Fraction\nimport math") == []
 
     def test_geometry_imports_no_package_module_and_holds_no_class(self):
@@ -531,3 +541,10 @@ class TestLeafModule:
         assert package_imports(source) == []
         tree = ast.parse(source)
         assert [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []
+
+
+def test_certifier_imports_no_package_module_but_sat():
+    # the certifier reads no center and bounds no radius through ``cube``:
+    # its centers are trusted and ``check_window_size`` is its one bound
+    source = Path(certifier.__file__).read_text(encoding="utf-8")
+    assert package_imports(source) == ["centerpole.sat"]

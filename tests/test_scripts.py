@@ -54,6 +54,33 @@ def test_out_creates_missing_parents_under_the_output_dir(
     assert json.loads((tmp_path / "missing" / "deeper" / "x.json").read_text())
 
 
+@pytest.mark.parametrize(
+    "name,argv,prefix",
+    [
+        ("run_covering_sweep", ["--k", "2"], "--k"),
+        ("run_tshape_survey", ["--dim", "2", "--trial", "1", "--grid", "1"], "--dim"),
+        ("run_certifier_evidence", ["--o", "doc.json"], "--o"),
+    ],
+)
+def test_a_prefix_of_a_flag_is_no_flag(
+    name, argv, prefix, tmp_path, monkeypatch, capsys
+):
+    # each script's flags are named in full, as the CLI's are: a prefix
+    # exits 2 before anything runs or is written
+    def never(*args, **kwargs):
+        raise AssertionError("the script ran")
+
+    monkeypatch.chdir(tmp_path)
+    script = load_script(name)
+    for runner in ("verify_covering_lemma", "verify_t_value_bounds", "certify_schedule"):
+        if hasattr(script, runner):
+            monkeypatch.setattr(script, runner, never)
+    err = refused(script.main, argv, capsys)
+    assert err.startswith("usage: ") and err.count("error:") == 1
+    assert f"unrecognized arguments: {prefix}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCoveringSweep:
     def test_k_max_above_the_cover_limit_is_refused(self, monkeypatch, capsys):
         sweep = load_script("run_covering_sweep")
