@@ -42,15 +42,15 @@ GRID_DIM = 4
 # The most trials one dimension runs.  Each trial decides one random set
 # one point below the t value, so the time grows linearly with the count
 # and steeply with the dimension: on a 2-core Xeon, 2^10 trials take
-# about 0.06 s in dimension 2 and 0.3 s in dimension 3 (seed 1), and
-# 4.8-7.1 s in dimension 4 (seeds 1-3, about 5-7 ms a trial).  A larger
-# count is refused before any trial runs.
+# about 0.07-0.09 s in dimension 2 and 0.25-0.4 s in dimension 3 (seed
+# 1), and 2.1-3.1 s in dimension 4 (seeds 1-3, about 2-3 ms a trial).
+# A larger count is refused before any trial runs.
 MAX_TSHAPE_TRIALS = 2**10
 
 # The most grid draws one run decides.  The time grows linearly with the
-# count: on a 2-core Xeon, seeds 1-100 take 1.8-2.7 s, 1-300 take 5.6-5.8 s
-# and 1-1024 take 18.5-20.6 s, about 0.019 s a draw (the slowest draw,
-# 0.06-0.10 s).
+# count: on a 2-core Xeon, seeds 1-100 take 1.1-1.6 s, 1-300 take 3.1-5.4 s
+# and 1-1024 take 11-14 s, about 0.011-0.014 s a draw (the slowest draw,
+# 0.04-0.07 s).
 # A larger count is refused before any draw runs.
 MAX_GRID_DRAWS = 2**10
 

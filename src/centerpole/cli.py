@@ -74,12 +74,12 @@ MAX_COVER_K = 10
 # points.
 # Measured worst cases on a 2-core Xeon: over seeds 1-100, the 19 draws
 # of random.Random(seed) from {-1,0,1}^4 (C(19, 4) = 3876 candidates
-# at most) are decided in at most 0.04-0.10 s (seed 55 or 1, not
-# T-shaped), and those from [-2,2]^4 in at most 0.06-0.09 s (seed 9, not
+# at most) are decided in at most 0.04-0.07 s (seed 55, not T-shaped),
+# and those from [-2,2]^4 in at most 0.08-0.10 s (seed 33, not
 # T-shaped): the range over runs, as the host's speed varies.  The
 # enumeration is also the hull test, so a file on one hyperplane is
-# billed and walked as a full-dimensional one: 30 points on one plane of
-# R^3 (4060 candidates) take 0.010-0.014 s.
+# billed and enumerated as a full-dimensional one: 30 points on one
+# plane of R^3 (4060 candidates) take 0.004-0.005 s.
 MAX_TSHAPE_CANDIDATES = 2**12
 
 # The largest dimension of a tshape points file.  The candidate bound
@@ -468,8 +468,25 @@ def _load_rule_spec(text: str) -> dict:
     return _parse_json(text)
 
 
+def _check_prefix(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Refuse, by name, a token before the command other than ``--out``
+    with its value, ``--out=...``, ``-h`` and ``--help``.  argparse sets
+    an unknown flag there aside and reads its value as the command, so
+    ``--ou x.json sandwich`` would be refused for the command 'x.json'."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--out":
+            next(tokens, None)
+        elif not token.startswith("-"):
+            return  # the command, which argparse checks
+        elif not token.startswith("--out=") and token not in ("-h", "--help"):
+            parser.error(f"unrecognized argument before the command: {token}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    _check_prefix(parser, argv)
     args = parser.parse_args(argv)
     try:
         started = time.perf_counter()

@@ -17,14 +17,18 @@ of their denominators (point sets by one common lcm, which keeps their
 affine structure) and reduced by one fraction-free Bareiss elimination,
 which gives rank, kernel vectors and inverses.  A hyperplane of the
 scaled points keeps its primitive normal, and its offset is an integer.
-Spanned hyperplanes are enumerated by walking their first d-1 points
-depth-first and updating the prefix's kernel basis one point at a time,
-a Bareiss step whose division by the previous pivot keeps the entries
-small; no prefix is eliminated from scratch.  Each later point's hyperplane normal is a
-combination of the last two kernel vectors with two dot products as
-coefficients, and each hyperplane comes with the bitmask of the points
-on it: the union of the d-subsets that span it.  They come sorted as
-their integer ``(normal, offset)`` tuples.
+Spanned hyperplanes in dimensions 3 and 4, where the T-shape decisions
+run, are computed in closed form for each d-subset: the cross product
+of two differences, or the minor expansion of three, on local ints.  In
+every other dimension they are enumerated by walking their first d-1
+points depth-first and updating the prefix's kernel basis one point at
+a time, a Bareiss step whose division by the previous pivot keeps the
+entries small; no prefix is eliminated from scratch.  Each later
+point's hyperplane normal is a combination of the last two kernel
+vectors with two dot products as coefficients.  Either way each
+hyperplane comes with the bitmask of the points on it: the union of
+the d-subsets that span it.  They come sorted as their integer
+``(normal, offset)`` tuples.
 That enumeration and ``containing_hyperplane`` take a point set as its
 ``clear_denominators`` rows, so a caller scales it once, and their
 offsets are those of the scaled rows.  ``side_of``
@@ -240,10 +244,133 @@ def integer_spanned_hyperplanes(
     indices of the points on the hyperplane.  No points, or points of a
     lower dimension, raise ValueError.
 
-    The d-subsets are walked depth-first by their first d-1 points (the
-    prefix), one point at a time, keeping an integer basis of the kernel
-    of the prefix's difference rows from its first point ``base``.  With
-    no rows the basis is the d unit vectors.  Adding a point with
+    Dimensions 3 and 4, the ones the T-shape decisions run in, take a
+    closed form over the d-subsets p, q, r (, s) in index order, on
+    local ints (``_spanned_3``, ``_spanned_4``).  In Z^3 the normal is
+    the cross product (q - p) x (r - p).  In Z^4, with a = q - p,
+    b = r - p, x = s - p and the six minors m_kl = a_k b_l - a_l b_k,
+    n_k is (-1)^k times the 3 x 3 minor of the rows a, b, x without
+    column k, expanded along x.  Either way n . y is the determinant of
+    the differences and y, which is 0 when y is a difference, so n is
+    orthogonal to every difference; and n is zero exactly when the
+    differences are dependent, when the subset spans no hyperplane.
+    All six m_kl are zero exactly when a and b are dependent, that is
+    when p, q, r are collinear; then every quadruple through them is
+    dependent, and that prefix is skipped, as the walk cuts its
+    subtree.  d = 2 and d >= 5 take the kernel walk
+    (``_spanned_by_walk``).  Every route gives the same list.
+
+    ``on`` is the union of the d-subsets that span the hyperplane H, and
+    that is every input point on H: a point p on H is affinely
+    independent by itself, so it extends to d affinely independent
+    points of the input on H (H is spanned, so these points have H as
+    their affine hull), and every route visits every independent
+    d-subset.
+
+    The hyperplanes come sorted as Python sorts their integer
+    ``(normal, offset)`` tuples: by the primitive normal, then by the
+    offset.  That order does not depend on the order of the points.  Nor
+    does a common positive scaling of the points change it, the scaling
+    ``clear_denominators`` applies: the normals stay and every offset is
+    multiplied by the scale.  Nor does an integer translation by t: the
+    normals stay and each offset moves by normal . t, the same amount
+    for every hyperplane of one normal.
+    """
+    if not points:
+        raise ValueError("need at least one point")
+    d = len(points[0])
+    if d < 2:
+        raise ValueError(f"spanned hyperplanes need dimension 2 or more, got {d}")
+    if d == 3:
+        return _spanned_3(points)
+    if d == 4:
+        return _spanned_4(points)
+    return _spanned_by_walk(points)
+
+
+def _spanned_3(
+    points: Sequence[Sequence[int]],
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """``integer_spanned_hyperplanes`` in Z^3, by the cross product."""
+    found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
+    get = found.get
+    n = len(points)
+    for i in range(n - 2):
+        p0, p1, p2 = points[i]
+        for j in range(i + 1, n - 1):
+            q0, q1, q2 = points[j]
+            a0, a1, a2 = q0 - p0, q1 - p1, q2 - p2
+            bits = 1 << i | 1 << j
+            for l in range(j + 1, n):
+                r0, r1, r2 = points[l]
+                b0, b1, b2 = r0 - p0, r1 - p1, r2 - p2
+                n0 = a1 * b2 - a2 * b1
+                n1 = a2 * b0 - a0 * b2
+                n2 = a0 * b1 - a1 * b0
+                g = gcd(n0, n1, n2)
+                if not g:
+                    continue
+                if (n0 or n1 or n2) < 0:
+                    g = -g
+                key = ((n0 // g, n1 // g, n2 // g), (n0 * p0 + n1 * p1 + n2 * p2) // g)
+                found[key] = get(key, 0) | bits | 1 << l
+    return sorted((normal, offset, on) for (normal, offset), on in found.items())
+
+
+def _spanned_4(
+    points: Sequence[Sequence[int]],
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """``integer_spanned_hyperplanes`` in Z^4, by the minor expansion."""
+    found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
+    get = found.get
+    n = len(points)
+    for i in range(n - 3):
+        p0, p1, p2, p3 = points[i]
+        for j in range(i + 1, n - 2):
+            q0, q1, q2, q3 = points[j]
+            a0, a1, a2, a3 = q0 - p0, q1 - p1, q2 - p2, q3 - p3
+            for l in range(j + 1, n - 1):
+                r0, r1, r2, r3 = points[l]
+                b0, b1, b2, b3 = r0 - p0, r1 - p1, r2 - p2, r3 - p3
+                m01 = a0 * b1 - a1 * b0
+                m02 = a0 * b2 - a2 * b0
+                m03 = a0 * b3 - a3 * b0
+                m12 = a1 * b2 - a2 * b1
+                m13 = a1 * b3 - a3 * b1
+                m23 = a2 * b3 - a3 * b2
+                if not (m01 or m02 or m03 or m12 or m13 or m23):
+                    continue
+                bits = 1 << i | 1 << j | 1 << l
+                for t in range(l + 1, n):
+                    s0, s1, s2, s3 = points[t]
+                    x0, x1, x2, x3 = s0 - p0, s1 - p1, s2 - p2, s3 - p3
+                    n0 = x1 * m23 - x2 * m13 + x3 * m12
+                    n1 = x2 * m03 - x0 * m23 - x3 * m02
+                    n2 = x0 * m13 - x1 * m03 + x3 * m01
+                    n3 = x1 * m02 - x0 * m12 - x2 * m01
+                    g = gcd(n0, n1, n2, n3)
+                    if not g:
+                        continue
+                    if (n0 or n1 or n2 or n3) < 0:
+                        g = -g
+                    key = (
+                        (n0 // g, n1 // g, n2 // g, n3 // g),
+                        (n0 * p0 + n1 * p1 + n2 * p2 + n3 * p3) // g,
+                    )
+                    found[key] = get(key, 0) | bits | 1 << t
+    return sorted((normal, offset, on) for (normal, offset), on in found.items())
+
+
+def _spanned_by_walk(
+    points: Sequence[Sequence[int]],
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """``integer_spanned_hyperplanes`` in any dimension d >= 2, by a
+    depth-first walk over the d-subsets.
+
+    The d-subsets are walked by their first d-1 points (the prefix), one
+    point at a time, keeping an integer basis of the kernel of the
+    prefix's difference rows from its first point ``base``.  With no
+    rows the basis is the d unit vectors.  Adding a point with
     ``r = q - base`` and ``c = K . r`` takes a pivot t with ``c_t != 0``
     and gives the basis ``(c_t K_i - c_i K_t) // prev`` for i != t,
     where ``prev`` is the previous pivot.  This is one step of
@@ -261,34 +388,17 @@ def integer_spanned_hyperplanes(
     through the prefix and q.  It is zero exactly when ``u.r = w.r = 0``
     (u and w are independent), that is when q is in the prefix's affine
     hull and the d points are dependent.
-
-    ``on`` is the union of the d-subsets that span the hyperplane H, and
-    that is every input point on H: a point p on H is affinely
-    independent by itself, so it extends to d affinely independent
-    points of the input on H (H is spanned, so these points have H as
-    their affine hull), and the walk visits every independent d-subset.
-
-    The hyperplanes come sorted as Python sorts their integer
-    ``(normal, offset)`` tuples: by the primitive normal, then by the
-    offset.  That order does not depend on the order of the points.  Nor
-    does a common positive scaling of the points change it, the scaling
-    ``clear_denominators`` applies: the normals stay and every offset is
-    multiplied by the scale.  Nor does an integer translation by t: the
-    normals stay and each offset moves by normal . t, the same amount
-    for every hyperplane of one normal.
     """
-    if not points:
-        raise ValueError("need at least one point")
     n, d = len(points), len(points[0])
-    if d < 2:
-        raise ValueError(f"spanned hyperplanes need dimension 2 or more, got {d}")
     found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
     # (base, index of the prefix's last point, prefix mask, kernel, pivot)
     stack: list[tuple[Sequence[int], int, int, list[list[int]], int]] = []
     if d == 2:
         stack = [(p, i, 1 << i, [[1, 0], [0, 1]], 1) for i, p in enumerate(points)]
     else:
-        # seed with pairs: the generic step from the identity kernel is ~20 % slower
+        # seed with pairs, one step from the unit vectors written out: the
+        # generic step was ~20 % slower on d = 3 and d = 4 sets, which no
+        # longer come here; for d >= 5 it was not measured
         for i in range(n - d + 1):
             base = points[i]
             for j in range(i + 1, n - d + 2):

@@ -1330,6 +1330,13 @@ class TestEnvelopeContract:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
         assert list((tmp_path / "kept").iterdir()) == []
 
+    def test_out_and_its_value_may_be_one_token(self, tmp_path, capsys):
+        # --out=PATH passes the check before the command, as --out PATH does
+        target = tmp_path / "x.json"
+        argv = [f"--out={target}", "sandwich", "--k", "1", "--s", "-1"]
+        assert run_cli(argv, capsys) == (0, "", "")
+        assert json.loads(target.read_text())["result"]["cardinality"] == 3
+
     def test_out_makes_its_missing_ancestors(self, tmp_path, capsys):
         target = tmp_path / "a" / "b" / ".." / "c" / "r.json"
         argv = ["--out", str(target), "sandwich", "--k", "1", "--s", "-1"]
@@ -1616,9 +1623,16 @@ class TestArgparseUsage:
             (["certify", "--dim", "2", "--colors", "2", "--centers",
               "sandwich(1,-1)", "--r-l", "1"],
              "unrecognized arguments: --r-l 1"),
-            # --ou is no --out, so its value is read as the command
+            # before the command, the unknown flag is named, not its value
             (["--ou", "x.json", "sandwich", "--k", "1", "--s", "0"],
-             "argument command: invalid choice: 'x.json'"),
+             "unrecognized argument before the command: --ou"),
+            (["--ou", "sandwich", "--k", "1", "--s", "0"],
+             "unrecognized argument before the command: --ou"),
+            (["--bogus", "3", "certify", "--dim", "2", "--colors", "2",
+              "--centers", "sandwich(1,-1)"],
+             "unrecognized argument before the command: --bogus"),
+            (["--out", "x.json", "-x", "sandwich", "--k", "1", "--s", "0"],
+             "unrecognized argument before the command: -x"),
         ],
     )
     def test_a_prefix_of_a_flag_is_no_flag(self, argv, message, monkeypatch, capsys):

@@ -27,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centerpole.geometry import (
+    _spanned_by_walk,
     affine_hull_dim,
     as_point,
     clear_denominators,
@@ -35,7 +36,12 @@ from centerpole.geometry import (
     integer_spanned_hyperplanes,
     matrix_rank,
 )
-from centerpole.tshape import TShapeCertificate, certificate_to_json, is_t_shaped
+from centerpole.tshape import (
+    TShapeCertificate,
+    certificate_to_json,
+    is_t_shaped,
+    moment_curve_points,
+)
 from rational_reference import (
     dot,
     minus,
@@ -215,6 +221,12 @@ def grid_sets(draw):
     return draw(st.lists(cell, min_size=1, max_size=d + 6))
 
 
+def seeded_rows(seed, d, n, bound):
+    """``n`` points of [-bound, bound]^d drawn by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(n)]
+
+
 def scaled_and_moved(sets):
     """A drawn set with a scale m in 1-5 and an integer shift t."""
     return sets.flatmap(
@@ -324,6 +336,34 @@ class TestKernelAgainstTheRationalReference:
         assert [h[:2] for h in got] == ref_spanned_hyperplanes(points)
         assert_incidence(got, points)
         assert sorted(on.bit_count() for _, _, on in got) == [10] * 55 + [11]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # shaped like the T-shape benchmark's sets: t_3 - 1 points in
+            # [-12, 12]^3 and t_4 - 1 points in [-9, 9]^4
+            *(seeded_rows(seed, 3, 5, 12) for seed in range(1, 4)),
+            *(seeded_rows(seed, 4, 11, 9) for seed in range(1, 4)),
+            # the moment-curve witnesses for n = 3 and n = 4
+            moment_curve_points(3, 7, range(1, 8)),
+            moment_curve_points(4, 13, range(1, 14)),
+            # p, q, r collinear at indices 1, 4, 6, and a repeated point
+            [(3, -1, 0, 2), (1, 1, 1, 1), (0, 2, -1, 5), (4, 0, 0, -3),
+             (3, 5, 7, 9), (-2, 7, 1, 0), (5, 9, 13, 17), (0, 2, -1, 5)],
+            # 30 points on one plane of R^3: 4060 triples, one hyperplane
+            [(x, y, 2 * x - 3 * y + 5) for x in range(6) for y in range(5)],
+            # entries near 2^40, whose minors and normals are far past 2^63
+            *(
+                [tuple(sign * 2**40 + v for v in row) for row in rows]
+                for rows in (seeded_rows(7, 3, 7, 3), seeded_rows(7, 4, 9, 3))
+                for sign in (1, -1)
+            ),
+        ],
+    )
+    def test_closed_forms_equal_the_kernel_walk(self, rows):
+        # dimensions 3 and 4 skip the walk; it stays the route of every
+        # other d, and the reference for these point counts and sizes
+        assert integer_spanned_hyperplanes(rows) == _spanned_by_walk(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(grid_sets().flatmap(
