@@ -87,7 +87,7 @@ MAX_TSHAPE_CANDIDATES = 2**12
 # dimension d up to 89, and the kernel updates of the spanned-hyperplane
 # walk grow with d.  On a 2-core Xeon, random points
 # with numerators in [-100, 100] and denominators 1-10 take 0.01 s for
-# n = d = 20, and 1.5-1.8 s for n = 23, the most the candidate bound
+# n = d = 20, and 1.0-1.7 s for n = 23, the most the candidate bound
 # admits in dimension 20; in dimension 24, n = 27 takes about 5 s.  A
 # file above the limit is refused before any elimination.
 MAX_TSHAPE_DIM = 20

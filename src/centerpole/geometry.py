@@ -21,9 +21,10 @@ Spanned hyperplanes in dimensions 3 and 4, where the T-shape decisions
 run, are computed in closed form for each d-subset: the cross product
 of two differences, or the minor expansion of three, on local ints.  In
 every other dimension they are enumerated by walking their first d-1
-points depth-first and updating the prefix's kernel basis one point at
-a time, a Bareiss step whose division by the previous pivot keeps the
-entries small; no prefix is eliminated from scratch.  Each later
+points depth-first from a single point and the unit vectors, and
+updating the prefix's kernel basis one point at a time, a Bareiss step
+whose division by the previous pivot keeps the entries small; no prefix
+is eliminated from scratch.  Each later
 point's hyperplane normal is a combination of the last two kernel
 vectors with two dot products as coefficients.  Either way each
 hyperplane comes with the bitmask of the points on it: the union of
@@ -258,7 +259,8 @@ def integer_spanned_hyperplanes(
     when p, q, r are collinear; then every quadruple through them is
     dependent, and that prefix is skipped, as the walk cuts its
     subtree.  d = 2 and d >= 5 take the kernel walk
-    (``_spanned_by_walk``).  Every route gives the same list.
+    (``_spanned_by_walk``), which starts every prefix from one point and
+    the unit vectors.  Every route gives the same list.
 
     ``on`` is the union of the d-subsets that span the hyperplane H, and
     that is every input point on H: a point p on H is affinely
@@ -369,8 +371,10 @@ def _spanned_by_walk(
 
     The d-subsets are walked by their first d-1 points (the prefix), one
     point at a time, keeping an integer basis of the kernel of the
-    prefix's difference rows from its first point ``base``.  With no
-    rows the basis is the d unit vectors.  Adding a point with
+    prefix's difference rows from its first point ``base``.  Every walk
+    starts the same way, in every dimension: from one point, whose
+    prefix has no rows, with the d unit vectors as its basis and the
+    pivot 1.  Adding a point with
     ``r = q - base`` and ``c = K . r`` takes a pivot t with ``c_t != 0``
     and gives the basis ``(c_t K_i - c_i K_t) // prev`` for i != t,
     where ``prev`` is the previous pivot.  This is one step of
@@ -391,29 +395,9 @@ def _spanned_by_walk(
     """
     n, d = len(points), len(points[0])
     found: dict[tuple[tuple[int, ...], int], int] = {}  # (normal, offset) -> on
+    identity = [[int(i == k) for k in range(d)] for i in range(d)]
     # (base, index of the prefix's last point, prefix mask, kernel, pivot)
-    stack: list[tuple[Sequence[int], int, int, list[list[int]], int]] = []
-    if d == 2:
-        stack = [(p, i, 1 << i, [[1, 0], [0, 1]], 1) for i, p in enumerate(points)]
-    else:
-        # seed with pairs, one step from the unit vectors written out: the
-        # generic step was ~20 % slower on d = 3 and d = 4 sets, which no
-        # longer come here; for d >= 5 it was not measured
-        for i in range(n - d + 1):
-            base = points[i]
-            for j in range(i + 1, n - d + 2):
-                r = [x - y for x, y in zip(points[j], base)]
-                t = next((k for k, v in enumerate(r) if v), None)
-                if t is None:
-                    continue
-                # r_t e_k - r_k e_t for k != t: one step from the unit vectors
-                kernel = []
-                for k in range(d):
-                    if k != t:
-                        vec = [0] * d
-                        vec[k], vec[t] = r[t], -r[k]
-                        kernel.append(vec)
-                stack.append((base, j, 1 << i | 1 << j, kernel, r[t]))
+    stack = [(points[i], i, 1 << i, identity, 1) for i in range(n - d + 1)]
     while stack:
         base, last, bits, kernel, prev = stack.pop()
         kb = [sum(map(mul, k, base)) for k in kernel]

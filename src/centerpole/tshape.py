@@ -22,8 +22,9 @@ walk of at most C(n, d) d-subsets, a set on one hyperplane too.
 it finds as enumerated triples.  ``is_t_shaped`` builds every
 certificate from a cover in one place, dividing only the offsets back
 to the points' scale, and re-verifies it on integers by exact
-predicates (the sign ``side_of``, ``separates`` and
-``in_general_position``) that share nothing with the search's masks.
+predicates (``in_general_position`` and the sign ``side_of``, taken
+once for each hyperplane and point it reaches) that share nothing with
+the search's masks.
 
 The module decides and certifies: the known t values, their sampled
 check and its random sets live in ``scripts/run_tshape_survey.py``.
@@ -46,7 +47,7 @@ from .geometry import (
     in_general_position,
     matrix_rank,
     point_to_json,
-    separates,
+    separates as _separates,
     side_of,
 )
 
@@ -55,9 +56,11 @@ from .geometry import (
 # enumeration as the spanned-hyperplane layer (bench/tracing.py).
 from .geometry import integer_spanned_hyperplanes as spanned_hyperplanes
 
-# Read only by the traced benchmark run, which wraps it as the hull layer
-# (bench/tracing.py); ROADMAP item 7 deletes it with the wrappers.
+# Read only by the traced benchmark run, which wraps them as the hull and
+# separation layers (bench/tracing.py); no decision calls either, and
+# ROADMAP item 7b deletes both with the wrappers.
 affine_hull_dim = _affine_hull_dim
+separates = _separates
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,12 @@ class TShapeCertificate:
     re-derives everything from the raw predicates, on integers: the
     points times the lcm of their denominators and each offset times
     the same lcm, which keeps every side.  It checks general position
-    of the family, total coverage with first-index assignment, and for
-    each hyperplane the absence of points strictly on both sides among
-    those not covered earlier.
+    of the family, then walks the hyperplanes once, in order, keeping
+    the points no earlier hyperplane holds: each such point's sign is
+    taken once, the hyperplane fails if the signs hold both -1 and 1
+    or a point on it is assigned another index, and the points on it
+    are dropped.  A point left after the last hyperplane fails the
+    cover.
     """
 
     hyperplanes: tuple[tuple, ...]
@@ -97,17 +103,15 @@ class TShapeCertificate:
         hps = [(n, _exact(offset * scale)) for n, offset in read]
         if not in_general_position(hps):
             return False
-        firsts = []
-        for p, row in zip(pts, scaled):
-            first = next((i for i, h in enumerate(hps) if side_of(h, row) == 0), None)
-            if first is None or self.assignment[p] != first:
-                return False
-            firsts.append(first)
+        left = list(zip(pts, scaled))
         for i, h in enumerate(hps):
-            residual = [row for row, first in zip(scaled, firsts) if first >= i]
-            if separates(h, residual):
+            signs = [side_of(h, row) for _, row in left]
+            if -1 in signs and 1 in signs:
                 return False
-        return True
+            if any(self.assignment[p] != i for (p, _), s in zip(left, signs) if not s):
+                return False
+            left = [pair for pair, s in zip(left, signs) if s]
+        return not left
 
 
 @dataclass(frozen=True)

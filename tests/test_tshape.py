@@ -105,6 +105,11 @@ class TestDecisions:
 
 
 class TestCertificates:
+    # x = 0 holds the last three points, z = 0 the first two and the last
+    SPLIT = [P(1, 0, 0), P(2, 1, 0), P(0, 0, 1), P(0, 0, -1), P(0, 5, 0)]
+    HX = ((1, 0, 0), 0)
+    HZ = ((0, 0, 1), 0)
+
     def test_assignment_must_point_to_an_incident_hyperplane(self):
         pts = [P(0, 0), P(3, 1)]
         cert = is_t_shaped(pts).certificate
@@ -153,6 +158,21 @@ class TestCertificates:
         bad = TShapeCertificate(hps, {pts[0]: 0, pts[1]: 0, pts[2]: True})
         with pytest.raises(TypeError, match="an assignment value is an int, not bool"):
             bad.verify(pts)
+
+    def test_a_hyperplane_may_not_separate_what_its_predecessors_left(self):
+        pts = self.SPLIT
+        cover = TShapeCertificate((self.HX, self.HZ), dict(zip(pts, [1, 1, 0, 0, 0])))
+        assert cover.verify(pts)
+        # every point is covered and assigned its first hyperplane, but
+        # z = 0 comes first and separates (0, 0, 1) from (0, 0, -1)
+        swapped = TShapeCertificate((self.HZ, self.HX), dict(zip(pts, [0, 0, 1, 1, 0])))
+        assert not swapped.verify(pts)
+
+    def test_a_point_on_two_hyperplanes_is_assigned_the_first(self):
+        # (0, 5, 0) lies on x = 0 and on z = 0: index 1 is incident, not first
+        pts = self.SPLIT
+        late = TShapeCertificate((self.HX, self.HZ), dict(zip(pts, [1, 1, 0, 0, 1])))
+        assert not late.verify(pts)
 
 
 class TestCertificateHyperplanes:
